@@ -60,7 +60,7 @@ let () =
     | [] -> List.map fst experiments
     | args -> args
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Monotime.now_s () in
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
@@ -71,4 +71,4 @@ let () =
           exit 1)
     selected;
   Printf.printf "\n[bench completed in %.1f s wall clock]\n"
-    (Unix.gettimeofday () -. t0)
+    (Ft_util.Monotime.elapsed_s t0)

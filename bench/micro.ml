@@ -47,11 +47,11 @@ let tests () =
    test_nn/test_gbt). *)
 
 let time_ns_per f reps per =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Monotime.now_s () in
   for _ = 1 to reps do
     f ()
   done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * per)
+  Ft_util.Monotime.elapsed_s t0 *. 1e9 /. float_of_int (reps * per)
 
 let gemm_gflops_by_batch () =
   let k = 64 and n = 64 in
@@ -163,16 +163,16 @@ let rec batches_of k = function
 let batched_evals_per_sec pool cfgs =
   let evaluator = Ft_explore.Evaluator.create ~pool conv_space in
   let batches = batches_of throughput_batch cfgs in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Monotime.now_s () in
   List.iter (fun batch -> ignore (Ft_explore.Evaluator.measure_batch evaluator batch)) batches;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Ft_util.Monotime.elapsed_s t0 in
   float_of_int (Ft_explore.Evaluator.n_evals evaluator) /. dt
 
 let sequential_evals_per_sec cfgs =
   let evaluator = Ft_explore.Evaluator.create conv_space in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Monotime.now_s () in
   List.iter (fun cfg -> ignore (Ft_explore.Evaluator.measure evaluator cfg)) cfgs;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Ft_util.Monotime.elapsed_s t0 in
   float_of_int (Ft_explore.Evaluator.n_evals evaluator) /. dt
 
 (* Evaluations per *simulated* second: the paper's multi-device
@@ -205,65 +205,49 @@ let measure_throughput () =
   let simulated = List.map (fun n -> (n, simulated_evals_per_sec n cfgs)) [ 1; 4 ] in
   (sequential, wall, simulated)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated path =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  let obj ?(indent = "    ") fmt_value kv_list =
-    List.iteri
-      (fun i (k, v) ->
-        out "%s\"%s\": " indent (json_escape k);
-        fmt_value v;
-        out "%s\n" (if i < List.length kv_list - 1 then "," else ""))
-      kv_list
+(* BENCH_micro.json, rounded to the printed precision. *)
+let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated =
+  let module J = Ft_util.Json in
+  let num digits x =
+    let scale = 10. ** float_of_int digits in
+    J.Num (Float.round (x *. scale) /. scale)
   in
-  out "{\n  \"space\": \"yolo C8 on v100\",\n  \"cores\": %d,\n"
-    (Domain.recommended_domain_count ());
-  out "  \"ns_per_call\": {\n";
-  obj (out "%s") ns_rows;
-  out "  },\n  \"batched_kernels\": {\n";
-  out "    \"gemm_gflops\": {\n";
-  obj ~indent:"      " (out "%.2f")
-    (List.map (fun (m, gflops) -> (Printf.sprintf "b%d" m, gflops)) gemm);
-  out "    },\n";
-  let scalar_vs_batched name (scalar, batched) last =
-    out "    \"%s\": {\n" name;
-    obj ~indent:"      " (out "%.2f")
-      [ ("scalar", scalar); ("batched", batched); ("speedup", scalar /. batched) ];
-    out "    }%s\n" (if last then "" else ",")
+  let table digits label rows =
+    J.Obj (List.map (fun (k, x) -> (label k, num digits x)) rows)
   in
-  scalar_vs_batched "q_forward_ns_per_candidate" qf false;
-  scalar_vs_batched "boost_predict_ns_per_candidate" boost true;
-  out "  },\n  \"batched_eval\": {\n    \"candidates\": %d,\n    \"batch\": %d,\n"
-    throughput_candidates throughput_batch;
-  out "    \"sequential_evals_per_sec\": %.1f,\n" sequential;
-  out "    \"wall_clock_evals_per_sec\": {\n";
-  obj ~indent:"      " (out "%.1f")
-    (List.map (fun (jobs, rate) -> (Printf.sprintf "j%d" jobs, rate)) wall);
-  out "    },\n";
+  let scalar_vs_batched (scalar, batched) =
+    table 2 Fun.id
+      [ ("scalar", scalar); ("batched", batched); ("speedup", scalar /. batched) ]
+  in
   let base = List.assoc 1 wall in
-  out "    \"wall_clock_speedup_vs_j1\": {\n";
-  obj ~indent:"      " (out "%.2f")
-    (List.map (fun (jobs, rate) -> (Printf.sprintf "j%d" jobs, rate /. base)) wall);
-  out "    },\n";
-  out "    \"simulated_evals_per_sim_sec\": {\n";
-  obj ~indent:"      " (out "%.1f")
-    (List.map (fun (n, rate) -> (Printf.sprintf "n_parallel_%d" n, rate)) simulated);
-  out "    },\n";
-  let sim_base = List.assoc 1 simulated in
-  out "    \"simulated_speedup_n_parallel_4\": %.2f\n"
-    (List.assoc 4 simulated /. sim_base);
-  out "  }\n}\n";
-  close_out oc
+  J.Obj
+    [
+      ("space", J.Str "yolo C8 on v100");
+      ("cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
+      ("ns_per_call", table 0 Fun.id ns_rows);
+      ( "batched_kernels",
+        J.Obj
+          [
+            ("gemm_gflops", table 2 (Printf.sprintf "b%d") gemm);
+            ("q_forward_ns_per_candidate", scalar_vs_batched qf);
+            ("boost_predict_ns_per_candidate", scalar_vs_batched boost);
+          ] );
+      ( "batched_eval",
+        J.Obj
+          [
+            ("candidates", J.Num (float_of_int throughput_candidates));
+            ("batch", J.Num (float_of_int throughput_batch));
+            ("sequential_evals_per_sec", num 1 sequential);
+            ("wall_clock_evals_per_sec", table 1 (Printf.sprintf "j%d") wall);
+            ( "wall_clock_speedup_vs_j1",
+              table 2 (Printf.sprintf "j%d")
+                (List.map (fun (jobs, rate) -> (jobs, rate /. base)) wall) );
+            ( "simulated_evals_per_sim_sec",
+              table 1 (Printf.sprintf "n_parallel_%d") simulated );
+            ( "simulated_speedup_n_parallel_4",
+              num 2 (List.assoc 4 simulated /. List.assoc 1 simulated) );
+          ] );
+    ]
 
 let run () =
   Bench_common.section "Micro-benchmarks (bechamel, ns per call)";
@@ -279,13 +263,12 @@ let run () =
   Hashtbl.iter
     (fun name result ->
       match Analyze.OLS.estimates result with
-      | Some [ estimate ] ->
-          rows := (name, Printf.sprintf "%.0f" estimate) :: !rows
+      | Some [ estimate ] -> rows := (name, estimate) :: !rows
       | _ -> ())
     results;
   let ns_rows = List.sort compare !rows in
   Ft_util.Table.print ~header:[ "hot path"; "ns/call" ]
-    (List.map (fun (a, b) -> [ a; b ]) ns_rows);
+    (List.map (fun (a, b) -> [ a; Printf.sprintf "%.0f" b ]) ns_rows);
   Bench_common.subsection "batched kernels (Bigarray hot paths)";
   let gemm = gemm_gflops_by_batch () in
   let qf = q_forward_ns_per_candidate () in
@@ -324,6 +307,9 @@ let run () =
        (fun (n, rate) ->
          [ Printf.sprintf "n_parallel %d" n; Printf.sprintf "%.1f" rate ])
        simulated);
-  write_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated
-    "BENCH_micro.json";
+  Out_channel.with_open_text "BENCH_micro.json" (fun oc ->
+      output_string oc
+        (Ft_util.Json.to_string
+           (micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated));
+      output_char oc '\n');
   print_endline "\n[wrote BENCH_micro.json]"

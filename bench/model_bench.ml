@@ -134,7 +134,7 @@ let best_found space =
   in
   (* Measure the winner the way `optimize --measure` does: in the
      sandbox, so a pathological best schedule cannot take the bench
-     harness down (DESIGN.md §16). *)
+     harness down (DESIGN.md §11). *)
   let measured =
     Flextensor.Sandbox.measurer space result.Ft_explore.Driver.best_config
   in

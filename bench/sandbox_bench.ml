@@ -1,4 +1,4 @@
-(* Sandbox chaos table and overhead micro-benchmark (DESIGN.md §16).
+(* Sandbox chaos table and overhead micro-benchmark (DESIGN.md §11).
 
    Two results go to BENCH_sandbox.json:
 
@@ -54,7 +54,7 @@ let run_chaos kind =
   let cfg = Space.default_config space in
   let measure =
     Sandbox.measurer ~limits:(chaos_limits kind)
-      ~policy:{ Sandbox.max_retries = 0; backoff_s = 0. }
+      ~policy:{ Ft_fault.Resilience.max_retries = 0; backoff_s = 0. }
       ~chaos:(fun _ -> Some kind)
       space
   in
@@ -88,7 +88,7 @@ let overhead () =
     time_per_call n (fun _ ->
         match Sandbox.run ~reps:2 space cfg with
         | Ok _ -> ()
-        | Error fault -> failwith (Sandbox.fault_to_string fault))
+        | Error fault -> failwith (Ft_fault.Resilience.to_string fault))
   in
   (inproc_ms, sandboxed_ms)
 

@@ -48,11 +48,11 @@ let record_of i =
   }
 
 let time_ns_per f reps =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Monotime.now_s () in
   for _ = 1 to reps do
     ignore (Sys.opaque_identity (f ()))
   done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
+  Ft_util.Monotime.elapsed_s t0 *. 1e9 /. float_of_int reps
 
 (* The O(n) fold [Store.best_exact] used before the index: highest
    value, earliest wins ties — kept here as the baseline under test. *)
@@ -141,10 +141,10 @@ let service_rate ~clients ~total addr work =
                     done;
                     !done_)))
   in
-  t0 := Unix.gettimeofday ();
+  t0 := Ft_util.Monotime.now_s ();
   Atomic.set go true;
   let completed = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-  let dt = Unix.gettimeofday () -. !t0 in
+  let dt = Ft_util.Monotime.elapsed_s !t0 in
   if Atomic.get failures > 0 then
     Printf.printf "  (%d request(s) failed)\n" (Atomic.get failures);
   float_of_int completed /. dt

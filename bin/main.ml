@@ -199,7 +199,7 @@ let measure_arg =
                perturbs the search: seeded runs stay bit-for-bit \
                identical with or without this flag.")
 
-(* Measurement isolation knobs (DESIGN.md §16).  The sandbox is the
+(* Measurement isolation knobs (DESIGN.md §11).  The sandbox is the
    default because an in-process measurement that segfaults or hangs
    takes the whole tuner down with it; `--measure-isolate off` is the
    escape hatch for debugging the measurement path itself. *)

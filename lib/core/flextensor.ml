@@ -19,7 +19,7 @@ module Pretty = Ft_lower.Pretty
 module Verify = Ft_lower.Verify
 module Compile = Ft_lower.Compile
 module Measure = Ft_lower.Measure
-module Monotime = Ft_lower.Monotime
+module Monotime = Ft_util.Monotime
 module Sandbox = Ft_lower.Sandbox
 module Driver = Ft_explore.Driver
 module Pool = Ft_par.Pool
@@ -47,15 +47,6 @@ module Fleet_sim = Ft_fleet.Sim
    the module here so it is linked (and they run) for every consumer of
    this facade. *)
 let () = Ft_baselines.Autotvm.ensure_registered ()
-
-(* Deprecated shim for the pre-registry closed variant; use the
-   registered method names ({!Method.list}) instead. *)
-type search_method = Q_learning | P_exhaustive | Random_walk
-
-let search_name = function
-  | Q_learning -> "Q-method"
-  | P_exhaustive -> "P-method"
-  | Random_walk -> "random"
 
 type options = {
   seed : int;

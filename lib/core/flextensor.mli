@@ -37,11 +37,11 @@ module Compile = Ft_lower.Compile
     ({!Ft_lower.Measure}); results carry [Measured] provenance. *)
 module Measure = Ft_lower.Measure
 
-(** Monotonic clock ({!Ft_lower.Monotime}): kernel timing and the
-    sandbox watchdog — immune to NTP steps. *)
-module Monotime = Ft_lower.Monotime
+(** The monotonic clock ({!Ft_util.Monotime}) behind every duration
+    and deadline — immune to NTP steps. *)
+module Monotime = Ft_util.Monotime
 
-(** Process-isolated measurement ({!Ft_lower.Sandbox}, DESIGN.md §16):
+(** Process-isolated measurement ({!Ft_lower.Sandbox}, DESIGN.md §11):
     each measurement forks a rlimit-capped child under a SIGKILL
     watchdog, so hangs, segfaults, and OOMs become structured
     [Perf.invalid] results instead of killing the tuner.  The CLI's
@@ -91,8 +91,9 @@ module Method = Ft_explore.Method
     receives. *)
 module Search_loop = Ft_explore.Search_loop
 
-(** Deterministic fault injection for resilience testing
-    ({!Ft_fault.Plan}): a seeded plan of measurement failures —
+(** Deterministic fault injection ({!Ft_fault.Plan}), absorbed by the
+    shared retry / quarantine loop ({!Ft_fault.Resilience}): a seeded
+    plan of measurement failures —
     compile errors, timeouts, runtime crashes, noisy repeats, lane
     deaths — whose outcomes are a pure function of (plan seed, config
     key, attempt).  {!Fault.zero} (the default) injects nothing and
@@ -140,15 +141,6 @@ module Fleet_protocol = Ft_fleet.Protocol
 module Fleet_coordinator = Ft_fleet.Coordinator
 module Fleet_worker = Ft_fleet.Worker
 module Fleet_sim = Ft_fleet.Sim
-
-(** @deprecated The pre-registry closed method variant, kept as a shim:
-    convert with {!search_name} and use the string in
-    {!options.search}.  New methods appear only in the registry. *)
-type search_method = Q_learning | P_exhaustive | Random_walk
-
-(** Stable registered name of a shim variant ("Q-method" / "P-method" /
-    "random"). *)
-val search_name : search_method -> string
 
 type options = {
   seed : int;

@@ -1,28 +1,5 @@
 type mode = Hardware_measure | Model_query
 
-(* How measurement failures injected by a {!Ft_fault.Plan} are
-   absorbed: bounded retries with exponential backoff, median-of-k
-   re-runs for noisy timings, quarantine once retries are exhausted. *)
-type resilience = {
-  plan : Ft_fault.Plan.t;
-  max_retries : int;  (* attempts per config = max_retries + 1 *)
-  backoff_s : float;  (* base backoff before retry k: backoff_s * 2^k *)
-  noisy_repeats : int;  (* re-runs aggregated by median on a noisy timing *)
-  timeout_cap_s : float;  (* simulated seconds before a hung kernel is killed *)
-}
-
-let resilience ?(max_retries = 2) ?(backoff_s = 0.05) ?(noisy_repeats = 3)
-    ?(timeout_cap_s = 1.0) plan =
-  if max_retries < 0 then
-    invalid_arg "Evaluator.resilience: max_retries must be >= 0";
-  if noisy_repeats < 1 then
-    invalid_arg "Evaluator.resilience: noisy_repeats must be >= 1";
-  if backoff_s < 0. then
-    invalid_arg "Evaluator.resilience: backoff_s must be >= 0";
-  if timeout_cap_s < 0. then
-    invalid_arg "Evaluator.resilience: timeout_cap_s must be >= 0";
-  { plan; max_retries; backoff_s; noisy_repeats; timeout_cap_s }
-
 (* An external evaluation backend for [prepare]'s fresh points (the
    fleet coordinator, DESIGN.md §14).  Must return one entry per input,
    in input order, each bit-for-bit equal to what [compute] would
@@ -45,8 +22,7 @@ type t = {
   n_parallel : int;  (* simulated measurement devices (lanes) *)
   pool : Ft_par.Pool.t option;  (* None = the process-wide default *)
   dispatch : dispatch option;  (* fleet backend for batched fresh points *)
-  resilience : resilience option;
-  faulty : bool;  (* resilience present AND the plan injects faults *)
+  faults : Ft_fault.Plan.t option;  (* Some only when the plan injects faults *)
   mutable live_lanes : int;  (* n_parallel minus injected lane deaths *)
   cache : (string, float * Ft_hw.Perf.t) Hashtbl.t;
   mutable clock_s : float;
@@ -69,18 +45,20 @@ let failed_compile_cost = 0.1
 let model_query_cost = 0.002
 let cache_hit_cost = 0.0005
 
+(* A noisy timing is re-run this many times and reported as the median. *)
+let noisy_repeats = 3
+
 let create ?(flops_scale = 1.0) ?mode ?(n_parallel = 1) ?pool ?dispatch
-    ?resilience space =
+    ?faults space =
   if n_parallel < 1 then invalid_arg "Evaluator.create: n_parallel must be >= 1";
   let mode =
     match mode with Some m -> m | None -> default_mode space.Ft_schedule.Space.target
   in
-  let faulty =
-    match resilience with
-    | Some r -> Ft_fault.Plan.injects_measurement_faults r.plan
-    | None -> false
+  let faults =
+    Option.bind faults (fun plan ->
+        if Ft_fault.Plan.injects_measurement_faults plan then Some plan else None)
   in
-  { space; flops_scale; mode; n_parallel; pool; dispatch; resilience; faulty;
+  { space; flops_scale; mode; n_parallel; pool; dispatch; faults;
     live_lanes = n_parallel;
     cache = Hashtbl.create 256; clock_s = 0.; n_evals = 0 }
 
@@ -105,85 +83,66 @@ let median xs =
   let n = Array.length arr in
   if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
 
-(* Resolve the fault plan for one fresh measurement: walk the attempt
-   sequence, accumulating each attempt's simulated cost — failures
-   charge their kind-specific cost (a timed-out kernel occupies the
-   lane up to the cap, a failed compile only its compile cost) plus
-   exponential backoff before the retry — until an attempt lands or
-   retries are exhausted, at which point the config is quarantined as
-   an invalid perf that is cached and never remeasured.  Outcomes are
-   a pure function of (fault seed, key, attempt), so the resolved
-   entry and its total lane occupancy are independent of pool size and
-   commit order.  Hardware faults only strike real measurements:
-   model queries (FPGA) and model-invalid configs keep their
-   deterministic cost. *)
-let fault_resolve t r key ((value, perf) : float * Ft_hw.Perf.t) =
+(* Resolve the fault plan for one fresh measurement through the
+   shared {!Ft_fault.Resilience} loop.  The plan is the fault source:
+   each attempt is an independent seeded draw, so every fault is
+   retryable.  Every attempt's simulated cost, and every backoff wait,
+   accumulates into the point's lane occupancy — failures charge their
+   kind-specific cost (a timed-out kernel occupies the lane up to the
+   cap, a failed compile only its compile cost).  A quarantined config
+   becomes an invalid perf that is cached and never remeasured.
+   Outcomes are a pure function of (fault seed, key, attempt), so the
+   resolved entry and its cost are independent of pool size and commit
+   order.  Hardware faults only strike real measurements: model
+   queries (FPGA) and model-invalid configs keep their deterministic
+   cost. *)
+let fault_resolve t plan key ((value, perf) as computed : float * Ft_hw.Perf.t) =
   if t.mode <> Hardware_measure || not perf.valid then
-    ((value, perf), measure_cost t perf)
+    (computed, measure_cost t perf)
   else begin
     let run_s = Float.min perf.time_s 1.0 in
-    let rec attempt_loop attempt cost =
-      match Ft_fault.Plan.outcome r.plan ~key ~attempt with
-      | Ft_fault.Plan.Sound -> ((value, perf), cost +. measure_cost t perf)
-      | Ft_fault.Plan.Fault Ft_fault.Plan.Noisy_measurement ->
+    let cost = ref 0. in
+    let attempt ~attempt =
+      match Ft_fault.Plan.outcome plan ~key ~attempt with
+      | Ft_fault.Plan.Sound ->
+          cost := !cost +. measure_cost t perf;
+          Ok computed
+      | Ft_fault.Plan.Noisy ->
           (* The timing jitters: re-run noisy_repeats times on one
              compile and report the median — each repeat charges its
              host round-trip and kernel runs. *)
           let factors =
-            Ft_fault.Plan.noise_factors r.plan ~key ~attempt
-              ~count:r.noisy_repeats
+            Ft_fault.Plan.noise_factors plan ~key ~attempt ~count:noisy_repeats
           in
-          let noisy = median (List.map (fun f -> value *. f) factors) in
           Ft_obs.Trace.incr "eval.noisy";
-          ( (noisy, perf),
-            cost +. compile_cost
-            +. (float_of_int r.noisy_repeats
-               *. (host_overhead +. (float_of_int runs_per_measure *. run_s))) )
-      | Ft_fault.Plan.Fault kind ->
+          cost :=
+            !cost +. compile_cost
+            +. (float_of_int noisy_repeats
+               *. (host_overhead +. (float_of_int runs_per_measure *. run_s)));
+          Ok (median (List.map (fun f -> value *. f) factors), perf)
+      | Ft_fault.Plan.Fault fault ->
           let fail_cost =
-            match kind with
-            | Ft_fault.Plan.Compile_error -> failed_compile_cost
-            | Ft_fault.Plan.Timeout -> compile_cost +. host_overhead +. r.timeout_cap_s
-            | Ft_fault.Plan.Runtime_crash -> compile_cost +. host_overhead +. run_s
-            | Ft_fault.Plan.Lane_death ->
+            match fault with
+            | Ft_fault.Resilience.Compile_error -> failed_compile_cost
+            | Ft_fault.Resilience.Timeout cap_s -> compile_cost +. host_overhead +. cap_s
+            | Ft_fault.Resilience.Lane_death ->
                 (* The device drops off mid-measurement: the host waits
                    it out to the cap, and subsequent waves have one
                    fewer lane. *)
                 t.live_lanes <- max 1 (t.live_lanes - 1);
-                Ft_obs.Trace.incr "eval.lane_death";
                 if Ft_obs.Trace.active () then
-                  Ft_obs.Trace.event "pool.lane_dead"
-                    [ ("live", Int t.live_lanes) ];
-                compile_cost +. host_overhead +. r.timeout_cap_s
-            | Ft_fault.Plan.Noisy_measurement -> assert false
+                  Ft_obs.Trace.event "pool.lane_dead" [ ("live", Int t.live_lanes) ];
+                compile_cost +. host_overhead +. Ft_fault.Plan.timeout_cap_s
+            | _ (* Runtime_crash: the plan draws no other fault *) ->
+                compile_cost +. host_overhead +. run_s
           in
-          (match kind with
-          | Ft_fault.Plan.Timeout -> Ft_obs.Trace.incr "eval.timeout"
-          | Ft_fault.Plan.Compile_error -> Ft_obs.Trace.incr "eval.compile_error"
-          | Ft_fault.Plan.Runtime_crash -> Ft_obs.Trace.incr "eval.runtime_crash"
-          | _ -> ());
-          let cost = cost +. fail_cost in
-          if attempt >= r.max_retries then begin
-            Ft_obs.Trace.incr "eval.quarantined";
-            if Ft_obs.Trace.active () then
-              Ft_obs.Trace.event "eval.quarantine"
-                [
-                  ("kind", Str (Ft_fault.Plan.kind_name kind));
-                  ("attempts", Int (attempt + 1));
-                ];
-            let note =
-              Printf.sprintf "quarantined: %s after %d attempts"
-                (Ft_fault.Plan.kind_name kind) (attempt + 1)
-            in
-            ((0., Ft_hw.Perf.invalid note), cost)
-          end
-          else begin
-            Ft_obs.Trace.incr "eval.retry";
-            attempt_loop (attempt + 1)
-              (cost +. (r.backoff_s *. (2. ** float_of_int attempt)))
-          end
+          cost := !cost +. fail_cost;
+          Error { Ft_fault.Resilience.fault; retryable = true }
     in
-    attempt_loop 0 0.
+    let wait s = cost := !cost +. s in
+    match Ft_fault.Resilience.run ~prefix:"eval" ~wait attempt with
+    | Ok entry -> (entry, !cost)
+    | Error note -> ((0., Ft_hw.Perf.invalid note), !cost)
   end
 
 (* Insert a freshly computed point, charging the clock via [charge_one]
@@ -192,9 +151,9 @@ let fault_resolve t r key ((value, perf) : float * Ft_hw.Perf.t) =
    or quarantined) and the cost is the whole retry sequence's. *)
 let commit_fresh t ~charge_one key ((_, perf) as computed) =
   let ((value, _) as entry), cost =
-    match t.resilience with
-    | Some r when t.faulty -> fault_resolve t r key computed
-    | Some _ | None -> (computed, measure_cost t perf)
+    match t.faults with
+    | Some plan -> fault_resolve t plan key computed
+    | None -> (computed, measure_cost t perf)
   in
   Hashtbl.replace t.cache key entry;
   t.n_evals <- t.n_evals + 1;

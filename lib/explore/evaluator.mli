@@ -20,26 +20,6 @@ type mode = Hardware_measure | Model_query
 
 type t
 
-(** How measurement failures injected by a {!Ft_fault.Plan.t} are
-    absorbed (DESIGN.md §11).  Every attempt is charged to the
-    simulated clock at its kind-specific cost; a config whose retries
-    are exhausted is quarantined — cached as an invalid {!Ft_hw.Perf.t}
-    with value 0 and never remeasured. *)
-type resilience = {
-  plan : Ft_fault.Plan.t;
-  max_retries : int;  (** attempts per config = [max_retries + 1] *)
-  backoff_s : float;  (** base backoff before retry k: [backoff_s * 2^k] *)
-  noisy_repeats : int;  (** re-runs aggregated by median on a noisy timing *)
-  timeout_cap_s : float;  (** seconds before a hung kernel is killed *)
-}
-
-(** [resilience plan] with the default policy: 2 retries, 0.05 s base
-    backoff, median of 3 noisy repeats, 1 s timeout cap.  Raises
-    [Invalid_argument] on negative knobs or [noisy_repeats < 1]. *)
-val resilience :
-  ?max_retries:int -> ?backoff_s:float -> ?noisy_repeats:int ->
-  ?timeout_cap_s:float -> Ft_fault.Plan.t -> resilience
-
 val default_mode : Ft_schedule.Target.t -> mode
 
 (** An external evaluation backend for {!prepare}'s fresh points — the
@@ -64,14 +44,18 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
     the number of simulated measurement devices the clock assumes;
     [pool] is the domain pool used for batched evaluation (default:
     {!Ft_par.Pool.default}); [dispatch] routes batched fresh points to
-    an external backend instead of the pool; [resilience] enables
-    fault injection and the retry / quarantine policy around it —
-    omitted, or with a plan that injects nothing, the evaluator is
-    bit-for-bit the fault-free one.  Raises [Invalid_argument] when
+    an external backend instead of the pool; [faults] injects
+    measurement failures, absorbed by {!Ft_fault.Resilience}'s default
+    policy (DESIGN.md §11): every attempt and backoff is charged to the
+    simulated clock, a noisy timing is the median of 3 repeats, and a
+    config whose retries are exhausted is quarantined — cached as an
+    invalid {!Ft_hw.Perf.t} with value 0 and never remeasured.  Omitted,
+    or with a plan that injects nothing, the evaluator is bit-for-bit
+    the fault-free one.  Raises [Invalid_argument] when
     [n_parallel < 1]. *)
 val create :
   ?flops_scale:float -> ?mode:mode -> ?n_parallel:int ->
-  ?pool:Ft_par.Pool.t -> ?dispatch:dispatch -> ?resilience:resilience ->
+  ?pool:Ft_par.Pool.t -> ?dispatch:dispatch -> ?faults:Ft_fault.Plan.t ->
   Ft_schedule.Space.t -> t
 
 (** Add search bookkeeping time to the simulated clock. *)

@@ -31,9 +31,6 @@ type params = {
          in-process pool.  Never changes results, only where the pure
          cost model runs. *)
   faults : Ft_fault.Plan.t;  (* injected failures (Plan.zero = none) *)
-  resilience : Evaluator.resilience option;
-      (* retry/quarantine policy override; None = Evaluator defaults
-         built from [faults] *)
   checkpoint_path : string option;  (* crash-safe resume trail (JSONL) *)
   checkpoint_every : int;  (* trials between checkpoint appends *)
   resume : bool;  (* continue from the newest matching checkpoint *)
@@ -57,7 +54,6 @@ let default_params =
     pool = None;
     dispatch = None;
     faults = Ft_fault.Plan.zero;
-    resilience = None;
     checkpoint_path = None;
     checkpoint_every = 5;
     resume = false;
@@ -120,18 +116,10 @@ let run_id ~method_name params space =
 
 let run (module P : POLICY) params space =
   let rng = Ft_util.Rng.create params.seed in
-  let resilience =
-    match params.resilience with
-    | Some _ as r -> r
-    | None ->
-        if Ft_fault.Plan.injects_measurement_faults params.faults then
-          Some (Evaluator.resilience params.faults)
-        else None
-  in
   let evaluator =
     Evaluator.create ?flops_scale:params.flops_scale ?mode:params.mode
       ?n_parallel:params.n_parallel ?pool:params.pool ?dispatch:params.dispatch
-      ?resilience space
+      ~faults:params.faults space
   in
   let rid = run_id ~method_name:P.method_name params space in
   (* Resume state is read before any RNG draw or measurement; a

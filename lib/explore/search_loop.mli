@@ -32,9 +32,6 @@ type params = {
   faults : Ft_fault.Plan.t;
       (** injected measurement failures ({!Ft_fault.Plan.zero} = none;
           a zero plan leaves the run bit-for-bit unchanged) *)
-  resilience : Evaluator.resilience option;
-      (** retry / quarantine policy override; [None] builds the
-          {!Evaluator.resilience} defaults from [faults] *)
   checkpoint_path : string option;
       (** append crash-safe checkpoints to this JSONL file
           ({!Ft_store.Checkpoint}); [None] = no checkpointing *)

@@ -7,22 +7,12 @@
    *injectable and reproducible*: every fault outcome is a pure
    function of (plan seed, config key, attempt number), so a faulty
    run replays identically for any pool size, commit order, or wave
-   layout — the resilience layer above it can then be tested
+   layout — the {!Resilience} loop above it can then be tested
    bit-for-bit. *)
 
-type kind =
-  | Compile_error  (* code generation / compilation fails outright *)
-  | Timeout  (* the kernel hangs until the harness kills it *)
-  | Runtime_crash  (* the kernel launches, then faults mid-run *)
-  | Lane_death  (* the measurement device itself drops off *)
-  | Noisy_measurement  (* the timing succeeds but jitters *)
-
-let kind_name = function
-  | Compile_error -> "compile_error"
-  | Timeout -> "timeout"
-  | Runtime_crash -> "runtime_crash"
-  | Lane_death -> "lane_death"
-  | Noisy_measurement -> "noisy_measurement"
+(* The simulated watchdog: a hung kernel is killed after this many
+   simulated seconds. *)
+let timeout_cap_s = 1.0
 
 type t = {
   seed : int;
@@ -78,7 +68,7 @@ let stream p ~key ~attempt ~salt =
   Ft_util.Rng.create
     (Ft_util.Rng.mix (Ft_util.Rng.mix (Ft_util.Rng.mix p.seed (hash_key key)) attempt) salt)
 
-type outcome = Sound | Fault of kind
+type outcome = Sound | Noisy | Fault of Resilience.fault
 
 (* Cumulative thresholds in a fixed kind order; changing the order
    would silently reshuffle every seeded fault trace, so it is part of
@@ -90,18 +80,18 @@ let outcome p ~key ~attempt =
     let u = Ft_util.Rng.float (stream p ~key ~attempt ~salt:0) 1.0 in
     let thresholds =
       [
-        (p.compile_error, Compile_error);
-        (p.timeout, Timeout);
-        (p.runtime_crash, Runtime_crash);
-        (p.lane_death, Lane_death);
-        (p.noise, Noisy_measurement);
+        (p.compile_error, Fault Resilience.Compile_error);
+        (p.timeout, Fault (Resilience.Timeout timeout_cap_s));
+        (p.runtime_crash, Fault Resilience.Runtime_crash);
+        (p.lane_death, Fault Resilience.Lane_death);
+        (p.noise, Noisy);
       ]
     in
     let rec pick acc = function
       | [] -> Sound
-      | (rate, kind) :: rest ->
+      | (rate, outcome) :: rest ->
           let acc = acc +. rate in
-          if u < acc then Fault kind else pick acc rest
+          if u < acc then outcome else pick acc rest
     in
     pick 0. thresholds
   end

@@ -5,21 +5,16 @@
     errors).  The outcome of every measurement attempt is a pure
     function of [(plan seed, config key, attempt number)] — never of
     pool size, commit order, or wall-clock — so faulty runs replay
-    bit-for-bit and the resilience layer above
-    ({!Ft_explore.Evaluator}) can be tested deterministically.
+    bit-for-bit and the {!Resilience} loop that absorbs them in
+    {!Ft_explore.Evaluator} can be tested deterministically.
 
     A plan with every rate at 0 and no [crash_at_trial] is inert: the
     evaluator bypasses the fault path entirely and results are
     bit-for-bit identical to a fault-free build (DESIGN.md §11). *)
 
-type kind =
-  | Compile_error  (** code generation / compilation fails outright *)
-  | Timeout  (** the kernel hangs until the harness kills it (cap charged) *)
-  | Runtime_crash  (** the kernel launches, then faults mid-run *)
-  | Lane_death  (** the simulated measurement device drops off *)
-  | Noisy_measurement  (** the timing succeeds but jitters *)
-
-val kind_name : kind -> string
+(** Seconds a simulated hung kernel runs before its watchdog kills it
+    (1.0): the payload of every injected [Timeout]. *)
+val timeout_cap_s : float
 
 type t = {
   seed : int;  (** fault stream seed — independent of the search seed *)
@@ -52,7 +47,10 @@ val is_zero : t -> bool
     can be resumed. *)
 exception Injected_crash of int
 
-type outcome = Sound | Fault of kind
+(** One attempt's draw: [Noisy] succeeds with a jittered timing
+    ({!noise_factors}); a [Fault] is one of [Compile_error],
+    [Timeout timeout_cap_s], [Runtime_crash] or [Lane_death]. *)
+type outcome = Sound | Noisy | Fault of Resilience.fault
 
 (** [outcome p ~key ~attempt] resolves attempt [attempt] (0-based) of
     measuring the config with cache key [key]: a pure function of

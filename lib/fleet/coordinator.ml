@@ -102,7 +102,7 @@ let create ?(backlog = 64) ?(batch_size = 16) ?(heartbeat_s = 2.0)
     fd;
     addr = Unix.getsockname fd;
     bound_unix;
-    started_at = Unix.gettimeofday ();
+    started_at = Ft_util.Monotime.now_s ();
     mutex = Mutex.create ();
     stopping = false;
     next_batch = 0;
@@ -210,7 +210,7 @@ let complete batch entries =
   end
 
 let handle t (req : Protocol.request) : Protocol.response =
-  let now = Unix.gettimeofday () in
+  let now = Ft_util.Monotime.now_s () in
   locked t (fun () ->
       match req with
       | Protocol.Join { worker } ->
@@ -366,7 +366,7 @@ let dispatch t keyed =
          the loop simple; 10 ms is far below any real measurement
          cost. *)
       let rec wait () =
-        let now = Unix.gettimeofday () in
+        let now = Ft_util.Monotime.now_s () in
         let action =
           locked t (fun () ->
               sweep t now;

@@ -29,9 +29,9 @@ let run ?(seed = 2020) ?(warmup = 1) ?(reps = 5) (space : Ft_schedule.Space.t)
     done;
     let times =
       Array.init reps (fun _ ->
-          let t0 = Monotime.now_s () in
+          let t0 = Ft_util.Monotime.now_s () in
           thunk ();
-          Monotime.elapsed_s t0)
+          Ft_util.Monotime.elapsed_s t0)
     in
     Array.sort Float.compare times;
     let time_s = Float.max (median times) 1e-9 in
@@ -48,6 +48,6 @@ let interp_time_s ?(seed = 2020) (space : Ft_schedule.Space.t) cfg =
   let program = Lowering.lower space cfg in
   let rng = Ft_util.Rng.create seed in
   let env = Ft_interp.Reference.random_env rng space.graph in
-  let t0 = Monotime.now_s () in
+  let t0 = Ft_util.Monotime.now_s () in
   Exec.run env program;
-  Monotime.elapsed_s t0
+  Ft_util.Monotime.elapsed_s t0

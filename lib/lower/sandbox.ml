@@ -1,4 +1,4 @@
-(* Process-isolated measurement (DESIGN.md §16).
+(* Process-isolated measurement (DESIGN.md §11).
 
    Layout: [run] forks; the child caps itself with setrlimit, measures
    through the ordinary [Measure.run], and reports exactly one
@@ -6,36 +6,15 @@
    parent's at_exit handlers, never its buffered channels).  The
    parent polls [waitpid WNOHANG] on a monotonic deadline, SIGKILLs on
    expiry, and maps every way the child can die — signal, rlimit, bad
-   frame, silence — to a structured [fault].
+   frame, silence — to a structured {!Ft_fault.Resilience.fault}.
 
-   The child runs OCaml, so the fork must happen in a single-domain
-   process: [Ft_par.Pool.quiesce_default] joins the worker domains
-   first (a child forked under live domains deadlocks at its first
-   stop-the-world section).  Systhreads are safe: the forking thread
-   holds the runtime lock, and the child touches no lock another
-   thread could have held. *)
+   OCaml 5.1 refuses [Unix.fork] once any other domain has ever been
+   spawned in the process (joined or not): [run] then reports
+   [Launch_failed] instead of raising.  Systhreads are safe: the
+   forking thread holds the runtime lock, and the child touches no
+   lock another thread could have held. *)
 
-type fault =
-  | Timeout of float
-  | Crashed of int
-  | Oom
-  | Protocol_error of string
-
-let signal_name s =
-  if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigbus then "SIGBUS"
-  else if s = Sys.sigfpe then "SIGFPE"
-  else if s = Sys.sigill then "SIGILL"
-  else if s = Sys.sigxcpu then "SIGXCPU"
-  else Printf.sprintf "signal %d" s
-
-let fault_to_string = function
-  | Timeout s -> Printf.sprintf "timeout after %.3g s" s
-  | Crashed s -> Printf.sprintf "crashed (%s)" (signal_name s)
-  | Oom -> "out of memory (address-space cap)"
-  | Protocol_error msg -> Printf.sprintf "protocol error (%s)" msg
+module R = Ft_fault.Resilience
 
 type limits = { timeout_s : float; mem_mb : int option }
 
@@ -213,7 +192,7 @@ let poll_interval_s = 0.005
 let parse_frame ~flops payload =
   let open Ft_store.Json in
   match of_string payload with
-  | Error msg -> Error (Protocol_error ("unparsable frame: " ^ msg))
+  | Error msg -> Error (R.Protocol_error ("unparsable frame: " ^ msg))
   | Ok json -> (
       let str k = Option.bind (member k json) (fun v -> Result.to_option (to_str v)) in
       let num k = Option.bind (member k json) (fun v -> Result.to_option (to_num v)) in
@@ -223,36 +202,41 @@ let parse_frame ~flops payload =
           match (num "time_s", num "min_ns", int "reps", str "note") with
           | Some time_s, Some min_ns, Some reps, Some note ->
               Ok (Ft_hw.Perf.measured ~flops ~time_s ~reps ~min_ns ~note)
-          | _ -> Error (Protocol_error "incomplete result frame"))
+          | _ -> Error (R.Protocol_error "incomplete result frame"))
       | Some "invalid" ->
           Ok
             (Ft_hw.Perf.invalid
                (Option.value (str "note") ~default:"child reported invalid"))
-      | Some "oom" -> Error Oom
-      | Some other -> Error (Protocol_error ("unknown status " ^ other))
-      | None -> Error (Protocol_error "frame missing status"))
+      | Some "oom" -> Error R.Oom
+      | Some other -> Error (R.Protocol_error ("unknown status " ^ other))
+      | None -> Error (R.Protocol_error "frame missing status"))
 
 let run ?(limits = default_limits) ?chaos ?(seed = 2020) ?(warmup = 1)
     ?(reps = 5) ?on_tick (space : Ft_schedule.Space.t) cfg =
-  Ft_par.Pool.quiesce_default ();
   let r, w = Unix.pipe ~cloexec:false () in
   (* anything buffered would otherwise be written twice — once per
      process *)
   flush stdout;
   flush stderr;
   match Unix.fork () with
+  | exception ((Failure _ | Unix.Unix_error _) as e) ->
+      Unix.close r;
+      Unix.close w;
+      Error
+        (R.Launch_failed
+           (match e with Failure msg -> msg | e -> Printexc.to_string e))
   | 0 ->
       (try Unix.close r with Unix.Unix_error _ -> ());
       child_main ~limits ~chaos ~seed ~warmup ~reps space cfg w
   | pid ->
       (try Unix.close w with Unix.Unix_error _ -> ());
       let ic = Unix.in_channel_of_descr r in
-      let deadline = Monotime.now_s () +. limits.timeout_s in
+      let deadline = Ft_util.Monotime.now_s () +. limits.timeout_s in
       let rec wait killed =
         (match on_tick with Some f -> f () | None -> ());
         match Unix.waitpid [ Unix.WNOHANG ] pid with
         | 0, _ ->
-            if (not killed) && Monotime.now_s () > deadline then begin
+            if (not killed) && Ft_util.Monotime.now_s () > deadline then begin
               (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
               wait true
             end
@@ -264,41 +248,27 @@ let run ?(limits = default_limits) ?chaos ?(seed = 2020) ?(warmup = 1)
       in
       let killed, status = wait false in
       let result =
-        if killed then Error (Timeout limits.timeout_s)
+        if killed then Error (R.Timeout limits.timeout_s)
         else
           match status with
           | Unix.WSIGNALED s when s = Sys.sigxcpu ->
               (* rlimit CPU backstop: a spin is a timeout, not a crash *)
-              Error (Timeout limits.timeout_s)
-          | Unix.WSIGNALED s -> Error (Crashed s)
-          | Unix.WSTOPPED s -> Error (Crashed s)
+              Error (R.Timeout limits.timeout_s)
+          | Unix.WSIGNALED s -> Error (R.Crashed s)
+          | Unix.WSTOPPED s -> Error (R.Crashed s)
           | Unix.WEXITED 0 -> (
               match Ft_store.Protocol.read_frame ic with
-              | Error msg -> Error (Protocol_error msg)
+              | Error msg -> Error (R.Protocol_error msg)
               | Ok payload ->
                   parse_frame ~flops:(Ft_ir.Op.flops space.node) payload)
           | Unix.WEXITED n ->
-              Error (Protocol_error (Printf.sprintf "child exited %d" n))
+              Error (R.Protocol_error (Printf.sprintf "child exited %d" n))
       in
       close_in_noerr ic;
       result
 
 (* ---------------------------------------------------------------- *)
-(* Resilience: retries, quarantine, the measurer hook               *)
-
-type policy = { max_retries : int; backoff_s : float }
-
-let default_policy = { max_retries = 1; backoff_s = 0.05 }
-
-let transient = function
-  | Timeout _ | Protocol_error _ -> true
-  | Crashed _ | Oom -> false
-
-let fault_counter = function
-  | Timeout _ -> "measure.timeout"
-  | Crashed _ -> "measure.crashed"
-  | Oom -> "measure.oom"
-  | Protocol_error _ -> "measure.protocol_error"
+(* The measurer hook: preflight, quarantine table, resilience loop  *)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -335,9 +305,12 @@ let chaos_from_env key =
           None
       | Some c -> if contains key filter then Some c else None)
 
+(* The sandbox as a {!Ft_fault.Resilience} fault source: a hang or a
+   torn frame may not recur, so those are retryable; a signal, an
+   address-space overrun or a refused fork will recur and quarantine
+   at once.  Backoff waits are real sleeps. *)
 let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps ?on_tick space =
   let limits = Option.value limits ~default:default_limits in
-  let policy = Option.value policy ~default:default_policy in
   let quarantined : (string, Ft_hw.Perf.t) Hashtbl.t = Hashtbl.create 7 in
   fun cfg ->
     let key = Ft_schedule.Config_io.to_string cfg in
@@ -346,41 +319,29 @@ let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps ?on_tick space =
         Ft_obs.Trace.incr "measure.quarantine_hit";
         perf
     | None -> (
+        let quarantine note =
+          let perf = Ft_hw.Perf.invalid note in
+          Hashtbl.replace quarantined key perf;
+          perf
+        in
         match preflight ~limits space cfg with
         | Error reason ->
             Ft_obs.Trace.incr "measure.preflight";
-            let perf = Ft_hw.Perf.invalid ("preflight: " ^ reason) in
-            Hashtbl.replace quarantined key perf;
-            perf
-        | Ok _ ->
+            quarantine ("preflight: " ^ reason)
+        | Ok _ -> (
             let chaos =
               match chaos with Some f -> f cfg | None -> chaos_from_env key
             in
-            let rec attempt k =
+            let attempt ~attempt:_ =
               Ft_obs.Trace.incr "measure.sandboxed";
               match run ~limits ?chaos ?seed ?warmup ?reps ?on_tick space cfg with
-              | Ok perf -> perf
+              | Ok perf -> Ok perf
               | Error fault ->
-                  Ft_obs.Trace.incr (fault_counter fault);
-                  if Ft_obs.Trace.active () then
-                    Ft_obs.Trace.event "measure.fault"
-                      [
-                        ("fault", Ft_obs.Trace.Str (fault_to_string fault));
-                        ("attempt", Ft_obs.Trace.Int k);
-                      ];
-                  if transient fault && k < policy.max_retries then begin
-                    Ft_obs.Trace.incr "measure.retry";
-                    Unix.sleepf (policy.backoff_s *. (2. ** float_of_int k));
-                    attempt (k + 1)
-                  end
-                  else begin
-                    Ft_obs.Trace.incr "measure.quarantined";
-                    let perf =
-                      Ft_hw.Perf.invalid
-                        ("sandbox: " ^ fault_to_string fault)
-                    in
-                    Hashtbl.replace quarantined key perf;
-                    perf
-                  end
+                  let retryable =
+                    match fault with R.Timeout _ | R.Protocol_error _ -> true | _ -> false
+                  in
+                  Error { R.fault; retryable }
             in
-            attempt 0)
+            match R.run ?policy ~prefix:"measure" ~wait:Unix.sleepf attempt with
+            | Ok perf -> perf
+            | Error note -> quarantine ("sandbox: " ^ note)))

@@ -1,5 +1,5 @@
 (** Process-isolated measurement: crash containment for compiled-kernel
-    timing (DESIGN.md §16).
+    timing (DESIGN.md §11).
 
     {!Measure.run} executes the kernel in-process, so a pathological
     schedule — a miscompiled nest that spins, a padded buffer that
@@ -8,31 +8,20 @@
     child per measurement: the child applies [rlimit] address-space
     and CPU caps, compiles and times the kernel, and reports one
     length-prefixed JSON frame ({!Ft_store.Protocol} framing) back
-    over a pipe; the parent runs a monotonic watchdog ({!Monotime})
-    and SIGKILLs the child on expiry.  Every failure mode maps to a
-    structured {!fault} instead of an exception, signal, or hang in
-    the tuner.
+    over a pipe; the parent runs a monotonic watchdog
+    ({!Ft_util.Monotime}) and SIGKILLs the child on expiry.  Every
+    failure mode maps to a structured {!Ft_fault.Resilience.fault}
+    instead of an exception, signal, or hang in the tuner.
 
     Isolation never touches the search: measurement runs strictly
     post-search behind the [measurer] hook, so seeded searches are
     bit-for-bit identical with the sandbox on, off, or absent.
 
-    Forking is only safe from a single-domain process; [run] parks the
-    process-wide default pool ({!Ft_par.Pool.quiesce_default}) first.
-    Callers holding custom live pools must shut them down before
-    measuring. *)
-
-(** Why a sandboxed measurement produced no result.  [Timeout] and
-    [Protocol_error] are treated as transient (retried with backoff);
-    [Crashed] and [Oom] are deterministic (quarantined immediately). *)
-type fault =
-  | Timeout of float  (** watchdog SIGKILL after this many seconds *)
-  | Crashed of int  (** child killed by this signal ([Sys.sig*]) *)
-  | Oom  (** child hit its address-space cap *)
-  | Protocol_error of string
-      (** child exited without a well-formed result frame *)
-
-val fault_to_string : fault -> string
+    OCaml 5.1 refuses [Unix.fork] once the process has ever spawned a
+    second domain, even one since joined — so after a multi-lane
+    domain pool has run, [run] cannot fork and reports
+    [Launch_failed] (never retried).  Measuring with live or past
+    domains needs a spawned, not forked, child. *)
 
 type limits = {
   timeout_s : float;  (** wall-clock watchdog (SIGKILL on expiry) *)
@@ -71,7 +60,11 @@ val preflight :
 
 (** [run space cfg] measures [cfg] in a forked child (same seed /
     warmup / reps semantics as {!Measure.run}) and returns the child's
-    result, or the {!fault} that contained it.  [Ok] can itself be an
+    result, or the fault that contained it: [Timeout] (watchdog
+    SIGKILL, or the RLIMIT_CPU backstop), [Crashed] (any other
+    signal), [Oom] (address-space cap), [Protocol_error] (garbage,
+    truncated or missing frame, nonzero exit) or [Launch_failed] (the
+    fork was refused; both pipe ends are closed).  [Ok] can itself be an
     invalid perf (e.g. a config outside the space) — that is a result,
     not a containment event.  [on_tick] is called every watchdog poll
     (~5 ms) while the child runs — the seam for heartbeating during a
@@ -85,29 +78,21 @@ val run :
   ?on_tick:(unit -> unit) ->
   Ft_schedule.Space.t ->
   Ft_schedule.Config.t ->
-  (Ft_hw.Perf.t, fault) result
-
-(** Retry/quarantine policy around {!run} (the PR-5 resilience
-    taxonomy made real): transient faults retry up to [max_retries]
-    times with exponential backoff from [backoff_s]; deterministic
-    faults (and exhausted retries) quarantine the config — later
-    measurements of the same config return the cached invalid perf
-    without forking. *)
-type policy = { max_retries : int; backoff_s : float }
-
-(** 1 retry, 50 ms base backoff. *)
-val default_policy : policy
-
-val transient : fault -> bool
+  (Ft_hw.Perf.t, Ft_fault.Resilience.fault) result
 
 (** [measurer space] is an {!Ft_explore.Evaluator.measurer}-shaped
-    hook: preflight, sandboxed run, retries, quarantine.  Faults come
-    back as [Ft_hw.Perf.invalid] with a structured ["sandbox: ..."]
-    note (preflight rejections as ["preflight: ..."]).  Trace
-    counters: [measure.sandboxed], [measure.timeout],
+    hook: preflight, then {!run} as a {!Ft_fault.Resilience} fault
+    source under [policy] (default {!Ft_fault.Resilience.default_policy}).
+    [Timeout] and [Protocol_error] are retried with backoff (real
+    sleeps); [Crashed], [Oom] and [Launch_failed] — and exhausted
+    retries — quarantine the config: later measurements of it return
+    the cached invalid perf without forking.  Faults come back as
+    [Ft_hw.Perf.invalid] with a ["sandbox: quarantined: ..."] note
+    (preflight rejections as ["preflight: ..."]).  Trace counters:
+    [measure.sandboxed], one per fault kind ([measure.timeout],
     [measure.crashed], [measure.oom], [measure.protocol_error],
-    [measure.preflight], [measure.retry], [measure.quarantined],
-    [measure.quarantine_hit].
+    [measure.launch_failed]), [measure.preflight], [measure.retry],
+    [measure.quarantined], [measure.quarantine_hit].
 
     [chaos] selects injected faults per config; when absent, the
     [FT_SANDBOX_CHAOS] environment variable (a {!chaos} name,
@@ -115,7 +100,7 @@ val transient : fault -> bool
     the CI test hook. *)
 val measurer :
   ?limits:limits ->
-  ?policy:policy ->
+  ?policy:Ft_fault.Resilience.policy ->
   ?chaos:(Ft_schedule.Config.t -> chaos option) ->
   ?seed:int ->
   ?warmup:int ->

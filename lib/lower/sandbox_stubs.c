@@ -1,4 +1,4 @@
-/* Resource caps for the measurement child (Sandbox, DESIGN.md §16).
+/* Resource caps for the measurement child (Sandbox, DESIGN.md §11).
 
    setrlimit must run in the child between fork and the kernel run:
    RLIMIT_AS turns a runaway allocation into a failed mmap — which

@@ -33,47 +33,24 @@ let kind_name = function
 
 (* -- JSON rendering -------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Ft_util.Json
 
+(* JSON has no inf/nan literal: the codec renders non-finite floats
+   (e.g. an unreached incumbent) as null. *)
 let json_of_field = function
-  | Str s -> "\"" ^ json_escape s ^ "\""
-  | Int i -> string_of_int i
-  | Float f ->
-      (* JSON has no inf/nan literal; sentinel values (e.g. an
-         unreached incumbent) serialize as null. *)
-      if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-  | Bool b -> if b then "true" else "false"
+  | Str s -> Json.Str s
+  | Int i -> Json.Num (float_of_int i)
+  | Float f -> Json.Num f
+  | Bool b -> Json.Bool b
 
 let json_of_record r =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"ts\":%.6f" r.ts_s);
-  Buffer.add_string buf
-    (Printf.sprintf ",\"ev\":\"%s\",\"name\":\"%s\"" (kind_name r.kind)
-       (json_escape r.name));
-  if r.span <> 0 then Buffer.add_string buf (Printf.sprintf ",\"span\":%d" r.span);
-  if r.parent <> 0 then
-    Buffer.add_string buf (Printf.sprintf ",\"parent\":%d" r.parent);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":%s" (json_escape k) (json_of_field v)))
-    r.fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let id key v = if v <> 0 then [ (key, Json.Num (float_of_int v)) ] else [] in
+  Json.to_string
+    (Json.Obj
+       ((("ts", Json.Num r.ts_s) :: ("ev", Json.Str (kind_name r.kind))
+        :: ("name", Json.Str r.name) :: id "span" r.span)
+       @ id "parent" r.parent
+       @ List.map (fun (k, v) -> (k, json_of_field v)) r.fields))
 
 (* -- Sinks ----------------------------------------------------------- *)
 
@@ -115,13 +92,13 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let now_s () = Unix.gettimeofday () -. !t0
+let now_s () = Ft_util.Monotime.now_s () -. !t0
 
 let enable s =
   locked (fun () ->
       !sink.Sink.close ();
       sink := s;
-      t0 := Unix.gettimeofday ();
+      t0 := Ft_util.Monotime.now_s ();
       next_span := 1;
       span_stack := [];
       Hashtbl.reset open_spans;

@@ -12,7 +12,7 @@ type field = Str of string | Int of int | Float of float | Bool of bool
 type kind = Span_begin | Span_end | Event | Counter | Gauge
 
 type record = {
-  ts_s : float;  (** seconds since the sink was installed *)
+  ts_s : float;  (** monotonic seconds since the sink was installed *)
   kind : kind;
   name : string;
   span : int;  (** span id; 0 for non-span records *)
@@ -21,7 +21,9 @@ type record = {
 }
 
 (** One JSON object (single line, no trailing newline) per record:
-    [{"ts":…,"ev":…,"name":…,"span":…,"parent":…,<fields>}]. *)
+    [{"ts":…,"ev":…,"name":…,"span":…,"parent":…,<fields>}], rendered
+    by {!Ft_util.Json}: floats round-trip bit-for-bit, non-finite
+    floats become [null]. *)
 val json_of_record : record -> string
 
 module Sink : sig

@@ -180,7 +180,7 @@ let raw_map pool f xs =
         in
         Ft_obs.Trace.incr "pool.regions";
         if traced then Ft_obs.Trace.gauge "pool.chunk_size" (float_of_int chunk);
-        let t0 = Unix.gettimeofday () in
+        let t0 = Ft_util.Monotime.now_s () in
         run pool (fun lane ->
             let mine = ref 0 in
             let rec grab () =
@@ -201,7 +201,7 @@ let raw_map pool f xs =
            is the per-task cost the next region's chunking amortizes
            against.  Written only here, on the calling domain. *)
         let per_task =
-          (Unix.gettimeofday () -. t0) *. 1e9 *. float_of_int pool.jobs
+          Ft_util.Monotime.elapsed_s t0 *. 1e9 *. float_of_int pool.jobs
           /. float_of_int n
         in
         if per_task > 0. then
@@ -291,11 +291,9 @@ let set_default_jobs jobs =
   requested_jobs := Some jobs
 
 (* Join the default pool's worker domains; the pool is recreated
-   lazily by the next [default ()].  Unix.fork is only safe from a
-   single-domain process — a child forked while worker domains sit in
-   their condition wait inherits a domain table full of domains whose
-   threads do not exist, and deadlocks at its first stop-the-world
-   section — so the measurement sandbox quiesces before forking. *)
+   lazily by the next [default ()].  This frees the domains, but it
+   does not make [Unix.fork] legal again: OCaml 5.1 refuses to fork
+   once any domain has ever been spawned in the process. *)
 let quiesce_default () =
   match !default_pool with
   | Some pool ->

@@ -44,12 +44,10 @@ val set_default_jobs : int -> unit
 val default : unit -> t
 
 (** Shut down the default pool (if any) and join its worker domains;
-    the next [default ()] recreates it.  Callers that need a
-    single-domain process — e.g. {!Ft_lower.Sandbox} before
-    [Unix.fork], whose child would deadlock at its first
-    stop-the-world GC if other domains existed — quiesce first.
-    Idempotent; results of later maps are unchanged (only domain
-    spawn cost is paid again). *)
+    the next [default ()] recreates it.  Idempotent; results of later
+    maps are unchanged (only domain spawn cost is paid again).  This
+    does {e not} re-enable [Unix.fork]: OCaml 5.1 refuses to fork once
+    any domain has ever been spawned, joined or not. *)
 val quiesce_default : unit -> unit
 
 (** [map pool f xs] is [List.map f xs] computed on the pool's lanes in

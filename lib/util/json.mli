@@ -1,9 +1,9 @@
-(** Minimal JSON values for the tuning-log records.
+(** Minimal JSON values: the repository's one JSON codec.
 
-    The repo deliberately has no external JSON dependency; `ft_obs`
-    only ever writes JSON, while the store must also read back what it
-    (or a hand editor) wrote, so this module carries the small
-    reader/writer pair the log format needs. *)
+    The repo deliberately has no external JSON dependency.  Tuning
+    logs, checkpoints, wire frames, trace JSONL and the bench reports
+    all render through this writer (the only JSON string escaper in the
+    tree) and read back through this parser. *)
 
 type t =
   | Null
@@ -13,9 +13,11 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-(** Compact one-line rendering.  Floats print with enough digits
-    ([%.17g]) to round-trip bit-for-bit; non-finite floats render as
-    [null] (JSON has no literal for them). *)
+(** Compact one-line rendering.  Floats print with the fewer of 15 or
+    17 significant digits that round-trips bit-for-bit; non-finite
+    floats render as [null] (JSON has no literal for them).  Strings
+    escape quotes, backslashes and control bytes; other bytes
+    (UTF-8 included) pass through unchanged. *)
 val to_string : t -> string
 
 (** Parse one JSON value; trailing non-whitespace is an error.  Errors

@@ -67,17 +67,6 @@ let test_unknown_method_rejected () =
        false
      with Invalid_argument _ -> true)
 
-(* The deprecated variant shim still names the original methods. *)
-let test_search_name_shim () =
-  List.iter
-    (fun (variant, name) ->
-      Alcotest.(check string) name name (Flextensor.search_name variant);
-      check_bool (name ^ " registered") true
-        (Option.is_some (Flextensor.Method.find name)))
-    [ (Flextensor.Q_learning, "Q-method");
-      (Flextensor.P_exhaustive, "P-method");
-      (Flextensor.Random_walk, "random") ]
-
 let test_invalid_graph_rejected () =
   let node =
     {
@@ -233,7 +222,6 @@ let () =
           Alcotest.test_case "verify" `Quick test_verify_through_api;
           Alcotest.test_case "all methods" `Quick test_all_search_methods_through_api;
           Alcotest.test_case "unknown method" `Quick test_unknown_method_rejected;
-          Alcotest.test_case "variant shim" `Quick test_search_name_shim;
           Alcotest.test_case "invalid graph" `Quick test_invalid_graph_rejected;
           Alcotest.test_case "max evals" `Quick test_max_evals_option;
           Alcotest.test_case "flops scale" `Quick test_flops_scale_option;

@@ -1,5 +1,6 @@
-(* The failure model and the resilience layer above it: spec parsing,
-   outcome purity, the evaluator's retry / median / quarantine / lane
+(* The failure model and the resilience loop above it: spec parsing,
+   outcome purity, the attempt loop on a scripted source, the
+   evaluator's retry / median / quarantine / lane
    degradation behavior with exact simulated-clock math, crash-safe
    checkpoint resume, and the two cardinal invariants — a rate-0 plan
    is bit-for-bit invisible, and faulty runs stay independent of the
@@ -87,7 +88,7 @@ let test_outcome_deterministic () =
   check_bool "rate 1 always faults" true
     (List.for_all
        (fun attempt ->
-         Plan.outcome certain ~key:"k" ~attempt = Plan.Fault Plan.Compile_error)
+         Plan.outcome certain ~key:"k" ~attempt = Plan.Fault Resilience.Compile_error)
        [ 0; 1; 2 ]);
   Alcotest.check_raises "negative attempt"
     (Invalid_argument "Plan.outcome: attempt must be >= 0") (fun () ->
@@ -105,19 +106,102 @@ let test_noise_factors () =
     (List.for_all (Float.equal 1.0)
        (Plan.noise_factors flat ~key:"k" ~attempt:0 ~count:3))
 
+(* -- Resilience: the attempt loop on a scripted source --------------
+
+   The source replays a fixed list of per-attempt outcomes; the loop
+   must ask for exactly as many attempts as the policy allows, wait
+   b * 2^k before retry k, count under the caller's prefix, and stop
+   at the first non-retryable fault. *)
+
+let scripted outcomes =
+  let asked = ref [] in
+  let source ~attempt =
+    asked := attempt :: !asked;
+    List.nth outcomes attempt
+  in
+  (source, fun () -> List.rev !asked)
+
+let fail ?(retryable = true) fault = Error { Resilience.fault; retryable }
+
+let traced_counters f =
+  Ft_obs.Trace.enable (Ft_obs.Trace.Sink.make ignore);
+  Fun.protect ~finally:Ft_obs.Trace.close (fun () ->
+      let result = f () in
+      (result, Ft_obs.Trace.counters ()))
+
+let run_scripted ?policy outcomes =
+  let source, asked = scripted outcomes in
+  let waits = ref [] in
+  let result, counters =
+    traced_counters (fun () ->
+        Resilience.run ?policy ~prefix:"src"
+          ~wait:(fun s -> waits := s :: !waits)
+          source)
+  in
+  (result, asked (), List.rev !waits, counters)
+
+let check_counters = Alcotest.(check (list (pair string int)))
+
+let test_loop_retries_then_succeeds () =
+  let policy = { Resilience.max_retries = 3; backoff_s = 0.25 } in
+  let result, asked, waits, counters =
+    run_scripted ~policy
+      [ fail (Resilience.Timeout 2.); fail Resilience.Runtime_crash; Ok 42 ]
+  in
+  check_bool "third attempt's value" true (result = Ok 42);
+  Alcotest.(check (list int)) "attempts 0, 1, 2" [ 0; 1; 2 ] asked;
+  Alcotest.(check (list (float 0.))) "waits b * 2^k" [ 0.25; 0.5 ] waits;
+  check_counters "per-kind and retry counters under the prefix"
+    [ ("src.retry", 2); ("src.runtime_crash", 1); ("src.timeout", 1) ]
+    counters
+
+let test_loop_exhausts_retries () =
+  let result, asked, waits, counters =
+    run_scripted (List.init 3 (fun _ -> fail Resilience.Compile_error))
+  in
+  check_bool "quarantine note" true
+    (result = Error "quarantined: compile_error after 3 attempts");
+  check_int "default policy: 3 attempts" 3 (List.length asked);
+  Alcotest.(check (list (float 0.))) "default backoff" [ 0.05; 0.1 ] waits;
+  check_counters "counters"
+    [ ("src.compile_error", 3); ("src.quarantined", 1); ("src.retry", 2) ]
+    counters
+
+let test_loop_non_retryable () =
+  let result, asked, waits, counters =
+    run_scripted [ fail ~retryable:false (Resilience.Crashed Sys.sigsegv); Ok 1 ]
+  in
+  check_bool "quarantined at once" true
+    (result = Error "quarantined: crashed (SIGSEGV) after 1 attempt");
+  Alcotest.(check (list int)) "one attempt" [ 0 ] asked;
+  check_int "no wait" 0 (List.length waits);
+  check_counters "no retry counted"
+    [ ("src.crashed", 1); ("src.quarantined", 1) ]
+    counters
+
+let test_loop_zero_retries () =
+  let policy = { Resilience.max_retries = 0; backoff_s = 1. } in
+  let result, asked, waits, _ =
+    run_scripted ~policy [ fail (Resilience.Protocol_error "torn"); Ok 1 ]
+  in
+  check_bool "quarantined" true (Result.is_error result);
+  Alcotest.(check (list int)) "a single attempt" [ 0 ] asked;
+  check_int "no wait" 0 (List.length waits);
+  let result, asked, _, _ = run_scripted ~policy [ Ok 7 ] in
+  check_bool "success passes through" true (result = Ok 7);
+  Alcotest.(check (list int)) "still one attempt" [ 0 ] asked
+
 (* -- Evaluator: retry / quarantine clock math -----------------------
 
    The constants below mirror Evaluator's cost model: failed compile
    0.1 s, compile 0.3 s, host overhead 0.05 s, 3 kernel runs per
-   measurement, and the resilience defaults max_retries = 2 (3
+   measurement, and Resilience.default_policy: max_retries = 2 (3
    attempts) with backoff 0.05 * 2^attempt. *)
 
 let evaluator_with ?n_parallel plan =
   let space = gemm_space () in
   let e =
-    Ft_explore.Evaluator.create ?n_parallel ~pool:pool1
-      ~resilience:(Ft_explore.Evaluator.resilience plan)
-      space
+    Ft_explore.Evaluator.create ?n_parallel ~pool:pool1 ~faults:plan space
   in
   (space, e)
 
@@ -177,9 +261,7 @@ let test_model_query_immune () =
   let plan = { Plan.zero with compile_error = 1.0 } in
   let e =
     Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query
-      ~pool:pool1
-      ~resilience:(Ft_explore.Evaluator.resilience plan)
-      space
+      ~pool:pool1 ~faults:plan space
   in
   let clean = Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query
       ~pool:pool1 space in
@@ -214,7 +296,7 @@ let result_fingerprint (r : Ft_explore.Driver.result) =
       r.history )
 
 let run_method (m : Ft_explore.Method.t) ~seed ~pool ?n_parallel
-    ?(faults = Plan.zero) ?resilience ?checkpoint_path space =
+    ?(faults = Plan.zero) ?checkpoint_path space =
   m.search
     {
       Ft_explore.Search_loop.default_params with
@@ -224,14 +306,14 @@ let run_method (m : Ft_explore.Method.t) ~seed ~pool ?n_parallel
       pool = Some pool;
       n_parallel;
       faults;
-      resilience;
       checkpoint_path;
     }
     space
 
-(* Rate 0 with the whole resilience layer *installed* — a resilience
-   policy, a checkpoint trail being written — must be bit-for-bit the
-   plain run: same best, same clock, same eval counts. *)
+(* Rate 0 with the whole fault layer *installed* — a zero plan handed
+   to the evaluator, a checkpoint trail being written — must be
+   bit-for-bit the plain run: same best, same clock, same eval
+   counts. *)
 let test_zero_fault_invisible =
   let space = gemm_space () in
   QCheck.Test.make ~count:6 ~name:"rate-0 faults + checkpointing invisible"
@@ -248,8 +330,7 @@ let test_zero_fault_invisible =
               let got =
                 result_fingerprint
                   (run_method m ~seed ~pool space
-                     ~resilience:(Ft_explore.Evaluator.resilience Plan.zero)
-                     ~checkpoint_path:path)
+                     ~faults:Plan.zero ~checkpoint_path:path)
               in
               if got <> reference then
                 QCheck.Test.fail_reportf
@@ -353,6 +434,15 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_outcome_deterministic;
           Alcotest.test_case "noise factors" `Quick test_noise_factors;
+        ] );
+      ( "loop",
+        [
+          Alcotest.test_case "retries then succeeds" `Quick
+            test_loop_retries_then_succeeds;
+          Alcotest.test_case "exhausts retries" `Quick test_loop_exhausts_retries;
+          Alcotest.test_case "non-retryable quarantines" `Quick
+            test_loop_non_retryable;
+          Alcotest.test_case "zero retries" `Quick test_loop_zero_retries;
         ] );
       ( "resilience",
         [

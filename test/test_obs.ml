@@ -104,83 +104,17 @@ let test_disabled_is_noop () =
 
 (* -- JSONL rendering -------------------------------------------------- *)
 
-(* A tiny validator for the flat JSON objects ft_obs emits: string keys
-   mapping to string / number / bool / null scalars.  Returns the
-   key list on success. *)
-let parse_flat_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = Alcotest.failf "%s at %d in %s" msg !pos line in
-  let peek () = if !pos < n then line.[!pos] else fail "unexpected end" in
-  let advance () = Stdlib.incr pos in
-  let expect c = if peek () <> c then fail (Printf.sprintf "expected %c" c) else advance () in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') as c ->
-              Buffer.add_char buf c;
-              advance ();
-              go ()
-          | 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                (match peek () with
-                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> advance ()
-                | _ -> fail "bad \\u escape")
-              done;
-              go ()
-          | _ -> fail "bad escape")
-      | c when Char.code c < 0x20 -> fail "raw control character"
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_scalar () =
-    match peek () with
-    | '"' -> ignore (parse_string ())
-    | 't' -> pos := !pos + 4
-    | 'f' -> pos := !pos + 5
-    | 'n' -> pos := !pos + 4
-    | '-' | '0' .. '9' ->
-        let start = !pos in
-        while
-          !pos < n
-          && (match line.[!pos] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          advance ()
-        done;
-        if float_of_string_opt (String.sub line start (!pos - start)) = None then
-          fail "bad number"
-    | _ -> fail "bad scalar"
-  in
-  expect '{';
-  let keys = ref [] in
-  let rec members () =
-    keys := parse_string () :: !keys;
-    expect ':';
-    parse_scalar ();
-    match peek () with
-    | ',' ->
-        advance ();
-        members ()
-    | '}' -> advance ()
-    | _ -> fail "expected , or }"
-  in
-  members ();
-  if !pos <> n then fail "trailing garbage";
-  List.rev !keys
+module Json = Ft_util.Json
+
+let read_lines path =
+  let lines = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  List.filter (( <> ) "") (String.split_on_char '\n' lines)
+
+let parse line =
+  match Json.of_string line with
+  | Ok json -> json
+  | Error msg -> Alcotest.failf "%s in %s" msg line
 
 let test_jsonl_well_formed () =
   let path = Filename.temp_file "ft_obs" ".jsonl" in
@@ -192,34 +126,55 @@ let test_jsonl_well_formed () =
   Trace.gauge "level" 0.25;
   Trace.span_end s;
   Trace.close ();
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Sys.remove path;
+  let lines = read_lines path in
   (* begin, event, live gauge, end, plus counter + gauge summaries *)
   check_int "all records written" 6 (List.length lines);
   List.iter
     (fun line ->
-      let keys = parse_flat_json line in
-      check_bool "leads with ts then ev"
-        true
-        (match keys with "ts" :: "ev" :: _ -> true | _ -> false))
+      check_bool "leads with ts then ev" true
+        (match parse line with
+        | Json.Obj (("ts", Json.Num _) :: ("ev", Json.Str _) :: _) -> true
+        | _ -> false))
     lines;
-  let event_line = List.nth lines 1 in
   check_bool "non-finite floats serialize as null" true
-    (String.length event_line > 0
-    && (let found = ref false in
-        let needle = "\"nan\":null" in
-        for i = 0 to String.length event_line - String.length needle do
-          if String.sub event_line i (String.length needle) = needle then
-            found := true
-        done;
-        !found))
+    (Json.member "nan" (parse (List.nth lines 1)) = Some Json.Null)
+
+(* Hostile names and values: every line parses back through the one
+   codec, strings byte-for-byte, finite floats bit-for-bit, non-finite
+   floats as null. *)
+let test_jsonl_round_trips () =
+  let names =
+    [ "quote\"d"; "back\\slash"; "new\nline"; "ctl\x01byte"; "caf\xc3\xa9 \xff\xfe" ]
+  in
+  let floats = [ 0.1; -0.; 1e-300; Float.pi; 123456.789; Float.max_float; 5e-324 ] in
+  let path = Filename.temp_file "ft_obs_rt" ".jsonl" in
+  Trace.enable_jsonl path;
+  List.iter
+    (fun name ->
+      Trace.event name
+        (("s", Trace.Str name)
+        :: ("nan", Float Float.nan) :: ("ninf", Float neg_infinity)
+        :: List.mapi (fun i f -> (Printf.sprintf "f%d" i, Trace.Float f)) floats))
+    names;
+  Trace.close ();
+  let lines = read_lines path in
+  check_int "one line per event" (List.length names) (List.length lines);
+  List.iter2
+    (fun name line ->
+      let json = parse line in
+      check_bool "name round-trips" true (Json.member "name" json = Some (Json.Str name));
+      check_bool "string field round-trips" true (Json.member "s" json = Some (Json.Str name));
+      check_bool "nan is null" true (Json.member "nan" json = Some Json.Null);
+      check_bool "-inf is null" true (Json.member "ninf" json = Some Json.Null);
+      List.iteri
+        (fun i f ->
+          match Json.member (Printf.sprintf "f%d" i) json with
+          | Some (Json.Num g) ->
+              check_bool (Printf.sprintf "%h bit-for-bit" f) true
+                (Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g))
+          | _ -> Alcotest.failf "f%d missing" i)
+        floats)
+    names lines
 
 (* -- determinism: tracing never changes search results ---------------- *)
 
@@ -313,6 +268,7 @@ let () =
           Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
           Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed;
+          Alcotest.test_case "jsonl round-trips" `Quick test_jsonl_round_trips;
           Alcotest.test_case "batched-path telemetry" `Quick
             test_batched_telemetry_names;
         ] );

@@ -1,4 +1,4 @@
-(* The process-isolated measurement sandbox (DESIGN.md §16): the
+(* The process-isolated measurement sandbox (DESIGN.md §11): the
    monotonic clock, every containment path (watchdog SIGKILL, real
    segfault, rlimit OOM, garbage / truncated / missing result frames),
    the pre-flight static guard, retry-then-quarantine resilience, the
@@ -7,6 +7,8 @@
    sandbox being on, off, or absent. *)
 
 open Ft_lower
+module Monotime = Ft_util.Monotime
+module R = Ft_fault.Resilience
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -57,7 +59,7 @@ let test_sandbox_ok () =
       check_bool "valid" true perf.Ft_hw.Perf.valid;
       check_bool "measured provenance" true (Ft_hw.Perf.is_measured perf);
       check_bool "positive gflops" true (perf.Ft_hw.Perf.gflops > 0.)
-  | Error fault -> Alcotest.fail (Sandbox.fault_to_string fault)
+  | Error fault -> Alcotest.fail (R.to_string fault)
 
 (* An invalid config is a result, not a containment event. *)
 let test_sandbox_invalid_config () =
@@ -73,7 +75,7 @@ let test_sandbox_invalid_config () =
     | Error fault ->
         Alcotest.fail
           ("invalid config must not be a fault: "
-          ^ Sandbox.fault_to_string fault)
+          ^ R.to_string fault)
 
 (* Sandboxed and in-process measurement agree on well-behaved kernels:
    same validity, provenance, note, and rep count (wall clocks differ,
@@ -93,7 +95,7 @@ let qcheck_agreement =
       let cfg = draw 0 in
       let inproc = Measure.run ~reps:2 space cfg in
       match Sandbox.run ~limits:tiny ~reps:2 space cfg with
-      | Error fault -> QCheck.Test.fail_report (Sandbox.fault_to_string fault)
+      | Error fault -> QCheck.Test.fail_report (R.to_string fault)
       | Ok sandboxed ->
           sandboxed.Ft_hw.Perf.valid = inproc.Ft_hw.Perf.valid
           && String.equal sandboxed.Ft_hw.Perf.note inproc.Ft_hw.Perf.note
@@ -114,16 +116,16 @@ let contained chaos limits =
 
 let test_contains_hang () =
   match contained Sandbox.Hang { tiny with Sandbox.timeout_s = 0.3 } with
-  | Error (Sandbox.Timeout s) ->
+  | Error (R.Timeout s) ->
       check_bool "reports the watchdog budget" true (s = 0.3)
-  | Error fault -> Alcotest.fail ("expected Timeout, got " ^ Sandbox.fault_to_string fault)
+  | Error fault -> Alcotest.fail ("expected Timeout, got " ^ R.to_string fault)
   | Ok _ -> Alcotest.fail "a hung child cannot produce a result"
 
 let test_contains_segv () =
   match contained Sandbox.Segv tiny with
-  | Error (Sandbox.Crashed s) ->
+  | Error (R.Crashed s) ->
       check_int "killed by SIGSEGV" Sys.sigsegv s
-  | Error fault -> Alcotest.fail ("expected Crashed, got " ^ Sandbox.fault_to_string fault)
+  | Error fault -> Alcotest.fail ("expected Crashed, got " ^ R.to_string fault)
   | Ok _ -> Alcotest.fail "a segfaulted child cannot produce a result"
 
 let test_contains_oom () =
@@ -133,17 +135,17 @@ let test_contains_oom () =
   match
     contained Sandbox.Oom_hog { Sandbox.timeout_s = 30.; mem_mb = Some 512 }
   with
-  | Error Sandbox.Oom -> ()
-  | Error fault -> Alcotest.fail ("expected Oom, got " ^ Sandbox.fault_to_string fault)
+  | Error R.Oom -> ()
+  | Error fault -> Alcotest.fail ("expected Oom, got " ^ R.to_string fault)
   | Ok _ -> Alcotest.fail "an OOM'd child cannot produce a result"
 
 let expect_protocol_error name chaos =
   match contained chaos tiny with
-  | Error (Sandbox.Protocol_error _) -> ()
+  | Error (R.Protocol_error _) -> ()
   | Error fault ->
       Alcotest.fail
         (name ^ ": expected Protocol_error, got "
-        ^ Sandbox.fault_to_string fault)
+        ^ R.to_string fault)
   | Ok _ -> Alcotest.fail (name ^ ": cannot produce a result")
 
 let test_contains_bad_frames () =
@@ -199,7 +201,7 @@ let test_deterministic_crash_quarantines () =
       let cfg = Ft_schedule.Space.default_config space in
       let measure =
         Sandbox.measurer ~limits:tiny
-          ~policy:{ Sandbox.max_retries = 2; backoff_s = 0.01 }
+          ~policy:{ R.max_retries = 2; backoff_s = 0.01 }
           ~chaos:(fun _ -> Some Sandbox.Segv)
           space
       in
@@ -225,7 +227,7 @@ let test_transient_timeout_retries () =
       let measure =
         Sandbox.measurer
           ~limits:{ tiny with Sandbox.timeout_s = 0.2 }
-          ~policy:{ Sandbox.max_retries = 1; backoff_s = 0.01 }
+          ~policy:{ R.max_retries = 1; backoff_s = 0.01 }
           ~chaos:(fun _ -> Some Sandbox.Hang)
           space
       in
