@@ -7,12 +7,12 @@
        silent exit), each of which must come back as an invalid perf
        with a structured reason while the harness itself keeps
        running.  CI gates survival at exactly 1.0;
-   (2) overhead — ns-scale cost of the fork + pipe + watchdog per
+   (2) overhead — cost of the spawn + pipes + watchdog per
        measurement, as ms/measurement sandboxed vs in-process on a
        well-behaved tiny gemm.  CI bounds the absolute sandboxed cost.
 
    The chaos kinds are real faults, not simulations: Segv dereferences
-   a null pointer in the child, Oom_hog allocates until RLIMIT_AS
+   a null pointer in the worker, Oom_hog allocates until RLIMIT_AS
    bites, Hang sleeps past the watchdog. *)
 
 open Ft_schedule
@@ -129,7 +129,7 @@ let write_json ~chaos ~survival ~inproc_ms ~sandboxed_ms path =
 let run () =
   Bench_common.section
     "Measurement sandbox: chaos containment and isolation overhead";
-  Bench_common.subsection "injected faults (one sandboxed child each)";
+  Bench_common.subsection "injected faults (one sandboxed worker each)";
   let chaos = List.map run_chaos chaos_kinds in
   Ft_util.Table.print
     ~header:[ "fault"; "contained"; "ms"; "reported as" ]
@@ -149,7 +149,7 @@ let run () =
   Printf.printf "\nsurvival: %d/%d (%.0f%%)\n" survived (List.length chaos)
     (survival *. 100.);
   Bench_common.subsection
-    (Printf.sprintf "fork + pipe + watchdog overhead (%d reps, gemm 16^3)"
+    (Printf.sprintf "spawn + pipe + watchdog overhead (%d reps, gemm 16^3)"
        (overhead_reps ()));
   let inproc_ms, sandboxed_ms = overhead () in
   Printf.printf

@@ -206,8 +206,8 @@ let measure_arg =
 let measure_isolate_arg =
   Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
        & info [ "measure-isolate" ] ~docv:"on|off"
-         ~doc:"Run each $(b,--measure) timing in a forked child process \
-               with a watchdog and rlimits, so a hang, segfault, or \
+         ~doc:"Run each $(b,--measure) timing in a spawned worker \
+               process with a watchdog and rlimits, so a hang, segfault, or \
                out-of-memory kernel is contained as an invalid result \
                instead of killing the tuner.  $(b,off) times in-process \
                (faster to debug, no containment).")

@@ -11,8 +11,6 @@ type t = {
 
 val of_graph : Ft_ir.Op.graph -> t
 
-val bandwidth_gb : Ft_schedule.Target.t -> float
-
 (** min(compute peak, intensity x memory bandwidth), in GFLOPS. *)
 val ceiling_gflops : t -> Ft_schedule.Target.t -> float
 

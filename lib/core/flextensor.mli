@@ -42,8 +42,9 @@ module Measure = Ft_lower.Measure
 module Monotime = Ft_util.Monotime
 
 (** Process-isolated measurement ({!Ft_lower.Sandbox}, DESIGN.md §11):
-    each measurement forks a rlimit-capped child under a SIGKILL
-    watchdog, so hangs, segfaults, and OOMs become structured
+    each measurement runs in a freshly spawned, rlimit-capped worker
+    process under a SIGKILL watchdog (legal beside the domain pool),
+    so hangs, segfaults, and OOMs become structured
     [Perf.invalid] results instead of killing the tuner.  The CLI's
     [--measure] runs through {!Sandbox.measurer} by default
     ([--measure-isolate off] opts out). *)

@@ -64,9 +64,6 @@ val charge : t -> float -> unit
 (** Performance value E of a point (cached), charging the clock. *)
 val measure : t -> Ft_schedule.Config.t -> float
 
-(** Value and full model result of a point in one cache lookup. *)
-val measure_full : t -> Ft_schedule.Config.t -> float * Ft_hw.Perf.t
-
 (** Full model result for a point (measures it if new). *)
 val perf_of : t -> Ft_schedule.Config.t -> Ft_hw.Perf.t
 

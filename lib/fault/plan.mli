@@ -32,9 +32,6 @@ type t = {
 (** All rates 0, jitter 0.1, no crash: injects nothing. *)
 val zero : t
 
-(** Sum of the per-attempt failure rates. *)
-val measurement_rate : t -> float
-
 (** True when any measurement-level rate is positive. *)
 val injects_measurement_faults : t -> bool
 

@@ -5,7 +5,7 @@
 
     Two sources feed it.  {!Plan} injects simulated faults into the
     evaluator; [Ft_lower.Sandbox] reports what really happened to a
-    forked measurement child.  Each source decides per attempt whether
+    spawned measurement worker.  Each source decides per attempt whether
     a retry could change the outcome, and each caller decides how a
     backoff wait is paid (the simulated clock, or [Unix.sleepf]); the
     loop itself never knows which caller it serves. *)

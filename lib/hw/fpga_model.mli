@@ -2,9 +2,6 @@
     [workload/#PE * max(R, C, W)] formula for a three-stage pipeline
     under VU9P DSP/BRAM/DDR constraints. *)
 
-(** Operand words per cycle one memory partition bank can feed. *)
-val bank_words_per_cycle : int
-
 val evaluate :
   ?flops_scale:float ->
   Ft_schedule.Target.fpga_spec ->

@@ -1,7 +1,5 @@
 (** Sequential execution of lowered programs over real float buffers. *)
 
-val exec_stmt : Ft_interp.Buffer_env.t -> (string * int) list -> Loopnest.stmt -> unit
-
 (** Allocate the program's tensors in [env] (inputs must already be
     bound) and run it. *)
 val run : Ft_interp.Buffer_env.t -> Loopnest.program -> unit

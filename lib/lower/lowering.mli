@@ -1,9 +1,5 @@
 (** Schedule application: config + mini-graph -> explicit loop nest. *)
 
-(** Sub-loop variable name of an axis level (matches
-    {!Ft_schedule.Primitive.sub_axis}). *)
-val sub_var : string -> int -> string
-
 (** Reconstruction of the original axis index from its split
     sub-variables. *)
 val axis_index : Ft_ir.Op.axis -> int array -> Ft_ir.Expr.iexpr

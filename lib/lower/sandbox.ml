@@ -1,18 +1,15 @@
 (* Process-isolated measurement (DESIGN.md §11).
 
-   Layout: [run] forks; the child caps itself with setrlimit, measures
+   Layout: [run] re-executes the running image with [Unix.create_process]
+   (posix_spawn: legal beside live domains, where fork is not) and hands
+   it one Marshal'ed request on its stdin pipe.  The worker hook at the
+   bottom of this module caps the process with setrlimit, measures
    through the ordinary [Measure.run], and reports exactly one
-   length-prefixed JSON frame on a pipe before [Unix._exit] (never the
-   parent's at_exit handlers, never its buffered channels).  The
-   parent polls [waitpid WNOHANG] on a monotonic deadline, SIGKILLs on
-   expiry, and maps every way the child can die — signal, rlimit, bad
-   frame, silence — to a structured {!Ft_fault.Resilience.fault}.
-
-   OCaml 5.1 refuses [Unix.fork] once any other domain has ever been
-   spawned in the process (joined or not): [run] then reports
-   [Launch_failed] instead of raising.  Systhreads are safe: the
-   forking thread holds the runtime lock, and the child touches no
-   lock another thread could have held. *)
+   length-prefixed JSON frame on its stdout pipe before [Unix._exit].
+   The parent [select]s on that pipe until EOF or a monotonic deadline,
+   SIGKILLs on expiry, reaps the worker once, and maps every way it can
+   die — signal, rlimit, bad frame, silence — to a structured
+   {!Ft_fault.Resilience.fault}. *)
 
 module R = Ft_fault.Resilience
 
@@ -38,6 +35,15 @@ let chaos_of_string = function
   | "truncated" -> Some Truncated
   | "silent" -> Some Silent
   | _ -> None
+
+(* Everything the worker needs: it shares no memory with the parent. *)
+type request = {
+  space : Ft_schedule.Space.t;
+  cfg : Ft_schedule.Config.t;
+  seed : int; warmup : int; reps : int;
+  limits : limits;
+  chaos : chaos option;
+}
 
 (* resource 0 = RLIMIT_AS (bytes), 1 = RLIMIT_CPU (seconds) *)
 external setrlimit : int -> int -> unit = "ft_sandbox_setrlimit"
@@ -80,8 +86,8 @@ let preflight ?(limits = default_limits) (space : Ft_schedule.Space.t) cfg =
     let program = Lowering.lower space cfg in
     let est_bytes = estimated_bytes space program in
     let byte_cap =
-      (* half the cap: the child also carries the tuner's inherited
-         footprint and the executor's working set *)
+      (* half the cap: the worker's own runtime and the executor's
+         working set share the address space with the buffers *)
       match limits.mem_mb with
       | Some mb -> mb * 1024 * 1024 / 2
       | None -> max_int
@@ -94,7 +100,7 @@ let preflight ?(limits = default_limits) (space : Ft_schedule.Space.t) cfg =
     else
       let iterations = Loopnest.total_iterations program.Loopnest.body in
       (* even at 1 ns per leaf statement the nest cannot finish inside
-         the watchdog — forking would only buy a guaranteed SIGKILL *)
+         the watchdog — spawning would only buy a guaranteed SIGKILL *)
       if float_of_int iterations *. 1e-9 > limits.timeout_s then
         Error
           (Printf.sprintf
@@ -116,8 +122,8 @@ module J = Ft_store.Json
 
 let obj fields = J.Obj fields
 
-(* One frame, then _exit: at_exit handlers and buffered channels
-   belong to the parent. *)
+(* One frame, then _exit: the worker is a copy of the host program,
+   whose at_exit handlers must not run. *)
 let child_exit oc json =
   (try Ft_store.Protocol.write_frame oc (Ft_store.Json.to_string json)
    with Sys_error _ | Unix.Unix_error _ -> ());
@@ -187,8 +193,6 @@ let child_main ~limits ~chaos ~seed ~warmup ~reps space cfg write_fd =
 (* ---------------------------------------------------------------- *)
 (* Parent side                                                      *)
 
-let poll_interval_s = 0.005
-
 let parse_frame ~flops payload =
   let open Ft_store.Json in
   match of_string payload with
@@ -211,61 +215,91 @@ let parse_frame ~flops payload =
       | Some other -> Error (R.Protocol_error ("unknown status " ^ other))
       | None -> Error (R.Protocol_error "frame missing status"))
 
+(* Protocol, not a user option: the argv that makes the running image
+   a worker (see the hook at the bottom of this module). *)
+let worker_sentinel = "--flextensor-sandbox-worker"
+
+(* The running image itself, so a binary rebuilt mid-run is never the
+   one spawned. *)
+let self_exe = "/proc/self/exe"
+
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Launch a worker whose request already sits in its stdin pipe:
+   written before the spawn into an empty non-blocking pipe, so it can
+   neither block the tuner nor SIGPIPE it.  Returns the pid and the
+   read end of the result pipe; a failure closes every descriptor. *)
+let spawn request =
+  let payload = Marshal.to_string (request : request) [] in
+  let opened = ref [] in
+  let pipe () =
+    let ((r, w) as ends) = Unix.pipe ~cloexec:true () in
+    opened := r :: w :: !opened;
+    ends
+  in
+  try
+    let req_r, req_w = pipe () in
+    let res_r, res_w = pipe () in
+    Unix.set_nonblock req_w;
+    let n = String.length payload in
+    if Unix.single_write_substring req_w payload 0 n < n then
+      failwith (Printf.sprintf "%d-byte request exceeds the pipe buffer" n);
+    let argv = [| self_exe; worker_sentinel |] in
+    let pid = Unix.create_process self_exe argv req_r res_w Unix.stderr in
+    List.iter (fun fd -> if fd <> res_r then close_noerr fd) !opened;
+    Ok (pid, res_r)
+  with (Failure _ | Unix.Unix_error _) as e ->
+    List.iter close_noerr !opened;
+    Error
+      (R.Launch_failed
+         (match e with Failure msg -> msg | e -> Printexc.to_string e))
+
+(* Everything the worker writes up to EOF (it exited), or the fault
+   that ended the wait first. *)
+let read_to_eof fd ~deadline ~timeout_s =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec loop () =
+    let left = deadline -. Ft_util.Monotime.now_s () in
+    if left <= 0. then Error (R.Timeout timeout_s)
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> loop ()
+      | _ ->
+          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+          Buffer.add_subbytes buf chunk 0 n;
+          if n = 0 then Ok (Buffer.contents buf) else loop ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+  in
+  try loop ()
+  with Unix.Unix_error (e, fn, _) ->
+    Error (R.Protocol_error (fn ^ ": " ^ Unix.error_message e))
+
+let rec reap pid =
+  try snd (Unix.waitpid [] pid)
+  with Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+
 let run ?(limits = default_limits) ?chaos ?(seed = 2020) ?(warmup = 1)
-    ?(reps = 5) ?on_tick (space : Ft_schedule.Space.t) cfg =
-  let r, w = Unix.pipe ~cloexec:false () in
-  (* anything buffered would otherwise be written twice — once per
-     process *)
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | exception ((Failure _ | Unix.Unix_error _) as e) ->
-      Unix.close r;
-      Unix.close w;
-      Error
-        (R.Launch_failed
-           (match e with Failure msg -> msg | e -> Printexc.to_string e))
-  | 0 ->
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      child_main ~limits ~chaos ~seed ~warmup ~reps space cfg w
-  | pid ->
-      (try Unix.close w with Unix.Unix_error _ -> ());
-      let ic = Unix.in_channel_of_descr r in
+    ?(reps = 5) (space : Ft_schedule.Space.t) cfg =
+  match spawn { space; cfg; seed; warmup; reps; limits; chaos } with
+  | Error _ as launch_failed -> launch_failed
+  | Ok (pid, fd) -> (
       let deadline = Ft_util.Monotime.now_s () +. limits.timeout_s in
-      let rec wait killed =
-        (match on_tick with Some f -> f () | None -> ());
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-            if (not killed) && Ft_util.Monotime.now_s () > deadline then begin
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              wait true
-            end
-            else begin
-              Unix.sleepf poll_interval_s;
-              wait killed
-            end
-        | _, status -> (killed, status)
-      in
-      let killed, status = wait false in
-      let result =
-        if killed then Error (R.Timeout limits.timeout_s)
-        else
-          match status with
-          | Unix.WSIGNALED s when s = Sys.sigxcpu ->
-              (* rlimit CPU backstop: a spin is a timeout, not a crash *)
-              Error (R.Timeout limits.timeout_s)
-          | Unix.WSIGNALED s -> Error (R.Crashed s)
-          | Unix.WSTOPPED s -> Error (R.Crashed s)
-          | Unix.WEXITED 0 -> (
-              match Ft_store.Protocol.read_frame ic with
-              | Error msg -> Error (R.Protocol_error msg)
-              | Ok payload ->
-                  parse_frame ~flops:(Ft_ir.Op.flops space.node) payload)
-          | Unix.WEXITED n ->
-              Error (R.Protocol_error (Printf.sprintf "child exited %d" n))
-      in
-      close_in_noerr ic;
-      result
+      let output = read_to_eof fd ~deadline ~timeout_s:limits.timeout_s in
+      Unix.close fd;
+      if Result.is_error output then (
+        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      match (output, reap pid) with
+      | Error fault, _ -> Error fault
+      | Ok _, Unix.WSIGNALED s when s = Sys.sigxcpu ->
+          (* rlimit CPU backstop: a spin is a timeout, not a crash *)
+          Error (R.Timeout limits.timeout_s)
+      | Ok _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Error (R.Crashed s)
+      | Ok output, Unix.WEXITED 0 -> (
+          match Ft_store.Protocol.frame_of_string output with
+          | Error msg -> Error (R.Protocol_error msg)
+          | Ok payload -> parse_frame ~flops:(Ft_ir.Op.flops space.node) payload)
+      | Ok _, Unix.WEXITED n ->
+          Error (R.Protocol_error (Printf.sprintf "child exited %d" n)))
 
 (* ---------------------------------------------------------------- *)
 (* The measurer hook: preflight, quarantine table, resilience loop  *)
@@ -307,9 +341,9 @@ let chaos_from_env key =
 
 (* The sandbox as a {!Ft_fault.Resilience} fault source: a hang or a
    torn frame may not recur, so those are retryable; a signal, an
-   address-space overrun or a refused fork will recur and quarantine
+   address-space overrun or a failed launch will recur and quarantine
    at once.  Backoff waits are real sleeps. *)
-let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps ?on_tick space =
+let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps space =
   let limits = Option.value limits ~default:default_limits in
   let quarantined : (string, Ft_hw.Perf.t) Hashtbl.t = Hashtbl.create 7 in
   fun cfg ->
@@ -334,7 +368,7 @@ let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps ?on_tick space =
             in
             let attempt ~attempt:_ =
               Ft_obs.Trace.incr "measure.sandboxed";
-              match run ~limits ?chaos ?seed ?warmup ?reps ?on_tick space cfg with
+              match run ~limits ?chaos ?seed ?warmup ?reps space cfg with
               | Ok perf -> Ok perf
               | Error fault ->
                   let retryable =
@@ -345,3 +379,19 @@ let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps ?on_tick space =
             match R.run ?policy ~prefix:"measure" ~wait:Unix.sleepf attempt with
             | Ok perf -> perf
             | Error note -> quarantine ("sandbox: " ^ note)))
+
+(* ---------------------------------------------------------------- *)
+(* Worker hook                                                      *)
+
+(* Runs at module initialisation, before the host program's entry
+   point.  The frame goes to the stdout pipe; anything else the kernel
+   path prints goes to stderr instead of corrupting it. *)
+let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = worker_sentinel then begin
+    let result_fd = Unix.dup Unix.stdout in
+    Unix.dup2 Unix.stderr Unix.stdout;
+    let { space; cfg; seed; warmup; reps; limits; chaos } : request =
+      Marshal.from_channel stdin
+    in
+    child_main ~limits ~chaos ~seed ~warmup ~reps space cfg result_fd
+  end

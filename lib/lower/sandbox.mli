@@ -4,24 +4,19 @@
     {!Measure.run} executes the kernel in-process, so a pathological
     schedule — a miscompiled nest that spins, a padded buffer that
     exhausts memory, a genuine segfault — takes the whole tuner (or
-    daemon, or fleet worker) down with it.  [Sandbox.run] forks a
-    child per measurement: the child applies [rlimit] address-space
-    and CPU caps, compiles and times the kernel, and reports one
-    length-prefixed JSON frame ({!Ft_store.Protocol} framing) back
-    over a pipe; the parent runs a monotonic watchdog
-    ({!Ft_util.Monotime}) and SIGKILLs the child on expiry.  Every
-    failure mode maps to a structured {!Ft_fault.Resilience.fault}
-    instead of an exception, signal, or hang in the tuner.
+    daemon, or fleet worker) down with it.  [Sandbox.run] re-executes
+    the running image per measurement ([Unix.create_process], legal
+    beside live domains); this module's initialisation turns it into a
+    worker that applies [rlimit] address-space and CPU caps, times the
+    kernel, and reports one {!Ft_store.Protocol} frame over a pipe.
+    The parent waits under a monotonic watchdog ({!Ft_util.Monotime})
+    and SIGKILLs on expiry.  Every failure mode maps to a structured
+    {!Ft_fault.Resilience.fault} instead of an exception, signal, or
+    hang in the tuner.
 
     Isolation never touches the search: measurement runs strictly
     post-search behind the [measurer] hook, so seeded searches are
-    bit-for-bit identical with the sandbox on, off, or absent.
-
-    OCaml 5.1 refuses [Unix.fork] once the process has ever spawned a
-    second domain, even one since joined — so after a multi-lane
-    domain pool has run, [run] cannot fork and reports
-    [Launch_failed] (never retried).  Measuring with live or past
-    domains needs a spawned, not forked, child. *)
+    bit-for-bit identical with the sandbox on, off, or absent. *)
 
 type limits = {
   timeout_s : float;  (** wall-clock watchdog (SIGKILL on expiry) *)
@@ -29,12 +24,11 @@ type limits = {
 }
 
 (** 10 s, 4096 MiB — generous enough that well-behaved kernels never
-    trip them (the child inherits the parent's address space, so the
-    memory cap must sit well above the tuner's own footprint). *)
+    trip them; {!preflight} checks buffers against half the cap. *)
 val default_limits : limits
 
 (** Deterministic fault injection for the containment tests and
-    [bench sandbox]: executed in the child instead of the kernel.
+    [bench sandbox]: executed in the worker instead of the kernel.
     [Hang] sleeps forever (watchdog path); [Segv] dereferences null;
     [Oom_hog] allocates until the rlimit fails; [Garbage] writes an
     unparsable frame; [Truncated] writes a frame that ends mid-
@@ -45,7 +39,7 @@ val chaos_to_string : chaos -> string
 val chaos_of_string : string -> chaos option
 
 (** Pre-flight static guard: reject obviously-doomed configs without
-    forking.  Checks (1) estimated buffer bytes (8 bytes x the shape
+    spawning.  Checks (1) estimated buffer bytes (8 bytes x the shape
     product of every graph input and program alloc) against half the
     address-space cap, and (2) [Loopnest.total_iterations] against
     the watchdog (at an optimistic 1 ns per leaf statement the nest
@@ -58,24 +52,22 @@ val preflight :
   Ft_schedule.Config.t ->
   (Loopnest.program, string) result
 
-(** [run space cfg] measures [cfg] in a forked child (same seed /
-    warmup / reps semantics as {!Measure.run}) and returns the child's
+(** [run space cfg] measures [cfg] in a spawned worker (same seed /
+    warmup / reps semantics as {!Measure.run}) and returns the worker's
     result, or the fault that contained it: [Timeout] (watchdog
     SIGKILL, or the RLIMIT_CPU backstop), [Crashed] (any other
     signal), [Oom] (address-space cap), [Protocol_error] (garbage,
-    truncated or missing frame, nonzero exit) or [Launch_failed] (the
-    fork was refused; both pipe ends are closed).  [Ok] can itself be an
-    invalid perf (e.g. a config outside the space) — that is a result,
-    not a containment event.  [on_tick] is called every watchdog poll
-    (~5 ms) while the child runs — the seam for heartbeating during a
-    long measurement.  [chaos] injects a child-side fault (tests). *)
+    truncated or missing frame, nonzero exit) or [Launch_failed] (no
+    pipe or process could be created; every descriptor is closed
+    again).  [Ok] can itself be an invalid perf (e.g. a config outside
+    the space) — a result, not a containment event.  [chaos] injects
+    a worker-side fault (tests). *)
 val run :
   ?limits:limits ->
   ?chaos:chaos ->
   ?seed:int ->
   ?warmup:int ->
   ?reps:int ->
-  ?on_tick:(unit -> unit) ->
   Ft_schedule.Space.t ->
   Ft_schedule.Config.t ->
   (Ft_hw.Perf.t, Ft_fault.Resilience.fault) result
@@ -86,7 +78,7 @@ val run :
     [Timeout] and [Protocol_error] are retried with backoff (real
     sleeps); [Crashed], [Oom] and [Launch_failed] — and exhausted
     retries — quarantine the config: later measurements of it return
-    the cached invalid perf without forking.  Faults come back as
+    the cached invalid perf without spawning.  Faults come back as
     [Ft_hw.Perf.invalid] with a ["sandbox: quarantined: ..."] note
     (preflight rejections as ["preflight: ..."]).  Trace counters:
     [measure.sandboxed], one per fault kind ([measure.timeout],
@@ -105,7 +97,6 @@ val measurer :
   ?seed:int ->
   ?warmup:int ->
   ?reps:int ->
-  ?on_tick:(unit -> unit) ->
   Ft_schedule.Space.t ->
   Ft_schedule.Config.t ->
   Ft_hw.Perf.t

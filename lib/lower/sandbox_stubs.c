@@ -1,11 +1,11 @@
-/* Resource caps for the measurement child (Sandbox, DESIGN.md §11).
+/* Resource caps for the measurement worker (Sandbox, DESIGN.md §11).
 
-   setrlimit must run in the child between fork and the kernel run:
+   setrlimit runs in the spawned worker before the kernel run:
    RLIMIT_AS turns a runaway allocation into a failed mmap — which
    OCaml surfaces as Out_of_memory, reported over the pipe — instead
    of an OOM-killed tuner, and RLIMIT_CPU is the backstop against a
    spinning kernel should the parent's SIGKILL watchdog itself die.
-   Both limits apply to the whole child process, which is exactly the
+   Both limits apply to the whole worker process, which is exactly the
    containment unit. */
 
 #include <caml/fail.h>

@@ -113,33 +113,13 @@ let run pool body =
    task costs are skewed.  Size is amortized against the measured
    per-task cost: one grab of the shared atomic counter should cover
    at least [amortize_ns] of work, but never so much that a lane holds
-   more than a quarter of its fair share in one grab.  [FT_CHUNK]
-   pins the size for experiments. *)
+   more than a quarter of its fair share in one grab. *)
 let amortize_ns = 200_000.
 
-let warned_env_chunk = ref false
-
-let env_chunk () =
-  match Sys.getenv_opt "FT_CHUNK" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None ->
-          if not !warned_env_chunk then begin
-            warned_env_chunk := true;
-            Printf.eprintf
-              "warning: ignoring FT_CHUNK=%S (expected a positive integer)\n%!" s
-          end;
-          None)
-
 let chunk_bound pool n =
-  match env_chunk () with
-  | Some c -> c
-  | None ->
-      let balance = max 1 (n / (pool.jobs * 4)) in
-      if pool.task_ns <= 0. then max 1 (min 32 balance)
-      else max 1 (min balance (int_of_float (amortize_ns /. pool.task_ns)))
+  let balance = max 1 (n / (pool.jobs * 4)) in
+  if pool.task_ns <= 0. then max 1 (min 32 balance)
+  else max 1 (min balance (int_of_float (amortize_ns /. pool.task_ns)))
 
 let raw_map pool f xs =
   match xs with
@@ -291,9 +271,8 @@ let set_default_jobs jobs =
   requested_jobs := Some jobs
 
 (* Join the default pool's worker domains; the pool is recreated
-   lazily by the next [default ()].  This frees the domains, but it
-   does not make [Unix.fork] legal again: OCaml 5.1 refuses to fork
-   once any domain has ever been spawned in the process. *)
+   lazily by the next [default ()].  Kept only for
+   benchmark/kit/child.ml, which calls it. *)
 let quiesce_default () =
   match !default_pool with
   | Some pool ->

@@ -45,16 +45,14 @@ val default : unit -> t
 
 (** Shut down the default pool (if any) and join its worker domains;
     the next [default ()] recreates it.  Idempotent; results of later
-    maps are unchanged (only domain spawn cost is paid again).  This
-    does {e not} re-enable [Unix.fork]: OCaml 5.1 refuses to fork once
-    any domain has ever been spawned, joined or not. *)
+    maps are unchanged (only domain spawn cost is paid again).  Kept
+    only because [benchmark/kit/child.ml] calls it. *)
 val quiesce_default : unit -> unit
 
 (** [map pool f xs] is [List.map f xs] computed on the pool's lanes in
     contiguous chunks.  Chunk size is amortized against an EWMA of the
     measured per-task cost (one grab of the shared work counter should
-    cover ~0.2 ms of work) and can be pinned with the [FT_CHUNK]
-    environment variable; neither affects results, only scheduling.
+    cover ~0.2 ms of work); it affects scheduling only, never results.
     The result preserves input order.  If any
     application of [f] raised, the exception of the smallest-index
     failing task is re-raised (with its backtrace) after all tasks

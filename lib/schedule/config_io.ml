@@ -83,9 +83,6 @@ let of_string text =
   | exception Failure msg -> Error ("Config_io.of_string: " ^ msg)
   | exception Invalid_argument msg -> Error ("Config_io.of_string: " ^ msg)
 
-let of_string_exn text =
-  match of_string text with Ok cfg -> cfg | Error msg -> invalid_arg msg
-
 (* Load a config and check it belongs to a space (shape-mismatched
    logs are a common failure mode when a model changes). *)
 let of_string_for space text =

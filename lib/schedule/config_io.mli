@@ -5,8 +5,5 @@ val to_string : Config.t -> string
 
 val of_string : string -> (Config.t, string) result
 
-(** Raises [Invalid_argument] on malformed input. *)
-val of_string_exn : string -> Config.t
-
 (** Parse and validate against a space. *)
 val of_string_for : Space.t -> string -> (Config.t, string) result

@@ -19,8 +19,6 @@ let pp_move fmt = function
   | Inline_toggle -> Format.pp_print_string fmt "inline~"
   | Partition_step d -> Format.fprintf fmt "part%+d" d
 
-let move_to_string move = Format.asprintf "%a" pp_move move
-
 (* The full direction set of a space, in a stable order (the Q-network
    output layer is indexed by position in this list). Axes of extent 1
    have no factor moves and are omitted. *)

@@ -16,7 +16,6 @@ type move =
   | Partition_step of int
 
 val pp_move : Format.formatter -> move -> unit
-val move_to_string : move -> string
 
 (** All directions of a space, in a stable order (the Q-network's
     action indexing). *)

@@ -44,6 +44,3 @@ val survivors : t -> Record.t list
 (** [op_id key] names the operator kind: op, target, and loop ranks —
     exactly the {!Record.same_operator} equivalence class. *)
 val op_id : Record.key -> string
-
-(** [key_id key] is the full exact-match identity. *)
-val key_id : Record.key -> string

@@ -156,19 +156,34 @@ let write_frame oc payload =
   output_string oc payload;
   flush oc
 
+let frame_length line =
+  match int_of_string_opt (String.trim line) with
+  | None -> Result.Error (Printf.sprintf "bad frame length %S" line)
+  | Some len when len < 0 || len > max_frame ->
+      Result.Error (Printf.sprintf "frame length %d out of bounds" len)
+  | Some len -> Ok len
+
 let read_frame ic =
   match input_line ic with
   | exception End_of_file -> Result.Error "connection closed"
-  | line -> (
-      match int_of_string_opt (String.trim line) with
-      | None -> Result.Error (Printf.sprintf "bad frame length %S" line)
-      | Some len when len < 0 || len > max_frame ->
-          Result.Error (Printf.sprintf "frame length %d out of bounds" len)
-      | Some len -> (
+  | line ->
+      Result.bind (frame_length line) (fun len ->
           let buf = Bytes.create len in
           match really_input ic buf 0 len with
           | () -> Ok (Bytes.to_string buf)
-          | exception End_of_file -> Result.Error "truncated frame"))
+          | exception End_of_file -> Result.Error "truncated frame")
+
+let frame_of_string s =
+  if s = "" then Result.Error "connection closed"
+  else
+    let line, body =
+      match String.index_opt s '\n' with
+      | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+      | None -> (s, "")
+    in
+    Result.bind (frame_length line) (fun len ->
+        if String.length body < len then Result.Error "truncated frame"
+        else Ok (String.sub body 0 len))
 
 (* -- addresses ------------------------------------------------------- *)
 

@@ -45,6 +45,10 @@ val write_frame : out_channel -> string -> unit
     oversized frame. *)
 val read_frame : in_channel -> (string, string) result
 
+(** [frame_of_string s] is {!read_frame} over a stream holding exactly
+    [s] — for a peer whose whole output was collected up to EOF. *)
+val frame_of_string : string -> (string, string) result
+
 (** Parse a listen/connect address: ["unix:PATH"], ["HOST:PORT"], or
     [":PORT"] / ["PORT"] (loopback). *)
 val parse_addr : string -> (Unix.sockaddr, string) result

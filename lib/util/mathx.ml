@@ -92,10 +92,6 @@ let rec permutations = function
           List.map (fun perm -> x :: perm) (permutations (remove_one x items)))
         (List.rev pivots)
 
-let factorial n =
-  let rec go acc i = if i <= 1 then acc else go (acc * i) (i - 1) in
-  go 1 n
-
 let ceil_div a b =
   if b <= 0 then invalid_arg "Mathx.ceil_div: positive divisor required";
   (a + b - 1) / b

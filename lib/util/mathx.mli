@@ -33,8 +33,6 @@ val count_factorizations : int -> int -> int
     supported: [permutations [2; 2] = [[2; 2]]]. *)
 val permutations : 'a list -> 'a list list
 
-val factorial : int -> int
-
 val ceil_div : int -> int -> int
 
 val round_up_to : int -> int -> int

@@ -9,10 +9,6 @@ let geomean = function
         invalid_arg "Stats.geomean: requires positive values";
       exp (mean (List.map log xs))
 
-let stddev xs =
-  let m = mean xs in
-  sqrt (mean (List.map (fun x -> (x -. m) ** 2.) xs))
-
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty list"
   | x :: xs -> List.fold_left Float.min x xs

@@ -6,8 +6,6 @@ val mean : float list -> float
 (** Geometric mean; raises on empty input or non-positive values. *)
 val geomean : float list -> float
 
-val stddev : float list -> float
-
 val minimum : float list -> float
 
 val maximum : float list -> float

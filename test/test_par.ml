@@ -29,29 +29,6 @@ let test_map_empty_and_singleton () =
   Alcotest.(check (list int)) "empty" [] (Ft_par.Pool.map pool4 succ []);
   Alcotest.(check (list int)) "singleton" [ 8 ] (Ft_par.Pool.map pool4 succ [ 7 ])
 
-(* FT_CHUNK pins the work-unit size; a malformed value is ignored with
-   a warning.  Neither may change results — chunking is scheduling
-   only. *)
-let test_chunk_override_results_unchanged () =
-  let xs = List.init 123 Fun.id in
-  let expected = List.map (fun x -> x * 3) xs in
-  let with_env value f =
-    Unix.putenv "FT_CHUNK" value;
-    Fun.protect ~finally:(fun () -> Unix.putenv "FT_CHUNK" "") f
-  in
-  List.iter
-    (fun value ->
-      with_env value (fun () ->
-          List.iter
-            (fun pool ->
-              Alcotest.(check (list int))
-                (Printf.sprintf "FT_CHUNK=%s at %d lanes" value
-                   (Ft_par.Pool.lanes pool))
-                expected
-                (Ft_par.Pool.map pool (fun x -> x * 3) xs))
-            pools))
-    [ "1"; "7"; "1000"; "banana"; "0" ]
-
 (* Lane clamping: without [~oversubscribe] a pool never runs more
    domains than the machine has cores; with it, the request wins. *)
 let test_lanes_clamped_to_cores () =
@@ -291,8 +268,6 @@ let () =
         [
           Alcotest.test_case "map ordering" `Quick test_map_ordering;
           Alcotest.test_case "map edge cases" `Quick test_map_empty_and_singleton;
-          Alcotest.test_case "FT_CHUNK override" `Quick
-            test_chunk_override_results_unchanged;
           Alcotest.test_case "lanes clamped to cores" `Quick
             test_lanes_clamped_to_cores;
           Alcotest.test_case "exception propagation" `Quick

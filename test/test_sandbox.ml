@@ -1,6 +1,7 @@
 (* The process-isolated measurement sandbox (DESIGN.md §11): the
    monotonic clock, every containment path (watchdog SIGKILL, real
-   segfault, rlimit OOM, garbage / truncated / missing result frames),
+   segfault, rlimit OOM, garbage / truncated / missing result frames,
+   a full descriptor table), measuring beside live domains,
    the pre-flight static guard, retry-then-quarantine resilience, the
    agreement of sandboxed and in-process measurement on well-behaved
    kernels, and the bit-for-bit invariance of seeded searches to the
@@ -153,6 +154,55 @@ let test_contains_bad_frames () =
   expect_protocol_error "truncated" Sandbox.Truncated;
   expect_protocol_error "silent exit 0" Sandbox.Silent
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* With the descriptor table full, or too full for both pipes, a launch
+   is a structured [Launch_failed] — never an escaping [Unix_error] —
+   and every descriptor it opened is closed again. *)
+let with_fd_table_full ~spare f =
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let rec fill acc =
+    match Unix.dup ~cloexec:true null with
+    | fd -> fill (fd :: acc)
+    | exception Unix.Unix_error (Unix.EMFILE, _, _) -> acc
+  in
+  let held = ref (fill []) in
+  for _ = 1 to spare do
+    match !held with
+    | fd :: rest ->
+        Unix.close fd;
+        held := rest
+    | [] -> ()
+  done;
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close (null :: !held))
+    f
+
+let test_contains_full_fd_table () =
+  let space = space_of () in
+  let cfg = Ft_schedule.Space.default_config space in
+  let before = open_fds () in
+  List.iter
+    (fun spare ->
+      let run, perf =
+        with_fd_table_full ~spare (fun () ->
+            let run = Sandbox.run ~limits:tiny space cfg in
+            (run, Sandbox.measurer ~limits:tiny space cfg))
+      in
+      (match run with
+      | Error (R.Launch_failed _) -> ()
+      | Error fault ->
+          Alcotest.fail ("expected Launch_failed, got " ^ R.to_string fault)
+      | Ok _ -> Alcotest.fail "no pipe can be created");
+      check_bool "quarantined launch_failed perf" true
+        ((not perf.Ft_hw.Perf.valid)
+        && String.starts_with ~prefix:"sandbox: quarantined: launch_failed ("
+             perf.Ft_hw.Perf.note);
+      check_int
+        (Printf.sprintf "no descriptor leaked (%d spare)" spare)
+        before (open_fds ()))
+    [ 0; 2 ]
+
 (* --- pre-flight guard --- *)
 
 let test_preflight_rejects_huge_buffers () =
@@ -210,14 +260,14 @@ let test_deterministic_crash_quarantines () =
         first.Ft_hw.Perf.valid;
       check_bool "note carries the structured reason" true
         (String.length first.Ft_hw.Perf.note > 0);
-      check_int "one fork: deterministic faults never retry" 1
+      check_int "one launch: deterministic faults never retry" 1
         (counter "measure.sandboxed");
       check_int "counted as crashed" 1 (counter "measure.crashed");
       check_int "quarantined" 1 (counter "measure.quarantined");
       let second = measure cfg in
       check_bool "served from quarantine" true
         (String.equal second.Ft_hw.Perf.note first.Ft_hw.Perf.note);
-      check_int "no second fork" 1 (counter "measure.sandboxed");
+      check_int "no second launch" 1 (counter "measure.sandboxed");
       check_int "quarantine hit counted" 1 (counter "measure.quarantine_hit"))
 
 let test_transient_timeout_retries () =
@@ -249,14 +299,48 @@ let test_preflight_rejection_quarantines () =
           space
       in
       let perf = measure cfg in
-      check_bool "rejected before forking" false perf.Ft_hw.Perf.valid;
+      check_bool "rejected before spawning" false perf.Ft_hw.Perf.valid;
       check_bool "preflight-prefixed note" true
         (String.length perf.Ft_hw.Perf.note >= 10
         && String.equal (String.sub perf.Ft_hw.Perf.note 0 10) "preflight:");
-      check_int "no fork" 0 (counter "measure.sandboxed");
+      check_int "no launch" 0 (counter "measure.sandboxed");
       ignore (measure cfg);
       check_int "second call is a quarantine hit" 1
         (counter "measure.quarantine_hit"))
+
+(* --- measuring beside live domains --- *)
+
+(* OCaml 5 refuses fork once a second domain exists; a spawned worker
+   does not care.  Measuring beside a live pool must yield a real
+   timing, leak no descriptor and leave no child unreaped. *)
+let test_measure_beside_live_pool () =
+  let pool = Ft_par.Pool.create ~oversubscribe:true 2 in
+  Fun.protect
+    ~finally:(fun () -> Ft_par.Pool.shutdown pool)
+    (fun () ->
+      check_int "a second domain is live" 2 (Ft_par.Pool.lanes pool);
+      let space = space_of () in
+      let cfg = Ft_schedule.Space.default_config space in
+      let before = open_fds () in
+      (match Sandbox.run ~limits:tiny ~reps:2 space cfg with
+      | Ok perf ->
+          check_bool "valid" true perf.Ft_hw.Perf.valid;
+          check_bool "measured provenance" true (Ft_hw.Perf.is_measured perf)
+      | Error fault -> Alcotest.fail (R.to_string fault));
+      let perf =
+        with_trace (fun () ->
+            let perf = Sandbox.measurer ~limits:tiny ~reps:2 space cfg in
+            check_int "one launch" 1 (counter "measure.sandboxed");
+            check_int "no fault" 0 (counter "measure.quarantined");
+            perf)
+      in
+      check_bool "measurer perf is measured" true
+        (perf.Ft_hw.Perf.valid && Ft_hw.Perf.is_measured perf);
+      check_int "no descriptor leaked" before (open_fds ());
+      check_bool "no child left unreaped" true
+        (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+        | _ -> false
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true))
 
 (* --- seeded searches are invariant to the sandbox --- *)
 
@@ -316,6 +400,8 @@ let () =
           Alcotest.test_case "rlimit -> Oom" `Quick test_contains_oom;
           Alcotest.test_case "bad frames -> Protocol_error" `Quick
             test_contains_bad_frames;
+          Alcotest.test_case "full fd table -> Launch_failed" `Quick
+            test_contains_full_fd_table;
         ] );
       ( "preflight",
         [
@@ -334,6 +420,11 @@ let () =
             test_transient_timeout_retries;
           Alcotest.test_case "preflight rejection quarantines" `Quick
             test_preflight_rejection_quarantines;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "measure beside a live pool" `Quick
+            test_measure_beside_live_pool;
         ] );
       ( "invariance",
         [ QCheck_alcotest.to_alcotest qcheck_search_invariant_to_sandbox ] );
