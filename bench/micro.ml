@@ -34,6 +34,9 @@ let tests () =
       (Staged.stage (fun () -> Ft_schedule.Space.features conv_space cfg));
     Test.make ~name:"q-network forward"
       (Staged.stage (fun () -> Ft_nn.Network.forward net features));
+    Test.make ~name:"q-network train step"
+      (Staged.stage (fun () ->
+           Ft_nn.Network.train_mse_component net ~input:features ~index:0 ~target:1.));
     Test.make ~name:"config key (memoized)"
       (Staged.stage (fun () -> Ft_schedule.Config.key cfg));
     Test.make ~name:"config key (fresh)"
@@ -41,10 +44,10 @@ let tests () =
   ]
 
 (* -- batched kernels -------------------------------------------------
-   The flat Bigarray kernels behind [forward_batch]/[predict_batch]:
-   GEMM throughput by batch size, and ns-per-candidate of the batched
-   frontier scoring paths against their scalar loops (same floats, see
-   test_nn/test_gbt). *)
+   Host GEMM throughput by batch size ([Linalg.gemm_bt], the reference
+   kernel), and ns-per-candidate of the batched frontier scoring paths
+   against their scalar loops (same floats, see test_nn/test_gbt;
+   [forward_batch] runs the scalar forward kernel row by row). *)
 
 let time_ns_per f reps per =
   let t0 = Ft_util.Monotime.now_s () in

@@ -17,10 +17,6 @@ let vec_of_array xs =
 let vec_to_array (v : vec) =
   Array.init (Bigarray.Array1.dim v) (Bigarray.Array1.get v)
 
-let flatten (a : mat) =
-  Bigarray.reshape_1 (Bigarray.genarray_of_array2 a)
-    (Bigarray.Array2.dim1 a * Bigarray.Array2.dim2 a)
-
 let of_rows ~cols rows =
   let m = Array.length rows in
   let a = Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout m cols in
@@ -36,9 +32,7 @@ let of_rows ~cols rows =
     rows;
   a
 
-let row (a : mat) i = Array.init (Bigarray.Array2.dim2 a) (Bigarray.Array2.get a i)
-
-(* Block sizes chosen for the MLP shapes on the hot path (k, n <= 64,
+(* Block sizes chosen for MLP-sized shapes (k, n <= 64,
    m up to a frontier's size): a j-block of [bt] rows plus one [a] row
    stays in L1 across the whole i-block. *)
 let block_m = 64
@@ -111,14 +105,5 @@ let gemm_bt ?(bias : vec option) ~(a : mat) ~(bt : mat) ~(c : mat) () =
           incr j
         done
       done
-    done
-  done
-
-let relu_inplace (a : mat) =
-  let m = Bigarray.Array2.dim1 a and n = Bigarray.Array2.dim2 a in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      Bigarray.Array2.unsafe_set a i j
-        (Float.max 0. (Bigarray.Array2.unsafe_get a i j))
     done
   done

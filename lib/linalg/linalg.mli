@@ -1,5 +1,5 @@
-(** Flat float64 storage and the cache-blocked batched GEMM kernel
-    behind the batched hot paths (Q-network forward, GBT scoring).
+(** Flat float64 storage, and a cache-blocked GEMM kernel: the
+    reference [bench micro] measures host GEMM throughput with.
 
     Everything here is [Bigarray] with C layout: rows are contiguous,
     elements are unboxed doubles, and a matrix handed to a kernel is
@@ -7,10 +7,10 @@
 
     Determinism contract: {!gemm_bt} accumulates every output element
     strictly in ascending-[k] order from its bias, which is exactly
-    the summation order of the scalar dot-product loops it replaces —
-    so batched results are bit-for-bit equal to the per-candidate
-    ones (0 ulp), not merely close.  The cache blocking over rows and
-    columns never reorders a single element's additions. *)
+    the summation order of a scalar dot-product loop — so its results
+    are bit-for-bit equal to per-row ones (0 ulp), not merely close.
+    The blocking over rows and columns never reorders an element's
+    additions. *)
 
 type mat = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -24,16 +24,9 @@ val vec : int -> vec
 val vec_of_array : float array -> vec
 val vec_to_array : vec -> float array
 
-(** [flatten a] is a length-[m*n] row-major view sharing [a]'s
-    storage (writes through). *)
-val flatten : mat -> vec
-
 (** [of_rows ~cols rows] packs equal-length rows into a fresh matrix;
     every row must have length [cols]. *)
 val of_rows : cols:int -> float array array -> mat
-
-(** [row a i] copies row [i] out as a float array. *)
-val row : mat -> int -> float array
 
 (** [gemm_bt ?bias ~a ~bt ~c ()] computes
     [c.(i).(j) = bias.(j) + sum_k a.(i,k) *. bt.(j,k)] for
@@ -44,6 +37,3 @@ val row : mat -> int -> float array
     loop is innermost and ascending, preserving scalar summation
     order per element. *)
 val gemm_bt : ?bias:vec -> a:mat -> bt:mat -> c:mat -> unit -> unit
-
-(** In-place [max 0.] (same NaN semantics as [Float.max 0.]). *)
-val relu_inplace : mat -> unit

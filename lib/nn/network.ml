@@ -1,22 +1,14 @@
-module L = Ft_linalg.Linalg
+open Bigarray.Array1
 
-(* Weights live in flat Bigarray float64 storage: [w] is the row-major
-   (n_out x n_in) matrix the batched GEMM consumes directly, and the
-   optimizer updates it through flat views ([wv]/[gwv]) with no
-   copying.  The scalar forward/backward read the same storage with
-   the same arithmetic order as the old float-array code, so nothing
-   observable moved. *)
+(* Each layer's parameters are one flat Bigarray of [n_out] rows, each
+   [n_in] weights followed by that output's bias: one contiguous run
+   per row for the forward kernel and for the fused backward + AdaDelta
+   pass, and one optimizer state for the layer. *)
 type layer = {
   n_in : int;
   n_out : int;
-  w : L.mat;  (* n_out x n_in *)
-  b : L.vec;
-  gw : L.mat;
-  gb : L.vec;
-  wv : L.vec;  (* flat view of w, shared storage *)
-  gwv : L.vec;  (* flat view of gw, shared storage *)
-  w_opt : Adadelta.t;
-  b_opt : Adadelta.t;
+  p : Ft_linalg.Linalg.vec;  (* n_out x (n_in + 1) *)
+  opt : Adadelta.t;
   mutable last_input : float array;
   mutable last_pre : float array;  (* pre-activation, cached for backward *)
 }
@@ -25,157 +17,123 @@ type t = { layers : layer array }
 
 let make_layer rng n_in n_out =
   let scale = sqrt (2. /. float_of_int n_in) in
-  let w = L.mat n_out n_in in
-  (* Row-major ascending fill: the same gaussian-draw order as the old
-     [Array.init (n_out * n_in)] initialization. *)
-  for o = 0 to n_out - 1 do
-    for i = 0 to n_in - 1 do
-      Bigarray.Array2.unsafe_set w o i (Ft_util.Rng.gaussian rng *. scale)
-    done
+  let p = Ft_linalg.Linalg.vec (n_out * (n_in + 1)) in
+  (* Weight k of a plain row-major [n_out * n_in] initialization, in
+     the same gaussian-draw order; row o = k / n_in sits at
+     o * (n_in + 1) + k mod n_in = k + o.  Biases stay zero. *)
+  for k = 0 to (n_out * n_in) - 1 do
+    unsafe_set p (k + (k / n_in)) (Ft_util.Rng.gaussian rng *. scale)
   done;
-  let gw = L.mat n_out n_in in
-  {
-    n_in;
-    n_out;
-    w;
-    b = L.vec n_out;
-    gw;
-    gb = L.vec n_out;
-    wv = L.flatten w;
-    gwv = L.flatten gw;
-    w_opt = Adadelta.create (n_out * n_in);
-    b_opt = Adadelta.create n_out;
-    last_input = [||];
-    last_pre = [||];
-  }
+  let opt = Adadelta.create (dim p) in
+  { n_in; n_out; p; opt; last_input = [||]; last_pre = [||] }
 
 let mlp rng ~dims =
   if Array.length dims < 2 then invalid_arg "Network.mlp: need at least two dims";
-  {
-    layers =
-      Array.init
-        (Array.length dims - 1)
-        (fun i -> make_layer rng dims.(i) dims.(i + 1));
-  }
+  { layers = Array.init (Array.length dims - 1) (fun i -> make_layer rng dims.(i) dims.(i + 1)) }
 
-let layer_forward ~activate layer input =
-  if Array.length input <> layer.n_in then
-    invalid_arg
-      (Printf.sprintf "Network.forward: layer expects %d inputs, got %d" layer.n_in
-         (Array.length input));
-  layer.last_input <- input;
-  let pre = Array.make layer.n_out 0. in
-  for o = 0 to layer.n_out - 1 do
-    let acc = ref (Bigarray.Array1.unsafe_get layer.b o) in
-    for i = 0 to layer.n_in - 1 do
-      acc := !acc +. (Bigarray.Array2.unsafe_get layer.w o i *. Array.unsafe_get input i)
+(* The one forward kernel: pre.(o) = bias_o + sum_i w_oi *. x.(i).
+   Four outputs share each pass over [x]; every accumulator still
+   starts from its bias and adds [weight *. input] in ascending [i],
+   so each output is bit-for-bit the scalar dot product. *)
+let affine { n_in; n_out; p; _ } (x : float array) =
+  let stride = n_in + 1 in
+  let pre = Array.create_float n_out in
+  let o = ref 0 in
+  while !o + 3 < n_out do
+    let r0 = !o * stride in
+    let r1 = r0 + stride and r2 = r0 + (2 * stride) and r3 = r0 + (3 * stride) in
+    let a0 = ref (unsafe_get p (r0 + n_in)) and a1 = ref (unsafe_get p (r1 + n_in))
+    and a2 = ref (unsafe_get p (r2 + n_in)) and a3 = ref (unsafe_get p (r3 + n_in)) in
+    for i = 0 to n_in - 1 do
+      let xi = Array.unsafe_get x i in
+      a0 := !a0 +. (unsafe_get p (r0 + i) *. xi);
+      a1 := !a1 +. (unsafe_get p (r1 + i) *. xi);
+      a2 := !a2 +. (unsafe_get p (r2 + i) *. xi);
+      a3 := !a3 +. (unsafe_get p (r3 + i) *. xi)
     done;
-    pre.(o) <- !acc
+    pre.(!o) <- !a0; pre.(!o + 1) <- !a1; pre.(!o + 2) <- !a2; pre.(!o + 3) <- !a3;
+    o := !o + 4
   done;
-  layer.last_pre <- pre;
-  if activate then Array.map (fun x -> Float.max 0. x) pre else pre
+  for o = !o to n_out - 1 do
+    let r = o * stride in
+    let a = ref (unsafe_get p (r + n_in)) in
+    for i = 0 to n_in - 1 do
+      a := !a +. (unsafe_get p (r + i) *. Array.unsafe_get x i)
+    done;
+    pre.(o) <- !a
+  done;
+  pre
+
+(* [Float.max 0. v] (nan stays nan, -0. becomes 0.) without its C call *)
+let relu v = if v > 0. || Float.is_nan v then v else 0.
+
+(* [cache] keeps each layer's input and pre-activation for the
+   training step; inference leaves them alone. *)
+let run ~cache net input =
+  let n = Array.length net.layers in
+  let x = ref input in
+  Array.iteri
+    (fun l layer ->
+      let pre = affine layer !x in
+      if cache then (layer.last_input <- !x; layer.last_pre <- pre);
+      x := if l < n - 1 then Array.map relu pre else pre)
+    net.layers;
+  !x
+
+let check_width net what input =
+  let n_in = net.layers.(0).n_in in
+  if Array.length input <> n_in then
+    invalid_arg
+      (Printf.sprintf "Network.%s expects %d inputs, got %d" (what ()) n_in (Array.length input))
 
 let forward net input =
-  let n = Array.length net.layers in
-  let rec go i x =
-    if i >= n then x
-    else go (i + 1) (layer_forward ~activate:(i < n - 1) net.layers.(i) x)
-  in
-  go 0 input
+  check_width net (fun () -> "forward: layer") input;
+  run ~cache:true net input
 
-(* Batched inference: the whole frontier crosses each layer in one
-   cache-blocked GEMM instead of [batch] separate dot-product loops.
-   Row [r] of the result is bit-for-bit [forward net inputs.(r)] —
-   the kernel sums each element in the same ascending-k order as the
-   scalar loop (see Ft_linalg).  Inference only: the training caches
-   ([last_input]/[last_pre]) are not touched. *)
+(* Batched inference is the scalar kernel row by row, so row [r] is
+   [forward net inputs.(r)] by construction; the training caches are
+   not touched. *)
 let forward_batch net inputs =
-  let m = Array.length inputs in
-  if m = 0 then [||]
-  else begin
-    let n_layers = Array.length net.layers in
-    let n_in = net.layers.(0).n_in in
-    Array.iteri
-      (fun r row ->
-        if Array.length row <> n_in then
-          invalid_arg
-            (Printf.sprintf
-               "Network.forward_batch: row %d expects %d inputs, got %d" r n_in
-               (Array.length row)))
-      inputs;
-    let traced = Ft_obs.Trace.active () in
-    let t0 = if traced then Ft_obs.Trace.now_s () else 0. in
-    let x = ref (L.of_rows ~cols:n_in inputs) in
-    Array.iteri
-      (fun li layer ->
-        let y = L.mat m layer.n_out in
-        L.gemm_bt ~bias:layer.b ~a:!x ~bt:layer.w ~c:y ();
-        if li < n_layers - 1 then L.relu_inplace y;
-        x := y)
-      net.layers;
-    if traced then
-      Ft_obs.Trace.incr ~by:(int_of_float ((Ft_obs.Trace.now_s () -. t0) *. 1e9))
-        "nn.gemm_ns";
-    Array.init m (L.row !x)
-  end
+  Array.iteri (fun r -> check_width net (fun () -> Printf.sprintf "forward_batch: row %d" r)) inputs;
+  let traced = Ft_obs.Trace.active () in
+  let t0 = if traced then Ft_obs.Trace.now_s () else 0. in
+  let rows = Array.map (run ~cache:false net) inputs in
+  if traced then
+    Ft_obs.Trace.incr ~by:(int_of_float ((Ft_obs.Trace.now_s () -. t0) *. 1e9)) "nn.forward_ns";
+  rows
 
-(* Backward pass from dL/d(output of layer), accumulating gradients and
-   returning dL/d(input of layer). [through_relu] tells whether the
-   layer's output went through ReLU. *)
-let layer_backward ~through_relu layer dout =
-  let dpre =
-    if through_relu then
-      Array.mapi (fun o d -> if layer.last_pre.(o) > 0. then d else 0.) dout
-    else dout
-  in
-  let din = Array.make layer.n_in 0. in
-  for o = 0 to layer.n_out - 1 do
-    let d = dpre.(o) in
-    Bigarray.Array1.unsafe_set layer.gb o (Bigarray.Array1.unsafe_get layer.gb o +. d);
-    for i = 0 to layer.n_in - 1 do
-      Bigarray.Array2.unsafe_set layer.gw o i
-        (Bigarray.Array2.unsafe_get layer.gw o i
-        +. (d *. Array.unsafe_get layer.last_input i));
-      din.(i) <- din.(i) +. (Bigarray.Array2.unsafe_get layer.w o i *. d)
-    done
-  done;
-  din
-
-let zero_grads net =
-  Array.iter
-    (fun layer ->
-      Bigarray.Array2.fill layer.gw 0.;
-      Bigarray.Array1.fill layer.gb 0.)
-    net.layers
-
-let apply_grads net =
-  Array.iter
-    (fun layer ->
-      Adadelta.update layer.w_opt ~params:layer.wv ~grads:layer.gwv;
-      Adadelta.update layer.b_opt ~params:layer.b ~grads:layer.gb)
-    net.layers
-
-let backward net dout =
+(* One training step from dL/d(output): per layer, last to first, each
+   output row's gradient is consumed where it is produced — backward
+   product and AdaDelta step in one pass ({!Adadelta.update_row}).  A
+   layer's input gradient reads its weights before they move and lower
+   layers never read them, so this is bit-for-bit a forward, a backward
+   into zeroed gradient buffers, then AdaDelta (test_nn's reference).
+   Rows whose gradient is zero — every output but the trained one,
+   ReLU-dead units — take the decay-only short cut. *)
+let backward_update net dout =
   let n = Array.length net.layers in
-  let rec go i dout =
-    if i < 0 then dout
-    else go (i - 1) (layer_backward ~through_relu:(i < n - 1) net.layers.(i) dout)
-  in
-  ignore (go (n - 1) dout)
+  let dout = ref dout in
+  for l = n - 1 downto 0 do
+    let layer = net.layers.(l) in
+    let din = Array.make layer.n_in 0. in
+    for o = 0 to layer.n_out - 1 do
+      let pre = layer.last_pre.(o) in
+      let d = if l = n - 1 || pre > 0. then !dout.(o) else 0. in
+      Adadelta.update_row layer.opt ~params:layer.p ~off:(o * (layer.n_in + 1)) ~d ~pre
+        ~x:layer.last_input ~din
+    done;
+    dout := din
+  done
 
-(* One SGD-style step on half the squared error of a single sample;
-   returns the loss before the update. *)
+(* One step on half the squared error of a single sample; returns the
+   loss before the update. *)
 let train_mse net ~input ~target =
   let out = forward net input in
   if Array.length out <> Array.length target then
     invalid_arg "Network.train_mse: target size mismatch";
   let dout = Array.map2 (fun o t -> o -. t) out target in
-  let loss =
-    0.5 *. Array.fold_left (fun acc d -> acc +. (d *. d)) 0. dout
-  in
-  zero_grads net;
-  backward net dout;
-  apply_grads net;
+  let loss = 0.5 *. Array.fold_left (fun acc d -> acc +. (d *. d)) 0. dout in
+  backward_update net dout;
   loss
 
 (* Train on the loss of a single output component (others untouched) —
@@ -184,29 +142,19 @@ let train_mse_component net ~input ~index ~target =
   let out = forward net input in
   if index < 0 || index >= Array.length out then
     invalid_arg "Network.train_mse_component: index out of range";
-  let dout = Array.make (Array.length out) 0. in
   let d = out.(index) -. target in
-  dout.(index) <- d;
-  zero_grads net;
-  backward net dout;
-  apply_grads net;
+  backward_update net (Array.mapi (fun o _ -> if o = index then d else 0.) out);
   0.5 *. d *. d
 
 let copy_params ~src ~dst =
   if Array.length src.layers <> Array.length dst.layers then
     invalid_arg "Network.copy_params: structure mismatch";
-  Array.iteri
-    (fun i (s : layer) ->
-      let d = dst.layers.(i) in
+  Array.iter2
+    (fun (s : layer) d ->
       if s.n_in <> d.n_in || s.n_out <> d.n_out then
         invalid_arg "Network.copy_params: layer shape mismatch";
-      Bigarray.Array2.blit s.w d.w;
-      Bigarray.Array1.blit s.b d.b)
-    src.layers
+      blit s.p d.p)
+    src.layers dst.layers
 
-let param_count net =
-  Array.fold_left
-    (fun acc layer -> acc + (layer.n_out * layer.n_in) + layer.n_out)
-    0 net.layers
-
+let param_count net = Array.fold_left (fun acc layer -> acc + dim layer.p) 0 net.layers
 let num_layers net = Array.length net.layers

@@ -11,16 +11,15 @@ val mlp : Ft_util.Rng.t -> dims:int array -> t
 
 val forward : t -> float array -> float array
 
-(** [forward_batch net inputs] scores a whole batch through one
-    cache-blocked GEMM per layer (flat Bigarray storage) instead of
-    [Array.length inputs] scalar forwards.  Row [r] of the result is
-    bit-for-bit equal to [forward net inputs.(r)] — the batched
-    kernel preserves the scalar summation order per element.
-    Inference only (does not populate the backward-pass caches). *)
+(** [forward_batch net inputs] is [Array.map (forward net) inputs]
+    through the same kernel (so bit-for-bit equal), without touching
+    the training caches [forward] sets. *)
 val forward_batch : t -> float array array -> float array array
 
 (** One training step on half squared error of a full output vector;
-    returns the pre-update loss. *)
+    returns the pre-update loss.  One fused backward + AdaDelta pass
+    per layer; rows with a zero gradient only decay the optimizer
+    state (bit-for-bit the full update, see {!Adadelta.update_row}). *)
 val train_mse : t -> input:float array -> target:float array -> float
 
 (** One training step on a single output component (the Q-value of the

@@ -9,6 +9,7 @@ type transition = {
 type t = {
   online : Ft_nn.Network.t;  (* network X of §5.1 *)
   target : Ft_nn.Network.t;  (* network Y, kept as a stable backup *)
+  feature_dim : int;
   n_actions : int;
   alpha : float;  (* discount on the target network's best Q-value *)
   train_every : int;  (* the paper trains every five trials *)
@@ -28,6 +29,8 @@ let create ?(alpha = 0.7) ?(hidden = 64) ?(train_every = 5) ?(batch_size = 16)
     ?(replay_cap = 512) ?(epsilon = 0.3) ?(epsilon_decay = 0.98)
     ?(epsilon_min = 0.05) rng ~feature_dim ~n_actions =
   if n_actions <= 0 then invalid_arg "Agent.create: need at least one action";
+  if replay_cap < 1 || train_every < 1 || batch_size < 1 then
+    invalid_arg "Agent.create: replay_cap, train_every and batch_size must be >= 1";
   (* Four fully connected layers with ReLU, as in the paper. *)
   let dims = [| feature_dim; hidden; hidden; hidden; n_actions |] in
   let online = Ft_nn.Network.mlp rng ~dims in
@@ -36,6 +39,7 @@ let create ?(alpha = 0.7) ?(hidden = 64) ?(train_every = 5) ?(batch_size = 16)
   {
     online;
     target;
+    feature_dim;
     n_actions;
     alpha;
     train_every;
@@ -133,9 +137,14 @@ let train_batch t =
       [ ("loss", Float loss); ("batch", Int n); ("recorded", Int t.recorded) ];
   loss
 
+(* Every check precedes the first mutation: a malformed transition in
+   the replay buffer would fail every training round that samples it. *)
 let record t transition =
   if transition.action < 0 || transition.action >= t.n_actions then
     invalid_arg "Agent.record: action index out of range";
+  let fits s = Array.length s = t.feature_dim in
+  if not (fits transition.state && fits transition.next_state) then
+    invalid_arg (Printf.sprintf "Agent.record: state and next_state need %d features" t.feature_dim);
   t.replay.(t.replay_pos) <- transition;
   t.replay_pos <- (t.replay_pos + 1) mod t.replay_cap;
   t.replay_len <- min (t.replay_len + 1) t.replay_cap;

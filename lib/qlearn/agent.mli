@@ -17,6 +17,8 @@ type transition = {
 
 type t
 
+(** Raises [Invalid_argument] when [n_actions], [replay_cap],
+    [train_every] or [batch_size] is below 1. *)
 val create :
   ?alpha:float ->
   ?hidden:int ->
@@ -49,7 +51,9 @@ val select : t -> state:float array -> valid:int list -> int option
 val select_scored : t -> q:float array Lazy.t -> valid:int list -> int option
 
 (** Store a transition; every [train_every] calls this also runs a
-    training round and returns its mean loss. *)
+    training round and returns its mean loss.  Raises
+    [Invalid_argument] — before changing anything — when the action is
+    out of range or [state]/[next_state] is not [feature_dim] long. *)
 val record : t -> transition -> float option
 
 val epsilon : t -> float

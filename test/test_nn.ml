@@ -134,6 +134,196 @@ let qcheck_forward_batch_equals_scalar =
                   row scalar)
            batched inputs)
 
+(* Reference training step over plain float arrays, in four passes: a
+   scalar forward, zeroed gradient buffers, a backward pass
+   accumulating into them, then AdaDelta over every parameter.  Same He
+   initialization (same gaussian draw order), same rho/eps, same
+   summation orders as [Ft_nn]. *)
+module Reference = struct
+  type layer = {
+    n_in : int;
+    n_out : int;
+    w : float array;  (* n_out x n_in, row-major *)
+    b : float array;
+    gw : float array;
+    gb : float array;
+    w_g2 : float array;
+    w_d2 : float array;
+    b_g2 : float array;
+    b_d2 : float array;
+    mutable last_input : float array;
+    mutable last_pre : float array;
+  }
+
+  let rho = 0.95
+  let eps = 1e-6
+
+  let mlp rng ~dims =
+    Array.init
+      (Array.length dims - 1)
+      (fun l ->
+        let n_in = dims.(l) and n_out = dims.(l + 1) in
+        let scale = sqrt (2. /. float_of_int n_in) in
+        let w = Array.init (n_out * n_in) (fun _ -> Ft_util.Rng.gaussian rng *. scale) in
+        let zeros n = Array.make n 0. in
+        {
+          n_in;
+          n_out;
+          w;
+          b = zeros n_out;
+          gw = zeros (n_out * n_in);
+          gb = zeros n_out;
+          w_g2 = zeros (n_out * n_in);
+          w_d2 = zeros (n_out * n_in);
+          b_g2 = zeros n_out;
+          b_d2 = zeros n_out;
+          last_input = [||];
+          last_pre = [||];
+        })
+
+  let forward net input =
+    let n = Array.length net in
+    let x = ref input in
+    Array.iteri
+      (fun l layer ->
+        layer.last_input <- !x;
+        let pre =
+          Array.init layer.n_out (fun o ->
+              let acc = ref layer.b.(o) in
+              for i = 0 to layer.n_in - 1 do
+                acc := !acc +. (layer.w.((o * layer.n_in) + i) *. !x.(i))
+              done;
+              !acc)
+        in
+        layer.last_pre <- pre;
+        x := if l < n - 1 then Array.map (fun v -> Float.max 0. v) pre else pre)
+      net;
+    !x
+
+  let adadelta ~params ~grads ~g2s ~d2s =
+    Array.iteri
+      (fun i g ->
+        let g2 = (rho *. g2s.(i)) +. ((1. -. rho) *. g *. g) in
+        g2s.(i) <- g2;
+        let step = -.(sqrt (d2s.(i) +. eps) /. sqrt (g2 +. eps)) *. g in
+        d2s.(i) <- (rho *. d2s.(i)) +. ((1. -. rho) *. step *. step);
+        params.(i) <- params.(i) +. step)
+      grads
+
+  let step net dout =
+    Array.iter
+      (fun layer ->
+        Array.fill layer.gw 0 (Array.length layer.gw) 0.;
+        Array.fill layer.gb 0 layer.n_out 0.)
+      net;
+    let n = Array.length net in
+    let dout = ref dout in
+    for l = n - 1 downto 0 do
+      let layer = net.(l) in
+      let dpre =
+        if l < n - 1 then
+          Array.mapi (fun o d -> if layer.last_pre.(o) > 0. then d else 0.) !dout
+        else !dout
+      in
+      let din = Array.make layer.n_in 0. in
+      for o = 0 to layer.n_out - 1 do
+        let d = dpre.(o) in
+        layer.gb.(o) <- layer.gb.(o) +. d;
+        for i = 0 to layer.n_in - 1 do
+          let k = (o * layer.n_in) + i in
+          layer.gw.(k) <- layer.gw.(k) +. (d *. layer.last_input.(i));
+          din.(i) <- din.(i) +. (layer.w.(k) *. d)
+        done
+      done;
+      dout := din
+    done;
+    Array.iter
+      (fun layer ->
+        adadelta ~params:layer.w ~grads:layer.gw ~g2s:layer.w_g2 ~d2s:layer.w_d2;
+        adadelta ~params:layer.b ~grads:layer.gb ~g2s:layer.b_g2 ~d2s:layer.b_d2)
+      net
+
+  let train_mse net ~input ~target =
+    let out = forward net input in
+    let dout = Array.map2 (fun o t -> o -. t) out target in
+    let loss = 0.5 *. Array.fold_left (fun acc d -> acc +. (d *. d)) 0. dout in
+    step net dout;
+    loss
+
+  let train_mse_component net ~input ~index ~target =
+    let out = forward net input in
+    let dout = Array.make (Array.length out) 0. in
+    let d = out.(index) -. target in
+    dout.(index) <- d;
+    step net dout;
+    0.5 *. d *. d
+end
+
+(* Bit equality, except that any nan matches any nan: which payload a
+   nan carries depends on the operand order the compiler picks for a
+   commutative instruction, not on the arithmetic. *)
+let bits_equal a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (Float.is_nan a && Float.is_nan b)
+
+(* The fused, zero-skipping training step against the four-pass
+   reference: random depths 1-4 and widths 1-13 (so output counts that
+   are not multiples of the forward kernel's 4-row tile), inputs with
+   exact 0. and -0. entries and large negative ones that kill ReLU
+   units, and several mixed full-vector/component steps.  Half the
+   cases also draw rare infinities and nans, which must take the full
+   formula wherever the short cut would not be exact.  Every loss and
+   every forward output after each step must be bit-equal. *)
+let qcheck_training_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n_layers = int_range 1 4 in
+      let* dims = list_repeat (n_layers + 1) (int_range 1 13) in
+      let* seed = int_range 0 1_000_000 in
+      let* steps = int_range 1 12 in
+      let* poisoned = bool in
+      return (dims, seed, steps, poisoned))
+  in
+  QCheck.Test.make ~name:"fused training step bit-equals the four-pass reference"
+    ~count:200 (QCheck.make gen)
+    (fun (dims, seed, steps, poisoned) ->
+      let dims = Array.of_list dims in
+      let net = Ft_nn.Network.mlp (Ft_util.Rng.create seed) ~dims in
+      let reference = Reference.mlp (Ft_util.Rng.create seed) ~dims in
+      let rng = Ft_util.Rng.create (seed + 1) in
+      let n_in = dims.(0) and n_out = dims.(Array.length dims - 1) in
+      let entry () =
+        match Ft_util.Rng.int rng (if poisoned then 60 else 5) with
+        | 0 -> 0.
+        | 1 -> -0.
+        | 2 -> -.Ft_util.Rng.float rng 50.
+        | 5 -> infinity
+        | 6 -> neg_infinity
+        | 7 -> nan
+        | _ -> Ft_util.Rng.float rng 4. -. 2.
+      in
+      let sample n = Array.init n (fun _ -> entry ()) in
+      let same_outputs input =
+        Array.for_all2 bits_equal
+          (Ft_nn.Network.forward net input)
+          (Reference.forward reference input)
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let input = sample n_in in
+        let loss, expected =
+          if Ft_util.Rng.int rng 3 = 0 then
+            let target = sample n_out in
+            ( Ft_nn.Network.train_mse net ~input ~target,
+              Reference.train_mse reference ~input ~target )
+          else
+            let index = Ft_util.Rng.int rng n_out and target = entry () in
+            ( Ft_nn.Network.train_mse_component net ~input ~index ~target,
+              Reference.train_mse_component reference ~input ~index ~target )
+        in
+        ok := !ok && bits_equal loss expected && same_outputs (sample n_in)
+      done;
+      !ok)
+
 let () =
   Alcotest.run "ft_nn"
     [
@@ -148,6 +338,7 @@ let () =
           Alcotest.test_case "bad dims" `Quick test_mlp_rejects_bad_dims;
           QCheck_alcotest.to_alcotest qcheck_forward_finite;
           QCheck_alcotest.to_alcotest qcheck_forward_batch_equals_scalar;
+          QCheck_alcotest.to_alcotest qcheck_training_matches_reference;
         ] );
       ( "adadelta",
         [

@@ -188,7 +188,7 @@ let gemm_space () =
 (* The batched hot paths surface their shape in telemetry: chunked
    pool regions set [pool.chunk_size], batched evaluation sets
    [eval.batch_size], and the batched MLP forward accumulates
-   [nn.gemm_ns] — all of which land in the [--trace] summary table. *)
+   [nn.forward_ns] — all of which land in the [--trace] summary table. *)
 let test_batched_telemetry_names () =
   Trace.close ();
   let path = Filename.temp_file "ft_obs_batch" ".jsonl" in
@@ -208,7 +208,7 @@ let test_batched_telemetry_names () =
   Sys.remove path;
   check_bool "pool.chunk_size gauge" true (List.mem "pool.chunk_size" gauges);
   check_bool "eval.batch_size gauge" true (List.mem "eval.batch_size" gauges);
-  check_bool "nn.gemm_ns counter" true (List.mem "nn.gemm_ns" counters)
+  check_bool "nn.forward_ns counter" true (List.mem "nn.forward_ns" counters)
 
 let result_fingerprint (r : Ft_explore.Driver.result) =
   ( Ft_schedule.Config.key r.best_config,

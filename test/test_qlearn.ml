@@ -81,6 +81,57 @@ let test_record_rejects_bad_action () =
              next_valid = [];
            }))
 
+(* [f ()] must raise [Invalid_argument] with a message starting with
+   [prefix]. *)
+let check_invalid ~prefix name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument %S..." name prefix
+  | exception Invalid_argument msg ->
+      check_bool
+        (Printf.sprintf "%s: message %S starts with %S" name msg prefix)
+        true
+        (String.starts_with ~prefix msg)
+
+(* A transition whose state or next_state has the wrong length is
+   rejected before anything changes: it never reaches the replay
+   buffer, so every later well-formed record (training rounds
+   included) still succeeds, and the record count and epsilon are as
+   if it had never been offered. *)
+let test_record_rejects_bad_shapes () =
+  let agent = make_agent 6 in
+  let good =
+    {
+      Ft_qlearn.Agent.state = [| 0.5; -0.5 |];
+      action = 1;
+      reward = 0.25;
+      next_state = [| -0.5; 0.5 |];
+      next_valid = [ 0; 1; 2 ];
+    }
+  in
+  let epsilon = Ft_qlearn.Agent.epsilon agent in
+  check_invalid ~prefix:"Agent.record:" "short state" (fun () ->
+      Ft_qlearn.Agent.record agent { good with state = [| 0.5 |] });
+  check_invalid ~prefix:"Agent.record:" "long next_state" (fun () ->
+      Ft_qlearn.Agent.record agent { good with next_state = [| 0.; 0.; 0. |] });
+  Alcotest.(check int) "nothing recorded" 0 (Ft_qlearn.Agent.recorded agent);
+  Alcotest.(check (float 0.)) "epsilon untouched" epsilon (Ft_qlearn.Agent.epsilon agent);
+  for _ = 1 to 50 do
+    ignore (Ft_qlearn.Agent.record agent good)
+  done;
+  Alcotest.(check int) "well-formed records all land" 50 (Ft_qlearn.Agent.recorded agent)
+
+let test_create_rejects_bad_sizes () =
+  let create ?replay_cap ?train_every ?batch_size () =
+    Ft_qlearn.Agent.create ?replay_cap ?train_every ?batch_size
+      (Ft_util.Rng.create 1) ~feature_dim:2 ~n_actions:3
+  in
+  check_invalid ~prefix:"Agent.create:" "replay_cap 0" (fun () -> create ~replay_cap:0 ());
+  check_invalid ~prefix:"Agent.create:" "train_every 0" (fun () ->
+      create ~train_every:0 ());
+  check_invalid ~prefix:"Agent.create:" "batch_size 0" (fun () -> create ~batch_size:0 ());
+  check_invalid ~prefix:"Agent.create:" "negative batch_size" (fun () ->
+      create ~batch_size:(-3) ())
+
 let () =
   Alcotest.run "ft_qlearn"
     [
@@ -91,5 +142,7 @@ let () =
           Alcotest.test_case "epsilon decay" `Quick test_epsilon_decays;
           Alcotest.test_case "learns bandit" `Slow test_learns_bandit;
           Alcotest.test_case "bad action" `Quick test_record_rejects_bad_action;
+          Alcotest.test_case "bad state shapes" `Quick test_record_rejects_bad_shapes;
+          Alcotest.test_case "bad sizes" `Quick test_create_rejects_bad_sizes;
         ] );
     ]
