@@ -6,151 +6,153 @@
 
 type cell = { seq : int; record : Record.t }
 
+(* One distinct shape of an operator kind: its log2 extents, computed
+   once, and the best cell per (method, graph), earliest wins ties. *)
+type shape = { sid : string; logs : float array; mutable bests : cell list }
+
 type t = {
   k : int;
-  mutable count : int;
-  mutable next_seq : int;
+  mutable count : int;  (* also the next cell's [seq] *)
   (* exact key id -> cells sorted by (value desc, seq asc), truncated
      to k per method *)
   by_key : (string, cell list) Hashtbl.t;
-  (* op id -> (method | graph | shape id) -> best cell for that
-     (method, graph, shape) triple *)
-  by_op : (string, (string, cell) Hashtbl.t) Hashtbl.t;
+  (* (op, target, ranks), exactly the {!Record.same_operator} class
+     (an [op_id] is not once a name holds a '|') -> shape id -> shape *)
+  by_op : (string * string * int * int, (string, shape) Hashtbl.t) Hashtbl.t;
 }
 
 let create ?(k = 4) () =
   if k < 1 then invalid_arg "Index.create: k must be >= 1";
-  {
-    k;
-    count = 0;
-    next_seq = 0;
-    by_key = Hashtbl.create 64;
-    by_op = Hashtbl.create 16;
-  }
+  { k; count = 0; by_key = Hashtbl.create 64; by_op = Hashtbl.create 16 }
 
-let k t = t.k
 let count t = t.count
 
 let ints l = String.concat "," (List.map string_of_int l)
 
+(* Shard file names come from [op_id]: its bytes are part of the
+   on-disk layout. *)
 let op_id (key : Record.key) =
-  Printf.sprintf "%s|%s|%d|%d" key.op key.target (List.length key.spatial)
-    (List.length key.reduce)
+  String.concat "|"
+    [ key.op; key.target; string_of_int (List.length key.spatial);
+      string_of_int (List.length key.reduce) ]
 
-let key_id (key : Record.key) =
-  Printf.sprintf "%s|%s|%s|%s|%s" key.graph key.op key.target
-    (ints key.spatial) (ints key.reduce)
+let op_kind (key : Record.key) =
+  (key.op, key.target, List.length key.spatial, List.length key.reduce)
 
 let shape_id (key : Record.key) = ints key.spatial ^ "|" ^ ints key.reduce
+let key_id (key : Record.key) sid =
+  String.concat "|" [ key.graph; key.op; key.target; sid ]
 
 let method_ok method_name (r : Record.t) =
   match method_name with
   | None -> true
   | Some m -> String.equal m r.method_name
 
+let find_or_add tbl id make =
+  match Hashtbl.find_opt tbl id with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      Hashtbl.add tbl id v;
+      v
+
 (* Insert keeping (value desc, seq asc): a new cell goes after every
    cell with value >= its own — cells arrive in seq order, so equal
    values stay earliest-first. *)
 let rec insert_sorted (c : cell) = function
   | [] -> [ c ]
-  | head :: rest when head.record.Record.best_value >= c.record.Record.best_value
-    ->
-      head :: insert_sorted c rest
+  | h :: rest when h.record.best_value >= c.record.best_value -> h :: insert_sorted c rest
   | rest -> c :: rest
 
-(* Drop the worst (last, i.e. lowest-value newest) cell of [m] when
-   the method holds more than k. *)
+(* One insertion takes a method to at most k + 1 cells: drop its last
+   (lowest-value, newest) one. *)
 let enforce_method_cap k m cells =
-  let n =
-    List.length
-      (List.filter (fun c -> String.equal c.record.Record.method_name m) cells)
-  in
-  if n <= k then cells
-  else
-    let rev = List.rev cells in
-    let rec drop_first_of_m = function
-      | [] -> []
-      | c :: rest when String.equal c.record.Record.method_name m -> rest
-      | c :: rest -> c :: drop_first_of_m rest
-    in
-    List.rev (drop_first_of_m rev)
+  match List.filter (fun c -> String.equal c.record.Record.method_name m) cells with
+  | ms when List.length ms <= k -> cells
+  | ms ->
+      let worst = List.nth ms k in
+      List.filter (fun c -> c != worst) cells
 
 let add t (record : Record.t) =
-  let c = { seq = t.next_seq; record } in
-  t.next_seq <- t.next_seq + 1;
+  let c = { seq = t.count; record } in
   t.count <- t.count + 1;
-  let kid = key_id record.key in
-  let cells =
-    match Hashtbl.find_opt t.by_key kid with None -> [] | Some l -> l
-  in
+  let sid = shape_id record.key in
+  let kid = key_id record.key sid in
+  let cells = Option.value ~default:[] (Hashtbl.find_opt t.by_key kid) in
   Hashtbl.replace t.by_key kid
     (enforce_method_cap t.k record.method_name (insert_sorted c cells));
-  let oid = op_id record.key in
-  let shapes =
-    match Hashtbl.find_opt t.by_op oid with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create 16 in
-        Hashtbl.add t.by_op oid tbl;
-        tbl
+  let shapes = find_or_add t.by_op (op_kind record.key) (fun () -> Hashtbl.create 16) in
+  let shape =
+    find_or_add shapes sid (fun () ->
+        { sid; logs = Record.log2_extents record.key; bests = [] })
   in
-  let sub =
-    record.method_name ^ "|" ^ record.key.graph ^ "|" ^ shape_id record.key
+  let same (b : cell) =
+    String.equal b.record.method_name record.method_name
+    && String.equal b.record.key.graph record.key.graph
   in
-  (match Hashtbl.find_opt shapes sub with
-  | Some best when best.record.Record.best_value >= record.best_value -> ()
-  | Some _ | None -> Hashtbl.replace shapes sub c)
+  match List.find_opt same shape.bests with
+  | Some b when b.record.best_value >= record.best_value -> ()
+  | Some _ -> shape.bests <- List.map (fun b -> if same b then c else b) shape.bests
+  | None -> shape.bests <- c :: shape.bests
 
 let best_exact ?method_name t key =
-  match Hashtbl.find_opt t.by_key (key_id key) with
-  | None -> None
-  | Some cells -> (
-      match List.find_opt (fun c -> method_ok method_name c.record) cells with
-      | Some c -> Some c.record
-      | None -> None)
+  Option.bind (Hashtbl.find_opt t.by_key (key_id key (shape_id key)))
+    (List.find_map (fun c ->
+         if method_ok method_name c.record then Some c.record else None))
 
-let nearest ?method_name ?(limit = 3) t key =
-  match Hashtbl.find_opt t.by_op (op_id key) with
+(* The ranking's total order: distance, then higher value, then
+   textual shape id — candidates are distinct shapes, so none tie and
+   a top-[limit] pick equals a full sort's prefix. *)
+let rank_before (d, (a : Record.t), sa) (e, (b : Record.t), sb) =
+  match Float.compare d e with
+  | 0 -> (
+      match Float.compare b.best_value a.best_value with
+      | 0 -> String.compare sa sb < 0
+      | c -> c < 0)
+  | c -> c < 0
+
+(* On a ranked list at most [limit] long: whether [x] makes the cut,
+   and, when it does, the list with [x] inserted. *)
+let rec enters limit x = function
+  | [] -> limit > 0
+  | [ y ] when limit = 1 -> rank_before x y
+  | _ :: rest -> enters (limit - 1) x rest
+
+let rec insert_top limit x = function
+  | [] -> [ x ]
+  | y :: rest when rank_before y x -> y :: insert_top (limit - 1) x rest
+  | l -> x :: List.filteri (fun i _ -> i < limit - 1) l
+
+(* One pass over the operator's shapes: each shape's best qualifying
+   cell (value desc, then seq asc — the earliest of equal values, as a
+   chronological scan keeps), one distance from the precomputed
+   extents, and a top-[limit] pick. *)
+let nearest ?method_name ?(limit = 3) t (key : Record.key) =
+  match Hashtbl.find_opt t.by_op (op_kind key) with
   | None -> []
   | Some shapes ->
-      (* Best cell per distinct shape among the qualifying (method,
-         graph, shape) bests — a chronological scan would keep the
-         earliest of equal values, which (value, seq) reproduces. *)
-      let by_shape : (string, cell) Hashtbl.t = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun _ (c : cell) ->
-          if
-            method_ok method_name c.record
-            && not (Record.key_equal c.record.Record.key key)
-          then begin
-            let id = shape_id c.record.Record.key in
-            match Hashtbl.find_opt by_shape id with
-            | Some best
-              when best.record.Record.best_value > c.record.Record.best_value
-                   || (best.record.Record.best_value
-                       = c.record.Record.best_value
-                      && best.seq < c.seq) ->
-                ()
-            | Some _ | None -> Hashtbl.replace by_shape id c
-          end)
-        shapes;
-      let candidates =
-        Hashtbl.fold (fun _ c acc -> c.record :: acc) by_shape []
+      let qsid = shape_id key and qlogs = Record.log2_extents key in
+      let pick sid best (c : cell) =
+        if
+          (not (method_ok method_name c.record))
+          || (String.equal sid qsid && Record.key_equal c.record.key key)
+        then best
+        else
+          match best with
+          | Some (b : cell)
+            when b.record.best_value > c.record.best_value
+                 || (b.record.best_value = c.record.best_value && b.seq < c.seq) -> best
+          | _ -> Some c
       in
-      let ranked =
-        List.sort
-          (fun (a : Record.t) (b : Record.t) ->
-            let da = Record.shape_distance a.key key
-            and db = Record.shape_distance b.key key in
-            match compare da db with
-            | 0 -> (
-                match compare b.best_value a.best_value with
-                | 0 -> compare (shape_id a.key) (shape_id b.key)
-                | c -> c)
-            | c -> c)
-          candidates
-      in
-      List.filteri (fun i _ -> i < limit) ranked
+      Hashtbl.fold
+        (fun _ s top ->
+          match List.fold_left (pick s.sid) None s.bests with
+          | None -> top
+          | Some c ->
+              let x = (Record.log_distance s.logs qlogs, c.record, s.sid) in
+              if enters limit x top then insert_top limit x top else top)
+        shapes []
+      |> List.map (fun (_, r, _) -> r)
 
 let survivors t =
   let cells = Hashtbl.fold (fun _ cs acc -> cs @ acc) t.by_key [] in

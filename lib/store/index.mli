@@ -4,9 +4,8 @@
     record and [length] with [List.length] — both on the hot reuse
     path.  The index keeps, per exact key, the best-k records *per
     search method* (a hash lookup plus a walk of a ≤ k·methods list),
-    and per operator kind a shape table (best record per (method,
-    graph, shape)) that feeds [nearest] without touching records of
-    other operators.
+    and per operator kind a table of shapes (log2 extents plus the best
+    record per (method, graph)) that [nearest] ranks in one pass.
 
     Tie semantics are the store's: among equal [best_value]s the
     *earliest inserted* record wins, so reloading a log never changes
@@ -18,8 +17,6 @@ type t
     (exact key, method). *)
 val create : ?k:int -> unit -> t
 
-val k : t -> int
-
 (** Records inserted (an O(1) counter, not a list length). *)
 val count : t -> int
 
@@ -29,18 +26,13 @@ val add : t -> Record.t -> unit
     key (restricted to [method_name] when given), earliest wins ties. *)
 val best_exact : ?method_name:string -> t -> Record.key -> Record.t option
 
-(** Same contract as {!Store.nearest}: up to [limit] (default 3) best
-    records on *other* shapes of the same operator kind, one per
-    distinct shape, ranked by {!Record.shape_distance} (ties: higher
-    value, then textual shape id). *)
+(** Same contract as {!Store.nearest}. *)
 val nearest : ?method_name:string -> ?limit:int -> t -> Record.key -> Record.t list
 
 (** The records every key retains (its per-method best-k), in
     insertion order — what compaction keeps when rewriting a shard. *)
 val survivors : t -> Record.t list
 
-(** Identity strings (used as shard names and hash keys). *)
-
-(** [op_id key] names the operator kind: op, target, and loop ranks —
-    exactly the {!Record.same_operator} equivalence class. *)
+(** [op_id key] = ["op|target|spatial rank|reduce rank"], the shard
+    name stem; a ['|'] in a name can make two operators share it. *)
 val op_id : Record.key -> string

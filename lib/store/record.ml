@@ -40,18 +40,23 @@ let same_operator a b =
 
 (* Shapes live on a multiplicative scale (a 2x larger extent matters
    the same at every size), hence log2 before the L2 norm. *)
+let log2_extents k =
+  let log2 n = log (float_of_int (max 1 n)) /. log 2. in
+  Array.of_list (List.map log2 (k.spatial @ k.reduce))
+
+let log_distance a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Record.log_distance: rank mismatch";
+  let acc = ref 0. in
+  for i = 0 to Array.length a - 1 do
+    let d = a.(i) -. b.(i) in
+    acc := !acc +. (d *. d)
+  done;
+  sqrt !acc
+
 let shape_distance a b =
   if not (same_operator a b) then infinity
-  else
-    let log2 n = log (float_of_int (max 1 n)) /. log 2. in
-    let sq acc ea eb =
-      let d = log2 ea -. log2 eb in
-      acc +. (d *. d)
-    in
-    sqrt
-      (List.fold_left2 sq
-         (List.fold_left2 sq 0. a.spatial b.spatial)
-         a.reduce b.reduce)
+  else log_distance (log2_extents a) (log2_extents b)
 
 let ints l = Json.Arr (List.map (fun i -> Json.Num (float_of_int i)) l)
 

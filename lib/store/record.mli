@@ -41,6 +41,11 @@ val key_equal : key -> key -> bool
     — the precondition for cross-shape transfer. *)
 val same_operator : key -> key -> bool
 
+(** Log2 loop extents (spatial then reduce), and the L2 distance
+    between two of equal rank: {!shape_distance}'s one formula. *)
+val log2_extents : key -> float array
+val log_distance : float array -> float array -> float
+
 (** L2 distance between the log2 loop extents; [infinity] when the
     keys are not {!same_operator}. *)
 val shape_distance : key -> key -> float

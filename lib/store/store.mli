@@ -47,8 +47,9 @@ val add : t -> Record.t -> unit
     method.  Earliest record wins ties. *)
 val best_exact : ?method_name:string -> t -> Record.key -> Record.t option
 
-(** Up to [limit] (default 3) transfer candidates for a key: records
-    for the {!Record.same_operator} problem on a *different* shape,
-    one per distinct shape (each shape's best record), ranked by
-    {!Record.shape_distance}. *)
+(** Up to [limit] (default 3) transfer candidates for a key: each
+    distinct shape's best record for the {!Record.same_operator}
+    problem, ranked by {!Record.shape_distance}, then higher value,
+    then textual shape id.  Only the exact key is excluded, so its own
+    extents under another graph name come back at distance 0. *)
 val nearest : ?method_name:string -> ?limit:int -> t -> Record.key -> Record.t list

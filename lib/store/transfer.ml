@@ -73,21 +73,15 @@ let seeds_of_records ~exact ~near space =
     | Error _ -> None
     | Ok cfg -> refit space cfg
   in
-  let exact =
-    match exact with Some r -> Option.to_list (of_record r) | None -> []
-  in
-  let near = List.filter_map of_record near in
   (* Dedup by structural key, preserving exact-first order. *)
   let seen = Hashtbl.create 8 in
   List.filter
     (fun cfg ->
       let k = Config.key cfg in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    (exact @ near)
+      let fresh = not (Hashtbl.mem seen k) in
+      Hashtbl.replace seen k ();
+      fresh)
+    (Option.to_list (Option.bind exact of_record) @ List.filter_map of_record near)
 
 let seeds ?method_name ?(limit = 3) store space =
   let key = Record.key_of_space space in

@@ -213,6 +213,42 @@ let test_nearest () =
   check_int "limit respected" 1
     (List.length (Store.nearest ~method_name:"Q-method" ~limit:1 store here))
 
+(* Only the exact key is excluded: the key's own extents logged under
+   another graph name are a transfer candidate at distance 0. *)
+let test_nearest_same_shape_other_graph () =
+  let store = Store.create () in
+  let space = space_of (gemm ~m:64 ~n:64 ~k:64) in
+  let here = Record.key_of_space space in
+  let alias = { (record_of ~best:5. space) with key = { here with graph = "gemm_alias" } } in
+  Store.add store (record_of ~best:9. space);
+  Store.add store alias;
+  Store.add store (record_of ~best:7. (space_of (gemm ~m:128 ~n:64 ~k:64)));
+  match Store.nearest ~method_name:"Q-method" store here with
+  | [ first; second ] ->
+      check_string "same shape, other graph first" "gemm_alias" first.Record.key.graph;
+      Alcotest.(check (float 0.)) "at distance 0" 0.
+        (Record.shape_distance first.key here);
+      check_string "then the next shape" "gemm_128x64x64" second.Record.key.graph
+  | near -> Alcotest.failf "expected 2 neighbors, got %d" (List.length near)
+
+(* Op ids render "op|target|ranks", so "a|b" on "c" and "a" on "b|c"
+   share one; transfer candidates still never cross operators. *)
+let test_nearest_colliding_op_ids () =
+  let store = Store.create () in
+  let space = space_of (gemm ~m:64 ~n:64 ~k:64) in
+  let with_key op target spatial best =
+    let r = record_of ~best space in
+    { r with key = { r.key with graph = op ^ "/" ^ target; op; target; spatial } }
+  in
+  let here = (with_key "a" "b|c" [ 16; 16 ] 0.).key in
+  check_string "op ids collide" (Index.op_id here)
+    (Index.op_id (with_key "a|b" "c" [ 16; 16 ] 0.).key);
+  Store.add store (with_key "a|b" "c" [ 16; 32 ] 9.);
+  Store.add store (with_key "a" "b|c" [ 16; 64 ] 1.);
+  match Store.nearest store here with
+  | [ only ] -> check_string "same operator only" "a" only.Record.key.op
+  | near -> Alcotest.failf "expected 1 neighbor, got %d" (List.length near)
+
 (* --- transfer --- *)
 
 let test_refit_identity_and_cross_shape () =
@@ -420,6 +456,10 @@ let () =
         [
           Alcotest.test_case "best exact" `Quick test_best_exact;
           Alcotest.test_case "nearest" `Quick test_nearest;
+          Alcotest.test_case "nearest same shape, other graph" `Quick
+            test_nearest_same_shape_other_graph;
+          Alcotest.test_case "nearest colliding op ids" `Quick
+            test_nearest_colliding_op_ids;
         ] );
       ( "checkpoints",
         [

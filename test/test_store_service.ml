@@ -179,7 +179,129 @@ let qcheck_index_matches_fold =
             (None :: List.map Option.some methods))
         spaces)
 
+(* The nearest-shape ranking, written over the raw record list: per
+   distinct shape of the key's operator kind (the exact key excluded),
+   the chronologically first record of the highest value; ranked by
+   distance, then higher value, then textual shape id; first [limit]. *)
+let reference_nearest ?method_name ~limit recs (key : Record.key) =
+  let shape_text (k : Record.key) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    ints k.spatial ^ "|" ^ ints k.reduce
+  in
+  let bests =
+    List.fold_left
+      (fun acc (r : Record.t) ->
+        let qualifies =
+          Record.same_operator r.key key
+          && (not (Record.key_equal r.key key))
+          && match method_name with
+             | None -> true
+             | Some m -> String.equal m r.method_name
+        in
+        let id = shape_text r.key in
+        if not qualifies then acc
+        else
+          match List.assoc_opt id acc with
+          | Some (b : Record.t) when b.best_value >= r.best_value -> acc
+          | _ -> (id, r) :: List.remove_assoc id acc)
+      [] recs
+  in
+  let ranked =
+    List.sort
+      (fun (ia, (a : Record.t)) (ib, (b : Record.t)) ->
+        match
+          Float.compare
+            (Record.shape_distance a.key key)
+            (Record.shape_distance b.key key)
+        with
+        | 0 -> (
+            match Float.compare b.best_value a.best_value with
+            | 0 -> String.compare ia ib
+            | c -> c)
+        | c -> c)
+      bests
+  in
+  List.filteri (fun i _ -> i < limit) (List.map snd ranked)
+
+(* Mirrored extents ([32;64] against [64;32]) tie on distance, few
+   distinct values tie on value, and a graph alias puts a second
+   (method, graph) cell on one shape — a same-shape record that the
+   exact-key exclusion keeps, at distance 0. *)
+let qcheck_nearest_matches_reference =
+  QCheck.Test.make ~name:"index nearest == reference ranking" ~count:60
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let spaces =
+        [ space_of (gemm ~m:32 ~n:32 ~k:32);
+          space_of (gemm ~m:32 ~n:64 ~k:32);
+          space_of (gemm ~m:64 ~n:32 ~k:32);
+          space_of (gemm ~m:64 ~n:64 ~k:64);
+          space_of (gemm ~m:128 ~n:32 ~k:64);
+          space_of (Ft_ir.Operators.gemv ~m:64 ~k:64) ]
+      in
+      let methods = [ "Q-method"; "AutoTVM" ] in
+      let alias (r : Record.t) =
+        { r with key = { r.key with graph = r.key.graph ^ "_alias" } }
+      in
+      let pick l = List.nth l (Ft_util.Rng.int rng (List.length l)) in
+      let recs =
+        List.init 40 (fun i ->
+            let r =
+              record_of ~method_name:(pick methods) ~seed:i
+                ~best:(float_of_int (Ft_util.Rng.int rng 3))
+                (pick spaces)
+            in
+            if Ft_util.Rng.int rng 3 = 0 then alias r else r)
+      in
+      let store = Store.create () in
+      List.iter (Store.add store) recs;
+      let dir = temp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let repo = Shard.open_dir dir in
+          List.iter (Shard.add repo) recs;
+          let keys =
+            List.concat_map
+              (fun s ->
+                let key = Record.key_of_space s in
+                [ key; { key with graph = key.graph ^ "_alias" } ])
+              (space_of (gemm ~m:256 ~n:16 ~k:32) :: spaces)
+          in
+          let seeds = List.map (fun (r : Record.t) -> r.seed) in
+          List.for_all
+            (fun key ->
+              List.for_all
+                (fun method_name ->
+                  List.for_all
+                    (fun limit ->
+                      let want =
+                        seeds (reference_nearest ?method_name ~limit recs key)
+                      in
+                      seeds (Store.nearest ?method_name ~limit store key) = want
+                      && seeds (Shard.nearest ?method_name ~limit repo key) = want)
+                    [ 0; 1; 2; 3; 4; 5 ])
+                (None :: List.map Option.some methods))
+            keys))
+
 (* --- sharded repository --- *)
+
+(* Shard file names are sanitized [op_id]s, so its rendering is part of
+   the on-disk format: pinned byte-for-byte. *)
+let test_op_id_pinned () =
+  let key graph target = Record.key_of_space (Ft_schedule.Space.make graph target) in
+  let conv =
+    key
+      (Ft_ir.Operators.conv2d ~batch:1 ~in_channels:3 ~out_channels:8 ~height:8
+         ~width:8 ~kernel:3 ())
+      Ft_schedule.Target.xeon_e5_2699_v4
+  in
+  check_string "gemm" "gemm|V100|2|1" (Index.op_id (key (gemm ~m:64 ~n:32 ~k:16) target));
+  check_string "conv2d" "conv2d|Xeon-E5-2699v4|4|3" (Index.op_id conv);
+  check_string "gemv" "gemv|VU9P|1|1"
+    (Index.op_id (key (Ft_ir.Operators.gemv ~m:64 ~k:64) Ft_schedule.Target.vu9p));
+  check_string "shard name" "conv2d-Xeon-E5-2699v4-4-3" (Shard.shard_name conv)
 
 let test_shard_roundtrip_and_reload () =
   let dir = temp_dir () in
@@ -808,9 +930,11 @@ let () =
           Alcotest.test_case "append stress" `Quick test_concurrent_append_stress;
         ] );
       ( "index",
-        [ QCheck_alcotest.to_alcotest qcheck_index_matches_fold ] );
+        [ QCheck_alcotest.to_alcotest qcheck_index_matches_fold;
+          QCheck_alcotest.to_alcotest qcheck_nearest_matches_reference ] );
       ( "shard",
         [
+          Alcotest.test_case "op id pinned" `Quick test_op_id_pinned;
           Alcotest.test_case "roundtrip and reload" `Quick
             test_shard_roundtrip_and_reload;
           Alcotest.test_case "compaction best-k" `Quick test_compaction_keeps_best_k;
