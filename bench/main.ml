@@ -22,7 +22,6 @@ let experiments =
     ("micro", Micro.run);
     ("faults", Faults.run);
     ("store", Store_bench.run);
-    ("fleet", Fleet_bench.run);
     ("model", Model_bench.run);
     ("sandbox", Sandbox_bench.run);
   ]

@@ -5,13 +5,11 @@
 open Cmdliner
 
 (* The target table and operator construction live in
-   Flextensor.Fleet_task: the one source shared by this CLI and the
-   fleet wire format, so a worker given a task builds exactly the
-   graph `flextensor optimize OP DIMS` does. *)
-let targets = Flextensor.Fleet_task.targets
+   Ft_workloads.Catalog, shared with the benchmark's operator specs. *)
+let targets = Ft_workloads.Catalog.targets
 
 let build_graph op dims =
-  match Flextensor.Fleet_task.graph_of ~op ~dims with
+  match Ft_workloads.Catalog.graph_of ~op ~dims with
   | Ok graph -> graph
   | Error msg -> raise (Invalid_argument msg)
 
@@ -42,6 +40,17 @@ let positive_int =
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* A finite float > 0; `nan`, `inf`, `0` and negatives are usage
+   errors rather than a watchdog that can never fire correctly. *)
+let positive_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Float.is_finite x && x > 0. -> Ok x
+    | Ok _ -> Error (`Msg "expected a positive finite number")
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
 
 let jobs_arg =
   Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
@@ -143,40 +152,6 @@ let resolve_faults = function
               Printf.eprintf "warning: ignoring FT_FAULTS=%S (%s)\n%!" s msg;
               Flextensor.Fault.zero))
 
-(* --fleet N promotes evaluation to a worker-process fleet: this
-   process becomes the coordinator and spawns N local `flextensor
-   worker` children; remote workers may join (and leave) at any time
-   via `flextensor worker --coordinator ADDR`.  N = 0 starts the
-   coordinator alone and waits for external workers (falling back to
-   local compute after the grace period). *)
-let fleet_arg =
-  let nonneg =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 0 -> Ok n
-      | Ok _ -> Error (`Msg "expected a non-negative integer")
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
-  Arg.(value & opt (some nonneg) None & info [ "fleet" ] ~docv:"N"
-         ~doc:"Evaluate through a distributed fleet: coordinate workers \
-               over the daemon protocol and spawn $(docv) local worker \
-               processes ($(b,0) = external workers only; they join with \
-               $(b,flextensor worker --coordinator ADDR)).  Results are \
-               bit-for-bit identical to the in-process pool.")
-
-let fleet_listen_arg =
-  Arg.(value & opt string "127.0.0.1:0" & info [ "fleet-listen" ] ~docv:"ADDR"
-         ~doc:"Coordinator listen address ($(b,HOST:PORT), $(b,:PORT), \
-               $(b,PORT), or $(b,unix:PATH)); port 0 picks an ephemeral \
-               port, printed at startup.")
-
-let fleet_grace_arg =
-  Arg.(value & opt float 5.0 & info [ "fleet-grace" ] ~docv:"SECONDS"
-         ~doc:"How long the coordinator waits for a first worker before \
-               computing batches itself.")
-
 let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
          ~doc:"Periodically append resumable search state (incumbent, \
@@ -213,7 +188,7 @@ let measure_isolate_arg =
                (faster to debug, no containment).")
 
 let measure_timeout_arg =
-  Arg.(value & opt float 10. & info [ "measure-timeout" ] ~docv:"SECONDS"
+  Arg.(value & opt positive_float 10. & info [ "measure-timeout" ] ~docv:"SECONDS"
          ~doc:"Wall-clock budget per sandboxed measurement; on expiry \
                the child is killed (SIGKILL) and the result is invalid \
                with a timeout reason.  Only meaningful with \
@@ -297,8 +272,8 @@ let space_cmd =
 
 let optimize_cmd =
   let run op dims target seed trials search jobs n_parallel trace log reuse
-      faults checkpoint resume fleet fleet_listen fleet_grace measure
-      measure_isolate measure_timeout measure_mem_mb =
+      faults checkpoint resume measure measure_isolate measure_timeout
+      measure_mem_mb =
     with_graph op dims (fun graph ->
         set_jobs jobs;
         set_trace trace;
@@ -333,73 +308,6 @@ let optimize_cmd =
           | _ -> None
         in
         let reuse = Option.is_some reuse in
-        (* Fleet mode: this process coordinates, N spawned children
-           (plus any externally joined `flextensor worker`s) evaluate.
-           The readiness line carries the bound address so scripts can
-           point workers at an ephemeral port. *)
-        let fleet_ctx =
-          match fleet with
-          | None -> None
-          | Some n ->
-              let task =
-                Flextensor.Fleet_task.make ~op ~dims
-                  ~target:(Flextensor.Fleet_task.target_key target) ()
-              in
-              let coordinator =
-                try
-                  Flextensor.Fleet_coordinator.create ~task
-                    ~grace_s:fleet_grace ~listen:fleet_listen ()
-                with Failure msg ->
-                  Printf.eprintf "error: %s\n" msg;
-                  exit 1
-              in
-              ignore (Flextensor.Fleet_coordinator.start coordinator);
-              let addr = Flextensor.Fleet_coordinator.address coordinator in
-              Printf.printf "fleet: coordinating on %s\n%!" addr;
-              let pids =
-                List.init n (fun _ ->
-                    Unix.create_process Sys.executable_name
-                      [| Sys.executable_name; "worker"; "--coordinator"; addr |]
-                      Unix.stdin Unix.stdout Unix.stderr)
-              in
-              Some (coordinator, pids)
-        in
-        let dispatch =
-          Option.map
-            (fun (c, _) -> Flextensor.Fleet_coordinator.dispatch c)
-            fleet_ctx
-        in
-        (* Stop the coordinator (subsequent claims answer Done, so
-           workers exit cleanly) and reap the children. *)
-        let finish_fleet () =
-          match fleet_ctx with
-          | None -> ()
-          | Some (c, pids) ->
-              let stats = Flextensor.Fleet_coordinator.stats c in
-              Flextensor.Fleet_coordinator.stop c;
-              (* Spawned children are reaped below, which keeps their
-                 connections alive until they poll once more and hear
-                 Done.  Externally attached workers (--fleet 0) have no
-                 waitpid holding the process open, so linger briefly —
-                 their next claim/heartbeat (every idle backoff) must
-                 find the connection still up to exit cleanly instead
-                 of diagnosing a coordinator crash. *)
-              if pids = [] && stats.Flextensor.Fleet_coordinator.workers_seen > 0
-              then Thread.delay 0.25;
-              List.iter
-                (fun pid ->
-                  try ignore (Unix.waitpid [] pid)
-                  with Unix.Unix_error _ -> ())
-                pids;
-              Printf.printf
-                "fleet: %d remote / %d local batches, %d requeue(s), %d \
-                 steal(s), %d worker(s) seen\n"
-                stats.Flextensor.Fleet_coordinator.remote_batches
-                stats.Flextensor.Fleet_coordinator.local_batches
-                stats.Flextensor.Fleet_coordinator.requeues
-                stats.Flextensor.Fleet_coordinator.steals
-                stats.Flextensor.Fleet_coordinator.workers_seen
-        in
         let options =
           { Flextensor.default_options with seed; n_trials = trials; search;
             n_parallel; faults; checkpoint; resume }
@@ -458,10 +366,9 @@ let optimize_cmd =
                   ("seed", Int seed);
                   ("trials", Int trials) ]
               (fun () ->
-                Flextensor.optimize ~options ?store ?remote ~reuse ?dispatch
-                  ?measurer graph target)
+                Flextensor.optimize ~options ?store ?remote ~reuse ?measurer
+                  graph target)
           with Flextensor.Fault.Injected_crash trial ->
-            finish_fleet ();
             finish_trace ();
             Printf.eprintf
               "error: injected crash at trial %d%s\n" trial
@@ -472,7 +379,6 @@ let optimize_cmd =
               | None -> " (no --checkpoint; progress lost)");
             exit 9
         in
-        finish_fleet ();
         (if not report.perf.Flextensor.Perf.valid then begin
            finish_trace ();
            Printf.eprintf
@@ -502,8 +408,7 @@ let optimize_cmd =
   Cmd.v (Cmd.info "optimize" ~doc:"Explore the schedule space and report the best")
     Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg
           $ method_arg $ jobs_arg $ n_parallel_arg $ trace_arg $ log_arg
-          $ reuse_arg $ faults_arg $ checkpoint_arg $ resume_arg $ fleet_arg
-          $ fleet_listen_arg $ fleet_grace_arg $ measure_arg
+          $ reuse_arg $ faults_arg $ checkpoint_arg $ resume_arg $ measure_arg
           $ measure_isolate_arg $ measure_timeout_arg $ measure_mem_mb_arg)
 
 (* `schedule replay`: reapply a tuning-log entry without searching and
@@ -620,40 +525,6 @@ let methods_cmd =
        ~doc:"List the registered search methods (usable with $(b,optimize \
              -m); names are stable tuning-log keys)")
     Term.(const run $ quiet_arg)
-
-(* `flextensor worker`: serve a fleet coordinator until it finishes.
-   Workers are elastic — start them before or during an `optimize
-   --fleet` run, kill them freely; a dead worker's claimed batches
-   requeue on the coordinator's heartbeat timeout. *)
-let worker_cmd =
-  let coordinator_arg =
-    Arg.(required & opt (some string) None & info [ "coordinator" ]
-           ~docv:"ADDR"
-           ~doc:"Coordinator address, as printed by $(b,optimize --fleet) \
-                 ($(b,HOST:PORT) or $(b,unix:PATH)).")
-  in
-  let name_arg =
-    Arg.(value & opt (some string) None & info [ "name" ] ~docv:"NAME"
-           ~doc:"Worker name, unique within the fleet (default: \
-                 $(b,worker-<pid>)).")
-  in
-  let retries_arg =
-    Arg.(value & opt int 5 & info [ "retries" ] ~docv:"N"
-           ~doc:"Connection (re)attempts before giving up.")
-  in
-  let run coordinator name retries =
-    match Flextensor.Fleet_worker.run ?name ~retries ~coordinator () with
-    | Ok batches ->
-        Printf.printf "worker: done, %d batch(es) computed\n" batches
-    | Error msg ->
-        Printf.eprintf "error: worker: %s\n" msg;
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:"Join a tuning fleet: pull evaluation batches from an \
-             $(b,optimize --fleet) coordinator until the run completes")
-    Term.(const run $ coordinator_arg $ name_arg $ retries_arg)
 
 let compare_cmd =
   let run op dims target seed trials jobs =
@@ -850,4 +721,4 @@ let () =
           (Cmd.info "flextensor" ~version:"1.0.0"
              ~doc:"Automatic schedule exploration for tensor computation")
           [ analyze_cmd; space_cmd; optimize_cmd; schedule_cmd; verify_cmd;
-            compare_cmd; methods_cmd; serve_cmd; store_cmd; worker_cmd ]))
+            compare_cmd; methods_cmd; serve_cmd; store_cmd ]))

@@ -37,11 +37,7 @@ module Store_protocol = Ft_store.Protocol
 module Store_server = Ft_store.Server
 module Store_client = Ft_store.Client
 module Evaluator = Ft_explore.Evaluator
-module Fleet_task = Ft_fleet.Task
-module Fleet_protocol = Ft_fleet.Protocol
-module Fleet_coordinator = Ft_fleet.Coordinator
-module Fleet_worker = Ft_fleet.Worker
-module Fleet_sim = Ft_fleet.Sim
+module Fleet_task = Ft_workloads.Catalog
 
 (* The AutoTVM registrations live in [Ft_baselines.Autotvm]; reference
    the module here so it is linked (and they run) for every consumer of

@@ -125,23 +125,14 @@ module Store_client = Ft_store.Client
 
 (** Point evaluation with the simulated clock
     ({!Ft_explore.Evaluator}) — exposed for its [dispatch] type, the
-    hook {!optimize}'s [?dispatch] plugs a fleet coordinator into. *)
+    hook {!optimize}'s [?dispatch] takes; the benchmark's traced pass
+    plugs a timed cost-model dispatch into it. *)
 module Evaluator = Ft_explore.Evaluator
 
-(** The distributed tuning fleet (DESIGN.md §14): {!Fleet_task} (the
-    shared unit of work), {!Fleet_protocol} (claim/result/join/leave/
-    heartbeat frames over the daemon's framing), {!Fleet_coordinator}
-    (batch queue with work-stealing, elastic membership, and
-    heartbeat-timeout requeue — its [dispatch] is bit-for-bit the
-    in-process pool), {!Fleet_worker} (`flextensor worker`), and
-    {!Fleet_sim} (the deterministic scaling simulation behind `bench
-    fleet`). *)
-module Fleet_task = Ft_fleet.Task
-
-module Fleet_protocol = Ft_fleet.Protocol
-module Fleet_coordinator = Ft_fleet.Coordinator
-module Fleet_worker = Ft_fleet.Worker
-module Fleet_sim = Ft_fleet.Sim
+(** The CLI's target and operator tables ({!Ft_workloads.Catalog})
+    under their old name.  Kept only because
+    [benchmark/kit/spec.ml] calls it. *)
+module Fleet_task = Ft_workloads.Catalog
 
 type options = {
   seed : int;
@@ -223,9 +214,9 @@ type report = {
     warm start, never fail a search.
 
     [dispatch] routes batched fresh evaluations to an external backend
-    (a {!Fleet_coordinator}'s [dispatch]); by the {!Evaluator.dispatch}
-    contract the report is bit-for-bit what the in-process pool
-    produces.
+    (the benchmark's traced pass times the cost model through one); by
+    the {!Evaluator.dispatch} contract the report is bit-for-bit what
+    the in-process pool produces.
 
     [measurer] (an {!Evaluator.measurer}, e.g.
     [Measure.run space]) times the winning config on the host after

@@ -1,10 +1,10 @@
 type mode = Hardware_measure | Model_query
 
 (* An external evaluation backend for [prepare]'s fresh points (the
-   fleet coordinator, DESIGN.md §14).  Must return one entry per input,
-   in input order, each bit-for-bit equal to what [compute] would
-   produce — dispatch replaces only *where* the pure cost model runs,
-   never what it returns. *)
+   benchmark's traced pass times the cost model through one).  Must
+   return one entry per input, in input order, each bit-for-bit equal
+   to what [compute] would produce — dispatch replaces only *where*
+   the pure cost model runs, never what it returns. *)
 type dispatch =
   (Ft_schedule.Config.t * string) list -> (float * Ft_hw.Perf.t) list
 
@@ -21,7 +21,7 @@ type t = {
   mode : mode;
   n_parallel : int;  (* simulated measurement devices (lanes) *)
   pool : Ft_par.Pool.t option;  (* None = the process-wide default *)
-  dispatch : dispatch option;  (* fleet backend for batched fresh points *)
+  dispatch : dispatch option;  (* external backend for batched fresh points *)
   faults : Ft_fault.Plan.t option;  (* Some only when the plan injects faults *)
   mutable live_lanes : int;  (* n_parallel minus injected lane deaths *)
   cache : (string, float * Ft_hw.Perf.t) Hashtbl.t;
@@ -228,7 +228,7 @@ let prepare t keyed =
   let computed = Hashtbl.create (List.length to_compute) in
   let entries =
     match (t.dispatch, to_compute) with
-    | Some d, _ :: _ -> d to_compute  (* fleet backend; same pure results *)
+    | Some d, _ :: _ -> d to_compute  (* external backend; same pure results *)
     | _, ([] | [ _ ]) -> List.map (fun (cfg, _) -> compute t cfg) to_compute
     | _ -> Ft_par.Pool.map (pool_of t) (fun (cfg, _) -> compute t cfg) to_compute
   in

@@ -23,9 +23,9 @@ type t
 val default_mode : Ft_schedule.Target.t -> mode
 
 (** An external evaluation backend for {!prepare}'s fresh points — the
-    fleet coordinator (DESIGN.md §14).  Contract: return one entry per
-    input, in input order, each bit-for-bit what the local cost model
-    would produce.  A dispatch changes only {e where} the pure
+    benchmark's traced pass times the cost model through one.
+    Contract: return one entry per input, in input order, each
+    bit-for-bit what the local cost model would produce.  A dispatch changes only {e where} the pure
     computation runs; results, cache contents, clock charges and
     commit order are untouched, so a dispatched search is identical to
     an in-process one. *)

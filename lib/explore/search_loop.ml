@@ -27,9 +27,9 @@ type params = {
   n_parallel : int option;  (* simulated measurement devices (clock model) *)
   pool : Ft_par.Pool.t option;  (* domain pool for batched evaluation *)
   dispatch : Evaluator.dispatch option;
-      (* external evaluation backend (fleet coordinator); None = the
-         in-process pool.  Never changes results, only where the pure
-         cost model runs. *)
+      (* external evaluation backend (the benchmark's timed cost
+         model); None = the in-process pool.  Never changes results,
+         only where the pure cost model runs. *)
   faults : Ft_fault.Plan.t;  (* injected failures (Plan.zero = none) *)
   checkpoint_path : string option;  (* crash-safe resume trail (JSONL) *)
   checkpoint_every : int;  (* trials between checkpoint appends *)

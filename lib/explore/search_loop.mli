@@ -26,9 +26,10 @@ type params = {
   n_parallel : int option;  (** simulated measurement devices (clock model) *)
   pool : Ft_par.Pool.t option;  (** domain pool for batched evaluation *)
   dispatch : Evaluator.dispatch option;
-      (** external evaluation backend (the fleet coordinator's
-          {!Evaluator.dispatch}); [None] = the in-process pool.  Never
-          changes results, only where the pure cost model runs *)
+      (** external evaluation backend ({!Evaluator.dispatch}; the
+          benchmark's timed cost model); [None] = the in-process
+          pool.  Never changes results, only where the pure cost
+          model runs *)
   faults : Ft_fault.Plan.t;
       (** injected measurement failures ({!Ft_fault.Plan.zero} = none;
           a zero plan leaves the run bit-for-bit unchanged) *)

@@ -80,7 +80,12 @@ let estimated_bytes (space : Ft_schedule.Space.t)
     (space.graph.Ft_ir.Op.inputs @ program.Loopnest.allocs)
 
 let preflight ?(limits = default_limits) (space : Ft_schedule.Space.t) cfg =
-  if not (Ft_schedule.Space.valid space cfg) then
+  (* nan compares false with everything, so it would slip past the
+     iteration check below and reach the watchdog's select *)
+  if not (limits.timeout_s > 0.) then
+    Error
+      (Printf.sprintf "watchdog timeout %g s is not positive" limits.timeout_s)
+  else if not (Ft_schedule.Space.valid space cfg) then
     Error "config outside the schedule space"
   else
     let program = Lowering.lower space cfg in

@@ -4,9 +4,9 @@
     {!Measure.run} executes the kernel in-process, so a pathological
     schedule — a miscompiled nest that spins, a padded buffer that
     exhausts memory, a genuine segfault — takes the whole tuner (or
-    daemon, or fleet worker) down with it.  [Sandbox.run] re-executes
-    the running image per measurement ([Unix.create_process], legal
-    beside live domains); this module's initialisation turns it into a
+    daemon) down with it.  [Sandbox.run] re-executes the running
+    image per measurement ([Unix.create_process], legal beside live
+    domains); this module's initialisation turns it into a
     worker that applies [rlimit] address-space and CPU caps, times the
     kernel, and reports one {!Ft_store.Protocol} frame over a pipe.
     The parent waits under a monotonic watchdog ({!Ft_util.Monotime})
@@ -39,7 +39,8 @@ val chaos_to_string : chaos -> string
 val chaos_of_string : string -> chaos option
 
 (** Pre-flight static guard: reject obviously-doomed configs without
-    spawning.  Checks (1) estimated buffer bytes (8 bytes x the shape
+    spawning.  Rejects a watchdog timeout that is not positive
+    (including [nan]), then checks (1) estimated buffer bytes (8 bytes x the shape
     product of every graph input and program alloc) against half the
     address-space cap, and (2) [Loopnest.total_iterations] against
     the watchdog (at an optimistic 1 ns per leaf statement the nest

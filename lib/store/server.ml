@@ -156,34 +156,29 @@ let accept_decision ~stopping (err : Unix.error) =
     | Unix.EMFILE | Unix.ENFILE -> Backoff 0.05
     | _ -> Log_and_retry 0.05
 
-(* Generic accept loop shared with the fleet coordinator
-   (DESIGN.md §14): accept until [stopping ()], spawning one handler
-   thread per connection, surviving transient accept failures per
-   [accept_decision]. *)
-let accept_loop ~what ~stopping fd handler =
+(* Accept until [stop], one handler thread per connection, surviving
+   transient accept failures per [accept_decision]. *)
+let serve t =
   let rec loop () =
-    match Unix.accept fd with
+    match Unix.accept t.fd with
     | client, _ ->
-        ignore (Thread.create handler client);
-        if stopping () then () else loop ()
+        ignore (Thread.create (connection t.repo) client);
+        if t.stopping then () else loop ()
     | exception Unix.Unix_error (err, _, _) -> (
-        match accept_decision ~stopping:(stopping ()) err with
+        match accept_decision ~stopping:t.stopping err with
         | Stop -> ()
         | Retry -> loop ()
         | Backoff delay ->
             Thread.delay delay;
             loop ()
         | Log_and_retry delay ->
-            Printf.eprintf "%s: accept failed: %s; still accepting\n%!" what
+            Printf.eprintf
+              "flextensor serve: accept failed: %s; still accepting\n%!"
               (Unix.error_message err);
             Thread.delay delay;
             loop ())
   in
   loop ()
-
-let serve t =
-  accept_loop ~what:"flextensor serve" ~stopping:(fun () -> t.stopping) t.fd
-    (fun client -> connection t.repo client)
 
 let start t = Thread.create (fun () -> serve t) ()
 

@@ -48,23 +48,10 @@ type accept_decision = Stop | Retry | Backoff of float | Log_and_retry of float
 
 val accept_decision : stopping:bool -> Unix.error -> accept_decision
 
-(** [accept_loop ~what ~stopping fd handler] accepts connections on
-    [fd] until [stopping ()] holds, running [handler] on its own
-    thread per connection and absorbing accept failures per
-    {!accept_decision} ([what] labels log lines).  Shared with the
-    fleet coordinator (DESIGN.md §14), which extends this daemon's
-    protocol. *)
-val accept_loop :
-  what:string ->
-  stopping:(unit -> bool) ->
-  Unix.file_descr ->
-  (Unix.file_descr -> unit) ->
-  unit
-
 (** Claim the unix-socket path for this process, or raise [Failure]:
     refuses when a live daemon answers on it, unlinks a provably stale
     socket, never touches a non-socket path.  The logic behind
-    [create]'s unix handling, shared with the fleet coordinator. *)
+    [create]'s unix handling. *)
 val claim_unix_path : string -> unit
 
 (** Is a live daemon accepting on the unix socket at [path]?  The

@@ -1,6 +1,6 @@
 (** Monotonic time ([clock_gettime(CLOCK_MONOTONIC)]): the one clock
-    behind kernel timing, the sandbox watchdog, trace timestamps, the
-    domain pool's region timing and the fleet's heartbeat bookkeeping.
+    behind kernel timing, the sandbox watchdog, trace timestamps and
+    the domain pool's region timing.
 
     Wall-clock time can step backwards or jump under NTP, producing
     negative durations and deadlines that fire early or never; the

@@ -1,21 +1,7 @@
-(* The unit of work a fleet shares: which operator, on which target,
-   at which flops scale.  Workers receive a task at join time and
-   rebuild the schedule space locally — config texts on the wire then
-   parse against a space identical to the coordinator's, which is what
-   makes remote evaluation a pure re-computation of the local one. *)
+(* The named targets and operators the CLI and the benchmark build
+   from: `flextensor optimize OP DIMS -t TARGET` resolves through
+   here. *)
 
-type t = {
-  op : string;  (* operator name, as the CLI spells it *)
-  dims : int list;
-  target : string;  (* CLI target key (or Target.name; see target_of) *)
-  flops_scale : float;
-}
-
-let make ?(flops_scale = 1.0) ~op ~dims ~target () =
-  { op; dims; target; flops_scale }
-
-(* CLI key <-> target value; the single table both bin/main.ml's
-   --target enum and the fleet wire format draw from. *)
 let targets =
   [
     ("v100", Ft_schedule.Target.v100);
@@ -25,15 +11,8 @@ let targets =
     ("vu9p", Ft_schedule.Target.vu9p);
   ]
 
-let target_key target =
-  match
-    List.find_opt (fun (_, t) -> Ft_schedule.Target.name t = Ft_schedule.Target.name target) targets
-  with
-  | Some (key, _) -> key
-  | None -> Ft_schedule.Target.name target
-
 (* Accept both the CLI key ("titanx") and the canonical Target.name
-   ("TitanX"): tasks built from either spelling resolve the same. *)
+   ("TitanX"): either spelling resolves the same target. *)
 let target_of name =
   match List.assoc_opt name targets with
   | Some t -> Ok t
@@ -44,9 +23,8 @@ let target_of name =
       | Some (_, t) -> Ok t
       | None -> Error (Printf.sprintf "unknown target %S" name))
 
-(* Operator construction from a name and dims (formerly bin/main.ml's
-   private table; the CLI now goes through here so a worker given a
-   task builds exactly the graph `flextensor optimize OP DIMS` does). *)
+(* Operator construction from a name and dims: the table behind
+   `flextensor optimize OP DIMS` and the benchmark's operator specs. *)
 let graph_of ~op ~dims =
   match (op, dims) with
   | "gemv", [ m; k ] -> Ok (Ft_ir.Operators.gemv ~m ~k)
@@ -96,53 +74,10 @@ let graph_of ~op ~dims =
   | "shift", [ batch; channels; height; width ] ->
       Ok (Ft_ir.Operators.shift ~batch ~channels ~height ~width)
   | "yolo", [ index ] when index >= 1 && index <= 15 ->
-      Ok
-        (Ft_workloads.Yolo.graph
-           (Ft_workloads.Yolo.find (Printf.sprintf "C%d" index)))
+      Ok (Yolo.graph (Yolo.find (Printf.sprintf "C%d" index)))
   | _ ->
       Error
         (Printf.sprintf
            "unknown operator %s with %d dims; try e.g. `gemm 512 512 512`, \
             `conv2d 1 64 128 56 56 3`, `yolo 7`"
            op (List.length dims))
-
-let graph t = graph_of ~op:t.op ~dims:t.dims
-
-(* The space a worker evaluates against.  Built from scratch on each
-   end; [Space.make] is deterministic, so coordinator and worker agree
-   on every config key and cost-model result. *)
-let space t =
-  match graph t with
-  | Error _ as e -> e
-  | Ok g -> (
-      match target_of t.target with
-      | Error _ as e -> e
-      | Ok target -> Ok (Ft_schedule.Space.make g target))
-
-let to_value t =
-  Ft_store.Json.Obj
-    [
-      ("op", Ft_store.Json.Str t.op);
-      ("dims", Ft_store.Json.Arr (List.map (fun d -> Ft_store.Json.Num (float_of_int d)) t.dims));
-      ("target", Ft_store.Json.Str t.target);
-      ("flops_scale", Ft_store.Json.Num t.flops_scale);
-    ]
-
-let ( let* ) = Result.bind
-
-let field name v =
-  match Ft_store.Json.member name v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "task: missing field %S" name)
-
-let of_value v =
-  let* op = Result.bind (field "op" v) Ft_store.Json.to_str in
-  let* dims = Result.bind (field "dims" v) Ft_store.Json.to_int_list in
-  let* target = Result.bind (field "target" v) Ft_store.Json.to_str in
-  let* flops_scale = Result.bind (field "flops_scale" v) Ft_store.Json.to_num in
-  Ok { op; dims; target; flops_scale }
-
-let describe t =
-  Printf.sprintf "%s %s on %s (flops_scale %g)" t.op
-    (String.concat "x" (List.map string_of_int t.dims))
-    t.target t.flops_scale

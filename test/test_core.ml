@@ -204,6 +204,50 @@ let qcheck_measurer_invariance =
          | Some m -> Flextensor.Perf.is_measured m
          | None -> not timed.perf.valid))
 
+(* The [?dispatch] contract: an external backend changes only where
+   the cost model runs.  This one evaluates on its own 2-lane pool, in
+   reverse input order, and restores input order before returning; the
+   seeded search must match the in-process one bit for bit. *)
+let reversed_dispatch pool space : Flextensor.Evaluator.dispatch =
+ fun keyed ->
+  List.rev
+    (Flextensor.Pool.map pool
+       (fun (cfg, _) ->
+         let perf = Ft_hw.Cost.evaluate space cfg in
+         (Ft_hw.Cost.perf_value space perf, perf))
+       (List.rev keyed))
+
+let qcheck_dispatch_bit_for_bit =
+  QCheck.Test.make ~name:"dispatch == in-process (Q/P-method)" ~count:3
+    QCheck.(int_range 0 1000)
+    (fun seed ->
+      let graph = Flextensor.Operators.gemm ~m:64 ~n:64 ~k:64 in
+      let target = Flextensor.Target.v100 in
+      let space = Flextensor.Space.make graph target in
+      let pool = Flextensor.Pool.create ~oversubscribe:true 2 in
+      Fun.protect
+        ~finally:(fun () -> Flextensor.Pool.shutdown pool)
+        (fun () ->
+          List.for_all
+            (fun search ->
+              let options =
+                { Flextensor.default_options with n_trials = 8; seed; search }
+              in
+              let plain = Flextensor.optimize ~options graph target in
+              let dispatched =
+                Flextensor.optimize ~options
+                  ~dispatch:(reversed_dispatch pool space) graph target
+              in
+              Flextensor.Config.equal plain.config dispatched.config
+              && Int64.equal
+                   (Int64.bits_of_float plain.perf_value)
+                   (Int64.bits_of_float dispatched.perf_value)
+              && Int64.equal
+                   (Int64.bits_of_float plain.sim_time_s)
+                   (Int64.bits_of_float dispatched.sim_time_s)
+              && plain.n_evals = dispatched.n_evals)
+            [ "Q-method"; "P-method" ]))
+
 let test_summary_string () =
   let graph = Flextensor.Operators.gemm ~m:32 ~n:32 ~k:32 in
   let report = Flextensor.optimize ~options graph Flextensor.Target.v100 in
@@ -230,6 +274,7 @@ let () =
           Alcotest.test_case "restart history merge" `Quick
             test_restart_history_merged;
           QCheck_alcotest.to_alcotest qcheck_measurer_invariance;
+          QCheck_alcotest.to_alcotest qcheck_dispatch_bit_for_bit;
           Alcotest.test_case "summary" `Quick test_summary_string;
         ] );
     ]

@@ -308,6 +308,31 @@ let test_preflight_rejection_quarantines () =
       check_int "second call is a quarantine hit" 1
         (counter "measure.quarantine_hit"))
 
+(* A nan watchdog compares false against any iteration estimate;
+   preflight must still refuse it, or every attempt spawns a worker
+   whose select fails and the winner is quarantined after retries. *)
+let test_non_positive_timeout_never_spawns () =
+  let space = space_of () in
+  let cfg = Ft_schedule.Space.default_config space in
+  List.iter
+    (fun timeout_s ->
+      let limits = { tiny with Sandbox.timeout_s } in
+      match Sandbox.preflight ~limits space cfg with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Printf.sprintf "timeout %g accepted" timeout_s))
+    [ Float.nan; 0.; -1. ];
+  with_trace (fun () ->
+      let measure =
+        Sandbox.measurer
+          ~limits:{ tiny with Sandbox.timeout_s = Float.nan }
+          space
+      in
+      let perf = measure cfg in
+      check_bool "nan timeout is an invalid perf" false perf.Ft_hw.Perf.valid;
+      check_int "one preflight rejection" 1 (counter "measure.preflight");
+      check_int "no launch" 0 (counter "measure.sandboxed");
+      check_int "no retry" 0 (counter "measure.retry"))
+
 (* --- measuring beside live domains --- *)
 
 (* OCaml 5 refuses fork once a second domain exists; a spawned worker
@@ -420,6 +445,8 @@ let () =
             test_transient_timeout_retries;
           Alcotest.test_case "preflight rejection quarantines" `Quick
             test_preflight_rejection_quarantines;
+          Alcotest.test_case "non-positive timeout never spawns" `Quick
+            test_non_positive_timeout_never_spawns;
         ] );
       ( "domains",
         [

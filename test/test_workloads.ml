@@ -60,6 +60,37 @@ let test_unknown_suite () =
   Alcotest.check_raises "unknown" (Invalid_argument "Suites.find: unknown operator XXX")
     (fun () -> ignore (Ft_workloads.Suites.find "XXX"))
 
+(* --- the CLI's target and operator tables --- *)
+
+module Catalog = Ft_workloads.Catalog
+
+let test_target_table () =
+  List.iter
+    (fun (key, tgt) ->
+      let name = Ft_schedule.Target.name tgt in
+      List.iter
+        (fun spelling ->
+          match Catalog.target_of spelling with
+          | Ok t ->
+              check_bool ("resolves: " ^ spelling) true
+                (Ft_schedule.Target.name t = name)
+          | Error e -> Alcotest.fail e)
+        [ key; name ])
+    Catalog.targets;
+  check_bool "unknown target rejected" true
+    (Result.is_error (Catalog.target_of "no-such-accelerator"))
+
+let test_operator_table () =
+  let builds op dims = Result.is_ok (Catalog.graph_of ~op ~dims) in
+  check_bool "gemm builds" true (builds "gemm" [ 64; 64; 64 ]);
+  check_bool "conv2d builds" true (builds "conv2d" [ 1; 8; 16; 14; 14; 3 ]);
+  check_bool "unknown op rejected" false (builds "no-such-op" [ 1 ]);
+  check_bool "wrong arity rejected" false (builds "gemm" [ 64 ]);
+  check_bool "yolo 1 builds" true (builds "yolo" [ 1 ]);
+  check_bool "yolo 15 builds" true (builds "yolo" [ 15 ]);
+  check_bool "yolo 0 rejected" false (builds "yolo" [ 0 ]);
+  check_bool "yolo 16 rejected" false (builds "yolo" [ 16 ])
+
 let () =
   Alcotest.run "ft_workloads"
     [
@@ -75,5 +106,10 @@ let () =
           Alcotest.test_case "case counts" `Quick test_suite_case_counts;
           Alcotest.test_case "all validate" `Quick test_all_cases_validate;
           Alcotest.test_case "unknown" `Quick test_unknown_suite;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "target table" `Quick test_target_table;
+          Alcotest.test_case "operator table" `Quick test_operator_table;
         ] );
     ]
