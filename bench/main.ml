@@ -27,35 +27,12 @@ let experiments =
   ]
 
 let () =
-  (* [-j N] sizes the shared domain pool for batched evaluation
-     (default: FT_JOBS or the runtime's recommendation); remaining
-     arguments select experiments.  FT_TRACE turns on telemetry for the
-     whole bench run. *)
+  (* Arguments select experiments.  FT_TRACE turns on telemetry for
+     the whole bench run. *)
   Ft_obs.Trace.init_from_env ();
   at_exit Ft_obs.Trace.close;
-  let usage () =
-    Printf.eprintf "usage: bench [-j JOBS] [experiment ...]\n";
-    exit 1
-  in
-  let rec parse_args acc = function
-    | [] -> List.rev acc
-    | "-j" :: rest -> (
-        match rest with
-        | n :: rest' -> (
-            match int_of_string_opt n with
-            | Some jobs when jobs >= 1 ->
-                Ft_par.Pool.set_default_jobs jobs;
-                parse_args acc rest'
-            | _ ->
-                Printf.eprintf "-j: expected a positive integer, got %s\n" n;
-                usage ())
-        | [] ->
-            Printf.eprintf "-j: missing value\n";
-            usage ())
-    | arg :: rest -> parse_args (arg :: acc) rest
-  in
   let selected =
-    match parse_args [] (List.tl (Array.to_list Sys.argv)) with
+    match List.tl (Array.to_list Sys.argv) with
     | [] -> List.map fst experiments
     | args -> args
   in

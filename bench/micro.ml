@@ -3,8 +3,8 @@ open Toolkit
 
 (* Bechamel micro-benchmarks of the framework's hot paths: one
    Test.make per component that the search loop exercises per
-   evaluation — plus a wall-clock comparison of batched (domain-pool)
-   vs sequential candidate evaluation.  Results are printed and also
+   evaluation — plus a wall-clock comparison of batched vs
+   point-by-point candidate evaluation.  Results are printed and also
    written to BENCH_micro.json so the perf trajectory is tracked
    across PRs. *)
 
@@ -112,14 +112,14 @@ let boost_ns_per_candidate () =
   in
   (scalar, batched)
 
-(* Batched evaluation throughput on the C8 space: the same distinct
-   candidate list pushed through [Evaluator.measure_batch] at several
-   pool sizes.  The search results are identical by construction (see
-   test_par); only evaluations/second moves. *)
+(* Evaluation throughput on the C8 space: the same distinct candidate
+   list measured point by point and through [Evaluator.measure_batch].
+   The values are identical by construction (see test_explore); only
+   evaluations/second moves. *)
 
 (* FT_BENCH_CANDIDATES shrinks the throughput sweep for smoke runs
    (CI runs the whole benchmark on a small sweep just to validate the
-   JSON and the no-slowdown gate). *)
+   JSON). *)
 let throughput_candidates =
   match Sys.getenv_opt "FT_BENCH_CANDIDATES" with
   | None -> 8192
@@ -163,8 +163,8 @@ let rec batches_of k = function
       let batch, rest = take k [] xs in
       batch :: batches_of k rest
 
-let batched_evals_per_sec pool cfgs =
-  let evaluator = Ft_explore.Evaluator.create ~pool conv_space in
+let batched_evals_per_sec cfgs =
+  let evaluator = Ft_explore.Evaluator.create conv_space in
   let batches = batches_of throughput_batch cfgs in
   let t0 = Ft_util.Monotime.now_s () in
   List.iter (fun batch -> ignore (Ft_explore.Evaluator.measure_batch evaluator batch)) batches;
@@ -193,23 +193,25 @@ let simulated_evals_per_sec n_parallel cfgs =
 
 let measure_throughput () =
   let cfgs = distinct_configs throughput_candidates in
-  (* warm-up: fault in the code paths so -j 1 isn't charged for them *)
+  (* warm-up: fault in the code paths so the first row isn't charged
+     for them *)
   ignore (sequential_evals_per_sec (List.filteri (fun i _ -> i < 256) cfgs));
   let sequential = sequential_evals_per_sec cfgs in
-  let wall =
-    List.map
-      (fun jobs ->
-        let pool = Ft_par.Pool.create jobs in
-        let rate = batched_evals_per_sec pool cfgs in
-        Ft_par.Pool.shutdown pool;
-        (jobs, rate))
-      (List.sort_uniq compare [ 1; 2; 4; Ft_par.Pool.default_jobs () ])
-  in
+  let batched = batched_evals_per_sec cfgs in
   let simulated = List.map (fun n -> (n, simulated_evals_per_sec n cfgs)) [ 1; 4 ] in
-  (sequential, wall, simulated)
+  (sequential, batched, simulated)
+
+(* The C compiler's version line, recorded next to the numbers. *)
+let cc_version () =
+  match Unix.open_process_in "cc --version 2>/dev/null" with
+  | ic ->
+      let line = try input_line ic with End_of_file -> "unknown" in
+      ignore (Unix.close_process_in ic);
+      line
+  | exception Unix.Unix_error _ -> "unknown"
 
 (* BENCH_micro.json, rounded to the printed precision. *)
-let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated =
+let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated =
   let module J = Ft_util.Json in
   let num digits x =
     let scale = 10. ** float_of_int digits in
@@ -222,11 +224,11 @@ let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated =
     table 2 Fun.id
       [ ("scalar", scalar); ("batched", batched); ("speedup", scalar /. batched) ]
   in
-  let base = List.assoc 1 wall in
   J.Obj
     [
       ("space", J.Str "yolo C8 on v100");
       ("cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
+      ("cc", J.Str (cc_version ()));
       ("ns_per_call", table 0 Fun.id ns_rows);
       ( "batched_kernels",
         J.Obj
@@ -241,10 +243,7 @@ let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated =
             ("candidates", J.Num (float_of_int throughput_candidates));
             ("batch", J.Num (float_of_int throughput_batch));
             ("sequential_evals_per_sec", num 1 sequential);
-            ("wall_clock_evals_per_sec", table 1 (Printf.sprintf "j%d") wall);
-            ( "wall_clock_speedup_vs_j1",
-              table 2 (Printf.sprintf "j%d")
-                (List.map (fun (jobs, rate) -> (jobs, rate /. base)) wall) );
+            ("batched_evals_per_sec", num 1 batched);
             ( "simulated_evals_per_sim_sec",
               table 1 (Printf.sprintf "n_parallel_%d") simulated );
             ( "simulated_speedup_n_parallel_4",
@@ -290,20 +289,12 @@ let run () =
            Printf.sprintf "%.2fx" (scalar /. batched) ])
        [ ("q-network forward", qf); ("boost predict", boost) ]);
   Bench_common.subsection "batched evaluation throughput (C8 space)";
-  let sequential, wall, simulated = measure_throughput () in
-  let base = List.assoc 1 wall in
-  Ft_util.Table.print ~header:[ "path"; "evals/sec"; "speedup vs -j 1" ]
-    (( [ "sequential"; Printf.sprintf "%.0f" sequential;
-         Printf.sprintf "%.2fx" (sequential /. base) ] )
-    :: List.map
-         (fun (jobs, rate) ->
-           [ Printf.sprintf "batched -j %d" jobs;
-             Printf.sprintf "%.0f" rate;
-             Printf.sprintf "%.2fx" (rate /. base) ])
-         wall);
-  if Domain.recommended_domain_count () = 1 then
-    print_endline
-      "  (single-core host: wall-clock parallel speedup is not expected here)";
+  let sequential, batched, simulated = measure_throughput () in
+  Ft_util.Table.print ~header:[ "path"; "evals/sec"; "vs sequential" ]
+    [ [ "sequential"; Printf.sprintf "%.0f" sequential; "1.00x" ];
+      [ Printf.sprintf "batched (%d per batch)" throughput_batch;
+        Printf.sprintf "%.0f" batched;
+        Printf.sprintf "%.2fx" (batched /. sequential) ] ];
   Bench_common.subsection "simulated multi-device measurement (Fig 6d/7 clock)";
   Ft_util.Table.print ~header:[ "devices"; "evals per simulated sec" ]
     (List.map
@@ -313,6 +304,6 @@ let run () =
   Out_channel.with_open_text "BENCH_micro.json" (fun oc ->
       output_string oc
         (Ft_util.Json.to_string
-           (micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~wall ~simulated));
+           (micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated));
       output_char oc '\n');
   print_endline "\n[wrote BENCH_micro.json]"

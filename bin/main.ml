@@ -30,8 +30,8 @@ let seed_arg =
 let trials_arg =
   Arg.(value & opt int 60 & info [ "trials" ] ~docv:"N" ~doc:"Exploration trials")
 
-(* An int >= 1; turns `-j 0` into a usage error instead of an
-   uncaught Invalid_argument from deeper down. *)
+(* An int >= 1; turns `--n-parallel 0` into a usage error instead of
+   an uncaught Invalid_argument from deeper down. *)
 let positive_int =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -52,19 +52,27 @@ let positive_float =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
-let jobs_arg =
-  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"JOBS"
-         ~doc:"Worker domains for batched candidate evaluation (default: \
-               $(b,FT_JOBS) or the runtime's recommended domain count). \
-               Never changes search results, only wall-clock speed.")
-
 let n_parallel_arg =
   Arg.(value & opt positive_int 1 & info [ "n-parallel" ] ~docv:"N"
          ~doc:"Simulated measurement devices: the exploration clock charges \
                batched evaluations max-over-lanes in waves of $(docv) \
                (1 = the paper's single-device accounting).")
 
-let set_jobs jobs = Option.iter Flextensor.Pool.set_default_jobs jobs
+(* Output files are opened before any work is spent: a path that
+   cannot be written is a one-line error and exit 1, never an uncaught
+   exception after the whole search. *)
+let or_unwritable f =
+  try f ()
+  with Sys_error msg ->
+    (* [msg] is "FILE: reason" *)
+    Printf.eprintf "error: cannot write %s\n" msg;
+    exit 1
+
+(* Appending creates a missing file and leaves an existing one as it
+   is, exactly what the log and the checkpoint trail do later. *)
+let check_writable path =
+  or_unwritable (fun () ->
+      close_out (open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path))
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -77,8 +85,8 @@ let trace_arg =
    fallback, otherwise tracing stays off (the zero-cost path). *)
 let set_trace trace =
   match trace with
-  | Some path -> Flextensor.Trace.enable_jsonl path
-  | None -> Flextensor.Trace.init_from_env ()
+  | Some path -> or_unwritable (fun () -> Flextensor.Trace.enable_jsonl path)
+  | None -> or_unwritable Flextensor.Trace.init_from_env
 
 (* On a traced run, print the accumulated counters and gauges as a
    summary table before closing the sink. *)
@@ -271,11 +279,9 @@ let space_cmd =
     Term.(const run $ op_arg $ dims_arg $ target_arg)
 
 let optimize_cmd =
-  let run op dims target seed trials search jobs n_parallel trace log reuse
-      faults checkpoint resume measure measure_isolate measure_timeout
-      measure_mem_mb =
+  let run op dims target seed trials search n_parallel trace log reuse faults
+      checkpoint resume measure measure_isolate measure_timeout measure_mem_mb =
     with_graph op dims (fun graph ->
-        set_jobs jobs;
         set_trace trace;
         (if reuse = Some "local" && Option.is_none log then begin
            Printf.eprintf "error: --reuse requires --log FILE (or a daemon \
@@ -286,6 +292,8 @@ let optimize_cmd =
            Printf.eprintf "error: --resume requires --checkpoint FILE\n";
            exit 1
          end);
+        Option.iter check_writable log;
+        Option.iter check_writable checkpoint;
         let faults = resolve_faults faults in
         let store = Option.map open_store log in
         (* A daemon address the user typed must be reachable — failing
@@ -407,7 +415,7 @@ let optimize_cmd =
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Explore the schedule space and report the best")
     Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg
-          $ method_arg $ jobs_arg $ n_parallel_arg $ trace_arg $ log_arg
+          $ method_arg $ n_parallel_arg $ trace_arg $ log_arg
           $ reuse_arg $ faults_arg $ checkpoint_arg $ resume_arg $ measure_arg
           $ measure_isolate_arg $ measure_timeout_arg $ measure_mem_mb_arg)
 
@@ -463,9 +471,8 @@ let replay_cmd =
           $ replay_log_arg)
 
 let schedule_print_cmd =
-  let run op dims target seed trials jobs =
+  let run op dims target seed trials =
     with_graph op dims (fun graph ->
-        set_jobs jobs;
         let options = { Flextensor.default_options with seed; n_trials = trials } in
         let report = Flextensor.optimize ~options graph target in
         print_string (Flextensor.generated_code report))
@@ -473,8 +480,7 @@ let schedule_print_cmd =
   Cmd.v
     (Cmd.info "print"
        ~doc:"Optimize and print the generated loop nest of the best schedule")
-    Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg
-          $ jobs_arg)
+    Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg)
 
 let schedule_subcommands = [ "print"; "replay" ]
 
@@ -486,9 +492,8 @@ let schedule_cmd =
     [ schedule_print_cmd; replay_cmd ]
 
 let verify_cmd =
-  let run op dims target seed trials jobs =
+  let run op dims target seed trials =
     with_graph op dims (fun graph ->
-        set_jobs jobs;
         let options = { Flextensor.default_options with seed; n_trials = trials } in
         let report = Flextensor.optimize ~options graph target in
         match Flextensor.verify report with
@@ -501,8 +506,7 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:"Optimize, then execute the schedule against the naive reference \
              (use small dims; execution is point by point)")
-    Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg
-          $ jobs_arg)
+    Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg)
 
 let methods_cmd =
   let quiet_arg =
@@ -527,9 +531,8 @@ let methods_cmd =
     Term.(const run $ quiet_arg)
 
 let compare_cmd =
-  let run op dims target seed trials jobs =
+  let run op dims target seed trials =
     with_graph op dims (fun graph ->
-        set_jobs jobs;
         let options = { Flextensor.default_options with seed; n_trials = trials } in
         let report = Flextensor.optimize ~options graph target in
         Printf.printf "FlexTensor: %.1f (GFLOPS or GB/s)\n" report.perf_value;
@@ -555,8 +558,7 @@ let compare_cmd =
             Printf.printf "OpenCL baseline: %.1f\n" perf.gflops))
   in
   Cmd.v (Cmd.info "compare" ~doc:"Compare FlexTensor against the platform's library")
-    Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg
-          $ jobs_arg)
+    Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg)
 
 let store_dir_arg =
   Arg.(required & opt (some string) None & info [ "store" ] ~docv:"DIR"
@@ -695,7 +697,7 @@ let () =
   (* FT_TRACE covers commands without a --trace flag; [close] is
      idempotent, so a traced optimize run closing its own sink first is
      fine. *)
-  Flextensor.Trace.init_from_env ();
+  or_unwritable Flextensor.Trace.init_from_env;
   at_exit Flextensor.Trace.close;
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   (* Backwards compatibility: `schedule OP DIMS…` predates the

@@ -149,14 +149,17 @@ let mutate ?(template = `Divisor) rng (space : Space.t) knobs =
 let training_cost = 2.0
 let scoring_cost_per_candidate = 0.0002
 
+(* Measurements per round and proposals scored per round. *)
+let batch = 8
+let population = 128
+
 (* The search itself as a [Search_loop] policy: each trial is one
    AutoTVM round (refit the GBT model, propose a population, rank,
    measure a batch).  H is seeded with random template instantiations
    instead of the schedule-space heuristics — AutoTVM never sees the
    full space — and warm-start transfer seeds are appended after all
    RNG draws, exactly as the other methods do. *)
-let policy ~template ~batch ~population : (module Ft_explore.Search_loop.POLICY)
-    =
+let policy ~template : (module Ft_explore.Search_loop.POLICY) =
   (module struct
     type t = { mutable knob_pool : knobs list }
 
@@ -164,7 +167,7 @@ let policy ~template ~batch ~population : (module Ft_explore.Search_loop.POLICY)
       match template with `Divisor -> "AutoTVM" | `Paper_era -> "AutoTVM-2019"
 
     let seeds (p : Ft_explore.Search_loop.params) rng space =
-      List.init (max 2 batch) (fun _ ->
+      List.init batch (fun _ ->
           to_config space (random_knobs ~template rng space))
       @ p.transfer_seeds
 
@@ -225,9 +228,10 @@ let policy ~template ~batch ~population : (module Ft_explore.Search_loop.POLICY)
               ranked
           in
           let chosen = List.filteri (fun i _ -> i < batch) fresh in
-          (* The round's measurement batch runs on the domain pool — the
-             AutoTVM workflow the paper compares against measures its
-             per-round candidates concurrently. *)
+          (* The round's measurements form one batch — the AutoTVM
+             workflow the paper compares against measures its
+             per-round candidates concurrently ([n_parallel] models
+             that on the simulated clock). *)
           ignore
             (Ft_explore.Driver.evaluate_batch ~should_stop:out_of_budget state
                (List.map (fun (_, cfg, _) -> cfg) chosen));
@@ -235,25 +239,8 @@ let policy ~template ~batch ~population : (module Ft_explore.Search_loop.POLICY)
       1
   end)
 
-let search_params ?(template = `Divisor) ?(batch = 8) ?(population = 128) params
-    space =
-  Ft_explore.Search_loop.run (policy ~template ~batch ~population) params space
-
-let search ?(seed = 2020) ?(n_rounds = 16) ?(batch = 8) ?(population = 128)
-    ?(template = `Divisor) ?max_evals ?flops_scale ?mode ?n_parallel ?pool
-    (space : Space.t) =
-  search_params ~template ~batch ~population
-    {
-      Ft_explore.Search_loop.default_params with
-      seed;
-      n_trials = n_rounds;
-      max_evals;
-      flops_scale;
-      mode;
-      n_parallel;
-      pool;
-    }
-    space
+let search_params ?(template = `Divisor) params space =
+  Ft_explore.Search_loop.run (policy ~template) params space
 
 (* Referencing this from a consumer forces the module (and so the
    registrations below) to be linked; see [Ft_explore.Method]. *)

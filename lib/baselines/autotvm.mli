@@ -16,28 +16,13 @@ val template_size : ?template:template -> Ft_schedule.Space.t -> float
 
 (** The registry entry points ("AutoTVM" with [`Divisor] templates,
     "AutoTVM-2019" with [`Paper_era]): run on an explicit parameter
-    record; [params.n_trials] is the round count.  H is seeded with
-    [max 2 batch] random template instantiations (never the
-    schedule-space heuristics), then any [params.transfer_seeds]. *)
+    record; [params.n_trials] is the round count, each round scoring
+    128 proposals and measuring the best 8.  H is seeded with 8
+    random template instantiations (never the schedule-space
+    heuristics), then any [params.transfer_seeds]. *)
 val search_params :
   ?template:template ->
-  ?batch:int ->
-  ?population:int ->
   Ft_explore.Search_loop.params ->
-  Ft_schedule.Space.t ->
-  Ft_explore.Driver.result
-
-val search :
-  ?seed:int ->
-  ?n_rounds:int ->
-  ?batch:int ->
-  ?population:int ->
-  ?template:template ->
-  ?max_evals:int ->
-  ?flops_scale:float ->
-  ?mode:Ft_explore.Evaluator.mode ->
-  ?n_parallel:int ->
-  ?pool:Ft_par.Pool.t ->
   Ft_schedule.Space.t ->
   Ft_explore.Driver.result
 

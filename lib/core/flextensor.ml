@@ -22,7 +22,6 @@ module Measure = Ft_lower.Measure
 module Monotime = Ft_util.Monotime
 module Sandbox = Ft_lower.Sandbox
 module Driver = Ft_explore.Driver
-module Pool = Ft_par.Pool
 module Trace = Ft_obs.Trace
 module Config_io = Ft_schedule.Config_io
 module Store = Ft_store.Store
@@ -38,6 +37,18 @@ module Store_server = Ft_store.Server
 module Store_client = Ft_store.Client
 module Evaluator = Ft_explore.Evaluator
 module Fleet_task = Ft_workloads.Catalog
+
+module Pool = struct
+  type t = unit
+
+  let set_default_jobs jobs =
+    if jobs < 1 then invalid_arg "Pool.set_default_jobs: jobs must be >= 1"
+
+  let default () = ()
+  let lanes () = 1
+  let map () f xs = List.map f xs
+  let quiesce_default () = ()
+end
 
 (* The AutoTVM registrations live in [Ft_baselines.Autotvm]; reference
    the module here so it is linked (and they run) for every consumer of

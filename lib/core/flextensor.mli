@@ -43,7 +43,7 @@ module Monotime = Ft_util.Monotime
 
 (** Process-isolated measurement ({!Ft_lower.Sandbox}, DESIGN.md §11):
     each measurement runs in a freshly spawned, rlimit-capped worker
-    process under a SIGKILL watchdog (legal beside the domain pool),
+    process under a SIGKILL watchdog (legal beside live domains),
     so hangs, segfaults, and OOMs become structured
     [Perf.invalid] results instead of killing the tuner.  The CLI's
     [--measure] runs through {!Sandbox.measurer} by default
@@ -51,11 +51,6 @@ module Monotime = Ft_util.Monotime
 module Sandbox = Ft_lower.Sandbox
 
 module Driver = Ft_explore.Driver
-
-(** Domain pool used for batched candidate evaluation; size it with
-    [-j] / [FT_JOBS] ({!Ft_par.Pool.set_default_jobs}).  The pool size
-    never changes search results — only wall-clock speed. *)
-module Pool = Ft_par.Pool
 
 (** Search telemetry: spans, counters, gauges and structured events
     emitted to a JSONL sink ({!Ft_obs.Trace.enable_jsonl}, or
@@ -133,6 +128,27 @@ module Evaluator = Ft_explore.Evaluator
     under their old name.  Kept only because
     [benchmark/kit/spec.ml] calls it. *)
 module Fleet_task = Ft_workloads.Catalog
+
+(** What is left of the host domain pool: every map runs on the
+    calling domain.  Kept only because [benchmark/kit/child.ml] calls
+    it. *)
+module Pool : sig
+  type t
+
+  (** Raises [Invalid_argument] below 1; otherwise has no effect. *)
+  val set_default_jobs : int -> unit
+
+  val default : unit -> t
+
+  (** Always 1. *)
+  val lanes : t -> int
+
+  (** [List.map]. *)
+  val map : t -> ('a -> 'b) -> 'a list -> 'b list
+
+  (** A no-op. *)
+  val quiesce_default : unit -> unit
+end
 
 type options = {
   seed : int;
@@ -216,7 +232,7 @@ type report = {
     [dispatch] routes batched fresh evaluations to an external backend
     (the benchmark's traced pass times the cost model through one); by
     the {!Evaluator.dispatch} contract the report is bit-for-bit what
-    the in-process pool produces.
+    the local cost model produces.
 
     [measurer] (an {!Evaluator.measurer}, e.g.
     [Measure.run space]) times the winning config on the host after

@@ -4,8 +4,7 @@
    current best schedule and adopts whichever wins; when no neighbor
    is new (a local optimum, or one whose whole neighborhood has been
    visited), it restarts from one uniform random point.  Commits stay
-   in the sequential neighbor order, so results are identical for any
-   pool size. *)
+   in the sequential neighbor order. *)
 
 module Policy = struct
   type t = unit
@@ -34,20 +33,3 @@ module Policy = struct
 end
 
 let search_params params space = Search_loop.run (module Policy) params space
-
-let search ?(seed = 2020) ?(n_trials = 60) ?max_evals ?(heuristic_seeds = true)
-    ?(transfer_seeds = []) ?flops_scale ?mode ?n_parallel ?pool space =
-  search_params
-    {
-      Search_loop.default_params with
-      seed;
-      n_trials;
-      max_evals;
-      heuristic_seeds;
-      transfer_seeds;
-      flops_scale;
-      mode;
-      n_parallel;
-      pool;
-    }
-    space

@@ -59,7 +59,7 @@ let evaluate state cfg =
   absorb state cfg (Evaluator.measure state.evaluator cfg)
 
 (* Batched frontier evaluation: the pure cost-model work of the whole
-   candidate list runs on the domain pool, then points are committed
+   candidate list is prepared in one batch, then points are committed
    strictly in input order — skipping already-visited points and
    in-batch duplicates, and stopping at the first point for which
    [should_stop] holds (the search's eval budget) — exactly the

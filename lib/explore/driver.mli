@@ -35,11 +35,11 @@ val absorb : state -> Ft_schedule.Config.t -> float -> float
 val evaluate : state -> Ft_schedule.Config.t -> float
 
 (** [evaluate_batch state cfgs] measures a candidate frontier: the
-    pure cost-model queries run in parallel on the evaluator's domain
-    pool, then points are committed sequentially in input order —
-    skipping visited points and in-batch duplicates, and stopping as
-    soon as [should_stop ()] holds.  Results are identical to calling
-    {!evaluate} on each unseen point in order, for any pool size.
+    pure cost-model queries are prepared in one batch
+    ({!Evaluator.prepare}), then points are committed sequentially in
+    input order — skipping visited points and in-batch duplicates, and
+    stopping as soon as [should_stop ()] holds.  Results are identical
+    to calling {!evaluate} on each unseen point in order.
     Returns the committed [(config, value)] pairs in order. *)
 val evaluate_batch :
   ?should_stop:(unit -> bool) -> state -> Ft_schedule.Config.t list ->

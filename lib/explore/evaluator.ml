@@ -20,7 +20,6 @@ type t = {
   flops_scale : float;
   mode : mode;
   n_parallel : int;  (* simulated measurement devices (lanes) *)
-  pool : Ft_par.Pool.t option;  (* None = the process-wide default *)
   dispatch : dispatch option;  (* external backend for batched fresh points *)
   faults : Ft_fault.Plan.t option;  (* Some only when the plan injects faults *)
   mutable live_lanes : int;  (* n_parallel minus injected lane deaths *)
@@ -48,8 +47,8 @@ let cache_hit_cost = 0.0005
 (* A noisy timing is re-run this many times and reported as the median. *)
 let noisy_repeats = 3
 
-let create ?(flops_scale = 1.0) ?mode ?(n_parallel = 1) ?pool ?dispatch
-    ?faults space =
+let create ?(flops_scale = 1.0) ?mode ?(n_parallel = 1) ?dispatch ?faults
+    space =
   if n_parallel < 1 then invalid_arg "Evaluator.create: n_parallel must be >= 1";
   let mode =
     match mode with Some m -> m | None -> default_mode space.Ft_schedule.Space.target
@@ -58,7 +57,7 @@ let create ?(flops_scale = 1.0) ?mode ?(n_parallel = 1) ?pool ?dispatch
     Option.bind faults (fun plan ->
         if Ft_fault.Plan.injects_measurement_faults plan then Some plan else None)
   in
-  { space; flops_scale; mode; n_parallel; pool; dispatch; faults;
+  { space; flops_scale; mode; n_parallel; dispatch; faults;
     live_lanes = n_parallel;
     cache = Hashtbl.create 256; clock_s = 0.; n_evals = 0 }
 
@@ -92,8 +91,7 @@ let median xs =
    cap, a failed compile only its compile cost).  A quarantined config
    becomes an invalid perf that is cached and never remeasured.
    Outcomes are a pure function of (fault seed, key, attempt), so the
-   resolved entry and its cost are independent of pool size and commit
-   order.  Hardware faults only strike real measurements: model
+   resolved entry and its cost are independent of commit order.  Hardware faults only strike real measurements: model
    queries (FPGA) and model-invalid configs keep their deterministic
    cost. *)
 let fault_resolve t plan key ((value, perf) as computed : float * Ft_hw.Perf.t) =
@@ -187,12 +185,12 @@ let peek t cfg = Hashtbl.find_opt t.cache (Ft_schedule.Config.key cfg)
 
 (* -- Batched evaluation ---------------------------------------------
 
-   [prepare] runs the pure cost-model queries of a candidate list on
-   the domain pool; [commit] then folds each point into the evaluator
-   sequentially, in whatever order the caller chooses.  Keeping the
-   commit sequential is what makes search results independent of the
-   pool size: cache contents, eval counts, and clock charges are
-   decided by commit order alone.
+   [prepare] runs the pure cost-model queries of a candidate list
+   (through [dispatch] when one is given); [commit] then folds each
+   point into the evaluator sequentially, in whatever order the caller
+   chooses.  Cache contents, eval counts, and clock charges are
+   decided by commit order alone, so where the queries ran never
+   changes a result.
 
    The simulated clock models the paper's multi-device measurement:
    fresh points are grouped into waves of [n_parallel] in commit
@@ -207,8 +205,6 @@ type batch = {
   mutable wave_len : int;
   mutable wave_max : float;
 }
-
-let pool_of t = match t.pool with Some p -> p | None -> Ft_par.Pool.default ()
 
 (* Candidates travel as (config, key) pairs so the expensive
    [Config.key] is built exactly once per point across the whole
@@ -229,8 +225,7 @@ let prepare t keyed =
   let entries =
     match (t.dispatch, to_compute) with
     | Some d, _ :: _ -> d to_compute  (* external backend; same pure results *)
-    | _, ([] | [ _ ]) -> List.map (fun (cfg, _) -> compute t cfg) to_compute
-    | _ -> Ft_par.Pool.map (pool_of t) (fun (cfg, _) -> compute t cfg) to_compute
+    | _ -> List.map (fun (cfg, _) -> compute t cfg) to_compute
   in
   List.iter2
     (fun (_, key) entry -> Hashtbl.replace computed key entry)

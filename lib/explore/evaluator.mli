@@ -7,14 +7,15 @@
     (6d, 7) plot.
 
     Evaluation is batchable: the pure cost-model queries of a
-    candidate list run in parallel on a {!Ft_par.Pool}, while cache
-    entries, eval counts, and clock charges are committed sequentially
-    in the caller's order — so every search result is bit-for-bit
-    independent of the pool size.  [n_parallel] models the paper's
-    multi-device measurement for the simulated clock only: fresh
-    points are charged in waves of [n_parallel], max cost over the
-    wave (the concurrent devices finish with the slowest lane);
-    [n_parallel = 1] reproduces the sequential accounting exactly. *)
+    candidate list are computed together (deduplicated, optionally
+    through a {!dispatch}), while cache entries, eval counts, and
+    clock charges are committed sequentially in the caller's order —
+    so every search result is decided by commit order alone.
+    [n_parallel] models the paper's multi-device measurement for the
+    simulated clock only: fresh points are charged in waves of
+    [n_parallel], max cost over the wave (the concurrent devices
+    finish with the slowest lane); [n_parallel = 1] reproduces the
+    sequential accounting exactly. *)
 
 type mode = Hardware_measure | Model_query
 
@@ -42,9 +43,8 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
 
 (** [create space] builds an evaluator.  [n_parallel] (default 1) is
     the number of simulated measurement devices the clock assumes;
-    [pool] is the domain pool used for batched evaluation (default:
-    {!Ft_par.Pool.default}); [dispatch] routes batched fresh points to
-    an external backend instead of the pool; [faults] injects
+    [dispatch] routes batched fresh points to an external backend
+    instead of the local cost model; [faults] injects
     measurement failures, absorbed by {!Ft_fault.Resilience}'s default
     policy (DESIGN.md §11): every attempt and backoff is charged to the
     simulated clock, a noisy timing is the median of 3 repeats, and a
@@ -55,7 +55,7 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
     [n_parallel < 1]. *)
 val create :
   ?flops_scale:float -> ?mode:mode -> ?n_parallel:int ->
-  ?pool:Ft_par.Pool.t -> ?dispatch:dispatch -> ?faults:Ft_fault.Plan.t ->
+  ?dispatch:dispatch -> ?faults:Ft_fault.Plan.t ->
   Ft_schedule.Space.t -> t
 
 (** Add search bookkeeping time to the simulated clock. *)
@@ -72,12 +72,13 @@ val perf_of : t -> Ft_schedule.Config.t -> Ft_hw.Perf.t
     For assembling results — never a substitute for {!measure}. *)
 val peek : t -> Ft_schedule.Config.t -> (float * Ft_hw.Perf.t) option
 
-(** A prepared batch: cost-model results computed in parallel but not
-    yet committed to the cache, eval count, or clock. *)
+(** A prepared batch: cost-model results computed but not yet
+    committed to the cache, eval count, or clock. *)
 type batch
 
-(** [prepare t keyed] computes the uncached points of [keyed] on the
-    pool (deduplicating within the batch).  Points travel as
+(** [prepare t keyed] computes the uncached points of [keyed]
+    (deduplicating within the batch), through [dispatch] when the
+    evaluator has one.  Points travel as
     [(config, Config.key config)] pairs so each key is built once
     across the whole batch.  Pure with respect to the evaluator: no
     cache, count, or clock change until [commit]. *)

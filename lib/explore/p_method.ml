@@ -1,10 +1,9 @@
 (* The exhaustive-direction variant of §6.5: same annealing starting
    points as the Q-method, but every valid direction of every starting
    point is measured each trial — no learned guidance.  Each trial's
-   frontier (all neighbors of all starting points) is batch-evaluated:
-   the cost-model queries run on the domain pool while commits stay in
-   the sequential visit order, so results match the point-by-point
-   loop for any [-j]. *)
+   frontier (all neighbors of all starting points) is batch-evaluated,
+   with commits in the sequential visit order, so results match the
+   point-by-point loop. *)
 
 module Policy = struct
   type t = unit
@@ -36,24 +35,3 @@ module Policy = struct
 end
 
 let search_params params space = Search_loop.run (module Policy) params space
-
-let search ?(seed = 2020) ?(n_trials = 60) ?(n_starts = 4) ?(gamma = 2.0)
-    ?(explore_prob = 0.15) ?max_evals ?(heuristic_seeds = true)
-    ?(transfer_seeds = []) ?flops_scale ?mode ?n_parallel ?pool space =
-  search_params
-    {
-      Search_loop.default_params with
-      seed;
-      n_trials;
-      n_starts;
-      gamma;
-      explore_prob;
-      max_evals;
-      heuristic_seeds;
-      transfer_seeds;
-      flops_scale;
-      mode;
-      n_parallel;
-      pool;
-    }
-    space

@@ -6,10 +6,9 @@
    The [n_starts] walks of a trial advance in lockstep so that each
    step's proposals form a batch (the paper measures candidate
    schedules concurrently across devices): every live walk picks a
-   direction in walk order, the proposed points are batch-evaluated on
-   the domain pool, then the agent records every transition, again in
-   walk order.  All stochastic choices happen in that fixed order, so
-   results are identical for any pool size. *)
+   direction in walk order, the proposed points are batch-evaluated,
+   then the agent records every transition, again in walk order.  All
+   stochastic choices happen in that fixed order. *)
 
 let agent_query_cost = 0.001
 let training_round_cost = 0.05
@@ -168,27 +167,3 @@ module Policy = struct
 end
 
 let search_params params space = Search_loop.run (module Policy) params space
-
-let search ?(seed = 2020) ?(n_trials = 60) ?(n_starts = 4) ?(steps = 5)
-    ?(gamma = 2.0) ?(explore_prob = 0.15) ?(epsilon = 0.3) ?max_evals
-    ?(heuristic_seeds = true) ?(transfer_seeds = []) ?flops_scale ?mode
-    ?n_parallel ?pool space =
-  search_params
-    {
-      Search_loop.default_params with
-      seed;
-      n_trials;
-      n_starts;
-      steps;
-      gamma;
-      explore_prob;
-      epsilon;
-      max_evals;
-      heuristic_seeds;
-      transfer_seeds;
-      flops_scale;
-      mode;
-      n_parallel;
-      pool;
-    }
-    space

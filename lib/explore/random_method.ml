@@ -24,20 +24,3 @@ module Policy = struct
 end
 
 let search_params params space = Search_loop.run (module Policy) params space
-
-let search ?(seed = 2020) ?(n_trials = 200) ?max_evals ?(heuristic_seeds = true)
-    ?(transfer_seeds = []) ?flops_scale ?mode ?n_parallel ?pool space =
-  search_params
-    {
-      Search_loop.default_params with
-      seed;
-      n_trials;
-      max_evals;
-      heuristic_seeds;
-      transfer_seeds;
-      flops_scale;
-      mode;
-      n_parallel;
-      pool;
-    }
-    space

@@ -6,16 +6,3 @@
     [optimize] budget). *)
 val search_params :
   Search_loop.params -> Ft_schedule.Space.t -> Driver.result
-
-val search :
-  ?seed:int ->
-  ?n_trials:int ->
-  ?max_evals:int ->
-  ?heuristic_seeds:bool ->
-  ?transfer_seeds:Ft_schedule.Config.t list ->
-  ?flops_scale:float ->
-  ?mode:Evaluator.mode ->
-  ?n_parallel:int ->
-  ?pool:Ft_par.Pool.t ->
-  Ft_schedule.Space.t ->
-  Driver.result

@@ -25,11 +25,10 @@ type params = {
   flops_scale : float option;
   mode : Evaluator.mode option;
   n_parallel : int option;  (* simulated measurement devices (clock model) *)
-  pool : Ft_par.Pool.t option;  (* domain pool for batched evaluation *)
   dispatch : Evaluator.dispatch option;
       (* external evaluation backend (the benchmark's timed cost
-         model); None = the in-process pool.  Never changes results,
-         only where the pure cost model runs. *)
+         model); None = the local cost model.  Never changes
+         results, only where the pure cost model runs. *)
   faults : Ft_fault.Plan.t;  (* injected failures (Plan.zero = none) *)
   checkpoint_path : string option;  (* crash-safe resume trail (JSONL) *)
   checkpoint_every : int;  (* trials between checkpoint appends *)
@@ -51,7 +50,6 @@ let default_params =
     flops_scale = None;
     mode = None;
     n_parallel = None;
-    pool = None;
     dispatch = None;
     faults = Ft_fault.Plan.zero;
     checkpoint_path = None;
@@ -118,7 +116,7 @@ let run (module P : POLICY) params space =
   let rng = Ft_util.Rng.create params.seed in
   let evaluator =
     Evaluator.create ?flops_scale:params.flops_scale ?mode:params.mode
-      ?n_parallel:params.n_parallel ?pool:params.pool ?dispatch:params.dispatch
+      ?n_parallel:params.n_parallel ?dispatch:params.dispatch
       ~faults:params.faults space
   in
   let rid = run_id ~method_name:P.method_name params space in

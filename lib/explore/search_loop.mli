@@ -24,11 +24,10 @@ type params = {
   flops_scale : float option;
   mode : Evaluator.mode option;
   n_parallel : int option;  (** simulated measurement devices (clock model) *)
-  pool : Ft_par.Pool.t option;  (** domain pool for batched evaluation *)
   dispatch : Evaluator.dispatch option;
       (** external evaluation backend ({!Evaluator.dispatch}; the
-          benchmark's timed cost model); [None] = the in-process
-          pool.  Never changes results, only where the pure cost
+          benchmark's timed cost model); [None] = the local cost
+          model.  Never changes results, only where the pure cost
           model runs *)
   faults : Ft_fault.Plan.t;
       (** injected measurement failures ({!Ft_fault.Plan.zero} = none;

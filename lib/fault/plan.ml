@@ -6,8 +6,7 @@
    off, and timings are noisy.  This module makes those failures
    *injectable and reproducible*: every fault outcome is a pure
    function of (plan seed, config key, attempt number), so a faulty
-   run replays identically for any pool size, commit order, or wave
-   layout — the {!Resilience} loop above it can then be tested
+   run replays identically for any commit order or wave layout — the {!Resilience} loop above it can then be tested
    bit-for-bit. *)
 
 (* The simulated watchdog: a hung kernel is killed after this many

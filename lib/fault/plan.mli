@@ -4,7 +4,7 @@
     tuning harnesses defend against (AutoTVM / Ansor measurement
     errors).  The outcome of every measurement attempt is a pure
     function of [(plan seed, config key, attempt number)] — never of
-    pool size, commit order, or wall-clock — so faulty runs replay
+    commit order or wall-clock — so faulty runs replay
     bit-for-bit and the {!Resilience} loop that absorbs them in
     {!Ft_explore.Evaluator} can be tested deterministically.
 

@@ -72,9 +72,8 @@ end
 (* -- Global state ----------------------------------------------------
 
    One process-wide trace.  Emission can in principle happen from any
-   domain (the pool instruments its parallel regions), so every state
-   mutation and sink write holds [mutex]; the untraced fast path only
-   reads [enabled]. *)
+   thread or domain, so every state mutation and sink write holds
+   [mutex]; the untraced fast path only reads [enabled]. *)
 
 let enabled = ref false
 let mutex = Mutex.create ()

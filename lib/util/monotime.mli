@@ -1,6 +1,5 @@
 (** Monotonic time ([clock_gettime(CLOCK_MONOTONIC)]): the one clock
-    behind kernel timing, the sandbox watchdog, trace timestamps and
-    the domain pool's region timing.
+    behind kernel timing, the sandbox watchdog and trace timestamps.
 
     Wall-clock time can step backwards or jump under NTP, producing
     negative durations and deadlines that fire early or never; the

@@ -2,6 +2,7 @@ open Ft_analysis
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let params = Ft_explore.Search_loop.default_params
 
 (* One representative case per Table-3 benchmark, with expected node
    and reduce-loop counts.  Spatial-loop counts are our analyzer's
@@ -100,7 +101,10 @@ let test_roofline_bounds_search_results () =
   let graph = Ft_workloads.Yolo.graph (Ft_workloads.Yolo.find "C7") in
   let roofline = Roofline.of_graph graph in
   let space = Ft_schedule.Space.make graph Ft_schedule.Target.v100 in
-  let result = Ft_explore.Q_method.search ~seed:1 ~n_trials:20 space in
+  let result =
+    Ft_explore.Q_method.search_params
+      { params with seed = 1; n_trials = 20 } space
+  in
   let eff =
     Roofline.efficiency roofline Ft_schedule.Target.v100 ~gflops:result.best_value
   in

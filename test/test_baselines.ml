@@ -1,6 +1,7 @@
 open Ft_schedule
 
 let check_bool = Alcotest.(check bool)
+let params = Ft_explore.Search_loop.default_params
 
 let conv3x3 =
   Ft_ir.Operators.conv2d ~batch:1 ~in_channels:64 ~out_channels:64 ~height:28
@@ -97,7 +98,8 @@ let test_autotvm_template_smaller_than_space () =
 let test_autotvm_paper_era_search () =
   let space = Space.make conv3x3 Target.v100 in
   let result =
-    Ft_baselines.Autotvm.search ~seed:3 ~n_rounds:4 ~template:`Paper_era space
+    Ft_baselines.Autotvm.search_params ~template:`Paper_era
+      { params with seed = 3; n_trials = 4 } space
   in
   check_bool "valid" true (Space.valid space result.best_config);
   check_bool "positive" true (result.best_value > 0.);
@@ -117,15 +119,24 @@ let test_best_of_falls_back_when_all_invalid () =
 
 let test_autotvm_search_stays_in_space () =
   let space = Space.make conv3x3 Target.v100 in
-  let result = Ft_baselines.Autotvm.search ~seed:1 ~n_rounds:4 space in
+  let result =
+    Ft_baselines.Autotvm.search_params
+      { params with seed = 1; n_trials = 4 } space
+  in
   check_bool "valid result" true (Space.valid space result.best_config);
   check_bool "positive" true (result.best_value > 0.);
   Alcotest.(check string) "method name" "AutoTVM" result.method_name
 
 let test_autotvm_deterministic () =
   let space = Space.make conv3x3 Target.v100 in
-  let a = Ft_baselines.Autotvm.search ~seed:9 ~n_rounds:3 space in
-  let b = Ft_baselines.Autotvm.search ~seed:9 ~n_rounds:3 space in
+  let a =
+    Ft_baselines.Autotvm.search_params
+      { params with seed = 9; n_trials = 3 } space
+  in
+  let b =
+    Ft_baselines.Autotvm.search_params
+      { params with seed = 9; n_trials = 3 } space
+  in
   Alcotest.(check (float 1e-9)) "same best" a.best_value b.best_value
 
 let () =

@@ -1,6 +1,7 @@
 open Ft_schedule
 
 let check_bool = Alcotest.(check bool)
+let params = Ft_explore.Search_loop.default_params
 
 let gemm_space () = Space.make (Ft_ir.Operators.gemm ~m:256 ~n:256 ~k:256) Target.v100
 
@@ -49,8 +50,14 @@ let history_nondecreasing (result : Ft_explore.Driver.result) =
 
 let test_q_method_improves_and_is_deterministic () =
   let space = gemm_space () in
-  let a = Ft_explore.Q_method.search ~seed:1 ~n_trials:20 space in
-  let b = Ft_explore.Q_method.search ~seed:1 ~n_trials:20 space in
+  let a =
+    Ft_explore.Q_method.search_params
+      { params with seed = 1; n_trials = 20 } space
+  in
+  let b =
+    Ft_explore.Q_method.search_params
+      { params with seed = 1; n_trials = 20 } space
+  in
   check_bool "deterministic" true (Config.equal a.best_config b.best_config);
   Alcotest.(check (float 1e-9)) "same value" a.best_value b.best_value;
   check_bool "improves on naive" true
@@ -62,29 +69,47 @@ let test_q_method_improves_and_is_deterministic () =
 
 let test_p_method_runs () =
   let space = gemm_space () in
-  let result = Ft_explore.P_method.search ~seed:1 ~n_trials:5 space in
+  let result =
+    Ft_explore.P_method.search_params
+      { params with seed = 1; n_trials = 5 } space
+  in
   check_bool "found something" true (result.best_value > 0.);
   check_bool "history monotone" true (history_nondecreasing result)
 
 let test_random_method_runs () =
   let space = gemm_space () in
-  let result = Ft_explore.Random_method.search ~seed:1 ~n_trials:50 space in
+  let result =
+    Ft_explore.Random_method.search_params
+      { params with seed = 1; n_trials = 50 } space
+  in
   check_bool "found something" true (result.best_value > 0.)
 
 let test_max_evals_budget () =
   let space = gemm_space () in
-  let result = Ft_explore.Q_method.search ~seed:1 ~n_trials:1000 ~max_evals:30 space in
+  let result =
+    Ft_explore.Q_method.search_params
+      { params with seed = 1; n_trials = 1000; max_evals = Some 30 } space
+  in
   check_bool "stopped at budget" true (result.n_evals <= 40)
 
 let test_q_beats_random_at_equal_budget () =
   let space = gemm_space () in
-  let q = Ft_explore.Q_method.search ~seed:3 ~n_trials:1000 ~max_evals:150 space in
-  let r = Ft_explore.Random_method.search ~seed:3 ~n_trials:1000 ~max_evals:150 space in
+  let q =
+    Ft_explore.Q_method.search_params
+      { params with seed = 3; n_trials = 1000; max_evals = Some 150 } space
+  in
+  let r =
+    Ft_explore.Random_method.search_params
+      { params with seed = 3; n_trials = 1000; max_evals = Some 150 } space
+  in
   check_bool "guided beats random" true (q.best_value > r.best_value)
 
 let test_time_to_reach () =
   let space = gemm_space () in
-  let result = Ft_explore.Q_method.search ~seed:5 ~n_trials:15 space in
+  let result =
+    Ft_explore.Q_method.search_params
+      { params with seed = 5; n_trials = 15 } space
+  in
   let early = Ft_explore.Driver.time_to_reach result ~fraction:0.1 in
   let late = Ft_explore.Driver.time_to_reach result ~fraction:1.0 in
   check_bool "ordering" true (early <= late);
@@ -104,8 +129,14 @@ let test_invalid_configs_charged_failed_compile () =
 
 let test_cold_start_option () =
   let space = gemm_space () in
-  let warm = Ft_explore.Q_method.search ~seed:4 ~n_trials:5 space in
-  let cold = Ft_explore.Q_method.search ~seed:4 ~n_trials:5 ~heuristic_seeds:false space in
+  let warm =
+    Ft_explore.Q_method.search_params
+      { params with seed = 4; n_trials = 5 } space
+  in
+  let cold =
+    Ft_explore.Q_method.search_params
+      { params with seed = 4; n_trials = 5; heuristic_seeds = false } space
+  in
   (* with seeds, the first evaluations already include good points *)
   check_bool "warm at least as good at tiny budgets" true
     (warm.best_value >= cold.best_value *. 0.5);
@@ -113,8 +144,14 @@ let test_cold_start_option () =
 
 let test_epsilon_option_changes_trajectory () =
   let space = gemm_space () in
-  let greedy = Ft_explore.Q_method.search ~seed:6 ~n_trials:15 ~epsilon:0.0 space in
-  let exploratory = Ft_explore.Q_method.search ~seed:6 ~n_trials:15 ~epsilon:1.0 space in
+  let greedy =
+    Ft_explore.Q_method.search_params
+      { params with seed = 6; n_trials = 15; epsilon = 0.0 } space
+  in
+  let exploratory =
+    Ft_explore.Q_method.search_params
+      { params with seed = 6; n_trials = 15; epsilon = 1.0 } space
+  in
   check_bool "both find something" true
     (greedy.best_value > 0. && exploratory.best_value > 0.)
 
@@ -264,6 +301,115 @@ let test_finish_snapshot_covers_absorbed_best () =
     result.sim_time_s;
   Alcotest.(check int) "report count is the snapshot" n result.n_evals
 
+(* -- batched evaluation -------------------------------------------- *)
+
+let small_gemm_space () =
+  Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64) Target.v100
+
+let distinct_configs space n =
+  let rng = Ft_util.Rng.create 5 in
+  let seen = Hashtbl.create n in
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      let cfg = Space.random_config rng space in
+      let key = Config.key cfg in
+      if Hashtbl.mem seen key then go acc k
+      else begin
+        Hashtbl.add seen key ();
+        go (cfg :: acc) (k - 1)
+      end
+  in
+  go [] n
+
+let test_measure_batch_matches_sequential () =
+  let space = small_gemm_space () in
+  let cfgs = distinct_configs space 40 in
+  let seq = Ft_explore.Evaluator.create space in
+  let seq_values = List.map (fun cfg -> (cfg, Ft_explore.Evaluator.measure seq cfg)) cfgs in
+  let batched = Ft_explore.Evaluator.create space in
+  let values = Ft_explore.Evaluator.measure_batch batched cfgs in
+  check_bool "same values" true
+    (List.for_all2 (fun (_, a) (_, b) -> Float.equal a b) seq_values values);
+  Alcotest.(check int) "same eval count"
+    (Ft_explore.Evaluator.n_evals seq)
+    (Ft_explore.Evaluator.n_evals batched);
+  Alcotest.(check (float 1e-9)) "same clock at n_parallel=1"
+    (Ft_explore.Evaluator.clock seq)
+    (Ft_explore.Evaluator.clock batched)
+
+let test_measure_batch_clock_max_over_lanes () =
+  let space = small_gemm_space () in
+  let cfgs = distinct_configs space 12 in
+  (* Model_query charges a constant per fresh point, so n_parallel = k
+     must shrink the batched clock by exactly k (12 waves of 1 vs 3
+     waves of 4, max = the constant either way). *)
+  let clock_at n_parallel =
+    let evaluator =
+      Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query
+        ~n_parallel space
+    in
+    ignore (Ft_explore.Evaluator.measure_batch evaluator cfgs);
+    Ft_explore.Evaluator.clock evaluator
+  in
+  Alcotest.(check (float 1e-12)) "4 lanes = 1/4 clock"
+    (clock_at 1 /. 4.) (clock_at 4);
+  (* A partial final wave still charges: 12 points at n_parallel = 8
+     is ceil(12/8) = 2 waves. *)
+  Alcotest.(check (float 1e-12)) "partial wave charged"
+    (clock_at 1 /. 6.) (clock_at 8)
+
+let test_measure_batch_duplicates_hit_cache () =
+  let space = small_gemm_space () in
+  let cfg = Space.default_config space in
+  let evaluator = Ft_explore.Evaluator.create space in
+  let results = Ft_explore.Evaluator.measure_batch evaluator [ cfg; cfg; cfg ] in
+  Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Evaluator.n_evals evaluator);
+  Alcotest.(check int) "every input answered" 3 (List.length results);
+  let values = List.map snd results in
+  check_bool "same value for duplicates" true
+    (List.for_all (Float.equal (List.hd values)) values)
+
+let driver_fingerprint (state : Ft_explore.Driver.state) =
+  ( List.map (fun (cfg, v) -> (Config.key cfg, v)) state.evaluated,
+    (Config.key (fst state.best), snd state.best),
+    List.map
+      (fun (s : Ft_explore.Driver.sample) -> (s.at_s, s.n_evals, s.best_value))
+      state.samples )
+
+let test_evaluate_batch_matches_sequential_driver () =
+  let space = small_gemm_space () in
+  let cfgs = distinct_configs space 30 in
+  let with_dups = cfgs @ List.filteri (fun i _ -> i mod 3 = 0) cfgs in
+  let seed_cfg = Space.default_config space in
+  let seq_state =
+    Ft_explore.Driver.init (Ft_explore.Evaluator.create space) [ seed_cfg ]
+  in
+  List.iter
+    (fun cfg ->
+      if not (Ft_explore.Driver.seen seq_state cfg) then
+        ignore (Ft_explore.Driver.evaluate seq_state cfg))
+    with_dups;
+  let batch_state =
+    Ft_explore.Driver.init (Ft_explore.Evaluator.create space) [ seed_cfg ]
+  in
+  ignore (Ft_explore.Driver.evaluate_batch batch_state with_dups);
+  check_bool "identical driver state" true
+    (driver_fingerprint seq_state = driver_fingerprint batch_state)
+
+let test_evaluate_batch_budget_stop () =
+  let space = small_gemm_space () in
+  let cfgs = distinct_configs space 20 in
+  let evaluator = Ft_explore.Evaluator.create space in
+  let state = Ft_explore.Driver.init evaluator [ Space.default_config space ] in
+  let committed =
+    Ft_explore.Driver.evaluate_batch
+      ~should_stop:(fun () -> Ft_explore.Evaluator.n_evals evaluator >= 8)
+      state cfgs
+  in
+  Alcotest.(check int) "stopped at the budget" 8 (Ft_explore.Evaluator.n_evals evaluator);
+  Alcotest.(check int) "committed up to the budget" 7 (List.length committed)
+
 let () =
   Alcotest.run "ft_explore"
     [
@@ -301,5 +447,20 @@ let () =
           Alcotest.test_case "epsilon option" `Quick
             test_epsilon_option_changes_trajectory;
           Alcotest.test_case "empty init" `Quick test_driver_rejects_empty_init;
+        ] );
+      ( "measure_batch",
+        [
+          Alcotest.test_case "matches sequential" `Quick
+            test_measure_batch_matches_sequential;
+          Alcotest.test_case "clock max over lanes" `Quick
+            test_measure_batch_clock_max_over_lanes;
+          Alcotest.test_case "duplicates hit cache" `Quick
+            test_measure_batch_duplicates_hit_cache;
+        ] );
+      ( "evaluate_batch",
+        [
+          Alcotest.test_case "matches sequential driver" `Quick
+            test_evaluate_batch_matches_sequential_driver;
+          Alcotest.test_case "budget stop" `Quick test_evaluate_batch_budget_stop;
         ] );
     ]

@@ -3,8 +3,7 @@
    evaluator's retry / median / quarantine / lane
    degradation behavior with exact simulated-clock math, crash-safe
    checkpoint resume, and the two cardinal invariants — a rate-0 plan
-   is bit-for-bit invisible, and faulty runs stay independent of the
-   domain-pool size. *)
+   is bit-for-bit invisible, and faulty runs replay bit-for-bit. *)
 
 open Ft_schedule
 open Ft_fault
@@ -12,11 +11,6 @@ open Ft_fault
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_clock = Alcotest.(check (float 1e-9))
-
-let pool1 = Ft_par.Pool.create ~oversubscribe:true 1
-let pool2 = Ft_par.Pool.create ~oversubscribe:true 2
-let pool4 = Ft_par.Pool.create ~oversubscribe:true 4
-let pool8 = Ft_par.Pool.create ~oversubscribe:true 8
 
 let gemm_space () = Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64) Target.v100
 let temp_ck () = Filename.temp_file "ft_fault_ck" ".jsonl"
@@ -201,7 +195,7 @@ let test_loop_zero_retries () =
 let evaluator_with ?n_parallel plan =
   let space = gemm_space () in
   let e =
-    Ft_explore.Evaluator.create ?n_parallel ~pool:pool1 ~faults:plan space
+    Ft_explore.Evaluator.create ?n_parallel ~faults:plan space
   in
   (space, e)
 
@@ -261,10 +255,11 @@ let test_model_query_immune () =
   let plan = { Plan.zero with compile_error = 1.0 } in
   let e =
     Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query
-      ~pool:pool1 ~faults:plan space
+      ~faults:plan space
   in
-  let clean = Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query
-      ~pool:pool1 space in
+  let clean =
+    Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query space
+  in
   let cfg = Space.default_config space in
   check_bool "model queries never fault" true
     (Float.equal
@@ -295,7 +290,7 @@ let result_fingerprint (r : Ft_explore.Driver.result) =
       (fun (s : Ft_explore.Driver.sample) -> (s.at_s, s.n_evals, s.best_value))
       r.history )
 
-let run_method (m : Ft_explore.Method.t) ~seed ~pool ?n_parallel
+let run_method (m : Ft_explore.Method.t) ~seed ?n_parallel
     ?(faults = Plan.zero) ?checkpoint_path space =
   m.search
     {
@@ -303,7 +298,6 @@ let run_method (m : Ft_explore.Method.t) ~seed ~pool ?n_parallel
       seed;
       n_trials = 6;
       max_evals = Some 80;
-      pool = Some pool;
       n_parallel;
       faults;
       checkpoint_path;
@@ -320,48 +314,38 @@ let test_zero_fault_invisible =
     QCheck.(pair (int_bound 9999) (int_bound (List.length methods - 1)))
     (fun (seed, which) ->
       let m = List.nth methods which in
-      let reference = result_fingerprint (run_method m ~seed ~pool:pool1 space) in
-      List.for_all
-        (fun pool ->
-          let path = temp_ck () in
-          Fun.protect
-            ~finally:(fun () -> Sys.remove path)
-            (fun () ->
-              let got =
-                result_fingerprint
-                  (run_method m ~seed ~pool space
-                     ~faults:Plan.zero ~checkpoint_path:path)
-              in
-              if got <> reference then
-                QCheck.Test.fail_reportf
-                  "%s: rate-0 fault layer visible at %d lanes (seed %d)" m.name
-                  (Ft_par.Pool.lanes pool) seed
-              else true))
-        [ pool1; pool4 ])
+      let reference = result_fingerprint (run_method m ~seed space) in
+      let path = temp_ck () in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let got =
+            result_fingerprint
+              (run_method m ~seed space ~faults:Plan.zero ~checkpoint_path:path)
+          in
+          if got <> reference then
+            QCheck.Test.fail_reportf "%s: rate-0 fault layer visible (seed %d)"
+              m.name seed
+          else true))
 
-(* A faulty run must stay a pure function of its seeds: the domain
-   pool only parallelizes the model queries, never the fault stream. *)
-let test_faulty_run_pool_invariant =
+(* A faulty run must stay a pure function of its seeds: rerunning it
+   replays every fault, retry and wave charge bit for bit. *)
+let test_faulty_run_replays =
   let space = gemm_space () in
   let faults =
     Result.get_ok (Plan.of_spec "seed=7,rate=0.3,lane=0.05,noise=0.2")
   in
-  QCheck.Test.make ~count:6 ~name:"faulty searches independent of -j"
+  QCheck.Test.make ~count:6 ~name:"faulty searches replay bit-for-bit"
     QCheck.(pair (int_bound 9999) (int_bound (List.length methods - 1)))
     (fun (seed, which) ->
       let m = List.nth methods which in
-      let run pool =
-        result_fingerprint
-          (run_method m ~seed ~pool ~n_parallel:3 ~faults space)
+      let run () =
+        result_fingerprint (run_method m ~seed ~n_parallel:3 ~faults space)
       in
-      let reference = run pool1 in
-      List.for_all
-        (fun pool ->
-          if run pool <> reference then
-            QCheck.Test.fail_reportf "%s diverged at %d lanes (seed %d)" m.name
-              (Ft_par.Pool.lanes pool) seed
-          else true)
-        [ pool2; pool4; pool8 ])
+      let reference = run () in
+      if run () <> reference then
+        QCheck.Test.fail_reportf "%s diverged on rerun (seed %d)" m.name seed
+      else true)
 
 (* -- crash / resume ------------------------------------------------- *)
 
@@ -373,7 +357,6 @@ let crash_params ~path =
     faults = { Plan.zero with crash_at_trial = Some 6 };
     checkpoint_path = Some path;
     checkpoint_every = 2;
-    pool = Some pool1;
   }
 
 let test_crash_then_resume () =
@@ -458,7 +441,7 @@ let () =
       ( "invariants",
         [
           qcheck test_zero_fault_invisible;
-          qcheck test_faulty_run_pool_invariant;
+          qcheck test_faulty_run_replays;
         ] );
       ( "resume", [ Alcotest.test_case "crash then resume" `Quick test_crash_then_resume ] );
     ]

@@ -1,6 +1,6 @@
 (* ft_obs telemetry: span bookkeeping, JSONL rendering, and the
    instrumentation contract — enabling a trace sink must leave search
-   results bit-for-bit unchanged at any pool size. *)
+   results bit-for-bit unchanged. *)
 
 module Trace = Ft_obs.Trace
 
@@ -178,27 +178,23 @@ let test_jsonl_round_trips () =
 
 (* -- determinism: tracing never changes search results ---------------- *)
 
-let pool1 = Ft_par.Pool.create ~oversubscribe:true 1
-let pool4 = Ft_par.Pool.create ~oversubscribe:true 4
-
 let gemm_space () =
   Ft_schedule.Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64)
     Ft_schedule.Target.v100
 
-(* The batched hot paths surface their shape in telemetry: chunked
-   pool regions set [pool.chunk_size], batched evaluation sets
-   [eval.batch_size], and the batched MLP forward accumulates
-   [nn.forward_ns] — all of which land in the [--trace] summary table. *)
+(* The batched hot paths surface their shape in telemetry: batched
+   evaluation sets [eval.batch_size], and the batched MLP forward
+   accumulates [nn.forward_ns] — both land in the [--trace] summary
+   table. *)
 let test_batched_telemetry_names () =
   Trace.close ();
   let path = Filename.temp_file "ft_obs_batch" ".jsonl" in
   Trace.enable_jsonl path;
-  ignore (Ft_par.Pool.map pool4 succ (List.init 64 Fun.id));
   let net = Ft_nn.Network.mlp (Ft_util.Rng.create 1) ~dims:[| 4; 8; 3 |] in
   ignore (Ft_nn.Network.forward_batch net (Array.make 5 [| 1.; 2.; 3.; 4. |]));
   let space = gemm_space () in
   let rng = Ft_util.Rng.create 2 in
-  let evaluator = Ft_explore.Evaluator.create ~pool:pool4 space in
+  let evaluator = Ft_explore.Evaluator.create space in
   ignore
     (Ft_explore.Evaluator.measure_batch evaluator
        (List.init 8 (fun _ -> Ft_schedule.Space.random_config rng space)));
@@ -206,7 +202,6 @@ let test_batched_telemetry_names () =
   let counters = List.map fst (Trace.counters ()) in
   Trace.close ();
   Sys.remove path;
-  check_bool "pool.chunk_size gauge" true (List.mem "pool.chunk_size" gauges);
   check_bool "eval.batch_size gauge" true (List.mem "eval.batch_size" gauges);
   check_bool "nn.forward_ns counter" true (List.mem "nn.forward_ns" counters)
 
@@ -220,20 +215,21 @@ let result_fingerprint (r : Ft_explore.Driver.result) =
       r.history )
 
 let searches =
+  let run search n_trials ~seed space =
+    search
+      {
+        Ft_explore.Search_loop.default_params with
+        seed;
+        n_trials;
+        max_evals = Some 60;
+      }
+      space
+  in
   [
-    ( "q",
-      fun ~seed ~pool space ->
-        Ft_explore.Q_method.search ~seed ~n_trials:5 ~max_evals:60 ~pool space );
-    ( "p",
-      fun ~seed ~pool space ->
-        Ft_explore.P_method.search ~seed ~n_trials:3 ~max_evals:60 ~pool space );
-    ( "random",
-      fun ~seed ~pool space ->
-        Ft_explore.Random_method.search ~seed ~n_trials:40 ~max_evals:60 ~pool
-          space );
-    ( "autotvm",
-      fun ~seed ~pool space ->
-        Ft_baselines.Autotvm.search ~seed ~n_rounds:3 ~max_evals:60 ~pool space );
+    ("q", run Ft_explore.Q_method.search_params 5);
+    ("p", run Ft_explore.P_method.search_params 3);
+    ("random", run Ft_explore.Random_method.search_params 40);
+    ("autotvm", run Ft_baselines.Autotvm.search_params 3);
   ]
 
 let test_tracing_is_invisible =
@@ -243,19 +239,15 @@ let test_tracing_is_invisible =
     (fun (seed, which) ->
       let name, search = List.nth searches which in
       Trace.close ();
-      List.for_all
-        (fun pool ->
-          let reference = result_fingerprint (search ~seed ~pool space) in
-          let path = Filename.temp_file "ft_obs_qcheck" ".jsonl" in
-          Trace.enable_jsonl path;
-          let traced = result_fingerprint (search ~seed ~pool space) in
-          Trace.close ();
-          Sys.remove path;
-          if traced <> reference then
-            QCheck.Test.fail_reportf "%s diverged under tracing at %d lanes (seed %d)"
-              name (Ft_par.Pool.lanes pool) seed
-          else true)
-        [ pool1; pool4 ])
+      let reference = result_fingerprint (search ~seed space) in
+      let path = Filename.temp_file "ft_obs_qcheck" ".jsonl" in
+      Trace.enable_jsonl path;
+      let traced = result_fingerprint (search ~seed space) in
+      Trace.close ();
+      Sys.remove path;
+      if traced <> reference then
+        QCheck.Test.fail_reportf "%s diverged under tracing (seed %d)" name seed
+      else true)
 
 let () =
   let qcheck = QCheck_alcotest.to_alcotest in

@@ -335,15 +335,38 @@ let test_non_positive_timeout_never_spawns () =
 
 (* --- measuring beside live domains --- *)
 
-(* OCaml 5 refuses fork once a second domain exists; a spawned worker
-   does not care.  Measuring beside a live pool must yield a real
-   timing, leak no descriptor and leave no child unreaped. *)
-let test_measure_beside_live_pool () =
-  let pool = Ft_par.Pool.create ~oversubscribe:true 2 in
+(* Run [f] while a second domain is alive, parked on a condition
+   variable until [f] returns. *)
+let with_live_domain f =
+  let mutex = Mutex.create () and wake = Condition.create () in
+  let started = Atomic.make false and stop = ref false in
+  let domain =
+    Domain.spawn (fun () ->
+        Mutex.lock mutex;
+        Atomic.set started true;
+        while not !stop do
+          Condition.wait wake mutex
+        done;
+        Mutex.unlock mutex)
+  in
   Fun.protect
-    ~finally:(fun () -> Ft_par.Pool.shutdown pool)
+    ~finally:(fun () ->
+      Mutex.lock mutex;
+      stop := true;
+      Condition.signal wake;
+      Mutex.unlock mutex;
+      Domain.join domain)
     (fun () ->
-      check_int "a second domain is live" 2 (Ft_par.Pool.lanes pool);
+      while not (Atomic.get started) do
+        Domain.cpu_relax ()
+      done;
+      f ())
+
+(* OCaml 5 refuses fork once a second domain exists; a spawned worker
+   does not care.  Measuring beside a live domain must yield a real
+   timing, leak no descriptor and leave no child unreaped. *)
+let test_measure_beside_live_domain () =
+  with_live_domain (fun () ->
       let space = space_of () in
       let cfg = Ft_schedule.Space.default_config space in
       let before = open_fds () in
@@ -451,7 +474,7 @@ let () =
       ( "domains",
         [
           Alcotest.test_case "measure beside a live pool" `Quick
-            test_measure_beside_live_pool;
+            test_measure_beside_live_domain;
         ] );
       ( "invariance",
         [ QCheck_alcotest.to_alcotest qcheck_search_invariant_to_sandbox ] );

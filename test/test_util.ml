@@ -180,6 +180,18 @@ let qcheck_divisors_divide =
     QCheck.(int_range 1 5000)
     (fun n -> List.for_all (fun d -> n mod d = 0) (Ft_util.Mathx.divisors n))
 
+let test_rng_streams () =
+  let a = Ft_util.Rng.stream 42 0 in
+  let a' = Ft_util.Rng.stream 42 0 in
+  let b = Ft_util.Rng.stream 42 1 in
+  Alcotest.(check int64) "stream is a pure function"
+    (Ft_util.Rng.next_int64 a) (Ft_util.Rng.next_int64 a');
+  check_bool "streams differ" true
+    (Ft_util.Rng.next_int64 a <> Ft_util.Rng.next_int64 b);
+  Alcotest.check_raises "negative stream index"
+    (Invalid_argument "Rng.mix: stream index must be >= 0") (fun () ->
+      ignore (Ft_util.Rng.mix 42 (-1)))
+
 let () =
   Alcotest.run "ft_util"
     [
@@ -193,6 +205,7 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;
           Alcotest.test_case "int large bounds" `Quick test_rng_int_large_bounds;
+          Alcotest.test_case "streams" `Quick test_rng_streams;
         ] );
       ( "mathx",
         [
