@@ -24,22 +24,28 @@ let target_arg =
   Arg.(value & opt target_conv Flextensor.Target.v100 & info [ "t"; "target" ]
          ~docv:"TARGET" ~doc:"Hardware target: v100, p100, titanx, xeon, vu9p")
 
-let seed_arg =
-  Arg.(value & opt int 2020 & info [ "seed" ] ~docv:"SEED" ~doc:"Search seed")
-
-let trials_arg =
-  Arg.(value & opt int 60 & info [ "trials" ] ~docv:"N" ~doc:"Exploration trials")
-
-(* An int >= 1; turns `--n-parallel 0` into a usage error instead of
-   an uncaught Invalid_argument from deeper down. *)
-let positive_int =
+(* An int >= [min]; turns `--n-parallel 0` or `--trials=-3` into a
+   usage error instead of an uncaught Invalid_argument from deeper
+   down, or a search that silently runs no trials. *)
+let int_at_least min what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg "expected a positive integer")
+    | Ok n when n >= min -> Ok n
+    | Ok _ -> Error (`Msg ("expected a " ^ what ^ " integer"))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive_int = int_at_least 1 "positive"
+let non_negative_int = int_at_least 0 "non-negative"
+
+let seed_arg =
+  Arg.(value & opt int Flextensor.default_options.seed & info [ "seed" ]
+         ~docv:"SEED" ~doc:"Search seed")
+
+let trials_arg =
+  Arg.(value & opt positive_int Flextensor.default_options.n_trials
+       & info [ "trials" ] ~docv:"N" ~doc:"Exploration trials")
 
 (* A finite float > 0; `nan`, `inf`, `0` and negatives are usage
    errors rather than a watchdog that can never fire correctly. *)
@@ -53,7 +59,7 @@ let positive_float =
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
 let n_parallel_arg =
-  Arg.(value & opt positive_int 1 & info [ "n-parallel" ] ~docv:"N"
+  Arg.(value & opt positive_int Flextensor.default_options.n_parallel & info [ "n-parallel" ] ~docv:"N"
          ~doc:"Simulated measurement devices: the exploration clock charges \
                batched evaluations max-over-lanes in waves of $(docv) \
                (1 = the paper's single-device accounting).")
@@ -123,7 +129,8 @@ let method_arg =
       (String.concat ", "
          (List.map (fun (m : Flextensor.Method.t) -> m.key) methods))
   in
-  Arg.(value & opt (Arg.enum alternatives) "Q-method" & info [ "m"; "method" ]
+  Arg.(value & opt (Arg.enum alternatives) Flextensor.default_options.search
+       & info [ "m"; "method" ]
          ~docv:"METHOD" ~doc)
 
 (* --faults SPEC parses through Fault.of_spec, so a mistyped spec is a
@@ -138,27 +145,12 @@ let fault_conv =
   Arg.conv (parse, print)
 
 let faults_arg =
-  Arg.(value & opt (some fault_conv) None & info [ "faults" ] ~docv:"SPEC"
+  Arg.(value & opt fault_conv Flextensor.Fault.zero
+       & info [ "faults" ] ~absent:"no faults" ~docv:"SPEC"
          ~doc:"Inject deterministic measurement faults, e.g. \
                $(b,seed=7,compile=0.1,timeout=0.05,noise=0.2) or the \
                shorthand $(b,rate=0.3).  Outcomes depend only on (fault \
-               seed, config, attempt) — faulty runs replay bit-for-bit.  \
-               $(b,FT_FAULTS) is honoured when this flag is absent.")
-
-(* --faults wins; FT_FAULTS is the fallback.  A malformed environment
-   value is warned about once and ignored (an env var must not make
-   every invocation unusable), unlike the flag, which errors hard. *)
-let resolve_faults = function
-  | Some plan -> plan
-  | None -> (
-      match Sys.getenv_opt "FT_FAULTS" with
-      | None | Some "" -> Flextensor.Fault.zero
-      | Some s -> (
-          match Flextensor.Fault.of_spec s with
-          | Ok plan -> plan
-          | Error msg ->
-              Printf.eprintf "warning: ignoring FT_FAULTS=%S (%s)\n%!" s msg;
-              Flextensor.Fault.zero))
+               seed, config, attempt) — faulty runs replay bit-for-bit.")
 
 let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -203,7 +195,7 @@ let measure_timeout_arg =
                $(b,--measure-isolate on).")
 
 let measure_mem_mb_arg =
-  Arg.(value & opt int 4096 & info [ "measure-mem-mb" ] ~docv:"MB"
+  Arg.(value & opt non_negative_int 4096 & info [ "measure-mem-mb" ] ~docv:"MB"
          ~doc:"Address-space cap (RLIMIT_AS) for the sandboxed \
                measurement child, in MiB; an allocation past the cap is \
                contained as an out-of-memory result.  0 disables the \
@@ -294,7 +286,6 @@ let optimize_cmd =
          end);
         Option.iter check_writable log;
         Option.iter check_writable checkpoint;
-        let faults = resolve_faults faults in
         let store = Option.map open_store log in
         (* A daemon address the user typed must be reachable — failing
            over to a silent cold search would hide a typo; mid-run
@@ -329,7 +320,7 @@ let optimize_cmd =
                 {
                   Flextensor.Sandbox.timeout_s = measure_timeout;
                   mem_mb =
-                    (if measure_mem_mb <= 0 then None else Some measure_mem_mb);
+                    (if measure_mem_mb = 0 then None else Some measure_mem_mb);
                 }
               in
               Some (Flextensor.Sandbox.measurer ~limits space)
@@ -565,8 +556,20 @@ let store_dir_arg =
          ~doc:"Sharded store directory (created if missing): one JSONL \
                shard file per operator.")
 
+(* A store directory that cannot be created or read is a one-line
+   error and exit 1, like an unwritable --log or --checkpoint. *)
 let open_repo ?compact_every ?k dir =
-  let repo = Flextensor.Store_shard.open_dir ?k ?compact_every dir in
+  let repo =
+    try Flextensor.Store_shard.open_dir ?k ?compact_every dir with
+    | Unix.Unix_error (err, _, _) ->
+        Printf.eprintf "error: cannot open store directory %s: %s\n" dir
+          (Unix.error_message err);
+        exit 1
+    | Sys_error msg ->
+        (* [msg] is "PATH: reason" *)
+        Printf.eprintf "error: cannot open store directory %s\n" msg;
+        exit 1
+  in
   List.iter
     (fun { Flextensor.Store_shard.shard; line; reason } ->
       Printf.eprintf "warning: %s/%s.jsonl:%d: skipped malformed line (%s)\n"

@@ -58,34 +58,27 @@ let () = Ft_baselines.Autotvm.ensure_registered ()
 type options = {
   seed : int;
   n_trials : int;
-  n_starts : int;
-  steps : int;
-  gamma : float;
-  max_evals : int option;
-  restarts : int;  (* independent searches; the best result wins *)
   search : string;  (* registered method name or CLI key (Method.find) *)
-  flops_scale : float;
+  max_evals : int option;
   n_parallel : int;  (* simulated measurement devices (clock model) *)
   faults : Ft_fault.Plan.t;  (* injected measurement failures (zero = none) *)
   checkpoint : string option;  (* crash-safe resume trail (JSONL) *)
   resume : bool;  (* continue from the newest matching checkpoint *)
 }
 
+(* The search defaults are [Search_loop.default_params]'s; the facade
+   adds only the method choice. *)
 let default_options =
+  let p = Search_loop.default_params in
   {
-    seed = 2020;
-    n_trials = 60;
-    n_starts = 4;
-    steps = 5;
-    gamma = 2.0;
-    max_evals = None;
-    restarts = 1;
+    seed = p.seed;
+    n_trials = p.n_trials;
     search = "Q-method";
-    flops_scale = 1.0;
-    n_parallel = 1;
-    faults = Ft_fault.Plan.zero;
-    checkpoint = None;
-    resume = false;
+    max_evals = p.max_evals;
+    n_parallel = p.n_parallel;
+    faults = p.faults;
+    checkpoint = p.checkpoint_path;
+    resume = p.resume;
   }
 
 (* How the reported schedule was obtained: a cold search, a search
@@ -112,80 +105,19 @@ type report = {
   provenance : provenance;
 }
 
-let params_of_options options ?dispatch ~transfer seed =
+let params_of_options options ~dispatch ~transfer =
   {
     Search_loop.default_params with
-    dispatch;
-    seed;
+    seed = options.seed;
     n_trials = options.n_trials;
-    n_starts = options.n_starts;
-    steps = options.steps;
-    gamma = options.gamma;
     max_evals = options.max_evals;
     transfer_seeds = transfer;
-    flops_scale = Some options.flops_scale;
-    n_parallel = Some options.n_parallel;
+    n_parallel = options.n_parallel;
+    dispatch;
     faults = options.faults;
     checkpoint_path = options.checkpoint;
     resume = options.resume;
   }
-
-let run_one_search (m : Method.t) options ?dispatch ~transfer seed space =
-  m.search (params_of_options options ?dispatch ~transfer seed) space
-
-(* Rugged landscapes reward independent restarts; results are merged by
-   keeping the best run's schedule, summing the exploration accounting,
-   and concatenating the best-so-far timelines on one cumulative clock
-   (each restart's samples are offset by the preceding restarts'
-   simulated time and eval counts, with the best-value curve made
-   monotone across the joins) — so [time_to_reach] on a merged result
-   compares like against like. *)
-let run_search (m : Method.t) options ?dispatch ~transfer space =
-  let restarts = max 1 options.restarts in
-  let runs =
-    List.init restarts (fun i ->
-        run_one_search m options ?dispatch ~transfer (options.seed + (i * 57))
-          space)
-  in
-  match runs with
-  | [] -> assert false
-  | first :: rest ->
-      let best =
-        List.fold_left
-          (fun (acc : Driver.result) (run : Driver.result) ->
-            if run.best_value > acc.best_value then run else acc)
-          first rest
-      in
-      let history =
-        let _, _, _, rev_samples =
-          List.fold_left
-            (fun (t0, e0, running_best, acc) (r : Driver.result) ->
-              let running_best, acc =
-                List.fold_left
-                  (fun (rb, acc) (s : Driver.sample) ->
-                    let rb = Float.max rb s.best_value in
-                    ( rb,
-                      {
-                        Driver.at_s = s.at_s +. t0;
-                        n_evals = s.n_evals + e0;
-                        best_value = rb;
-                      }
-                      :: acc ))
-                  (running_best, acc) r.history
-              in
-              (t0 +. r.sim_time_s, e0 + r.n_evals, running_best, acc))
-            (0., 0, Float.neg_infinity, [])
-            runs
-        in
-        List.rev rev_samples
-      in
-      {
-        best with
-        history;
-        n_evals = List.fold_left (fun acc (r : Driver.result) -> acc + r.n_evals) 0 runs;
-        sim_time_s =
-          List.fold_left (fun acc (r : Driver.result) -> acc +. r.sim_time_s) 0. runs;
-      }
 
 let make_report ?measured graph target space ~provenance ~config ~perf
     ~perf_value ~n_evals ~sim_time_s ~history =
@@ -274,7 +206,7 @@ let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
   in
   match exact_hit with
   | Some cfg ->
-      let perf = Ft_hw.Cost.evaluate ~flops_scale:options.flops_scale space cfg in
+      let perf = Ft_hw.Cost.evaluate space cfg in
       make_report ?measured:(measure cfg perf) graph target space
         ~provenance:Reused ~config:cfg ~perf
         ~perf_value:(Ft_hw.Cost.perf_value space perf) ~n_evals:0 ~sim_time_s:0.
@@ -298,7 +230,7 @@ let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
               | Some s -> Transfer.seeds ~method_name s space
               | None -> [])
       in
-      let result = run_search m options ?dispatch ~transfer space in
+      let result = m.search (params_of_options options ~dispatch ~transfer) space in
       let measured = measure result.best_config result.best_perf in
       let record = record_of_result space method_name options.seed result in
       (* [best_value] is always the analytical search objective (replay
@@ -332,13 +264,13 @@ let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
 (* Reapply a serialized schedule without searching or measuring:
    validate it against the freshly built space and query the cost
    model.  Used by [schedule replay] to re-check tuning-log entries. *)
-let reapply ?(flops_scale = 1.0) graph target config_text =
+let reapply graph target config_text =
   let graph = Op.validate_exn graph in
   let space = Space.make graph target in
   match Config_io.of_string_for space config_text with
   | Error msg -> Error msg
   | Ok cfg ->
-      let perf = Ft_hw.Cost.evaluate ~flops_scale space cfg in
+      let perf = Ft_hw.Cost.evaluate space cfg in
       (* Never hand back an invalid schedule as a replayed result: a
          log whose best was itself invalid (e.g. an all-quarantined
          faulty run) must fail loudly, not "succeed" at value 0. *)

@@ -153,15 +153,10 @@ end
 type options = {
   seed : int;
   n_trials : int;
-  n_starts : int;  (** starting points per trial (§5.1) *)
-  steps : int;  (** moves per starting point *)
-  gamma : float;  (** annealing selectivity *)
-  max_evals : int option;  (** hard measurement budget (per restart) *)
-  restarts : int;  (** independent searches; the best result wins *)
   search : string;
       (** a registered method name or CLI key ({!Method.find});
           [optimize] raises [Invalid_argument] for unknown names *)
-  flops_scale : float;  (** compute-FLOP scale (algorithmic factors) *)
+  max_evals : int option;  (** hard measurement budget *)
   n_parallel : int;
       (** simulated measurement devices: the clock charges batched
           evaluations max-over-lanes in waves of [n_parallel] (Fig
@@ -175,7 +170,7 @@ type options = {
           quarantines configs that exhaust their retries, and degrades
           the parallel-wave width when a lane dies. *)
   checkpoint : string option;
-      (** JSONL file to periodically checkpoint the search into
+      (** JSONL file the search appends a checkpoint to every 5 trials
           (incumbent, trial index, RNG state) for crash-safe resume *)
   resume : bool;
       (** continue from the newest checkpoint in [checkpoint] matching
@@ -183,6 +178,13 @@ type options = {
           best is always >= the checkpointed best *)
 }
 
+(** The Q-method, with {!Search_loop.default_params}' values for every
+    other field: seed 2020, 60 trials, no budget, one device, no
+    faults, no checkpoint.  The other §5.1 hyperparameters are
+    constants: 4 annealing starts, gamma 2.0 and the 0.15
+    uniform-sample probability in {!Search_loop.sa_starts}, and the
+    Q-agent's epsilon of 0.3 ({!Ft_qlearn.Agent.create}'s default);
+    [optimize] always takes 5 Q-method steps per start. *)
 val default_options : options
 
 (** How the reported schedule was obtained: [Searched] — a cold
@@ -255,8 +257,7 @@ val optimize :
     target without searching or measuring: validate it against the
     freshly generated space and query the cost model.  [Error]
     explains a parse failure or a space mismatch. *)
-val reapply :
-  ?flops_scale:float -> Op.graph -> Target.t -> string -> (report, string) result
+val reapply : Op.graph -> Target.t -> string -> (report, string) result
 
 (** Pseudo-C rendering of the optimized schedule's loop nest. *)
 val generated_code : report -> string

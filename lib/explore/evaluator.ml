@@ -17,7 +17,6 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
 
 type t = {
   space : Ft_schedule.Space.t;
-  flops_scale : float;
   mode : mode;
   n_parallel : int;  (* simulated measurement devices (lanes) *)
   dispatch : dispatch option;  (* external backend for batched fresh points *)
@@ -47,8 +46,7 @@ let cache_hit_cost = 0.0005
 (* A noisy timing is re-run this many times and reported as the median. *)
 let noisy_repeats = 3
 
-let create ?(flops_scale = 1.0) ?mode ?(n_parallel = 1) ?dispatch ?faults
-    space =
+let create ?mode ?(n_parallel = 1) ?dispatch ?faults space =
   if n_parallel < 1 then invalid_arg "Evaluator.create: n_parallel must be >= 1";
   let mode =
     match mode with Some m -> m | None -> default_mode space.Ft_schedule.Space.target
@@ -57,7 +55,7 @@ let create ?(flops_scale = 1.0) ?mode ?(n_parallel = 1) ?dispatch ?faults
     Option.bind faults (fun plan ->
         if Ft_fault.Plan.injects_measurement_faults plan then Some plan else None)
   in
-  { space; flops_scale; mode; n_parallel; dispatch; faults;
+  { space; mode; n_parallel; dispatch; faults;
     live_lanes = n_parallel;
     cache = Hashtbl.create 256; clock_s = 0.; n_evals = 0 }
 
@@ -73,7 +71,7 @@ let measure_cost t (perf : Ft_hw.Perf.t) =
       else failed_compile_cost
 
 let compute t cfg =
-  let perf = Ft_hw.Cost.evaluate ~flops_scale:t.flops_scale t.space cfg in
+  let perf = Ft_hw.Cost.evaluate t.space cfg in
   (Ft_hw.Cost.perf_value t.space perf, perf)
 
 let median xs =

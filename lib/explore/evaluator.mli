@@ -54,7 +54,7 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
     the fault-free one.  Raises [Invalid_argument] when
     [n_parallel < 1]. *)
 val create :
-  ?flops_scale:float -> ?mode:mode -> ?n_parallel:int ->
+  ?mode:mode -> ?n_parallel:int ->
   ?dispatch:dispatch -> ?faults:Ft_fault.Plan.t ->
   Ft_schedule.Space.t -> t
 

@@ -77,7 +77,7 @@ let () =
       search =
         (fun p space ->
           Random_method.search_params
-            { p with n_trials = p.n_trials * p.n_starts }
+            { p with n_trials = p.n_trials * Search_loop.n_starts }
             space);
     };
   register

@@ -13,22 +13,13 @@ module Policy = struct
   let create _ctx = ()
 
   let trial () (ctx : Search_loop.ctx) ~index =
-    let { Search_loop.params; rng; space; state; out_of_budget; _ } = ctx in
+    let { Search_loop.space; state; out_of_budget; _ } = ctx in
     Search_loop.trial_span ~key:"p" ~index (fun () ->
-        if Ft_util.Rng.float rng 1.0 < params.explore_prob then begin
-          let cfg = Ft_schedule.Space.random_config rng space in
-          if not (Driver.seen state cfg) then ignore (Driver.evaluate state cfg)
-        end;
-        let starts =
-          Ft_anneal.Sa.select rng ~gamma:params.gamma ~count:params.n_starts
-            state.evaluated
-        in
-        Trace_util.sa_starts starts;
         let frontier =
           List.concat_map
             (fun (cfg, _) ->
               List.map snd (Ft_schedule.Neighborhood.neighbors space cfg))
-            starts
+            (Search_loop.sa_starts ctx)
         in
         ignore (Driver.evaluate_batch ~should_stop:out_of_budget state frontier));
     1

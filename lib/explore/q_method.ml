@@ -3,12 +3,12 @@
    direction to move from each — one measurement per starting point per
    trial.
 
-   The [n_starts] walks of a trial advance in lockstep so that each
-   step's proposals form a batch (the paper measures candidate
-   schedules concurrently across devices): every live walk picks a
-   direction in walk order, the proposed points are batch-evaluated,
-   then the agent records every transition, again in walk order.  All
-   stochastic choices happen in that fixed order. *)
+   The [Search_loop.n_starts] walks of a trial advance in lockstep so
+   that each step's proposals form a batch (the paper measures
+   candidate schedules concurrently across devices): every live walk
+   picks a direction in walk order, the proposed points are
+   batch-evaluated, then the agent records every transition, again in
+   walk order.  All stochastic choices happen in that fixed order. *)
 
 let agent_query_cost = 0.001
 let training_round_cost = 0.05
@@ -50,8 +50,7 @@ module Policy = struct
       Array.of_list (Ft_schedule.Neighborhood.directions ctx.space)
     in
     let agent =
-      Ft_qlearn.Agent.create ~epsilon:ctx.params.epsilon
-        (Ft_util.Rng.split ctx.rng)
+      Ft_qlearn.Agent.create (Ft_util.Rng.split ctx.rng)
         ~feature_dim:(Ft_schedule.Space.feature_dim ctx.space)
         ~n_actions:(Array.length directions)
     in
@@ -138,21 +137,12 @@ module Policy = struct
       proposals
 
   let trial t (ctx : Search_loop.ctx) ~index =
-    let { Search_loop.params; rng; space; state; out_of_budget; _ } = ctx in
+    let { Search_loop.params; out_of_budget; _ } = ctx in
     Search_loop.trial_span ~key:"q" ~index (fun () ->
-        (* Occasional uniform sample keeps the annealing pool from
-           collapsing into one basin of the rugged landscape. *)
-        if Ft_util.Rng.float rng 1.0 < params.explore_prob then begin
-          let cfg = Ft_schedule.Space.random_config rng space in
-          if not (Driver.seen state cfg) then ignore (Driver.evaluate state cfg)
-        end;
-        let starts =
-          Ft_anneal.Sa.select rng ~gamma:params.gamma ~count:params.n_starts
-            state.evaluated
-        in
-        Trace_util.sa_starts starts;
         let walks =
-          List.map (fun (cfg, value) -> { cfg; value; alive = true }) starts
+          List.map
+            (fun (cfg, value) -> { cfg; value; alive = true })
+            (Search_loop.sa_starts ctx)
         in
         let step = ref 0 in
         while

@@ -14,24 +14,17 @@
 type params = {
   seed : int;
   n_trials : int;  (* trial budget; policies may consume several per call *)
-  n_starts : int;  (* SA starting points per trial (§5.1) *)
   steps : int;  (* moves per starting point (Q-method walks) *)
-  gamma : float;  (* annealing selectivity *)
-  explore_prob : float;  (* per-trial uniform-sample probability *)
-  epsilon : float;  (* Q-agent exploration rate *)
   max_evals : int option;  (* hard measurement budget *)
   heuristic_seeds : bool;  (* include the per-hardware seed points in H *)
   transfer_seeds : Ft_schedule.Config.t list;  (* warm-start points, appended last *)
-  flops_scale : float option;
-  mode : Evaluator.mode option;
-  n_parallel : int option;  (* simulated measurement devices (clock model) *)
+  n_parallel : int;  (* simulated measurement devices (clock model) *)
   dispatch : Evaluator.dispatch option;
       (* external evaluation backend (the benchmark's timed cost
          model); None = the local cost model.  Never changes
          results, only where the pure cost model runs. *)
   faults : Ft_fault.Plan.t;  (* injected failures (Plan.zero = none) *)
   checkpoint_path : string option;  (* crash-safe resume trail (JSONL) *)
-  checkpoint_every : int;  (* trials between checkpoint appends *)
   resume : bool;  (* continue from the newest matching checkpoint *)
 }
 
@@ -39,23 +32,27 @@ let default_params =
   {
     seed = 2020;
     n_trials = 60;
-    n_starts = 4;
     steps = 5;
-    gamma = 2.0;
-    explore_prob = 0.15;
-    epsilon = 0.3;
     max_evals = None;
     heuristic_seeds = true;
     transfer_seeds = [];
-    flops_scale = None;
-    mode = None;
-    n_parallel = None;
+    n_parallel = 1;
     dispatch = None;
     faults = Ft_fault.Plan.zero;
     checkpoint_path = None;
-    checkpoint_every = 5;
     resume = false;
   }
+
+(* The paper's fixed annealing hyperparameters (§5.1): each Q- or
+   P-method trial draws one uniform sample with probability
+   [explore_prob], then [n_starts] starting points from H with
+   selectivity [gamma]. *)
+let n_starts = 4
+let gamma = 2.0
+let explore_prob = 0.15
+
+(* Trials between checkpoint appends. *)
+let checkpoint_every = 5
 
 type ctx = {
   params : params;
@@ -104,6 +101,28 @@ let trial_span ~key ~index ?n f =
       :: (match n with None -> [] | Some n -> [ ("n", Ft_obs.Trace.Int n) ]))
     f
 
+(* The start of every Q- and P-method trial.  An occasional uniform
+   sample keeps the annealing pool from collapsing into one basin of
+   the rugged landscape; the chosen starting points are traced (no RNG
+   use, no effect on evaluation order). *)
+let sa_starts ctx =
+  let { rng; space; state; _ } = ctx in
+  if Ft_util.Rng.float rng 1.0 < explore_prob then begin
+    let cfg = Ft_schedule.Space.random_config rng space in
+    if not (Driver.seen state cfg) then ignore (Driver.evaluate state cfg)
+  end;
+  let starts = Ft_anneal.Sa.select rng ~gamma ~count:n_starts state.evaluated in
+  if Ft_obs.Trace.active () then
+    Ft_obs.Trace.event "sa.starts"
+      [
+        ("n", Int (List.length starts));
+        ( "values",
+          Str
+            (String.concat ","
+               (List.map (fun (_, v) -> Printf.sprintf "%g" v) starts)) );
+      ];
+  starts
+
 (* Identifies one (space, method, seed) run in a checkpoint trail;
    checkpoints from other operators, targets, methods, or seeds in the
    same file never match. *)
@@ -115,8 +134,7 @@ let run_id ~method_name params space =
 let run (module P : POLICY) params space =
   let rng = Ft_util.Rng.create params.seed in
   let evaluator =
-    Evaluator.create ?flops_scale:params.flops_scale ?mode:params.mode
-      ?n_parallel:params.n_parallel ?dispatch:params.dispatch
+    Evaluator.create ~n_parallel:params.n_parallel ?dispatch:params.dispatch
       ~faults:params.faults space
   in
   let rid = run_id ~method_name:P.method_name params space in
@@ -183,7 +201,7 @@ let run (module P : POLICY) params space =
     trial := !trial + max 1 consumed;
     if
       params.checkpoint_path <> None
-      && !trial - !last_checkpoint >= max 1 params.checkpoint_every
+      && !trial - !last_checkpoint >= checkpoint_every
     then write_checkpoint ();
     (* The injected process crash fires once, when the trial counter
        first crosses N — a resumed run restarts at a trial >= N and

@@ -11,19 +11,13 @@
 type params = {
   seed : int;
   n_trials : int;  (** trial budget; policies may consume several per call *)
-  n_starts : int;  (** SA starting points per trial (§5.1) *)
   steps : int;  (** moves per starting point (Q-method walks) *)
-  gamma : float;  (** annealing selectivity *)
-  explore_prob : float;  (** per-trial uniform-sample probability *)
-  epsilon : float;  (** Q-agent exploration rate *)
   max_evals : int option;  (** hard measurement budget *)
   heuristic_seeds : bool;  (** include the per-hardware seed points in H *)
   transfer_seeds : Ft_schedule.Config.t list;
       (** warm-start points, appended after all RNG-drawn seeds so the
           draw sequence does not depend on them *)
-  flops_scale : float option;
-  mode : Evaluator.mode option;
-  n_parallel : int option;  (** simulated measurement devices (clock model) *)
+  n_parallel : int;  (** simulated measurement devices (clock model) *)
   dispatch : Evaluator.dispatch option;
       (** external evaluation backend ({!Evaluator.dispatch}; the
           benchmark's timed cost model); [None] = the local cost
@@ -35,7 +29,6 @@ type params = {
   checkpoint_path : string option;
       (** append crash-safe checkpoints to this JSONL file
           ({!Ft_store.Checkpoint}); [None] = no checkpointing *)
-  checkpoint_every : int;  (** trials between checkpoint appends (default 5) *)
   resume : bool;
       (** continue from the newest checkpoint matching this
           (space, method, seed) run: the checkpointed incumbent is
@@ -44,10 +37,13 @@ type params = {
           stream; the resumed leg reports its own fresh accounting *)
 }
 
-(** Paper defaults: seed 2020, 60 trials, 4 starts, 5 steps, gamma 2.0,
-    explore 0.15, epsilon 0.3, no eval cap, heuristic seeding on; no
-    faults, no checkpointing. *)
+(** Paper defaults: seed 2020, 60 trials, 5 steps, no eval cap,
+    heuristic seeding on, one simulated device; no faults, no
+    checkpointing. *)
 val default_params : params
+
+(** Annealing starting points per Q- or P-method trial (§5.1): 4. *)
+val n_starts : int
 
 (** Everything a policy may consult during a search. *)
 type ctx = {
@@ -86,6 +82,13 @@ end
 val default_seeds :
   params -> Ft_util.Rng.t -> Ft_schedule.Space.t -> Ft_schedule.Config.t list
 
+(** The annealing start of a Q- or P-method trial, with the paper's
+    fixed §5.1 constants: with probability 0.15, evaluate one unseen
+    uniform sample; then draw {!n_starts} starting points from H
+    ({!Ft_anneal.Sa.select} with gamma = 2.0) and emit them as an
+    [sa.starts] trace event. *)
+val sa_starts : ctx -> (Ft_schedule.Config.t * float) list
+
 (** The per-trial telemetry span ([trial], with [method]/[index] and
     optionally [n] fields). *)
 val trial_span : key:string -> index:int -> ?n:int -> (unit -> 'a) -> 'a
@@ -97,8 +100,8 @@ val run_id :
 
 (** Run a policy to completion: seed H, loop trials under the budget,
     finish.  The result's [method_name] is the policy's.  With
-    [checkpoint_path] set, resumable state is appended every
-    [checkpoint_every] trials; with [faults.crash_at_trial] set, the
-    loop checkpoints and raises {!Ft_fault.Plan.Injected_crash} when
-    the trial counter first crosses N. *)
+    [checkpoint_path] set, resumable state is appended every 5 trials;
+    with [faults.crash_at_trial] set, the loop checkpoints and raises
+    {!Ft_fault.Plan.Injected_crash} when the trial counter first
+    crosses N. *)
 val run : (module POLICY) -> params -> Ft_schedule.Space.t -> Driver.result

@@ -12,13 +12,25 @@
    line is skipped by tolerant loading). *)
 external write_once : Unix.file_descr -> Bytes.t -> int = "ft_store_write_once"
 
+(* A crash mid-append can leave a final line without its newline.
+   Appending straight after it would glue this record onto the torn
+   fragment, and loading would skip both. *)
+let ends_torn fd =
+  let size = (Unix.fstat fd).Unix.st_size in
+  size > 0
+  &&
+  let last = Bytes.create 1 in
+  ignore (Unix.lseek fd (size - 1) Unix.SEEK_SET);
+  Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n'
+
 let append_line path line =
   let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+    Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644
   in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
+      let line = if ends_torn fd then "\n" ^ line else line in
       let len = String.length line in
       let bytes = Bytes.create (len + 1) in
       Bytes.blit_string line 0 bytes 0 len;

@@ -13,7 +13,9 @@
 
 (** [append_line path line] appends [line ^ "\n"] to [path] (created
     [0o644] if missing) as a single write.  [line] must not itself
-    contain ['\n'] — JSONL producers never emit one. *)
+    contain ['\n'] — JSONL producers never emit one.  When [path] ends
+    in a torn line (no final ['\n']), a ['\n'] is written first, in
+    the same write, so the record starts on a line of its own. *)
 val append_line : string -> string -> unit
 
 (** Lines of [path] in file order; a missing file is []. *)

@@ -97,16 +97,6 @@ let test_max_evals_option () =
   in
   check_bool "budget respected (with walk slack)" true (report.n_evals <= 40)
 
-let test_flops_scale_option () =
-  let graph = Flextensor.Operators.gemm ~m:64 ~n:64 ~k:64 in
-  let normal = Flextensor.optimize ~options graph Flextensor.Target.v100 in
-  let scaled =
-    Flextensor.optimize ~options:{ options with flops_scale = 0.5 } graph
-      Flextensor.Target.v100
-  in
-  check_bool "halved compute is at least as fast" true
-    (scaled.perf.time_s <= normal.perf.time_s +. 1e-9)
-
 let test_analysis_embedded_in_report () =
   let graph = Flextensor.Operators.conv2d ~batch:1 ~in_channels:3 ~out_channels:4
       ~height:6 ~width:6 ~kernel:3 ~pad:1 () in
@@ -114,49 +104,34 @@ let test_analysis_embedded_in_report () =
   Alcotest.(check int) "two nodes" 2 report.analysis.num_nodes;
   Alcotest.(check int) "conv reduce loops" 3 report.analysis.total_reduce
 
-let test_restarts_never_worse () =
-  let graph = Flextensor.Operators.conv2d ~batch:1 ~in_channels:16 ~out_channels:32
-      ~height:14 ~width:14 ~kernel:3 ~stride:2 ~pad:1 () in
-  let single = Flextensor.optimize ~options graph Flextensor.Target.v100 in
-  let multi =
-    Flextensor.optimize ~options:{ options with restarts = 3 } graph
-      Flextensor.Target.v100
-  in
-  check_bool "restarts never worse" true (multi.perf_value >= single.perf_value);
-  check_bool "accounting summed" true (multi.n_evals > single.n_evals)
-
-(* Restart merging must keep the history and the summed totals on one
-   timeline: each restart's samples offset by the preceding restarts'
-   clock and eval count, best-so-far monotone across the joins, and
-   the curve's endpoint agreeing with the summed accounting (the old
-   code kept only the best run's history, so [time_to_reach] compared
-   per-run timestamps against a summed clock). *)
-let test_restart_history_merged () =
+(* The facade adds no defaults of its own: [optimize] with
+   [default_options] is bit-for-bit the registered method run on
+   [Search_loop.default_params]. *)
+let test_default_options_are_default_params () =
   let graph = Flextensor.Operators.gemm ~m:64 ~n:64 ~k:64 in
-  let multi =
-    Flextensor.optimize ~options:{ options with restarts = 3 } graph
-      Flextensor.Target.v100
-  in
-  check_bool "history non-empty" true (multi.history <> []);
-  let rec monotone = function
-    | (a : Flextensor.Driver.sample) :: (b : Flextensor.Driver.sample) :: rest ->
-        a.at_s <= b.at_s && a.n_evals <= b.n_evals
-        && a.best_value <= b.best_value
-        && monotone (b :: rest)
-    | _ -> true
-  in
-  check_bool "merged history monotone" true (monotone multi.history);
-  let last = List.nth multi.history (List.length multi.history - 1) in
-  Alcotest.(check int) "curve endpoint matches summed evals" multi.n_evals
-    last.n_evals;
-  check_bool "curve endpoint within summed clock" true
-    (last.at_s <= multi.sim_time_s);
-  check_bool "curve reaches the reported best" true
-    (last.best_value = multi.perf_value);
-  (* A single run is untouched by the merge. *)
-  let single = Flextensor.optimize ~options graph Flextensor.Target.v100 in
-  let last1 = List.nth single.history (List.length single.history - 1) in
-  Alcotest.(check int) "single-run endpoint evals" single.n_evals last1.n_evals
+  let target = Flextensor.Target.v100 in
+  let space = Flextensor.Space.make graph target in
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun search ->
+      let report =
+        Flextensor.optimize
+          ~options:{ Flextensor.default_options with search }
+          graph target
+      in
+      let direct =
+        (Flextensor.Method.find_exn search).search
+          Flextensor.Search_loop.default_params space
+      in
+      Alcotest.(check string) (search ^ " config")
+        (Flextensor.Config_io.to_string direct.best_config)
+        (Flextensor.Config_io.to_string report.config);
+      Alcotest.(check int64) (search ^ " perf_value bits")
+        (bits direct.best_value) (bits report.perf_value);
+      Alcotest.(check int) (search ^ " n_evals") direct.n_evals report.n_evals;
+      Alcotest.(check int64) (search ^ " sim_time_s bits")
+        (bits direct.sim_time_s) (bits report.sim_time_s))
+    [ "Q-method"; "P-method" ]
 
 (* Measured mode never perturbs the search: a seeded [optimize] with a
    [measurer] attached returns bit-for-bit the schedule, value, eval
@@ -264,11 +239,9 @@ let () =
           Alcotest.test_case "unknown method" `Quick test_unknown_method_rejected;
           Alcotest.test_case "invalid graph" `Quick test_invalid_graph_rejected;
           Alcotest.test_case "max evals" `Quick test_max_evals_option;
-          Alcotest.test_case "flops scale" `Quick test_flops_scale_option;
           Alcotest.test_case "embedded analysis" `Quick test_analysis_embedded_in_report;
-          Alcotest.test_case "restarts" `Quick test_restarts_never_worse;
-          Alcotest.test_case "restart history merge" `Quick
-            test_restart_history_merged;
+          Alcotest.test_case "default options are default params" `Quick
+            test_default_options_are_default_params;
           QCheck_alcotest.to_alcotest qcheck_measurer_invariance;
           QCheck_alcotest.to_alcotest qcheck_dispatch_bit_for_bit;
           Alcotest.test_case "summary" `Quick test_summary_string;

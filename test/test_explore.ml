@@ -142,19 +142,6 @@ let test_cold_start_option () =
     (warm.best_value >= cold.best_value *. 0.5);
   check_bool "both positive" true (cold.best_value > 0.)
 
-let test_epsilon_option_changes_trajectory () =
-  let space = gemm_space () in
-  let greedy =
-    Ft_explore.Q_method.search_params
-      { params with seed = 6; n_trials = 15; epsilon = 0.0 } space
-  in
-  let exploratory =
-    Ft_explore.Q_method.search_params
-      { params with seed = 6; n_trials = 15; epsilon = 1.0 } space
-  in
-  check_bool "both find something" true
-    (greedy.best_value > 0. && exploratory.best_value > 0.)
-
 (* Regression: Driver.init used to seed the incumbent as (first, 0.),
    so when every evaluated value was <= 0 the reported best was a
    fabricated pair never actually measured.  The cost model itself
@@ -444,8 +431,6 @@ let () =
           Alcotest.test_case "failed compile cost" `Quick
             test_invalid_configs_charged_failed_compile;
           Alcotest.test_case "cold start" `Quick test_cold_start_option;
-          Alcotest.test_case "epsilon option" `Quick
-            test_epsilon_option_changes_trajectory;
           Alcotest.test_case "empty init" `Quick test_driver_rejects_empty_init;
         ] );
       ( "measure_batch",

@@ -290,7 +290,7 @@ let result_fingerprint (r : Ft_explore.Driver.result) =
       (fun (s : Ft_explore.Driver.sample) -> (s.at_s, s.n_evals, s.best_value))
       r.history )
 
-let run_method (m : Ft_explore.Method.t) ~seed ?n_parallel
+let run_method (m : Ft_explore.Method.t) ~seed ?(n_parallel = 1)
     ?(faults = Plan.zero) ?checkpoint_path space =
   m.search
     {
@@ -356,7 +356,6 @@ let crash_params ~path =
     n_trials = 14;
     faults = { Plan.zero with crash_at_trial = Some 6 };
     checkpoint_path = Some path;
-    checkpoint_every = 2;
   }
 
 let test_crash_then_resume () =

@@ -349,6 +349,23 @@ let test_checkpoint_latest_tolerant () =
       check_bool "missing file is an empty trail" true
         (Checkpoint.latest ~run_id:"x" "/nonexistent/never.jsonl" = (None, [])))
 
+(* A crash that tears the final line must not cost the next record:
+   the resumed run's first append starts on a line of its own. *)
+let test_append_after_torn_line () =
+  let path = temp_log () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Checkpoint.append path (checkpoint_of ~trial:6 ());
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "{\"run\":\"torn";
+      close_out oc;
+      Checkpoint.append path (checkpoint_of ~trial:11 ());
+      let cks, issues = Checkpoint.load path in
+      Alcotest.(check (list int)) "both records load" [ 6; 11 ]
+        (List.map (fun (ck : Checkpoint.t) -> ck.trial) cks);
+      check_int "only the fragment is skipped" 1 (List.length issues))
+
 (* --- store invisibility: logging must never change search results --- *)
 
 let search_with ?store ?(reuse = false) ?(n_parallel = 1) graph =
@@ -467,6 +484,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_checkpoint_rng_roundtrip;
           Alcotest.test_case "latest tolerant" `Quick
             test_checkpoint_latest_tolerant;
+          Alcotest.test_case "append after torn line" `Quick
+            test_append_after_torn_line;
         ] );
       ( "transfer",
         [
