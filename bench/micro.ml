@@ -16,6 +16,8 @@ let conv_space =
 let tests () =
   let rng = Ft_util.Rng.create 1 in
   let cfg = Ft_schedule.Space.random_config rng conv_space in
+  (* A structurally equal copy: [equal]'s worst case walks every field. *)
+  let twin = Ft_schedule.Config.copy cfg in
   let features = Ft_schedule.Space.features conv_space cfg in
   let net =
     Ft_nn.Network.mlp (Ft_util.Rng.create 2)
@@ -37,8 +39,10 @@ let tests () =
     Test.make ~name:"q-network train step"
       (Staged.stage (fun () ->
            Ft_nn.Network.train_mse_component net ~input:features ~index:0 ~target:1.));
-    Test.make ~name:"config key (memoized)"
-      (Staged.stage (fun () -> Ft_schedule.Config.key cfg));
+    Test.make ~name:"config hash"
+      (Staged.stage (fun () -> Ft_schedule.Config.hash cfg));
+    Test.make ~name:"config equal"
+      (Staged.stage (fun () -> Ft_schedule.Config.equal cfg twin));
     Test.make ~name:"config key (fresh)"
       (Staged.stage (fun () -> Ft_schedule.Config.compute_key cfg));
   ]
@@ -138,15 +142,14 @@ let throughput_batch = 512
 
 let distinct_configs n =
   let rng = Ft_util.Rng.create 11 in
-  let seen = Hashtbl.create n in
+  let seen = Ft_schedule.Config.Tbl.create n in
   let rec go acc k =
     if k = 0 then List.rev acc
     else
       let cfg = Ft_schedule.Space.random_config rng conv_space in
-      let key = Ft_schedule.Config.key cfg in
-      if Hashtbl.mem seen key then go acc k
+      if Ft_schedule.Config.Tbl.mem seen cfg then go acc k
       else begin
-        Hashtbl.add seen key ();
+        Ft_schedule.Config.Tbl.add seen cfg ();
         go (cfg :: acc) (k - 1)
       end
   in
@@ -201,6 +204,32 @@ let measure_throughput () =
   let simulated = List.map (fun n -> (n, simulated_evals_per_sec n cfgs)) [ 1; 4 ] in
   (sequential, batched, simulated)
 
+(* Search scaling: the P-method on one conv2d/xeon job at two trial
+   budgets.  A trial's bookkeeping cost must not grow with the size of
+   H, so evals/s at 1000 trials should stay close to evals/s at 250;
+   [ratio] (1000 / 250) compares the host with itself. *)
+let scaling_trials = [ 250; 1000 ]
+
+let search_scaling () =
+  let space =
+    Ft_schedule.Space.make
+      (Result.get_ok
+         (Ft_workloads.Catalog.graph_of ~op:"conv2d" ~dims:[ 1; 64; 56; 56; 64; 3; 3 ]))
+      (Result.get_ok (Ft_workloads.Catalog.target_of "xeon"))
+  in
+  List.map
+    (fun n_trials ->
+      let t0 = Ft_util.Monotime.now_s () in
+      let result =
+        Ft_explore.P_method.search_params
+          { Ft_explore.Search_loop.default_params with n_trials }
+          space
+      in
+      (n_trials, float_of_int result.n_evals /. Ft_util.Monotime.elapsed_s t0))
+    scaling_trials
+
+let scaling_ratio scaling = List.assoc 1000 scaling /. List.assoc 250 scaling
+
 (* The C compiler's version line, recorded next to the numbers. *)
 let cc_version () =
   match Unix.open_process_in "cc --version 2>/dev/null" with
@@ -211,7 +240,7 @@ let cc_version () =
   | exception Unix.Unix_error _ -> "unknown"
 
 (* BENCH_micro.json, rounded to the printed precision. *)
-let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated =
+let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated ~scaling =
   let module J = Ft_util.Json in
   let num digits x =
     let scale = 10. ** float_of_int digits in
@@ -248,6 +277,13 @@ let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated =
               table 1 (Printf.sprintf "n_parallel_%d") simulated );
             ( "simulated_speedup_n_parallel_4",
               num 2 (List.assoc 4 simulated /. List.assoc 1 simulated) );
+          ] );
+      ( "search_scaling",
+        J.Obj
+          [
+            ("job", J.Str "P-method conv2d 1 64 56 56 64 3 3 on xeon");
+            ("evals_per_sec", table 1 (Printf.sprintf "trials_%d") scaling);
+            ("ratio", num 2 (scaling_ratio scaling));
           ] );
     ]
 
@@ -301,9 +337,17 @@ let run () =
        (fun (n, rate) ->
          [ Printf.sprintf "n_parallel %d" n; Printf.sprintf "%.1f" rate ])
        simulated);
+  Bench_common.subsection "search scaling (P-method, conv2d on xeon)";
+  let scaling = search_scaling () in
+  Ft_util.Table.print ~header:[ "trials"; "evals/sec" ]
+    (List.map
+       (fun (n, rate) -> [ string_of_int n; Printf.sprintf "%.0f" rate ])
+       scaling);
+  Printf.printf "ratio (1000 / 250): %.2f\n" (scaling_ratio scaling);
   Out_channel.with_open_text "BENCH_micro.json" (fun oc ->
       output_string oc
         (Ft_util.Json.to_string
-           (micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated));
+           (micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated
+              ~scaling));
       output_char oc '\n');
   print_endline "\n[wrote BENCH_micro.json]"

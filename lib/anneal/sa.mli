@@ -5,25 +5,33 @@
 (** Selection weight exp(-gamma . (best - value) / best). *)
 val weight : gamma:float -> best:float -> float -> float
 
-(** [pick_at ~threshold weighted] is the point whose cumulative-weight
-    interval contains [threshold] (strict comparison, so zero-weight
-    points are unreachable while any weight is positive); the last
-    element is the fallback for [threshold >= total].  Exposed for
-    testing — use {!weighted_pick} for random draws. *)
-val pick_at : threshold:float -> ('a * float) list -> 'a
+(** The evaluated set H: (point, performance) pairs in insertion order,
+    with cached selection weights and the running best. *)
+type 'a pool
 
-(** [weighted_pick rng weighted] draws a point with probability
-    proportional to its weight; uniform when the total weight is not
-    positive. *)
-val weighted_pick : Ft_util.Rng.t -> ('a * float) list -> 'a
+val pool : unit -> 'a pool
 
-(** [select rng ~gamma ~count points] draws [count] starting points
-    (with replacement) from [(point, performance)] pairs, weighted
-    towards high performers; each draw is returned together with its
-    performance. Empty input yields []. *)
+(** [add pool point value] appends a point to H. *)
+val add : 'a pool -> 'a -> float -> unit
+
+(** H as [(point, performance)] pairs, newest first. *)
+val to_list : 'a pool -> ('a * float) list
+
+(** [select rng ~gamma ~count pool] draws [count] starting points (with
+    replacement) from H, each with probability proportional to its
+    {!weight} against the best value in H — uniformly when the total
+    weight is not positive — and returns each draw together with its
+    performance.  Zero-weight points are unreachable while any weight
+    is positive.  An empty pool yields []. *)
 val select :
-  Ft_util.Rng.t -> gamma:float -> count:int -> ('a * float) list ->
-  ('a * float) list
+  Ft_util.Rng.t -> gamma:float -> count:int -> 'a pool -> ('a * float) list
+
+(** The deterministic core of {!select}, exposed for testing: the point
+    whose cumulative-weight interval, newest first, contains [threshold]
+    (strict [>], so zero-weight points are unreachable); the oldest
+    point is the fallback for [threshold >= total].  Raises
+    [Invalid_argument] on an empty pool. *)
+val pick_at : gamma:float -> threshold:float -> 'a pool -> 'a
 
 (** Metropolis acceptance of a candidate objective value given the
     current one at a temperature (relative scale). *)

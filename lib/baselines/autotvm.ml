@@ -100,7 +100,6 @@ let to_config (space : Space.t) knobs =
     vectorize;
     inline = true;
     partition_id = 0;
-    key_memo = None;
   }
 
 let random_spatial_split template rng extent =
@@ -184,11 +183,12 @@ let policy ~template : (module Ft_explore.Search_loop.POLICY) =
       in
       Ft_explore.Search_loop.trial_span ~key:"autotvm" ~index (fun () ->
           (* Retrain the cost model on everything measured so far. *)
+          let evaluated = Ft_anneal.Sa.to_list state.pool in
           let xs =
             Array.of_list
-              (List.map (fun (cfg, _) -> Space.features space cfg) state.evaluated)
+              (List.map (fun (cfg, _) -> Space.features space cfg) evaluated)
           in
-          let ys = Array.of_list (List.map snd state.evaluated) in
+          let ys = Array.of_list (List.map snd evaluated) in
           let model = Ft_gbt.Boost.fit ~rounds:12 ~depth:3 xs ys in
           if Ft_obs.Trace.active () then
             Ft_obs.Trace.event "gbt.train" [ ("points", Int (Array.length xs)) ];

@@ -1,3 +1,5 @@
+module Tbl = Ft_schedule.Config.Tbl
+
 type sample = { at_s : float; n_evals : int; best_value : float }
 
 type result = {
@@ -12,17 +14,15 @@ type result = {
 
 type state = {
   evaluator : Evaluator.t;
-  visited : (string, unit) Hashtbl.t;
-  mutable evaluated : (Ft_schedule.Config.t * float) list;  (* the set H *)
+  visited : unit Tbl.t;
+  pool : Ft_schedule.Config.t Ft_anneal.Sa.pool;  (* the set H *)
   mutable best : Ft_schedule.Config.t * float;
   mutable samples : sample list;  (* reverse chronological *)
 }
 
-let visit_key state key = Hashtbl.replace state.visited key ()
+let visit state cfg = Tbl.replace state.visited cfg ()
 
-let visit state cfg = visit_key state (Ft_schedule.Config.key cfg)
-
-let seen state cfg = Hashtbl.mem state.visited (Ft_schedule.Config.key cfg)
+let seen state cfg = Tbl.mem state.visited cfg
 
 let record_sample state =
   state.samples <-
@@ -33,10 +33,10 @@ let record_sample state =
     }
     :: state.samples
 
-(* Fold an already-committed point into H, update the incumbent. *)
-let absorb_keyed state cfg key value =
-  visit_key state key;
-  state.evaluated <- (cfg, value) :: state.evaluated;
+(* Fold a point into H, update the incumbent. *)
+let absorb state cfg value =
+  visit state cfg;
+  Ft_anneal.Sa.add state.pool cfg value;
   Ft_obs.Trace.incr "driver.commits";
   if value > snd state.best then begin
     state.best <- (cfg, value);
@@ -51,9 +51,6 @@ let absorb_keyed state cfg key value =
   record_sample state;
   value
 
-let absorb state cfg value =
-  absorb_keyed state cfg (Ft_schedule.Config.key cfg) value
-
 (* Evaluate a point, fold it into H, update the incumbent. *)
 let evaluate state cfg =
   absorb state cfg (Evaluator.measure state.evaluator cfg)
@@ -66,17 +63,14 @@ let evaluate state cfg =
    decisions the sequential per-point loop would have made.  Returns
    the committed points with their values, in order. *)
 let evaluate_batch ?(should_stop = fun () -> false) state cfgs =
-  let in_batch = Hashtbl.create 32 in
-  (* Each point's key is built once here and reused for dedup, commit,
-     and the visited set. *)
+  let in_batch = Tbl.create 32 in
   let fresh =
-    List.filter_map
+    List.filter
       (fun cfg ->
-        let key = Ft_schedule.Config.key cfg in
-        if Hashtbl.mem state.visited key || Hashtbl.mem in_batch key then None
+        if seen state cfg || Tbl.mem in_batch cfg then false
         else begin
-          Hashtbl.add in_batch key ();
-          Some (cfg, key)
+          Tbl.add in_batch cfg ();
+          true
         end)
       cfgs
   in
@@ -84,10 +78,9 @@ let evaluate_batch ?(should_stop = fun () -> false) state cfgs =
   let committed = ref [] in
   (try
      List.iter
-       (fun ((cfg, key) as point) ->
+       (fun cfg ->
          if should_stop () then raise Exit;
-         let value = Evaluator.commit state.evaluator batch point in
-         ignore (absorb_keyed state cfg key value);
+         let value = absorb state cfg (Evaluator.commit state.evaluator batch cfg) in
          committed := (cfg, value) :: !committed)
        fresh
    with Exit -> ());
@@ -101,8 +94,8 @@ let init evaluator initial =
       let state =
         {
           evaluator;
-          visited = Hashtbl.create 1024;
-          evaluated = [];
+          visited = Tbl.create 1024;
+          pool = Ft_anneal.Sa.pool ();
           (* Seed the incumbent below every representable value so the
              first committed point is absorbed unconditionally: a 0.
              seed would survive any run whose measured values are all
@@ -117,15 +110,10 @@ let init evaluator initial =
         (fun () ->
           (* Unlike [evaluate_batch], seeding keeps duplicate inputs in H
              (as cache hits), matching the sequential per-point loop. *)
-          let keyed =
-            List.map (fun cfg -> (cfg, Ft_schedule.Config.key cfg)) initial
-          in
-          let batch = Evaluator.prepare evaluator keyed in
+          let batch = Evaluator.prepare evaluator initial in
           List.iter
-            (fun ((cfg, key) as point) ->
-              ignore
-                (absorb_keyed state cfg key (Evaluator.commit evaluator batch point)))
-            keyed;
+            (fun cfg -> ignore (absorb state cfg (Evaluator.commit evaluator batch cfg)))
+            initial;
           Evaluator.flush evaluator batch;
           state)
 

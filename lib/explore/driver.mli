@@ -14,10 +14,12 @@ type result = {
   sim_time_s : float;
 }
 
+(** H is stored once, in the annealing pool {!Search_loop.sa_starts}
+    draws from; [visited] hashes configs, with no string key. *)
 type state = {
   evaluator : Evaluator.t;
-  visited : (string, unit) Hashtbl.t;
-  mutable evaluated : (Ft_schedule.Config.t * float) list;
+  visited : unit Ft_schedule.Config.Tbl.t;
+  pool : Ft_schedule.Config.t Ft_anneal.Sa.pool;  (** the evaluated set H *)
   mutable best : Ft_schedule.Config.t * float;
   mutable samples : sample list;
 }

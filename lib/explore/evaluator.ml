@@ -1,5 +1,7 @@
 type mode = Hardware_measure | Model_query
 
+module Tbl = Ft_schedule.Config.Tbl
+
 (* An external evaluation backend for [prepare]'s fresh points (the
    benchmark's traced pass times the cost model through one).  Must
    return one entry per input, in input order, each bit-for-bit equal
@@ -22,7 +24,7 @@ type t = {
   dispatch : dispatch option;  (* external backend for batched fresh points *)
   faults : Ft_fault.Plan.t option;  (* Some only when the plan injects faults *)
   mutable live_lanes : int;  (* n_parallel minus injected lane deaths *)
-  cache : (string, float * Ft_hw.Perf.t) Hashtbl.t;
+  cache : (float * Ft_hw.Perf.t) Tbl.t;
   mutable clock_s : float;
   mutable n_evals : int;
 }
@@ -57,7 +59,7 @@ let create ?mode ?(n_parallel = 1) ?dispatch ?faults space =
   in
   { space; mode; n_parallel; dispatch; faults;
     live_lanes = n_parallel;
-    cache = Hashtbl.create 256; clock_s = 0.; n_evals = 0 }
+    cache = Tbl.create 256; clock_s = 0.; n_evals = 0 }
 
 let charge t seconds = t.clock_s <- t.clock_s +. seconds
 
@@ -145,13 +147,13 @@ let fault_resolve t plan key ((value, perf) as computed : float * Ft_hw.Perf.t) 
    so batch commits can model parallel measurement lanes.  Under fault
    injection the entry committed is the *resolved* one (possibly noisy
    or quarantined) and the cost is the whole retry sequence's. *)
-let commit_fresh t ~charge_one key ((_, perf) as computed) =
+let commit_fresh t ~charge_one cfg ((_, perf) as computed) =
   let ((value, _) as entry), cost =
     match t.faults with
-    | Some plan -> fault_resolve t plan key computed
+    | Some plan -> fault_resolve t plan (Ft_schedule.Config.compute_key cfg) computed
     | None -> (computed, measure_cost t perf)
   in
-  Hashtbl.replace t.cache key entry;
+  Tbl.replace t.cache cfg entry;
   t.n_evals <- t.n_evals + 1;
   charge_one cost;
   if Ft_obs.Trace.active () then begin
@@ -165,13 +167,12 @@ let commit_fresh t ~charge_one key ((_, perf) as computed) =
    point with a single cache lookup per call; repeated queries of the
    same point hit the cache. *)
 let measure_full t cfg =
-  let key = Ft_schedule.Config.key cfg in
-  match Hashtbl.find_opt t.cache key with
+  match Tbl.find_opt t.cache cfg with
   | Some entry ->
       charge t cache_hit_cost;
       Ft_obs.Trace.incr "eval.cache_hit";
       entry
-  | None -> commit_fresh t ~charge_one:(charge t) key (compute t cfg)
+  | None -> commit_fresh t ~charge_one:(charge t) cfg (compute t cfg)
 
 let measure t cfg = fst (measure_full t cfg)
 let perf_of t cfg = snd (measure_full t cfg)
@@ -179,7 +180,7 @@ let perf_of t cfg = snd (measure_full t cfg)
 (* Cache lookup for result assembly: unlike [measure_full], charges
    nothing and bumps no counter, so reporting never perturbs the
    simulated clock or the telemetry. *)
-let peek t cfg = Hashtbl.find_opt t.cache (Ft_schedule.Config.key cfg)
+let peek t cfg = Tbl.find_opt t.cache cfg
 
 (* -- Batched evaluation ---------------------------------------------
 
@@ -199,39 +200,37 @@ let peek t cfg = Hashtbl.find_opt t.cache (Ft_schedule.Config.key cfg)
    hits charge their (tiny) fixed cost immediately. *)
 
 type batch = {
-  computed : (string, float * Ft_hw.Perf.t) Hashtbl.t;
+  computed : (float * Ft_hw.Perf.t) Tbl.t;
   mutable wave_len : int;
   mutable wave_max : float;
 }
 
-(* Candidates travel as (config, key) pairs so the expensive
-   [Config.key] is built exactly once per point across the whole
-   prepare/commit cycle. *)
-let prepare t keyed =
-  let fresh = Hashtbl.create 64 in
+(* String keys are built only for a dispatch (the benchmark's traced
+   pass), whose contract takes [(config, key)] pairs. *)
+let prepare t cfgs =
+  let fresh = Tbl.create 64 in
   let to_compute =
     List.filter
-      (fun (_, key) ->
-        if Hashtbl.mem t.cache key || Hashtbl.mem fresh key then false
+      (fun cfg ->
+        if Tbl.mem t.cache cfg || Tbl.mem fresh cfg then false
         else begin
-          Hashtbl.add fresh key ();
+          Tbl.add fresh cfg ();
           true
         end)
-      keyed
+      cfgs
   in
-  let computed = Hashtbl.create (List.length to_compute) in
+  let computed = Tbl.create (List.length to_compute) in
   let entries =
     match (t.dispatch, to_compute) with
-    | Some d, _ :: _ -> d to_compute  (* external backend; same pure results *)
-    | _ -> List.map (fun (cfg, _) -> compute t cfg) to_compute
+    | Some d, _ :: _ ->  (* external backend; same pure results *)
+        d (List.map (fun cfg -> (cfg, Ft_schedule.Config.compute_key cfg)) to_compute)
+    | _ -> List.map (compute t) to_compute
   in
-  List.iter2
-    (fun (_, key) entry -> Hashtbl.replace computed key entry)
-    to_compute entries;
+  List.iter2 (Tbl.replace computed) to_compute entries;
   if Ft_obs.Trace.active () then begin
     Ft_obs.Trace.event "eval.batch"
-      [ ("n", Int (List.length keyed)); ("fresh", Int (List.length to_compute)) ];
-    Ft_obs.Trace.gauge "eval.batch_size" (float_of_int (List.length keyed))
+      [ ("n", Int (List.length cfgs)); ("fresh", Int (List.length to_compute)) ];
+    Ft_obs.Trace.gauge "eval.batch_size" (float_of_int (List.length cfgs))
   end;
   { computed; wave_len = 0; wave_max = 0. }
 
@@ -257,24 +256,23 @@ let wave_push t batch cost =
   batch.wave_max <- Float.max batch.wave_max cost;
   if batch.wave_len >= t.live_lanes then flush t batch
 
-let commit t batch (cfg, key) =
-  match Hashtbl.find_opt t.cache key with
+let commit t batch cfg =
+  match Tbl.find_opt t.cache cfg with
   | Some (value, _) ->
       charge t cache_hit_cost;
       Ft_obs.Trace.incr "eval.cache_hit";
       value
   | None ->
       let entry =
-        match Hashtbl.find_opt batch.computed key with
+        match Tbl.find_opt batch.computed cfg with
         | Some entry -> entry
         | None -> compute t cfg  (* straggler not in the prepared set *)
       in
-      fst (commit_fresh t ~charge_one:(wave_push t batch) key entry)
+      fst (commit_fresh t ~charge_one:(wave_push t batch) cfg entry)
 
 let measure_batch t cfgs =
-  let keyed = List.map (fun cfg -> (cfg, Ft_schedule.Config.key cfg)) cfgs in
-  let batch = prepare t keyed in
-  let out = List.map (fun ((cfg, _) as point) -> (cfg, commit t batch point)) keyed in
+  let batch = prepare t cfgs in
+  let out = List.map (fun cfg -> (cfg, commit t batch cfg)) cfgs in
   flush t batch;
   out
 

@@ -24,7 +24,8 @@ type t
 val default_mode : Ft_schedule.Target.t -> mode
 
 (** An external evaluation backend for {!prepare}'s fresh points — the
-    benchmark's traced pass times the cost model through one.
+    benchmark's traced pass times the cost model through one.  Points
+    arrive as [(config, Config.compute_key config)] pairs.
     Contract: return one entry per input, in input order, each
     bit-for-bit what the local cost model would produce.  A dispatch changes only {e where} the pure
     computation runs; results, cache contents, clock charges and
@@ -76,20 +77,20 @@ val peek : t -> Ft_schedule.Config.t -> (float * Ft_hw.Perf.t) option
     committed to the cache, eval count, or clock. *)
 type batch
 
-(** [prepare t keyed] computes the uncached points of [keyed]
+(** [prepare t cfgs] computes the uncached points of [cfgs]
     (deduplicating within the batch), through [dispatch] when the
-    evaluator has one.  Points travel as
-    [(config, Config.key config)] pairs so each key is built once
-    across the whole batch.  Pure with respect to the evaluator: no
+    evaluator has one.  The cache and the batch are hash tables keyed
+    on the config ({!Ft_schedule.Config.Tbl}); string keys are built
+    only for a dispatch.  Pure with respect to the evaluator: no
     cache, count, or clock change until [commit]. *)
-val prepare : t -> (Ft_schedule.Config.t * string) list -> batch
+val prepare : t -> Ft_schedule.Config.t list -> batch
 
-(** [commit t batch (cfg, key)] folds one point into the evaluator:
+(** [commit t batch cfg] folds one point into the evaluator:
     cache hits charge the cache cost; fresh points (looked up in
     [batch], or computed inline when absent) enter the cache, count as
     an eval, and charge the clock in waves of [n_parallel].  Call
     {!flush} after the last commit of a batch. *)
-val commit : t -> batch -> Ft_schedule.Config.t * string -> float
+val commit : t -> batch -> Ft_schedule.Config.t -> float
 
 (** Charge any partially filled final wave of a batch. *)
 val flush : t -> batch -> unit

@@ -100,14 +100,13 @@ module Policy = struct
       Driver.evaluate_batch ~should_stop:ctx.out_of_budget state
         (List.map (fun (_, _, next) -> next) proposals)
     in
-    let value_of = Hashtbl.create (List.length committed) in
+    let value_of = Ft_schedule.Config.Tbl.create (List.length committed) in
     List.iter
-      (fun (cfg, value) ->
-        Hashtbl.replace value_of (Ft_schedule.Config.key cfg) value)
+      (fun (cfg, value) -> Ft_schedule.Config.Tbl.replace value_of cfg value)
       committed;
     List.iter
       (fun (w, action, next) ->
-        match Hashtbl.find_opt value_of (Ft_schedule.Config.key next) with
+        match Ft_schedule.Config.Tbl.find_opt value_of next with
         | None ->
             (* The budget cut the batch short of this proposal. *)
             kill w "budget_cut"

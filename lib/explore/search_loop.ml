@@ -111,7 +111,7 @@ let sa_starts ctx =
     let cfg = Ft_schedule.Space.random_config rng space in
     if not (Driver.seen state cfg) then ignore (Driver.evaluate state cfg)
   end;
-  let starts = Ft_anneal.Sa.select rng ~gamma ~count:n_starts state.evaluated in
+  let starts = Ft_anneal.Sa.select rng ~gamma ~count:n_starts state.pool in
   if Ft_obs.Trace.active () then
     Ft_obs.Trace.event "sa.starts"
       [

@@ -57,7 +57,7 @@ type ctx = {
 
 (** A search method: how to seed H and what one trial does.  Proposals
     are evaluated and observed through {!Driver.state} ([evaluate],
-    [evaluate_batch], [state.best], [state.evaluated]). *)
+    [evaluate_batch], [state.best], [state.pool]). *)
 module type POLICY = sig
   type t
 

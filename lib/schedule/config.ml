@@ -7,7 +7,6 @@ type t = {
   vectorize : bool;
   inline : bool;
   partition_id : int;
-  mutable key_memo : string option;
 }
 
 let copy cfg =
@@ -15,7 +14,6 @@ let copy cfg =
     cfg with
     spatial = Array.map Array.copy cfg.spatial;
     reduce = Array.map Array.copy cfg.reduce;
-    key_memo = None;
   }
 
 let level factors idx = Array.map (fun parts -> parts.(idx)) factors
@@ -36,9 +34,9 @@ let order_perm id =
     invalid_arg "Config.order_perm: order_id out of range";
   order_perms.(id)
 
-(* Called once per point per search step (visited set, eval cache), so
-   no intermediate strings and no Printf.  The buffer is reused across
-   calls within a domain; only the final [Buffer.contents] allocates. *)
+(* Built only where its bytes seed something (the fault plan's FNV-1a,
+   transfer dedup, a dispatch's input): no intermediate strings, no
+   Printf, and one buffer reused per domain. *)
 let key_buf = Domain.DLS.new_key (fun () -> Buffer.create 128)
 
 let compute_key cfg =
@@ -75,23 +73,37 @@ let compute_key cfg =
   add_field 'p' cfg.partition_id;
   Buffer.contents buf
 
-(* Frontiers key the same config many times (visited set, eval cache,
-   repository lookups), so the key is memoized on the record.  Every
-   construction and mutation path resets the memo; concurrent first
-   calls from two domains race benignly — both compute the identical
-   string. *)
-let key cfg =
-  match cfg.key_memo with
-  | Some k -> k
-  | None ->
-      let k = compute_key cfg in
-      cfg.key_memo <- Some k;
-      k
+(* Search bookkeeping keys on the config itself ([Tbl]).  The cheap
+   scalar fields are compared first. *)
+let equal a b =
+  a.order_id = b.order_id && a.unroll_id = b.unroll_id && a.fuse_levels = b.fuse_levels
+  && a.vectorize = b.vectorize && a.inline = b.inline && a.partition_id = b.partition_id
+  && a.spatial = b.spatial && a.reduce = b.reduce
 
-(* Equality bypasses the memo: it is off the hot path (frontiers hash
-   on [key]) and must stay truthful even on a record mutated in place
-   after its key was computed. *)
-let equal a b = String.equal (compute_key a) (compute_key b)
+let mix h x = (h lxor x) * 0x100000001b3
+
+let mix_factors h factors =
+  let h = ref h in
+  for i = 0 to Array.length factors - 1 do
+    let parts = factors.(i) in
+    for j = 0 to Array.length parts - 1 do h := mix !h parts.(j) done
+  done;
+  !h
+
+(* One pass over the fields (array shapes are fixed by the space);
+   Hashtbl masks the low bits, so the mixed high bits are folded down. *)
+let hash cfg =
+  let h = mix (mix (mix cfg.order_id cfg.unroll_id) cfg.fuse_levels) cfg.partition_id in
+  let h = mix (mix h (Bool.to_int cfg.vectorize)) (Bool.to_int cfg.inline) in
+  let h = mix_factors (mix_factors h cfg.spatial) cfg.reduce in
+  h lxor (h lsr 31)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let pp fmt cfg =
   let pp_factors fmt factors =

@@ -28,10 +28,6 @@ type t = {
   vectorize : bool;
   inline : bool;
   partition_id : int;
-  mutable key_memo : string option;
-      (** Lazily cached [key]; always construct with [None].  Functional
-          updates ([{ cfg with ... }]) must also reset it to [None], or
-          the copy inherits a stale key. *)
 }
 
 val copy : t -> t
@@ -47,15 +43,20 @@ val product_level : int array array -> int -> int
     1 = reduce-outer, 2 = reduce-middle. *)
 val order_perm : int -> int array
 
-(** Canonical string key (for visited-set deduplication).  Memoized on
-    the record: the first call serializes through a per-domain reused
-    buffer, later calls return the cached string. *)
-val key : t -> string
-
-(** Always-fresh serialization, bypassing the memo — [key] equals this
-    on every sound mutation path. *)
+(** Canonical string serialization, equal exactly for {!equal} configs.
+    Built only where its bytes seed something (the fault plan's hash,
+    transfer dedup, a dispatch's input); search bookkeeping uses {!Tbl}. *)
 val compute_key : t -> string
 
+(** Structural equality. *)
 val equal : t -> t -> bool
+
+(** Structural hash: [equal a b] implies [hash a = hash b]. *)
+val hash : t -> int
+
+(** Tables keyed by {!equal}/{!hash}.  A key's factor arrays must not
+    change once it is in a table: derive points from a {!copy}. *)
+module Tbl : Hashtbl.S with type key = t
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -22,13 +22,24 @@ let to_string (cfg : Config.t) =
     (if cfg.inline then 1 else 0)
     cfg.partition_id
 
-let parse_factors text =
+(* Only what [to_string] can print back parses: plain decimal integers
+   ([-?[0-9]+]; no [0x], [_] or [+]) and [0]/[1] flags. *)
+let decimal name text =
+  match int_of_string_opt text with
+  | Some n when String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) text -> n
+  | _ -> failwith (Printf.sprintf "field %s: %S is not a decimal integer" name text)
+
+let flag name text =
+  if text = "0" || text = "1" then text = "1"
+  else failwith (Printf.sprintf "field %s: %S is not 0 or 1" name text)
+
+let parse_factors name text =
   if String.equal text "" then [||]
   else
     Array.of_list
       (List.map
          (fun axis ->
-           Array.of_list (List.map int_of_string (String.split_on_char ',' axis)))
+           Array.of_list (List.map (decimal name) (String.split_on_char ',' axis)))
          (String.split_on_char ';' text))
 
 let known_keys = [ "s"; "r"; "o"; "u"; "f"; "v"; "i"; "p" ]
@@ -68,15 +79,14 @@ let of_string text =
   match
     let fields = parse_fields text in
     {
-      Config.spatial = parse_factors (field fields "s");
-      reduce = parse_factors (field fields "r");
-      order_id = int_of_string (field fields "o");
-      unroll_id = int_of_string (field fields "u");
-      fuse_levels = int_of_string (field fields "f");
-      vectorize = int_of_string (field fields "v") <> 0;
-      inline = int_of_string (field fields "i") <> 0;
-      partition_id = int_of_string (field fields "p");
-      key_memo = None;
+      Config.spatial = parse_factors "s" (field fields "s");
+      reduce = parse_factors "r" (field fields "r");
+      order_id = decimal "o" (field fields "o");
+      unroll_id = decimal "u" (field fields "u");
+      fuse_levels = decimal "f" (field fields "f");
+      vectorize = flag "v" (field fields "v");
+      inline = flag "i" (field fields "i");
+      partition_id = decimal "p" (field fields "p");
     }
   with
   | cfg -> Ok cfg

@@ -102,7 +102,6 @@ let gpu_config (space : Space.t) ~threads_per_axis ~vthread ~inner ~rtile =
     vectorize = false;
     inline = true;
     partition_id = 0;
-    key_memo = None;
   }
 
 let cpu_config (space : Space.t) ~mid ~inner ~vec ~rtile =
@@ -128,7 +127,6 @@ let cpu_config (space : Space.t) ~mid ~inner ~vec ~rtile =
     vectorize = true;
     inline = true;
     partition_id = 0;
-    key_memo = None;
   }
 
 let fpga_config (space : Space.t) ~pe_per_axis ~tile ~partition_id =
@@ -154,7 +152,6 @@ let fpga_config (space : Space.t) ~pe_per_axis ~tile ~partition_id =
     vectorize = false;
     inline = true;
     partition_id;
-    key_memo = None;
   }
 
 (* Two generic starting points per target, used to seed exploration. *)

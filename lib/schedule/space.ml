@@ -82,7 +82,6 @@ let default_config space =
     vectorize = false;
     inline = true;
     partition_id = 0;
-    key_memo = None;
   }
 
 (* Uniform-ish random ordered factorization via a divisor chain. *)
@@ -107,7 +106,6 @@ let random_config rng space =
     vectorize = Ft_util.Rng.bool rng;
     inline = (if space.has_producers then Ft_util.Rng.bool rng else true);
     partition_id = Ft_util.Rng.int rng (Array.length partitions);
-    key_memo = None;
   }
 
 let valid space (cfg : Config.t) =

@@ -58,7 +58,6 @@ let refit space (cfg : Config.t) =
           vectorize = cfg.vectorize;
           inline = (if space.has_producers then cfg.inline else true);
           partition_id = clamp 0 (Array.length Space.partitions - 1) cfg.partition_id;
-          key_memo = None;
         }
       in
       if Space.valid space refitted then Some refitted else None
@@ -77,7 +76,7 @@ let seeds_of_records ~exact ~near space =
   let seen = Hashtbl.create 8 in
   List.filter
     (fun cfg ->
-      let k = Config.key cfg in
+      let k = Config.compute_key cfg in
       let fresh = not (Hashtbl.mem seen k) in
       Hashtbl.replace seen k ();
       fresh)

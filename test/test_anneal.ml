@@ -9,12 +9,19 @@ let test_weight_properties () =
   Alcotest.(check (float 1e-9)) "degenerate best" 1.
     (Ft_anneal.Sa.weight ~gamma:2. ~best:0. 0.)
 
+(* A pool holding [points], given newest first (the order H is read
+   in), so each case reads like the list it describes. *)
+let pool_of points =
+  let pool = Ft_anneal.Sa.pool () in
+  List.iter (fun (p, v) -> Ft_anneal.Sa.add pool p v) (List.rev points);
+  pool
+
 let test_select_empty_and_count () =
   let rng = Ft_util.Rng.create 1 in
   Alcotest.(check int) "empty" 0
-    (List.length (Ft_anneal.Sa.select rng ~gamma:2. ~count:3 []));
+    (List.length (Ft_anneal.Sa.select rng ~gamma:2. ~count:3 (pool_of [])));
   Alcotest.(check int) "count" 5
-    (List.length (Ft_anneal.Sa.select rng ~gamma:2. ~count:5 [ ("a", 1.) ]))
+    (List.length (Ft_anneal.Sa.select rng ~gamma:2. ~count:5 (pool_of [ ("a", 1.) ])))
 
 let test_select_returns_point_with_value () =
   let rng = Ft_util.Rng.create 1 in
@@ -22,11 +29,11 @@ let test_select_returns_point_with_value () =
     (fun (point, value) ->
       check_bool "pair intact" true
         ((point = "a" && value = 1.) || (point = "b" && value = 2.)))
-    (Ft_anneal.Sa.select rng ~gamma:2. ~count:10 [ ("a", 1.); ("b", 2.) ])
+    (Ft_anneal.Sa.select rng ~gamma:2. ~count:10 (pool_of [ ("a", 1.); ("b", 2.) ]))
 
 let test_select_prefers_good_points () =
   let rng = Ft_util.Rng.create 42 in
-  let points = [ ("bad", 1.); ("good", 10.) ] in
+  let points = pool_of [ ("bad", 1.); ("good", 10.) ] in
   let picks = Ft_anneal.Sa.select rng ~gamma:4. ~count:2000 points in
   let good =
     List.length (List.filter (fun (p, _) -> String.equal "good" p) picks)
@@ -37,7 +44,8 @@ let test_gamma_controls_selectivity () =
   let count_good gamma =
     let rng = Ft_util.Rng.create 7 in
     let picks =
-      Ft_anneal.Sa.select rng ~gamma ~count:2000 [ ("bad", 5.); ("good", 10.) ]
+      Ft_anneal.Sa.select rng ~gamma ~count:2000
+        (pool_of [ ("bad", 5.); ("good", 10.) ])
     in
     List.length (List.filter (fun (p, _) -> String.equal "good" p) picks)
   in
@@ -45,44 +53,129 @@ let test_gamma_controls_selectivity () =
 
 (* Regression: the scan used `acc >= threshold`, so a zero-weight head
    could swallow a threshold of exactly 0 — a draw that should land in
-   the first *positive*-weight element. *)
+   the first *positive*-weight element.  A value of neg_infinity
+   weighs 0 and the best value weighs 1. *)
 let test_pick_at_skips_zero_weights () =
+  let pick threshold points =
+    Ft_anneal.Sa.pick_at ~gamma:2. ~threshold (pool_of points)
+  in
   Alcotest.(check string) "threshold 0 skips a zero-weight head" "a"
-    (Ft_anneal.Sa.pick_at ~threshold:0. [ ("z", 0.); ("a", 1.) ]);
+    (pick 0. [ ("z", neg_infinity); ("a", 1.); ("b", 1.) ]);
   Alcotest.(check string) "several zero-weight heads" "a"
-    (Ft_anneal.Sa.pick_at ~threshold:0. [ ("z1", 0.); ("z2", 0.); ("z3", 0.); ("a", 2.) ]);
+    (pick 0.
+       [ ("z1", neg_infinity); ("z2", neg_infinity); ("z3", neg_infinity);
+         ("a", 1.); ("b", 1.) ]);
   Alcotest.(check string) "mid threshold" "b"
-    (Ft_anneal.Sa.pick_at ~threshold:1.5 [ ("a", 1.); ("b", 1.); ("c", 1.) ]);
+    (pick 1.5 [ ("a", 1.); ("b", 1.); ("c", 1.) ]);
   Alcotest.(check string) "boundary goes to the next element" "b"
-    (Ft_anneal.Sa.pick_at ~threshold:1.0 [ ("a", 1.); ("b", 1.) ]);
+    (pick 1.0 [ ("a", 1.); ("b", 1.) ]);
   Alcotest.(check string) "fallback at the total" "b"
-    (Ft_anneal.Sa.pick_at ~threshold:2.0 [ ("a", 1.); ("b", 1.) ])
+    (pick 2.0 [ ("a", 1.); ("b", 1.) ])
 
 let test_weighted_pick_never_zero_weight () =
   let rng = Ft_util.Rng.create 17 in
-  for _ = 1 to 2_000 do
-    let got =
-      Ft_anneal.Sa.weighted_pick rng [ ("dead", 0.); ("alive", 0.3); ("dead2", 0.) ]
-    in
-    check_bool "only positive-weight points" true (String.equal got "alive")
-  done
+  let pool =
+    pool_of [ ("dead", neg_infinity); ("alive", 0.3); ("dead2", neg_infinity) ]
+  in
+  List.iter
+    (fun (got, _) -> check_bool "only positive-weight points" true (String.equal got "alive"))
+    (Ft_anneal.Sa.select rng ~gamma:2. ~count:2_000 pool)
 
 (* Regression: select's best-value fold used to start at 0., fabricating
    a phantom best when every real value was below it. *)
 let test_select_all_negative_or_sentinel () =
   let rng = Ft_util.Rng.create 23 in
   let picks =
-    Ft_anneal.Sa.select rng ~gamma:2. ~count:50 [ ("a", -3.); ("b", -1.) ]
+    Ft_anneal.Sa.select rng ~gamma:2. ~count:50 (pool_of [ ("a", -3.); ("b", -1.) ])
   in
   Alcotest.(check int) "all-negative pool still yields picks" 50
     (List.length picks);
   let rng = Ft_util.Rng.create 29 in
   let picks =
     Ft_anneal.Sa.select rng ~gamma:2. ~count:5000
-      [ ("unreached", neg_infinity); ("real", 1.) ]
+      (pool_of [ ("unreached", neg_infinity); ("real", 1.) ])
   in
   check_bool "never selects an unreached sentinel" true
     (List.for_all (fun (p, _) -> String.equal p "real") picks)
+
+(* The list-based selection the pool replaced, verbatim: H newest
+   first, weights recomputed and re-summed on every draw. *)
+module Oracle = struct
+  let pick_at ~threshold weighted =
+    let rec go acc = function
+      | [] -> invalid_arg "pick_at: empty"
+      | [ (point, _) ] -> point
+      | (point, w) :: rest ->
+          let acc = acc +. w in
+          if acc > threshold then point else go acc rest
+    in
+    go 0. weighted
+
+  let weighted_pick rng weighted =
+    let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. weighted in
+    if total <= 0. then fst (Ft_util.Rng.choose rng weighted)
+    else pick_at ~threshold:(Ft_util.Rng.float rng total) weighted
+
+  let select rng ~gamma ~count points =
+    match points with
+    | [] -> []
+    | _ ->
+        let best =
+          List.fold_left (fun acc (_, value) -> Float.max acc value) neg_infinity points
+        in
+        let weighted =
+          List.map
+            (fun ((_, value) as point) -> (point, Ft_anneal.Sa.weight ~gamma ~best value))
+            points
+        in
+        List.init count (fun _ -> weighted_pick rng weighted)
+end
+
+(* Random interleavings of [add] and [select]: rising values move the
+   incumbent, zeros and negatives take the degenerate-best (uniform
+   weight) path, repeated values are duplicate points, and [count] may
+   exceed |H|.  Every pick, value bits included, and the RNG state
+   after each select must match the oracle. *)
+let qcheck_pool_matches_list_select =
+  let value_of rng =
+    match Ft_util.Rng.int rng 8 with
+    | 0 -> 0.
+    | 1 -> -.Ft_util.Rng.float rng 5.
+    | 2 -> neg_infinity
+    | 3 -> float_of_int (Ft_util.Rng.int rng 3)  (* duplicates *)
+    | _ -> Ft_util.Rng.float rng 10.
+  in
+  QCheck.Test.make ~name:"pool select = list select, bit for bit" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let gen = Ft_util.Rng.create seed in
+      let scale = 1. +. Ft_util.Rng.float gen 100. in
+      let pool = Ft_anneal.Sa.pool () in
+      let list = ref [] in
+      let ok = ref true in
+      for step = 1 to 60 do
+        if Ft_util.Rng.int gen 3 > 0 then begin
+          let value = scale *. value_of gen in
+          Ft_anneal.Sa.add pool step value;
+          list := (step, value) :: !list
+        end
+        else begin
+          let gamma = Ft_util.Rng.choose gen [ 0.5; 2.; 2.; 8. ] in
+          let count = Ft_util.Rng.int gen (2 + (2 * List.length !list)) in
+          let r1 = Ft_util.Rng.create step and r2 = Ft_util.Rng.create step in
+          let got = Ft_anneal.Sa.select r1 ~gamma ~count pool in
+          let want = Oracle.select r2 ~gamma ~count !list in
+          let same (p, v) (q, w) =
+            p = q && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float w)
+          in
+          ok :=
+            !ok
+            && List.length got = List.length want
+            && List.for_all2 same got want
+            && Int64.equal (Ft_util.Rng.state r1) (Ft_util.Rng.state r2)
+        end
+      done;
+      !ok && Ft_anneal.Sa.to_list pool = !list)
 
 let test_accept () =
   let rng = Ft_util.Rng.create 3 in
@@ -116,5 +209,6 @@ let () =
           Alcotest.test_case "select degenerate values" `Quick
             test_select_all_negative_or_sentinel;
           Alcotest.test_case "metropolis accept" `Quick test_accept;
+          QCheck_alcotest.to_alcotest qcheck_pool_matches_list_select;
         ] );
     ]

@@ -80,7 +80,7 @@ let test_compiled_inline_and_unroll_variants () =
         List.iter
           (fun inline ->
             for unroll_id = 0 to Array.length Space.unroll_depths - 1 do
-              let cfg = { cfg with inline; unroll_id; key_memo = None } in
+              let cfg = { cfg with inline; unroll_id } in
               if Space.valid space cfg then
                 assert_bit_identical ~seed:trial space cfg
                   (Printf.sprintf "conv2d %s inline=%b unroll=%d"

@@ -175,16 +175,16 @@ let test_incumbent_tracks_max_of_history () =
   let in_history =
     List.exists
       (fun (cfg, value) ->
-        String.equal (Config.key cfg) (Config.key result.best_config)
+        Config.equal cfg result.best_config
         && value = result.best_value)
-      state.evaluated
+      (Ft_anneal.Sa.to_list state.pool)
   in
   check_bool "best is a measured pair" true in_history;
   (* the seed point is valid, so it (value > 0) must beat the injected
      negatives; the incumbent is the max over H *)
   Alcotest.(check (float 1e-9)) "incumbent is max of H"
     (List.fold_left (fun acc (_, v) -> Float.max acc v) neg_infinity
-       state.evaluated)
+       (Ft_anneal.Sa.to_list state.pool))
     result.best_value
 
 (* Regression: with a negative final best, the old threshold
@@ -295,15 +295,14 @@ let small_gemm_space () =
 
 let distinct_configs space n =
   let rng = Ft_util.Rng.create 5 in
-  let seen = Hashtbl.create n in
+  let seen = Config.Tbl.create n in
   let rec go acc k =
     if k = 0 then List.rev acc
     else
       let cfg = Space.random_config rng space in
-      let key = Config.key cfg in
-      if Hashtbl.mem seen key then go acc k
+      if Config.Tbl.mem seen cfg then go acc k
       else begin
-        Hashtbl.add seen key ();
+        Config.Tbl.add seen cfg ();
         go (cfg :: acc) (k - 1)
       end
   in
@@ -358,8 +357,10 @@ let test_measure_batch_duplicates_hit_cache () =
     (List.for_all (Float.equal (List.hd values)) values)
 
 let driver_fingerprint (state : Ft_explore.Driver.state) =
-  ( List.map (fun (cfg, v) -> (Config.key cfg, v)) state.evaluated,
-    (Config.key (fst state.best), snd state.best),
+  ( List.map
+      (fun (cfg, v) -> (Config.compute_key cfg, v))
+      (Ft_anneal.Sa.to_list state.pool),
+    (Config.compute_key (fst state.best), snd state.best),
     List.map
       (fun (s : Ft_explore.Driver.sample) -> (s.at_s, s.n_evals, s.best_value))
       state.samples )

@@ -282,7 +282,7 @@ let () = Ft_baselines.Autotvm.ensure_registered ()
 let methods = Ft_explore.Method.list ()
 
 let result_fingerprint (r : Ft_explore.Driver.result) =
-  ( Config.key r.best_config,
+  ( Config.compute_key r.best_config,
     r.best_value,
     r.n_evals,
     r.sim_time_s,

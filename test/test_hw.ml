@@ -94,7 +94,7 @@ let test_cpu_vectorize_helps () =
   let space = gemm_space Target.xeon_e5_2699_v4 in
   let cfg = Heuristics.cpu_config space ~mid:4 ~inner:4 ~vec:8 ~rtile:8 in
   let on = Ft_hw.Cpu_model.evaluate xeon_spec space cfg in
-  let off = Ft_hw.Cpu_model.evaluate xeon_spec space { cfg with vectorize = false; key_memo = None } in
+  let off = Ft_hw.Cpu_model.evaluate xeon_spec space { cfg with vectorize = false } in
   check_bool "simd speedup" true (on.time_s < off.time_s)
 
 let test_cpu_parallelism_matters () =

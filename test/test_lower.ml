@@ -53,8 +53,8 @@ let test_inline_vs_materialized_agree () =
   let rng = Ft_util.Rng.create 8 in
   for _ = 1 to 5 do
     let cfg = Space.random_config rng space in
-    Ft_lower.Verify.check_exn space { cfg with inline = true; key_memo = None };
-    Ft_lower.Verify.check_exn space { cfg with inline = false; key_memo = None }
+    Ft_lower.Verify.check_exn space { cfg with inline = true };
+    Ft_lower.Verify.check_exn space { cfg with inline = false }
   done
 
 let test_axis_index_reconstruction () =

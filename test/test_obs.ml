@@ -206,7 +206,7 @@ let test_batched_telemetry_names () =
   check_bool "nn.forward_ns counter" true (List.mem "nn.forward_ns" counters)
 
 let result_fingerprint (r : Ft_explore.Driver.result) =
-  ( Ft_schedule.Config.key r.best_config,
+  ( Ft_schedule.Config.compute_key r.best_config,
     r.best_value,
     r.n_evals,
     r.sim_time_s,

@@ -220,7 +220,31 @@ let test_config_io_strict () =
   check_bool "trailing garbage rejected" true
     (Result.is_error (Config_io.of_string (good ^ " garbage")));
   check_bool "non-numeric value rejected" true
-    (Result.is_error (Config_io.of_string "s=4,x r=2 o=0 u=0 f=0 v=0 i=0 p=0"))
+    (Result.is_error (Config_io.of_string "s=4,x r=2 o=0 u=0 f=0 v=0 i=0 p=0"));
+  (* Only what [to_string] prints parses back, and the error names the
+     field. *)
+  let edit field value =
+    String.concat " "
+      (List.map
+         (fun token ->
+           if String.starts_with ~prefix:(field ^ "=") token then field ^ "=" ^ value
+           else token)
+         (String.split_on_char ' ' good))
+  in
+  List.iter
+    (fun (field, value) ->
+      match Config_io.of_string (edit field value) with
+      | Ok _ -> Alcotest.failf "%s=%s accepted" field value
+      | Error msg ->
+          check_bool
+            (Printf.sprintf "%s=%s names its field" field value)
+            true
+            (String.starts_with
+               ~prefix:(Printf.sprintf "Config_io.of_string: field %s:" field)
+               msg))
+    [ ("v", "7"); ("v", "-1"); ("i", "-3"); ("i", "2"); ("o", "0x0"); ("o", "zz");
+      ("u", "+1"); ("f", "1_0"); ("p", "0b1"); ("p", ""); ("o", "-");
+      ("s", "0x4,4"); ("r", "2,-") ]
 
 let test_cap_threads_on_awkward_extents () =
   (* T3D output 111 = 3 x 37 used to force 37x37 = 1369 threads. *)
@@ -282,17 +306,16 @@ let qcheck_config_io_roundtrip =
       let target = Ft_util.Rng.choose rng all_targets in
       let space = Space.make graph target in
       let cfg = Space.random_config rng space in
-      match Config_io.of_string (Config_io.to_string cfg) with
-      | Ok parsed -> Config.equal cfg parsed
+      let text = Config_io.to_string cfg in
+      match Config_io.of_string text with
+      | Ok parsed -> Config.equal cfg parsed && String.equal (Config_io.to_string parsed) text
       | Error _ -> false)
 
-(* The visited set, the eval cache, and the schedule repository all
-   rely on [Config.key] separating distinct points and on the memoized
-   key never going stale.  Injectivity: two random configs share a key
-   exactly when they are structurally equal.  Freshness: after every
-   mutation path in the codebase (copy + in-place factor edits,
-   neighborhood moves), the memoized [key] matches a bypass
-   [compute_key] serialization. *)
+(* The visited set and the eval cache hash configs ([Config.Tbl]);
+   transfer dedup and the fault plan use the string key.  Both must
+   separate exactly the structurally distinct points.
+   Injectivity: two random configs share a key exactly when they are
+   structurally equal. *)
 let structurally_equal (a : Config.t) (b : Config.t) =
   a.spatial = b.spatial && a.reduce = b.reduce && a.order_id = b.order_id
   && a.unroll_id = b.unroll_id
@@ -308,34 +331,31 @@ let qcheck_key_injective =
       let space = conv_space (Ft_util.Rng.choose rng all_targets) in
       let a = Space.random_config rng space in
       let b = Space.random_config rng space in
-      String.equal (Config.key a) (Config.key b) = structurally_equal a b)
+      String.equal (Config.compute_key a) (Config.compute_key b) = structurally_equal a b)
 
-let qcheck_key_memo_stays_fresh =
-  QCheck.Test.make ~name:"memoized key = fresh key on every mutation path"
-    ~count:100
+(* [equal] agrees with the string key, and [hash] with [equal], on a
+   random config against its copy, a second random config, its
+   neighbours (one move away: near-collisions) and the neighbours of
+   one neighbour (the inverse move rebuilds [a] by another path). *)
+let qcheck_equal_hash_agree_with_key =
+  QCheck.Test.make ~name:"equal <=> same key, equal => same hash" ~count:200
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Ft_util.Rng.create seed in
-      let space = conv_space Target.v100 in
-      let cfg = Space.random_config rng space in
-      let fresh c = String.equal (Config.key c) (Config.compute_key c) in
-      (* memoize, then check the memo against a bypass serialization *)
-      ignore (Config.key cfg);
-      fresh cfg
-      (* copy resets the memo even when the source was memoized *)
-      && fresh (Config.copy cfg)
-      (* copy + in-place factor mutation (the neighborhood idiom) *)
-      && (let c = Config.copy cfg in
-          c.spatial.(0).(0) <- c.spatial.(0).(0) * 2;
-          fresh c)
-      (* every valid neighborhood move of a memoized config *)
-      && List.for_all (fun (_, next) -> fresh next)
-           (Neighborhood.neighbors space cfg)
-      (* the serialization round-trip constructs with an empty memo *)
-      &&
-      match Config_io.of_string (Config_io.to_string cfg) with
-      | Ok parsed -> fresh parsed && String.equal (Config.key parsed) (Config.key cfg)
-      | Error _ -> false)
+      let space = conv_space (Ft_util.Rng.choose rng all_targets) in
+      let a = Space.random_config rng space in
+      let near = List.map snd (Neighborhood.neighbors space a) in
+      let others =
+        Config.copy a :: Space.random_config rng space
+        :: (near @ List.map snd (Neighborhood.neighbors space (List.hd near)))
+      in
+      List.for_all
+        (fun b ->
+          let eq = Config.equal a b in
+          eq = String.equal (Config.compute_key a) (Config.compute_key b)
+          && eq = structurally_equal a b
+          && ((not eq) || Config.hash a = Config.hash b))
+        others)
 
 let () =
   Alcotest.run "ft_schedule"
@@ -355,7 +375,7 @@ let () =
           Alcotest.test_case "order perms" `Quick test_order_perms;
           Alcotest.test_case "key and copy" `Quick test_config_key_and_copy;
           QCheck_alcotest.to_alcotest qcheck_key_injective;
-          QCheck_alcotest.to_alcotest qcheck_key_memo_stays_fresh;
+          QCheck_alcotest.to_alcotest qcheck_equal_hash_agree_with_key;
         ] );
       ( "neighborhood",
         [
