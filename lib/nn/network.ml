@@ -31,37 +31,21 @@ let mlp rng ~dims =
   if Array.length dims < 2 then invalid_arg "Network.mlp: need at least two dims";
   { layers = Array.init (Array.length dims - 1) (fun i -> make_layer rng dims.(i) dims.(i + 1)) }
 
-(* The one forward kernel: pre.(o) = bias_o + sum_i w_oi *. x.(i).
-   Four outputs share each pass over [x]; every accumulator still
-   starts from its bias and adds [weight *. input] in ascending [i],
-   so each output is bit-for-bit the scalar dot product. *)
+(* The one forward kernel, in nn_stubs.c: pre.(o) = bias_o + sum_i
+   w_oi *. x.(i), eight outputs per pass over [x], each accumulator
+   starting from its bias and adding [weight *. input] in ascending
+   [i], so each output is bit-for-bit the scalar dot product.  The C
+   code checks nothing: [p]'s size is fixed by [make_layer], [pre] is
+   allocated here, and [x]'s width is checked before the call. *)
+external affine_kernel :
+  Ft_linalg.Linalg.vec -> (int[@untagged]) -> (int[@untagged]) -> float array -> float array ->
+  unit = "ft_nn_affine_byte" "ft_nn_affine"
+[@@noalloc]
+
 let affine { n_in; n_out; p; _ } (x : float array) =
-  let stride = n_in + 1 in
+  if Array.length x <> n_in then invalid_arg "Network.affine: input width mismatch";
   let pre = Array.create_float n_out in
-  let o = ref 0 in
-  while !o + 3 < n_out do
-    let r0 = !o * stride in
-    let r1 = r0 + stride and r2 = r0 + (2 * stride) and r3 = r0 + (3 * stride) in
-    let a0 = ref (unsafe_get p (r0 + n_in)) and a1 = ref (unsafe_get p (r1 + n_in))
-    and a2 = ref (unsafe_get p (r2 + n_in)) and a3 = ref (unsafe_get p (r3 + n_in)) in
-    for i = 0 to n_in - 1 do
-      let xi = Array.unsafe_get x i in
-      a0 := !a0 +. (unsafe_get p (r0 + i) *. xi);
-      a1 := !a1 +. (unsafe_get p (r1 + i) *. xi);
-      a2 := !a2 +. (unsafe_get p (r2 + i) *. xi);
-      a3 := !a3 +. (unsafe_get p (r3 + i) *. xi)
-    done;
-    pre.(!o) <- !a0; pre.(!o + 1) <- !a1; pre.(!o + 2) <- !a2; pre.(!o + 3) <- !a3;
-    o := !o + 4
-  done;
-  for o = !o to n_out - 1 do
-    let r = o * stride in
-    let a = ref (unsafe_get p (r + n_in)) in
-    for i = 0 to n_in - 1 do
-      a := !a +. (unsafe_get p (r + i) *. Array.unsafe_get x i)
-    done;
-    pre.(o) <- !a
-  done;
+  affine_kernel p n_in n_out x pre;
   pre
 
 (* [Float.max 0. v] (nan stays nan, -0. becomes 0.) without its C call *)

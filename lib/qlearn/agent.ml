@@ -142,6 +142,8 @@ let train_batch t =
 let record t transition =
   if transition.action < 0 || transition.action >= t.n_actions then
     invalid_arg "Agent.record: action index out of range";
+  if List.exists (fun a -> a < 0 || a >= t.n_actions) transition.next_valid then
+    invalid_arg "Agent.record: next_valid index out of range";
   let fits s = Array.length s = t.feature_dim in
   if not (fits transition.state && fits transition.next_state) then
     invalid_arg (Printf.sprintf "Agent.record: state and next_state need %d features" t.feature_dim);

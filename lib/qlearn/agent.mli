@@ -52,8 +52,9 @@ val select_scored : t -> q:float array Lazy.t -> valid:int list -> int option
 
 (** Store a transition; every [train_every] calls this also runs a
     training round and returns its mean loss.  Raises
-    [Invalid_argument] — before changing anything — when the action is
-    out of range or [state]/[next_state] is not [feature_dim] long. *)
+    [Invalid_argument] — before changing anything — when the action or
+    an index in [next_valid] is out of range, or [state]/[next_state]
+    is not [feature_dim] long. *)
 val record : t -> transition -> float option
 
 val epsilon : t -> float

@@ -59,26 +59,66 @@ let test_copy_params_makes_forward_equal () =
   Alcotest.(check (array (float 1e-12))) "equal after copy"
     (Ft_nn.Network.forward a input) (Ft_nn.Network.forward b input)
 
+let vec = Ft_linalg.Linalg.vec_of_array
+let vec_bits v = Array.init (Bigarray.Array1.dim v) (fun i -> Int64.bits_of_float v.{i})
+
 let test_adadelta_minimizes_quadratic () =
-  (* Minimize f(x) = (x - 3)^2 with gradient 2(x - 3). *)
+  (* Minimize f(b) = (b - 3)^2, gradient 2(b - 3), as the bias of a
+     row without weights. *)
   let state = Ft_nn.Adadelta.create 1 in
-  let params = Ft_linalg.Linalg.vec_of_array [| 10. |] in
+  let params = vec [| 10. |] in
   for _ = 1 to 5000 do
-    Ft_nn.Adadelta.update state ~params
-      ~grads:
-        (Ft_linalg.Linalg.vec_of_array
-           [| 2. *. (Bigarray.Array1.get params 0 -. 3.) |])
+    let b = params.{0} in
+    Ft_nn.Adadelta.update_row state ~params ~off:0 ~d:(2. *. (b -. 3.)) ~pre:b ~x:[||] ~din:[||]
   done;
-  check_bool "converged near 3" true
-    (Float.abs (Bigarray.Array1.get params 0 -. 3.) < 0.5)
+  check_bool "converged near 3" true (Float.abs (params.{0} -. 3.) < 0.5)
 
 let test_adadelta_size_mismatch () =
   let state = Ft_nn.Adadelta.create 2 in
-  Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.update: size mismatch")
+  Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.update_row: size mismatch")
     (fun () ->
-      Ft_nn.Adadelta.update state
-        ~params:(Ft_linalg.Linalg.vec_of_array [| 1. |])
-        ~grads:(Ft_linalg.Linalg.vec_of_array [| 1. |]))
+      Ft_nn.Adadelta.update_row state ~params:(vec [| 1. |]) ~off:0 ~d:1. ~pre:1. ~x:[||]
+        ~din:[||])
+
+let raises_invalid what f =
+  match f () with
+  | () -> Alcotest.failf "%s: no exception" what
+  | exception Invalid_argument _ -> ()
+
+(* The row kernel is C and checks nothing, so every malformed call
+   must raise in OCaml before it runs: the parameters, [din] and the
+   optimizer state stay bit-identical.  The state is not observable,
+   so a twin that never saw the bad calls must then take the same
+   valid step to the same bits. *)
+let test_update_row_rejects_bad_rows () =
+  let make () =
+    let state = Ft_nn.Adadelta.create 6 and params = vec [| 0.5; -1.; 2.; 0.25; -0.75; 1.5 |] in
+    Ft_nn.Adadelta.update_row state ~params ~off:3 ~d:0.3 ~pre:1. ~x:[| 1.; -2. |]
+      ~din:[| 0.; 0. |];
+    (state, params)
+  in
+  let state, params = make () and twin, twin_params = make () in
+  let din = [| 0.; 0. |] and x = [| 1.; -2. |] in
+  let bad what ?(params = params) ?(din = din) off =
+    raises_invalid what (fun () ->
+        Ft_nn.Adadelta.update_row state ~params ~off ~d:0.7 ~pre:1. ~x ~din)
+  in
+  bad "negative off" (-1);
+  bad "bias past the end" 4;
+  bad "row past the end" 6;
+  bad "overflowing off" max_int;
+  bad "short din" ~din:[| 0. |] 0;
+  let other = vec (Array.make 7 1.) in
+  bad "state size" ~params:other 0;
+  check_bool "other params untouched" true (Array.for_all (( = ) 1.) (Array.init 7 (fun i -> other.{i})));
+  check_bool "din untouched" true (din = [| 0.; 0. |]);
+  check_bool "params untouched" true (vec_bits params = vec_bits twin_params);
+  let step state params =
+    Ft_nn.Adadelta.update_row state ~params ~off:0 ~d:(-0.4) ~pre:1. ~x ~din:[| 0.; 0. |]
+  in
+  step state params;
+  step twin twin_params;
+  check_bool "state untouched" true (vec_bits params = vec_bits twin_params)
 
 let test_mlp_rejects_bad_dims () =
   let rng = Ft_util.Rng.create 1 in
@@ -324,6 +364,71 @@ let qcheck_training_matches_reference =
       done;
       !ok)
 
+(* The qcheck above draws widths 1-13: the kernels' remainder paths.
+   At the paper's widths the forward's 8-output blocks and the
+   vectorized AdaDelta loop carry almost every value, so run the
+   Q-networks of two real spaces (features -> 64^3 -> directions) a
+   few hundred steps against the reference, inputs with exact +-0 and
+   ReLU-killing entries. *)
+let test_training_matches_reference_at_paper_dims () =
+  List.iter
+    (fun (name, dims) ->
+      let net = Ft_nn.Network.mlp (Ft_util.Rng.create 2020) ~dims in
+      let reference = Reference.mlp (Ft_util.Rng.create 2020) ~dims in
+      let rng = Ft_util.Rng.create 7 in
+      let n_in = dims.(0) and n_out = dims.(Array.length dims - 1) in
+      let entry () =
+        match Ft_util.Rng.int rng 6 with
+        | 0 -> 0.
+        | 1 -> -0.
+        | 2 -> -.Ft_util.Rng.float rng 50.
+        | _ -> Ft_util.Rng.float rng 4. -. 2.
+      in
+      let sample n = Array.init n (fun _ -> entry ()) in
+      for step = 1 to 300 do
+        let input = sample n_in in
+        let loss, expected =
+          if step mod 4 = 0 then
+            let target = sample n_out in
+            ( Ft_nn.Network.train_mse net ~input ~target,
+              Reference.train_mse reference ~input ~target )
+          else
+            let index = Ft_util.Rng.int rng n_out and target = entry () in
+            ( Ft_nn.Network.train_mse_component net ~input ~index ~target,
+              Reference.train_mse_component reference ~input ~index ~target )
+        in
+        if not (bits_equal loss expected) then Alcotest.failf "%s: loss of step %d" name step;
+        let probe = sample n_in in
+        if
+          not
+            (Array.for_all2 bits_equal (Ft_nn.Network.forward net probe)
+               (Reference.forward reference probe))
+        then Alcotest.failf "%s: forward after step %d" name step
+      done)
+    [ ("GMV/v100", [| 13; 64; 64; 64; 22 |]); ("C3D/xeon", [| 38; 64; 64; 64; 80 |]) ]
+
+(* A row of the wrong width must raise before the C forward kernel
+   reads it, and leave the training caches alone. *)
+let test_forward_rejects_bad_width () =
+  let net = Ft_nn.Network.mlp (Ft_util.Rng.create 3) ~dims:[| 4; 16; 3 |] in
+  let good = [| 0.5; -1.; 2.; 0.25 |] in
+  let before = Ft_nn.Network.forward net good in
+  raises_invalid "short row" (fun () -> ignore (Ft_nn.Network.forward net [| 1.; 2.; 3. |]));
+  raises_invalid "long row" (fun () -> ignore (Ft_nn.Network.forward net (Array.make 5 1.)));
+  raises_invalid "empty row" (fun () -> ignore (Ft_nn.Network.forward net [||]));
+  raises_invalid "bad batch row" (fun () ->
+      ignore (Ft_nn.Network.forward_batch net [| good; Array.make 9 1. |]));
+  (* The cached input and pre-activations still belong to [good]: a
+     training step gives the same loss as on a twin that saw no bad
+     call. *)
+  let twin = Ft_nn.Network.mlp (Ft_util.Rng.create 3) ~dims:[| 4; 16; 3 |] in
+  check_bool "same outputs" true
+    (Array.for_all2 bits_equal before (Ft_nn.Network.forward twin good));
+  check_bool "same training step" true
+    (bits_equal
+       (Ft_nn.Network.train_mse_component net ~input:good ~index:1 ~target:2.)
+       (Ft_nn.Network.train_mse_component twin ~input:good ~index:1 ~target:2.))
+
 let () =
   Alcotest.run "ft_nn"
     [
@@ -339,10 +444,14 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_forward_finite;
           QCheck_alcotest.to_alcotest qcheck_forward_batch_equals_scalar;
           QCheck_alcotest.to_alcotest qcheck_training_matches_reference;
+          Alcotest.test_case "bit-equal to the reference at the paper's widths" `Quick
+            test_training_matches_reference_at_paper_dims;
+          Alcotest.test_case "bad input width" `Quick test_forward_rejects_bad_width;
         ] );
       ( "adadelta",
         [
           Alcotest.test_case "minimizes quadratic" `Quick test_adadelta_minimizes_quadratic;
           Alcotest.test_case "size mismatch" `Quick test_adadelta_size_mismatch;
+          Alcotest.test_case "bad rows change nothing" `Quick test_update_row_rejects_bad_rows;
         ] );
     ]

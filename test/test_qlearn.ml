@@ -120,6 +120,33 @@ let test_record_rejects_bad_shapes () =
   done;
   Alcotest.(check int) "well-formed records all land" 50 (Ft_qlearn.Agent.recorded agent)
 
+(* An out-of-range [next_valid] index would index the target
+   network's output in every training round that samples the
+   transition; it is rejected before anything changes, and the next
+   well-formed record trains normally. *)
+let test_record_rejects_bad_next_valid () =
+  let agent =
+    Ft_qlearn.Agent.create ~train_every:1 (Ft_util.Rng.create 8) ~feature_dim:2 ~n_actions:3
+  in
+  let good =
+    {
+      Ft_qlearn.Agent.state = [| 0.5; -0.5 |];
+      action = 2;
+      reward = 0.25;
+      next_state = [| -0.5; 0.5 |];
+      next_valid = [ 0; 2 ];
+    }
+  in
+  List.iter
+    (fun next_valid ->
+      check_invalid ~prefix:"Agent.record: next_valid" "bad next_valid" (fun () ->
+          Ft_qlearn.Agent.record agent { good with next_valid }))
+    [ [ 7 ]; [ -1 ]; [ 0; 3 ] ];
+  Alcotest.(check int) "nothing recorded" 0 (Ft_qlearn.Agent.recorded agent);
+  match Ft_qlearn.Agent.record agent good with
+  | Some loss -> check_bool "trains" true (Float.is_finite loss)
+  | None -> Alcotest.fail "train_every 1 must train"
+
 let test_create_rejects_bad_sizes () =
   let create ?replay_cap ?train_every ?batch_size () =
     Ft_qlearn.Agent.create ?replay_cap ?train_every ?batch_size
@@ -143,6 +170,7 @@ let () =
           Alcotest.test_case "learns bandit" `Slow test_learns_bandit;
           Alcotest.test_case "bad action" `Quick test_record_rejects_bad_action;
           Alcotest.test_case "bad state shapes" `Quick test_record_rejects_bad_shapes;
+          Alcotest.test_case "bad next_valid" `Quick test_record_rejects_bad_next_valid;
           Alcotest.test_case "bad sizes" `Quick test_create_rejects_bad_sizes;
         ] );
     ]
