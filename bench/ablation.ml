@@ -10,11 +10,11 @@ let layers = [ "C2"; "C7"; "C13" ]
 
 let graph_of name = Ft_workloads.Yolo.graph (Ft_workloads.Yolo.find name)
 
-(* One column per *registered* method — a method added to the registry
-   shows up here with no edit. *)
+(* One column per method — a row added to the method table shows up
+   here with no edit. *)
 let methods_at_equal_budget () =
   Bench_common.subsection "search methods at an equal budget (200 evals, V100)";
-  let methods = Ft_explore.Method.list () in
+  let methods = Ft_explore.Method.all in
   let rows =
     List.map
       (fun name ->

@@ -8,10 +8,6 @@ let seed = 2020
 let search_evals = 350
 let autotvm_rounds = 20
 
-(* Benches resolve methods by registry name; the AutoTVM entries are
-   registered from the baselines library, which must be linked. *)
-let () = Ft_baselines.Autotvm.ensure_registered ()
-
 let gpu_targets = Target.[ v100; p100; titan_x ]
 
 let section title =
@@ -21,7 +17,7 @@ let subsection title = Printf.printf "\n-- %s --\n" title
 
 let fmt_gf = Ft_util.Table.fmt_float ~digits:1
 
-(* Run any registered method by name at the harness budgets: an
+(* Run any method by name at the harness budgets: an
    effectively unlimited trial count bounded by the measurement
    budget. *)
 let search_method ?(n_trials = 10_000) ?max_evals ?(heuristic_seeds = true)

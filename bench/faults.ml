@@ -1,7 +1,7 @@
 open Ft_schedule
 open Bench_common
 
-(* `bench faults`: graceful-degradation table.  Every registered search
+(* `bench faults`: graceful-degradation table.  Every search
    method runs the same small GEMM under increasing injected fault
    rates (the `rate=R` spec shorthand: R split evenly over compile
    errors, timeouts and runtime crashes).  The rate-0 column is the
@@ -51,4 +51,4 @@ let run () =
       ("method" :: List.map (fun r -> Printf.sprintf "rate %.1f" r) rates)
     (List.map
        (fun (m : Ft_explore.Method.t) -> m.name :: List.map (cell m) rates)
-       (Ft_explore.Method.list ()))
+       (Ft_explore.Method.all))

@@ -244,7 +244,7 @@ let bench_service () =
         ~finally:(fun () -> rm_rf dir)
         (fun () ->
           let repo = Shard.open_dir dir in
-          let server = Server.create ~repo ~listen:"127.0.0.1:0" () in
+          let server = Server.create ~repo ~listen:"127.0.0.1:0" in
           let _thread = Server.start server in
           Fun.protect
             ~finally:(fun () -> Server.stop server)

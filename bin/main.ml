@@ -24,20 +24,19 @@ let target_arg =
   Arg.(value & opt target_conv Flextensor.Target.v100 & info [ "t"; "target" ]
          ~docv:"TARGET" ~doc:"Hardware target: v100, p100, titanx, xeon, vu9p")
 
-(* An int >= [min]; turns `--n-parallel 0` or `--trials=-3` into a
-   usage error instead of an uncaught Invalid_argument from deeper
+(* An int in [min, max]; turns `--n-parallel 0` or `--trials=-3` into
+   a usage error instead of an uncaught Invalid_argument from deeper
    down, or a search that silently runs no trials. *)
-let int_at_least min what =
+let int_in ?(max = max_int) min what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= min -> Ok n
-    | Ok _ -> Error (`Msg ("expected a " ^ what ^ " integer"))
+    | Ok n when n >= min && n <= max -> Ok n
+    | Ok _ -> Error (`Msg ("expected " ^ what))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
-let positive_int = int_at_least 1 "positive"
-let non_negative_int = int_at_least 0 "non-negative"
+let positive_int = int_in 1 "a positive integer"
 
 let seed_arg =
   Arg.(value & opt int Flextensor.default_options.seed & info [ "seed" ]
@@ -111,11 +110,11 @@ let finish_trace () =
   end;
   Flextensor.Trace.close ()
 
-(* --method choices come from the registry: every method is selectable
+(* --method choices come from the method table: every method is selectable
    by its short key or its stable name (both map to the name).  A key
    equal to a name ("random") appears once. *)
 let method_arg =
-  let methods = Flextensor.Method.list () in
+  let methods = Flextensor.Method.all in
   let alternatives =
     List.fold_left
       (fun acc (k, v) -> if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
@@ -195,7 +194,12 @@ let measure_timeout_arg =
                $(b,--measure-isolate on).")
 
 let measure_mem_mb_arg =
-  Arg.(value & opt non_negative_int 4096 & info [ "measure-mem-mb" ] ~docv:"MB"
+  (* The cap in bytes must fit in an int (preflight, setrlimit). *)
+  let mem_mb =
+    let max = Flextensor.Sandbox.max_mem_mb in
+    int_in ~max 0 (Printf.sprintf "an integer from 0 to %d" max)
+  in
+  Arg.(value & opt mem_mb 4096 & info [ "measure-mem-mb" ] ~docv:"MB"
          ~doc:"Address-space cap (RLIMIT_AS) for the sandboxed \
                measurement child, in MiB; an allocation past the cap is \
                contained as an out-of-memory result.  0 disables the \
@@ -506,7 +510,7 @@ let methods_cmd =
                  scripting).")
   in
   let run quiet =
-    let methods = Flextensor.Method.list () in
+    let methods = Flextensor.Method.all in
     if quiet then
       List.iter (fun (m : Flextensor.Method.t) -> print_endline m.name) methods
     else
@@ -517,7 +521,7 @@ let methods_cmd =
   in
   Cmd.v
     (Cmd.info "methods"
-       ~doc:"List the registered search methods (usable with $(b,optimize \
+       ~doc:"List the search methods (usable with $(b,optimize \
              -m); names are stable tuning-log keys)")
     Term.(const run $ quiet_arg)
 
@@ -598,7 +602,7 @@ let serve_cmd =
   in
   let run dir listen compact_every k =
     let repo = open_repo ?compact_every ~k dir in
-    match Flextensor.Store_server.create ~repo ~listen () with
+    match Flextensor.Store_server.create ~repo ~listen with
     | exception Failure msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 1

@@ -31,5 +31,4 @@ val analyze : Ft_ir.Op.graph -> graph_info
 (** The node with the most FLOPs — the one the back-end schedules. *)
 val compute_node : graph_info -> node_info
 
-val pp_node : Format.formatter -> node_info -> unit
 val pp : Format.formatter -> graph_info -> unit

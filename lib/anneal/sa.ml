@@ -92,11 +92,3 @@ let select rng ~gamma ~count pool =
         (pool.points.(i), pool.values.(i)))
   end
 
-(* Metropolis acceptance for a plain annealing walk (used by the
-   AutoTVM baseline's candidate proposal). *)
-let accept rng ~temperature ~current ~candidate =
-  candidate >= current
-  ||
-  let scale = Float.max 1e-9 (Float.max (Float.abs current) 1.) in
-  temperature > 0.
-  && Ft_util.Rng.float rng 1.0 < exp ((candidate -. current) /. (temperature *. scale))

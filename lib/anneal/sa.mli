@@ -1,6 +1,5 @@
 (** Simulated annealing (§5.1): starting-point selection over the set
-    of already-evaluated schedule points, and Metropolis acceptance for
-    annealing walks. *)
+    of already-evaluated schedule points. *)
 
 (** Selection weight exp(-gamma . (best - value) / best). *)
 val weight : gamma:float -> best:float -> float -> float
@@ -32,8 +31,3 @@ val select :
     point is the fallback for [threshold >= total].  Raises
     [Invalid_argument] on an empty pool. *)
 val pick_at : gamma:float -> threshold:float -> 'a pool -> 'a
-
-(** Metropolis acceptance of a candidate objective value given the
-    current one at a temperature (relative scale). *)
-val accept :
-  Ft_util.Rng.t -> temperature:float -> current:float -> candidate:float -> bool

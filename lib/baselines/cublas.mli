@@ -1,6 +1,5 @@
 (** cuBLAS baseline for the matmul-family operators. *)
 
-val assembly_scale : float
 val supported : Ft_ir.Op.graph -> bool
 
 val evaluate :

@@ -7,11 +7,6 @@ type verdict = {
   algo : string;
 }
 
-val winograd_scale : float
-val transposed_fast_scale : float
-val kernel_reuse_scale : float
-val depthwise_scale : float
-
 (** cuDNN covers convolutions only (the paper compares matmuls against
     cuBLAS instead). *)
 val supported : Ft_ir.Op.graph -> bool

@@ -1,7 +1,6 @@
 (** MKL-DNN baseline: best-of-candidate NCHWc-vectorized CPU
     schedules. *)
 
-val jit_scale : float
 val supported : Ft_ir.Op.graph -> bool
 
 val evaluate :

@@ -50,15 +50,10 @@ module Pool = struct
   let quiesce_default () = ()
 end
 
-(* The AutoTVM registrations live in [Ft_baselines.Autotvm]; reference
-   the module here so it is linked (and they run) for every consumer of
-   this facade. *)
-let () = Ft_baselines.Autotvm.ensure_registered ()
-
 type options = {
   seed : int;
   n_trials : int;
-  search : string;  (* registered method name or CLI key (Method.find) *)
+  search : string;  (* method name or CLI key (Method.find) *)
   max_evals : int option;
   n_parallel : int;  (* simulated measurement devices (clock model) *)
   faults : Ft_fault.Plan.t;  (* injected measurement failures (zero = none) *)
@@ -290,7 +285,7 @@ let generated_code report =
 
 (* Check the optimized schedule end-to-end against the naive reference.
    Execution is point-by-point, so use this on small graphs. *)
-let verify ?seed ?tol report = Verify.check ?seed ?tol report.space report.config
+let verify report = Verify.check report.space report.config
 
 let report_summary report =
   let measured_suffix =

@@ -75,16 +75,13 @@ module Store_record = Ft_store.Record
 (** Cross-shape schedule transfer (warm starts) ({!Ft_store.Transfer}). *)
 module Transfer = Ft_store.Transfer
 
-(** The search-method registry ({!Ft_explore.Method}): all back-ends —
-    Q-method, P-method, random, CD-method, AutoTVM, AutoTVM-2019, plus
-    anything registered by the application — selectable by name in
-    {!options.search}.  Loading this facade guarantees the built-ins
-    and the AutoTVM baselines are registered. *)
+(** The search methods ({!Ft_explore.Method}): one fixed table of
+    Q-method, P-method, random, CD-method, AutoTVM and AutoTVM-2019,
+    each selectable by name or CLI key in {!options.search}. *)
 module Method = Ft_explore.Method
 
 (** The shared search scaffolding and its parameter record
-    ({!Ft_explore.Search_loop}) — what a registered method's [search]
-    receives. *)
+    ({!Ft_explore.Search_loop}) — what a method's [search] receives. *)
 module Search_loop = Ft_explore.Search_loop
 
 (** Deterministic fault injection ({!Ft_fault.Plan}), absorbed by the
@@ -154,7 +151,7 @@ type options = {
   seed : int;
   n_trials : int;
   search : string;
-      (** a registered method name or CLI key ({!Method.find});
+      (** a method name or CLI key ({!Method.find});
           [optimize] raises [Invalid_argument] for unknown names *)
   max_evals : int option;  (** hard measurement budget *)
   n_parallel : int;
@@ -183,7 +180,7 @@ type options = {
     faults, no checkpoint.  The other §5.1 hyperparameters are
     constants: 4 annealing starts, gamma 2.0 and the 0.15
     uniform-sample probability in {!Search_loop.sa_starts}, and the
-    Q-agent's epsilon of 0.3 ({!Ft_qlearn.Agent.create}'s default);
+    Q-agent's constants in {!Ft_qlearn.Agent} (epsilon 0.3 and the rest);
     [optimize] always takes 5 Q-method steps per start. *)
 val default_options : options
 
@@ -262,8 +259,9 @@ val reapply : Op.graph -> Target.t -> string -> (report, string) result
 (** Pseudo-C rendering of the optimized schedule's loop nest. *)
 val generated_code : report -> string
 
-(** End-to-end semantic check of the optimized schedule (meant for
-    small graphs — execution is point-by-point). *)
-val verify : ?seed:int -> ?tol:float -> report -> (unit, string) result
+(** End-to-end semantic check of the optimized schedule
+    ({!Verify.check}; meant for small graphs — execution is
+    point-by-point). *)
+val verify : report -> (unit, string) result
 
 val report_summary : report -> string

@@ -3,12 +3,9 @@
    each distinct layer once with the chosen method, and sum per-layer
    latencies over the full layer sequence.
 
-   The optimizer is any registered search method, selected by name
-   ([Ft_explore.Method]); "Q-method" is displayed as "FlexTensor" in
-   network results, matching the paper's tables. *)
-
-(* Make sure the AutoTVM registrations are linked for name lookups. *)
-let () = Ft_baselines.Autotvm.ensure_registered ()
+   The optimizer is any search method of [Ft_explore.Method], selected
+   by name; "Q-method" is displayed as "FlexTensor" in network results,
+   matching the paper's tables. *)
 
 type layer_time = {
   layer_name : string;

@@ -1,5 +1,5 @@
 (** End-to-end DNN latency under different operator optimizers
-    (§6.6).  The optimizer is any registered search method, selected
+    (§6.6).  The optimizer is any search method of the table, selected
     by its stable name or CLI key ({!Ft_explore.Method.find}) —
     "Q-method" (the paper's FlexTensor runs), "AutoTVM", "CD-method",
     …  Unknown names raise [Invalid_argument]. *)
@@ -19,18 +19,10 @@ type network_result = {
   reused_layers : int;  (** distinct layers satisfied from the tuning log *)
 }
 
-(** Display name of a registered method in network results:
-    "Q-method" is branded "FlexTensor" (the paper's tables), every
-    other method keeps its registered name. *)
+(** Display name of a method in network results: "Q-method" is
+    branded "FlexTensor" (the paper's tables), every other method keeps
+    its own name. *)
 val optimizer_name : string -> string
-
-(** Optimize one layer graph with the named method, consulting [store]
-    first (exact-key hit for the same search method → reapply the
-    logged schedule, no search) and appending the search result on a
-    miss.  Returns (predicted kernel seconds, came-from-log). *)
-val optimize_layer :
-  ?seed:int -> ?max_evals:int -> ?store:Ft_store.Store.t -> string ->
-  Ft_schedule.Target.t -> Ft_ir.Op.graph -> float * bool
 
 (** Deduplicate a layer sequence into (name, graph, count).  Raises
     [Invalid_argument] if one name stands for two structurally

@@ -158,30 +158,30 @@ let population = 128
    instead of the schedule-space heuristics — AutoTVM never sees the
    full space — and warm-start transfer seeds are appended after all
    RNG draws, exactly as the other methods do. *)
-let policy ~template : (module Ft_explore.Search_loop.POLICY) =
+let policy ~template : (module Search_loop.POLICY) =
   (module struct
     type t = { mutable knob_pool : knobs list }
 
     let method_name =
       match template with `Divisor -> "AutoTVM" | `Paper_era -> "AutoTVM-2019"
 
-    let seeds (p : Ft_explore.Search_loop.params) rng space =
+    let seeds (p : Search_loop.params) rng space =
       List.init batch (fun _ ->
           to_config space (random_knobs ~template rng space))
       @ p.transfer_seeds
 
-    let create (ctx : Ft_explore.Search_loop.ctx) =
+    let create (ctx : Search_loop.ctx) =
       {
         knob_pool =
           List.init batch (fun _ -> random_knobs ~template ctx.rng ctx.space);
       }
 
-    let trial t (ctx : Ft_explore.Search_loop.ctx) ~index =
-      let { Ft_explore.Search_loop.rng; space; evaluator; state; out_of_budget; _ }
+    let trial t (ctx : Search_loop.ctx) ~index =
+      let { Search_loop.rng; space; evaluator; state; out_of_budget; _ }
           =
         ctx
       in
-      Ft_explore.Search_loop.trial_span ~key:"autotvm" ~index (fun () ->
+      Search_loop.trial_span ~key:"autotvm" ~index (fun () ->
           (* Retrain the cost model on everything measured so far. *)
           let evaluated = Ft_anneal.Sa.to_list state.pool in
           let xs =
@@ -192,7 +192,7 @@ let policy ~template : (module Ft_explore.Search_loop.POLICY) =
           let model = Ft_gbt.Boost.fit ~rounds:12 ~depth:3 xs ys in
           if Ft_obs.Trace.active () then
             Ft_obs.Trace.event "gbt.train" [ ("points", Int (Array.length xs)) ];
-          Ft_explore.Evaluator.charge evaluator training_cost;
+          Evaluator.charge evaluator training_cost;
           (* Annealing proposal: a population of mutations of previous knob
              settings plus fresh random templates, ranked by the model. *)
           let proposals =
@@ -201,7 +201,7 @@ let policy ~template : (module Ft_explore.Search_loop.POLICY) =
                   random_knobs ~template rng space
                 else mutate ~template rng space (Ft_util.Rng.choose rng t.knob_pool))
           in
-          Ft_explore.Evaluator.charge evaluator
+          Evaluator.charge evaluator
             (float_of_int population *. scoring_cost_per_candidate);
           (* The whole population is featurized and scored in one
              batched call — one flat matrix through the flattened
@@ -224,7 +224,7 @@ let policy ~template : (module Ft_explore.Search_loop.POLICY) =
           let ranked = List.sort (fun (_, _, a) (_, _, b) -> compare b a) scored in
           let fresh =
             List.filter
-              (fun (_, cfg, _) -> not (Ft_explore.Driver.seen state cfg))
+              (fun (_, cfg, _) -> not (Driver.seen state cfg))
               ranked
           in
           let chosen = List.filteri (fun i _ -> i < batch) fresh in
@@ -233,35 +233,11 @@ let policy ~template : (module Ft_explore.Search_loop.POLICY) =
              per-round candidates concurrently ([n_parallel] models
              that on the simulated clock). *)
           ignore
-            (Ft_explore.Driver.evaluate_batch ~should_stop:out_of_budget state
+            (Driver.evaluate_batch ~should_stop:out_of_budget state
                (List.map (fun (_, cfg, _) -> cfg) chosen));
           t.knob_pool <- List.map (fun (knobs, _, _) -> knobs) chosen @ t.knob_pool);
       1
   end)
 
 let search_params ?(template = `Divisor) params space =
-  Ft_explore.Search_loop.run (policy ~template) params space
-
-(* Referencing this from a consumer forces the module (and so the
-   registrations below) to be linked; see [Ft_explore.Method]. *)
-let ensure_registered () = ()
-
-let () =
-  Ft_explore.Method.register
-    {
-      key = "autotvm";
-      name = "AutoTVM";
-      description =
-        "template-restricted GBT-guided tuning (mainline divisor-knob \
-         templates)";
-      search = (fun p space -> search_params ~template:`Divisor p space);
-    };
-  Ft_explore.Method.register
-    {
-      key = "autotvm-2019";
-      name = "AutoTVM-2019";
-      description =
-        "AutoTVM with the paper-era 2019 templates (no virtual threading, \
-         snapped knobs)";
-      search = (fun p space -> search_params ~template:`Paper_era p space);
-    }
+  Search_loop.run (policy ~template) params space

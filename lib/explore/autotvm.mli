@@ -14,20 +14,14 @@ type template = [ `Divisor | `Paper_era ]
     comparison). Default [`Divisor]. *)
 val template_size : ?template:template -> Ft_schedule.Space.t -> float
 
-(** The registry entry points ("AutoTVM" with [`Divisor] templates,
-    "AutoTVM-2019" with [`Paper_era]): run on an explicit parameter
+(** The search behind {!Method}'s "AutoTVM" ([`Divisor] templates)
+    and "AutoTVM-2019" ([`Paper_era]) rows: run on an explicit parameter
     record; [params.n_trials] is the round count, each round scoring
     128 proposals and measuring the best 8.  H is seeded with 8
     random template instantiations (never the schedule-space
     heuristics), then any [params.transfer_seeds]. *)
 val search_params :
   ?template:template ->
-  Ft_explore.Search_loop.params ->
+  Search_loop.params ->
   Ft_schedule.Space.t ->
-  Ft_explore.Driver.result
-
-(** No-op whose reference forces this module to be linked, so the
-    top-level registrations of "AutoTVM"/"AutoTVM-2019" in
-    {!Ft_explore.Method} actually run.  Call it (or reference any
-    other value here) before resolving those names. *)
-val ensure_registered : unit -> unit
+  Driver.result

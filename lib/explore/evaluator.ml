@@ -1,5 +1,3 @@
-type mode = Hardware_measure | Model_query
-
 module Tbl = Ft_schedule.Config.Tbl
 
 (* An external evaluation backend for [prepare]'s fresh points (the
@@ -19,7 +17,7 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
 
 type t = {
   space : Ft_schedule.Space.t;
-  mode : mode;
+  model_query : bool;  (* FPGA: points cost a model query, never a measurement *)
   n_parallel : int;  (* simulated measurement devices (lanes) *)
   dispatch : dispatch option;  (* external backend for batched fresh points *)
   faults : Ft_fault.Plan.t option;  (* Some only when the plan injects faults *)
@@ -28,15 +26,6 @@ type t = {
   mutable clock_s : float;
   mutable n_evals : int;
 }
-
-(* On CPU/GPU the paper measures on the device (compile + 3 runs + host
-   overhead); on FPGA synthesis is far too slow, so it queries the
-   analytical model (§5.2).  The simulated clock charges each mode its
-   respective cost so that exploration-time comparisons are
-   meaningful. *)
-let default_mode = function
-  | Ft_schedule.Target.Gpu _ | Ft_schedule.Target.Cpu _ -> Hardware_measure
-  | Ft_schedule.Target.Fpga _ -> Model_query
 
 let compile_cost = 0.3
 let host_overhead = 0.05
@@ -48,29 +37,34 @@ let cache_hit_cost = 0.0005
 (* A noisy timing is re-run this many times and reported as the median. *)
 let noisy_repeats = 3
 
-let create ?mode ?(n_parallel = 1) ?dispatch ?faults space =
+let create ?(n_parallel = 1) ?dispatch ?faults space =
   if n_parallel < 1 then invalid_arg "Evaluator.create: n_parallel must be >= 1";
-  let mode =
-    match mode with Some m -> m | None -> default_mode space.Ft_schedule.Space.target
+  (* On CPU/GPU the paper measures on the device (compile + 3 runs +
+     host overhead); on FPGA synthesis is far too slow, so it queries
+     the analytical model (§5.2).  The simulated clock charges each
+     kind of point its own cost so that exploration-time comparisons
+     are meaningful. *)
+  let model_query =
+    match space.Ft_schedule.Space.target with
+    | Ft_schedule.Target.Fpga _ -> true
+    | Ft_schedule.Target.Gpu _ | Ft_schedule.Target.Cpu _ -> false
   in
   let faults =
     Option.bind faults (fun plan ->
         if Ft_fault.Plan.injects_measurement_faults plan then Some plan else None)
   in
-  { space; mode; n_parallel; dispatch; faults;
+  { space; model_query; n_parallel; dispatch; faults;
     live_lanes = n_parallel;
     cache = Tbl.create 256; clock_s = 0.; n_evals = 0 }
 
 let charge t seconds = t.clock_s <- t.clock_s +. seconds
 
 let measure_cost t (perf : Ft_hw.Perf.t) =
-  match t.mode with
-  | Model_query -> model_query_cost
-  | Hardware_measure ->
-      if perf.valid then
-        compile_cost +. host_overhead
-        +. (float_of_int runs_per_measure *. Float.min perf.time_s 1.0)
-      else failed_compile_cost
+  if t.model_query then model_query_cost
+  else if perf.valid then
+    compile_cost +. host_overhead
+    +. (float_of_int runs_per_measure *. Float.min perf.time_s 1.0)
+  else failed_compile_cost
 
 let compute t cfg =
   let perf = Ft_hw.Cost.evaluate t.space cfg in
@@ -95,7 +89,7 @@ let median xs =
    queries (FPGA) and model-invalid configs keep their deterministic
    cost. *)
 let fault_resolve t plan key ((value, perf) as computed : float * Ft_hw.Perf.t) =
-  if t.mode <> Hardware_measure || not perf.valid then
+  if t.model_query || not perf.valid then
     (computed, measure_cost t perf)
   else begin
     let run_s = Float.min perf.time_s 1.0 in

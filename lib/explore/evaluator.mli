@@ -17,11 +17,7 @@
     finish with the slowest lane); [n_parallel = 1] reproduces the
     sequential accounting exactly. *)
 
-type mode = Hardware_measure | Model_query
-
 type t
-
-val default_mode : Ft_schedule.Target.t -> mode
 
 (** An external evaluation backend for {!prepare}'s fresh points — the
     benchmark's traced pass times the cost model through one.  Points
@@ -42,7 +38,9 @@ type dispatch =
     search trajectory is bit-for-bit the analytical one. *)
 type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
 
-(** [create space] builds an evaluator.  [n_parallel] (default 1) is
+(** [create space] builds an evaluator.  Points of a CPU or GPU space
+    are charged as hardware measurements, points of an FPGA space as
+    analytical-model queries (§5.2).  [n_parallel] (default 1) is
     the number of simulated measurement devices the clock assumes;
     [dispatch] routes batched fresh points to an external backend
     instead of the local cost model; [faults] injects
@@ -55,7 +53,7 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
     the fault-free one.  Raises [Invalid_argument] when
     [n_parallel < 1]. *)
 val create :
-  ?mode:mode -> ?n_parallel:int ->
+  ?n_parallel:int ->
   ?dispatch:dispatch -> ?faults:Ft_fault.Plan.t ->
   Ft_schedule.Space.t -> t
 

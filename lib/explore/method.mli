@@ -1,11 +1,11 @@
-(** The search-method registry: one first-class interface for all
-    search back-ends.  Every method — built-in or external — registers
-    a [t]; consumers dispatch by name through {!find}/{!list}, so a
-    new search method is a single-file change.
+(** The search methods: one fixed table, one interface for all search
+    back-ends.  Consumers dispatch by name through {!find}/{!all}, so a
+    new search method is a {!Search_loop.POLICY} module plus one row in
+    the table.
 
     [name] is the stable identifier persisted in tuning-log records:
-    renaming a registered method orphans every stored schedule, so
-    names must never change (DESIGN.md §10). *)
+    renaming a method orphans every stored schedule, so names must
+    never change (DESIGN.md §10). *)
 
 type t = {
   key : string;  (** short CLI alias, e.g. ["q"] *)
@@ -14,18 +14,9 @@ type t = {
   search : Search_loop.params -> Ft_schedule.Space.t -> Driver.result;
 }
 
-(** Add a method.  Raises [Invalid_argument] if the key or name is
-    already taken.  Registration in a library module only runs if the
-    module is linked — expose an [ensure_registered : unit -> unit] and
-    reference it from a consumer (see [Ft_baselines.Autotvm]). *)
-val register : t -> unit
-
-(** All registered methods, in registration order (the built-ins
-    first: q, p, random, cd). *)
-val list : unit -> t list
-
-(** Stable names of all registered methods, in registration order. *)
-val names : unit -> string list
+(** Every method, in presentation order: Q-method, P-method, random,
+    CD-method, AutoTVM, AutoTVM-2019. *)
+val all : t list
 
 (** Look up by stable name first, then by CLI key. *)
 val find : string -> t option

@@ -41,8 +41,6 @@ let measurement_rate p =
 
 let injects_measurement_faults p = measurement_rate p > 0.
 
-let is_zero p = (not (injects_measurement_faults p)) && p.crash_at_trial = None
-
 exception Injected_crash of int
 
 (* -- The outcome function ------------------------------------------- *)

@@ -35,10 +35,6 @@ val zero : t
 (** True when any measurement-level rate is positive. *)
 val injects_measurement_faults : t -> bool
 
-(** True when the plan injects nothing at all (no measurement faults
-    and no [crash_at_trial]). *)
-val is_zero : t -> bool
-
 (** Raised by the search loop when [crash_at_trial] fires; carries the
     trial index reached.  A checkpoint is written first, so the run
     can be resumed. *)

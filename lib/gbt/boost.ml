@@ -1,8 +1,10 @@
 module L = Ft_linalg.Linalg
 
+(* Shrinkage applied to every tree's contribution. *)
+let learning_rate = 0.3
+
 type t = {
   base : float;
-  learning_rate : float;
   trees : Tree.t list;
   (* Flat forms built once and reused by every batch scoring call;
      the model is immutable after [fit], so the cache never staled. *)
@@ -22,10 +24,10 @@ let flats model =
    baseline's cost model.  The per-round prediction update scores all
    rows through the flattened tree (same leaves, same floats as the
    boxed walk, at a fraction of the pointer chasing). *)
-let fit ?(rounds = 20) ?(depth = 3) ?(learning_rate = 0.3) xs ys =
+let fit ?(rounds = 20) ?(depth = 3) xs ys =
   if Array.length xs <> Array.length ys then invalid_arg "Boost.fit: size mismatch";
   if Array.length xs = 0 then
-    { base = 0.; learning_rate; trees = []; flats = None }
+    { base = 0.; trees = []; flats = None }
   else
     let n = Array.length ys in
     let base = Array.fold_left ( +. ) 0. ys /. float_of_int n in
@@ -42,11 +44,11 @@ let fit ?(rounds = 20) ?(depth = 3) ?(learning_rate = 0.3) xs ys =
           xs;
         go (round - 1) (tree :: trees)
     in
-    { base; learning_rate; trees = go rounds []; flats = None }
+    { base; trees = go rounds []; flats = None }
 
 let predict model x =
   List.fold_left
-    (fun acc tree -> acc +. (model.learning_rate *. Tree.predict tree x))
+    (fun acc tree -> acc +. (learning_rate *. Tree.predict tree x))
     model.base model.trees
 
 (* Batch scoring: one flat float64 matrix of features, every tree
@@ -73,7 +75,7 @@ let predict_batch model xs =
                then flat.Tree.left.(id)
                else flat.Tree.right.(id))
           done;
-          out.(i) <- out.(i) +. (model.learning_rate *. flat.Tree.value.(!node))
+          out.(i) <- out.(i) +. (learning_rate *. flat.Tree.value.(!node))
         done)
       (flats model);
     out

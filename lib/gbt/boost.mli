@@ -3,9 +3,9 @@
 
 type t
 
-val fit :
-  ?rounds:int -> ?depth:int -> ?learning_rate:float ->
-  float array array -> float array -> t
+(** [fit xs ys] boosts [rounds] (default 20) trees of depth [depth]
+    (default 3), each shrunk by a learning rate of 0.3. *)
+val fit : ?rounds:int -> ?depth:int -> float array array -> float array -> t
 
 val predict : t -> float array -> float
 

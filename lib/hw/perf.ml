@@ -38,24 +38,6 @@ let provenance_to_string = function
   | Measured { reps; min_ns } ->
       Printf.sprintf "measured reps=%d min_ns=%.0f" reps min_ns
 
-let provenance_of_string s =
-  match String.split_on_char ' ' (String.trim s) with
-  | [ "analytical" ] | [ "" ] -> Some Analytical
-  | "measured" :: rest ->
-      let lookup key =
-        List.find_map
-          (fun kv ->
-            match String.split_on_char '=' kv with
-            | [ k; v ] when String.equal k key -> Some v
-            | _ -> None)
-          rest
-      in
-      let reps = Option.bind (lookup "reps") int_of_string_opt in
-      let min_ns = Option.bind (lookup "min_ns") float_of_string_opt in
-      Option.bind reps (fun reps ->
-          Option.map (fun min_ns -> Measured { reps; min_ns }) min_ns)
-  | _ -> None
-
 let pp fmt t =
   if t.valid then
     Format.fprintf fmt "%.3f ms, %.1f GFLOPS%s%s" (t.time_s *. 1e3) t.gflops

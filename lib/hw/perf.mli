@@ -34,10 +34,7 @@ val measured :
 
 val is_measured : t -> bool
 
-(** Round-trippable encoding for stores and wire protocols:
-    ["analytical"] or ["measured reps=R min_ns=N"]. *)
+(** ["analytical"] or ["measured reps=R min_ns=N"]. *)
 val provenance_to_string : provenance -> string
-
-val provenance_of_string : string -> provenance option
 
 val pp : Format.formatter -> t -> unit

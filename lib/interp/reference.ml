@@ -63,9 +63,3 @@ let random_env rng graph =
     (fun (name, shape) -> Buffer_env.fill_random rng env name shape)
     graph.Op.inputs;
   env
-
-let run_random ~seed graph =
-  let rng = Ft_util.Rng.create seed in
-  let env = random_env rng graph in
-  let out = run_graph env graph in
-  (env, out)

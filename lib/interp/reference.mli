@@ -16,6 +16,3 @@ val run_graph : Buffer_env.t -> Ft_ir.Op.graph -> float array
 
 (** Fresh environment with random input tensors. *)
 val random_env : Ft_util.Rng.t -> Ft_ir.Op.graph -> Buffer_env.t
-
-(** Convenience: random inputs from [seed], full graph execution. *)
-val run_random : seed:int -> Ft_ir.Op.graph -> Buffer_env.t * float array

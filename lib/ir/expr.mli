@@ -90,8 +90,6 @@ val fold_iexpr : iexpr -> iexpr
 
 (** {2 Analysis} *)
 
-val ivars_of_iexpr : iexpr -> string list
-val ivars_of_cond : cond -> string list
 val ivars_of_texpr : texpr -> string list
 
 (** All tensor accesses [(tensor, indices)] in an expression, in
@@ -111,13 +109,10 @@ val flops_of_texpr : texpr -> int
     producer node's body into its consumer). *)
 
 val subst_iexpr : (string * iexpr) list -> iexpr -> iexpr
-val subst_cond : (string * iexpr) list -> cond -> cond
 val subst_texpr : (string * iexpr) list -> texpr -> texpr
 
 (** {2 Printing} *)
 
-val pp_iexpr : Format.formatter -> iexpr -> unit
-val pp_cond : Format.formatter -> cond -> unit
 val pp_texpr : Format.formatter -> texpr -> unit
 val iexpr_to_string : iexpr -> string
 val texpr_to_string : texpr -> string

@@ -349,8 +349,10 @@ let group_conv2d ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels
       output = "O";
     }
 
-let depthwise_conv2d ?(stride = 1) ?(pad = 0) ?(multiplier = 1) ~batch ~channels
-    ~height ~width ~kernel () =
+let depthwise_conv2d ?(stride = 1) ?(pad = 0) ~batch ~channels ~height ~width ~kernel
+    () =
+  (* One filter per input channel, as in every Table 3 DEP case. *)
+  let multiplier = 1 in
   let out_h = conv_out_size ~size:height ~pad ~dilation:1 ~kernel ~stride in
   let out_w = conv_out_size ~size:width ~pad ~dilation:1 ~kernel ~stride in
   let out_channels = channels * multiplier in

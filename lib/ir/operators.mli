@@ -12,27 +12,6 @@
     dimension. *)
 val conv_out_size : size:int -> pad:int -> dilation:int -> kernel:int -> stride:int -> int
 
-(** Padding node: copies [input] into a zero-extended tensor, padding
-    the trailing [dims] by [pad] on both sides. *)
-val pad_node :
-  tag:string ->
-  input:string ->
-  output:string ->
-  lead_axes:Op.axis list ->
-  dims:int list ->
-  pad:int ->
-  Op.t
-
-(** Zero-insertion node used by transposed convolutions. *)
-val expand_node :
-  tag:string ->
-  input:string ->
-  output:string ->
-  lead_axes:Op.axis list ->
-  dims:int list ->
-  stride:int ->
-  Op.t
-
 val gemv : m:int -> k:int -> Op.graph
 val gemm : m:int -> n:int -> k:int -> Op.graph
 val bilinear : m:int -> n:int -> k:int -> l:int -> Op.graph
@@ -73,7 +52,7 @@ val group_conv2d :
   kernel:int -> groups:int -> unit -> Op.graph
 
 val depthwise_conv2d :
-  ?stride:int -> ?pad:int -> ?multiplier:int ->
+  ?stride:int -> ?pad:int ->
   batch:int -> channels:int -> height:int -> width:int -> kernel:int ->
   unit -> Op.graph
 

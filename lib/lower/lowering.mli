@@ -8,8 +8,5 @@ val axis_index : Ft_ir.Op.axis -> int array -> Ft_ir.Expr.iexpr
     expression. *)
 val inline_expr : Ft_ir.Op.graph -> Ft_ir.Expr.texpr -> Ft_ir.Expr.texpr
 
-(** Naive (unscheduled) loop nest of one node. *)
-val naive_node : Ft_ir.Op.t -> Loopnest.stmt list
-
 (** Apply a schedule point to the space's graph. *)
 val lower : Ft_schedule.Space.t -> Ft_schedule.Config.t -> Loopnest.program

@@ -13,8 +13,10 @@ let median sorted =
   if n mod 2 = 1 then sorted.(n / 2)
   else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
 
-let run ?(seed = 2020) ?(warmup = 1) ?(reps = 5) (space : Ft_schedule.Space.t)
-    cfg =
+(* Fixed inputs: every measurement of a config times the same data. *)
+let seed = 2020
+
+let run ?(reps = 5) (space : Ft_schedule.Space.t) cfg =
   if not (Ft_schedule.Space.valid space cfg) then
     Ft_hw.Perf.invalid "config outside the schedule space"
   else
@@ -24,9 +26,8 @@ let run ?(seed = 2020) ?(warmup = 1) ?(reps = 5) (space : Ft_schedule.Space.t)
     let rng = Ft_util.Rng.create seed in
     let env = Ft_interp.Reference.random_env rng space.graph in
     let thunk = Compile.bind compiled env in
-    for _ = 1 to warmup do
-      thunk ()
-    done;
+    (* One untimed run warms the caches. *)
+    thunk ();
     let times =
       Array.init reps (fun _ ->
           let t0 = Ft_util.Monotime.now_s () in
@@ -44,7 +45,7 @@ let run ?(seed = 2020) ?(warmup = 1) ?(reps = 5) (space : Ft_schedule.Space.t)
 (* Wall-clock of the reference tree-walking interpreter on the same
    program shape — the baseline the compiled executor's speedup is
    quoted against. *)
-let interp_time_s ?(seed = 2020) (space : Ft_schedule.Space.t) cfg =
+let interp_time_s (space : Ft_schedule.Space.t) cfg =
   let program = Lowering.lower space cfg in
   let rng = Ft_util.Rng.create seed in
   let env = Ft_interp.Reference.random_env rng space.graph in

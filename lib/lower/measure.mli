@@ -7,20 +7,13 @@
     stay bit-for-bit reproducible. *)
 
 (** [run space cfg] lowers and compiles [cfg], binds random inputs
-    (from [seed]), runs [warmup] untimed executions, then times [reps]
-    repetitions; the result's [time_s] is the median rep and the
-    provenance carries the fastest rep.  Defaults: seed 2020, 1
-    warmup, 5 reps.  Invalid configs yield [Perf.invalid] without
-    executing. *)
-val run :
-  ?seed:int ->
-  ?warmup:int ->
-  ?reps:int ->
-  Ft_schedule.Space.t ->
-  Ft_schedule.Config.t ->
-  Ft_hw.Perf.t
+    (seed 2020), runs one untimed execution, then times [reps]
+    (default 5) repetitions; the result's [time_s] is the median rep
+    and the provenance carries the fastest rep.  Invalid configs yield
+    [Perf.invalid] without executing. *)
+val run : ?reps:int -> Ft_schedule.Space.t -> Ft_schedule.Config.t -> Ft_hw.Perf.t
 
 (** One timed run of the tree-walking {!Exec} interpreter on the same
-    lowered program — the compiled executor's speedup baseline. *)
-val interp_time_s :
-  ?seed:int -> Ft_schedule.Space.t -> Ft_schedule.Config.t -> float
+    lowered program and inputs — the compiled executor's speedup
+    baseline. *)
+val interp_time_s : Ft_schedule.Space.t -> Ft_schedule.Config.t -> float

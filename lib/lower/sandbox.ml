@@ -17,6 +17,9 @@ type limits = { timeout_s : float; mem_mb : int option }
 
 let default_limits = { timeout_s = 10.; mem_mb = Some 4096 }
 
+(* The largest cap whose byte count fits in an int. *)
+let max_mem_mb = max_int / (1024 * 1024)
+
 type chaos = Hang | Segv | Oom_hog | Garbage | Truncated | Silent
 
 let chaos_to_string = function
@@ -40,7 +43,7 @@ let chaos_of_string = function
 type request = {
   space : Ft_schedule.Space.t;
   cfg : Ft_schedule.Config.t;
-  seed : int; warmup : int; reps : int;
+  reps : int;
   limits : limits;
   chaos : chaos option;
 }
@@ -85,6 +88,12 @@ let preflight ?(limits = default_limits) (space : Ft_schedule.Space.t) cfg =
   if not (limits.timeout_s > 0.) then
     Error
       (Printf.sprintf "watchdog timeout %g s is not positive" limits.timeout_s)
+  else if
+    match limits.mem_mb with Some mb -> mb < 1 || mb > max_mem_mb | None -> false
+  then
+    Error
+      (Printf.sprintf "address-space cap %d MiB is outside 1..%d"
+         (Option.get limits.mem_mb) max_mem_mb)
   else if not (Ft_schedule.Space.valid space cfg) then
     Error "config outside the schedule space"
   else
@@ -161,7 +170,7 @@ let run_chaos oc = function
       Unix._exit 0
   | Silent -> Unix._exit 0
 
-let child_main ~limits ~chaos ~seed ~warmup ~reps space cfg write_fd =
+let child_main ~limits ~chaos ~reps space cfg write_fd =
   let oc = Unix.out_channel_of_descr write_fd in
   (try
      (match limits.mem_mb with
@@ -172,7 +181,7 @@ let child_main ~limits ~chaos ~seed ~warmup ~reps space cfg write_fd =
      setrlimit 1 ((2 * int_of_float (Float.ceil limits.timeout_s)) + 1)
    with Failure _ -> ());
   (match chaos with Some c -> run_chaos oc c | None -> ());
-  match Measure.run ~seed ~warmup ~reps space cfg with
+  match Measure.run ~reps space cfg with
   | (perf : Ft_hw.Perf.t) -> (
       match perf.Ft_hw.Perf.source with
       | Ft_hw.Perf.Measured { reps; min_ns } when perf.Ft_hw.Perf.valid ->
@@ -283,9 +292,9 @@ let rec reap pid =
   try snd (Unix.waitpid [] pid)
   with Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
 
-let run ?(limits = default_limits) ?chaos ?(seed = 2020) ?(warmup = 1)
-    ?(reps = 5) (space : Ft_schedule.Space.t) cfg =
-  match spawn { space; cfg; seed; warmup; reps; limits; chaos } with
+let run ?(limits = default_limits) ?chaos ?(reps = 5) (space : Ft_schedule.Space.t)
+    cfg =
+  match spawn { space; cfg; reps; limits; chaos } with
   | Error _ as launch_failed -> launch_failed
   | Ok (pid, fd) -> (
       let deadline = Ft_util.Monotime.now_s () +. limits.timeout_s in
@@ -348,7 +357,7 @@ let chaos_from_env key =
    torn frame may not recur, so those are retryable; a signal, an
    address-space overrun or a failed launch will recur and quarantine
    at once.  Backoff waits are real sleeps. *)
-let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps space =
+let measurer ?limits ?policy ?chaos ?reps space =
   let limits = Option.value limits ~default:default_limits in
   let quarantined : (string, Ft_hw.Perf.t) Hashtbl.t = Hashtbl.create 7 in
   fun cfg ->
@@ -373,7 +382,7 @@ let measurer ?limits ?policy ?chaos ?seed ?warmup ?reps space =
             in
             let attempt ~attempt:_ =
               Ft_obs.Trace.incr "measure.sandboxed";
-              match run ~limits ?chaos ?seed ?warmup ?reps space cfg with
+              match run ~limits ?chaos ?reps space cfg with
               | Ok perf -> Ok perf
               | Error fault ->
                   let retryable =
@@ -395,8 +404,6 @@ let () =
   if Array.length Sys.argv = 2 && Sys.argv.(1) = worker_sentinel then begin
     let result_fd = Unix.dup Unix.stdout in
     Unix.dup2 Unix.stderr Unix.stdout;
-    let { space; cfg; seed; warmup; reps; limits; chaos } : request =
-      Marshal.from_channel stdin
-    in
-    child_main ~limits ~chaos ~seed ~warmup ~reps space cfg result_fd
+    let { space; cfg; reps; limits; chaos } : request = Marshal.from_channel stdin in
+    child_main ~limits ~chaos ~reps space cfg result_fd
   end

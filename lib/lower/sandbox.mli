@@ -27,6 +27,10 @@ type limits = {
     trip them; {!preflight} checks buffers against half the cap. *)
 val default_limits : limits
 
+(** [max_int / 1048576]: the largest [mem_mb] whose byte count fits
+    in an [int]. *)
+val max_mem_mb : int
+
 (** Deterministic fault injection for the containment tests and
     [bench sandbox]: executed in the worker instead of the kernel.
     [Hang] sleeps forever (watchdog path); [Segv] dereferences null;
@@ -40,7 +44,8 @@ val chaos_of_string : string -> chaos option
 
 (** Pre-flight static guard: reject obviously-doomed configs without
     spawning.  Rejects a watchdog timeout that is not positive
-    (including [nan]), then checks (1) estimated buffer bytes (8 bytes x the shape
+    (including [nan]) and a [mem_mb] outside [1 .. max_mem_mb], then
+    checks (1) estimated buffer bytes (8 bytes x the shape
     product of every graph input and program alloc) against half the
     address-space cap, and (2) [Loopnest.total_iterations] against
     the watchdog (at an optimistic 1 ns per leaf statement the nest
@@ -53,8 +58,8 @@ val preflight :
   Ft_schedule.Config.t ->
   (Loopnest.program, string) result
 
-(** [run space cfg] measures [cfg] in a spawned worker (same seed /
-    warmup / reps semantics as {!Measure.run}) and returns the worker's
+(** [run space cfg] measures [cfg] in a spawned worker (same inputs,
+    warm-up and [reps] as {!Measure.run}) and returns the worker's
     result, or the fault that contained it: [Timeout] (watchdog
     SIGKILL, or the RLIMIT_CPU backstop), [Crashed] (any other
     signal), [Oom] (address-space cap), [Protocol_error] (garbage,
@@ -66,8 +71,6 @@ val preflight :
 val run :
   ?limits:limits ->
   ?chaos:chaos ->
-  ?seed:int ->
-  ?warmup:int ->
   ?reps:int ->
   Ft_schedule.Space.t ->
   Ft_schedule.Config.t ->
@@ -95,8 +98,6 @@ val measurer :
   ?limits:limits ->
   ?policy:Ft_fault.Resilience.policy ->
   ?chaos:(Ft_schedule.Config.t -> chaos option) ->
-  ?seed:int ->
-  ?warmup:int ->
   ?reps:int ->
   Ft_schedule.Space.t ->
   Ft_schedule.Config.t ->

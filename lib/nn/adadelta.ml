@@ -2,17 +2,16 @@ open Bigarray.Array1
 
 type vec = Ft_linalg.Linalg.vec
 
+(* Decay of both running averages, and the RMS smoothing term. *)
+let rho = 0.95
+let eps = 1e-6
+
 type t = {
-  rho : float;
-  eps : float;
   g2 : vec;  (* running average of squared gradients *)
   d2 : vec;  (* running average of squared updates *)
 }
 
-let create ?(rho = 0.95) ?(eps = 1e-6) n =
-  if not (rho >= 0. && rho <= 1. && eps > 0.) then
-    invalid_arg "Adadelta.create: need 0 <= rho <= 1 and eps > 0";
-  { rho; eps; g2 = Ft_linalg.Linalg.vec n; d2 = Ft_linalg.Linalg.vec n }
+let create n = { g2 = Ft_linalg.Linalg.vec n; d2 = Ft_linalg.Linalg.vec n }
 
 (* AdaDelta (Zeiler 2012): parameter-wise adaptive step with no global
    learning rate — the update magnitude is the ratio of RMS(previous
@@ -30,4 +29,4 @@ let update_row t ~(params : vec) ~off ~d ~pre ~(x : float array) ~(din : float a
   if dim t.g2 <> dim params then invalid_arg "Adadelta.update_row: size mismatch";
   if off < 0 || dim params - off <= n || Array.length din < n then
     invalid_arg "Adadelta.update_row: out of bounds";
-  row params t.g2 t.d2 off n t.rho t.eps d pre x din
+  row params t.g2 t.d2 off n rho eps d pre x din

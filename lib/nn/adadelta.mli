@@ -4,9 +4,9 @@
 
 type t
 
-(** [create ?rho ?eps n] is zeroed state for [n] parameters.  Raises
-    [Invalid_argument] unless [0 <= rho <= 1] and [eps > 0]. *)
-val create : ?rho:float -> ?eps:float -> int -> t
+(** [create n] is zeroed state for [n] parameters; the decay rate is
+    0.95 and the smoothing term 1e-6. *)
+val create : int -> t
 
 (** [update_row t ~params ~off ~d ~pre ~x ~din]: one output row of a
     dense layer's training step, backward product and update in one

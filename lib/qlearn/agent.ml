@@ -6,31 +6,35 @@ type transition = {
   next_valid : int list;  (* actions available from the next state *)
 }
 
+(* The §5.1 hyperparameters, fixed as in the paper (DESIGN.md §3). *)
+let alpha = 0.7  (* discount on the target network's best Q-value *)
+let hidden = 64  (* width of each of the three hidden layers *)
+
+(* Training runs every five recorded transitions, not every five
+   search trials: a Q-method trial records one transition per walk
+   step, ~19 per trial on the benchmark's [q_search] workload. *)
+let train_every = 5
+let batch_size = 16
+let replay_cap = 512
+let epsilon_start = 0.3
+let epsilon_decay = 0.98
+let epsilon_min = 0.05
+
 type t = {
   online : Ft_nn.Network.t;  (* network X of §5.1 *)
   target : Ft_nn.Network.t;  (* network Y, kept as a stable backup *)
   feature_dim : int;
   n_actions : int;
-  alpha : float;  (* discount on the target network's best Q-value *)
-  train_every : int;  (* the paper trains every five trials *)
-  batch_size : int;
-  replay_cap : int;
   replay : transition array;
   mutable replay_len : int;
   mutable replay_pos : int;
   mutable recorded : int;
   mutable epsilon : float;
-  epsilon_decay : float;
-  epsilon_min : float;
   rng : Ft_util.Rng.t;
 }
 
-let create ?(alpha = 0.7) ?(hidden = 64) ?(train_every = 5) ?(batch_size = 16)
-    ?(replay_cap = 512) ?(epsilon = 0.3) ?(epsilon_decay = 0.98)
-    ?(epsilon_min = 0.05) rng ~feature_dim ~n_actions =
+let create rng ~feature_dim ~n_actions =
   if n_actions <= 0 then invalid_arg "Agent.create: need at least one action";
-  if replay_cap < 1 || train_every < 1 || batch_size < 1 then
-    invalid_arg "Agent.create: replay_cap, train_every and batch_size must be >= 1";
   (* Four fully connected layers with ReLU, as in the paper. *)
   let dims = [| feature_dim; hidden; hidden; hidden; n_actions |] in
   let online = Ft_nn.Network.mlp rng ~dims in
@@ -41,19 +45,13 @@ let create ?(alpha = 0.7) ?(hidden = 64) ?(train_every = 5) ?(batch_size = 16)
     target;
     feature_dim;
     n_actions;
-    alpha;
-    train_every;
-    batch_size;
-    replay_cap;
     replay =
       Array.make replay_cap
         { state = [||]; action = 0; reward = 0.; next_state = [||]; next_valid = [] };
     replay_len = 0;
     replay_pos = 0;
     recorded = 0;
-    epsilon;
-    epsilon_decay;
-    epsilon_min;
+    epsilon = epsilon_start;
     rng;
   }
 
@@ -90,7 +88,7 @@ let select t ~state ~valid =
   select_scored t ~q:(lazy (q_values t state)) ~valid
 
 let train_batch t =
-  let n = min t.batch_size t.replay_len in
+  let n = min batch_size t.replay_len in
   (* Sample the replay indices first, in the same ascending order the
      sequential loop drew them, then compute every target-network
      forward in one batch: Y is frozen until the copy below, so the
@@ -123,7 +121,7 @@ let train_batch t =
   for i = 0 to n - 1 do
     let transition = sampled.(i) in
     (* target = alpha * max_a' Y(next)[a'] + reward — §5.1. *)
-    let target = (t.alpha *. maxq.(i)) +. transition.reward in
+    let target = (alpha *. maxq.(i)) +. transition.reward in
     total :=
       !total
       +. Ft_nn.Network.train_mse_component t.online ~input:transition.state
@@ -148,12 +146,12 @@ let record t transition =
   if not (fits transition.state && fits transition.next_state) then
     invalid_arg (Printf.sprintf "Agent.record: state and next_state need %d features" t.feature_dim);
   t.replay.(t.replay_pos) <- transition;
-  t.replay_pos <- (t.replay_pos + 1) mod t.replay_cap;
-  t.replay_len <- min (t.replay_len + 1) t.replay_cap;
+  t.replay_pos <- (t.replay_pos + 1) mod replay_cap;
+  t.replay_len <- min (t.replay_len + 1) replay_cap;
   t.recorded <- t.recorded + 1;
-  t.epsilon <- Float.max t.epsilon_min (t.epsilon *. t.epsilon_decay);
+  t.epsilon <- Float.max epsilon_min (t.epsilon *. epsilon_decay);
   if Ft_obs.Trace.active () then Ft_obs.Trace.gauge "q.epsilon" t.epsilon;
-  if t.recorded mod t.train_every = 0 then Some (train_batch t) else None
+  if t.recorded mod train_every = 0 then Some (train_batch t) else None
 
 let epsilon t = t.epsilon
 let recorded t = t.recorded

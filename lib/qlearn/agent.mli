@@ -2,10 +2,13 @@
 
     States are schedule-point feature vectors, actions are directions
     in the rearranged schedule space, rewards are normalized
-    performance deltas [(Ee - Ep) / Ep].  A four-layer MLP predicts
-    Q-values; training runs every [train_every] recorded transitions on
-    a replay sample against a target network that is refreshed after
-    each round — the DQN-style stabilization the paper cites. *)
+    performance deltas [(Ee - Ep) / Ep].  A four-layer MLP (64-wide
+    hidden layers) predicts Q-values; training runs every five recorded
+    transitions on a 16-transition sample of a 512-entry replay buffer,
+    against a target network that is refreshed after each round — the
+    DQN-style stabilization the paper cites.  The discount is 0.7;
+    epsilon starts at 0.3 and decays by 0.98 per record down to 0.05
+    (DESIGN.md §3). *)
 
 type transition = {
   state : float array;
@@ -17,21 +20,8 @@ type transition = {
 
 type t
 
-(** Raises [Invalid_argument] when [n_actions], [replay_cap],
-    [train_every] or [batch_size] is below 1. *)
-val create :
-  ?alpha:float ->
-  ?hidden:int ->
-  ?train_every:int ->
-  ?batch_size:int ->
-  ?replay_cap:int ->
-  ?epsilon:float ->
-  ?epsilon_decay:float ->
-  ?epsilon_min:float ->
-  Ft_util.Rng.t ->
-  feature_dim:int ->
-  n_actions:int ->
-  t
+(** Raises [Invalid_argument] when [n_actions] is below 1. *)
+val create : Ft_util.Rng.t -> feature_dim:int -> n_actions:int -> t
 
 (** Online-network Q-values of every action at a state. *)
 val q_values : t -> float array -> float array
@@ -50,11 +40,10 @@ val select : t -> state:float array -> valid:int list -> int option
     matching {!select}'s RNG draw sequence exactly. *)
 val select_scored : t -> q:float array Lazy.t -> valid:int list -> int option
 
-(** Store a transition; every [train_every] calls this also runs a
-    training round and returns its mean loss.  Raises
-    [Invalid_argument] — before changing anything — when the action or
-    an index in [next_valid] is out of range, or [state]/[next_state]
-    is not [feature_dim] long. *)
+(** Store a transition; every fifth call also runs a training round
+    and returns its mean loss.  Raises [Invalid_argument] — before
+    changing anything — when the action or an index in [next_valid] is
+    out of range, or [state]/[next_state] is not [feature_dim] long. *)
 val record : t -> transition -> float option
 
 val epsilon : t -> float

@@ -7,18 +7,6 @@ type move =
   | Inline_toggle
   | Partition_step of int
 
-let pp_move fmt = function
-  | Factor_shift { kind; axis; src; dst } ->
-      Format.fprintf fmt "%s%d:%d->%d"
-        (match kind with `Spatial -> "s" | `Reduce -> "r")
-        axis src dst
-  | Order_step d -> Format.fprintf fmt "order%+d" d
-  | Unroll_step d -> Format.fprintf fmt "unroll%+d" d
-  | Fuse_step d -> Format.fprintf fmt "fuse%+d" d
-  | Vectorize_toggle -> Format.pp_print_string fmt "vec~"
-  | Inline_toggle -> Format.pp_print_string fmt "inline~"
-  | Partition_step d -> Format.fprintf fmt "part%+d" d
-
 (* The full direction set of a space, in a stable order (the Q-network
    output layer is indexed by position in this list). Axes of extent 1
    have no factor moves and are omitted. *)

@@ -15,8 +15,6 @@ type move =
   | Inline_toggle
   | Partition_step of int
 
-val pp_move : Format.formatter -> move -> unit
-
 (** All directions of a space, in a stable order (the Q-network's
     action indexing). *)
 val directions : Space.t -> move list

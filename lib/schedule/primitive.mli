@@ -22,9 +22,6 @@ type t =
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** [sub_axis "i" 2] is the name of the level-2 sub-loop of axis [i]. *)
-val sub_axis : string -> int -> string
-
 (** Render a schedule point as the primitive sequence the target's
     code generator would apply. *)
 val of_config : Space.t -> Config.t -> t list

@@ -14,7 +14,6 @@ val n_reduce_parts : int
 val n_orders : int
 val unroll_depths : int array
 val partitions : int array
-val fuse_choices : int array
 
 type t = {
   graph : Ft_ir.Op.graph;

@@ -34,9 +34,6 @@ val request_of_string : string -> (request, string) result
 val response_to_string : response -> string
 val response_of_string : string -> (response, string) result
 
-(** Payload size cap (16 MiB). *)
-val max_frame : int
-
 (** [write_frame oc payload] writes one frame and flushes. *)
 val write_frame : out_channel -> string -> unit
 

@@ -59,7 +59,10 @@ let claim_unix_path path =
         (Printf.sprintf "serve: %s exists and is not a socket; refusing to \
                          remove it" path)
 
-let create ?(backlog = 64) ~repo ~listen () =
+(* Pending connections the kernel queues before [accept]. *)
+let backlog = 64
+
+let create ~repo ~listen =
   Lazy.force ignore_sigpipe;
   let addr =
     match Protocol.parse_addr listen with

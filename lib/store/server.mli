@@ -14,8 +14,8 @@
 
 type t
 
-(** [create ~repo ~listen ()] binds and listens.  [listen] follows
-    {!Protocol.parse_addr}: ["unix:PATH"], ["HOST:PORT"], [":PORT"] or
+(** [create ~repo ~listen] binds and listens (backlog 64).  [listen]
+    follows {!Protocol.parse_addr}: ["unix:PATH"], ["HOST:PORT"], [":PORT"] or
     ["PORT"]; TCP port [0] picks an ephemeral port (see {!address}).
     Raises [Failure] on a bad address or bind error.
 
@@ -25,7 +25,7 @@ type t
     that daemon.  Only a provably stale socket (connect refused) is
     recycled, and a path that exists but is not a socket is never
     touched. *)
-val create : ?backlog:int -> repo:Shard.t -> listen:string -> unit -> t
+val create : repo:Shard.t -> listen:string -> t
 
 val repo : t -> Shard.t
 

@@ -1,23 +1,3 @@
-let bar_chart ?(width = 50) ~title entries =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (title ^ "\n");
-  let label_w =
-    List.fold_left (fun acc (label, _) -> max acc (String.length label)) 0 entries
-  in
-  let top =
-    List.fold_left (fun acc (_, v) -> Float.max acc v) 0. entries
-  in
-  let top = if top <= 0. then 1. else top in
-  List.iter
-    (fun (label, v) ->
-      let n = int_of_float (Float.round (v /. top *. float_of_int width)) in
-      let n = Mathx.clamp 0 width n in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-*s |%s%s %.2f\n" label_w label (String.make n '#')
-           (String.make (width - n) ' ') v))
-    entries;
-  Buffer.contents buf
-
 let series ?(digits = 1) ~title ~x_label ~y_label points_by_name =
   (* Renders multiple (x, y) series as aligned columns: one row per x,
      one column per series — sufficient for "performance vs time"

@@ -1,8 +1,5 @@
 (** ASCII charts for reproducing the paper's figures in a terminal. *)
 
-(** Horizontal bar chart; bars are scaled to the maximum value. *)
-val bar_chart : ?width:int -> title:string -> (string * float) list -> string
-
 (** Multi-series table of (x, y) points with step interpolation, used
     for the performance-vs-exploration-time curves of Figure 7. Each
     element of the last argument is [(series_name, points)]. *)

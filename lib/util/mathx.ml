@@ -1,19 +1,3 @@
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-let ilog2 n =
-  if n <= 0 then invalid_arg "Mathx.ilog2: positive argument required";
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
-let pow base exp =
-  if exp < 0 then invalid_arg "Mathx.pow: negative exponent";
-  let rec go acc base exp =
-    if exp = 0 then acc
-    else if exp land 1 = 1 then go (acc * base) (base * base) (exp asr 1)
-    else go acc (base * base) (exp asr 1)
-  in
-  go 1 base exp
-
 let divisors n =
   if n <= 0 then invalid_arg "Mathx.divisors: positive argument required";
   let rec go d acc =
@@ -70,33 +54,9 @@ let count_factorizations n k =
   in
   List.fold_left (fun acc (_, a) -> acc * binomial (a + k - 1) (k - 1)) 1 groups
 
-(* Remove exactly one occurrence of [x]: filtering all copies would
-   shrink inputs that carry duplicates. *)
-let rec remove_one x = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_one x rest
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | items ->
-      (* Pivot on each *distinct* element (first-occurrence order), so
-         duplicated inputs yield each distinct permutation once:
-         [2; 2] -> [[2; 2]], not [[2]; [2]] (all copies dropped) nor
-         [[2; 2]; [2; 2]] (one branch per copy). *)
-      let pivots = List.fold_left
-          (fun acc x -> if List.mem x acc then acc else x :: acc)
-          [] items
-      in
-      List.concat_map
-        (fun x ->
-          List.map (fun perm -> x :: perm) (permutations (remove_one x items)))
-        (List.rev pivots)
-
 let ceil_div a b =
   if b <= 0 then invalid_arg "Mathx.ceil_div: positive divisor required";
   (a + b - 1) / b
-
-let round_up_to a b = ceil_div a b * b
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 

@@ -1,13 +1,5 @@
 (** Integer helpers used throughout the schedule space machinery. *)
 
-val gcd : int -> int -> int
-
-(** Floor of log base 2. Raises on non-positive input. *)
-val ilog2 : int -> int
-
-(** Integer exponentiation by squaring. *)
-val pow : int -> int -> int
-
 (** All positive divisors of [n], sorted ascending. *)
 val divisors : int -> int list
 
@@ -29,13 +21,7 @@ val binomial : int -> int -> int
     schedule-space sizes of 10^12 can be counted without enumeration. *)
 val count_factorizations : int -> int -> int
 
-(** All distinct permutations of a list.  Duplicate elements are
-    supported: [permutations [2; 2] = [[2; 2]]]. *)
-val permutations : 'a list -> 'a list list
-
 val ceil_div : int -> int -> int
-
-val round_up_to : int -> int -> int
 
 val clamp : int -> int -> int -> int
 

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* Raw state save/restore, for crash-safe checkpointing of a search:
    restoring a saved state replays the generator's future stream
    exactly from the save point. *)
@@ -49,9 +47,9 @@ let split t = create (Int64.to_int (next_int64 t))
 
 (* Derive the [i]-th independent stream of a seed without any shared
    state: jump a fresh generator to position i+1 of the seed's
-   splitmix sequence and mix once more.  Pure in (seed, i), so
-   parallel consumers get identical streams regardless of how tasks
-   are scheduled across domains. *)
+   splitmix sequence and mix once more.  Pure in (seed, i), so a
+   consumer keyed by (seed, i) gets the same stream whatever else drew
+   from the seed before it. *)
 let mix seed i =
   if i < 0 then invalid_arg "Rng.mix: stream index must be >= 0";
   let t =

@@ -10,10 +10,6 @@ type t
     [seed]. *)
 val create : int -> t
 
-(** [copy t] is an independent generator that will replay [t]'s future
-    stream. *)
-val copy : t -> t
-
 (** Raw generator state, for persisting a search checkpoint.  After
     [set_state t (state t')], [t] replays [t']'s future stream
     exactly. *)
@@ -37,9 +33,10 @@ val bool : t -> bool
 (** [split t] derives a new independent generator, advancing [t]. *)
 val split : t -> t
 
-(** [mix seed i] is a well-distributed seed for the [i]-th parallel
-    stream of [seed] — a pure function of both, for deterministic
-    per-task randomness under any domain count.  Raises
+(** [mix seed i] is a well-distributed seed for the [i]-th independent
+    stream of [seed] — a pure function of both, so a draw keyed by
+    [(seed, i)] (a fault-plan outcome, a benchmark's job list) never
+    depends on how many draws came before it.  Raises
     [Invalid_argument] when [i < 0]. *)
 val mix : int -> int -> int
 

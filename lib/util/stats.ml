@@ -22,11 +22,6 @@ let normalize_to_max xs =
   if top <= 0. then invalid_arg "Stats.normalize_to_max: max must be positive";
   List.map (fun x -> x /. top) xs
 
-let ratio_list ~num ~den =
-  if List.length num <> List.length den then
-    invalid_arg "Stats.ratio_list: length mismatch";
-  List.map2 (fun a b -> if b = 0. then nan else a /. b) num den
-
 (* Average ranks (1-based), ties sharing the mean of their positions —
    the standard fractional ranking Spearman correlation expects. *)
 let ranks xs =

@@ -14,9 +14,6 @@ val maximum : float list -> float
     figures). *)
 val normalize_to_max : float list -> float list
 
-(** Element-wise [num /. den]; [nan] where the denominator is zero. *)
-val ratio_list : num:float list -> den:float list -> float list
-
 (** 1-based fractional ranks (ties share the mean of their positions). *)
 val ranks : float array -> float array
 

@@ -1,21 +1,14 @@
-type align = Left | Right
-
-let pad align width s =
+(* Cells are left-aligned, padded to their column's widest cell. *)
+let pad width s =
   let n = String.length s in
-  if n >= width then s
-  else
-    let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+  if n >= width then s else s ^ String.make (width - n) ' '
 
-let render ?(aligns = [||]) ~header rows =
+let render ~header rows =
   let ncols = List.length header in
   List.iter
     (fun row ->
       if List.length row <> ncols then invalid_arg "Table.render: ragged row")
     rows;
-  let align_of i =
-    if i < Array.length aligns then aligns.(i) else Left
-  in
   let widths = Array.make ncols 0 in
   let measure row =
     List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)) row
@@ -23,14 +16,14 @@ let render ?(aligns = [||]) ~header rows =
   measure header;
   List.iter measure rows;
   let line row =
-    String.concat "  " (List.mapi (fun i cell -> pad (align_of i) widths.(i) cell) row)
+    String.concat "  " (List.mapi (fun i cell -> pad widths.(i) cell) row)
   in
   let sep =
     String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths))
   in
   String.concat "\n" (line header :: sep :: List.map line rows)
 
-let print ?aligns ~header rows = print_endline (render ?aligns ~header rows)
+let print ~header rows = print_endline (render ~header rows)
 
 let fmt_float ?(digits = 2) x =
   if Float.is_nan x then "n/a" else Printf.sprintf "%.*f" digits x

@@ -1,13 +1,11 @@
 (** Plain-text table rendering for the benchmark harness. *)
 
-type align = Left | Right
+(** [render ~header rows] lays out a monospace table of left-aligned
+    columns.  Raises [Invalid_argument] when a row's width differs from
+    the header's. *)
+val render : header:string list -> string list list -> string
 
-(** [render ~header rows] lays out a monospace table; [aligns] gives
-    per-column alignment (default left). Raises [Invalid_argument] when
-    a row's width differs from the header's. *)
-val render : ?aligns:align array -> header:string list -> string list list -> string
-
-val print : ?aligns:align array -> header:string list -> string list list -> unit
+val print : header:string list -> string list list -> unit
 
 val fmt_float : ?digits:int -> float -> string
 

@@ -177,20 +177,6 @@ let qcheck_pool_matches_list_select =
       done;
       !ok && Ft_anneal.Sa.to_list pool = !list)
 
-let test_accept () =
-  let rng = Ft_util.Rng.create 3 in
-  check_bool "improvement always accepted" true
-    (Ft_anneal.Sa.accept rng ~temperature:0. ~current:1. ~candidate:2.);
-  check_bool "zero temperature rejects worse" false
-    (Ft_anneal.Sa.accept rng ~temperature:0. ~current:2. ~candidate:1.);
-  (* at high temperature, worse candidates get through sometimes *)
-  let accepted = ref 0 in
-  for _ = 1 to 1000 do
-    if Ft_anneal.Sa.accept rng ~temperature:1.0 ~current:2. ~candidate:1.5 then
-      incr accepted
-  done;
-  check_bool "hot chain accepts some" true (!accepted > 100)
-
 let () =
   Alcotest.run "ft_anneal"
     [
@@ -208,7 +194,6 @@ let () =
             test_weighted_pick_never_zero_weight;
           Alcotest.test_case "select degenerate values" `Quick
             test_select_all_negative_or_sentinel;
-          Alcotest.test_case "metropolis accept" `Quick test_accept;
           QCheck_alcotest.to_alcotest qcheck_pool_matches_list_select;
         ] );
     ]

@@ -88,8 +88,8 @@ let test_library_candidates_valid () =
 
 let test_autotvm_template_smaller_than_space () =
   let space = Space.make conv3x3 Target.v100 in
-  let mainline = Ft_baselines.Autotvm.template_size ~template:`Divisor space in
-  let paper_era = Ft_baselines.Autotvm.template_size ~template:`Paper_era space in
+  let mainline = Ft_explore.Autotvm.template_size ~template:`Divisor space in
+  let paper_era = Ft_explore.Autotvm.template_size ~template:`Paper_era space in
   check_bool "paper-era < mainline" true (paper_era < mainline);
   check_bool "mainline < full space" true (mainline < Space.size space);
   check_bool "space at least 100x bigger than mainline" true
@@ -98,7 +98,7 @@ let test_autotvm_template_smaller_than_space () =
 let test_autotvm_paper_era_search () =
   let space = Space.make conv3x3 Target.v100 in
   let result =
-    Ft_baselines.Autotvm.search_params ~template:`Paper_era
+    Ft_explore.Autotvm.search_params ~template:`Paper_era
       { params with seed = 3; n_trials = 4 } space
   in
   check_bool "valid" true (Space.valid space result.best_config);
@@ -120,7 +120,7 @@ let test_best_of_falls_back_when_all_invalid () =
 let test_autotvm_search_stays_in_space () =
   let space = Space.make conv3x3 Target.v100 in
   let result =
-    Ft_baselines.Autotvm.search_params
+    Ft_explore.Autotvm.search_params
       { params with seed = 1; n_trials = 4 } space
   in
   check_bool "valid result" true (Space.valid space result.best_config);
@@ -130,11 +130,11 @@ let test_autotvm_search_stays_in_space () =
 let test_autotvm_deterministic () =
   let space = Space.make conv3x3 Target.v100 in
   let a =
-    Ft_baselines.Autotvm.search_params
+    Ft_explore.Autotvm.search_params
       { params with seed = 9; n_trials = 3 } space
   in
   let b =
-    Ft_baselines.Autotvm.search_params
+    Ft_explore.Autotvm.search_params
       { params with seed = 9; n_trials = 3 } space
   in
   Alcotest.(check (float 1e-9)) "same best" a.best_value b.best_value

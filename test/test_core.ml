@@ -43,8 +43,8 @@ let test_verify_through_api () =
   let report = Flextensor.optimize ~options graph Flextensor.Target.v100 in
   check_bool "verifies" true (Result.is_ok (Flextensor.verify report))
 
-(* Every *registered* method must be runnable through [optimize] — the
-   registry, not a hardcoded list, is the source of truth. *)
+(* Every method of the table must be runnable through [optimize] — the
+   table, not a list in this test, is the source of truth. *)
 let test_all_search_methods_through_api () =
   let graph = Flextensor.Operators.gemm ~m:64 ~n:64 ~k:64 in
   List.iter
@@ -54,7 +54,7 @@ let test_all_search_methods_through_api () =
           ~options:{ options with search = m.name } graph Flextensor.Target.v100
       in
       check_bool (m.name ^ " works") true report.perf.valid)
-    (Flextensor.Method.list ())
+    (Flextensor.Method.all)
 
 let test_unknown_method_rejected () =
   let graph = Flextensor.Operators.gemm ~m:16 ~n:16 ~k:16 in
@@ -105,7 +105,7 @@ let test_analysis_embedded_in_report () =
   Alcotest.(check int) "conv reduce loops" 3 report.analysis.total_reduce
 
 (* The facade adds no defaults of its own: [optimize] with
-   [default_options] is bit-for-bit the registered method run on
+   [default_options] is bit-for-bit the table's method run on
    [Search_loop.default_params]. *)
 let test_default_options_are_default_params () =
   let graph = Flextensor.Operators.gemm ~m:64 ~n:64 ~k:64 in
@@ -167,7 +167,7 @@ let qcheck_measurer_invariance =
         }
       in
       let space = Flextensor.Space.make graph target in
-      let measurer cfg = Flextensor.Measure.run ~warmup:0 ~reps:1 space cfg in
+      let measurer cfg = Flextensor.Measure.run ~reps:1 space cfg in
       let plain = Flextensor.optimize ~options graph target in
       let timed = Flextensor.optimize ~options ~measurer graph target in
       Flextensor.Config.equal plain.config timed.config

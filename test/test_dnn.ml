@@ -116,7 +116,7 @@ let test_fused_graph_schedules_correctly () =
           if i = 0 then Ft_schedule.Space.default_config space
           else Ft_schedule.Space.random_config rng space
         in
-        match Ft_lower.Verify.check ~seed:i space cfg with
+        match Ft_lower.Verify.check space cfg with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "%s: %s" (Ft_schedule.Target.name target) msg
       done)

@@ -3,7 +3,8 @@ open Ft_schedule
 let check_bool = Alcotest.(check bool)
 let params = Ft_explore.Search_loop.default_params
 
-let gemm_space () = Space.make (Ft_ir.Operators.gemm ~m:256 ~n:256 ~k:256) Target.v100
+let gemm_space ?(target = Target.v100) () =
+  Space.make (Ft_ir.Operators.gemm ~m:256 ~n:256 ~k:256) target
 
 let test_evaluator_caching () =
   let space = gemm_space () in
@@ -17,28 +18,25 @@ let test_evaluator_caching () =
   Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Evaluator.n_evals evaluator);
   check_bool "cache hit is much cheaper" true (t2 -. t1 < 0.01)
 
-let test_evaluator_charges_hardware_cost () =
-  let space = gemm_space () in
-  let evaluator =
-    Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Hardware_measure space
-  in
+(* Simulated seconds charged for one fresh point of [target]'s space. *)
+let first_point_clock target =
+  let space = gemm_space ~target () in
+  let evaluator = Ft_explore.Evaluator.create space in
   ignore (Ft_explore.Evaluator.measure evaluator (Space.default_config space));
-  check_bool "at least compile cost" true (Ft_explore.Evaluator.clock evaluator >= 0.3)
+  Ft_explore.Evaluator.clock evaluator
+
+let test_evaluator_charges_hardware_cost () =
+  check_bool "at least compile cost" true (first_point_clock Target.v100 >= 0.3)
 
 let test_evaluator_model_mode_cheap () =
-  let space = gemm_space () in
-  let evaluator =
-    Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query space
-  in
-  ignore (Ft_explore.Evaluator.measure evaluator (Space.default_config space));
-  check_bool "model query cheap" true (Ft_explore.Evaluator.clock evaluator < 0.01)
+  check_bool "model query cheap" true (first_point_clock Target.vu9p < 0.01)
 
+(* The target decides: CPU and GPU points are measured, FPGA points
+   are model queries. *)
 let test_fpga_defaults_to_model () =
-  check_bool "fpga model mode" true
-    (Ft_explore.Evaluator.default_mode Target.vu9p = Ft_explore.Evaluator.Model_query);
-  check_bool "gpu hardware mode" true
-    (Ft_explore.Evaluator.default_mode Target.v100
-    = Ft_explore.Evaluator.Hardware_measure)
+  check_bool "fpga model mode" true (first_point_clock Target.vu9p < 0.01);
+  check_bool "cpu hardware mode" true (first_point_clock Target.xeon_e5_2699_v4 >= 0.3);
+  check_bool "gpu hardware mode" true (first_point_clock Target.v100 >= 0.3)
 
 let history_nondecreasing (result : Ft_explore.Driver.result) =
   let rec go best = function
@@ -117,9 +115,7 @@ let test_time_to_reach () =
 
 let test_invalid_configs_charged_failed_compile () =
   let space = gemm_space () in
-  let evaluator =
-    Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Hardware_measure space
-  in
+  let evaluator = Ft_explore.Evaluator.create space in
   let cfg = Space.default_config space in
   cfg.spatial.(0).(0) <- 7 (* outside the space *);
   let value = Ft_explore.Evaluator.measure evaluator cfg in
@@ -290,8 +286,8 @@ let test_finish_snapshot_covers_absorbed_best () =
 
 (* -- batched evaluation -------------------------------------------- *)
 
-let small_gemm_space () =
-  Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64) Target.v100
+let small_gemm_space ?(target = Target.v100) () =
+  Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64) target
 
 let distinct_configs space n =
   let rng = Ft_util.Rng.create 5 in
@@ -325,16 +321,13 @@ let test_measure_batch_matches_sequential () =
     (Ft_explore.Evaluator.clock batched)
 
 let test_measure_batch_clock_max_over_lanes () =
-  let space = small_gemm_space () in
+  let space = small_gemm_space ~target:Target.vu9p () in
   let cfgs = distinct_configs space 12 in
-  (* Model_query charges a constant per fresh point, so n_parallel = k
-     must shrink the batched clock by exactly k (12 waves of 1 vs 3
-     waves of 4, max = the constant either way). *)
+  (* An FPGA model query charges a constant per fresh point, so
+     n_parallel = k must shrink the batched clock by exactly k (12
+     waves of 1 vs 3 waves of 4, max = the constant either way). *)
   let clock_at n_parallel =
-    let evaluator =
-      Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query
-        ~n_parallel space
-    in
+    let evaluator = Ft_explore.Evaluator.create ~n_parallel space in
     ignore (Ft_explore.Evaluator.measure_batch evaluator cfgs);
     Ft_explore.Evaluator.clock evaluator
   in

@@ -40,9 +40,9 @@ let test_spec_roundtrip () =
         (p.Plan.compile_error +. p.Plan.timeout +. p.Plan.runtime_crash);
       check_clock "rate leaves noise alone" 0. p.Plan.noise
   | Error msg -> Alcotest.fail msg);
-  check_bool "zero plan is zero" true (Plan.is_zero Plan.zero);
-  check_bool "crash_at alone is not zero" false
-    (Plan.is_zero { Plan.zero with crash_at_trial = Some 3 })
+  check_bool "zero plan injects nothing" false (Plan.injects_measurement_faults Plan.zero);
+  check_bool "crash_at alone injects no measurement fault" false
+    (Plan.injects_measurement_faults { Plan.zero with crash_at_trial = Some 3 })
 
 let test_spec_rejects () =
   List.iter
@@ -251,15 +251,11 @@ let test_lane_degradation () =
   check_int "degraded to the floor" 1 (Ft_explore.Evaluator.live_lanes e)
 
 let test_model_query_immune () =
-  let space = gemm_space () in
+  (* An FPGA space: every point is an analytical-model query. *)
+  let space = Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64) Target.vu9p in
   let plan = { Plan.zero with compile_error = 1.0 } in
-  let e =
-    Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query
-      ~faults:plan space
-  in
-  let clean =
-    Ft_explore.Evaluator.create ~mode:Ft_explore.Evaluator.Model_query space
-  in
+  let e = Ft_explore.Evaluator.create ~faults:plan space in
+  let clean = Ft_explore.Evaluator.create space in
   let cfg = Space.default_config space in
   check_bool "model queries never fault" true
     (Float.equal
@@ -278,8 +274,7 @@ let test_all_quarantined_run_fails () =
 
 (* -- searches under faults ------------------------------------------ *)
 
-let () = Ft_baselines.Autotvm.ensure_registered ()
-let methods = Ft_explore.Method.list ()
+let methods = Ft_explore.Method.all
 
 let result_fingerprint (r : Ft_explore.Driver.result) =
   ( Config.compute_key r.best_config,

@@ -218,7 +218,8 @@ let test_conv3d_ones () =
 let test_all_tiny_ops_execute () =
   List.iter
     (fun (case : Ft_workloads.Suites.case) ->
-      let _, out = Ft_interp.Reference.run_random ~seed:5 case.graph in
+      let env = Ft_interp.Reference.random_env (Ft_util.Rng.create 5) case.graph in
+      let out = Ft_interp.Reference.run_graph env case.graph in
       check_bool (case.case_name ^ " finite") true
         (Array.for_all Float.is_finite out))
     Ft_workloads.Suites.tiny

@@ -21,7 +21,7 @@ let test_random_schedules_preserve_semantics () =
               if i = 0 then Space.default_config space
               else Space.random_config rng space
             in
-            match Ft_lower.Verify.check ~seed:(i + 1) space cfg with
+            match Ft_lower.Verify.check space cfg with
             | Ok () -> ()
             | Error msg ->
                 Alcotest.failf "%s on %s: %s (config %s)" case.case_name

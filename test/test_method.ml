@@ -1,4 +1,4 @@
-(* The search-method registry: listing, lookup, the method-name
+(* The search-method table: listing, lookup, the method-name
    stability contract against the tuning log, and the bit-for-bit
    pre-refactor pins for the original four methods. *)
 
@@ -6,23 +6,21 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* The AutoTVM entries register from the baselines library. *)
-let () = Ft_baselines.Autotvm.ensure_registered ()
-
 let gemm () = Flextensor.Operators.gemm ~m:64 ~n:64 ~k:64
 
 let conv () =
   Flextensor.Operators.conv2d ~batch:1 ~in_channels:8 ~out_channels:16
     ~height:14 ~width:14 ~kernel:3 ~pad:1 ()
 
-(* -- registry ------------------------------------------------------- *)
+(* -- table ---------------------------------------------------------- *)
+
+let names () = List.map (fun (m : Flextensor.Method.t) -> m.name) Flextensor.Method.all
 
 let test_builtins_registered () =
-  let names = Flextensor.Method.names () in
   Alcotest.(check (list string))
-    "registration order"
+    "table order"
     [ "Q-method"; "P-method"; "random"; "CD-method"; "AutoTVM"; "AutoTVM-2019" ]
-    names
+    (names ())
 
 let test_find_by_name_and_key () =
   List.iter
@@ -33,7 +31,7 @@ let test_find_by_name_and_key () =
       match Flextensor.Method.find m.key with
       | Some found -> check_string ("find key " ^ m.key) m.name found.name
       | None -> Alcotest.failf "key %s not found" m.key)
-    (Flextensor.Method.list ());
+    Flextensor.Method.all;
   check_bool "unknown name misses" true
     (Option.is_none (Flextensor.Method.find "no-such-method"));
   check_bool "find_exn raises" true
@@ -42,23 +40,41 @@ let test_find_by_name_and_key () =
        false
      with Invalid_argument _ -> true)
 
-let test_duplicate_registration_rejected () =
-  let existing = List.hd (Flextensor.Method.list ()) in
-  let n_before = List.length (Flextensor.Method.list ()) in
-  check_bool "duplicate name rejected" true
-    (try
-       Flextensor.Method.register { existing with key = "fresh-key" };
-       false
-     with Invalid_argument _ -> true);
-  check_bool "duplicate key rejected" true
-    (try
-       Flextensor.Method.register { existing with name = "fresh-name" };
-       false
-     with Invalid_argument _ -> true);
-  check_int "registry unchanged" n_before
-    (List.length (Flextensor.Method.list ()))
+(* The table is a literal: its keys and names are pairwise distinct
+   (and no key is another row's name, which [find] would resolve to
+   that row first), so every key and every name finds its own row. *)
+let test_fixed_table () =
+  let all = Flextensor.Method.all in
+  let keys = List.map (fun (m : Flextensor.Method.t) -> m.key) all in
+  let distinct xs = List.length (List.sort_uniq String.compare xs) = List.length xs in
+  check_bool "keys distinct" true (distinct keys);
+  check_bool "names distinct" true (distinct (names ()));
+  List.iter
+    (fun (m : Flextensor.Method.t) ->
+      List.iter
+        (fun (other : Flextensor.Method.t) ->
+          if other.name <> m.name then
+            check_bool (m.key ^ " is not " ^ other.name) false (m.key = other.name))
+        all)
+    all;
+  Alcotest.(check (list (pair string string)))
+    "keys and names, in order"
+    [
+      ("q", "Q-method"); ("p", "P-method"); ("random", "random"); ("cd", "CD-method");
+      ("autotvm", "AutoTVM"); ("autotvm-2019", "AutoTVM-2019");
+    ]
+    (List.combine keys (names ()));
+  List.iter
+    (fun (m : Flextensor.Method.t) ->
+      List.iter
+        (fun s ->
+          match Flextensor.Method.find s with
+          | Some found -> check_string ("find " ^ s) m.name found.name
+          | None -> Alcotest.failf "%s not found" s)
+        [ m.key; m.name ])
+    all
 
-(* -- method-name stability: every registered name must round-trip
+(* -- method-name stability: every method name must round-trip
       through the tuning log (DESIGN.md §10: names are persisted in
       store records; renaming one orphans logged schedules). -------- *)
 
@@ -82,18 +98,18 @@ let test_names_round_trip_through_store () =
           config;
           source = "analytical";
         })
-    (Flextensor.Method.list ());
+    Flextensor.Method.all;
   List.iter
     (fun (m : Flextensor.Method.t) ->
       match Flextensor.Store.best_exact ~method_name:m.name store key with
       | Some record ->
           check_string ("round-trips " ^ m.name) m.name record.method_name
       | None -> Alcotest.failf "method name %S lost by the store" m.name)
-    (Flextensor.Method.list ())
+    Flextensor.Method.all
 
 (* -- bit-for-bit pins ----------------------------------------------- *)
 
-(* Seeded results for the four pre-registry methods, captured on the
+(* Seeded results for the four original methods, captured on the
    commit before the Search_loop/registry refactor (seed 2020,
    n_trials 15, V100).  These must never drift: they are the
    refactor's bit-for-bit equivalence contract, and any change to the
@@ -167,15 +183,14 @@ let test_cd_selectable_by_key () =
   check_bool "cd key works" true report.perf.valid
 
 let () =
-  Alcotest.run "method registry"
+  Alcotest.run "method table"
     [
       ( "registry",
         [
           Alcotest.test_case "builtins registered" `Quick test_builtins_registered;
           Alcotest.test_case "find by name and key" `Quick
             test_find_by_name_and_key;
-          Alcotest.test_case "duplicates rejected" `Quick
-            test_duplicate_registration_rejected;
+          Alcotest.test_case "fixed table" `Quick test_fixed_table;
         ] );
       ( "name stability",
         [

@@ -229,7 +229,7 @@ let searches =
     ("q", run Ft_explore.Q_method.search_params 5);
     ("p", run Ft_explore.P_method.search_params 3);
     ("random", run Ft_explore.Random_method.search_params 40);
-    ("autotvm", run Ft_baselines.Autotvm.search_params 3);
+    ("autotvm", run Ft_explore.Autotvm.search_params 3);
   ]
 
 let test_tracing_is_invisible =

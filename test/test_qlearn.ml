@@ -1,8 +1,7 @@
 let check_bool = Alcotest.(check bool)
 
-let make_agent ?(epsilon = 0.3) ?(epsilon_min = 0.0) seed =
-  Ft_qlearn.Agent.create ~epsilon ~epsilon_min (Ft_util.Rng.create seed)
-    ~feature_dim:2 ~n_actions:3
+let make_agent seed =
+  Ft_qlearn.Agent.create (Ft_util.Rng.create seed) ~feature_dim:2 ~n_actions:3
 
 let test_select_respects_validity () =
   let agent = make_agent 1 in
@@ -32,10 +31,8 @@ let test_training_every_five () =
   Alcotest.(check int) "every fifth record trains" 4 !losses;
   Alcotest.(check int) "recorded" 20 (Ft_qlearn.Agent.recorded agent)
 
-let test_epsilon_decays () =
-  let agent = make_agent 3 in
-  let before = Ft_qlearn.Agent.epsilon agent in
-  for _ = 1 to 50 do
+let record_blank agent n =
+  for _ = 1 to n do
     ignore
       (Ft_qlearn.Agent.record agent
          {
@@ -45,13 +42,28 @@ let test_epsilon_decays () =
            next_state = [| 0.; 0. |];
            next_valid = [];
          })
-  done;
+  done
+
+let test_epsilon_decays () =
+  let agent = make_agent 3 in
+  let before = Ft_qlearn.Agent.epsilon agent in
+  record_blank agent 50;
   check_bool "decayed" true (Ft_qlearn.Agent.epsilon agent < before)
 
+(* 0.3 * 0.98^n drops below 0.05 after 89 records; from then on the
+   floor holds epsilon at exactly 0.05. *)
+let test_epsilon_floor () =
+  let agent = make_agent 3 in
+  Alcotest.(check (float 0.)) "starts at 0.3" 0.3 (Ft_qlearn.Agent.epsilon agent);
+  record_blank agent 200;
+  Alcotest.(check (float 0.)) "settles at 0.05" 0.05 (Ft_qlearn.Agent.epsilon agent)
+
 (* A two-armed bandit: action 0 always rewards 1, actions 1 and 2
-   reward -1.  After training, the greedy choice must be action 0. *)
+   reward -1.  The agent picks its own actions (epsilon-greedy at the
+   paper's schedule); after training, the greedy choice must be
+   action 0. *)
 let test_learns_bandit () =
-  let agent = make_agent ~epsilon:1.0 ~epsilon_min:0.0 4 in
+  let agent = make_agent 4 in
   let state = [| 0.5; -0.5 |] in
   for _ = 1 to 400 do
     let action =
@@ -122,12 +134,10 @@ let test_record_rejects_bad_shapes () =
 
 (* An out-of-range [next_valid] index would index the target
    network's output in every training round that samples the
-   transition; it is rejected before anything changes, and the next
+   transition; it is rejected before anything changes, and the fifth
    well-formed record trains normally. *)
 let test_record_rejects_bad_next_valid () =
-  let agent =
-    Ft_qlearn.Agent.create ~train_every:1 (Ft_util.Rng.create 8) ~feature_dim:2 ~n_actions:3
-  in
+  let agent = make_agent 8 in
   let good =
     {
       Ft_qlearn.Agent.state = [| 0.5; -0.5 |];
@@ -143,21 +153,13 @@ let test_record_rejects_bad_next_valid () =
           Ft_qlearn.Agent.record agent { good with next_valid }))
     [ [ 7 ]; [ -1 ]; [ 0; 3 ] ];
   Alcotest.(check int) "nothing recorded" 0 (Ft_qlearn.Agent.recorded agent);
+  for i = 1 to 4 do
+    check_bool (Printf.sprintf "record %d does not train" i) true
+      (Ft_qlearn.Agent.record agent good = None)
+  done;
   match Ft_qlearn.Agent.record agent good with
   | Some loss -> check_bool "trains" true (Float.is_finite loss)
-  | None -> Alcotest.fail "train_every 1 must train"
-
-let test_create_rejects_bad_sizes () =
-  let create ?replay_cap ?train_every ?batch_size () =
-    Ft_qlearn.Agent.create ?replay_cap ?train_every ?batch_size
-      (Ft_util.Rng.create 1) ~feature_dim:2 ~n_actions:3
-  in
-  check_invalid ~prefix:"Agent.create:" "replay_cap 0" (fun () -> create ~replay_cap:0 ());
-  check_invalid ~prefix:"Agent.create:" "train_every 0" (fun () ->
-      create ~train_every:0 ());
-  check_invalid ~prefix:"Agent.create:" "batch_size 0" (fun () -> create ~batch_size:0 ());
-  check_invalid ~prefix:"Agent.create:" "negative batch_size" (fun () ->
-      create ~batch_size:(-3) ())
+  | None -> Alcotest.fail "the fifth record must train"
 
 let () =
   Alcotest.run "ft_qlearn"
@@ -167,10 +169,10 @@ let () =
           Alcotest.test_case "validity masking" `Quick test_select_respects_validity;
           Alcotest.test_case "train every 5" `Quick test_training_every_five;
           Alcotest.test_case "epsilon decay" `Quick test_epsilon_decays;
+          Alcotest.test_case "epsilon floor" `Quick test_epsilon_floor;
           Alcotest.test_case "learns bandit" `Slow test_learns_bandit;
           Alcotest.test_case "bad action" `Quick test_record_rejects_bad_action;
           Alcotest.test_case "bad state shapes" `Quick test_record_rejects_bad_shapes;
           Alcotest.test_case "bad next_valid" `Quick test_record_rejects_bad_next_valid;
-          Alcotest.test_case "bad sizes" `Quick test_create_rejects_bad_sizes;
         ] );
     ]

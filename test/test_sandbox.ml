@@ -229,6 +229,28 @@ let test_preflight_rejects_undersized_watchdog () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an iteration-count rejection"
 
+(* A cap whose byte count overflows an int used to wrap around in
+   both the buffer check and the worker's setrlimit; a cap below 1 MiB
+   is no cap at all.  Both are refused by name, and the largest
+   representable cap is accepted. *)
+let test_preflight_rejects_out_of_range_caps () =
+  let space = space_of () in
+  let cfg = Ft_schedule.Space.default_config space in
+  let preflight mem_mb =
+    Sandbox.preflight ~limits:{ tiny with Sandbox.mem_mb = Some mem_mb } space cfg
+  in
+  List.iter
+    (fun mem_mb ->
+      match preflight mem_mb with
+      | Error reason ->
+          check_bool
+            (Printf.sprintf "%d MiB: %S names the cap" mem_mb reason)
+            true
+            (String.starts_with ~prefix:"address-space cap" reason)
+      | Ok _ -> Alcotest.failf "%d MiB accepted" mem_mb)
+    [ 0; -1; 99_999_999_999_999; Sandbox.max_mem_mb + 1; max_int ];
+  check_bool "largest cap accepted" true (Result.is_ok (preflight Sandbox.max_mem_mb))
+
 let test_preflight_accepts_sane_configs () =
   let space = space_of () in
   let cfg = Ft_schedule.Space.default_config space in
@@ -459,6 +481,8 @@ let () =
             test_preflight_rejects_undersized_watchdog;
           Alcotest.test_case "accepts sane configs" `Quick
             test_preflight_accepts_sane_configs;
+          Alcotest.test_case "rejects out-of-range caps" `Quick
+            test_preflight_rejects_out_of_range_caps;
         ] );
       ( "resilience",
         [

@@ -538,7 +538,7 @@ let with_server ?k f =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let repo = Shard.open_dir ?k dir in
-      let server = Server.create ~repo ~listen:"127.0.0.1:0" () in
+      let server = Server.create ~repo ~listen:"127.0.0.1:0" in
       let _t = Server.start server in
       Fun.protect
         ~finally:(fun () -> Server.stop server)
@@ -789,13 +789,13 @@ let test_second_daemon_refuses_live_socket () =
       if Sys.file_exists sock then Sys.remove sock)
     (fun () ->
       let repo = Shard.open_dir dir in
-      let first = Server.create ~repo ~listen:("unix:" ^ sock) () in
+      let first = Server.create ~repo ~listen:("unix:" ^ sock) in
       let _t = Server.start first in
       Fun.protect
         ~finally:(fun () -> Server.stop first)
         (fun () ->
           check_bool "the socket shows as live" true (Server.unix_socket_live sock);
-          (match Server.create ~repo ~listen:("unix:" ^ sock) () with
+          (match Server.create ~repo ~listen:("unix:" ^ sock) with
           | exception Failure _ -> ()
           | second ->
               Server.stop second;
@@ -824,7 +824,7 @@ let test_stale_socket_recycled () =
       check_bool "a dead socket shows as stale" false
         (Server.unix_socket_live sock);
       let repo = Shard.open_dir dir in
-      let server = Server.create ~repo ~listen:("unix:" ^ sock) () in
+      let server = Server.create ~repo ~listen:("unix:" ^ sock) in
       let _t = Server.start server in
       Fun.protect
         ~finally:(fun () -> Server.stop server)
@@ -880,7 +880,7 @@ let test_dead_daemon_degrades () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let repo = Shard.open_dir dir in
-      let server = Server.create ~repo ~listen:"127.0.0.1:0" () in
+      let server = Server.create ~repo ~listen:"127.0.0.1:0" in
       let _t = Server.start server in
       let client =
         match Client.connect (Server.address server) with
@@ -910,7 +910,7 @@ let test_unix_socket_transport () =
       if Sys.file_exists sock then Sys.remove sock)
     (fun () ->
       let repo = Shard.open_dir dir in
-      let server = Server.create ~repo ~listen:("unix:" ^ sock) () in
+      let server = Server.create ~repo ~listen:("unix:" ^ sock) in
       let _t = Server.start server in
       Fun.protect
         ~finally:(fun () -> Server.stop server)

@@ -106,32 +106,9 @@ let test_count_factorizations_matches_enumeration () =
     [ (1, 4); (7, 3); (12, 2); (24, 4); (36, 3); (64, 4); (100, 4); (210, 3) ]
 
 let test_misc_math () =
-  check_int "ilog2 1" 0 (Ft_util.Mathx.ilog2 1);
-  check_int "ilog2 1024" 10 (Ft_util.Mathx.ilog2 1024);
-  check_int "pow" 243 (Ft_util.Mathx.pow 3 5);
-  check_int "gcd" 6 (Ft_util.Mathx.gcd 54 24);
   check_int "ceil_div" 4 (Ft_util.Mathx.ceil_div 10 3);
-  check_int "round_up" 12 (Ft_util.Mathx.round_up_to 10 3);
   check_int "clamp" 5 (Ft_util.Mathx.clamp 0 5 9);
-  check_int "binomial" 10 (Ft_util.Mathx.binomial 5 2);
-  check_int "permutations" 24 (List.length (Ft_util.Mathx.permutations [ 1; 2; 3; 4 ]))
-
-(* Regression: the pivot used to be removed with List.filter, deleting
-   every duplicate at once — [2; 2] produced [[2]] instead of [[2; 2]]. *)
-let test_permutations_with_duplicates () =
-  Alcotest.(check (list (list int))) "two equal elements" [ [ 2; 2 ] ]
-    (Ft_util.Mathx.permutations [ 2; 2 ]);
-  Alcotest.(check (list (list int))) "multiset 1 1 2"
-    [ [ 1; 1; 2 ]; [ 1; 2; 1 ]; [ 2; 1; 1 ] ]
-    (List.sort compare (Ft_util.Mathx.permutations [ 1; 1; 2 ]));
-  (* distinct permutations of a multiset: 4!/2!2! = 6, each length 4 *)
-  let perms = Ft_util.Mathx.permutations [ 3; 3; 5; 5 ] in
-  check_int "multiset count" 6 (List.length perms);
-  check_int "no duplicates" 6 (List.length (List.sort_uniq compare perms));
-  List.iter
-    (fun p -> Alcotest.(check (list int)) "same multiset" [ 3; 3; 5; 5 ]
-        (List.sort compare p))
-    perms
+  check_int "binomial" 10 (Ft_util.Mathx.binomial 5 2)
 
 let test_stats () =
   check_float "mean" 2.5 (Ft_util.Stats.mean [ 1.; 2.; 3.; 4. ]);
@@ -139,9 +116,7 @@ let test_stats () =
   check_float "min" 1. (Ft_util.Stats.minimum [ 3.; 1.; 2. ]);
   check_float "max" 3. (Ft_util.Stats.maximum [ 3.; 1.; 2. ]);
   Alcotest.(check (list (float 1e-9))) "normalize" [ 0.5; 1. ]
-    (Ft_util.Stats.normalize_to_max [ 2.; 4. ]);
-  Alcotest.(check (list (float 1e-9))) "ratios" [ 2.; 3. ]
-    (Ft_util.Stats.ratio_list ~num:[ 4.; 9. ] ~den:[ 2.; 3. ])
+    (Ft_util.Stats.normalize_to_max [ 2.; 4. ])
 
 let test_stats_invalid () =
   Alcotest.check_raises "geomean empty" (Invalid_argument "Stats.geomean: empty list")
@@ -158,9 +133,6 @@ let test_table_render () =
     (fun () -> ignore (Ft_util.Table.render ~header:[ "a" ] [ [ "1"; "2" ] ]))
 
 let test_chart () =
-  let out = Ft_util.Chart.bar_chart ~title:"t" [ ("x", 1.); ("y", 2.) ] in
-  check_bool "bar chart mentions labels" true
-    (String.length out > 10);
   let out =
     Ft_util.Chart.series ~title:"s" ~x_label:"time" ~y_label:"perf"
       [ ("m", [ (0., 1.); (1., 2.) ]) ]
@@ -215,8 +187,6 @@ let () =
           Alcotest.test_case "closed-form count" `Quick
             test_count_factorizations_matches_enumeration;
           Alcotest.test_case "misc" `Quick test_misc_math;
-          Alcotest.test_case "permutations with duplicates" `Quick
-            test_permutations_with_duplicates;
           QCheck_alcotest.to_alcotest qcheck_factor_product;
           QCheck_alcotest.to_alcotest qcheck_divisors_divide;
         ] );
