@@ -65,7 +65,7 @@ let inlining () =
         in
         let value inline =
           Ft_hw.Cost.perf_value space
-            (Ft_hw.Cost.evaluate space { (Config.copy best) with inline })
+            (Ft_hw.Cost.evaluate space { best with inline })
         in
         [ name; Bench_common.fmt_gf (value true); Bench_common.fmt_gf (value false) ])
       layers
@@ -86,7 +86,7 @@ let order_templates () =
         let values =
           List.init Space.n_orders (fun order_id ->
               Ft_hw.Cost.perf_value space
-                (Ft_hw.Cost.evaluate space { (Config.copy best) with order_id }))
+                (Ft_hw.Cost.evaluate space { best with order_id }))
         in
         name :: List.map Bench_common.fmt_gf values)
       layers

@@ -8,10 +8,21 @@ open Toolkit
    written to BENCH_micro.json so the perf trajectory is tracked
    across PRs. *)
 
-let conv_space =
-  Ft_schedule.Space.make
-    (Ft_workloads.Yolo.graph (Ft_workloads.Yolo.find "C8"))
-    Ft_schedule.Target.v100
+let c8_on target =
+  Ft_schedule.Space.make (Ft_workloads.Yolo.graph (Ft_workloads.Yolo.find "C8")) target
+
+let conv_space = c8_on Ft_schedule.Target.v100
+
+(* A cost-model query row on C8 for [target], at the first random
+   config the model accepts (an invalid one returns early). *)
+let cost_query_test name target rng =
+  let space = c8_on target in
+  let rec valid_config () =
+    let cfg = Ft_schedule.Space.random_config rng space in
+    if (Ft_hw.Cost.evaluate space cfg).valid then cfg else valid_config ()
+  in
+  let cfg = valid_config () in
+  Test.make ~name (Staged.stage (fun () -> Ft_hw.Cost.evaluate space cfg))
 
 let tests () =
   let rng = Ft_util.Rng.create 1 in
@@ -26,6 +37,8 @@ let tests () =
   [
     Test.make ~name:"gpu cost model query"
       (Staged.stage (fun () -> Ft_hw.Cost.evaluate conv_space cfg));
+    cost_query_test "cpu cost model query" Ft_schedule.Target.xeon_e5_2699_v4 rng;
+    cost_query_test "fpga cost model query" Ft_schedule.Target.vu9p rng;
     Test.make ~name:"space size (closed form)"
       (Staged.stage (fun () -> Ft_schedule.Space.size conv_space));
     Test.make ~name:"random config"
@@ -255,7 +268,7 @@ let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated ~scalin
   in
   J.Obj
     [
-      ("space", J.Str "yolo C8 on v100");
+      ("space", J.Str "yolo C8 on v100 (cost model rows: v100, xeon, vu9p)");
       ("cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
       ("cc", J.Str (cc_version ()));
       ("ns_per_call", table 0 Fun.id ns_rows);

@@ -62,9 +62,9 @@ let run_chaos kind =
   let perf = measure cfg in
   let elapsed_s = Flextensor.Monotime.elapsed_s t0 in
   let contained =
-    (not perf.Ft_hw.Perf.valid) && String.length perf.Ft_hw.Perf.note > 0
+    (not perf.Ft_hw.Perf.valid) && String.length (Ft_hw.Perf.note perf) > 0
   in
-  (Sandbox.chaos_to_string kind, perf.Ft_hw.Perf.note, elapsed_s, contained)
+  (Sandbox.chaos_to_string kind, Ft_hw.Perf.note perf, elapsed_s, contained)
 
 (* ms per measurement over [n] runs of [f] on a fresh config each
    time (quarantine would otherwise short-circuit the sandboxed

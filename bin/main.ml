@@ -386,7 +386,7 @@ let optimize_cmd =
            finish_trace ();
            Printf.eprintf
              "error: search finished without a valid schedule (%s)\n"
-             report.perf.Flextensor.Perf.note;
+             (Flextensor.Perf.note report.perf);
            exit 3
          end);
         Option.iter Flextensor.Store_client.close remote;

@@ -272,7 +272,7 @@ let reapply graph target config_text =
       if not perf.Perf.valid then
         Error
           (Printf.sprintf "schedule is invalid for this space: %s"
-             perf.Perf.note)
+             (Perf.note perf))
       else
         Ok
           (make_report graph target space ~provenance:Reused ~config:cfg ~perf

@@ -158,7 +158,7 @@ let finish ~method_name state =
     Ft_obs.Trace.incr "driver.invalid_best";
     if Ft_obs.Trace.active () then
       Ft_obs.Trace.event "driver.invalid_best"
-        [ ("note", Str best_perf.Ft_hw.Perf.note) ]
+        [ ("note", Str (Ft_hw.Perf.note best_perf)) ]
   end;
   {
     method_name;

@@ -134,7 +134,7 @@ let fault_resolve t plan key ((value, perf) as computed : float * Ft_hw.Perf.t) 
     let wait s = cost := !cost +. s in
     match Ft_fault.Resilience.run ~prefix:"eval" ~wait attempt with
     | Ok entry -> (entry, !cost)
-    | Error note -> ((0., Ft_hw.Perf.invalid note), !cost)
+    | Error note -> ((0., Ft_hw.Perf.invalid (Lazy.from_val note)), !cost)
   end
 
 (* Insert a freshly computed point, charging the clock via [charge_one]

@@ -22,10 +22,16 @@ let valid_actions space state directions cfg =
       | Some _ | None -> None)
     indexed
 
+(* A walk carries its point's features and, once known, its valid
+   directions: the step that records a transition computes both for the
+   point it moves to, after the batch is committed, and nothing is
+   visited between that and the next step's selection. *)
 type walk = {
   mutable cfg : Ft_schedule.Config.t;
   mutable value : float;
   mutable alive : bool;
+  mutable features : float array;
+  mutable valid : int list option;  (* [None]: not yet computed *)
 }
 
 (* A walk ends when the agent has no valid direction, its move leaves
@@ -60,7 +66,6 @@ module Policy = struct
      learn. *)
   let step_walks { directions; agent } (ctx : Search_loop.ctx) walks =
     let { Search_loop.space; evaluator; state; _ } = ctx in
-    let features = Ft_schedule.Space.features space in
     (* One batched online-network forward over the whole frontier of
        live walks.  Forwards consume no RNG and each row is
        bit-for-bit the scalar forward, so the per-walk epsilon-greedy
@@ -69,13 +74,17 @@ module Policy = struct
     let live = List.filter (fun w -> w.alive) walks in
     let qrows =
       Ft_qlearn.Agent.q_values_batch agent
-        (Array.of_list (List.map (fun w -> features w.cfg) live))
+        (Array.of_list (List.map (fun w -> w.features) live))
     in
     let proposals =
       List.filter_map
         (fun (w, qrow) ->
           begin
-            let valid = valid_actions space state directions w.cfg in
+            let valid =
+              match w.valid with
+              | Some valid -> valid
+              | None -> valid_actions space state directions w.cfg
+            in
             Evaluator.charge evaluator agent_query_cost;
             match Ft_qlearn.Agent.select_scored agent ~q:(lazy qrow) ~valid with
             | None ->
@@ -119,20 +128,23 @@ module Policy = struct
               else 0.
             in
             let next_valid = valid_actions space state directions next in
+            let next_features = Ft_schedule.Space.features space next in
             (match
                Ft_qlearn.Agent.record agent
                  {
-                   state = features w.cfg;
+                   state = w.features;
                    action;
                    reward;
-                   next_state = features next;
+                   next_state = next_features;
                    next_valid;
                  }
              with
             | Some _loss -> Evaluator.charge evaluator training_round_cost
             | None -> ());
             w.cfg <- next;
-            w.value <- next_value)
+            w.value <- next_value;
+            w.features <- next_features;
+            w.valid <- Some next_valid)
       proposals
 
   let trial t (ctx : Search_loop.ctx) ~index =
@@ -140,7 +152,14 @@ module Policy = struct
     Search_loop.trial_span ~key:"q" ~index (fun () ->
         let walks =
           List.map
-            (fun (cfg, value) -> { cfg; value; alive = true })
+            (fun (cfg, value) ->
+              {
+                cfg;
+                value;
+                alive = true;
+                features = Ft_schedule.Space.features ctx.space cfg;
+                valid = None;
+              })
             (Search_loop.sa_starts ctx)
         in
         let step = ref 0 in

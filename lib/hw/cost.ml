@@ -1,6 +1,6 @@
 let evaluate ?flops_scale (space : Ft_schedule.Space.t) cfg =
   if not (Ft_schedule.Space.valid space cfg) then
-    Perf.invalid "config outside the schedule space"
+    Perf.invalid (lazy "config outside the schedule space")
   else
     match space.target with
     | Ft_schedule.Target.Gpu spec -> Gpu_model.evaluate ?flops_scale spec space cfg
@@ -11,16 +11,5 @@ let evaluate ?flops_scale (space : Ft_schedule.Space.t) cfg =
    operators like shift — effective bandwidth (GB/s moved). *)
 let perf_value (space : Ft_schedule.Space.t) (perf : Perf.t) =
   if not perf.valid then 0.
-  else if Ft_ir.Op.flops space.node > 0 then perf.gflops
-  else
-    let node = space.node in
-    let bytes =
-      List.fold_left
-        (fun acc tensor ->
-          match Ft_ir.Op.tensor_shape space.graph tensor with
-          | Some shape -> acc + (List.fold_left ( * ) 1 shape * 4)
-          | None -> acc)
-        (Ft_ir.Op.spatial_points node * 4)
-        (Ft_ir.Op.tensors_read node)
-    in
-    float_of_int bytes /. perf.time_s /. 1e9
+  else if space.flops > 0 then perf.gflops
+  else float_of_int (space.output_bytes + space.input_bytes) /. perf.time_s /. 1e9

@@ -18,8 +18,7 @@ let log2 x = log x /. log 2.
 
 let evaluate ?(flops_scale = 1.0) (spec : Target.cpu_spec) (space : Space.t)
     (cfg : Config.t) =
-  let node = space.node in
-  let flops = Ft_ir.Op.flops node in
+  let flops = space.flops in
   let parallelism =
     Config.product_level cfg.spatial 0
     * (if cfg.fuse_levels >= 2 then Config.product_level cfg.spatial 1 else 1)
@@ -49,27 +48,14 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.cpu_spec) (space : Space.t)
   (* Cache model. L1 tile: innermost spatial tiles with the reduce-inner
      depth; L2 tile: everything below the parallel level with the
      reduce middle+inner depth. *)
-  let l1_tiles =
-    Footprint.tiles_of_config space cfg ~spatial_levels:[ 2; 3 ] ~reduce_levels:[ 2 ]
-  in
-  let l2_tiles =
-    Footprint.tiles_of_config space cfg ~spatial_levels:[ 1; 2; 3 ]
-      ~reduce_levels:[ 1; 2 ]
-  in
-  let l1_elems = Footprint.total_footprint node ~tiles:l1_tiles in
-  let l2_elems = Footprint.total_footprint node ~tiles:l2_tiles in
+  let l1_tiles = Footprint.widths cfg ~spatial_levels:[ 2; 3 ] ~reduce_levels:[ 2 ] in
+  let l2_tiles = Footprint.widths cfg ~spatial_levels:[ 1; 2; 3 ] ~reduce_levels:[ 1; 2 ] in
+  let l1_elems = Footprint.total l1_tiles space.reads in
+  let l2_elems = Footprint.total l2_tiles space.reads in
   let l1_overflow = l1_elems * 4 > spec.l1_kb * 1024 in
   let l2_overflow = l2_elems * 4 > spec.l2_kb * 1024 in
-  let out_bytes = Ft_ir.Op.spatial_points node * 4 in
-  let compulsory =
-    List.fold_left
-      (fun acc tensor ->
-        match Ft_ir.Op.tensor_shape space.graph tensor with
-        | Some shape -> acc + (List.fold_left ( * ) 1 shape * 4)
-        | None -> acc)
-      out_bytes
-      (Ft_ir.Op.tensors_read node)
-  in
+  let out_bytes = space.output_bytes in
+  let compulsory = out_bytes + space.input_bytes in
   let n_l2_tiles =
     Config.product_level cfg.spatial 0 * Config.product_level cfg.reduce 0
   in
@@ -81,18 +67,11 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.cpu_spec) (space : Space.t)
     if compulsory <= spec.l3_mb * 1024 * 1024 then min dram_traffic (compulsory * 2)
     else dram_traffic
   in
-  let producer_bytes =
-    if cfg.inline then 0
-    else
-      List.fold_left
-        (fun acc (producer : Ft_ir.Op.t) ->
-          acc + (Ft_ir.Op.spatial_points producer * 4 * 2))
-        0
-        (Ft_ir.Op.producers space.graph node)
-  in
+  let producer_bytes = if cfg.inline then 0 else space.producer_bytes in
   let inner_iters =
-    Ft_ir.Op.spatial_points node / max 1 (Config.product_level cfg.spatial 2 * Config.product_level cfg.spatial 3)
-    * (Ft_ir.Op.reduce_points node / max 1 (Config.product_level cfg.reduce 2))
+    space.spatial_points
+    / max 1 (Config.product_level cfg.spatial 2 * Config.product_level cfg.spatial 3)
+    * (space.reduce_points / max 1 (Config.product_level cfg.reduce 2))
   in
   let l2_traffic = inner_iters * l1_elems * 4 in
   let l2_traffic = if l1_overflow then l2_traffic * 2 else l2_traffic in
@@ -103,6 +82,7 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.cpu_spec) (space : Space.t)
   let time_s = Float.max compute_time mem_time +. 20e-6 in
   Perf.make ~flops ~time_s
     ~note:
-      (Printf.sprintf "par=%d simd=%.2f %s" parallelism simd
-         (if compute_time >= mem_time then "compute-bound" else "memory-bound"))
+      (lazy
+        (Printf.sprintf "par=%d simd=%.2f %s" parallelism simd
+           (if compute_time >= mem_time then "compute-bound" else "memory-bound")))
     ()

@@ -18,11 +18,10 @@ let bank_words_per_cycle = 32
 
 let evaluate ?(flops_scale = 1.0) (spec : Target.fpga_spec) (space : Space.t)
     (cfg : Config.t) =
-  let node = space.node in
-  let flops = Ft_ir.Op.flops node in
+  let flops = space.flops in
   let pes = Config.product_level cfg.spatial 2 in
   if pes * spec.dsp_per_mac > spec.dsps then
-    Perf.invalid (Printf.sprintf "%d PEs exceed DSP budget" pes)
+    Perf.invalid (lazy (Printf.sprintf "%d PEs exceed DSP budget" pes))
   else
     let tile_outputs =
       Array.fold_left (fun acc parts -> acc * parts.(2) * parts.(3)) 1 cfg.spatial
@@ -30,20 +29,17 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.fpga_spec) (space : Space.t)
     let rounds =
       Array.fold_left (fun acc parts -> acc * parts.(0) * parts.(1)) 1 cfg.spatial
     in
-    let tiles =
-      Footprint.tiles_of_config space cfg ~spatial_levels:[ 2; 3 ]
-        ~reduce_levels:[ 0; 1; 2 ]
-    in
-    let in_elems = Footprint.total_footprint node ~tiles in
+    let tiles = Footprint.widths cfg ~spatial_levels:[ 2; 3 ] ~reduce_levels:[ 0; 1; 2 ] in
+    let in_elems = Footprint.total tiles space.reads in
     (* Double buffering: input tile twice (ping-pong) plus output tile. *)
     let bram_bytes = ((2 * in_elems) + tile_outputs) * 4 in
     if bram_bytes > spec.bram_kb * 1024 then
-      Perf.invalid (Printf.sprintf "%d B exceed BRAM capacity" bram_bytes)
+      Perf.invalid (lazy (Printf.sprintf "%d B exceed BRAM capacity" bram_bytes))
     else
       let clock = spec.clock_mhz *. 1e6 in
       let macs_per_round =
-        float_of_int (tile_outputs * Ft_ir.Op.reduce_points node)
-        *. float_of_int (max 1 (Ft_ir.Op.body_flops node / 2))
+        float_of_int (tile_outputs * space.reduce_points)
+        *. float_of_int (max 1 (space.body_flops / 2))
         *. flops_scale
       in
       let feed_words = Space.partition cfg * bank_words_per_cycle in
@@ -57,7 +53,8 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.fpga_spec) (space : Space.t)
       in
       Perf.make ~flops ~time_s
         ~note:
-          (Printf.sprintf "pe=%d ii=%.1f %s" pes ii
-             (if compute >= read && compute >= write then "compute-bound"
-              else "io-bound"))
+          (lazy
+            (Printf.sprintf "pe=%d ii=%.1f %s" pes ii
+               (if compute >= read && compute >= write then "compute-bound"
+                else "io-bound")))
         ()

@@ -25,8 +25,7 @@ let last_of arr = arr.(Array.length arr - 1)
 
 let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
     (cfg : Config.t) =
-  let node = space.node in
-  let flops = Ft_ir.Op.flops node in
+  let flops = space.flops in
   let threads = Config.product_level cfg.spatial 2 in
   let blocks = Config.product_level cfg.spatial 0 in
   let vthreads = Config.product_level cfg.spatial 1 in
@@ -34,18 +33,17 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
   let per_thread_out = vthreads * inner in
   if threads > spec.max_threads_per_block then
     Perf.invalid
-      (Printf.sprintf "%d threads exceed %d per block" threads
-         spec.max_threads_per_block)
+      (lazy
+        (Printf.sprintf "%d threads exceed %d per block" threads
+           spec.max_threads_per_block))
   else
     let n_stages = Config.product_level cfg.reduce 0 * Config.product_level cfg.reduce 1 in
-    let tiles =
-      Footprint.tiles_of_config space cfg ~spatial_levels:[ 1; 2; 3 ]
-        ~reduce_levels:[ 2 ]
-    in
-    let stage_elems = Footprint.total_footprint node ~tiles in
+    let tiles = Footprint.widths cfg ~spatial_levels:[ 1; 2; 3 ] ~reduce_levels:[ 2 ] in
+    let stage_elems = Footprint.total tiles space.reads in
     let smem_bytes = stage_elems * 4 in
     if smem_bytes > spec.shared_kb_per_block * 1024 then
-      Perf.invalid (Printf.sprintf "%d B shared memory exceed block limit" smem_bytes)
+      Perf.invalid
+        (lazy (Printf.sprintf "%d B shared memory exceed block limit" smem_bytes))
     else
       let unroll = Space.unroll_depth cfg in
       let regs_per_thread = 24 + (2 * per_thread_out) + (unroll / 8) in
@@ -60,7 +58,7 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
           (min spec.max_blocks_per_sm smem_blocks)
           (min (spec.max_threads_per_sm / threads) (spec.regs_per_sm / (regs * threads)))
       in
-      if blocks_per_sm = 0 then Perf.invalid "block exceeds per-SM resources"
+      if blocks_per_sm = 0 then Perf.invalid (lazy "block exceeds per-SM resources")
       else
         let occupancy =
           Float.min 1.
@@ -96,29 +94,10 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
         in
         (* Global traffic: every block loads each staging tile once per
            reduce stage; cannot go below the compulsory volume. *)
-        let out_bytes = Ft_ir.Op.spatial_points node * 4 in
+        let out_bytes = space.output_bytes in
         let staged_bytes = blocks * n_stages * smem_bytes in
-        let compulsory =
-          let input_bytes =
-            List.fold_left
-              (fun acc tensor ->
-                match Ft_ir.Op.tensor_shape space.graph tensor with
-                | Some shape -> acc + (List.fold_left ( * ) 1 shape * 4)
-                | None -> acc)
-              0
-              (Ft_ir.Op.tensors_read node)
-          in
-          input_bytes + out_bytes
-        in
-        let producer_bytes =
-          if cfg.inline then 0
-          else
-            List.fold_left
-              (fun acc (producer : Ft_ir.Op.t) ->
-                acc + (Ft_ir.Op.spatial_points producer * 4 * 2))
-              0
-              (Ft_ir.Op.producers space.graph node)
-        in
+        let compulsory = space.input_bytes + out_bytes in
+        let producer_bytes = if cfg.inline then 0 else space.producer_bytes in
         let traffic = max (staged_bytes + out_bytes) compulsory + producer_bytes in
         let last_thread = (last_of cfg.spatial).(2) in
         let last_inner = (last_of cfg.spatial).(3) in
@@ -127,15 +106,13 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
             (float_of_int (last_thread * last_inner) /. float_of_int spec.warp)
         in
         let mem_time = float_of_int traffic /. (spec.mem_bw_gb *. 1e9 *. coalesce) in
-        let launches =
-          if cfg.inline then 1
-          else 1 + List.length (Ft_ir.Op.producers space.graph node)
-        in
+        let launches = if cfg.inline then 1 else 1 + space.n_producers in
         let time_s =
           Float.max compute_time mem_time +. (float_of_int launches *. 5e-6)
         in
         Perf.make ~flops ~time_s
           ~note:
-            (Printf.sprintf "occ=%.2f eff=%.2f %s" occupancy efficiency
-               (if compute_time >= mem_time then "compute-bound" else "memory-bound"))
+            (lazy
+              (Printf.sprintf "occ=%.2f eff=%.2f %s" occupancy efficiency
+                 (if compute_time >= mem_time then "compute-bound" else "memory-bound")))
           ()

@@ -4,32 +4,34 @@ type t = {
   time_s : float;
   gflops : float;
   valid : bool;
-  note : string;
+  lazy_note : string Lazy.t;
   source : provenance;
 }
+
+let note t = Lazy.force t.lazy_note
 
 let invalid note =
   {
     time_s = Float.infinity;
     gflops = 0.;
     valid = false;
-    note;
+    lazy_note = note;
     source = Analytical;
   }
 
 let make ?(source = Analytical) ~flops ~time_s ~note () =
-  if time_s <= 0. then invalid "non-positive time"
+  if time_s <= 0. then invalid (lazy "non-positive time")
   else
     {
       time_s;
       gflops = float_of_int flops /. time_s /. 1e9;
       valid = true;
-      note;
+      lazy_note = note;
       source;
     }
 
 let measured ~flops ~time_s ~reps ~min_ns ~note =
-  make ~source:(Measured { reps; min_ns }) ~flops ~time_s ~note ()
+  make ~source:(Measured { reps; min_ns }) ~flops ~time_s ~note:(Lazy.from_val note) ()
 
 let is_measured t = match t.source with Measured _ -> true | Analytical -> false
 
@@ -39,10 +41,11 @@ let provenance_to_string = function
       Printf.sprintf "measured reps=%d min_ns=%.0f" reps min_ns
 
 let pp fmt t =
+  let note = note t in
   if t.valid then
     Format.fprintf fmt "%.3f ms, %.1f GFLOPS%s%s" (t.time_s *. 1e3) t.gflops
       (match t.source with
       | Analytical -> ""
       | Measured { reps; _ } -> Printf.sprintf " [measured, %d reps]" reps)
-      (if String.equal t.note "" then "" else " (" ^ t.note ^ ")")
-  else Format.fprintf fmt "invalid: %s" t.note
+      (if String.equal note "" then "" else " (" ^ note ^ ")")
+  else Format.fprintf fmt "invalid: %s" note

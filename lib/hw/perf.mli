@@ -15,19 +15,26 @@ type provenance =
       (** [reps] timed repetitions after warmup; [time_s] is their
           median, [min_ns] the fastest single rep in nanoseconds. *)
 
-type t = {
+(** The note (bound, occupancy, the limit a schedule broke) is only
+    formatted when {!note} reads it: the search queries the models far
+    more often than anything reads a note.  An unforced [t] holds a
+    closure, so nothing compares, hashes or marshals one. *)
+type t = private {
   time_s : float;  (** kernel time; [infinity] when invalid *)
   gflops : float;  (** throughput on the operator's true FLOP count *)
   valid : bool;  (** false when the schedule violates a hard resource limit *)
-  note : string;
+  lazy_note : string Lazy.t;
   source : provenance;
 }
 
+val note : t -> string
+
 (** Invalid results are always [Analytical] — a measurement that ran
     produced a time; one that failed raises instead. *)
-val invalid : string -> t
+val invalid : string Lazy.t -> t
 
-val make : ?source:provenance -> flops:int -> time_s:float -> note:string -> unit -> t
+val make :
+  ?source:provenance -> flops:int -> time_s:float -> note:string Lazy.t -> unit -> t
 
 val measured :
   flops:int -> time_s:float -> reps:int -> min_ns:float -> note:string -> t

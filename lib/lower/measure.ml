@@ -18,7 +18,7 @@ let seed = 2020
 
 let run ?(reps = 5) (space : Ft_schedule.Space.t) cfg =
   if not (Ft_schedule.Space.valid space cfg) then
-    Ft_hw.Perf.invalid "config outside the schedule space"
+    Ft_hw.Perf.invalid (lazy "config outside the schedule space")
   else
     let reps = max 1 reps in
     let program = Lowering.lower space cfg in

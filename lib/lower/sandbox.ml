@@ -192,12 +192,12 @@ let child_main ~limits ~chaos ~reps space cfg write_fd =
                  ("time_s", J.Num perf.Ft_hw.Perf.time_s);
                  ("min_ns", J.Num min_ns);
                  ("reps", J.Num (float_of_int reps));
-                 ("note", J.Str perf.Ft_hw.Perf.note);
+                 ("note", J.Str (Ft_hw.Perf.note perf));
                ])
       | Ft_hw.Perf.Measured _ | Ft_hw.Perf.Analytical ->
           child_exit oc
             (obj
-               [ ("status", J.Str "invalid"); ("note", J.Str perf.Ft_hw.Perf.note) ]))
+               [ ("status", J.Str "invalid"); ("note", J.Str (Ft_hw.Perf.note perf)) ]))
   | exception Out_of_memory -> child_exit oc (obj [ ("status", J.Str "oom") ])
   | exception e ->
       child_exit oc
@@ -224,7 +224,7 @@ let parse_frame ~flops payload =
       | Some "invalid" ->
           Ok
             (Ft_hw.Perf.invalid
-               (Option.value (str "note") ~default:"child reported invalid"))
+               (Lazy.from_val (Option.value (str "note") ~default:"child reported invalid")))
       | Some "oom" -> Error R.Oom
       | Some other -> Error (R.Protocol_error ("unknown status " ^ other))
       | None -> Error (R.Protocol_error "frame missing status"))
@@ -368,7 +368,7 @@ let measurer ?limits ?policy ?chaos ?reps space =
         perf
     | None -> (
         let quarantine note =
-          let perf = Ft_hw.Perf.invalid note in
+          let perf = Ft_hw.Perf.invalid (Lazy.from_val note) in
           Hashtbl.replace quarantined key perf;
           perf
         in

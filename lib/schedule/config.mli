@@ -17,7 +17,13 @@
     - [vectorize] (CPU) enables SIMD on the innermost loop.
     - [inline] inlines producer nodes (padding) into the compute node
       instead of materializing them.
-    - [partition_id] (FPGA) indexes memory-partition bank counts. *)
+    - [partition_id] (FPGA) indexes memory-partition bank counts.
+
+    A config is immutable once built: configs derived from one another
+    (neighbours, [{ cfg with ... }]) share the factor arrays they do not
+    change, so a factor array must never be written after the config
+    holding it is constructed.  Code that builds a config may fill its
+    own fresh arrays before handing it out. *)
 
 type t = {
   spatial : int array array;
@@ -30,6 +36,9 @@ type t = {
   partition_id : int;
 }
 
+(** A deep copy: equal, sharing no array.  Configs are never mutated,
+    so only a caller that needs physically distinct arrays (the
+    worst-case [equal] micro-benchmark) needs one. *)
 val copy : t -> t
 
 (** Extract one level across axes: [level cfg.spatial 0] is the
@@ -54,8 +63,8 @@ val equal : t -> t -> bool
 (** Structural hash: [equal a b] implies [hash a = hash b]. *)
 val hash : t -> int
 
-(** Tables keyed by {!equal}/{!hash}.  A key's factor arrays must not
-    change once it is in a table: derive points from a {!copy}. *)
+(** Tables keyed by {!equal}/{!hash}; keys rely on configs never being
+    mutated. *)
 module Tbl : Hashtbl.S with type key = t
 
 val pp : Format.formatter -> t -> unit

@@ -44,7 +44,8 @@ let directions (space : Space.t) =
   common @ hardware @ inline
 
 (* Apply a move; [None] when it would leave the space (the paper's
-   exploration never revisits invalid neighbours). *)
+   exploration never revisits invalid neighbours).  The result shares
+   every factor array the move leaves unchanged with [cfg]. *)
 let apply (space : Space.t) (cfg : Config.t) move =
   match move with
   | Factor_shift { kind; axis; src; dst } ->
@@ -59,35 +60,33 @@ let apply (space : Space.t) (cfg : Config.t) move =
           match Ft_util.Mathx.smallest_prime_factor parts.(src) with
           | None -> None
           | Some p ->
-              let cfg = Config.copy cfg in
-              let parts =
-                match kind with
-                | `Spatial -> cfg.spatial.(axis)
-                | `Reduce -> cfg.reduce.(axis)
-              in
+              let parts = Array.copy parts in
               parts.(src) <- parts.(src) / p;
               parts.(dst) <- parts.(dst) * p;
-              Some cfg)
+              let factors = Array.copy factors in
+              factors.(axis) <- parts;
+              Some
+                (match kind with
+                | `Spatial -> { cfg with spatial = factors }
+                | `Reduce -> { cfg with reduce = factors }))
   | Order_step d ->
       let order_id = cfg.order_id + d in
       if order_id < 0 || order_id >= Space.n_orders then None
-      else Some { (Config.copy cfg) with order_id }
+      else Some { cfg with order_id }
   | Unroll_step d ->
       let unroll_id = cfg.unroll_id + d in
       if unroll_id < 0 || unroll_id >= Array.length Space.unroll_depths then None
-      else Some { (Config.copy cfg) with unroll_id }
+      else Some { cfg with unroll_id }
   | Fuse_step d ->
       let fuse_levels = cfg.fuse_levels + d in
-      if fuse_levels < 1 || fuse_levels > 2 then None
-      else Some { (Config.copy cfg) with fuse_levels }
-  | Vectorize_toggle -> Some { (Config.copy cfg) with vectorize = not cfg.vectorize }
+      if fuse_levels < 1 || fuse_levels > 2 then None else Some { cfg with fuse_levels }
+  | Vectorize_toggle -> Some { cfg with vectorize = not cfg.vectorize }
   | Inline_toggle ->
-      if space.has_producers then Some { (Config.copy cfg) with inline = not cfg.inline }
-      else None
+      if space.has_producers then Some { cfg with inline = not cfg.inline } else None
   | Partition_step d ->
       let partition_id = cfg.partition_id + d in
       if partition_id < 0 || partition_id >= Array.length Space.partitions then None
-      else Some { (Config.copy cfg) with partition_id }
+      else Some { cfg with partition_id }
 
 let neighbors space cfg =
   List.filter_map

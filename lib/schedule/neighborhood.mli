@@ -19,7 +19,9 @@ type move =
     action indexing). *)
 val directions : Space.t -> move list
 
-(** Apply one move; [None] when the result would leave the space. *)
+(** Apply one move; [None] when the result would leave the space.  The
+    result shares every factor array the move does not change with the
+    source config (see {!Config.t}). *)
 val apply : Space.t -> Config.t -> move -> Config.t option
 
 (** All valid (move, neighbour) pairs of a point. *)

@@ -12,6 +12,15 @@ type t = {
   spatial_extents : int array;
   reduce_extents : int array;
   has_producers : bool;
+  flops : int;
+  body_flops : int;
+  spatial_points : int;
+  reduce_points : int;
+  output_bytes : int;
+  input_bytes : int;
+  producer_bytes : int;
+  n_producers : int;
+  reads : Footprint.reads list;
 }
 
 let compute_node graph =
@@ -24,17 +33,34 @@ let compute_node graph =
         (fun best op -> if Ft_ir.Op.flops op >= Ft_ir.Op.flops best then op else best)
         first rest
 
+(* Every term of the performance models that does not depend on the
+   config, computed once here instead of on each query. *)
 let make graph target =
+  let open Ft_ir in
   let node = compute_node graph in
+  let producers = Op.producers graph node in
+  let bytes_of tensor =
+    match Op.tensor_shape graph tensor with
+    | Some shape -> List.fold_left ( * ) 1 shape * 4
+    | None -> 0
+  in
   {
     graph;
     node;
     target;
-    spatial_extents =
-      Array.of_list (List.map (fun a -> a.Ft_ir.Op.extent) node.spatial);
-    reduce_extents =
-      Array.of_list (List.map (fun a -> a.Ft_ir.Op.extent) node.reduce);
-    has_producers = Ft_ir.Op.producers graph node <> [];
+    spatial_extents = Array.of_list (List.map (fun a -> a.Op.extent) node.spatial);
+    reduce_extents = Array.of_list (List.map (fun a -> a.Op.extent) node.reduce);
+    has_producers = producers <> [];
+    flops = Op.flops node;
+    body_flops = Op.body_flops node;
+    spatial_points = Op.spatial_points node;
+    reduce_points = Op.reduce_points node;
+    output_bytes = Op.spatial_points node * 4;
+    input_bytes = List.fold_left (fun acc t -> acc + bytes_of t) 0 (Op.tensors_read node);
+    producer_bytes =
+      List.fold_left (fun acc p -> acc + (Op.spatial_points p * 4 * 2)) 0 producers;
+    n_producers = List.length producers;
+    reads = Footprint.compile node;
   }
 
 (* Size of the pruned space (divisible splits only) counted in closed

@@ -22,11 +22,24 @@ type t = {
   spatial_extents : int array;
   reduce_extents : int array;
   has_producers : bool;
+  (* The config-independent terms of the performance models: plain
+     data, because the measurement sandbox marshals the space. *)
+  flops : int;  (** of the compute node *)
+  body_flops : int;  (** per body evaluation *)
+  spatial_points : int;
+  reduce_points : int;
+  output_bytes : int;
+  input_bytes : int;  (** every tensor the node reads, once *)
+  producer_bytes : int;  (** producers materialized: written, then read back *)
+  n_producers : int;
+  reads : Footprint.reads list;  (** the node's reads, compiled *)
 }
 
 (** The graph's heaviest node, which the back-end schedules. *)
 val compute_node : Ft_ir.Op.graph -> Ft_ir.Op.t
 
+(** Build the space of the graph's {!compute_node}, with every
+    config-independent model term computed once. *)
 val make : Ft_ir.Op.graph -> Target.t -> t
 
 (** Number of points in the (pruned) space, in closed form. *)

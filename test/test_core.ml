@@ -225,6 +225,17 @@ let test_summary_string () =
   let summary = Flextensor.report_summary report in
   check_bool "mentions graph" true (String.length summary > 40)
 
+(* The winner's note, as the report prints it, per kind of target:
+   pinned so that formatting notes on demand cannot change the text. *)
+let test_winner_note_text () =
+  let graph = Flextensor.Operators.gemm ~m:64 ~n:64 ~k:64 in
+  List.iter
+    (fun (target, expected) ->
+      let report = Flextensor.optimize ~options graph target in
+      Alcotest.(check string) (Flextensor.Target.name target) expected
+        (Flextensor.Perf.note report.perf))
+    Flextensor.Target.[ (v100, "occ=0.16 eff=0.04 memory-bound"); (xeon_e5_2699_v4, "par=8 simd=1.00 compute-bound"); (vu9p, "pe=256 ii=1.0 compute-bound") ]
+
 let () =
   Alcotest.run "flextensor"
     [
@@ -245,5 +256,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_measurer_invariance;
           QCheck_alcotest.to_alcotest qcheck_dispatch_bit_for_bit;
           Alcotest.test_case "summary" `Quick test_summary_string;
+          Alcotest.test_case "winner note" `Quick test_winner_note_text;
         ] );
     ]

@@ -194,7 +194,7 @@ let test_time_to_reach_negative_best () =
       Ft_explore.Driver.method_name = "test";
       best_config = Space.default_config space;
       best_value = -4.;
-      best_perf = Ft_hw.Perf.invalid "test";
+      best_perf = Ft_hw.Perf.invalid (lazy "test");
       history =
         [
           { Ft_explore.Driver.at_s = 1.; n_evals = 1; best_value = -10. };

@@ -211,7 +211,7 @@ let test_quarantine_clock_math () =
   | Some (_, perf) ->
       check_bool "quarantined perf is invalid" false perf.Ft_hw.Perf.valid;
       check_bool "note names the kind and attempts" true
-        (perf.Ft_hw.Perf.note = "quarantined: compile_error after 3 attempts")
+        (Ft_hw.Perf.note perf = "quarantined: compile_error after 3 attempts")
   | None -> Alcotest.fail "quarantined entry must be cached");
   (* Quarantine is permanent: re-measuring is a cache hit, never a
      fresh attempt sequence. *)

@@ -18,27 +18,35 @@ let test_footprint_spans () =
   let node = Space.compute_node graph in
   let tiles name =
     match name with
-    | "i" | "j" -> Some 4
-    | "k" -> Some 2
-    | "rc" -> Some 4
-    | "rx" | "ry" -> Some 3
-    | _ -> None
+    | "i" | "j" -> 4
+    | "k" -> 2
+    | "rc" -> 4
+    | "rx" | "ry" -> 3
+    | _ -> 1
   in
-  let fps = Ft_hw.Footprint.tensor_footprints node ~tiles in
+  let widths =
+    Array.of_list (List.map (fun (a : Ft_ir.Op.axis) -> tiles a.axis_name) (node.spatial @ node.reduce))
+  in
+  let elems tensor =
+    Footprint.tensor_elems widths
+      (List.find (fun (r : Footprint.reads) -> r.tensor = tensor) (Footprint.compile node))
+  in
   (* I.pad tile: b=1, rc=4, i+rx spans 4+3-1=6, j+ry spans 6 -> 144 *)
-  check_int "input tile" 144 (List.assoc "I.pad" fps);
+  check_int "input tile" 144 (elems "I.pad");
   (* W tile: k=2, rc=4, rx=3, ry=3 -> 72 *)
-  check_int "weight tile" 72 (List.assoc "W" fps)
+  check_int "weight tile" 72 (elems "W")
 
 let test_span_arithmetic () =
   let open Ft_ir.Expr in
-  let tiles = function "i" -> Some 5 | "j" -> Some 3 | _ -> None in
-  check_int "var" 5 (Ft_hw.Footprint.span tiles (v "i"));
-  check_int "const" 1 (Ft_hw.Footprint.span tiles (c 42));
-  check_int "add" 7 (Ft_hw.Footprint.span tiles (v "i" +: v "j"));
-  check_int "scaled" 9 (Ft_hw.Footprint.span tiles (v "i" *: c 2));
-  check_int "div" 3 (Ft_hw.Footprint.span tiles (v "i" /: c 2));
-  check_int "mod" 3 (Ft_hw.Footprint.span tiles (v "i" %: c 3))
+  let axes = [ Ft_ir.Op.axis "i" 10; Ft_ir.Op.axis "j" 10 ] in
+  let span e = Footprint.span [| 5; 3 |] (Footprint.index axes e) in
+  check_int "var" 5 (span (v "i"));
+  check_int "unknown var" 1 (span (v "x"));
+  check_int "const" 1 (span (c 42));
+  check_int "add" 7 (span (v "i" +: v "j"));
+  check_int "scaled" 9 (span (v "i" *: c 2));
+  check_int "div" 3 (span (v "i" /: c 2));
+  check_int "mod" 3 (span (v "i" %: c 3))
 
 let test_gpu_thread_limit () =
   let space = gemm_space Target.v100 in
@@ -145,10 +153,9 @@ let qcheck_footprint_monotone =
         Ft_ir.Operators.conv2d ~batch:1 ~in_channels:4 ~out_channels:4 ~height:16
           ~width:16 ~kernel:3 ~pad:1 ()
       in
-      let node = Space.compute_node graph in
-      let tiles width = fun _ -> Some width in
-      Ft_hw.Footprint.total_footprint node ~tiles:(tiles small)
-      <= Ft_hw.Footprint.total_footprint node ~tiles:(tiles (small + delta)))
+      let reads = (Space.make graph Target.v100).reads in
+      let tiles width = Array.make 7 width in
+      Footprint.total (tiles small) reads <= Footprint.total (tiles (small + delta)) reads)
 
 let test_cpu_l3_resident_working_set () =
   (* C7's working set (~3 MB) fits the 55 MB L3: DRAM traffic must be
@@ -182,6 +189,52 @@ let test_invalid_config_rejected_by_cost () =
   cfg.spatial.(0).(0) <- 7 (* breaks the product invariant *);
   let perf = Ft_hw.Cost.evaluate space cfg in
   check_bool "invalid" false perf.valid
+
+(* Golden digest of the cost model: a seeded corpus of random configs
+   and all their neighbours, over the 12 Table-3 families plus the
+   div/mod (BCM) and zero-FLOP (shift) operators, on one target of each
+   kind.  The digest covers every bit of [time_s], [gflops] and the
+   search objective, [valid] and the note, so any drift in the models'
+   float operations shows here.  Pinned before the models were staged
+   per space. *)
+let cost_model_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let n = ref 0 in
+  let record space cfg =
+    let perf = Ft_hw.Cost.evaluate space cfg in
+    incr n;
+    Printf.bprintf buf "%h %h %h %b %s\n" perf.time_s perf.gflops
+      (Ft_hw.Cost.perf_value space perf) perf.valid (Ft_hw.Perf.note perf)
+  in
+  let families =
+    Ft_workloads.Suites.all
+    @ [ ("BCM", Ft_workloads.Suites.bcm_cases); ("SFT", Ft_workloads.Suites.shift_cases) ]
+  in
+  List.iteri
+    (fun fi (_, cases) ->
+      List.iteri
+        (fun ci (case : Ft_workloads.Suites.case) ->
+          if ci < 3 then
+            List.iteri
+              (fun ti target ->
+                let space = Space.make case.graph target in
+                let rng = Ft_util.Rng.create ((1000 * fi) + (10 * ci) + ti) in
+                record space (Space.default_config space);
+                for _ = 1 to 4 do
+                  let cfg = Space.random_config rng space in
+                  record space cfg;
+                  List.iter (fun (_, next) -> record space next)
+                    (Neighborhood.neighbors space cfg)
+                done)
+              Target.[ v100; xeon_e5_2699_v4; vu9p ])
+        cases)
+    families;
+  (!n, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_cost_model_golden_digest () =
+  let n, digest = cost_model_digest () in
+  check_int "corpus size" 15014 n;
+  Alcotest.(check string) "digest" "867cf74bcdb79701ab28997b01f0c75d" digest
 
 let () =
   Alcotest.run "ft_hw"
@@ -218,5 +271,6 @@ let () =
         [
           Alcotest.test_case "zero-flop perf value" `Quick test_perf_value_zero_flop;
           Alcotest.test_case "invalid config" `Quick test_invalid_config_rejected_by_cost;
+          Alcotest.test_case "golden digest" `Quick test_cost_model_golden_digest;
         ] );
     ]

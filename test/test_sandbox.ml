@@ -99,7 +99,7 @@ let qcheck_agreement =
       | Error fault -> QCheck.Test.fail_report (R.to_string fault)
       | Ok sandboxed ->
           sandboxed.Ft_hw.Perf.valid = inproc.Ft_hw.Perf.valid
-          && String.equal sandboxed.Ft_hw.Perf.note inproc.Ft_hw.Perf.note
+          && String.equal (Ft_hw.Perf.note sandboxed) (Ft_hw.Perf.note inproc)
           && (match
                 (sandboxed.Ft_hw.Perf.source, inproc.Ft_hw.Perf.source)
               with
@@ -197,7 +197,7 @@ let test_contains_full_fd_table () =
       check_bool "quarantined launch_failed perf" true
         ((not perf.Ft_hw.Perf.valid)
         && String.starts_with ~prefix:"sandbox: quarantined: launch_failed ("
-             perf.Ft_hw.Perf.note);
+             (Ft_hw.Perf.note perf));
       check_int
         (Printf.sprintf "no descriptor leaked (%d spare)" spare)
         before (open_fds ()))
@@ -281,14 +281,14 @@ let test_deterministic_crash_quarantines () =
       check_bool "crash becomes an invalid perf" false
         first.Ft_hw.Perf.valid;
       check_bool "note carries the structured reason" true
-        (String.length first.Ft_hw.Perf.note > 0);
+        (String.length (Ft_hw.Perf.note first) > 0);
       check_int "one launch: deterministic faults never retry" 1
         (counter "measure.sandboxed");
       check_int "counted as crashed" 1 (counter "measure.crashed");
       check_int "quarantined" 1 (counter "measure.quarantined");
       let second = measure cfg in
       check_bool "served from quarantine" true
-        (String.equal second.Ft_hw.Perf.note first.Ft_hw.Perf.note);
+        (String.equal (Ft_hw.Perf.note second) (Ft_hw.Perf.note first));
       check_int "no second launch" 1 (counter "measure.sandboxed");
       check_int "quarantine hit counted" 1 (counter "measure.quarantine_hit"))
 
@@ -323,8 +323,8 @@ let test_preflight_rejection_quarantines () =
       let perf = measure cfg in
       check_bool "rejected before spawning" false perf.Ft_hw.Perf.valid;
       check_bool "preflight-prefixed note" true
-        (String.length perf.Ft_hw.Perf.note >= 10
-        && String.equal (String.sub perf.Ft_hw.Perf.note 0 10) "preflight:");
+        (String.length (Ft_hw.Perf.note perf) >= 10
+        && String.equal (String.sub (Ft_hw.Perf.note perf) 0 10) "preflight:");
       check_int "no launch" 0 (counter "measure.sandboxed");
       ignore (measure cfg);
       check_int "second call is a quarantine hit" 1
@@ -448,7 +448,7 @@ let qcheck_search_invariant_to_sandbox =
       && (match (inproc.Flextensor.measured, sandboxed.Flextensor.measured) with
          | Some m1, Some m2 ->
              m1.Ft_hw.Perf.valid && m2.Ft_hw.Perf.valid
-             && String.equal m1.Ft_hw.Perf.note m2.Ft_hw.Perf.note
+             && String.equal (Ft_hw.Perf.note m1) (Ft_hw.Perf.note m2)
          | _ -> false))
 
 let () =

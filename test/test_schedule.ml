@@ -357,6 +357,98 @@ let qcheck_equal_hash_agree_with_key =
           && ((not eq) || Config.hash a = Config.hash b))
         others)
 
+(* [Neighborhood.apply] as it was when every move deep-copied its
+   source: the oracle for the sharing version. *)
+let copying_apply (space : Space.t) (cfg : Config.t) move =
+  match (move : Neighborhood.move) with
+  | Factor_shift { kind; axis; src; dst } ->
+      let factors = match kind with `Spatial -> cfg.spatial | `Reduce -> cfg.reduce in
+      if axis >= Array.length factors then None
+      else
+        let parts = factors.(axis) in
+        if src >= Array.length parts || dst >= Array.length parts then None
+        else (
+          match Ft_util.Mathx.smallest_prime_factor parts.(src) with
+          | None -> None
+          | Some p ->
+              let cfg = Config.copy cfg in
+              let parts =
+                match kind with `Spatial -> cfg.spatial.(axis) | `Reduce -> cfg.reduce.(axis)
+              in
+              parts.(src) <- parts.(src) / p;
+              parts.(dst) <- parts.(dst) * p;
+              Some cfg)
+  | Order_step d ->
+      let order_id = cfg.order_id + d in
+      if order_id < 0 || order_id >= Space.n_orders then None
+      else Some { (Config.copy cfg) with order_id }
+  | Unroll_step d ->
+      let unroll_id = cfg.unroll_id + d in
+      if unroll_id < 0 || unroll_id >= Array.length Space.unroll_depths then None
+      else Some { (Config.copy cfg) with unroll_id }
+  | Fuse_step d ->
+      let fuse_levels = cfg.fuse_levels + d in
+      if fuse_levels < 1 || fuse_levels > 2 then None
+      else Some { (Config.copy cfg) with fuse_levels }
+  | Vectorize_toggle -> Some { (Config.copy cfg) with vectorize = not cfg.vectorize }
+  | Inline_toggle ->
+      if space.has_producers then Some { (Config.copy cfg) with inline = not cfg.inline }
+      else None
+  | Partition_step d ->
+      let partition_id = cfg.partition_id + d in
+      if partition_id < 0 || partition_id >= Array.length Space.partitions then None
+      else Some { (Config.copy cfg) with partition_id }
+
+(* Every move, including out-of-range ones, gives what the copying
+   version gives, and no chain of moves changes a config it started
+   from. *)
+let qcheck_apply_matches_copying_oracle =
+  QCheck.Test.make ~name:"apply == copying apply, source unchanged" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let space =
+        (if Ft_util.Rng.bool rng then conv_space else gemm_space)
+          (Ft_util.Rng.choose rng all_targets)
+      in
+      let moves =
+        Neighborhood.directions space
+        @ Neighborhood.
+            [
+              Factor_shift { kind = `Spatial; axis = 9; src = 0; dst = 1 };
+              Factor_shift { kind = `Reduce; axis = 0; src = 0; dst = 7 };
+              Order_step 6; Unroll_step (-4); Fuse_step 1; Inline_toggle; Partition_step 3;
+            ]
+      in
+      let same a b =
+        match (a, b) with
+        | None, None -> true
+        | Some a, Some b -> Config.equal a b
+        | _ -> false
+      in
+      let cfg = Space.random_config rng space in
+      let snapshot = Config.copy cfg in
+      let ok = ref true in
+      (* Two steps deep: second-generation neighbours share arrays with
+         the first generation and with [cfg]. *)
+      List.iter
+        (fun move ->
+          let next = Neighborhood.apply space cfg move in
+          ok := !ok && same next (copying_apply space cfg move);
+          Option.iter
+            (fun next ->
+              let before = Config.copy next in
+              List.iter
+                (fun move ->
+                  ok :=
+                    !ok
+                    && same (Neighborhood.apply space next move) (copying_apply space next move))
+                moves;
+              ok := !ok && Config.equal next before)
+            next)
+        moves;
+      !ok && Config.equal cfg snapshot)
+
 let () =
   Alcotest.run "ft_schedule"
     [
@@ -384,6 +476,7 @@ let () =
           Alcotest.test_case "product conserved" `Quick test_factor_shift_conserves_product;
           Alcotest.test_case "inverse moves" `Quick test_factor_shift_inverse;
           Alcotest.test_case "invalid rejected" `Quick test_invalid_moves_rejected;
+          QCheck_alcotest.to_alcotest qcheck_apply_matches_copying_oracle;
         ] );
       ( "targets+primitives",
         [
