@@ -91,16 +91,9 @@ let to_config (space : Space.t) knobs =
       space.reduce_extents
   in
   let vectorize = match space.target with Target.Cpu _ -> true | _ -> false in
-  {
-    Config.spatial = Array.map Array.copy knobs.spatial_splits;
-    reduce;
-    order_id = 0;
-    unroll_id = knobs.unroll;
-    fuse_levels = 1;
-    vectorize;
-    inline = true;
-    partition_id = 0;
-  }
+  (* Knobs, like configs, are never mutated: the config shares their splits. *)
+  let spatial = knobs.spatial_splits in
+  { (Space.default_config space) with spatial; reduce; unroll_id = knobs.unroll; vectorize }
 
 let random_spatial_split template rng extent =
   match template with
@@ -129,7 +122,7 @@ let random_knobs ?(template = `Divisor) rng (space : Space.t) =
 
 (* Mutate one knob — the annealing proposal step. *)
 let mutate ?(template = `Divisor) rng (space : Space.t) knobs =
-  let spatial_splits = Array.map Array.copy knobs.spatial_splits in
+  let spatial_splits = Array.copy knobs.spatial_splits in
   let reduce_inner = Array.copy knobs.reduce_inner in
   let n_spatial = Array.length spatial_splits in
   let n_reduce = Array.length reduce_inner in

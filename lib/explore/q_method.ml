@@ -14,24 +14,23 @@ let agent_query_cost = 0.001
 let training_round_cost = 0.05
 
 let valid_actions space state directions cfg =
-  let indexed = List.mapi (fun i move -> (i, move)) (Array.to_list directions) in
-  List.filter_map
-    (fun (i, move) ->
-      match Ft_schedule.Neighborhood.apply space cfg move with
-      | Some next when not (Driver.seen state next) -> Some i
-      | Some _ | None -> None)
-    indexed
+  List.filter
+    (fun i ->
+      match Ft_schedule.Neighborhood.apply space cfg directions.(i) with
+      | Some next -> not (Driver.seen state next)
+      | None -> false)
+    (List.init (Array.length directions) Fun.id)
 
-(* A walk carries its point's features and, once known, its valid
-   directions: the step that records a transition computes both for the
-   point it moves to, after the batch is committed, and nothing is
-   visited between that and the next step's selection. *)
+(* [features] and [valid] (directions, [None] until known) describe
+   [cfg].  Recording a transition computes both for the point moved
+   to, after the batch is committed; nothing is visited between that
+   and the next step's selection, so the next step reuses them. *)
 type walk = {
   mutable cfg : Ft_schedule.Config.t;
   mutable value : float;
   mutable alive : bool;
   mutable features : float array;
-  mutable valid : int list option;  (* [None]: not yet computed *)
+  mutable valid : int list option;
 }
 
 (* A walk ends when the agent has no valid direction, its move leaves
@@ -81,9 +80,7 @@ module Policy = struct
         (fun (w, qrow) ->
           begin
             let valid =
-              match w.valid with
-              | Some valid -> valid
-              | None -> valid_actions space state directions w.cfg
+              match w.valid with Some v -> v | None -> valid_actions space state directions w.cfg
             in
             Evaluator.charge evaluator agent_query_cost;
             match Ft_qlearn.Agent.select_scored agent ~q:(lazy qrow) ~valid with
@@ -153,13 +150,8 @@ module Policy = struct
         let walks =
           List.map
             (fun (cfg, value) ->
-              {
-                cfg;
-                value;
-                alive = true;
-                features = Ft_schedule.Space.features ctx.space cfg;
-                valid = None;
-              })
+              let features = Ft_schedule.Space.features ctx.space cfg in
+              { cfg; value; alive = true; features; valid = None })
             (Search_loop.sa_starts ctx)
         in
         let step = ref 0 in

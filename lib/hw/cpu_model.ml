@@ -85,4 +85,3 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.cpu_spec) (space : Space.t)
       (lazy
         (Printf.sprintf "par=%d simd=%.2f %s" parallelism simd
            (if compute_time >= mem_time then "compute-bound" else "memory-bound")))
-    ()

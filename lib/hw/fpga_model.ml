@@ -57,4 +57,3 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.fpga_spec) (space : Space.t)
             (Printf.sprintf "pe=%d ii=%.1f %s" pes ii
                (if compute >= read && compute >= write then "compute-bound"
                 else "io-bound")))
-        ()

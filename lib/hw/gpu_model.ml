@@ -115,4 +115,3 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
             (lazy
               (Printf.sprintf "occ=%.2f eff=%.2f %s" occupancy efficiency
                  (if compute_time >= mem_time then "compute-bound" else "memory-bound")))
-          ()

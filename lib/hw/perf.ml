@@ -19,19 +19,15 @@ let invalid note =
     source = Analytical;
   }
 
-let make ?(source = Analytical) ~flops ~time_s ~note () =
+let make ~flops ~time_s ~note =
   if time_s <= 0. then invalid (lazy "non-positive time")
   else
-    {
-      time_s;
-      gflops = float_of_int flops /. time_s /. 1e9;
-      valid = true;
-      lazy_note = note;
-      source;
-    }
+    let gflops = float_of_int flops /. time_s /. 1e9 in
+    { time_s; gflops; valid = true; lazy_note = note; source = Analytical }
 
 let measured ~flops ~time_s ~reps ~min_ns ~note =
-  make ~source:(Measured { reps; min_ns }) ~flops ~time_s ~note:(Lazy.from_val note) ()
+  let perf = make ~flops ~time_s ~note:(Lazy.from_val note) in
+  if perf.valid then { perf with source = Measured { reps; min_ns } } else perf
 
 let is_measured t = match t.source with Measured _ -> true | Analytical -> false
 

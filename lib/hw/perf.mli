@@ -33,8 +33,8 @@ val note : t -> string
     produced a time; one that failed raises instead. *)
 val invalid : string Lazy.t -> t
 
-val make :
-  ?source:provenance -> flops:int -> time_s:float -> note:string Lazy.t -> unit -> t
+(** An [Analytical] result; invalid when [time_s] is not positive. *)
+val make : flops:int -> time_s:float -> note:string Lazy.t -> t
 
 val measured :
   flops:int -> time_s:float -> reps:int -> min_ns:float -> note:string -> t

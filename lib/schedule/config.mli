@@ -19,11 +19,9 @@
       instead of materializing them.
     - [partition_id] (FPGA) indexes memory-partition bank counts.
 
-    A config is immutable once built: configs derived from one another
-    (neighbours, [{ cfg with ... }]) share the factor arrays they do not
-    change, so a factor array must never be written after the config
-    holding it is constructed.  Code that builds a config may fill its
-    own fresh arrays before handing it out. *)
+    A config is immutable once built: derived configs (neighbours,
+    [{ cfg with ... }]) share the factor arrays they do not change, so
+    no factor array is written after its config is constructed. *)
 
 type t = {
   spatial : int array array;
@@ -36,9 +34,8 @@ type t = {
   partition_id : int;
 }
 
-(** A deep copy: equal, sharing no array.  Configs are never mutated,
-    so only a caller that needs physically distinct arrays (the
-    worst-case [equal] micro-benchmark) needs one. *)
+(** A deep copy, sharing no array: only for a caller that needs
+    physically distinct arrays (the [config equal] micro-benchmark). *)
 val copy : t -> t
 
 (** Extract one level across axes: [level cfg.spatial 0] is the

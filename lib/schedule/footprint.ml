@@ -7,23 +7,21 @@ open Ft_ir
    expressions are compiled once per space: variables become the slot
    of their loop axis, constant operands are resolved. *)
 type span =
-  | Fixed  (** a constant, or a variable that is no loop axis *)
+  | Fixed
   | Axis of int
   | Sum of span * span
-  | Scale of int * span  (** multiplied by a constant of this magnitude *)
+  | Scale of int * span
   | Prod of span * span
-  | Div of int * span  (** divided by a positive constant *)
-  | Mod of int * span  (** modulo a positive constant *)
+  | Div of int * span
+  | Mod of int * span
 
 type reads = { tensor : string; accesses : span list list }
 
 let index axes expr =
   let slot name =
-    let rec go i = function
-      | [] -> Fixed
-      | (a : Op.axis) :: rest -> if String.equal a.axis_name name then Axis i else go (i + 1) rest
-    in
-    go 0 axes
+    match List.find_index (fun (a : Op.axis) -> String.equal a.axis_name name) axes with
+    | Some i -> Axis i
+    | None -> Fixed
   in
   let const_of = function Expr.Iconst n -> Some n | _ -> None in
   let rec compile = function
@@ -51,24 +49,15 @@ let rec span widths = function
   | Div (c, a) -> ((span widths a - 1) / c) + 1
   | Mod (c, a) -> min (span widths a) c
 
-(* The node's reads grouped by tensor, in first-read order. *)
 let compile (op : Op.t) =
-  let axes = op.spatial @ op.reduce in
-  let accesses = Expr.accesses op.body in
-  let tensors =
-    List.fold_left (fun acc (t, _) -> if List.mem t acc then acc else acc @ [ t ]) [] accesses
-  in
+  let axes = op.spatial @ op.reduce and accesses = Expr.accesses op.body in
   List.map
     (fun tensor ->
-      {
-        tensor;
-        accesses =
-          List.filter_map
-            (fun (t, indices) ->
-              if String.equal t tensor then Some (List.map (index axes) indices) else None)
-            accesses;
-      })
-    tensors
+      let of_tensor (t, indices) =
+        if String.equal t tensor then Some (List.map (index axes) indices) else None
+      in
+      { tensor; accesses = List.filter_map of_tensor accesses })
+    (Op.tensors_read op)
 
 (* Multiple accesses to one tensor keep the largest footprint (they
    overlap in practice). *)
@@ -80,13 +69,8 @@ let tensor_elems widths r =
 
 let total widths reads = List.fold_left (fun acc r -> acc + tensor_elems widths r) 0 reads
 
-(* Spatial axis [a] spans the product of its factors at the given
-   levels; likewise for reduce axis [r], in slot [n_spatial + r]. *)
 let widths (cfg : Config.t) ~spatial_levels ~reduce_levels =
-  let ns = Array.length cfg.spatial in
-  let width factors levels i =
-    List.fold_left (fun acc level -> acc * factors.(i).(level)) 1 levels
-  in
-  Array.init (ns + Array.length cfg.reduce) (fun i ->
-      if i < ns then width cfg.spatial spatial_levels i
-      else width cfg.reduce reduce_levels (i - ns))
+  let width levels parts = List.fold_left (fun acc level -> acc * parts.(level)) 1 levels in
+  Array.append
+    (Array.map (width spatial_levels) cfg.spatial)
+    (Array.map (width reduce_levels) cfg.reduce)

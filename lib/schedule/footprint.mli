@@ -7,15 +7,9 @@
     each query then only reads tile widths by axis slot. *)
 
 (** An index expression compiled against a node's loop axes: slot [i]
-    is the [i]-th axis of [spatial @ reduce]. *)
-type span =
-  | Fixed  (** a constant, or a variable that is no loop axis *)
-  | Axis of int
-  | Sum of span * span
-  | Scale of int * span  (** multiplied by a constant of this magnitude *)
-  | Prod of span * span
-  | Div of int * span  (** divided by a positive constant *)
-  | Mod of int * span  (** modulo a positive constant *)
+    is the [i]-th axis of [spatial @ reduce]; a variable that is no
+    loop axis is fixed. *)
+type span
 
 (** Every access of one tensor, each a compiled index per dimension. *)
 type reads = { tensor : string; accesses : span list list }
@@ -28,7 +22,7 @@ val index : Ft_ir.Op.axis list -> Ft_ir.Expr.iexpr -> span
     [widths.(i)]. *)
 val span : int array -> span -> int
 
-(** The distinct tensors [op] reads, in first-read order. *)
+(** The distinct tensors [op] reads. *)
 val compile : Ft_ir.Op.t -> reads list
 
 (** Footprint (elements) of one tensor in one tile: the largest over

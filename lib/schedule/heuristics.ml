@@ -93,16 +93,7 @@ let gpu_config (space : Space.t) ~threads_per_axis ~vthread ~inner ~rtile =
     | Target.Cpu _ | Target.Fpga _ -> 1024
   in
   cap_threads spatial max_threads;
-  {
-    Config.spatial;
-    reduce = reduce_splits space ~rtile;
-    order_id = 0;
-    unroll_id = 1;
-    fuse_levels = 1;
-    vectorize = false;
-    inline = true;
-    partition_id = 0;
-  }
+  { (Space.default_config space) with spatial; reduce = reduce_splits space ~rtile; unroll_id = 1 }
 
 let cpu_config (space : Space.t) ~mid ~inner ~vec ~rtile =
   let extents = space.spatial_extents in
@@ -119,14 +110,12 @@ let cpu_config (space : Space.t) ~mid ~inner ~vec ~rtile =
       extents
   in
   {
-    Config.spatial;
+    (Space.default_config space) with
+    spatial;
     reduce = reduce_splits space ~rtile;
-    order_id = 0;
     unroll_id = 1;
     fuse_levels = 2;
     vectorize = true;
-    inline = true;
-    partition_id = 0;
   }
 
 let fpga_config (space : Space.t) ~pe_per_axis ~tile ~partition_id =
@@ -143,14 +132,12 @@ let fpga_config (space : Space.t) ~pe_per_axis ~tile ~partition_id =
         split_near ~extent ~targets:[ 1; want_pe; want_tile ])
       extents
   in
+  let rtile = min 4 (max 1 (Array.length space.reduce_extents)) in
   {
-    Config.spatial;
-    reduce = reduce_splits space ~rtile:(min 4 (max 1 (Array.length space.reduce_extents)));
-    order_id = 0;
+    (Space.default_config space) with
+    spatial;
+    reduce = reduce_splits space ~rtile;
     unroll_id = 1;
-    fuse_levels = 1;
-    vectorize = false;
-    inline = true;
     partition_id;
   }
 

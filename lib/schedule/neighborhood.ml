@@ -11,37 +11,28 @@ type move =
    output layer is indexed by position in this list). Axes of extent 1
    have no factor moves and are omitted. *)
 let directions (space : Space.t) =
-  let factor_moves kind extents =
+  let factor_moves kind extents parts =
+    let levels = List.init parts Fun.id in
     List.concat
       (List.init (Array.length extents) (fun axis ->
            if extents.(axis) <= 1 then []
            else
-             let parts =
-               match kind with
-               | `Spatial -> Space.n_spatial_parts
-               | `Reduce -> Space.n_reduce_parts
-             in
-             List.concat
-               (List.init parts (fun src ->
-                    List.filter_map
-                      (fun dst ->
-                        if src = dst then None
-                        else Some (Factor_shift { kind; axis; src; dst }))
-                      (List.init parts Fun.id)))))
+             List.concat_map
+               (fun src ->
+                 List.filter_map
+                   (fun dst ->
+                     if src = dst then None else Some (Factor_shift { kind; axis; src; dst }))
+                   levels)
+               levels))
   in
-  let common =
-    factor_moves `Spatial space.spatial_extents
-    @ factor_moves `Reduce space.reduce_extents
-    @ [ Order_step 1; Order_step (-1); Unroll_step 1; Unroll_step (-1) ]
-  in
-  let hardware =
-    match space.target with
+  factor_moves `Spatial space.spatial_extents Space.n_spatial_parts
+  @ factor_moves `Reduce space.reduce_extents Space.n_reduce_parts
+  @ [ Order_step 1; Order_step (-1); Unroll_step 1; Unroll_step (-1) ]
+  @ (match space.target with
     | Target.Gpu _ -> []
     | Target.Cpu _ -> [ Fuse_step 1; Fuse_step (-1); Vectorize_toggle ]
-    | Target.Fpga _ -> [ Partition_step 1; Partition_step (-1) ]
-  in
-  let inline = if space.has_producers then [ Inline_toggle ] else [] in
-  common @ hardware @ inline
+    | Target.Fpga _ -> [ Partition_step 1; Partition_step (-1) ])
+  @ if space.has_producers then [ Inline_toggle ] else []
 
 (* Apply a move; [None] when it would leave the space (the paper's
    exploration never revisits invalid neighbours).  The result shares

@@ -160,20 +160,22 @@ let partition cfg = partitions.(cfg.Config.partition_id)
 
 (* Feature vector for the Q-network: log-scaled split factors plus the
    discrete knobs, all roughly in [0, 1]. *)
-let features space cfg =
-  let buf = ref [] in
-  let push x = buf := x :: !buf in
+let features _space (cfg : Config.t) =
   let log2f f = log (float_of_int f) /. log 2. /. 12. in
-  Array.iter (fun parts -> Array.iter (fun f -> push (log2f f)) parts) cfg.Config.spatial;
-  Array.iter (fun parts -> Array.iter (fun f -> push (log2f f)) parts) cfg.Config.reduce;
-  push (float_of_int cfg.order_id /. float_of_int n_orders);
-  push (float_of_int cfg.unroll_id /. float_of_int (Array.length unroll_depths));
-  push (float_of_int (cfg.fuse_levels - 1));
-  push (if cfg.vectorize then 1. else 0.);
-  push (if cfg.inline then 1. else 0.);
-  push (float_of_int cfg.partition_id /. float_of_int (Array.length partitions));
-  ignore space;
-  Array.of_list (List.rev !buf)
+  let factors axes = Array.concat (List.map (Array.map log2f) (Array.to_list axes)) in
+  Array.concat
+    [
+      factors cfg.spatial;
+      factors cfg.reduce;
+      [|
+        float_of_int cfg.order_id /. float_of_int n_orders;
+        float_of_int cfg.unroll_id /. float_of_int (Array.length unroll_depths);
+        float_of_int (cfg.fuse_levels - 1);
+        (if cfg.vectorize then 1. else 0.);
+        (if cfg.inline then 1. else 0.);
+        float_of_int cfg.partition_id /. float_of_int (Array.length partitions);
+      |];
+    ]
 
 let feature_dim space =
   Array.length (features space (default_config space))
