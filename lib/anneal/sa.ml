@@ -64,13 +64,10 @@ let reweigh pool ~gamma =
    empty interval.  The oldest point is the fallback for
    [threshold >= total] (summation slack). *)
 let pick_index pool threshold =
-  let rec go acc i =
-    if i = 0 then 0
-    else
-      let acc = acc +. pool.weights.(i) in
-      if acc > threshold then i else go acc (i - 1)
-  in
-  go 0. (pool.size - 1)
+  (* A loop: a float accumulator passed to a recursion is boxed per step. *)
+  let acc = ref 0. and i = ref (pool.size - 1) in
+  while !i > 0 && (acc := !acc +. pool.weights.(!i); not (!acc > threshold)) do decr i done;
+  !i
 
 let pick_at ~gamma ~threshold pool =
   if pool.size = 0 then invalid_arg "Sa.pick_at: empty pool";
