@@ -59,3 +59,19 @@ let perf_value graph target (perf : Ft_hw.Perf.t) =
   Ft_hw.Cost.perf_value (Space.make graph target) perf
 
 let geomean_or_nan = function [] -> nan | xs -> Ft_util.Stats.geomean xs
+
+(* The host a BENCH file was generated on, recorded next to its
+   numbers: core count and the C compiler's version line. *)
+let cc_version () =
+  match Unix.open_process_in "cc --version 2>/dev/null" with
+  | ic ->
+      let line = try input_line ic with End_of_file -> "unknown" in
+      ignore (Unix.close_process_in ic);
+      line
+  | exception Unix.Unix_error _ -> "unknown"
+
+let host_fields () =
+  [
+    ("cores", Ft_util.Json.Num (float_of_int (Domain.recommended_domain_count ())));
+    ("cc", Ft_util.Json.Str (cc_version ()));
+  ]

@@ -243,15 +243,6 @@ let search_scaling () =
 
 let scaling_ratio scaling = List.assoc 1000 scaling /. List.assoc 250 scaling
 
-(* The C compiler's version line, recorded next to the numbers. *)
-let cc_version () =
-  match Unix.open_process_in "cc --version 2>/dev/null" with
-  | ic ->
-      let line = try input_line ic with End_of_file -> "unknown" in
-      ignore (Unix.close_process_in ic);
-      line
-  | exception Unix.Unix_error _ -> "unknown"
-
 (* BENCH_micro.json, rounded to the printed precision. *)
 let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated ~scaling =
   let module J = Ft_util.Json in
@@ -267,10 +258,9 @@ let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated ~scalin
       [ ("scalar", scalar); ("batched", batched); ("speedup", scalar /. batched) ]
   in
   J.Obj
-    [
-      ("space", J.Str "yolo C8 on v100 (cost model rows: v100, xeon, vu9p)");
-      ("cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
-      ("cc", J.Str (cc_version ()));
+    ((("space", J.Str "yolo C8 on v100 (cost model rows: v100, xeon, vu9p)")
+     :: Bench_common.host_fields ())
+    @ [
       ("ns_per_call", table 0 Fun.id ns_rows);
       ( "batched_kernels",
         J.Obj
@@ -298,7 +288,7 @@ let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated ~scalin
             ("evals_per_sec", table 1 (Printf.sprintf "trials_%d") scaling);
             ("ratio", num 2 (scaling_ratio scaling));
           ] );
-    ]
+      ])
 
 let run () =
   Bench_common.section "Micro-benchmarks (bechamel, ns per call)";

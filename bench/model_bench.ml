@@ -13,7 +13,7 @@ open Ft_store
    (2) predicted vs measured GFLOPS of the best schedule a short
        Q-method search finds per operator;
    (3) the compiled executor's speedup over the tree-walking
-       interpreter on the same lowered program — CI gates >= 10x. *)
+       interpreter on the same lowered program — CI gates >= 400x. *)
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -25,17 +25,19 @@ let env_int name default =
    jobs; the default is the acceptance-scale sample. *)
 let n_configs () = env_int "FT_BENCH_MODEL_CONFIGS" 64
 
-(* The compiled executor runs one scalar closure per leaf statement —
+(* The compiled executor runs scalar closures and native leaf loops —
    no threads, no SIMD, no FMA ports.  The clock is calibrated so the
-   spec's peak matches the executor's observed throughput (~0.05 GFLOPS
-   on this class of container); Spearman is rank-based, so the gate is
-   insensitive to the absolute calibration. *)
+   spec's peak (2 FLOPs per cycle) matches the best schedules' observed
+   throughput (~0.1-0.4 GFLOPS on a 2-core Xeon VM); Spearman is
+   rank-based, so the gate is insensitive to the absolute calibration.
+   The model does not price the executor's per-loop-entry overhead,
+   which is most of what remains after leaf fusion. *)
 let host_interp =
   Target.Cpu
     {
       Target.cpu_name = "host-interp";
       cores = 1;
-      clock_ghz = 0.025;
+      clock_ghz = 0.08;
       vector_width = 1;
       fma_units = 1;
       l1_kb = 32;
@@ -181,9 +183,12 @@ let write_json ~results ~mean_spearman ~interp_s ~compiled_s path =
   let num f = Json.Num f in
   let json =
     Json.Obj
-      [
+      ([
         ("bench", Json.Str "model");
         ("target", Json.Str "host-interp (compiled scalar executor)");
+      ]
+      @ Bench_common.host_fields ()
+      @ [
         ("configs_per_operator", num (float_of_int (n_configs ())));
         ( "operators",
           Json.Obj
@@ -206,7 +211,7 @@ let write_json ~results ~mean_spearman ~interp_s ~compiled_s path =
               ("compiled_ms", num (compiled_s *. 1e3));
               ("speedup", num (interp_s /. compiled_s));
             ] );
-      ]
+      ])
   in
   let oc = open_out path in
   output_string oc (Json.to_string json);

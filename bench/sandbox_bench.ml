@@ -66,13 +66,13 @@ let run_chaos kind =
   in
   (Sandbox.chaos_to_string kind, Ft_hw.Perf.note perf, elapsed_s, contained)
 
-(* ms per measurement over [n] runs of [f] on a fresh config each
-   time (quarantine would otherwise short-circuit the sandboxed
-   side). *)
+(* ms per measurement over [n] runs of [f].  Both sides time the
+   default config; the sandboxed side calls [Sandbox.run] directly, so
+   no quarantine table is consulted and every call spawns a worker. *)
 let time_per_call n f =
   let t0 = Flextensor.Monotime.now_s () in
-  for i = 1 to n do
-    f i
+  for _ = 1 to n do
+    f ()
   done;
   Flextensor.Monotime.elapsed_s t0 /. float_of_int n *. 1e3
 
@@ -81,11 +81,11 @@ let overhead () =
   let cfg = Space.default_config space in
   let n = overhead_reps () in
   let inproc_ms =
-    time_per_call n (fun _ ->
+    time_per_call n (fun () ->
         ignore (Flextensor.Measure.run ~reps:2 space cfg))
   in
   let sandboxed_ms =
-    time_per_call n (fun _ ->
+    time_per_call n (fun () ->
         match Sandbox.run ~reps:2 space cfg with
         | Ok _ -> ()
         | Error fault -> failwith (Ft_fault.Resilience.to_string fault))
@@ -96,8 +96,8 @@ let write_json ~chaos ~survival ~inproc_ms ~sandboxed_ms path =
   let num f = Json.Num f in
   let json =
     Json.Obj
-      [
-        ("bench", Json.Str "sandbox");
+      ((("bench", Json.Str "sandbox") :: Bench_common.host_fields ())
+      @ [
         ( "chaos",
           Json.Arr
             (List.map
@@ -119,7 +119,7 @@ let write_json ~chaos ~survival ~inproc_ms ~sandboxed_ms path =
               ("sandboxed_ms_per_measurement", num sandboxed_ms);
               ("ratio", num (sandboxed_ms /. inproc_ms));
             ] );
-      ]
+      ])
   in
   let oc = open_out path in
   output_string oc (Json.to_string json);

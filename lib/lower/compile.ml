@@ -11,24 +11,27 @@
      div/mod indices the substitution exposes.
    - Every multi-index whose dimensions are affine
      ({!Ft_ir.Expr.affine_of_iexpr}) is linearized against the
-     buffer's row-major strides into one flat [base + Σ coeff·slot]
-     address; loop variables live in a flat [int array] indexed by
-     nesting depth, not an assoc list.  Non-affine indices (variable
-     div/mod) fall back to compiled tree evaluation with per-dimension
-     bounds checks.
-   - A reduce loop whose body is a single [Accum] with a
-     loop-invariant address accumulates in a register: the address is
-     hoisted out of the loop, the cell loaded once, combined per
-     iteration in ascending order, and stored once — bit-for-bit the
-     same float result as the load/combine/store-per-iteration
-     reference (identical combine order).
+     buffer's row-major strides into [base + Σ coeff·counter] and
+     gets an address cell: a slot of the thunk's shared [int array],
+     after the loop counters, holding its current flat address.  Each
+     loop reads at entry the cells whose address uses its counter,
+     sets them to [start + coeff·i] per iteration and restores them
+     on exit, so a leaf reads its address with one load.  Non-affine
+     indices (variable div/mod) fall back to compiled tree evaluation
+     with per-dimension bounds checks over the counters.
+   - A loop whose body is one constant [Init], or one [+=] of a
+     product of two affine loads, is fused into one native [for]
+     that steps the addresses itself; the [+=] accumulates in a
+     register when its output address is loop-invariant.  Loads,
+     stores and float operations happen in the reference's order, so
+     results are bit-for-bit those of {!Exec}.
 
    Buffers are the flat float64 Bigarrays of {!Ft_interp.Buffer_env};
    affine accesses rely on the Bigarray flat bounds check (a schedule
    that Verify accepts never goes out of bounds per dimension).
 
-   The staged thunk is single-threaded (loop counters live in one
-   shared slot array) and captures buffers eagerly: rebind after any
+   The staged thunk is single-threaded (counters and cells live in
+   one shared array) and captures buffers eagerly: rebind after any
    [Buffer_env.set] that replaces a tensor.  Re-running a thunk is
    idempotent — the lowered init nests re-zero accumulators. *)
 
@@ -40,7 +43,7 @@ type t = {
   source : string;
   allocs : (string * int list) list;
   body : Loopnest.stmt list;  (* unroll-flattened, constant-folded *)
-  slots : int;  (* loop-variable slot array size (max nesting depth) *)
+  slots : int;  (* loop counters (max nesting depth); cells follow *)
 }
 
 let source t = t.source
@@ -124,11 +127,17 @@ let compile (program : Loopnest.program) =
 
 type buf = { data : vec; dims : int array; strides : int array }
 
-(* A compiled flat-address computation.  [Affine] keeps the symbolic
-   form so loop compilation can test slot usage for hoisting. *)
-type addr =
-  | Affine of { base : int; coeffs : int array; slots : int array }
-  | Dynamic of (int array -> int)
+(* One [bind]'s staging state: the cells allocated so far (after the
+   [slots] counters), their bases, and each (cell, slot, coeff) term
+   that the loop at [slot] maintains, newest cell first. *)
+type stage = {
+  resolve : string -> buf;
+  mutable next_cell : int;
+  mutable bases : (int * int) list;  (* (cell, base) *)
+  mutable terms : (int * int * int) list;
+}
+
+type addr = Cell of int | Dynamic of (int array -> int)
 
 let slot_of cenv var =
   match List.assoc_opt var cenv with
@@ -160,66 +169,56 @@ let rec compile_iexpr cenv : Expr.iexpr -> int array -> int = function
    semantics as [Buffer_env.flat_index]. *)
 let dynamic_addr cenv tensor buf indices =
   let fns = Array.of_list (List.map (compile_iexpr cenv) indices) in
-  Dynamic
-    (fun vars ->
-      let acc = ref 0 in
-      for d = 0 to Array.length fns - 1 do
-        let i = fns.(d) vars in
-        if i < 0 || i >= buf.dims.(d) then
-          invalid_arg
-            (Printf.sprintf
-               "Buffer_env.flat_index: %s index %d out of bounds [0, %d)" tensor
-               i buf.dims.(d));
-        acc := (!acc * buf.dims.(d)) + i
-      done;
-      !acc)
+  fun vars ->
+    let acc = ref 0 in
+    for d = 0 to Array.length fns - 1 do
+      let i = fns.(d) vars in
+      if i < 0 || i >= buf.dims.(d) then
+        invalid_arg
+          (Printf.sprintf
+             "Buffer_env.flat_index: %s index %d out of bounds [0, %d)" tensor
+             i buf.dims.(d));
+      acc := (!acc * buf.dims.(d)) + i
+    done;
+    !acc
 
-let addr_of_access cenv tensor buf indices =
+(* [Some (base, [(slot, coeff)])] when every dimension is affine:
+   flat = Σ_d stride_d · affine_d against the row-major strides. *)
+let linearize cenv tensor buf indices =
   if List.length indices <> Array.length buf.dims then
     invalid_arg
       (Printf.sprintf "Buffer_env.flat_index: %s rank mismatch" tensor);
   let affine_dims = List.map Expr.affine_of_iexpr indices in
   if List.for_all Option.is_some affine_dims then
-    (* Linearize: flat = Σ_d stride_d · affine_d. *)
     let flat =
-      List.fold_left
-        (fun (d, acc) a ->
-          ( d + 1,
-            Expr.affine_add acc
-              (Expr.affine_scale buf.strides.(d) (Option.get a)) ))
-        (0, Expr.affine_const 0) affine_dims
-      |> snd
+      List.fold_left2
+        (fun acc a stride ->
+          Expr.affine_add acc (Expr.affine_scale stride (Option.get a)))
+        (Expr.affine_const 0) affine_dims (Array.to_list buf.strides)
     in
-    let terms = Array.of_list flat.Expr.terms in
-    Affine
-      {
-        base = flat.Expr.base;
-        coeffs = Array.map snd terms;
-        slots = Array.map (fun (v, _) -> slot_of cenv v) terms;
-      }
-  else dynamic_addr cenv tensor buf indices
+    Some
+      (flat.Expr.base, List.map (fun (v, k) -> (slot_of cenv v, k)) flat.Expr.terms)
+  else None
 
-let addr_uses_slot addr s =
-  match addr with
-  | Affine { slots; _ } -> Array.exists (fun x -> x = s) slots
-  | Dynamic _ -> true (* conservative *)
+let new_cell st (base, terms) =
+  let c = st.next_cell in
+  st.next_cell <- c + 1;
+  st.bases <- (c, base) :: st.bases;
+  st.terms <- List.map (fun (s, k) -> (c, s, k)) terms @ st.terms;
+  c
 
-let addr_fn = function
-  | Affine { base; coeffs = [||]; _ } -> fun _ -> base
-  | Affine { base; coeffs = [| c0 |]; slots = [| s0 |] } ->
-      fun vars -> base + (c0 * vars.(s0))
-  | Affine { base; coeffs = [| c0; c1 |]; slots = [| s0; s1 |] } ->
-      fun vars -> base + (c0 * vars.(s0)) + (c1 * vars.(s1))
-  | Affine { base; coeffs = [| c0; c1; c2 |]; slots = [| s0; s1; s2 |] } ->
-      fun vars -> base + (c0 * vars.(s0)) + (c1 * vars.(s1)) + (c2 * vars.(s2))
-  | Affine { base; coeffs; slots } ->
-      fun vars ->
-        let acc = ref base in
-        for k = 0 to Array.length coeffs - 1 do
-          acc := !acc + (coeffs.(k) * vars.(slots.(k)))
-        done;
-        !acc
-  | Dynamic fn -> fn
+(* A cell for a fused leaf loop at [slot]: that loop steps the address
+   itself, so its term is split off as the returned local stride. *)
+let leaf_cell st slot (base, terms) =
+  let k = Option.value (List.assoc_opt slot terms) ~default:0 in
+  (new_cell st (base, List.remove_assoc slot terms), k)
+
+let addr_of_access st cenv tensor buf indices =
+  match linearize cenv tensor buf indices with
+  | Some lin -> Cell (new_cell st lin)
+  | None -> Dynamic (dynamic_addr cenv tensor buf indices)
+
+let addr_fn = function Cell c -> fun vars -> vars.(c) | Dynamic fn -> fn
 
 let rec compile_cond cenv : Expr.cond -> int array -> bool = function
   | Expr.Ge (a, b) ->
@@ -235,122 +234,148 @@ let rec compile_cond cenv : Expr.cond -> int array -> bool = function
       let fa = compile_cond cenv a and fb = compile_cond cenv b in
       fun vars -> fa vars && fb vars
 
-let rec compile_texpr cenv resolve : Expr.texpr -> int array -> float = function
+let rec compile_texpr st cenv : Expr.texpr -> int array -> float = function
   | Expr.Access (tensor, indices) -> (
-      let buf = resolve tensor in
+      let buf = st.resolve tensor in
       let data : vec = buf.data in
-      match addr_of_access cenv tensor buf indices with
-      | Affine { base; coeffs = [||]; _ } ->
-          fun _ -> Bigarray.Array1.get data base
-      | Affine { base; coeffs = [| c0 |]; slots = [| s0 |] } ->
-          fun vars -> Bigarray.Array1.get data (base + (c0 * vars.(s0)))
-      | Affine { base; coeffs = [| c0; c1 |]; slots = [| s0; s1 |] } ->
-          fun vars ->
-            Bigarray.Array1.get data (base + (c0 * vars.(s0)) + (c1 * vars.(s1)))
-      | addr ->
-          let afn = addr_fn addr in
-          fun vars -> Bigarray.Array1.get data (afn vars))
+      match addr_of_access st cenv tensor buf indices with
+      | Cell c -> fun vars -> Bigarray.Array1.get data vars.(c)
+      | Dynamic fn -> fun vars -> Bigarray.Array1.get data (fn vars))
   | Expr.Const x -> fun _ -> x
   | Expr.Add (a, b) ->
-      let fa = compile_texpr cenv resolve a and fb = compile_texpr cenv resolve b in
+      let fa = compile_texpr st cenv a and fb = compile_texpr st cenv b in
       fun vars -> fa vars +. fb vars
   | Expr.Sub (a, b) ->
-      let fa = compile_texpr cenv resolve a and fb = compile_texpr cenv resolve b in
+      let fa = compile_texpr st cenv a and fb = compile_texpr st cenv b in
       fun vars -> fa vars -. fb vars
   | Expr.Mul (a, b) ->
-      let fa = compile_texpr cenv resolve a and fb = compile_texpr cenv resolve b in
+      let fa = compile_texpr st cenv a and fb = compile_texpr st cenv b in
       fun vars -> fa vars *. fb vars
   | Expr.Select (c, a, b) ->
       (* Branch closures run only when taken, preserving the lazy
          padding semantics of the reference evaluator. *)
       let fc = compile_cond cenv c in
-      let fa = compile_texpr cenv resolve a and fb = compile_texpr cenv resolve b in
+      let fa = compile_texpr st cenv a and fb = compile_texpr st cenv b in
       fun vars -> if fc vars then fa vars else fb vars
 
-let rec compile_stmt cenv depth resolve : Loopnest.stmt -> int array -> unit =
+(* A fused leaf loop (see the header): one native [for] stepping its
+   addresses itself, [None] when the leaf has another shape. *)
+let fused_leaf st cenv depth extent leaf =
+  let lin tensor indices =
+    let buf = st.resolve tensor in
+    (buf.data, linearize cenv tensor buf indices)
+  in
+  match leaf with
+  | Loopnest.Init { tensor; indices; value } -> (
+      match lin tensor indices with
+      | data, Some l ->
+          let c, k = leaf_cell st depth l in
+          Some
+            (fun vars ->
+              let at = vars.(c) in
+              for i = 0 to extent - 1 do
+                Bigarray.Array1.set data (at + (k * i)) value
+              done)
+      | _, None -> None)
+  | Loopnest.Accum
+      {
+        tensor;
+        indices;
+        combine = Op.Acc_sum;
+        value = Expr.Mul (Expr.Access (ta, ia), Expr.Access (tb, ib));
+      } -> (
+      let o, lo = lin tensor indices in
+      let a, la = lin ta ia in
+      let b, lb = lin tb ib in
+      match (lo, la, lb) with
+      | Some lo, Some la, Some lb ->
+          let co, ko = leaf_cell st depth lo in
+          let ca, ka = leaf_cell st depth la in
+          let cb, kb = leaf_cell st depth lb in
+          let open Bigarray.Array1 in
+          if ko = 0 && ta <> tensor && tb <> tensor then
+            Some
+              (fun vars ->
+                let at = vars.(co) and a0 = vars.(ca) and b0 = vars.(cb) in
+                let acc = ref (get o at) in
+                for i = 0 to extent - 1 do
+                  acc := !acc +. (get a (a0 + (ka * i)) *. get b (b0 + (kb * i)))
+                done;
+                set o at !acc)
+          else
+            Some
+              (fun vars ->
+                let o0 = vars.(co) and a0 = vars.(ca) and b0 = vars.(cb) in
+                for i = 0 to extent - 1 do
+                  let at = o0 + (ko * i) in
+                  set o at
+                    (get o at +. (get a (a0 + (ka * i)) *. get b (b0 + (kb * i))))
+                done)
+      | _ -> None)
+  | _ -> None
+
+let rec compile_stmt st cenv depth : Loopnest.stmt -> int array -> unit =
   function
-  | Loopnest.Loop
-      { var; extent; body = [ Accum { tensor; indices; combine; value } ]; _ }
-    when not (List.mem tensor (Expr.tensors_read value)) -> (
-      (* Register-accumulation hoist: single-statement reduce loop
-         whose write address is loop-invariant. *)
-      let cenv' = (var, depth) :: cenv in
-      let buf = resolve tensor in
-      let addr = addr_of_access cenv' tensor buf indices in
-      if addr_uses_slot addr depth then
-        compile_loop cenv depth resolve var extent
-          [ Loopnest.Accum { tensor; indices; combine; value } ]
-      else
-        let afn = addr_fn addr in
-        let vfn = compile_texpr cenv' resolve value in
-        let data : vec = buf.data in
-        match combine with
-        | Op.Acc_sum ->
-            fun vars ->
-              let at = afn vars in
-              let acc = ref (Bigarray.Array1.get data at) in
-              for i = 0 to extent - 1 do
-                vars.(depth) <- i;
-                acc := !acc +. vfn vars
-              done;
-              Bigarray.Array1.set data at !acc
-        | Op.Acc_max ->
-            fun vars ->
-              let at = afn vars in
-              let acc = ref (Bigarray.Array1.get data at) in
-              for i = 0 to extent - 1 do
-                vars.(depth) <- i;
-                acc := Float.max !acc (vfn vars)
-              done;
-              Bigarray.Array1.set data at !acc)
-  | Loopnest.Loop { var; extent; body; _ } ->
-      compile_loop cenv depth resolve var extent body
+  | Loopnest.Loop { var; extent; body; _ } -> (
+      let cenv = (var, depth) :: cenv in
+      let fused =
+        match body with
+        | [ leaf ] -> fused_leaf st cenv depth extent leaf
+        | _ -> None
+      in
+      match fused with
+      | Some f -> f
+      | None -> compile_loop st cenv depth extent body)
   | Loopnest.Init { tensor; indices; value } ->
-      let buf = resolve tensor in
-      let afn = addr_fn (addr_of_access cenv tensor buf indices) in
+      let buf = st.resolve tensor in
+      let afn = addr_fn (addr_of_access st cenv tensor buf indices) in
       let data : vec = buf.data in
       fun vars -> Bigarray.Array1.set data (afn vars) value
   | Loopnest.Accum { tensor; indices; combine; value } -> (
-      let buf = resolve tensor in
-      let afn = addr_fn (addr_of_access cenv tensor buf indices) in
-      let vfn = compile_texpr cenv resolve value in
+      let buf = st.resolve tensor in
+      let afn = addr_fn (addr_of_access st cenv tensor buf indices) in
+      let vfn = compile_texpr st cenv value in
       let data : vec = buf.data in
       match combine with
       | Op.Acc_sum ->
           fun vars ->
             let at = afn vars in
-            Bigarray.Array1.set data at
-              (Bigarray.Array1.get data at +. vfn vars)
+            Bigarray.Array1.set data at (Bigarray.Array1.get data at +. vfn vars)
       | Op.Acc_max ->
           fun vars ->
             let at = afn vars in
             Bigarray.Array1.set data at
               (Float.max (Bigarray.Array1.get data at) (vfn vars)))
   | Loopnest.Assign { tensor; indices; value } ->
-      let buf = resolve tensor in
-      let afn = addr_fn (addr_of_access cenv tensor buf indices) in
-      let vfn = compile_texpr cenv resolve value in
+      let buf = st.resolve tensor in
+      let afn = addr_fn (addr_of_access st cenv tensor buf indices) in
+      let vfn = compile_texpr st cenv value in
       let data : vec = buf.data in
       fun vars -> Bigarray.Array1.set data (afn vars) (vfn vars)
 
-and compile_loop cenv depth resolve var extent body =
-  let cenv' = (var, depth) :: cenv in
-  match List.map (compile_stmt cenv' (depth + 1) resolve) body with
-  | [ f ] ->
-      fun vars ->
-        for i = 0 to extent - 1 do
-          vars.(depth) <- i;
-          f vars
-        done
-  | fns ->
-      let fns = Array.of_list fns in
-      fun vars ->
-        for i = 0 to extent - 1 do
-          vars.(depth) <- i;
-          for k = 0 to Array.length fns - 1 do
-            fns.(k) vars
-          done
-        done
+(* A generic loop sets its counter for non-affine indices and [Select]
+   conditions, and steps every cell in its body that uses it:
+   [start + coeff·i] per iteration, restored to [start] on exit. *)
+and compile_loop st cenv depth extent body =
+  let first = st.next_cell in
+  let fns = Array.of_list (List.map (compile_stmt st cenv (depth + 1)) body) in
+  let rec mine acc = function
+    | (c, s, k) :: rest when c >= first ->
+        mine (if s = depth then (c, k) :: acc else acc) rest
+    | _ -> acc
+  in
+  let cells, coeffs = List.split (mine [] st.terms) in
+  let cells = Array.of_list cells and coeffs = Array.of_list coeffs in
+  let n = Array.length cells in
+  let starts = Array.make n 0 in
+  fun vars ->
+    for j = 0 to n - 1 do starts.(j) <- vars.(cells.(j)) done;
+    for i = 0 to extent - 1 do
+      vars.(depth) <- i;
+      for j = 0 to n - 1 do vars.(cells.(j)) <- starts.(j) + (coeffs.(j) * i) done;
+      for f = 0 to Array.length fns - 1 do fns.(f) vars done
+    done;
+    for j = 0 to n - 1 do vars.(cells.(j)) <- starts.(j) done
 
 let bind t env =
   List.iter
@@ -373,11 +398,13 @@ let bind t env =
         Hashtbl.replace cache tensor buf;
         buf
   in
-  let fns = Array.of_list (List.map (compile_stmt [] 0 resolve) t.body) in
-  let vars = Array.make t.slots 0 in
+  let st = { resolve; next_cell = t.slots; bases = []; terms = [] } in
+  let fns = Array.of_list (List.map (compile_stmt st [] 0) t.body) in
+  let init = Array.make st.next_cell 0 in
+  List.iter (fun (c, base) -> init.(c) <- base) st.bases;
+  let vars = Array.copy init in
   fun () ->
-    for k = 0 to Array.length fns - 1 do
-      fns.(k) vars
-    done
+    Array.blit init 0 vars 0 (Array.length init);
+    Array.iter (fun f -> f vars) fns
 
 let run t env = bind t env ()

@@ -8,11 +8,14 @@
     like {!Exec.run}), linearizes every affine multi-index into one
     flat [base + Σ stride·var] address against the buffer's row-major
     strides, and stages the whole program into a reusable thunk.
-    Loop counters live in a flat slot array indexed by nesting depth;
-    a single-[Accum] reduce loop with a loop-invariant address
-    accumulates in a register (address hoisted, one load, one store)
-    without changing the ascending combine order — results are
-    bit-for-bit equal to {!Exec.run} (0 ulp).
+    Each affine access owns an address cell in one shared [int array]
+    beside the loop counters; a loop steps the cells that use its
+    counter, so a leaf reads its address with one load.  A loop whose
+    body is one constant [Init] or one [+=] of a product of two affine
+    loads runs as one native [for] (accumulating in a register when
+    the output address is loop-invariant).  Float operations keep the
+    reference's order — results are bit-for-bit equal to {!Exec.run}
+    (0 ulp).
 
     The thunk is single-threaded and captures buffers eagerly: rebind
     after replacing any tensor with [Buffer_env.set].  Re-running a

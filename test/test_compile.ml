@@ -177,6 +177,267 @@ let qcheck_affine_agrees_with_eval =
         (eval_iexpr env (fold_iexpr e));
       true)
 
+(* -- Staging paths: address cells and fused leaf loops ------------ *)
+
+(* Loops of extent > 1 whose body, through trip-count-1 wrappers that
+   flattening removes, is one leaf: the loops the executor fuses. *)
+let single_leaf_loops body =
+  let rec strip = function
+    | Ft_lower.Loopnest.Loop { extent = 1; body = [ s ]; _ } -> strip s
+    | s -> s
+  in
+  let rec go acc = function
+    | Ft_lower.Loopnest.Loop { var; extent; body; _ } -> (
+        let acc = List.fold_left go acc body in
+        match body with
+        | [ s ] when extent > 1 -> (
+            match strip s with
+            | Ft_lower.Loopnest.Loop _ -> acc
+            | leaf -> (var, leaf) :: acc)
+        | _ -> acc)
+    | _ -> acc
+  in
+  List.fold_left go [] body
+
+let has_leaf_loop ~var pred space cfg =
+  let program = Ft_lower.Lowering.lower space cfg in
+  List.exists
+    (fun (v, leaf) -> v = var && pred leaf)
+    (single_leaf_loops program.Ft_lower.Loopnest.body)
+
+let is_accum = function Ft_lower.Loopnest.Accum _ -> true | _ -> false
+let is_init = function Ft_lower.Loopnest.Init _ -> true | _ -> false
+
+let xeon_config space ~spatial ~reduce =
+  let cfg =
+    {
+      (Space.default_config space) with
+      spatial;
+      reduce;
+      unroll_id = 0;
+      vectorize = false;
+    }
+  in
+  check_bool "crafted config is valid" true (Space.valid space cfg);
+  cfg
+
+(* gemm with j.3 innermost (extent 4): the fused [+=] steps the output
+   address every iteration.  The init nest's innermost loop is a fused
+   constant store. *)
+let test_fused_strided_and_init () =
+  let space =
+    Space.make (Ft_ir.Operators.gemm ~m:8 ~n:8 ~k:8) Target.xeon_e5_2699_v4
+  in
+  let cfg =
+    xeon_config space
+      ~spatial:[| [| 2; 1; 1; 4 |]; [| 1; 2; 1; 4 |] |]
+      ~reduce:[| [| 2; 2; 2 |] |]
+  in
+  check_bool "j.3 is a fused += loop" true
+    (has_leaf_loop ~var:"j.3" is_accum space cfg);
+  check_bool "j.3 is a fused init loop" true
+    (has_leaf_loop ~var:"j.3" is_init space cfg);
+  assert_bit_identical space cfg "gemm fused strided"
+
+(* gemv whose s3 factors are all 1: the reduce loop k.2 is innermost
+   and the output address is invariant in it, so it accumulates in a
+   register. *)
+let test_fused_register () =
+  let space =
+    Space.make (Ft_ir.Operators.gemv ~m:16 ~k:24) Target.xeon_e5_2699_v4
+  in
+  let cfg =
+    xeon_config space
+      ~spatial:[| [| 4; 2; 2; 1 |] |]
+      ~reduce:[| [| 2; 3; 4 |] |]
+  in
+  check_bool "k.2 is a fused += loop" true
+    (has_leaf_loop ~var:"k.2" is_accum space cfg);
+  assert_bit_identical space cfg "gemv register"
+
+(* Padded conv2d with the pad inlined: a [Select] reading the loop
+   counters sits inside loops that step address cells. *)
+let test_select_in_strided_loops () =
+  let graph =
+    Ft_ir.Operators.conv2d ~batch:1 ~in_channels:2 ~out_channels:4 ~height:6
+      ~width:6 ~kernel:3 ~pad:1 ()
+  in
+  let space = Space.make graph Target.xeon_e5_2699_v4 in
+  let rng = Ft_util.Rng.create 17 in
+  let checked = ref 0 in
+  while !checked < 6 do
+    let cfg =
+      { (Space.random_config rng space) with inline = true; unroll_id = 0 }
+    in
+    if Space.valid space cfg then begin
+      incr checked;
+      assert_bit_identical ~seed:!checked space cfg "conv2d pad inline"
+    end
+  done
+
+(* Hand-built programs: run [Exec] and [Compile] on copies of the same
+   inputs and compare the outputs bit for bit. *)
+let loop ?(binding = Ft_lower.Loopnest.Serial) var extent body =
+  Ft_lower.Loopnest.Loop { var; extent; binding; body }
+
+let run_hand_built ?(inputs = [ ("X", [ 4; 6 ]); ("W", [ 3 ]) ]) allocs body =
+  let program = { Ft_lower.Loopnest.source = "hand-built"; allocs; body } in
+  let fresh () =
+    let env = Ft_interp.Buffer_env.create () in
+    let rng = Ft_util.Rng.create 3 in
+    List.iter
+      (fun (name, shape) -> Ft_interp.Buffer_env.fill_random rng env name shape)
+      inputs;
+    env
+  in
+  let env_exec = fresh () and env_compiled = fresh () in
+  Ft_lower.Exec.run env_exec program;
+  Ft_lower.Compile.run (Ft_lower.Compile.compile program) env_compiled;
+  List.iter
+    (fun (tensor, _) ->
+      let a = Ft_interp.Buffer_env.(to_array (find env_exec tensor)) in
+      let b = Ft_interp.Buffer_env.(to_array (find env_compiled tensor)) in
+      check_bool (tensor ^ " bit-identical") true (bits a = bits b))
+    allocs
+
+(* Y[(6i+j)/4][(6i+j)%4] += X[i][j] * W[j%3] inside strided loops: the
+   div/mod accesses read the counters, X reads its cell, and the leaf
+   is not fusable because W's index is not affine. *)
+let test_non_affine_in_strided_loop () =
+  let open Ft_ir.Expr in
+  let flat = (v "i" *: c 6) +: v "j" in
+  run_hand_built
+    [ ("Y", [ 6; 4 ]) ]
+    [
+      loop "i" 4
+        [
+          loop "j" 6
+            [
+              Ft_lower.Loopnest.Accum
+                {
+                  tensor = "Y";
+                  indices = [ flat /: c 4; flat %: c 4 ];
+                  combine = Ft_ir.Op.Acc_sum;
+                  value =
+                    Mul
+                      (Access ("X", [ v "i"; v "j" ]), Access ("W", [ v "j" %: c 3 ]));
+                };
+            ];
+        ];
+    ]
+
+(* An unrolled inner loop flattens into a multi-statement body of the
+   serial loop around it; each statement reads its own cells. *)
+let test_multi_statement_body () =
+  let open Ft_ir.Expr in
+  run_hand_built
+    [ ("Y", [ 4; 3 ]); ("Z", [ 4 ]) ]
+    [
+      loop "i" 4
+        [
+          Ft_lower.Loopnest.Init { tensor = "Z"; indices = [ v "i" ]; value = 1. };
+          loop ~binding:Ft_lower.Loopnest.Unrolled "u" 3
+            [
+              Ft_lower.Loopnest.Assign
+                {
+                  tensor = "Y";
+                  indices = [ v "i"; v "u" ];
+                  value = Mul (Access ("X", [ v "i"; v "u" +: c 2 ]), Access ("W", [ v "u" ]));
+                };
+              Ft_lower.Loopnest.Accum
+                {
+                  tensor = "Z";
+                  indices = [ v "i" ];
+                  combine = Ft_ir.Op.Acc_max;
+                  value = Access ("X", [ v "i"; c 5 -: v "u" ]);
+                };
+            ];
+        ];
+    ]
+
+(* Y[i] += Y[k] * W[k] with k innermost: the output address is
+   invariant in k, but the value reads Y, so the fused loop must load
+   and store per iteration instead of accumulating in a register. *)
+let test_fused_reads_output () =
+  let open Ft_ir.Expr in
+  run_hand_built
+    ~inputs:[ ("W", [ 4 ]) ]
+    [ ("Y", [ 4 ]) ]
+    [
+      loop "i" 4 [ Ft_lower.Loopnest.Init { tensor = "Y"; indices = [ v "i" ]; value = 1. } ];
+      loop "i" 4
+        [
+          loop "k" 4
+            [
+              Ft_lower.Loopnest.Accum
+                {
+                  tensor = "Y";
+                  indices = [ v "i" ];
+                  combine = Ft_ir.Op.Acc_sum;
+                  value = Mul (Access ("Y", [ v "k" ]), Access ("W", [ v "k" ]));
+                };
+            ];
+        ];
+    ]
+
+(* One bound thunk run twice leaves identical buffers: the cells are
+   reset to their bases at the start of every run. *)
+let test_thunk_rerun_identical () =
+  let space =
+    Space.make (Ft_ir.Operators.gemm ~m:8 ~n:8 ~k:8) Target.xeon_e5_2699_v4
+  in
+  let rng = Ft_util.Rng.create 9 in
+  for _ = 1 to 4 do
+    let cfg = Space.random_config rng space in
+    let program = Ft_lower.Lowering.lower space cfg in
+    let env = Ft_interp.Reference.random_env rng space.graph in
+    let thunk = Ft_lower.Compile.(bind (compile program) env) in
+    let snapshot () =
+      List.map
+        (fun (t, _) -> bits Ft_interp.Buffer_env.(to_array (find env t)))
+        program.allocs
+    in
+    thunk ();
+    let first = snapshot () in
+    thunk ();
+    check_bool "second run identical" true (first = snapshot ())
+  done
+
+(* An out-of-bounds non-affine index raises the [Buffer_env.flat_index]
+   message naming the tensor, exactly as [Exec] does. *)
+let test_out_of_bounds_named () =
+  let open Ft_ir.Expr in
+  let program =
+    {
+      Ft_lower.Loopnest.source = "oob";
+      allocs = [ ("Y", [ 4 ]) ];
+      body =
+        [
+          loop "i" 4
+            [
+              Ft_lower.Loopnest.Assign
+                {
+                  tensor = "Y";
+                  indices = [ (v "i" *: c 3) /: c 2 ];
+                  value = Access ("W", [ v "i" %: c 3 ]);
+                };
+            ];
+        ];
+    }
+  in
+  let env () =
+    let env = Ft_interp.Buffer_env.create () in
+    Ft_interp.Buffer_env.fill_random (Ft_util.Rng.create 1) env "W" [ 3 ];
+    env
+  in
+  let expected =
+    Invalid_argument "Buffer_env.flat_index: Y index 4 out of bounds [0, 4)"
+  in
+  Alcotest.check_raises "Exec" expected (fun () ->
+      Ft_lower.Exec.run (env ()) program);
+  Alcotest.check_raises "Compile" expected (fun () ->
+      Ft_lower.Compile.(run (compile program)) (env ()))
+
 let () =
   Alcotest.run "ft_compile"
     [
@@ -195,5 +456,23 @@ let () =
           Alcotest.test_case "missing input named" `Quick
             test_missing_input_named;
           QCheck_alcotest.to_alcotest qcheck_affine_agrees_with_eval;
+        ] );
+      ( "staging",
+        [
+          Alcotest.test_case "fused strided += and init" `Quick
+            test_fused_strided_and_init;
+          Alcotest.test_case "fused register +=" `Quick test_fused_register;
+          Alcotest.test_case "select in strided loops" `Quick
+            test_select_in_strided_loops;
+          Alcotest.test_case "non-affine in strided loop" `Quick
+            test_non_affine_in_strided_loop;
+          Alcotest.test_case "multi-statement body" `Quick
+            test_multi_statement_body;
+          Alcotest.test_case "fused += reading its output" `Quick
+            test_fused_reads_output;
+          Alcotest.test_case "thunk rerun identical" `Quick
+            test_thunk_rerun_identical;
+          Alcotest.test_case "out of bounds named" `Quick
+            test_out_of_bounds_named;
         ] );
     ]
