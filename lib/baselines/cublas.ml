@@ -17,7 +17,8 @@ let evaluate target graph =
       (fun threads_per_axis ->
         List.map
           (fun rtile ->
-            Library.gpu_config space ~threads_per_axis ~vthread:4 ~inner:4 ~rtile)
+            Ft_schedule.Heuristics.gpu_config space ~threads_per_axis ~vthread:4
+              ~inner:4 ~rtile)
           [ 8; 16; 32 ])
       [ 8; 16; 32 ]
   in

@@ -7,7 +7,8 @@ let evaluate target graph =
   let space = Ft_schedule.Space.make graph target in
   let config =
     {
-      (Library.gpu_config space ~threads_per_axis:16 ~vthread:2 ~inner:2 ~rtile:8)
+      (Ft_schedule.Heuristics.gpu_config space ~threads_per_axis:16 ~vthread:2
+         ~inner:2 ~rtile:8)
       with
       unroll_id = Array.length Ft_schedule.Space.unroll_depths - 1;
     }

@@ -4,12 +4,6 @@
    choosing the best of a small candidate set — the algorithm-selection
    heuristics real libraries ship with. *)
 
-let closest_divisor = Ft_schedule.Heuristics.closest_divisor
-let split_near = Ft_schedule.Heuristics.split_near
-let gpu_config = Ft_schedule.Heuristics.gpu_config
-let cpu_config = Ft_schedule.Heuristics.cpu_config
-let fpga_config = Ft_schedule.Heuristics.fpga_config
-
 let best_of ?flops_scale (space : Ft_schedule.Space.t) candidates =
   match candidates with
   | [] -> invalid_arg "Library.best_of: no candidates"
@@ -41,7 +35,9 @@ let gpu_candidates space =
       List.concat_map
         (fun (vthread, inner) ->
           List.map
-            (fun rtile -> gpu_config space ~threads_per_axis ~vthread ~inner ~rtile)
+            (fun rtile ->
+              Ft_schedule.Heuristics.gpu_config space ~threads_per_axis ~vthread ~inner
+                ~rtile)
             [ 4; 8; 16 ])
         [ (1, 1); (2, 2) ])
     [ 16; 32 ]
@@ -51,6 +47,9 @@ let cpu_candidates space =
     (fun mid ->
       List.concat_map
         (fun inner ->
-          List.map (fun rtile -> cpu_config space ~mid ~inner ~vec:8 ~rtile) [ 4; 8; 16 ])
+          List.map
+            (fun rtile ->
+              Ft_schedule.Heuristics.cpu_config space ~mid ~inner ~vec:8 ~rtile)
+            [ 4; 8; 16 ])
         [ 2; 4; 8 ])
     [ 2; 4; 8 ]

@@ -1,31 +1,7 @@
 (** Shared machinery for hand-tuned-library baselines: fixed,
     shape-generic schedules (optionally best-of-candidate-set) on the
-    same hardware models FlexTensor searches over. *)
-
-(** Divisor of [extent] closest (log scale) to [target]
-    (re-exported from {!Ft_schedule.Heuristics}). *)
-val closest_divisor : int -> int -> int
-
-(** Divisible split approximating the target factors of every level
-    but the outermost (which absorbs the remainder); [targets] are
-    ordered outer-to-inner and the result has [length targets + 1]
-    levels. *)
-val split_near : extent:int -> targets:int list -> int array
-
-val gpu_config :
-  Ft_schedule.Space.t ->
-  threads_per_axis:int -> vthread:int -> inner:int -> rtile:int ->
-  Ft_schedule.Config.t
-
-val cpu_config :
-  Ft_schedule.Space.t ->
-  mid:int -> inner:int -> vec:int -> rtile:int ->
-  Ft_schedule.Config.t
-
-val fpga_config :
-  Ft_schedule.Space.t ->
-  pe_per_axis:int -> tile:int -> partition_id:int ->
-  Ft_schedule.Config.t
+    same hardware models FlexTensor searches over.  Single schedules
+    come from {!Ft_schedule.Heuristics}. *)
 
 (** Evaluate candidates and keep the best (library dispatch). *)
 val best_of :

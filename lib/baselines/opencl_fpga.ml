@@ -5,5 +5,7 @@
 
 let evaluate target graph =
   let space = Ft_schedule.Space.make graph target in
-  let config = Library.fpga_config space ~pe_per_axis:24 ~tile:4 ~partition_id:3 in
+  let config =
+    Ft_schedule.Heuristics.fpga_config space ~pe_per_axis:24 ~tile:4 ~partition_id:3
+  in
   (config, Ft_hw.Cost.evaluate space config)

@@ -8,13 +8,16 @@ let overhead_scale = 1.15
 let gpu_evaluate target graph =
   let space = Ft_schedule.Space.make graph target in
   let config =
-    Library.gpu_config space ~threads_per_axis:8 ~vthread:1 ~inner:1 ~rtile:4
+    Ft_schedule.Heuristics.gpu_config space ~threads_per_axis:8 ~vthread:1 ~inner:1
+      ~rtile:4
   in
   (config, Ft_hw.Cost.evaluate ~flops_scale:overhead_scale space config)
 
 let cpu_evaluate target graph =
   let space = Ft_schedule.Space.make graph target in
-  let config = Library.cpu_config space ~mid:2 ~inner:2 ~vec:4 ~rtile:4 in
+  let config =
+    Ft_schedule.Heuristics.cpu_config space ~mid:2 ~inner:2 ~vec:4 ~rtile:4
+  in
   (config, Ft_hw.Cost.evaluate ~flops_scale:overhead_scale space config)
 
 let evaluate target graph =

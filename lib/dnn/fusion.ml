@@ -4,9 +4,7 @@ open Ft_ir
    epilogue nodes (bias add, ReLU) is fed to FlexTensor as one fused
    operator.  Structurally we extend the conv mini-graph with the
    epilogue nodes; for performance accounting the fused epilogue is
-   free (it rides on the conv kernel's output write), while an unfused
-   network pays one extra read+write pass over the activation per
-   epilogue node. *)
+   free (it rides on the conv kernel's output write). *)
 
 let with_bias_relu graph =
   let conv = Op.output_op graph in
@@ -34,31 +32,3 @@ let with_bias_relu graph =
       ops = graph.ops @ [ biased; activated ];
       output = "O.relu";
     }
-
-(* Elementwise nodes fused away by sub-graph partitioning: everything
-   downstream of the heaviest (compute) node. *)
-let epilogue_ops graph =
-  let compute = Ft_schedule.Space.compute_node graph in
-  let rec downstream acc tensor =
-    List.fold_left
-      (fun acc (op : Op.t) ->
-        if List.memq op acc then acc else downstream (op :: acc) op.output)
-      acc
-      (Op.consumers graph tensor)
-  in
-  List.rev (downstream [] compute.output)
-
-(* Seconds one epilogue pass costs when NOT fused: read + write of the
-   activation at the target's main-memory bandwidth. *)
-let unfused_epilogue_time target graph =
-  let bw_gb =
-    match target with
-    | Ft_schedule.Target.Gpu spec -> spec.mem_bw_gb
-    | Ft_schedule.Target.Cpu spec -> spec.mem_bw_gb
-    | Ft_schedule.Target.Fpga spec -> spec.ddr_bw_gb
-  in
-  List.fold_left
-    (fun acc (op : Op.t) ->
-      let bytes = Op.spatial_points op * 4 * 2 in
-      acc +. (float_of_int bytes /. (bw_gb *. 1e9)) +. 5e-6)
-    0. (epilogue_ops graph)

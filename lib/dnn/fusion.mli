@@ -3,10 +3,3 @@
 (** Extend a convolution mini-graph with bias-add and ReLU epilogue
     nodes, producing the fused operator fed to the optimizer. *)
 val with_bias_relu : Ft_ir.Op.graph -> Ft_ir.Op.graph
-
-(** The element-wise nodes downstream of the compute node. *)
-val epilogue_ops : Ft_ir.Op.graph -> Ft_ir.Op.t list
-
-(** Cost of running the epilogue as separate kernels (read + write of
-    the activation per node, plus launch overhead). *)
-val unfused_epilogue_time : Ft_schedule.Target.t -> Ft_ir.Op.graph -> float

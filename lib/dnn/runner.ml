@@ -11,7 +11,6 @@ type layer_time = {
   layer_name : string;
   occurrences : int;
   kernel_s : float;  (* one execution of the optimized kernel *)
-  epilogue_s : float;  (* extra cost when the epilogue is not fused *)
 }
 
 type network_result = {
@@ -87,26 +86,23 @@ let optimize_layer ?(seed = 2020) ?(max_evals = 250) ?store optimizer target
 
 (* [layers] are (name, conv graph, occurrence count); identical layers
    are optimized once (YOLO-v1 repeats C7/C8 four times). *)
-let run ?(seed = 2020) ?(max_evals = 250) ?(fused = true) ?store ~network
-    ~target layers optimizer =
+let run ?(seed = 2020) ?(max_evals = 250) ?store ~network ~target layers
+    optimizer =
   let reused_layers = ref 0 in
   let layer_times =
     List.map
       (fun (layer_name, graph, occurrences) ->
-        let graph = if fused then Fusion.with_bias_relu graph else graph in
         let kernel_s, reused =
-          optimize_layer ~seed ~max_evals ?store optimizer target graph
+          optimize_layer ~seed ~max_evals ?store optimizer target
+            (Fusion.with_bias_relu graph)
         in
         if reused then incr reused_layers;
-        let epilogue_s =
-          if fused then 0. else Fusion.unfused_epilogue_time target graph
-        in
-        { layer_name; occurrences; kernel_s; epilogue_s })
+        { layer_name; occurrences; kernel_s })
       layers
   in
   let total_s =
     List.fold_left
-      (fun acc t -> acc +. (float_of_int t.occurrences *. (t.kernel_s +. t.epilogue_s)))
+      (fun acc t -> acc +. (float_of_int t.occurrences *. t.kernel_s))
       0. layer_times
   in
   { network; optimizer_name = optimizer_name optimizer; layer_times; total_s;
@@ -143,16 +139,16 @@ let count_occurrences layers =
       (name, graph, n))
     !order
 
-let yolo_v1 ?seed ?max_evals ?fused ?store ~target optimizer =
+let yolo_v1 ?seed ?max_evals ?store ~target optimizer =
   let layers =
     count_occurrences
       (List.map
          (fun layer -> (layer.Ft_workloads.Yolo.name, Ft_workloads.Yolo.graph layer))
          Ft_workloads.Yolo.full_network)
   in
-  run ?seed ?max_evals ?fused ?store ~network:"YOLO-v1" ~target layers optimizer
+  run ?seed ?max_evals ?store ~network:"YOLO-v1" ~target layers optimizer
 
-let overfeat ?seed ?max_evals ?fused ?store ~target optimizer =
+let overfeat ?seed ?max_evals ?store ~target optimizer =
   let layers =
     count_occurrences
       (List.map
@@ -160,4 +156,4 @@ let overfeat ?seed ?max_evals ?fused ?store ~target optimizer =
            (layer.Ft_workloads.Overfeat.name, Ft_workloads.Overfeat.graph layer))
          Ft_workloads.Overfeat.layers)
   in
-  run ?seed ?max_evals ?fused ?store ~network:"OverFeat" ~target layers optimizer
+  run ?seed ?max_evals ?store ~network:"OverFeat" ~target layers optimizer

@@ -8,7 +8,6 @@ type layer_time = {
   layer_name : string;
   occurrences : int;
   kernel_s : float;
-  epilogue_s : float;
 }
 
 type network_result = {
@@ -32,14 +31,14 @@ val count_occurrences :
   (string * Ft_ir.Op.graph) list -> (string * Ft_ir.Op.graph * int) list
 
 val run :
-  ?seed:int -> ?max_evals:int -> ?fused:bool -> ?store:Ft_store.Store.t ->
+  ?seed:int -> ?max_evals:int -> ?store:Ft_store.Store.t ->
   network:string -> target:Ft_schedule.Target.t ->
   (string * Ft_ir.Op.graph * int) list -> string -> network_result
 
 val yolo_v1 :
-  ?seed:int -> ?max_evals:int -> ?fused:bool -> ?store:Ft_store.Store.t ->
+  ?seed:int -> ?max_evals:int -> ?store:Ft_store.Store.t ->
   target:Ft_schedule.Target.t -> string -> network_result
 
 val overfeat :
-  ?seed:int -> ?max_evals:int -> ?fused:bool -> ?store:Ft_store.Store.t ->
+  ?seed:int -> ?max_evals:int -> ?store:Ft_store.Store.t ->
   target:Ft_schedule.Target.t -> string -> network_result

@@ -55,10 +55,9 @@ let absorb state cfg value =
 let evaluate state cfg =
   absorb state cfg (Evaluator.measure state.evaluator cfg)
 
-(* Batched frontier evaluation: the pure cost-model work of the whole
-   candidate list is prepared in one batch, then points are committed
-   strictly in input order — skipping already-visited points and
-   in-batch duplicates, and stopping at the first point for which
+(* Batched frontier evaluation: skip already-visited points and
+   in-batch duplicates, then commit the rest in input order through
+   {!Evaluator.commit_batch}, stopping at the first point for which
    [should_stop] holds (the search's eval budget) — exactly the
    decisions the sequential per-point loop would have made.  Returns
    the committed points with their values, in order. *)
@@ -74,17 +73,9 @@ let evaluate_batch ?(should_stop = fun () -> false) state cfgs =
         end)
       cfgs
   in
-  let batch = Evaluator.prepare state.evaluator fresh in
   let committed = ref [] in
-  (try
-     List.iter
-       (fun cfg ->
-         if should_stop () then raise Exit;
-         let value = absorb state cfg (Evaluator.commit state.evaluator batch cfg) in
-         committed := (cfg, value) :: !committed)
-       fresh
-   with Exit -> ());
-  Evaluator.flush state.evaluator batch;
+  Evaluator.commit_batch state.evaluator ~should_stop fresh (fun cfg value ->
+      committed := (cfg, absorb state cfg value) :: !committed);
   List.rev !committed
 
 let init evaluator initial =
@@ -110,11 +101,8 @@ let init evaluator initial =
         (fun () ->
           (* Unlike [evaluate_batch], seeding keeps duplicate inputs in H
              (as cache hits), matching the sequential per-point loop. *)
-          let batch = Evaluator.prepare evaluator initial in
-          List.iter
-            (fun cfg -> ignore (absorb state cfg (Evaluator.commit evaluator batch cfg)))
-            initial;
-          Evaluator.flush evaluator batch;
+          Evaluator.commit_batch evaluator ~should_stop:(fun () -> false) initial
+            (fun cfg value -> ignore (absorb state cfg value));
           state)
 
 (* Default H seeding: the naive point, the two generic per-hardware

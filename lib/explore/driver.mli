@@ -36,9 +36,8 @@ val absorb : state -> Ft_schedule.Config.t -> float -> float
 (** Measure a point, add it to H/visited, update the incumbent. *)
 val evaluate : state -> Ft_schedule.Config.t -> float
 
-(** [evaluate_batch state cfgs] measures a candidate frontier: the
-    pure cost-model queries are prepared in one batch
-    ({!Evaluator.prepare}), then points are committed sequentially in
+(** [evaluate_batch state cfgs] measures a candidate frontier through
+    {!Evaluator.commit_batch}: points are committed sequentially in
     input order — skipping visited points and in-batch duplicates, and
     stopping as soon as [should_stop ()] holds.  Results are identical
     to calling {!evaluate} on each unseen point in order.

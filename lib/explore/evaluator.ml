@@ -1,6 +1,6 @@
 module Tbl = Ft_schedule.Config.Tbl
 
-(* An external evaluation backend for [prepare]'s fresh points (the
+(* An external evaluation backend for a batch's fresh points (the
    benchmark's traced pass times the cost model through one).  Must
    return one entry per input, in input order, each bit-for-bit equal
    to what [compute] would produce — dispatch replaces only *where*
@@ -157,16 +157,20 @@ let commit_fresh t ~charge_one cfg ((_, perf) as computed) =
   end;
   entry
 
-(* Returns both the performance value E and the full model result of a
-   point with a single cache lookup per call; repeated queries of the
-   same point hit the cache. *)
-let measure_full t cfg =
+(* One point: a cache hit charges its (tiny) fixed cost; a fresh point
+   is computed by [compute] and committed through [commit_fresh]. *)
+let measure_with t ~charge_one ~compute cfg =
   match Tbl.find_opt t.cache cfg with
   | Some entry ->
       charge t cache_hit_cost;
       Ft_obs.Trace.incr "eval.cache_hit";
       entry
-  | None -> commit_fresh t ~charge_one:(charge t) cfg (compute t cfg)
+  | None -> commit_fresh t ~charge_one cfg (compute cfg)
+
+(* Returns both the performance value E and the full model result of a
+   point with a single cache lookup per call; repeated queries of the
+   same point hit the cache. *)
+let measure_full t cfg = measure_with t ~charge_one:(charge t) ~compute:(compute t) cfg
 
 let measure t cfg = fst (measure_full t cfg)
 let perf_of t cfg = snd (measure_full t cfg)
@@ -178,97 +182,79 @@ let peek t cfg = Tbl.find_opt t.cache cfg
 
 (* -- Batched evaluation ---------------------------------------------
 
-   [prepare] runs the pure cost-model queries of a candidate list
-   (through [dispatch] when one is given); [commit] then folds each
-   point into the evaluator sequentially, in whatever order the caller
-   chooses.  Cache contents, eval counts, and clock charges are
-   decided by commit order alone, so where the queries ran never
-   changes a result.
+   [commit_batch] commits a candidate list strictly in input order,
+   computing each fresh point when it is committed, so cache contents,
+   eval counts and clock charges are decided by commit order alone.
 
    The simulated clock models the paper's multi-device measurement:
-   fresh points are grouped into waves of [n_parallel] in commit
-   order, and each wave charges the max measurement cost over its
-   lanes (all devices measure concurrently; the wave takes as long as
-   its slowest lane).  With [n_parallel = 1] every wave is a single
-   point, which reproduces the sequential accounting exactly.  Cache
-   hits charge their (tiny) fixed cost immediately. *)
+   fresh points are grouped into waves in commit order, and each wave
+   charges the max measurement cost over its lanes (all devices
+   measure concurrently; the wave takes as long as its slowest lane).
+   Waves fill up to the *live* lane count, so lane deaths injected by
+   the fault plan shrink every subsequent wave; with [n_parallel = 1]
+   every wave is a single point, which reproduces the sequential
+   accounting exactly. *)
 
-type batch = {
-  computed : (float * Ft_hw.Perf.t) Tbl.t;
-  mutable wave_len : int;
-  mutable wave_max : float;
-}
+(* With a dispatch (the benchmark's traced pass), the batch's uncached
+   first occurrences go to it in one call, as [(config, key)] pairs.
+   The cache only grows, so every point still uncached at its commit
+   is in the table. *)
+let dispatch_compute t cfgs =
+  match t.dispatch with
+  | None -> compute t
+  | Some dispatch ->
+      let todo = Tbl.create 64 in
+      let fresh =
+        List.filter
+          (fun cfg ->
+            let first = not (Tbl.mem t.cache cfg || Tbl.mem todo cfg) in
+            if first then Tbl.add todo cfg ();
+            first)
+          cfgs
+      in
+      let computed = Tbl.create (List.length fresh) in
+      if fresh <> [] then
+        List.iter2 (Tbl.replace computed) fresh
+          (dispatch
+             (List.map (fun cfg -> (cfg, Ft_schedule.Config.compute_key cfg)) fresh));
+      Tbl.find computed
 
-(* String keys are built only for a dispatch (the benchmark's traced
-   pass), whose contract takes [(config, key)] pairs. *)
-let prepare t cfgs =
-  let fresh = Tbl.create 64 in
-  let to_compute =
-    List.filter
-      (fun cfg ->
-        if Tbl.mem t.cache cfg || Tbl.mem fresh cfg then false
-        else begin
-          Tbl.add fresh cfg ();
-          true
-        end)
-      cfgs
-  in
-  let computed = Tbl.create (List.length to_compute) in
-  let entries =
-    match (t.dispatch, to_compute) with
-    | Some d, _ :: _ ->  (* external backend; same pure results *)
-        d (List.map (fun cfg -> (cfg, Ft_schedule.Config.compute_key cfg)) to_compute)
-    | _ -> List.map (compute t) to_compute
-  in
-  List.iter2 (Tbl.replace computed) to_compute entries;
+let commit_batch t ~should_stop cfgs on_commit =
+  let compute = dispatch_compute t cfgs in
   if Ft_obs.Trace.active () then begin
-    Ft_obs.Trace.event "eval.batch"
-      [ ("n", Int (List.length cfgs)); ("fresh", Int (List.length to_compute)) ];
+    Ft_obs.Trace.event "eval.batch" [ ("n", Int (List.length cfgs)) ];
     Ft_obs.Trace.gauge "eval.batch_size" (float_of_int (List.length cfgs))
   end;
-  { computed; wave_len = 0; wave_max = 0. }
-
-let flush t batch =
-  if batch.wave_len > 0 then begin
-    charge t batch.wave_max;
-    if Ft_obs.Trace.active () then
-      Ft_obs.Trace.event "eval.wave"
-        [
-          ("n", Int batch.wave_len);
-          ("cost_s", Float batch.wave_max);
-          ("clock_s", Float t.clock_s);
-        ];
-    batch.wave_len <- 0;
-    batch.wave_max <- 0.
-  end
-
-(* Waves fill up to the *live* lane count: lane deaths injected by the
-   fault plan shrink every subsequent wave (graceful degradation).
-   Without faults [live_lanes] stays at [n_parallel] forever. *)
-let wave_push t batch cost =
-  batch.wave_len <- batch.wave_len + 1;
-  batch.wave_max <- Float.max batch.wave_max cost;
-  if batch.wave_len >= t.live_lanes then flush t batch
-
-let commit t batch cfg =
-  match Tbl.find_opt t.cache cfg with
-  | Some (value, _) ->
-      charge t cache_hit_cost;
-      Ft_obs.Trace.incr "eval.cache_hit";
-      value
-  | None ->
-      let entry =
-        match Tbl.find_opt batch.computed cfg with
-        | Some entry -> entry
-        | None -> compute t cfg  (* straggler not in the prepared set *)
-      in
-      fst (commit_fresh t ~charge_one:(wave_push t batch) cfg entry)
+  let wave_len = ref 0 and wave_max = ref 0. in
+  let flush () =
+    if !wave_len > 0 then begin
+      charge t !wave_max;
+      if Ft_obs.Trace.active () then
+        Ft_obs.Trace.event "eval.wave"
+          [ ("n", Int !wave_len); ("cost_s", Float !wave_max); ("clock_s", Float t.clock_s) ];
+      wave_len := 0;
+      wave_max := 0.
+    end
+  in
+  let charge_one cost =
+    incr wave_len;
+    wave_max := Float.max !wave_max cost;
+    if !wave_len >= t.live_lanes then flush ()
+  in
+  let rec go = function
+    | cfg :: rest when not (should_stop ()) ->
+        on_commit cfg (fst (measure_with t ~charge_one ~compute cfg));
+        go rest
+    | _ -> ()
+  in
+  go cfgs;
+  flush ()
 
 let measure_batch t cfgs =
-  let batch = prepare t cfgs in
-  let out = List.map (fun cfg -> (cfg, commit t batch cfg)) cfgs in
-  flush t batch;
-  out
+  let out = ref [] in
+  commit_batch t ~should_stop:(fun () -> false) cfgs (fun cfg value ->
+      out := (cfg, value) :: !out);
+  List.rev !out
 
 let clock t = t.clock_s
 let n_evals t = t.n_evals

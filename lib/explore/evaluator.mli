@@ -6,20 +6,20 @@
     model query on FPGA), which is what the exploration-time figures
     (6d, 7) plot.
 
-    Evaluation is batchable: the pure cost-model queries of a
-    candidate list are computed together (deduplicated, optionally
-    through a {!dispatch}), while cache entries, eval counts, and
-    clock charges are committed sequentially in the caller's order —
-    so every search result is decided by commit order alone.
-    [n_parallel] models the paper's multi-device measurement for the
-    simulated clock only: fresh points are charged in waves of
-    [n_parallel], max cost over the wave (the concurrent devices
-    finish with the slowest lane); [n_parallel = 1] reproduces the
-    sequential accounting exactly. *)
+    A candidate list is evaluated by one commit loop
+    ({!commit_batch}): points are committed strictly in input order,
+    each fresh one computed when it is committed (or, with a
+    {!dispatch}, all of a batch's fresh points in one call), so every
+    search result is decided by commit order alone.  [n_parallel]
+    models the paper's multi-device measurement for the simulated
+    clock only: fresh points are charged in waves of [n_parallel], max
+    cost over the wave (the concurrent devices finish with the slowest
+    lane); [n_parallel = 1] reproduces the sequential accounting
+    exactly. *)
 
 type t
 
-(** An external evaluation backend for {!prepare}'s fresh points — the
+(** An external evaluation backend for {!commit_batch}'s fresh points — the
     benchmark's traced pass times the cost model through one.  Points
     arrive as [(config, Config.compute_key config)] pairs.
     Contract: return one entry per input, in input order, each
@@ -71,31 +71,21 @@ val perf_of : t -> Ft_schedule.Config.t -> Ft_hw.Perf.t
     For assembling results — never a substitute for {!measure}. *)
 val peek : t -> Ft_schedule.Config.t -> (float * Ft_hw.Perf.t) option
 
-(** A prepared batch: cost-model results computed but not yet
-    committed to the cache, eval count, or clock. *)
-type batch
+(** [commit_batch t ~should_stop cfgs on_commit] commits [cfgs] in
+    input order, checking [should_stop ()] before each point and
+    stopping at the first that holds; [on_commit cfg value] runs after
+    each commit.  Cache hits (duplicates after their first occurrence
+    included) charge the cache cost; fresh points are computed (the
+    uncached first occurrences of [cfgs] through [dispatch] in one
+    call, when the evaluator has one), enter the cache, count as an
+    eval, and charge the clock in waves of {!live_lanes}.  A partial
+    final wave is charged on return. *)
+val commit_batch :
+  t -> should_stop:(unit -> bool) -> Ft_schedule.Config.t list ->
+  (Ft_schedule.Config.t -> float -> unit) -> unit
 
-(** [prepare t cfgs] computes the uncached points of [cfgs]
-    (deduplicating within the batch), through [dispatch] when the
-    evaluator has one.  The cache and the batch are hash tables keyed
-    on the config ({!Ft_schedule.Config.Tbl}); string keys are built
-    only for a dispatch.  Pure with respect to the evaluator: no
-    cache, count, or clock change until [commit]. *)
-val prepare : t -> Ft_schedule.Config.t list -> batch
-
-(** [commit t batch cfg] folds one point into the evaluator:
-    cache hits charge the cache cost; fresh points (looked up in
-    [batch], or computed inline when absent) enter the cache, count as
-    an eval, and charge the clock in waves of [n_parallel].  Call
-    {!flush} after the last commit of a batch. *)
-val commit : t -> batch -> Ft_schedule.Config.t -> float
-
-(** Charge any partially filled final wave of a batch. *)
-val flush : t -> batch -> unit
-
-(** [measure_batch t cfgs] = prepare, commit every point in input
-    order, flush — returning each input config with its value.
-    Duplicates after their first occurrence behave as cache hits. *)
+(** [measure_batch t cfgs] commits every point of [cfgs] — returning
+    each input config with its value. *)
 val measure_batch :
   t -> Ft_schedule.Config.t list -> (Ft_schedule.Config.t * float) list
 

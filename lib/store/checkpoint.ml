@@ -28,26 +28,18 @@ let to_json c =
          ("rng", Json.Str (Int64.to_string c.rng_state));
        ])
 
-let field value name convert =
-  match Json.member name value with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match convert v with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (Printf.sprintf "field %S: %s" name msg))
-
 let ( let* ) = Result.bind
 
 let of_json line =
   let* value = Json.of_string line in
-  let* run_id = field value "run" Json.to_str in
-  let* trial = field value "trial" Json.to_int in
-  let* n_evals = field value "n_evals" Json.to_int in
-  let* clock_s = field value "clock_s" Json.to_num in
-  let* best_value = field value "best" Json.to_num in
-  let* config = field value "config" Json.to_str in
+  let* run_id = Json.field value "run" Json.to_str in
+  let* trial = Json.field value "trial" Json.to_int in
+  let* n_evals = Json.field value "n_evals" Json.to_int in
+  let* clock_s = Json.field value "clock_s" Json.to_num in
+  let* best_value = Json.field value "best" Json.to_num in
+  let* config = Json.field value "config" Json.to_str in
   let* rng_state =
-    field value "rng" (fun v ->
+    Json.field value "rng" (fun v ->
         let* s = Json.to_str v in
         match Int64.of_string_opt s with
         | Some i -> Ok i
@@ -64,19 +56,8 @@ let append path c = Store_io.append_line path (to_json c)
 type issue = { line : int; reason : string }
 
 let load path =
-  if not (Sys.file_exists path) then ([], [])
-  else begin
-    let lines = Store_io.load_lines path in
-    let cks = ref [] and probs = ref [] in
-    List.iteri
-      (fun i line ->
-        if String.trim line <> "" then
-          match of_json line with
-          | Ok c -> cks := c :: !cks
-          | Error reason -> probs := { line = i + 1; reason } :: !probs)
-      lines;
-    (List.rev !cks, List.rev !probs)
-  end
+  let cks, issues = Store_io.load_jsonl path of_json in
+  (cks, List.map (fun (line, reason) -> { line; reason }) issues)
 
 (* The newest checkpoint wins; earlier lines for the same run are the
    trail it appended on the way. *)

@@ -69,51 +69,40 @@ let response_to_string resp =
 
 let ( let* ) = Result.bind
 
-let field value name convert =
-  match Json.member name value with
-  | None -> Result.Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match convert v with
-      | Ok _ as ok -> ok
-      | Result.Error msg -> Result.Error (Printf.sprintf "field %S: %s" name msg))
-
 let opt_method value =
   match Json.member "method" value with
   | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_str v with
-      | Ok m -> Ok (Some m)
-      | Result.Error msg -> Result.Error (Printf.sprintf "field \"method\": %s" msg))
+  | Some _ -> Result.map Option.some (Json.field value "method" Json.to_str)
 
 let request_of_string text =
   let* value = Json.of_string text in
-  let* req = field value "req" Json.to_str in
+  let* req = Json.field value "req" Json.to_str in
   match req with
   | "ping" -> Ok Ping
   | "best" ->
-      let* key = field value "key" Record.key_of_value in
+      let* key = Json.field value "key" Record.key_of_value in
       let* method_name = opt_method value in
       Ok (Best { key; method_name })
   | "nearest" ->
-      let* key = field value "key" Record.key_of_value in
+      let* key = Json.field value "key" Record.key_of_value in
       let* method_name = opt_method value in
-      let* limit = field value "limit" Json.to_int in
+      let* limit = Json.field value "limit" Json.to_int in
       if limit < 0 then Result.Error "field \"limit\": must be >= 0"
       else Ok (Nearest { key; method_name; limit })
   | "append" ->
-      let* record = field value "record" Record.of_value in
+      let* record = Json.field value "record" Record.of_value in
       Ok (Append record)
   | "stats" -> Ok Stats
   | other -> Result.Error (Printf.sprintf "unknown request %S" other)
 
 let response_of_string text =
   let* value = Json.of_string text in
-  let* ok = field value "ok" (function
+  let* ok = Json.field value "ok" (function
     | Json.Bool b -> Ok b
     | _ -> Result.Error "expected a bool")
   in
   if not ok then
-    let* msg = field value "error" Json.to_str in
+    let* msg = Json.field value "error" Json.to_str in
     Ok (Error msg)
   else
     match Json.member "record" value with
@@ -135,8 +124,8 @@ let response_of_string text =
         | None -> (
             match Json.member "count" value with
             | Some _ ->
-                let* count = field value "count" Json.to_int in
-                let* shards = field value "shards" Json.to_int in
+                let* count = Json.field value "count" Json.to_int in
+                let* shards = Json.field value "shards" Json.to_int in
                 Ok (Stats_reply { count; shards })
             | None -> (
                 match Json.member "pong" value with

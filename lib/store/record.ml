@@ -92,32 +92,24 @@ let to_value r =
 
 let to_json r = Json.to_string (to_value r)
 
-let field value name convert =
-  match Json.member name value with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match convert v with
-      | Ok _ as ok -> ok
-      | Error msg -> Error (Printf.sprintf "field %S: %s" name msg))
-
 let ( let* ) = Result.bind
 
 let key_of_value value =
-  let* graph = field value "graph" Json.to_str in
-  let* op = field value "op" Json.to_str in
-  let* target = field value "target" Json.to_str in
-  let* spatial = field value "spatial" Json.to_int_list in
-  let* reduce = field value "reduce" Json.to_int_list in
+  let* graph = Json.field value "graph" Json.to_str in
+  let* op = Json.field value "op" Json.to_str in
+  let* target = Json.field value "target" Json.to_str in
+  let* spatial = Json.field value "spatial" Json.to_int_list in
+  let* reduce = Json.field value "reduce" Json.to_int_list in
   Ok { graph; op; target; spatial; reduce }
 
 let of_value value =
   let* { graph; op; target; spatial; reduce } = key_of_value value in
-  let* method_name = field value "method" Json.to_str in
-  let* seed = field value "seed" Json.to_int in
-  let* best_value = field value "best" Json.to_num in
-  let* sim_time_s = field value "sim_time_s" Json.to_num in
-  let* n_evals = field value "n_evals" Json.to_int in
-  let* config = field value "config" Json.to_str in
+  let* method_name = Json.field value "method" Json.to_str in
+  let* seed = Json.field value "seed" Json.to_int in
+  let* best_value = Json.field value "best" Json.to_num in
+  let* sim_time_s = Json.field value "sim_time_s" Json.to_num in
+  let* n_evals = Json.field value "n_evals" Json.to_int in
+  let* config = Json.field value "config" Json.to_str in
   (* Logs written before provenance existed carry no source; they are
      analytical by construction. *)
   let source =

@@ -69,14 +69,11 @@ let open_dir ?(k = 4) ?compact_every dir =
   in
   List.iter
     (fun base ->
-      List.iteri
-        (fun i line ->
-          if String.trim line <> "" then
-            match Record.of_json line with
-            | Ok r -> Index.add t.index r
-            | Error reason ->
-                t.probs <- { shard = base; line = i + 1; reason } :: t.probs)
-        (Store_io.load_lines (Filename.concat dir (base ^ ".jsonl"))))
+      let recs, issues = Store_io.load_jsonl (shard_file t base) Record.of_json in
+      List.iter (Index.add t.index) recs;
+      List.iter
+        (fun (line, reason) -> t.probs <- { shard = base; line; reason } :: t.probs)
+        issues)
     (list_shards dir);
   t
 
@@ -106,16 +103,9 @@ let compact t base =
       if not (Sys.file_exists file) then (0, 0)
       else begin
         let keep = Index.create ~k:t.k () in
-        let total = ref 0 in
-        List.iter
-          (fun line ->
-            if String.trim line <> "" then begin
-              incr total;
-              match Record.of_json line with
-              | Ok r -> Index.add keep r
-              | Error _ -> ()  (* malformed lines die with the rewrite *)
-            end)
-          (Store_io.load_lines file);
+        (* Malformed lines die with the rewrite: they count as dropped. *)
+        let recs, issues = Store_io.load_jsonl file Record.of_json in
+        List.iter (Index.add keep) recs;
         let survivors = Index.survivors keep in
         let tmp = file ^ ".compact.tmp" in
         let oc = open_out tmp in
@@ -133,7 +123,7 @@ let compact t base =
             | Some n -> n := 0
             | None -> ());
         let kept = List.length survivors in
-        (kept, !total - kept)
+        (kept, List.length recs + List.length issues - kept)
       end)
 
 let compact_all t =

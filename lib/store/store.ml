@@ -15,22 +15,15 @@ type t = {
 let append_line = Store_io.append_line
 
 let create ?path () =
-  let store =
-    { store_path = path; recs = []; index = Index.create (); probs = [] }
+  let recs, issues =
+    match path with
+    | None -> ([], [])
+    | Some path -> Store_io.load_jsonl path Record.of_json
   in
-  (match path with
-  | None -> ()
-  | Some path ->
-      List.iteri
-        (fun i line ->
-          if String.trim line <> "" then
-            match Record.of_json line with
-            | Ok r ->
-                store.recs <- r :: store.recs;
-                Index.add store.index r
-            | Error reason -> store.probs <- { line = i + 1; reason } :: store.probs)
-        (Store_io.load_lines path));
-  store
+  let index = Index.create () in
+  List.iter (Index.add index) recs;
+  { store_path = path; recs = List.rev recs; index;
+    probs = List.rev_map (fun (line, reason) -> { line; reason }) issues }
 
 let load path = create ~path ()
 

@@ -41,20 +41,20 @@ let append_line path line =
           (Printf.sprintf "Store_io.append_line %s: short write (%d of %d)"
              path written (len + 1)))
 
-let load_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> List.rev acc
+let load_jsonl path decode =
+  if not (Sys.file_exists path) then ([], [])
+  else
+    In_channel.with_open_text path (fun ic ->
+        let rec go n values issues =
+          match In_channel.input_line ic with
+          | None -> (List.rev values, List.rev issues)
+          | Some line when String.trim line = "" -> go (n + 1) values issues
+          | Some line -> (
+              match decode line with
+              | Ok v -> go (n + 1) (v :: values) issues
+              | Error reason -> go (n + 1) values ((n, reason) :: issues))
         in
-        go [])
-  end
+        go 1 [] [])
 
 (* fcntl record locks exclude processes, not domains of one process —
    a second domain taking the "same" lock succeeds immediately.  Pair

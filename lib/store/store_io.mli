@@ -18,8 +18,13 @@
     the same write, so the record starts on a line of its own. *)
 val append_line : string -> string -> unit
 
-(** Lines of [path] in file order; a missing file is []. *)
-val load_lines : string -> string list
+(** [load_jsonl path decode] decodes the non-blank lines of [path]
+    with [decode], tolerantly: it returns the decoded values and the
+    [(line, reason)] of every line [decode] rejects, both in file
+    order, with 1-based file line numbers.  A missing file is
+    [([], [])]. *)
+val load_jsonl :
+  string -> (string -> ('a, string) result) -> 'a list * (int * string) list
 
 (** [with_file_lock path f] runs [f] while holding both the
     process-local mutex for [path] and an exclusive [Unix.lockf] lock

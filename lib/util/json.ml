@@ -277,3 +277,11 @@ let to_int_list = function
       in
       go [] items
   | _ -> Error "expected an array"
+
+let field value name convert =
+  match member name value with
+  | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some v -> (
+      match convert v with
+      | Ok _ as ok -> ok
+      | Error msg -> Error (Printf.sprintf "field %S: %s" name msg))

@@ -27,6 +27,11 @@ val of_string : string -> (t, string) result
 (** Object field lookup (first match); [None] on non-objects. *)
 val member : string -> t -> t option
 
+(** [field value name convert] decodes field [name] of [value] with
+    [convert]; errors read [missing field "name"] or
+    [field "name": <convert's error>]. *)
+val field : t -> string -> (t -> ('a, string) result) -> ('a, string) result
+
 (** Typed accessors; [Error] names the expected type. *)
 val to_num : t -> (float, string) result
 

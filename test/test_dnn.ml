@@ -29,13 +29,6 @@ let test_fused_graph_semantics () =
       check_bool "matches manual pipeline" true (Float.abs (x -. expected) < 1e-6))
     out
 
-let test_epilogue_detection () =
-  let fused = Ft_dnn.Fusion.with_bias_relu tiny_conv in
-  let epilogue = Ft_dnn.Fusion.epilogue_ops fused in
-  check_int "two epilogue nodes" 2 (List.length epilogue);
-  check_int "bare conv has none" 0
-    (List.length (Ft_dnn.Fusion.epilogue_ops tiny_conv))
-
 (* Regression: a rank-0/1 output has no channel axis to broadcast the
    bias over.  This used to surface as a bare [Failure "nth"] from
    [List.nth]; it must be a descriptive [Invalid_argument] naming the
@@ -53,11 +46,6 @@ let test_fusion_rejects_low_rank () =
       check_bool "names the layer" true
         (contains ~sub:gemv.Ft_ir.Op.graph_name msg);
       check_bool "names the rank" true (contains ~sub:"rank 1" msg)
-
-let test_unfused_epilogue_cost_positive () =
-  let fused = Ft_dnn.Fusion.with_bias_relu tiny_conv in
-  let cost = Ft_dnn.Fusion.unfused_epilogue_time Ft_schedule.Target.v100 fused in
-  check_bool "positive" true (cost > 0.)
 
 let test_count_occurrences () =
   let layers =
@@ -122,19 +110,6 @@ let test_fused_graph_schedules_correctly () =
       done)
     Ft_schedule.Target.[ v100; xeon_e5_2699_v4; vu9p ]
 
-let test_fusion_beats_unfused () =
-  let layers = [ ("L", tiny_conv, 1) ] in
-  let target = Ft_schedule.Target.v100 in
-  let fused =
-    Ft_dnn.Runner.run ~max_evals:40 ~fused:true ~network:"t" ~target layers
-      "Q-method"
-  in
-  let unfused =
-    Ft_dnn.Runner.run ~max_evals:40 ~fused:false ~network:"t" ~target layers
-      "Q-method"
-  in
-  check_bool "fusion no slower" true (fused.total_s <= unfused.total_s +. 1e-12)
-
 let () =
   Alcotest.run "ft_dnn"
     [
@@ -142,9 +117,7 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_fused_graph_structure;
           Alcotest.test_case "semantics" `Quick test_fused_graph_semantics;
-          Alcotest.test_case "epilogue detection" `Quick test_epilogue_detection;
           Alcotest.test_case "rejects low rank" `Quick test_fusion_rejects_low_rank;
-          Alcotest.test_case "epilogue cost" `Quick test_unfused_epilogue_cost_positive;
           Alcotest.test_case "fused schedule correctness" `Quick
             test_fused_graph_schedules_correctly;
         ] );
@@ -154,6 +127,5 @@ let () =
           Alcotest.test_case "name collision" `Quick
             test_count_occurrences_name_collision;
           Alcotest.test_case "single layer" `Quick test_single_layer_run;
-          Alcotest.test_case "fusion helps" `Quick test_fusion_beats_unfused;
         ] );
     ]

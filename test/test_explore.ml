@@ -391,6 +391,52 @@ let test_evaluate_batch_budget_stop () =
   Alcotest.(check int) "stopped at the budget" 8 (Ft_explore.Evaluator.n_evals evaluator);
   Alcotest.(check int) "committed up to the budget" 7 (List.length committed)
 
+(* A dispatch that records its inputs sees each batch's uncached
+   configs exactly once, in first-occurrence order: never a visited,
+   cached or in-batch duplicate config, and no call for a batch with
+   nothing fresh.  The run equals a dispatch-free one bit for bit. *)
+let test_evaluate_batch_recording_dispatch () =
+  let space = small_gemm_space () in
+  let cfgs = distinct_configs space 18 in
+  let a = List.filteri (fun i _ -> i < 10) cfgs in
+  let nth i = List.nth cfgs i in
+  let x1, x2, b0, b1, b2 = (nth 10, nth 11, nth 12, nth 13, nth 14) in
+  let seed_cfg = Space.default_config space in
+  let calls = ref [] in
+  let dispatch pairs =
+    List.iter
+      (fun (cfg, key) ->
+        Alcotest.(check string) "key" (Config.compute_key cfg) key)
+      pairs;
+    calls := List.map fst pairs :: !calls;
+    List.map
+      (fun (cfg, _) ->
+        let perf = Ft_hw.Cost.evaluate space cfg in
+        (Ft_hw.Cost.perf_value space perf, perf))
+      pairs
+  in
+  let run evaluator =
+    let state = Ft_explore.Driver.init evaluator [ seed_cfg ] in
+    let r1 = Ft_explore.Driver.evaluate_batch state (a @ [ nth 0; nth 4; nth 9 ]) in
+    (* Cached but not visited: measured outside the driver. *)
+    ignore (Ft_explore.Evaluator.measure evaluator x1);
+    ignore (Ft_explore.Evaluator.measure evaluator x2);
+    let r2 =
+      Ft_explore.Driver.evaluate_batch state [ nth 0; x1; b0; b1; b0; x2; b2; nth 1; b1 ]
+    in
+    let r3 = Ft_explore.Driver.evaluate_batch state a in
+    (r1 @ r2 @ r3, driver_fingerprint state, Ft_explore.Evaluator.clock evaluator)
+  in
+  let dispatched = run (Ft_explore.Evaluator.create ~dispatch space) in
+  let local = run (Ft_explore.Evaluator.create space) in
+  check_bool "dispatch inputs" true
+    (List.rev !calls = [ [ seed_cfg ]; a; [ b0; b1; b2 ] ]);
+  let results (r, _, _) = List.map (fun (cfg, v) -> (cfg, Int64.bits_of_float v)) r in
+  check_bool "same results" true (results dispatched = results local);
+  let (_, fp_d, clock_d), (_, fp_l, clock_l) = (dispatched, local) in
+  check_bool "same driver state" true (fp_d = fp_l);
+  check_bool "same clock" true (Int64.bits_of_float clock_d = Int64.bits_of_float clock_l)
+
 let () =
   Alcotest.run "ft_explore"
     [
@@ -441,5 +487,7 @@ let () =
           Alcotest.test_case "matches sequential driver" `Quick
             test_evaluate_batch_matches_sequential_driver;
           Alcotest.test_case "budget stop" `Quick test_evaluate_batch_budget_stop;
+          Alcotest.test_case "recording dispatch" `Quick
+            test_evaluate_batch_recording_dispatch;
         ] );
     ]

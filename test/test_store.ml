@@ -434,15 +434,19 @@ let test_warm_start_not_worse () =
 let test_runner_reuses_layers () =
   let store = Store.create () in
   let layers =
-    [ ("L1", gemm ~m:64 ~n:64 ~k:64, 2); ("L2", gemm ~m:128 ~n:64 ~k:64, 1) ]
+    let conv out_channels =
+      Ft_ir.Operators.conv2d ~batch:1 ~in_channels:8 ~out_channels ~height:14
+        ~width:14 ~kernel:3 ~pad:1 ()
+    in
+    [ ("L1", conv 16, 2); ("L2", conv 32, 1) ]
   in
   let cold =
-    Ft_dnn.Runner.run ~max_evals:40 ~fused:false ~store ~network:"tiny" ~target
+    Ft_dnn.Runner.run ~max_evals:40 ~store ~network:"tiny" ~target
       layers "Q-method"
   in
   check_int "cold run reuses nothing" 0 cold.reused_layers;
   let warm =
-    Ft_dnn.Runner.run ~max_evals:40 ~fused:false ~store ~network:"tiny" ~target
+    Ft_dnn.Runner.run ~max_evals:40 ~store ~network:"tiny" ~target
       layers "Q-method"
   in
   check_int "warm run reuses every layer" 2 warm.reused_layers;
