@@ -9,18 +9,17 @@ open Ft_ir
 let with_bias_relu graph =
   let conv = Op.output_op graph in
   let shape = Op.out_shape conv in
-  (* The bias broadcasts over channels = dimension 1 of an NCHW-style
-     output; a rank-0/1 output has no channel axis to broadcast over.
-     Without this check [List.nth] raises a bare [Failure "nth"] that
-     names neither the layer nor the problem. *)
+  (* The bias broadcasts over channels = dimension 1 of an NCHW
+     output, the only shape [Operators.bias_add] and [relu] accept;
+     reject anything else here, where the layer can be named. *)
   let channels =
     match shape with
-    | _ :: channels :: _ -> channels
+    | [ _; channels; _; _ ] -> channels
     | _ ->
         invalid_arg
           (Printf.sprintf
              "Fusion.with_bias_relu: layer %s output %s has rank %d, but \
-              bias+ReLU fusion needs a channel dimension (rank >= 2)"
+              bias+ReLU fusion needs an NCHW output (rank 4)"
              graph.Op.graph_name conv.Op.output (List.length shape))
   in
   let biased = Operators.bias_add ~input:graph.Op.output ~bias:"bias" ~output:"O.bias" ~shape in

@@ -161,20 +161,3 @@ let finish ~method_name state =
 (* A result is only usable if its best schedule is actually valid; a
    best_value of 0. from an all-invalid run is not a success. *)
 let succeeded (result : result) = result.best_perf.Ft_hw.Perf.valid
-
-(* Simulated time at which a run first reached [fraction] of its final
-   best value — the "time to similar performance" metric of Fig 6d.
-   For a non-positive final best, [fraction *. best] would sit *above*
-   the best and the threshold would never be reached; dividing instead
-   keeps the intended meaning ("within a factor of 1/fraction of the
-   final best") on both sides of zero. *)
-let time_to_reach result ~fraction =
-  let threshold =
-    if result.best_value >= 0. then fraction *. result.best_value
-    else result.best_value /. fraction
-  in
-  let rec go = function
-    | [] -> result.sim_time_s
-    | (s : sample) :: rest -> if s.best_value >= threshold then s.at_s else go rest
-  in
-  go result.history

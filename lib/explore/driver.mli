@@ -69,6 +69,3 @@ val finish : method_name:string -> state -> result
 (** True when the result's best schedule is valid ([best_perf.valid]);
     false for a run whose every candidate was invalid. *)
 val succeeded : result -> bool
-
-(** Simulated time to first reach [fraction] of the run's final best. *)
-val time_to_reach : result -> fraction:float -> float

@@ -221,10 +221,8 @@ let dispatch_compute t cfgs =
 
 let commit_batch t ~should_stop cfgs on_commit =
   let compute = dispatch_compute t cfgs in
-  if Ft_obs.Trace.active () then begin
+  if Ft_obs.Trace.active () then
     Ft_obs.Trace.event "eval.batch" [ ("n", Int (List.length cfgs)) ];
-    Ft_obs.Trace.gauge "eval.batch_size" (float_of_int (List.length cfgs))
-  end;
   let wave_len = ref 0 and wave_max = ref 0. in
   let flush () =
     if !wave_len > 0 then begin

@@ -9,36 +9,157 @@ let map_op ~tag ~output ~spatial body =
 let conv_out_size ~size ~pad ~dilation ~kernel ~stride =
   ((size + (2 * pad) - (dilation * (kernel - 1)) - 1) / stride) + 1
 
-(* Padding node over the trailing [ndims] dimensions of a tensor whose
-   leading dims are copied verbatim.  With [pad = 0] it degenerates to a
-   copy node (kept so mini-graph structure matches the paper's node
-   counts). *)
-let pad_node ~tag ~input ~output ~lead_axes ~dims ~pad =
+(* [x] where every condition holds, 0 elsewhere; [x] itself when there
+   is no condition. *)
+let guarded conds x =
+  match conds with
+  | [] -> x
+  | first :: rest ->
+      Select (List.fold_left (fun acc cnd -> And (acc, cnd)) first rest, x, Const 0.)
+
+(* Padding node "I.pad" over the trailing [dims] of a [batch x channels
+   x dims] tensor.  With [pad = 0] it degenerates to a copy node (kept
+   so mini-graph structure matches the paper's node counts). *)
+let pad_node ~tag ~input ~batch ~channels ~dims ~pad =
+  let lead_axes = [ Op.axis "b" batch; Op.axis "c" channels ] in
   let dim_axes =
-    List.mapi (fun i size -> Op.axis (Printf.sprintf "p%d" i) (size + (2 * pad))) dims
+    List.mapi (fun i size -> Op.axis ("p" ^ string_of_int i) (size + (2 * pad))) dims
   in
-  let lead_idx = List.map (fun a -> v a.Op.axis_name) lead_axes in
-  let dim_idx = List.map (fun a -> v a.Op.axis_name -: c pad) dim_axes in
-  let access = Access (input, lead_idx @ dim_idx) in
-  let body =
-    if pad = 0 then access
-    else
-      let in_range =
-        List.map2
-          (fun a size ->
-            And
-              ( Ge (v a.Op.axis_name, c pad),
-                Lt (v a.Op.axis_name, c (pad + size)) ))
-          dim_axes dims
-      in
-      let cond =
-        match in_range with
-        | [] -> invalid_arg "Operators.pad_node: no padded dimensions"
-        | first :: rest -> List.fold_left (fun acc cnd -> And (acc, cnd)) first rest
-      in
-      Select (cond, access, Const 0.)
+  let name a = v a.Op.axis_name in
+  let access =
+    Access (input, List.map name lead_axes @ List.map (fun a -> name a -: c pad) dim_axes)
   in
-  map_op ~tag ~output ~spatial:(lead_axes @ dim_axes) body
+  let in_range a size = And (Ge (name a, c pad), Lt (name a, c (pad + size))) in
+  map_op ~tag ~output:"I.pad" ~spatial:(lead_axes @ dim_axes)
+    (guarded (if pad = 0 then [] else List.map2 in_range dim_axes dims) access)
+
+(* Zero-insertion node "I.exp" of a transposed convolution: [stride - 1]
+   zeros between neighbours along each of the trailing [dims]. *)
+let expand_node ~tag ~batch ~channels ~dims ~stride =
+  let lead_axes = [ Op.axis "b" batch; Op.axis "c" channels ] in
+  let dim_axes =
+    List.mapi
+      (fun i size -> Op.axis ("e" ^ string_of_int i) (((size - 1) * stride) + 1))
+      dims
+  in
+  let name a = v a.Op.axis_name in
+  let access =
+    Access ("I", List.map name lead_axes @ List.map (fun a -> name a /: c stride) dim_axes)
+  in
+  let aligned a = Eq (name a %: c stride, c 0) in
+  map_op ~tag ~output:"I.exp" ~spatial:(lead_axes @ dim_axes)
+    (guarded (if stride = 1 then [] else List.map aligned dim_axes) access)
+
+(* The convolution families of Table 3 differ only in these respects;
+   the number of spatial dims (1-3) comes from the length of [dims]. *)
+type conv_kind =
+  | Direct
+  | Transposed
+      (* expand, pad by [kernel - 1 - pad], then a unit-stride
+         convolution with the kernel flipped: three nodes, as the
+         paper's Table 3 reports for T1D/T2D/T3D *)
+  | Dilated of int
+  | Grouped of int
+  | Depthwise  (* one filter per input channel, as in every DEP case *)
+
+(* One generator for every convolution: a padding node (after an
+   expansion node when transposed) feeding the convolution node "O". *)
+let conv ~kind ~stride ~pad ~batch ~in_channels ~out_channels ~dims ~kernel =
+  (match kind with
+  | Grouped groups when in_channels mod groups <> 0 || out_channels mod groups <> 0 ->
+      invalid_arg "Operators.group_conv2d: channels must be divisible by groups"
+  | _ -> ());
+  let n = List.length dims in
+  let tag =
+    match kind with
+    | Direct -> "conv" ^ string_of_int n ^ "d"
+    | Transposed -> "t" ^ string_of_int n ^ "d"
+    | Dilated _ -> "dil"
+    | Grouped _ -> "grp"
+    | Depthwise -> "dep"
+  in
+  (* output axis, reduce axis and graph-name letter of each dim *)
+  let axes =
+    match n with
+    | 1 -> [ ("i", "rx", "l") ]
+    | 2 -> [ ("i", "rx", "h"); ("j", "ry", "w") ]
+    | _ -> [ ("d", "rd", "d"); ("i", "rx", "h"); ("j", "ry", "w") ]
+  in
+  let out_size size =
+    match kind with
+    | Transposed -> (((size - 1) * stride) - (2 * pad)) + kernel
+    | Dilated dilation -> conv_out_size ~size ~pad ~dilation ~kernel ~stride
+    | Direct | Grouped _ | Depthwise ->
+        conv_out_size ~size ~pad ~dilation:1 ~kernel ~stride
+  in
+  let out_sizes = List.map out_size dims in
+  let stages =
+    match kind with
+    | Transposed ->
+        (* bound first: list literals evaluate right to left, and the
+           expansion's axes must be checked before the padding's *)
+        let expanded =
+          expand_node ~tag:(tag ^ ".expand") ~batch ~channels:in_channels ~dims ~stride
+        in
+        [ expanded;
+          pad_node ~tag:(tag ^ ".pad") ~input:"I.exp" ~batch ~channels:in_channels
+            ~dims:(List.map (fun size -> ((size - 1) * stride) + 1) dims)
+            ~pad:(kernel - 1 - pad) ]
+    | Direct | Dilated _ | Grouped _ | Depthwise ->
+        [ pad_node ~tag:(tag ^ ".pad") ~input:"I" ~batch ~channels:in_channels ~dims ~pad ]
+  in
+  let reduce_vars = List.map (fun (_, r, _) -> v r) axes in
+  let tap (o, r, _) =
+    match kind with
+    | Transposed -> v o +: v r
+    | Dilated d -> (v o *: c stride) +: (v r *: c d)
+    | Direct | Grouped _ | Depthwise -> (v o *: c stride) +: v r
+  in
+  let kernels = List.map (fun _ -> kernel) dims in
+  (* input channel read, reduced channel extent, weight index and shape *)
+  let channel, rc, w_index, w_shape =
+    match kind with
+    | Direct | Dilated _ ->
+        ( v "rc", [ in_channels ],
+          v "k" :: v "rc" :: reduce_vars, out_channels :: in_channels :: kernels )
+    | Transposed ->
+        ( v "rc", [ in_channels ],
+          v "rc" :: v "k" :: List.map (fun r -> c (kernel - 1) -: r) reduce_vars,
+          in_channels :: out_channels :: kernels )
+    | Grouped groups ->
+        let ci = in_channels / groups and ko = out_channels / groups in
+        ( ((v "k" /: c ko) *: c ci) +: v "rc", [ ci ],
+          v "k" :: v "rc" :: reduce_vars, out_channels :: ci :: kernels )
+    | Depthwise -> (v "k" /: c 1, [], v "k" :: reduce_vars, out_channels :: kernels)
+  in
+  let op =
+    sum_op ~tag ~output:"O"
+      ~spatial:
+        (Op.axis "b" batch :: Op.axis "k" out_channels
+        :: List.map2 (fun (o, _, _) size -> Op.axis o size) axes out_sizes)
+      ~reduce:
+        (List.map (Op.axis "rc") rc @ List.map (fun (_, r, _) -> Op.axis r kernel) axes)
+      (Mul
+         (Access ("I.pad", v "b" :: channel :: List.map tap axes), Access ("W", w_index)))
+  in
+  let field letter value = letter ^ string_of_int value in
+  let name =
+    [ tag; field "b" batch; field "c" in_channels ]
+    @ (match kind with Depthwise -> [] | _ -> [ field "k" out_channels ])
+    @ List.map2 (fun (_, _, l) size -> field l size) axes dims
+    @ [ field "k" kernel;
+        (match kind with
+        | Direct | Transposed -> field "s" stride
+        | Dilated d -> field "d" d
+        | Grouped groups -> field "g" groups
+        | Depthwise -> "m1") ]
+  in
+  Op.validate_exn
+    { graph_name = String.concat "_" name;
+      inputs = [ ("I", batch :: in_channels :: dims); ("W", w_shape) ];
+      ops = stages @ [ op ];
+      output = "O";
+    }
 
 let gemv ~m ~k =
   let op =
@@ -85,336 +206,47 @@ let bilinear ~m ~n ~k ~l =
     }
 
 let conv1d ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels ~length ~kernel () =
-  let out_len = conv_out_size ~size:length ~pad ~dilation:1 ~kernel ~stride in
-  let padded =
-    pad_node ~tag:"conv1d.pad" ~input:"I" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ length ] ~pad
-  in
-  let conv =
-    sum_op ~tag:"conv1d" ~output:"O"
-      ~spatial:[ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "i" out_len ]
-      ~reduce:[ Op.axis "rc" in_channels; Op.axis "rx" kernel ]
-      (Mul
-         ( Access ("I.pad", [ v "b"; v "rc"; (v "i" *: c stride) +: v "rx" ]),
-           Access ("W", [ v "k"; v "rc"; v "rx" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "conv1d_b%d_c%d_k%d_l%d_k%d_s%d" batch in_channels
-          out_channels length kernel stride;
-      inputs = [ ("I", [ batch; in_channels; length ]); ("W", [ out_channels; in_channels; kernel ]) ];
-      ops = [ padded; conv ];
-      output = "O";
-    }
-
-(* Transposed convolution = expand (insert stride-1 zeros), pad by
-   kernel-1-pad, then unit-stride convolution with a flipped kernel;
-   three nodes, as the paper's Table 3 reports for T1D/T2D/T3D. *)
-let expand_node ~tag ~input ~output ~lead_axes ~dims ~stride =
-  let dim_axes =
-    List.mapi
-      (fun i size -> Op.axis (Printf.sprintf "e%d" i) (((size - 1) * stride) + 1))
-      dims
-  in
-  let lead_idx = List.map (fun a -> v a.Op.axis_name) lead_axes in
-  let dim_idx = List.map (fun a -> v a.Op.axis_name /: c stride) dim_axes in
-  let access = Access (input, lead_idx @ dim_idx) in
-  let body =
-    if stride = 1 then access
-    else
-      let aligned =
-        List.map (fun a -> Eq (v a.Op.axis_name %: c stride, c 0)) dim_axes
-      in
-      let cond =
-        match aligned with
-        | [] -> invalid_arg "Operators.expand_node: no expanded dimensions"
-        | first :: rest -> List.fold_left (fun acc cnd -> And (acc, cnd)) first rest
-      in
-      Select (cond, access, Const 0.)
-  in
-  map_op ~tag ~output ~spatial:(lead_axes @ dim_axes) body
+  conv ~kind:Direct ~stride ~pad ~batch ~in_channels ~out_channels ~dims:[ length ] ~kernel
 
 let conv1d_transposed ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels
     ~length ~kernel () =
-  let out_len = (((length - 1) * stride) - (2 * pad)) + kernel in
-  let expanded =
-    expand_node ~tag:"t1d.expand" ~input:"I" ~output:"I.exp"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ length ] ~stride
-  in
-  let exp_len = ((length - 1) * stride) + 1 in
-  let padded =
-    pad_node ~tag:"t1d.pad" ~input:"I.exp" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ exp_len ] ~pad:(kernel - 1 - pad)
-  in
-  let conv =
-    sum_op ~tag:"t1d" ~output:"O"
-      ~spatial:[ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "i" out_len ]
-      ~reduce:[ Op.axis "rc" in_channels; Op.axis "rx" kernel ]
-      (Mul
-         ( Access ("I.pad", [ v "b"; v "rc"; v "i" +: v "rx" ]),
-           Access ("W", [ v "rc"; v "k"; c (kernel - 1) -: v "rx" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "t1d_b%d_c%d_k%d_l%d_k%d_s%d" batch in_channels out_channels
-          length kernel stride;
-      inputs = [ ("I", [ batch; in_channels; length ]); ("W", [ in_channels; out_channels; kernel ]) ];
-      ops = [ expanded; padded; conv ];
-      output = "O";
-    }
+  conv ~kind:Transposed ~stride ~pad ~batch ~in_channels ~out_channels ~dims:[ length ]
+    ~kernel
 
 let conv2d ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels ~height
     ~width ~kernel () =
-  let out_h = conv_out_size ~size:height ~pad ~dilation:1 ~kernel ~stride in
-  let out_w = conv_out_size ~size:width ~pad ~dilation:1 ~kernel ~stride in
-  let padded =
-    pad_node ~tag:"conv2d.pad" ~input:"I" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ height; width ] ~pad
-  in
-  let conv =
-    sum_op ~tag:"conv2d" ~output:"O"
-      ~spatial:
-        [ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "i" out_h; Op.axis "j" out_w ]
-      ~reduce:[ Op.axis "rc" in_channels; Op.axis "rx" kernel; Op.axis "ry" kernel ]
-      (Mul
-         ( Access
-             ( "I.pad",
-               [ v "b"; v "rc"; (v "i" *: c stride) +: v "rx"; (v "j" *: c stride) +: v "ry" ] ),
-           Access ("W", [ v "k"; v "rc"; v "rx"; v "ry" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "conv2d_b%d_c%d_k%d_h%d_w%d_k%d_s%d" batch in_channels
-          out_channels height width kernel stride;
-      inputs =
-        [ ("I", [ batch; in_channels; height; width ]);
-          ("W", [ out_channels; in_channels; kernel; kernel ]) ];
-      ops = [ padded; conv ];
-      output = "O";
-    }
+  conv ~kind:Direct ~stride ~pad ~batch ~in_channels ~out_channels
+    ~dims:[ height; width ] ~kernel
 
 let conv2d_transposed ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels
     ~height ~width ~kernel () =
-  let out_h = (((height - 1) * stride) - (2 * pad)) + kernel in
-  let out_w = (((width - 1) * stride) - (2 * pad)) + kernel in
-  let expanded =
-    expand_node ~tag:"t2d.expand" ~input:"I" ~output:"I.exp"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ height; width ] ~stride
-  in
-  let exp_h = ((height - 1) * stride) + 1 and exp_w = ((width - 1) * stride) + 1 in
-  let padded =
-    pad_node ~tag:"t2d.pad" ~input:"I.exp" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ exp_h; exp_w ] ~pad:(kernel - 1 - pad)
-  in
-  let conv =
-    sum_op ~tag:"t2d" ~output:"O"
-      ~spatial:
-        [ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "i" out_h; Op.axis "j" out_w ]
-      ~reduce:[ Op.axis "rc" in_channels; Op.axis "rx" kernel; Op.axis "ry" kernel ]
-      (Mul
-         ( Access ("I.pad", [ v "b"; v "rc"; v "i" +: v "rx"; v "j" +: v "ry" ]),
-           Access
-             ("W", [ v "rc"; v "k"; c (kernel - 1) -: v "rx"; c (kernel - 1) -: v "ry" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "t2d_b%d_c%d_k%d_h%d_w%d_k%d_s%d" batch in_channels
-          out_channels height width kernel stride;
-      inputs =
-        [ ("I", [ batch; in_channels; height; width ]);
-          ("W", [ in_channels; out_channels; kernel; kernel ]) ];
-      ops = [ expanded; padded; conv ];
-      output = "O";
-    }
+  conv ~kind:Transposed ~stride ~pad ~batch ~in_channels ~out_channels
+    ~dims:[ height; width ] ~kernel
 
 let conv3d ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels ~depth
     ~height ~width ~kernel () =
-  let out_d = conv_out_size ~size:depth ~pad ~dilation:1 ~kernel ~stride in
-  let out_h = conv_out_size ~size:height ~pad ~dilation:1 ~kernel ~stride in
-  let out_w = conv_out_size ~size:width ~pad ~dilation:1 ~kernel ~stride in
-  let padded =
-    pad_node ~tag:"conv3d.pad" ~input:"I" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ depth; height; width ] ~pad
-  in
-  let conv =
-    sum_op ~tag:"conv3d" ~output:"O"
-      ~spatial:
-        [ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "d" out_d;
-          Op.axis "i" out_h; Op.axis "j" out_w ]
-      ~reduce:
-        [ Op.axis "rc" in_channels; Op.axis "rd" kernel; Op.axis "rx" kernel;
-          Op.axis "ry" kernel ]
-      (Mul
-         ( Access
-             ( "I.pad",
-               [ v "b"; v "rc"; (v "d" *: c stride) +: v "rd";
-                 (v "i" *: c stride) +: v "rx"; (v "j" *: c stride) +: v "ry" ] ),
-           Access ("W", [ v "k"; v "rc"; v "rd"; v "rx"; v "ry" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "conv3d_b%d_c%d_k%d_d%d_h%d_w%d_k%d_s%d" batch in_channels
-          out_channels depth height width kernel stride;
-      inputs =
-        [ ("I", [ batch; in_channels; depth; height; width ]);
-          ("W", [ out_channels; in_channels; kernel; kernel; kernel ]) ];
-      ops = [ padded; conv ];
-      output = "O";
-    }
+  conv ~kind:Direct ~stride ~pad ~batch ~in_channels ~out_channels
+    ~dims:[ depth; height; width ] ~kernel
 
 let conv3d_transposed ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels
     ~depth ~height ~width ~kernel () =
-  let out_d = (((depth - 1) * stride) - (2 * pad)) + kernel in
-  let out_h = (((height - 1) * stride) - (2 * pad)) + kernel in
-  let out_w = (((width - 1) * stride) - (2 * pad)) + kernel in
-  let expanded =
-    expand_node ~tag:"t3d.expand" ~input:"I" ~output:"I.exp"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ depth; height; width ] ~stride
-  in
-  let exp_d = ((depth - 1) * stride) + 1
-  and exp_h = ((height - 1) * stride) + 1
-  and exp_w = ((width - 1) * stride) + 1 in
-  let padded =
-    pad_node ~tag:"t3d.pad" ~input:"I.exp" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ exp_d; exp_h; exp_w ] ~pad:(kernel - 1 - pad)
-  in
-  let flip var = c (kernel - 1) -: var in
-  let conv =
-    sum_op ~tag:"t3d" ~output:"O"
-      ~spatial:
-        [ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "d" out_d;
-          Op.axis "i" out_h; Op.axis "j" out_w ]
-      ~reduce:
-        [ Op.axis "rc" in_channels; Op.axis "rd" kernel; Op.axis "rx" kernel;
-          Op.axis "ry" kernel ]
-      (Mul
-         ( Access
-             ( "I.pad",
-               [ v "b"; v "rc"; v "d" +: v "rd"; v "i" +: v "rx"; v "j" +: v "ry" ] ),
-           Access ("W", [ v "rc"; v "k"; flip (v "rd"); flip (v "rx"); flip (v "ry") ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "t3d_b%d_c%d_k%d_d%d_h%d_w%d_k%d_s%d" batch in_channels
-          out_channels depth height width kernel stride;
-      inputs =
-        [ ("I", [ batch; in_channels; depth; height; width ]);
-          ("W", [ in_channels; out_channels; kernel; kernel; kernel ]) ];
-      ops = [ expanded; padded; conv ];
-      output = "O";
-    }
+  conv ~kind:Transposed ~stride ~pad ~batch ~in_channels ~out_channels
+    ~dims:[ depth; height; width ] ~kernel
 
 let group_conv2d ?(stride = 1) ?(pad = 0) ~batch ~in_channels ~out_channels
     ~height ~width ~kernel ~groups () =
-  if in_channels mod groups <> 0 || out_channels mod groups <> 0 then
-    invalid_arg "Operators.group_conv2d: channels must be divisible by groups";
-  let ci = in_channels / groups and ko = out_channels / groups in
-  let out_h = conv_out_size ~size:height ~pad ~dilation:1 ~kernel ~stride in
-  let out_w = conv_out_size ~size:width ~pad ~dilation:1 ~kernel ~stride in
-  let padded =
-    pad_node ~tag:"grp.pad" ~input:"I" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ height; width ] ~pad
-  in
-  let group_base = (v "k" /: c ko) *: c ci in
-  let conv =
-    sum_op ~tag:"grp" ~output:"O"
-      ~spatial:
-        [ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "i" out_h; Op.axis "j" out_w ]
-      ~reduce:[ Op.axis "rc" ci; Op.axis "rx" kernel; Op.axis "ry" kernel ]
-      (Mul
-         ( Access
-             ( "I.pad",
-               [ v "b"; group_base +: v "rc"; (v "i" *: c stride) +: v "rx";
-                 (v "j" *: c stride) +: v "ry" ] ),
-           Access ("W", [ v "k"; v "rc"; v "rx"; v "ry" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "grp_b%d_c%d_k%d_h%d_w%d_k%d_g%d" batch in_channels
-          out_channels height width kernel groups;
-      inputs =
-        [ ("I", [ batch; in_channels; height; width ]);
-          ("W", [ out_channels; ci; kernel; kernel ]) ];
-      ops = [ padded; conv ];
-      output = "O";
-    }
+  conv ~kind:(Grouped groups) ~stride ~pad ~batch ~in_channels ~out_channels
+    ~dims:[ height; width ] ~kernel
 
 let depthwise_conv2d ?(stride = 1) ?(pad = 0) ~batch ~channels ~height ~width ~kernel
     () =
-  (* One filter per input channel, as in every Table 3 DEP case. *)
-  let multiplier = 1 in
-  let out_h = conv_out_size ~size:height ~pad ~dilation:1 ~kernel ~stride in
-  let out_w = conv_out_size ~size:width ~pad ~dilation:1 ~kernel ~stride in
-  let out_channels = channels * multiplier in
-  let padded =
-    pad_node ~tag:"dep.pad" ~input:"I" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" channels ]
-      ~dims:[ height; width ] ~pad
-  in
-  let conv =
-    sum_op ~tag:"dep" ~output:"O"
-      ~spatial:
-        [ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "i" out_h; Op.axis "j" out_w ]
-      ~reduce:[ Op.axis "rx" kernel; Op.axis "ry" kernel ]
-      (Mul
-         ( Access
-             ( "I.pad",
-               [ v "b"; v "k" /: c multiplier; (v "i" *: c stride) +: v "rx";
-                 (v "j" *: c stride) +: v "ry" ] ),
-           Access ("W", [ v "k"; v "rx"; v "ry" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "dep_b%d_c%d_h%d_w%d_k%d_m%d" batch channels height width
-          kernel multiplier;
-      inputs =
-        [ ("I", [ batch; channels; height; width ]);
-          ("W", [ out_channels; kernel; kernel ]) ];
-      ops = [ padded; conv ];
-      output = "O";
-    }
+  conv ~kind:Depthwise ~stride ~pad ~batch ~in_channels:channels ~out_channels:channels
+    ~dims:[ height; width ] ~kernel
 
 let dilated_conv2d ?(stride = 1) ?(pad = 0) ?(dilation = 2) ~batch ~in_channels
     ~out_channels ~height ~width ~kernel () =
-  let out_h = conv_out_size ~size:height ~pad ~dilation ~kernel ~stride in
-  let out_w = conv_out_size ~size:width ~pad ~dilation ~kernel ~stride in
-  let padded =
-    pad_node ~tag:"dil.pad" ~input:"I" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" in_channels ]
-      ~dims:[ height; width ] ~pad
-  in
-  let conv =
-    sum_op ~tag:"dil" ~output:"O"
-      ~spatial:
-        [ Op.axis "b" batch; Op.axis "k" out_channels; Op.axis "i" out_h; Op.axis "j" out_w ]
-      ~reduce:[ Op.axis "rc" in_channels; Op.axis "rx" kernel; Op.axis "ry" kernel ]
-      (Mul
-         ( Access
-             ( "I.pad",
-               [ v "b"; v "rc"; (v "i" *: c stride) +: (v "rx" *: c dilation);
-                 (v "j" *: c stride) +: (v "ry" *: c dilation) ] ),
-           Access ("W", [ v "k"; v "rc"; v "rx"; v "ry" ]) ))
-  in
-  Op.validate_exn
-    { graph_name =
-        Printf.sprintf "dil_b%d_c%d_k%d_h%d_w%d_k%d_d%d" batch in_channels
-          out_channels height width kernel dilation;
-      inputs =
-        [ ("I", [ batch; in_channels; height; width ]);
-          ("W", [ out_channels; in_channels; kernel; kernel ]) ];
-      ops = [ padded; conv ];
-      output = "O";
-    }
+  conv ~kind:(Dilated dilation) ~stride ~pad ~batch ~in_channels ~out_channels
+    ~dims:[ height; width ] ~kernel
 
 (* Block-circulant matrix multiply (§6.4): within each (j-block,
    t-block) pair the weight matrix is circulant, so one vector of
@@ -441,9 +273,7 @@ let bcm ~m ~n ~k ~block =
    shifted by one of the nine 3x3 offsets chosen by channel index. *)
 let shift ~batch ~channels ~height ~width =
   let padded =
-    pad_node ~tag:"shift.pad" ~input:"I" ~output:"I.pad"
-      ~lead_axes:[ Op.axis "b" batch; Op.axis "c" channels ]
-      ~dims:[ height; width ] ~pad:1
+    pad_node ~tag:"shift.pad" ~input:"I" ~batch ~channels ~dims:[ height; width ] ~pad:1
   in
   let op =
     map_op ~tag:"shift" ~output:"O"

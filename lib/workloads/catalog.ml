@@ -56,6 +56,10 @@ let graph_of ~op ~dims =
       Ok
         (Ft_ir.Operators.conv3d ~batch ~in_channels ~out_channels ~depth
            ~height ~width ~kernel ~pad:(kernel / 2) ())
+  | "t3d", [ batch; in_channels; out_channels; depth; height; width; kernel ] ->
+      Ok
+        (Ft_ir.Operators.conv3d_transposed ~batch ~in_channels ~out_channels
+           ~depth ~height ~width ~kernel ~stride:2 ~pad:(kernel / 2) ())
   | "grp", [ batch; in_channels; out_channels; height; width; kernel; groups ]
     ->
       Ok

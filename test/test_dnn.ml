@@ -39,13 +39,16 @@ let contains ~sub s =
   at 0
 
 let test_fusion_rejects_low_rank () =
-  let gemv = Ft_ir.Operators.gemv ~m:8 ~k:8 in
-  match Ft_dnn.Fusion.with_bias_relu gemv with
-  | _ -> Alcotest.fail "rank-1 output must not fuse"
-  | exception Invalid_argument msg ->
-      check_bool "names the layer" true
-        (contains ~sub:gemv.Ft_ir.Op.graph_name msg);
-      check_bool "names the rank" true (contains ~sub:"rank 1" msg)
+  List.iter
+    (fun (graph, rank) ->
+      match Ft_dnn.Fusion.with_bias_relu graph with
+      | _ -> Alcotest.failf "rank-%d output must not fuse" rank
+      | exception Invalid_argument msg ->
+          check_bool "names the layer" true
+            (contains ~sub:graph.Ft_ir.Op.graph_name msg);
+          check_bool "names the rank" true
+            (contains ~sub:(Printf.sprintf "rank %d" rank) msg))
+    [ (Ft_ir.Operators.gemv ~m:8 ~k:8, 1); (Ft_ir.Operators.gemm ~m:8 ~n:8 ~k:8, 2) ]
 
 let test_count_occurrences () =
   let layers =

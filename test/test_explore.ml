@@ -102,17 +102,6 @@ let test_q_beats_random_at_equal_budget () =
   in
   check_bool "guided beats random" true (q.best_value > r.best_value)
 
-let test_time_to_reach () =
-  let space = gemm_space () in
-  let result =
-    Ft_explore.Q_method.search_params
-      { params with seed = 5; n_trials = 15 } space
-  in
-  let early = Ft_explore.Driver.time_to_reach result ~fraction:0.1 in
-  let late = Ft_explore.Driver.time_to_reach result ~fraction:1.0 in
-  check_bool "ordering" true (early <= late);
-  check_bool "within run" true (late <= result.sim_time_s +. 1e-9)
-
 let test_invalid_configs_charged_failed_compile () =
   let space = gemm_space () in
   let evaluator = Ft_explore.Evaluator.create space in
@@ -182,30 +171,6 @@ let test_incumbent_tracks_max_of_history () =
     (List.fold_left (fun acc (_, v) -> Float.max acc v) neg_infinity
        (Ft_anneal.Sa.to_list state.pool))
     result.best_value
-
-(* Regression: with a negative final best, the old threshold
-   [fraction *. best] was *above* best (e.g. 0.5 * -4 = -2 > -4), so
-   time_to_reach matched the first sample ever taken instead of the
-   first to come within the fraction. *)
-let test_time_to_reach_negative_best () =
-  let space = gemm_space () in
-  let result =
-    {
-      Ft_explore.Driver.method_name = "test";
-      best_config = Space.default_config space;
-      best_value = -4.;
-      best_perf = Ft_hw.Perf.invalid (lazy "test");
-      history =
-        [
-          { Ft_explore.Driver.at_s = 1.; n_evals = 1; best_value = -10. };
-          { Ft_explore.Driver.at_s = 2.; n_evals = 2; best_value = -4. };
-        ];
-      n_evals = 2;
-      sim_time_s = 3.;
-    }
-  in
-  Alcotest.(check (float 1e-9)) "waits for the real improvement" 2.
-    (Ft_explore.Driver.time_to_reach result ~fraction:0.5)
 
 let test_driver_rejects_empty_init () =
   let space = gemm_space () in
@@ -463,11 +428,8 @@ let () =
           Alcotest.test_case "random" `Quick test_random_method_runs;
           Alcotest.test_case "eval budget" `Quick test_max_evals_budget;
           Alcotest.test_case "q beats random" `Slow test_q_beats_random_at_equal_budget;
-          Alcotest.test_case "time to reach" `Quick test_time_to_reach;
           Alcotest.test_case "incumbent is max of H" `Quick
             test_incumbent_tracks_max_of_history;
-          Alcotest.test_case "time to reach, negative best" `Quick
-            test_time_to_reach_negative_best;
           Alcotest.test_case "failed compile cost" `Quick
             test_invalid_configs_charged_failed_compile;
           Alcotest.test_case "cold start" `Quick test_cold_start_option;

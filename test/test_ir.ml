@@ -136,6 +136,23 @@ let test_all_builders_validate () =
   check_int "tiny suite has all 14 families" 14
     (List.length Ft_workloads.Suites.tiny)
 
+(* Every workload graph, marshalled without sharing: graph names are
+   tuning-log keys and node structure feeds schedule-space derivation,
+   so any drift in the builders changes this digest. *)
+let workload_graphs_digest () =
+  let open Ft_workloads in
+  let graphs =
+    List.concat_map (fun (_, cases) -> List.map (fun c -> c.Suites.graph) cases) Suites.all
+    @ List.map (fun c -> c.Suites.graph) Suites.tiny
+    @ List.map (fun l -> Yolo.graph l) Yolo.layers
+    @ List.map (fun l -> Overfeat.graph l) Overfeat.layers
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string graphs [ Marshal.No_sharing ]))
+
+let test_golden_graph_digest () =
+  Alcotest.(check string) "workload graphs unchanged" "e0faab0d4c0df6a5dba1e1e723f48dc4"
+    (workload_graphs_digest ())
+
 let qcheck_gemm_flops =
   QCheck.Test.make ~name:"gemm flops" ~count:30
     QCheck.(triple (int_range 1 16) (int_range 1 16) (int_range 1 16))
@@ -162,6 +179,7 @@ let () =
           Alcotest.test_case "validation errors" `Quick test_validate_errors;
           Alcotest.test_case "graph navigation" `Quick test_graph_navigation;
           Alcotest.test_case "all builders" `Quick test_all_builders_validate;
+          Alcotest.test_case "golden graph digest" `Quick test_golden_graph_digest;
           QCheck_alcotest.to_alcotest qcheck_gemm_flops;
         ] );
     ]

@@ -183,9 +183,9 @@ let gemm_space () =
     Ft_schedule.Target.v100
 
 (* The batched hot paths surface their shape in telemetry: batched
-   evaluation sets [eval.batch_size], and the batched MLP forward
-   accumulates [nn.forward_ns] — both land in the [--trace] summary
-   table. *)
+   evaluation writes one [eval.batch] event carrying its size, and the
+   batched MLP forward accumulates [nn.forward_ns] into the [--trace]
+   summary table. *)
 let test_batched_telemetry_names () =
   Trace.close ();
   let path = Filename.temp_file "ft_obs_batch" ".jsonl" in
@@ -198,11 +198,14 @@ let test_batched_telemetry_names () =
   ignore
     (Ft_explore.Evaluator.measure_batch evaluator
        (List.init 8 (fun _ -> Ft_schedule.Space.random_config rng space)));
-  let gauges = List.map fst (Trace.gauges ()) in
   let counters = List.map fst (Trace.counters ()) in
   Trace.close ();
-  Sys.remove path;
-  check_bool "eval.batch_size gauge" true (List.mem "eval.batch_size" gauges);
+  let batch_event line =
+    let json = parse line in
+    Json.member "name" json = Some (Json.Str "eval.batch")
+    && Json.member "n" json = Some (Json.Num 8.)
+  in
+  check_bool "eval.batch event" true (List.exists batch_event (read_lines path));
   check_bool "nn.forward_ns counter" true (List.mem "nn.forward_ns" counters)
 
 let result_fingerprint (r : Ft_explore.Driver.result) =

@@ -89,7 +89,22 @@ let test_operator_table () =
   check_bool "yolo 1 builds" true (builds "yolo" [ 1 ]);
   check_bool "yolo 15 builds" true (builds "yolo" [ 15 ]);
   check_bool "yolo 0 rejected" false (builds "yolo" [ 0 ]);
-  check_bool "yolo 16 rejected" false (builds "yolo" [ 16 ])
+  check_bool "yolo 16 rejected" false (builds "yolo" [ 16 ]);
+  (* one small instance of every Table-3 family in [Suites.all] *)
+  let instances =
+    [ ("GMV", "gemv", [ 64; 64 ]); ("GMM", "gemm", [ 64; 64; 64 ]);
+      ("BIL", "bilinear", [ 8; 8; 8; 8 ]); ("C1D", "conv1d", [ 1; 4; 8; 16; 3 ]);
+      ("T1D", "t1d", [ 1; 4; 8; 16; 3 ]); ("C2D", "conv2d", [ 1; 8; 16; 14; 14; 3 ]);
+      ("T2D", "t2d", [ 1; 8; 16; 7; 7; 3 ]); ("C3D", "conv3d", [ 1; 4; 8; 4; 8; 8; 3 ]);
+      ("T3D", "t3d", [ 1; 4; 8; 2; 4; 4; 3 ]); ("GRP", "grp", [ 1; 8; 16; 14; 14; 3; 2 ]);
+      ("DEP", "dep", [ 1; 8; 14; 14; 3 ]); ("DIL", "dil", [ 1; 8; 16; 14; 14; 3; 2 ]) ]
+  in
+  List.iter
+    (fun (abbr, _) ->
+      match List.find_opt (fun (a, _, _) -> a = abbr) instances with
+      | None -> Alcotest.failf "no catalog instance for %s" abbr
+      | Some (_, op, dims) -> check_bool (abbr ^ " builds as " ^ op) true (builds op dims))
+    Ft_workloads.Suites.all
 
 let () =
   Alcotest.run "ft_workloads"
