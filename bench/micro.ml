@@ -49,9 +49,6 @@ let tests () =
       (Staged.stage (fun () -> Ft_schedule.Space.features conv_space cfg));
     Test.make ~name:"q-network forward"
       (Staged.stage (fun () -> Ft_nn.Network.forward net features));
-    Test.make ~name:"q-network train step"
-      (Staged.stage (fun () ->
-           Ft_nn.Network.train_mse_component net ~input:features ~index:0 ~target:1.));
     Test.make ~name:"config hash"
       (Staged.stage (fun () -> Ft_schedule.Config.hash cfg));
     Test.make ~name:"config equal"
@@ -59,6 +56,42 @@ let tests () =
     Test.make ~name:"config key (fresh)"
       (Staged.stage (fun () -> Ft_schedule.Config.compute_key cfg));
   ]
+
+(* The "q-network train step" row, in ns per step: a fresh network
+   trained for the ~800 steps a 250-evaluation search takes (a round of
+   16 every five recorded transitions), inputs and trained outputs from
+   fixed cycles.  Training one output on one input for as long as a
+   sampler runs reaches a regime no search does: after ~13k steps the
+   idle rows' optimizer state decays into subnormals. *)
+let q_train_steps = 800
+
+let q_train_ns_per_step () =
+  let rng = Ft_util.Rng.create 3 in
+  let inputs =
+    Array.init 16 (fun _ ->
+        Ft_schedule.Space.features conv_space (Ft_schedule.Space.random_config rng conv_space))
+  in
+  let dims = [| Array.length inputs.(0); 64; 64; 64; 32 |] in
+  let outputs = [| 0; 3; 1; 0; 7; 2; 0; 5; 11; 0; 3; 1 |] in
+  let train seed =
+    let net = Ft_nn.Network.mlp (Ft_util.Rng.create seed) ~dims in
+    let t0 = Ft_util.Monotime.now_s () in
+    for k = 0 to q_train_steps - 1 do
+      ignore
+        (Ft_nn.Network.train_mse_component net
+           ~input:inputs.(k mod Array.length inputs)
+           ~index:outputs.(k mod Array.length outputs)
+           ~target:(float_of_int (k mod 5) *. 0.25))
+    done;
+    Ft_util.Monotime.elapsed_s t0
+  in
+  ignore (train 0);
+  let reps = 16 in
+  let total = ref 0. in
+  for seed = 1 to reps do
+    total := !total +. train seed
+  done;
+  !total *. 1e9 /. float_of_int (reps * q_train_steps)
 
 (* -- batched kernels -------------------------------------------------
    Host GEMM throughput by batch size ([Linalg.gemm_bt], the reference
@@ -307,7 +340,9 @@ let run () =
       | Some [ estimate ] -> rows := (name, estimate) :: !rows
       | _ -> ())
     results;
-  let ns_rows = List.sort compare !rows in
+  let ns_rows =
+    List.sort compare (("flextensor.q-network train step", q_train_ns_per_step ()) :: !rows)
+  in
   Ft_util.Table.print ~header:[ "hot path"; "ns/call" ]
     (List.map (fun (a, b) -> [ a; Printf.sprintf "%.0f" b ]) ns_rows);
   Bench_common.subsection "batched kernels (Bigarray hot paths)";

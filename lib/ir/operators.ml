@@ -65,10 +65,19 @@ type conv_kind =
 (* One generator for every convolution: a padding node (after an
    expansion node when transposed) feeding the convolution node "O". *)
 let conv ~kind ~stride ~pad ~batch ~in_channels ~out_channels ~dims ~kernel =
+  let at_least least what value =
+    if value < least then
+      invalid_arg (Printf.sprintf "Operators: %s must be >= %d, got %d" what least value)
+  in
+  at_least 1 "stride" stride;
   (match kind with
-  | Grouped groups when in_channels mod groups <> 0 || out_channels mod groups <> 0 ->
-      invalid_arg "Operators.group_conv2d: channels must be divisible by groups"
-  | _ -> ());
+  | Dilated dilation -> at_least 1 "dilation" dilation
+  | Grouped groups ->
+      at_least 1 "groups" groups;
+      if in_channels mod groups <> 0 || out_channels mod groups <> 0 then
+        invalid_arg "Operators.group_conv2d: channels must be divisible by groups"
+  | Direct | Transposed | Depthwise -> ());
+  at_least 0 "pad" pad;
   let n = List.length dims in
   let tag =
     match kind with

@@ -15,9 +15,10 @@ let create n = { g2 = Ft_linalg.Linalg.vec n; d2 = Ft_linalg.Linalg.vec n }
 
 (* AdaDelta (Zeiler 2012): parameter-wise adaptive step with no global
    learning rate — the update magnitude is the ratio of RMS(previous
-   updates) to RMS(gradients).  The element formula, the fused row
-   loop and its decay-only short cut are in nn_stubs.c, which checks
-   nothing: every bound is checked here, before the call. *)
+   updates) to RMS(gradients).  The element formula, the fused row and
+   layer loops, the decay-only short cut and the layer's deferred
+   decays are in nn_stubs.c, which checks nothing: every bound is
+   checked here, before the call. *)
 external row :
   vec -> vec -> vec -> (int[@untagged]) -> (int[@untagged]) -> (float[@unboxed]) ->
   (float[@unboxed]) -> (float[@unboxed]) -> (float[@unboxed]) -> float array -> float array ->
@@ -30,3 +31,21 @@ let update_row t ~(params : vec) ~off ~d ~pre ~(x : float array) ~(din : float a
   if off < 0 || dim params - off <= n || Array.length din < n then
     invalid_arg "Adadelta.update_row: out of bounds";
   row params t.g2 t.d2 off n rho eps d pre x din
+
+external layer :
+  vec -> vec -> vec -> int array -> (int[@untagged]) -> (int[@untagged]) -> bool ->
+  (float[@unboxed]) -> (float[@unboxed]) -> float array -> float array -> float array ->
+  float array -> unit = "ft_nn_update_layer_byte" "ft_nn_update_layer"
+[@@noalloc]
+
+let update_layer t ~(params : vec) ~(debt : int array) ~last ~(dout : float array)
+    ~(pre : float array) ~(x : float array) ~(din : float array) =
+  let n = Array.length x and n_out = Array.length debt in
+  if dim t.g2 <> dim params then invalid_arg "Adadelta.update_layer: size mismatch";
+  if
+    dim params <> n_out * (n + 1)
+    || Array.length dout <> n_out
+    || Array.length pre <> n_out
+    || Array.length din < n
+  then invalid_arg "Adadelta.update_layer: width mismatch";
+  layer params t.g2 t.d2 debt n n_out last rho eps dout pre x din

@@ -1,6 +1,6 @@
 (** AdaDelta optimizer (Zeiler 2012), as used to train the paper's
     Q-network (§5.1).  Operates on flat [Bigarray] float64 vectors,
-    one dense-layer row at a time. *)
+    one dense-layer row or one whole layer at a time. *)
 
 type t
 
@@ -21,3 +21,21 @@ val create : int -> t
     shorter than [x]. *)
 val update_row : t -> params:Ft_linalg.Linalg.vec -> off:int -> d:float -> pre:float ->
   x:float array -> din:float array -> unit
+
+(** [update_layer t ~params ~debt ~last ~dout ~pre ~x ~din]: a whole
+    dense layer's training step, bit-for-bit {!update_row} on each of
+    its [n_out = Array.length debt] rows in turn.  [params] holds the
+    rows back to back, each [n = Array.length x] weights then its bias;
+    row [o]'s gradient is [dout.(o)] where [last] (a linear layer) or
+    [pre.(o) > 0.] (ReLU), and [0.] elsewhere.
+
+    A row that would only decay finite state defers the decay:
+    [debt.(o)] counts the decays row [o] owes ([-1] while its state is
+    not finite), and the row pays them, in order, before its next other
+    step.  A fresh state's debt is all zeros, and a state stepped here
+    must always be stepped here with the same [debt].  Raises
+    [Invalid_argument], changing nothing, when [params] is not the
+    state's size or not [n_out] rows of [n + 1], [dout] or [pre] does
+    not have [n_out] entries, or [din] is shorter than [x]. *)
+val update_layer : t -> params:Ft_linalg.Linalg.vec -> debt:int array -> last:bool ->
+  dout:float array -> pre:float array -> x:float array -> din:float array -> unit

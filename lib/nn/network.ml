@@ -9,6 +9,7 @@ type layer = {
   n_out : int;
   p : Ft_linalg.Linalg.vec;  (* n_out x (n_in + 1) *)
   opt : Adadelta.t;
+  debt : int array;  (* per row: decays owed, see {!Adadelta.update_layer} *)
   mutable last_input : float array;
   mutable last_pre : float array;  (* pre-activation, cached for backward *)
 }
@@ -25,7 +26,7 @@ let make_layer rng n_in n_out =
     unsafe_set p (k + (k / n_in)) (Ft_util.Rng.gaussian rng *. scale)
   done;
   let opt = Adadelta.create (dim p) in
-  { n_in; n_out; p; opt; last_input = [||]; last_pre = [||] }
+  { n_in; n_out; p; opt; debt = Array.make n_out 0; last_input = [||]; last_pre = [||] }
 
 let mlp rng ~dims =
   if Array.length dims < 2 then invalid_arg "Network.mlp: need at least two dims";
@@ -88,24 +89,21 @@ let forward_batch net inputs =
 
 (* One training step from dL/d(output): per layer, last to first, each
    output row's gradient is consumed where it is produced — backward
-   product and AdaDelta step in one pass ({!Adadelta.update_row}).  A
-   layer's input gradient reads its weights before they move and lower
-   layers never read them, so this is bit-for-bit a forward, a backward
-   into zeroed gradient buffers, then AdaDelta (test_nn's reference).
-   Rows whose gradient is zero — every output but the trained one,
-   ReLU-dead units — take the decay-only short cut. *)
+   product and AdaDelta step in one pass, one C call per layer
+   ({!Adadelta.update_layer}).  A layer's input gradient reads its
+   weights before they move and lower layers never read them, so this
+   is bit-for-bit a forward, a backward into zeroed gradient buffers,
+   then AdaDelta (test_nn's reference).  Rows whose gradient is zero —
+   every output but the trained one, ReLU-dead units — only decay their
+   state, and defer even that until they next learn. *)
 let backward_update net dout =
   let n = Array.length net.layers in
   let dout = ref dout in
   for l = n - 1 downto 0 do
     let layer = net.layers.(l) in
     let din = Array.make layer.n_in 0. in
-    for o = 0 to layer.n_out - 1 do
-      let pre = layer.last_pre.(o) in
-      let d = if l = n - 1 || pre > 0. then !dout.(o) else 0. in
-      Adadelta.update_row layer.opt ~params:layer.p ~off:(o * (layer.n_in + 1)) ~d ~pre
-        ~x:layer.last_input ~din
-    done;
+    Adadelta.update_layer layer.opt ~params:layer.p ~debt:layer.debt ~last:(l = n - 1)
+      ~dout:!dout ~pre:layer.last_pre ~x:layer.last_input ~din;
     dout := din
   done
 

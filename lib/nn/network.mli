@@ -19,7 +19,8 @@ val forward_batch : t -> float array array -> float array array
 (** One training step on half squared error of a full output vector;
     returns the pre-update loss.  One fused backward + AdaDelta pass
     per layer; rows with a zero gradient only decay the optimizer
-    state (bit-for-bit the full update, see {!Adadelta.update_row}). *)
+    state, deferred until they next learn (bit-for-bit the full
+    update, see {!Adadelta.update_layer}). *)
 val train_mse : t -> input:float array -> target:float array -> float
 
 (** One training step on a single output component (the Q-value of the

@@ -119,6 +119,40 @@ let test_validate_errors () =
   in
   check_bool "unbound var rejected" true (Result.is_error (Op.validate graph3))
 
+(* Stride, dilation and groups below 1 and negative padding are
+   rejected by name in every convolution family, before any division by
+   them; the CLI fixes the transposed families' stride and every pad,
+   so only these direct calls reach those cases. *)
+let test_degenerate_conv_params () =
+  let rejects what msg build = Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (build ())) in
+  let open Operators in
+  rejects "conv2d stride 0" "Operators: stride must be >= 1, got 0" (fun () ->
+      conv2d ~stride:0 ~batch:1 ~in_channels:2 ~out_channels:2 ~height:4 ~width:4 ~kernel:3 ());
+  rejects "t1d stride 0" "Operators: stride must be >= 1, got 0" (fun () ->
+      conv1d_transposed ~stride:0 ~batch:1 ~in_channels:2 ~out_channels:2 ~length:4 ~kernel:3 ());
+  rejects "t2d stride 0" "Operators: stride must be >= 1, got 0" (fun () ->
+      conv2d_transposed ~stride:0 ~batch:1 ~in_channels:2 ~out_channels:2 ~height:4 ~width:4
+        ~kernel:3 ());
+  rejects "t3d stride -1" "Operators: stride must be >= 1, got -1" (fun () ->
+      conv3d_transposed ~stride:(-1) ~batch:1 ~in_channels:2 ~out_channels:2 ~depth:4 ~height:4
+        ~width:4 ~kernel:3 ());
+  rejects "dep stride 0" "Operators: stride must be >= 1, got 0" (fun () ->
+      depthwise_conv2d ~stride:0 ~batch:1 ~channels:2 ~height:4 ~width:4 ~kernel:3 ());
+  rejects "conv2d pad -1" "Operators: pad must be >= 0, got -1" (fun () ->
+      conv2d ~pad:(-1) ~batch:1 ~in_channels:2 ~out_channels:2 ~height:4 ~width:4 ~kernel:3 ());
+  rejects "t2d pad -1" "Operators: pad must be >= 0, got -1" (fun () ->
+      conv2d_transposed ~stride:2 ~pad:(-1) ~batch:1 ~in_channels:2 ~out_channels:2 ~height:4
+        ~width:4 ~kernel:3 ());
+  rejects "c3d pad -2" "Operators: pad must be >= 0, got -2" (fun () ->
+      conv3d ~pad:(-2) ~batch:1 ~in_channels:2 ~out_channels:2 ~depth:4 ~height:4 ~width:4
+        ~kernel:3 ());
+  rejects "grp groups 0" "Operators: groups must be >= 1, got 0" (fun () ->
+      group_conv2d ~batch:1 ~in_channels:4 ~out_channels:4 ~height:4 ~width:4 ~kernel:3
+        ~groups:0 ());
+  rejects "dil dilation 0" "Operators: dilation must be >= 1, got 0" (fun () ->
+      dilated_conv2d ~dilation:0 ~batch:1 ~in_channels:2 ~out_channels:2 ~height:8 ~width:8
+        ~kernel:3 ())
+
 let test_graph_navigation () =
   let conv = Operators.conv2d ~batch:1 ~in_channels:2 ~out_channels:2 ~height:4
       ~width:4 ~kernel:3 ~pad:1 () in
@@ -177,6 +211,7 @@ let () =
           Alcotest.test_case "conv out size" `Quick test_conv_out_size;
           Alcotest.test_case "node counts" `Quick test_node_counts;
           Alcotest.test_case "validation errors" `Quick test_validate_errors;
+          Alcotest.test_case "degenerate conv parameters" `Quick test_degenerate_conv_params;
           Alcotest.test_case "graph navigation" `Quick test_graph_navigation;
           Alcotest.test_case "all builders" `Quick test_all_builders_validate;
           Alcotest.test_case "golden graph digest" `Quick test_golden_graph_digest;

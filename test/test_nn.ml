@@ -407,6 +407,120 @@ let test_training_matches_reference_at_paper_dims () =
       done)
     [ ("GMV/v100", [| 13; 64; 64; 64; 22 |]); ("C3D/xeon", [| 38; 64; 64; 64; 80 |]) ]
 
+(* Rows that only decay defer it: an idle row owes one decay per step
+   and repays them all, in order, when it next learns.  At the paper's
+   widths (C2D/v100 and GMV/v100: features -> 64^3 -> directions),
+   train two outputs for 600 steps, so the other output rows and the
+   ReLU-dead hidden rows run up long debts, then train every output in
+   turn.  Each step's loss and a probe forward must stay bit-equal to
+   the eager four-pass reference. *)
+let lockstep name dims =
+  let net = Ft_nn.Network.mlp (Ft_util.Rng.create 2020) ~dims in
+  let reference = Reference.mlp (Ft_util.Rng.create 2020) ~dims in
+  let rng = Ft_util.Rng.create 11 in
+  let sample n =
+    Array.init n (fun _ ->
+        match Ft_util.Rng.int rng 6 with
+        | 0 -> 0.
+        | 1 -> -.Ft_util.Rng.float rng 50.
+        | _ -> Ft_util.Rng.float rng 4. -. 2.)
+  in
+  let step what ~input ~index ~target =
+    let loss = Ft_nn.Network.train_mse_component net ~input ~index ~target in
+    let expected = Reference.train_mse_component reference ~input ~index ~target in
+    if not (bits_equal loss expected) then Alcotest.failf "%s: loss of %s" name what;
+    let probe = sample dims.(0) in
+    if
+      not
+        (Array.for_all2 bits_equal (Ft_nn.Network.forward net probe)
+           (Reference.forward reference probe))
+    then Alcotest.failf "%s: forward after %s" name what
+  in
+  (step, sample)
+
+let test_long_debts_repaid () =
+  List.iter
+    (fun (name, dims) ->
+      let step, sample = lockstep name dims in
+      let n_in = dims.(0) and n_out = dims.(Array.length dims - 1) in
+      for k = 1 to 600 do
+        step (Printf.sprintf "idle step %d" k) ~input:(sample n_in) ~index:(k mod 2)
+          ~target:(float_of_int (k mod 5) *. 0.5)
+      done;
+      for index = 0 to n_out - 1 do
+        step (Printf.sprintf "repaying output %d" index) ~input:(sample n_in) ~index
+          ~target:1.
+      done)
+    [ ("C2D/v100", [| 31; 64; 64; 64; 62 |]); ("GMV/v100", [| 13; 64; 64; 64; 22 |]) ]
+
+(* After a long clean stretch, one poisoned step: a target so large
+   that the squared gradients overflow (the rows it reaches keep finite
+   weights but infinite state), an infinite target, or a nan input.
+   The rows it reaches hold non-finite state from then on, so they may
+   not defer and take the eager path; clean steps over every output
+   follow. *)
+let test_poisoned_rows_take_the_full_formula () =
+  List.iter
+    (fun (what, poison) ->
+      let dims = [| 31; 64; 64; 64; 62 |] in
+      let step, sample = lockstep what dims in
+      for k = 1 to 300 do
+        step (Printf.sprintf "clean step %d" k) ~input:(sample 31) ~index:(k mod 2) ~target:1.
+      done;
+      let input = sample 31 in
+      let input, target =
+        match poison with
+        | `Target t -> (input, t)
+        | `Input v ->
+            input.(3) <- v;
+            (input, 1.)
+      in
+      step "the poisoned step" ~input ~index:1 ~target;
+      for k = 1 to 200 do
+        step (Printf.sprintf "step %d after" k) ~input:(sample 31) ~index:(k mod 62) ~target:1.
+      done)
+    [ ("huge target", `Target 1e200); ("inf target", `Target infinity); ("nan input", `Input nan) ]
+
+(* The layer kernel is C and checks nothing either: every malformed
+   call raises in OCaml first, with the parameters, [din], the debt and
+   the optimizer state unchanged (a twin that never saw the bad calls
+   takes the same valid steps to the same bits). *)
+let test_update_layer_rejects_bad_widths () =
+  let make () =
+    let state = Ft_nn.Adadelta.create 6 and params = vec [| 0.5; -1.; 2.; 0.25; -0.75; 1.5 |] in
+    let debt = [| 0; 0 |] in
+    let good ~dout =
+      Ft_nn.Adadelta.update_layer state ~params ~debt ~last:false ~dout ~pre:[| 1.; -1. |]
+        ~x:[| 1.; -2. |] ~din:[| 0.; 0. |]
+    in
+    good ~dout:[| 0.3; 0.2 |];
+    (state, params, debt, good)
+  in
+  let state, params, debt, good = make () and _, twin_params, twin_debt, twin_good = make () in
+  let din = [| 0.; 0. |] in
+  let bad what ?(params = params) ?(debt = debt) ?(dout = [| 0.7; 0.1 |]) ?(pre = [| 1.; 1. |])
+      ?(x = [| 1.; -2. |]) ?(din = din) () =
+    raises_invalid what (fun () ->
+        Ft_nn.Adadelta.update_layer state ~params ~debt ~last:false ~dout ~pre ~x ~din)
+  in
+  bad "short dout" ~dout:[| 0.7 |] ();
+  bad "long pre" ~pre:[| 1.; 1.; 1. |] ();
+  bad "short din" ~din:[| 0. |] ();
+  bad "wide x" ~x:[| 1.; -2.; 3. |] ();
+  bad "debt of three rows" ~debt:[| 0; 0; 0 |] ~dout:[| 0.; 0.; 0. |] ~pre:[| 1.; 1.; 1. |] ();
+  let other = vec (Array.make 7 1.) in
+  bad "state size" ~params:other ();
+  check_bool "other params untouched" true (Array.for_all (( = ) 1.) (Array.init 7 (fun i -> other.{i})));
+  check_bool "din untouched" true (din = [| 0.; 0. |]);
+  check_bool "debt untouched" true (debt = twin_debt);
+  check_bool "params untouched" true (vec_bits params = vec_bits twin_params);
+  List.iter
+    (fun dout ->
+      good ~dout;
+      twin_good ~dout)
+    [ [| 0.; 0. |]; [| -0.4; 0.5 |] ];
+  check_bool "state untouched" true (vec_bits params = vec_bits twin_params)
+
 (* A row of the wrong width must raise before the C forward kernel
    reads it, and leave the training caches alone. *)
 let test_forward_rejects_bad_width () =
@@ -447,11 +561,17 @@ let () =
           Alcotest.test_case "bit-equal to the reference at the paper's widths" `Quick
             test_training_matches_reference_at_paper_dims;
           Alcotest.test_case "bad input width" `Quick test_forward_rejects_bad_width;
+          Alcotest.test_case "long decay debts repaid bit-equal at the paper's widths" `Quick
+            test_long_debts_repaid;
+          Alcotest.test_case "poisoned rows take the full formula" `Quick
+            test_poisoned_rows_take_the_full_formula;
         ] );
       ( "adadelta",
         [
           Alcotest.test_case "minimizes quadratic" `Quick test_adadelta_minimizes_quadratic;
           Alcotest.test_case "size mismatch" `Quick test_adadelta_size_mismatch;
           Alcotest.test_case "bad rows change nothing" `Quick test_update_row_rejects_bad_rows;
+          Alcotest.test_case "bad layers change nothing" `Quick
+            test_update_layer_rejects_bad_widths;
         ] );
     ]
