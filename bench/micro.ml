@@ -93,12 +93,6 @@ let q_train_ns_per_step () =
   done;
   !total *. 1e9 /. float_of_int (reps * q_train_steps)
 
-(* -- batched kernels -------------------------------------------------
-   Host GEMM throughput by batch size ([Linalg.gemm_bt], the reference
-   kernel), and ns-per-candidate of the batched frontier scoring paths
-   against their scalar loops (same floats, see test_nn/test_gbt;
-   [forward_batch] runs the scalar forward kernel row by row). *)
-
 let time_ns_per f reps per =
   let t0 = Ft_util.Monotime.now_s () in
   for _ = 1 to reps do
@@ -106,64 +100,22 @@ let time_ns_per f reps per =
   done;
   Ft_util.Monotime.elapsed_s t0 *. 1e9 /. float_of_int (reps * per)
 
+(* Host GEMM throughput by batch size ([Gemm.gemm_bt], the reference
+   kernel). *)
 let gemm_gflops_by_batch () =
   let k = 64 and n = 64 in
-  let bt = Ft_linalg.Linalg.mat n k in
+  let bt = Gemm.mat n k in
   List.map
     (fun m ->
-      let a = Ft_linalg.Linalg.mat m k and c = Ft_linalg.Linalg.mat m n in
+      let a = Gemm.mat m k and c = Gemm.mat m n in
       let reps = max 8 (65536 / m) in
-      let ns =
-        time_ns_per
-          (fun () -> Ft_linalg.Linalg.gemm_bt ~a ~bt ~c ())
-          reps 1
-      in
+      let ns = time_ns_per (fun () -> Gemm.gemm_bt ~a ~bt ~c) reps 1 in
       let flops = float_of_int (2 * m * n * k) in
       (m, flops /. ns))
     [ 16; 64; 256; 1024 ]
 
-let q_forward_ns_per_candidate () =
-  let rng = Ft_util.Rng.create 7 in
-  let cfgs =
-    Array.init 1024 (fun _ -> Ft_schedule.Space.random_config rng conv_space)
-  in
-  let feats = Array.map (Ft_schedule.Space.features conv_space) cfgs in
-  let dim = Array.length feats.(0) in
-  let net = Ft_nn.Network.mlp (Ft_util.Rng.create 8) ~dims:[| dim; 64; 64; 64; 32 |] in
-  let n = Array.length feats in
-  let scalar =
-    time_ns_per
-      (fun () -> Array.iter (fun f -> ignore (Ft_nn.Network.forward net f)) feats)
-      4 n
-  in
-  let batched =
-    time_ns_per (fun () -> ignore (Ft_nn.Network.forward_batch net feats)) 4 n
-  in
-  (scalar, batched)
-
-let boost_ns_per_candidate () =
-  let rng = Ft_util.Rng.create 9 in
-  let xs =
-    Array.init 256 (fun _ -> Array.init 16 (fun _ -> Ft_util.Rng.float rng 1.))
-  in
-  let ys = Array.map (Array.fold_left ( +. ) 0.) xs in
-  let model = Ft_gbt.Boost.fit ~rounds:20 ~depth:3 xs ys in
-  let queries =
-    Array.init 1024 (fun _ -> Array.init 16 (fun _ -> Ft_util.Rng.float rng 1.))
-  in
-  let n = Array.length queries in
-  let scalar =
-    time_ns_per
-      (fun () -> Array.iter (fun q -> ignore (Ft_gbt.Boost.predict model q)) queries)
-      8 n
-  in
-  let batched =
-    time_ns_per (fun () -> ignore (Ft_gbt.Boost.predict_batch model queries)) 8 n
-  in
-  (scalar, batched)
-
 (* Evaluation throughput on the C8 space: the same distinct candidate
-   list measured point by point and through [Evaluator.measure_batch].
+   list measured point by point and through [Evaluator.commit_batch].
    The values are identical by construction (see test_explore); only
    evaluations/second moves. *)
 
@@ -212,11 +164,14 @@ let rec batches_of k = function
       let batch, rest = take k [] xs in
       batch :: batches_of k rest
 
+let commit evaluator batch =
+  Ft_explore.Evaluator.commit_batch evaluator ~should_stop:(fun () -> false) batch (fun _ _ -> ())
+
 let batched_evals_per_sec cfgs =
   let evaluator = Ft_explore.Evaluator.create conv_space in
   let batches = batches_of throughput_batch cfgs in
   let t0 = Ft_util.Monotime.now_s () in
-  List.iter (fun batch -> ignore (Ft_explore.Evaluator.measure_batch evaluator batch)) batches;
+  List.iter (commit evaluator) batches;
   let dt = Ft_util.Monotime.elapsed_s t0 in
   float_of_int (Ft_explore.Evaluator.n_evals evaluator) /. dt
 
@@ -234,9 +189,7 @@ let sequential_evals_per_sec cfgs =
    the host's core count. *)
 let simulated_evals_per_sec n_parallel cfgs =
   let evaluator = Ft_explore.Evaluator.create ~n_parallel conv_space in
-  List.iter
-    (fun batch -> ignore (Ft_explore.Evaluator.measure_batch evaluator batch))
-    (batches_of throughput_batch cfgs);
+  List.iter (commit evaluator) (batches_of throughput_batch cfgs);
   float_of_int (Ft_explore.Evaluator.n_evals evaluator)
   /. Ft_explore.Evaluator.clock evaluator
 
@@ -277,7 +230,7 @@ let search_scaling () =
 let scaling_ratio scaling = List.assoc 1000 scaling /. List.assoc 250 scaling
 
 (* BENCH_micro.json, rounded to the printed precision. *)
-let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated ~scaling =
+let micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling =
   let module J = Ft_util.Json in
   let num digits x =
     let scale = 10. ** float_of_int digits in
@@ -286,22 +239,12 @@ let micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated ~scalin
   let table digits label rows =
     J.Obj (List.map (fun (k, x) -> (label k, num digits x)) rows)
   in
-  let scalar_vs_batched (scalar, batched) =
-    table 2 Fun.id
-      [ ("scalar", scalar); ("batched", batched); ("speedup", scalar /. batched) ]
-  in
   J.Obj
     ((("space", J.Str "yolo C8 on v100 (cost model rows: v100, xeon, vu9p)")
      :: Bench_common.host_fields ())
     @ [
       ("ns_per_call", table 0 Fun.id ns_rows);
-      ( "batched_kernels",
-        J.Obj
-          [
-            ("gemm_gflops", table 2 (Printf.sprintf "b%d") gemm);
-            ("q_forward_ns_per_candidate", scalar_vs_batched qf);
-            ("boost_predict_ns_per_candidate", scalar_vs_batched boost);
-          ] );
+      ("batched_kernels", J.Obj [ ("gemm_gflops", table 2 (Printf.sprintf "b%d") gemm) ]);
       ( "batched_eval",
         J.Obj
           [
@@ -345,23 +288,12 @@ let run () =
   in
   Ft_util.Table.print ~header:[ "hot path"; "ns/call" ]
     (List.map (fun (a, b) -> [ a; Printf.sprintf "%.0f" b ]) ns_rows);
-  Bench_common.subsection "batched kernels (Bigarray hot paths)";
+  Bench_common.subsection "host GEMM reference (Bigarray)";
   let gemm = gemm_gflops_by_batch () in
-  let qf = q_forward_ns_per_candidate () in
-  let boost = boost_ns_per_candidate () in
   Ft_util.Table.print ~header:[ "GEMM batch (m x 64 x 64)"; "GFLOP/s" ]
     (List.map
        (fun (m, gflops) -> [ string_of_int m; Printf.sprintf "%.2f" gflops ])
        gemm);
-  Ft_util.Table.print
-    ~header:[ "frontier scoring"; "scalar ns/cand"; "batched ns/cand"; "speedup" ]
-    (List.map
-       (fun (name, (scalar, batched)) ->
-         [ name;
-           Printf.sprintf "%.0f" scalar;
-           Printf.sprintf "%.0f" batched;
-           Printf.sprintf "%.2fx" (scalar /. batched) ])
-       [ ("q-network forward", qf); ("boost predict", boost) ]);
   Bench_common.subsection "batched evaluation throughput (C8 space)";
   let sequential, batched, simulated = measure_throughput () in
   Ft_util.Table.print ~header:[ "path"; "evals/sec"; "vs sequential" ]
@@ -385,7 +317,6 @@ let run () =
   Out_channel.with_open_text "BENCH_micro.json" (fun oc ->
       output_string oc
         (Ft_util.Json.to_string
-           (micro_json ~ns_rows ~gemm ~qf ~boost ~sequential ~batched ~simulated
-              ~scaling));
+           (micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling));
       output_char oc '\n');
   print_endline "\n[wrote BENCH_micro.json]"

@@ -196,23 +196,12 @@ let policy ~template : (module Search_loop.POLICY) =
           in
           Evaluator.charge evaluator
             (float_of_int population *. scoring_cost_per_candidate);
-          (* The whole population is featurized and scored in one
-             batched call — one flat matrix through the flattened
-             forest instead of [population] boxed tree walks.  Scores
-             are bit-for-bit those of the scalar [predict]. *)
-          let candidates =
+          let scored =
             List.map
               (fun knobs ->
                 let cfg = to_config space knobs in
-                (knobs, cfg, Space.features space cfg))
+                (knobs, cfg, Ft_gbt.Boost.predict model (Space.features space cfg)))
               proposals
-          in
-          let scores =
-            Ft_gbt.Boost.predict_batch model
-              (Array.of_list (List.map (fun (_, _, f) -> f) candidates))
-          in
-          let scored =
-            List.mapi (fun i (knobs, cfg, _) -> (knobs, cfg, scores.(i))) candidates
           in
           let ranked = List.sort (fun (_, _, a) (_, _, b) -> compare b a) scored in
           let fresh =

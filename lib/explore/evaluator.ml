@@ -248,12 +248,6 @@ let commit_batch t ~should_stop cfgs on_commit =
   go cfgs;
   flush ()
 
-let measure_batch t cfgs =
-  let out = ref [] in
-  commit_batch t ~should_stop:(fun () -> false) cfgs (fun cfg value ->
-      out := (cfg, value) :: !out);
-  List.rev !out
-
 let clock t = t.clock_s
 let n_evals t = t.n_evals
 let live_lanes t = t.live_lanes

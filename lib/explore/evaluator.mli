@@ -84,11 +84,6 @@ val commit_batch :
   t -> should_stop:(unit -> bool) -> Ft_schedule.Config.t list ->
   (Ft_schedule.Config.t -> float -> unit) -> unit
 
-(** [measure_batch t cfgs] commits every point of [cfgs] — returning
-    each input config with its value. *)
-val measure_batch :
-  t -> Ft_schedule.Config.t list -> (Ft_schedule.Config.t * float) list
-
 (** Simulated seconds elapsed. *)
 val clock : t -> float
 

@@ -65,25 +65,16 @@ module Policy = struct
      learn. *)
   let step_walks { directions; agent } (ctx : Search_loop.ctx) walks =
     let { Search_loop.space; evaluator; state; _ } = ctx in
-    (* One batched online-network forward over the whole frontier of
-       live walks.  Forwards consume no RNG and each row is
-       bit-for-bit the scalar forward, so the per-walk epsilon-greedy
-       draws below still happen in walk order with identical
-       results. *)
-    let live = List.filter (fun w -> w.alive) walks in
-    let qrows =
-      Ft_qlearn.Agent.q_values_batch agent
-        (Array.of_list (List.map (fun w -> w.features) live))
-    in
     let proposals =
       List.filter_map
-        (fun (w, qrow) ->
-          begin
+        (fun w ->
+          if not w.alive then None
+          else begin
             let valid =
               match w.valid with Some v -> v | None -> valid_actions space state directions w.cfg
             in
             Evaluator.charge evaluator agent_query_cost;
-            match Ft_qlearn.Agent.select_scored agent ~q:(lazy qrow) ~valid with
+            match Ft_qlearn.Agent.select agent ~state:w.features ~valid with
             | None ->
                 kill w "no_valid_action";
                 None
@@ -100,7 +91,7 @@ module Policy = struct
                     None
                 | Some next -> Some (w, action, next))
           end)
-        (List.mapi (fun i w -> (w, qrows.(i))) live)
+        walks
     in
     let committed =
       Driver.evaluate_batch ~should_stop:ctx.out_of_budget state

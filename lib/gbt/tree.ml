@@ -75,59 +75,3 @@ let rec predict tree x =
   | Leaf value -> value
   | Split { feature; threshold; left; right } ->
       if x.(feature) <= threshold then predict left x else predict right x
-
-(* Struct-of-arrays form for batch scoring: walking int/float arrays
-   replaces pointer-chasing through boxed variant nodes, which is what
-   makes scoring a whole candidate matrix cheap.  [feature.(i) < 0]
-   marks node [i] as a leaf with value [value.(i)]; internal nodes
-   branch to [left.(i)]/[right.(i)]. *)
-type flat = {
-  feature : int array;
-  threshold : float array;
-  left : int array;
-  right : int array;
-  value : float array;
-}
-
-let rec count = function Leaf _ -> 1 | Split { left; right; _ } -> 1 + count left + count right
-
-let flatten tree =
-  let n = count tree in
-  let flat =
-    {
-      feature = Array.make n (-1);
-      threshold = Array.make n 0.;
-      left = Array.make n 0;
-      right = Array.make n 0;
-      value = Array.make n 0.;
-    }
-  in
-  let next = ref 0 in
-  let rec go tree =
-    let id = !next in
-    incr next;
-    (match tree with
-    | Leaf v -> flat.value.(id) <- v
-    | Split { feature; threshold; left; right } ->
-        flat.feature.(id) <- feature;
-        flat.threshold.(id) <- threshold;
-        let l = go left in
-        let r = go right in
-        flat.left.(id) <- l;
-        flat.right.(id) <- r);
-    id
-  in
-  ignore (go tree);
-  flat
-
-(* Same comparisons on the same floats as [predict], so the flat walk
-   lands on the same leaf bit-for-bit. *)
-let predict_flat flat x =
-  let node = ref 0 in
-  while flat.feature.(!node) >= 0 do
-    let i = !node in
-    node :=
-      (if x.(flat.feature.(i)) <= flat.threshold.(i) then flat.left.(i)
-       else flat.right.(i))
-  done;
-  flat.value.(!node)

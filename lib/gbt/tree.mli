@@ -8,18 +8,3 @@ type t =
 val fit : depth:int -> float array array -> float array -> t
 
 val predict : t -> float array -> float
-
-(** Struct-of-arrays tree for batch scoring (node 0 is the root;
-    [feature.(i) < 0] marks a leaf carrying [value.(i)]). *)
-type flat = {
-  feature : int array;
-  threshold : float array;
-  left : int array;
-  right : int array;
-  value : float array;
-}
-
-val flatten : t -> flat
-
-(** [predict_flat (flatten t) x] is bit-for-bit [predict t x]. *)
-val predict_flat : flat -> float array -> float

@@ -29,8 +29,6 @@ let measured ~flops ~time_s ~reps ~min_ns ~note =
   let perf = make ~flops ~time_s ~note:(Lazy.from_val note) in
   if perf.valid then { perf with source = Measured { reps; min_ns } } else perf
 
-let is_measured t = match t.source with Measured _ -> true | Analytical -> false
-
 let provenance_to_string = function
   | Analytical -> "analytical"
   | Measured { reps; min_ns } ->

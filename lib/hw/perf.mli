@@ -39,8 +39,6 @@ val make : flops:int -> time_s:float -> note:string Lazy.t -> t
 val measured :
   flops:int -> time_s:float -> reps:int -> min_ns:float -> note:string -> t
 
-val is_measured : t -> bool
-
 (** ["analytical"] or ["measured reps=R min_ns=N"]. *)
 val provenance_to_string : provenance -> string
 

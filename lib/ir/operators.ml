@@ -62,13 +62,13 @@ type conv_kind =
   | Grouped of int
   | Depthwise  (* one filter per input channel, as in every DEP case *)
 
+let at_least least what value =
+  if value < least then
+    invalid_arg (Printf.sprintf "Operators: %s must be >= %d, got %d" what least value)
+
 (* One generator for every convolution: a padding node (after an
    expansion node when transposed) feeding the convolution node "O". *)
 let conv ~kind ~stride ~pad ~batch ~in_channels ~out_channels ~dims ~kernel =
-  let at_least least what value =
-    if value < least then
-      invalid_arg (Printf.sprintf "Operators: %s must be >= %d, got %d" what least value)
-  in
   at_least 1 "stride" stride;
   (match kind with
   | Dilated dilation -> at_least 1 "dilation" dilation
@@ -261,6 +261,7 @@ let dilated_conv2d ?(stride = 1) ?(pad = 0) ?(dilation = 2) ~batch ~in_channels
    t-block) pair the weight matrix is circulant, so one vector of
    [block] parameters represents a [block x block] matrix. *)
 let bcm ~m ~n ~k ~block =
+  at_least 1 "block" block;
   if n mod block <> 0 || k mod block <> 0 then
     invalid_arg "Operators.bcm: dimensions must be divisible by block";
   let op =
@@ -325,6 +326,8 @@ let relu ~input ~output ~shape =
   | _ -> invalid_arg "Operators.relu: expected NCHW shape"
 
 let max_pool2d ~input ~output ~shape ~kernel ~stride =
+  at_least 1 "kernel" kernel;
+  at_least 1 "stride" stride;
   match shape with
   | [ b; k; h; w ] ->
       let out_h = ((h - kernel) / stride) + 1 and out_w = ((w - kernel) / stride) + 1 in

@@ -62,8 +62,8 @@ val dilated_conv2d :
   kernel:int -> unit -> Op.graph
 
 (** Block-circulant matrix multiply: [A : m*n], weights compressed to
-    one length-[block] vector per block pair. Requires [block] to
-    divide [n] and [k]. *)
+    one length-[block] vector per block pair. Requires [block >= 1]
+    dividing [n] and [k]; raises [Invalid_argument] otherwise. *)
 val bcm : m:int -> n:int -> k:int -> block:int -> Op.graph
 
 (** Zero-FLOP shift operator: each channel moves by one of the nine
@@ -74,5 +74,8 @@ val shift : batch:int -> channels:int -> height:int -> width:int -> Op.graph
 
 val bias_add : input:string -> bias:string -> output:string -> shape:int list -> Op.t
 val relu : input:string -> output:string -> shape:int list -> Op.t
+
+(** Raises [Invalid_argument] naming the parameter when [kernel] or
+    [stride] is below 1. *)
 val max_pool2d :
   input:string -> output:string -> shape:int list -> kernel:int -> stride:int -> Op.t

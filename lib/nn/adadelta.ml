@@ -15,23 +15,9 @@ let create n = { g2 = Ft_linalg.Linalg.vec n; d2 = Ft_linalg.Linalg.vec n }
 
 (* AdaDelta (Zeiler 2012): parameter-wise adaptive step with no global
    learning rate — the update magnitude is the ratio of RMS(previous
-   updates) to RMS(gradients).  The element formula, the fused row and
-   layer loops, the decay-only short cut and the layer's deferred
-   decays are in nn_stubs.c, which checks nothing: every bound is
-   checked here, before the call. *)
-external row :
-  vec -> vec -> vec -> (int[@untagged]) -> (int[@untagged]) -> (float[@unboxed]) ->
-  (float[@unboxed]) -> (float[@unboxed]) -> (float[@unboxed]) -> float array -> float array ->
-  unit = "ft_nn_update_row_byte" "ft_nn_update_row"
-[@@noalloc]
-
-let update_row t ~(params : vec) ~off ~d ~pre ~(x : float array) ~(din : float array) =
-  let n = Array.length x in
-  if dim t.g2 <> dim params then invalid_arg "Adadelta.update_row: size mismatch";
-  if off < 0 || dim params - off <= n || Array.length din < n then
-    invalid_arg "Adadelta.update_row: out of bounds";
-  row params t.g2 t.d2 off n rho eps d pre x din
-
+   updates) to RMS(gradients).  The element formula, the fused layer
+   loop and its deferred decays are in nn_stubs.c, which checks
+   nothing: every bound is checked here, before the call. *)
 external layer :
   vec -> vec -> vec -> int array -> (int[@untagged]) -> (int[@untagged]) -> bool ->
   (float[@unboxed]) -> (float[@unboxed]) -> float array -> float array -> float array ->

@@ -1,6 +1,6 @@
 (** AdaDelta optimizer (Zeiler 2012), as used to train the paper's
     Q-network (§5.1).  Operates on flat [Bigarray] float64 vectors,
-    one dense-layer row or one whole layer at a time. *)
+    one whole dense layer at a time. *)
 
 type t
 
@@ -8,26 +8,15 @@ type t
     0.95 and the smoothing term 1e-6. *)
 val create : int -> t
 
-(** [update_row t ~params ~off ~d ~pre ~x ~din]: one output row of a
+(** [update_layer t ~params ~debt ~last ~dout ~pre ~x ~din]: a whole
     dense layer's training step, backward product and update in one
     pass, bit-for-bit AdaDelta on gradients accumulated into zeroed
-    buffers.  The row is [params.(off .. off+n)], [n = Array.length x]:
-    [n] weights, then the bias; its gradient is [d *. x.(i)] (bias:
-    [d]); [din.(i)] accumulates [w_i *. d] with the pre-update weight;
-    [pre] is the row's pre-activation over [x].  Zero gradients only
-    decay the averages: no square root, no division.  Raises
-    [Invalid_argument], changing nothing, when [params] is not the
-    state's size, the row does not fit in [params], or [din] is
-    shorter than [x]. *)
-val update_row : t -> params:Ft_linalg.Linalg.vec -> off:int -> d:float -> pre:float ->
-  x:float array -> din:float array -> unit
-
-(** [update_layer t ~params ~debt ~last ~dout ~pre ~x ~din]: a whole
-    dense layer's training step, bit-for-bit {!update_row} on each of
-    its [n_out = Array.length debt] rows in turn.  [params] holds the
-    rows back to back, each [n = Array.length x] weights then its bias;
-    row [o]'s gradient is [dout.(o)] where [last] (a linear layer) or
-    [pre.(o) > 0.] (ReLU), and [0.] elsewhere.
+    buffers.  [params] holds the layer's [n_out = Array.length debt]
+    rows back to back, each [n = Array.length x] weights then its bias.
+    Row [o]'s output gradient [d] is [dout.(o)] where [last] (a linear
+    layer) or [pre.(o) > 0.] (ReLU), and [0.] elsewhere; its weights'
+    gradients are [d *. x.(i)] (bias: [d]), and [din.(i)] accumulates
+    [w_i *. d] with the pre-update weight.
 
     A row that would only decay finite state defers the decay:
     [debt.(o)] counts the decays row [o] owes ([-1] while its state is

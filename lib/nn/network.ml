@@ -37,14 +37,13 @@ let mlp rng ~dims =
    starting from its bias and adding [weight *. input] in ascending
    [i], so each output is bit-for-bit the scalar dot product.  The C
    code checks nothing: [p]'s size is fixed by [make_layer], [pre] is
-   allocated here, and [x]'s width is checked before the call. *)
+   allocated here, and [x]'s width is checked by [run]. *)
 external affine_kernel :
   Ft_linalg.Linalg.vec -> (int[@untagged]) -> (int[@untagged]) -> float array -> float array ->
   unit = "ft_nn_affine_byte" "ft_nn_affine"
 [@@noalloc]
 
 let affine { n_in; n_out; p; _ } (x : float array) =
-  if Array.length x <> n_in then invalid_arg "Network.affine: input width mismatch";
   let pre = Array.create_float n_out in
   affine_kernel p n_in n_out x pre;
   pre
@@ -53,8 +52,12 @@ let affine { n_in; n_out; p; _ } (x : float array) =
 let relu v = if v > 0. || Float.is_nan v then v else 0.
 
 (* [cache] keeps each layer's input and pre-activation for the
-   training step; inference leaves them alone. *)
+   training step; inference leaves them alone.  Only the input's width
+   is checked: each layer's output is the next layer's input. *)
 let run ~cache net input =
+  let n_in = net.layers.(0).n_in in
+  if Array.length input <> n_in then
+    invalid_arg (Printf.sprintf "Network: expects %d inputs, got %d" n_in (Array.length input));
   let n = Array.length net.layers in
   let x = ref input in
   Array.iteri
@@ -65,27 +68,14 @@ let run ~cache net input =
     net.layers;
   !x
 
-let check_width net what input =
-  let n_in = net.layers.(0).n_in in
-  if Array.length input <> n_in then
-    invalid_arg
-      (Printf.sprintf "Network.%s expects %d inputs, got %d" (what ()) n_in (Array.length input))
-
 let forward net input =
-  check_width net (fun () -> "forward: layer") input;
-  run ~cache:true net input
-
-(* Batched inference is the scalar kernel row by row, so row [r] is
-   [forward net inputs.(r)] by construction; the training caches are
-   not touched. *)
-let forward_batch net inputs =
-  Array.iteri (fun r -> check_width net (fun () -> Printf.sprintf "forward_batch: row %d" r)) inputs;
-  let traced = Ft_obs.Trace.active () in
-  let t0 = if traced then Ft_obs.Trace.now_s () else 0. in
-  let rows = Array.map (run ~cache:false net) inputs in
-  if traced then
+  if not (Ft_obs.Trace.active ()) then run ~cache:false net input
+  else begin
+    let t0 = Ft_obs.Trace.now_s () in
+    let out = run ~cache:false net input in
     Ft_obs.Trace.incr ~by:(int_of_float ((Ft_obs.Trace.now_s () -. t0) *. 1e9)) "nn.forward_ns";
-  rows
+    out
+  end
 
 (* One training step from dL/d(output): per layer, last to first, each
    output row's gradient is consumed where it is produced — backward
@@ -110,7 +100,7 @@ let backward_update net dout =
 (* One step on half the squared error of a single sample; returns the
    loss before the update. *)
 let train_mse net ~input ~target =
-  let out = forward net input in
+  let out = run ~cache:true net input in
   if Array.length out <> Array.length target then
     invalid_arg "Network.train_mse: target size mismatch";
   let dout = Array.map2 (fun o t -> o -. t) out target in
@@ -121,7 +111,7 @@ let train_mse net ~input ~target =
 (* Train on the loss of a single output component (others untouched) —
    the Q-learning update trains only the Q-value of the action taken. *)
 let train_mse_component net ~input ~index ~target =
-  let out = forward net input in
+  let out = run ~cache:true net input in
   if index < 0 || index >= Array.length out then
     invalid_arg "Network.train_mse_component: index out of range";
   let d = out.(index) -. target in

@@ -9,12 +9,11 @@ type t
     paper's four-layer network. *)
 val mlp : Ft_util.Rng.t -> dims:int array -> t
 
+(** Inference: the output row for one input, leaving the training
+    step's caches alone.  When tracing, its time accumulates into the
+    [nn.forward_ns] counter.  Raises [Invalid_argument] when the input
+    is not the first layer's width. *)
 val forward : t -> float array -> float array
-
-(** [forward_batch net inputs] is [Array.map (forward net) inputs]
-    through the same kernel (so bit-for-bit equal), without touching
-    the training caches [forward] sets. *)
-val forward_batch : t -> float array array -> float array array
 
 (** One training step on half squared error of a full output vector;
     returns the pre-update loss.  One fused backward + AdaDelta pass

@@ -1,6 +1,6 @@
 /* The Q-network's two hot loops (DESIGN.md §12): the dense forward
-   kernel and the fused backward + AdaDelta training step, one row or
-   one whole layer per call.
+   kernel and the fused backward + AdaDelta training step, one whole
+   layer per call.
 
    Both are bit-for-bit the scalar OCaml loops they replaced (test_nn
    pins them against a four-pass reference): every value comes from the
@@ -73,14 +73,6 @@ static inline __attribute__((always_inline)) uint64_t nonfinite(double v)
   return (b & (0x7ffULL << 52)) + (1ULL << 52);
 }
 
-/* Whether [v[0 .. n)] are all finite. */
-static int all_finite(const double *v, intnat n)
-{
-  uint64_t bad = 0;
-  for (intnat j = 0; j < n; j++) bad |= nonfinite(v[j]);
-  return (bad >> 63) == 0;
-}
-
 /* AdaDelta (Zeiler 2012) on element [j] with gradient [g]: the one
    copy of the formula.  Returns [nonfinite] of the element's new
    state. */
@@ -110,75 +102,45 @@ static void decay(double *restrict g2, double *restrict d2, intnat m, intnat k,
 }
 
 /* One output row of a dense layer's training step: [n] weights and the
-   bias at [w], their state at [g2]/[d2], the row's output gradient [d],
-   its pre-activation [pre] over the input [xs].  [dn[i]] accumulates
-   [w_i * d] with the pre-update weight; each weight's gradient is
-   [0. + d * xs[i]] (the bias's [0. + d]), the value accumulating into
-   a zeroed buffer gives.
-
-   A row with d = +-0 and a finite [pre] has only finite weights and
-   inputs, so every gradient is +0 and every [w * d] is +-0, which
-   cannot change [dn] (a round-to-nearest sum from +0 is -0 only when
-   both terms are).  For g = +0 and finite state the formula is a
-   decay: (1-rho)*g*g = +0; the step -r*g is -0 (r is finite and >= 0
-   since eps > 0 and g2, d2 >= 0), so d2 gains (1-rho)*s*s = +0; and
-   w + -0 = w.  Such a row therefore only decays its state, unless some
-   state is non-finite: then the full formula runs with g = +0, which
-   is the same decay on each finite element.
-
+   bias at [w], their state at [g2]/[d2], the row's output gradient [d]
+   over the input [xs].  [dn[i]] accumulates [w_i * d] with the
+   pre-update weight; each weight's gradient is [0. + d * xs[i]] (the
+   bias's [0. + d]), the value accumulating into a zeroed buffer gives.
    Returns whether the row's state is finite afterwards. */
 static inline __attribute__((always_inline)) int
 row(double *restrict w, double *restrict g2, double *restrict d2, intnat n,
-    double rho, double eps, double d, double pre, const double *xs, double *dn)
+    double rho, double eps, double d, const double *xs, double *dn)
 {
   double omr = 1. - rho;
   uint64_t bad = 0;
-  if (d == 0. && pre - pre == 0.) {
-    if (all_finite(g2, n + 1) && all_finite(d2, n + 1)) {
-      decay(g2, d2, n + 1, 1, rho);
-      return 1;
-    }
-    for (intnat j = 0; j <= n; j++) bad |= step(w, g2, d2, j, 0., rho, omr, eps);
-    return (bad >> 63) == 0;
-  }
   for (intnat i = 0; i < n; i++) dn[i] = dn[i] + w[i] * d;
   for (intnat i = 0; i < n; i++) bad |= step(w, g2, d2, i, 0. + d * xs[i], rho, omr, eps);
   bad |= step(w, g2, d2, n, 0. + d, rho, omr, eps);
   return (bad >> 63) == 0;
 }
 
-value ft_nn_update_row(value params, value g2v, value d2v, intnat off, intnat n,
-                       double rho, double eps, double d, double pre, value x,
-                       value din)
-{
-  row((double *) Caml_ba_data_val(params) + off,
-      (double *) Caml_ba_data_val(g2v) + off, (double *) Caml_ba_data_val(d2v) + off,
-      n, rho, eps, d, pre, (const double *) x, (double *) din);
-  return Val_unit;
-}
-
-value ft_nn_update_row_byte(value *argv, int argn)
-{
-  (void) argn;
-  return ft_nn_update_row(argv[0], argv[1], argv[2], Long_val(argv[3]),
-                          Long_val(argv[4]), Double_val(argv[5]),
-                          Double_val(argv[6]), Double_val(argv[7]),
-                          Double_val(argv[8]), argv[9], argv[10]);
-}
-
 /* A whole layer's training step: [n_out] rows of [n] weights and a
    bias, row [o]'s gradient [dout[o]] behind the ReLU gate (none on the
    [last] layer).
 
+   A row with d = +-0 and a finite pre-activation has only finite
+   weights and inputs, so every gradient is +0 and every [w * d] is
+   +-0, which cannot change [dn] (a round-to-nearest sum from +0 is -0
+   only when both terms are).  For g = +0 and finite state the formula
+   is a decay: (1-rho)*g*g = +0; the step -r*g is -0 (r is finite and
+   >= 0 since eps > 0 and g2, d2 >= 0), so d2 gains (1-rho)*s*s = +0;
+   and w + -0 = w.  Such a row only decays its state.
+
    [debt[o]] is -1 while row [o]'s state is not finite, and otherwise
    the number of decays the row owes.  A row that would only decay
-   finite state (see [row]) adds one to its debt and touches nothing.
-   Any other row first pays its debt, then runs [row], which reports
-   whether the state is still finite.  Decaying finite, non-negative
-   state keeps it finite, so the eager loop would have taken the decay
-   branch at every deferred step, and the replay runs the same
-   operations in the same order: the state a row reads is bit-for-bit
-   the eager one, and a debt never paid is never read. */
+   finite state adds one to its debt and touches nothing.  Any other
+   row first pays its debt, then runs [row], which reports whether the
+   state is still finite.  Decaying finite, non-negative state keeps it
+   finite, so each deferred step would have been exactly a decay, and
+   the replay runs the same operations in the same order: the state a
+   row reads is bit-for-bit the eager one, and a debt never paid is
+   never read.  Non-finite state stays non-finite, so a row at -1 runs
+   the full formula on every step. */
 value ft_nn_update_layer(value params, value g2v, value d2v, value debt, intnat n,
                          intnat n_out, value last, double rho, double eps,
                          value dout, value pre, value x, value din)
@@ -195,7 +157,7 @@ value ft_nn_update_layer(value params, value g2v, value d2v, value debt, intnat 
       continue;
     }
     if (owed > 0) decay(g2 + off, d2 + off, n + 1, owed, rho);
-    int finite = row(w + off, g2 + off, d2 + off, n, rho, eps, d, p,
+    int finite = row(w + off, g2 + off, d2 + off, n, rho, eps, d,
                      (const double *) x, (double *) din);
     Field(debt, o) = Val_long(finite ? 0 : -1);
   }

@@ -57,71 +57,36 @@ let create rng ~feature_dim ~n_actions =
 
 let q_values t state = Ft_nn.Network.forward t.online state
 
-(* One batched online-network forward — row [i] is bit-for-bit
-   [q_values t states.(i)], and no RNG is consumed, so callers may
-   precompute rows for a whole frontier without perturbing the
-   epsilon-greedy draw sequence. *)
-let q_values_batch t states = Ft_nn.Network.forward_batch t.online states
+(* Kept only for the benchmark kit's Q-network layer timing. *)
+let q_values_batch t states = Array.map (q_values t) states
 
-let best_valid values valid =
+(* Epsilon-greedy over the *valid* directions only: one RNG float,
+   plus one choose on the exploration branch; the Q row is computed
+   only on the greedy branch. *)
+let select t ~state ~valid =
   match valid with
   | [] -> None
   | first :: rest ->
-      Some
-        (List.fold_left
-           (fun best action -> if values.(action) > values.(best) then action else best)
-           first rest)
-
-(* Epsilon-greedy over the *valid* directions only, with the Q row
-   supplied by the caller (precomputed, usually by a batched forward).
-   The RNG draws are exactly those of the lazy scalar path: one float,
-   plus one choose on the exploration branch. *)
-let select_scored t ~q ~valid =
-  match valid with
-  | [] -> None
-  | _ ->
-      if Ft_util.Rng.float t.rng 1.0 < t.epsilon then
-        Some (Ft_util.Rng.choose t.rng valid)
-      else best_valid (Lazy.force q) valid
-
-let select t ~state ~valid =
-  select_scored t ~q:(lazy (q_values t state)) ~valid
+      if Ft_util.Rng.float t.rng 1.0 < t.epsilon then Some (Ft_util.Rng.choose t.rng valid)
+      else
+        let q = q_values t state in
+        Some (List.fold_left (fun best a -> if q.(a) > q.(best) then a else best) first rest)
 
 let train_batch t =
   let n = min batch_size t.replay_len in
-  (* Sample the replay indices first, in the same ascending order the
-     sequential loop drew them, then compute every target-network
-     forward in one batch: Y is frozen until the copy below, so the
-     batched rows are bit-for-bit what the interleaved scalar
-     forwards produced. *)
-  let sampled = Array.make (max n 1) t.replay.(0) in
-  for i = 0 to n - 1 do
-    sampled.(i) <- t.replay.(Ft_util.Rng.int t.rng t.replay_len)
-  done;
-  let need =
-    List.filteri (fun i _ -> (sampled.(i)).next_valid <> [])
-      (Array.to_list (Array.sub sampled 0 n))
-  in
-  let rows =
-    Ft_nn.Network.forward_batch t.target
-      (Array.of_list (List.map (fun tr -> tr.next_state) need))
-  in
-  let maxq = Array.make (max n 1) 0. in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    if sampled.(i).next_valid <> [] then begin
-      maxq.(i) <-
-        List.fold_left
-          (fun acc action -> Float.max acc rows.(!j).(action))
-          neg_infinity sampled.(i).next_valid;
-      incr j
-    end
-  done;
   let total = ref 0. in
-  for i = 0 to n - 1 do
-    let transition = sampled.(i) in
-    (* target = alpha * max_a' Y(next)[a'] + reward — §5.1. *)
-    let target = (alpha *. maxq.(i)) +. transition.reward in
+  for _ = 1 to n do
+    let transition = t.replay.(Ft_util.Rng.int t.rng t.replay_len) in
+    (* target = alpha * max_a' Y(next)[a'] + reward — §5.1; Y is frozen
+       until the copy below. *)
+    let maxq =
+      match transition.next_valid with
+      | [] -> 0.
+      | next_valid ->
+          let row = Ft_nn.Network.forward t.target transition.next_state in
+          List.fold_left (fun acc action -> Float.max acc row.(action)) neg_infinity next_valid
+    in
+    let target = (alpha *. maxq) +. transition.reward in
     total :=
       !total
       +. Ft_nn.Network.train_mse_component t.online ~input:transition.state

@@ -26,19 +26,14 @@ val create : Ft_util.Rng.t -> feature_dim:int -> n_actions:int -> t
 (** Online-network Q-values of every action at a state. *)
 val q_values : t -> float array -> float array
 
-(** One batched online-network forward: row [i] is bit-for-bit
-    [q_values t states.(i)].  Consumes no RNG, so a frontier's rows
-    can be precomputed without perturbing the epsilon-greedy draws. *)
+(** [Array.map (q_values t)]: kept only for the benchmark kit's
+    Q-network timing, as [Flextensor.Pool] is for its child. *)
 val q_values_batch : t -> float array array -> float array array
 
 (** Epsilon-greedy choice among the valid action indices; [None] when
-    no action is valid. *)
+    no action is valid.  The Q row is computed only on the greedy
+    branch. *)
 val select : t -> state:float array -> valid:int list -> int option
-
-(** Like {!select} with a caller-supplied Q row (usually one row of
-    {!q_values_batch}); the lazy is only forced on the greedy branch,
-    matching {!select}'s RNG draw sequence exactly. *)
-val select_scored : t -> q:float array Lazy.t -> valid:int list -> int option
 
 (** Store a transition; every fifth call also runs a training round
     and returns its mean loss.  Raises [Invalid_argument] — before

@@ -176,7 +176,8 @@ let qcheck_measurer_invariance =
       && plain.history = timed.history
       && plain.measured = None
       && (match timed.measured with
-         | Some m -> Flextensor.Perf.is_measured m
+         | Some { source = Measured _; _ } -> true
+         | Some { source = Analytical; _ } -> false
          | None -> not timed.perf.valid))
 
 (* The [?dispatch] contract: an external backend changes only where

@@ -269,13 +269,20 @@ let distinct_configs space n =
   in
   go [] n
 
-let test_measure_batch_matches_sequential () =
+(* Every committed point with its value, in input order. *)
+let commit_all evaluator cfgs =
+  let out = ref [] in
+  Ft_explore.Evaluator.commit_batch evaluator ~should_stop:(fun () -> false) cfgs
+    (fun cfg value -> out := (cfg, value) :: !out);
+  List.rev !out
+
+let test_commit_batch_matches_sequential () =
   let space = small_gemm_space () in
   let cfgs = distinct_configs space 40 in
   let seq = Ft_explore.Evaluator.create space in
   let seq_values = List.map (fun cfg -> (cfg, Ft_explore.Evaluator.measure seq cfg)) cfgs in
   let batched = Ft_explore.Evaluator.create space in
-  let values = Ft_explore.Evaluator.measure_batch batched cfgs in
+  let values = commit_all batched cfgs in
   check_bool "same values" true
     (List.for_all2 (fun (_, a) (_, b) -> Float.equal a b) seq_values values);
   Alcotest.(check int) "same eval count"
@@ -285,7 +292,7 @@ let test_measure_batch_matches_sequential () =
     (Ft_explore.Evaluator.clock seq)
     (Ft_explore.Evaluator.clock batched)
 
-let test_measure_batch_clock_max_over_lanes () =
+let test_commit_batch_clock_max_over_lanes () =
   let space = small_gemm_space ~target:Target.vu9p () in
   let cfgs = distinct_configs space 12 in
   (* An FPGA model query charges a constant per fresh point, so
@@ -293,7 +300,7 @@ let test_measure_batch_clock_max_over_lanes () =
      waves of 1 vs 3 waves of 4, max = the constant either way). *)
   let clock_at n_parallel =
     let evaluator = Ft_explore.Evaluator.create ~n_parallel space in
-    ignore (Ft_explore.Evaluator.measure_batch evaluator cfgs);
+    ignore (commit_all evaluator cfgs);
     Ft_explore.Evaluator.clock evaluator
   in
   Alcotest.(check (float 1e-12)) "4 lanes = 1/4 clock"
@@ -303,11 +310,11 @@ let test_measure_batch_clock_max_over_lanes () =
   Alcotest.(check (float 1e-12)) "partial wave charged"
     (clock_at 1 /. 6.) (clock_at 8)
 
-let test_measure_batch_duplicates_hit_cache () =
+let test_commit_batch_duplicates_hit_cache () =
   let space = small_gemm_space () in
   let cfg = Space.default_config space in
   let evaluator = Ft_explore.Evaluator.create space in
-  let results = Ft_explore.Evaluator.measure_batch evaluator [ cfg; cfg; cfg ] in
+  let results = commit_all evaluator [ cfg; cfg; cfg ] in
   Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Evaluator.n_evals evaluator);
   Alcotest.(check int) "every input answered" 3 (List.length results);
   let values = List.map snd results in
@@ -435,14 +442,14 @@ let () =
           Alcotest.test_case "cold start" `Quick test_cold_start_option;
           Alcotest.test_case "empty init" `Quick test_driver_rejects_empty_init;
         ] );
-      ( "measure_batch",
+      ( "commit_batch",
         [
           Alcotest.test_case "matches sequential" `Quick
-            test_measure_batch_matches_sequential;
+            test_commit_batch_matches_sequential;
           Alcotest.test_case "clock max over lanes" `Quick
-            test_measure_batch_clock_max_over_lanes;
+            test_commit_batch_clock_max_over_lanes;
           Alcotest.test_case "duplicates hit cache" `Quick
-            test_measure_batch_duplicates_hit_cache;
+            test_commit_batch_duplicates_hit_cache;
         ] );
       ( "evaluate_batch",
         [

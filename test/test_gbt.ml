@@ -12,6 +12,16 @@ let test_tree_depth_zero_is_mean () =
   let tree = Ft_gbt.Tree.fit ~depth:0 xs ys in
   Alcotest.(check (float 1e-9)) "mean" 3. (Ft_gbt.Tree.predict tree [| 0.5 |])
 
+(* Mean squared prediction error on a dataset. *)
+let mse model xs ys =
+  let total = ref 0. in
+  Array.iteri
+    (fun i x ->
+      let d = Ft_gbt.Boost.predict model x -. ys.(i) in
+      total := !total +. (d *. d))
+    xs;
+  !total /. float_of_int (Array.length xs)
+
 let test_boost_reduces_mse () =
   let rng = Ft_util.Rng.create 5 in
   let xs =
@@ -25,7 +35,7 @@ let test_boost_reduces_mse () =
   let constant_mse =
     Array.fold_left (fun acc y -> acc +. ((y -. mean) ** 2.)) 0. ys /. 200.
   in
-  let model_mse = Ft_gbt.Boost.mse model xs ys in
+  let model_mse = mse model xs ys in
   check_bool "beats constant baseline by 5x" true (model_mse < constant_mse /. 5.);
   Alcotest.(check int) "tree count" 30 (Ft_gbt.Boost.n_trees model)
 
@@ -53,42 +63,6 @@ let test_boost_generalizes_ranking () =
   done;
   check_bool "ranks 80%+ of pairs" true (!correct > 80)
 
-(* The batched-scoring contract: [predict_batch] through the
-   flattened forest must match the scalar [predict] to the bit on
-   every row — same leaves, same accumulation order.  Random dataset
-   shapes, depths, round counts, and query batches. *)
-let qcheck_predict_batch_equals_scalar =
-  let gen =
-    QCheck.Gen.(
-      let* seed = int_range 0 1_000_000 in
-      let* n = int_range 1 60 in
-      let* dim = int_range 1 6 in
-      let* rounds = int_range 0 12 in
-      let* depth = int_range 0 4 in
-      let* batch = int_range 1 40 in
-      return (seed, n, dim, rounds, depth, batch))
-  in
-  QCheck.Test.make ~name:"predict_batch bit-equals scalar predict" ~count:60
-    (QCheck.make gen)
-    (fun (seed, n, dim, rounds, depth, batch) ->
-      let rng = Ft_util.Rng.create seed in
-      let sample () = Array.init dim (fun _ -> Ft_util.Rng.float rng 2.0 -. 1.0) in
-      let xs = Array.init n (fun _ -> sample ()) in
-      let ys =
-        Array.map
-          (fun x -> Array.fold_left ( +. ) (Ft_util.Rng.float rng 0.1) x)
-          xs
-      in
-      let model = Ft_gbt.Boost.fit ~rounds ~depth xs ys in
-      let queries = Array.init batch (fun _ -> sample ()) in
-      let batched = Ft_gbt.Boost.predict_batch model queries in
-      Array.length batched = batch
-      && Array.for_all2
-           (fun b q ->
-             Int64.equal (Int64.bits_of_float b)
-               (Int64.bits_of_float (Ft_gbt.Boost.predict model q)))
-           batched queries)
-
 let () =
   Alcotest.run "ft_gbt"
     [
@@ -102,6 +76,5 @@ let () =
           Alcotest.test_case "reduces mse" `Quick test_boost_reduces_mse;
           Alcotest.test_case "edge cases" `Quick test_boost_empty_and_mismatch;
           Alcotest.test_case "ranking" `Quick test_boost_generalizes_ranking;
-          QCheck_alcotest.to_alcotest qcheck_predict_batch_equals_scalar;
         ] );
     ]

@@ -151,7 +151,18 @@ let test_degenerate_conv_params () =
         ~groups:0 ());
   rejects "dil dilation 0" "Operators: dilation must be >= 1, got 0" (fun () ->
       dilated_conv2d ~dilation:0 ~batch:1 ~in_channels:2 ~out_channels:2 ~height:8 ~width:8
-        ~kernel:3 ())
+        ~kernel:3 ());
+  rejects "bcm block 0" "Operators: block must be >= 1, got 0" (fun () ->
+      bcm ~m:4 ~n:4 ~k:4 ~block:0);
+  rejects "bcm block -2" "Operators: block must be >= 1, got -2" (fun () ->
+      bcm ~m:4 ~n:4 ~k:4 ~block:(-2));
+  let pool ~kernel ~stride () =
+    max_pool2d ~input:"I" ~output:"O" ~shape:[ 1; 2; 8; 8 ] ~kernel ~stride
+  in
+  rejects "max_pool2d stride 0" "Operators: stride must be >= 1, got 0" (pool ~kernel:2 ~stride:0);
+  rejects "max_pool2d kernel 0" "Operators: kernel must be >= 1, got 0" (pool ~kernel:0 ~stride:2);
+  rejects "max_pool2d kernel -1" "Operators: kernel must be >= 1, got -1"
+    (pool ~kernel:(-1) ~stride:1)
 
 let test_graph_navigation () =
   let conv = Operators.conv2d ~batch:1 ~in_channels:2 ~out_channels:2 ~height:4

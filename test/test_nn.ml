@@ -69,56 +69,22 @@ let test_adadelta_minimizes_quadratic () =
   let params = vec [| 10. |] in
   for _ = 1 to 5000 do
     let b = params.{0} in
-    Ft_nn.Adadelta.update_row state ~params ~off:0 ~d:(2. *. (b -. 3.)) ~pre:b ~x:[||] ~din:[||]
+    Ft_nn.Adadelta.update_layer state ~params ~debt:[| 0 |] ~last:true
+      ~dout:[| 2. *. (b -. 3.) |] ~pre:[| b |] ~x:[||] ~din:[||]
   done;
   check_bool "converged near 3" true (Float.abs (params.{0} -. 3.) < 0.5)
 
 let test_adadelta_size_mismatch () =
   let state = Ft_nn.Adadelta.create 2 in
-  Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.update_row: size mismatch")
+  Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.update_layer: size mismatch")
     (fun () ->
-      Ft_nn.Adadelta.update_row state ~params:(vec [| 1. |]) ~off:0 ~d:1. ~pre:1. ~x:[||]
-        ~din:[||])
+      Ft_nn.Adadelta.update_layer state ~params:(vec [| 1. |]) ~debt:[| 0 |] ~last:true
+        ~dout:[| 1. |] ~pre:[| 1. |] ~x:[||] ~din:[||])
 
 let raises_invalid what f =
   match f () with
   | () -> Alcotest.failf "%s: no exception" what
   | exception Invalid_argument _ -> ()
-
-(* The row kernel is C and checks nothing, so every malformed call
-   must raise in OCaml before it runs: the parameters, [din] and the
-   optimizer state stay bit-identical.  The state is not observable,
-   so a twin that never saw the bad calls must then take the same
-   valid step to the same bits. *)
-let test_update_row_rejects_bad_rows () =
-  let make () =
-    let state = Ft_nn.Adadelta.create 6 and params = vec [| 0.5; -1.; 2.; 0.25; -0.75; 1.5 |] in
-    Ft_nn.Adadelta.update_row state ~params ~off:3 ~d:0.3 ~pre:1. ~x:[| 1.; -2. |]
-      ~din:[| 0.; 0. |];
-    (state, params)
-  in
-  let state, params = make () and twin, twin_params = make () in
-  let din = [| 0.; 0. |] and x = [| 1.; -2. |] in
-  let bad what ?(params = params) ?(din = din) off =
-    raises_invalid what (fun () ->
-        Ft_nn.Adadelta.update_row state ~params ~off ~d:0.7 ~pre:1. ~x ~din)
-  in
-  bad "negative off" (-1);
-  bad "bias past the end" 4;
-  bad "row past the end" 6;
-  bad "overflowing off" max_int;
-  bad "short din" ~din:[| 0. |] 0;
-  let other = vec (Array.make 7 1.) in
-  bad "state size" ~params:other 0;
-  check_bool "other params untouched" true (Array.for_all (( = ) 1.) (Array.init 7 (fun i -> other.{i})));
-  check_bool "din untouched" true (din = [| 0.; 0. |]);
-  check_bool "params untouched" true (vec_bits params = vec_bits twin_params);
-  let step state params =
-    Ft_nn.Adadelta.update_row state ~params ~off:0 ~d:(-0.4) ~pre:1. ~x ~din:[| 0.; 0. |]
-  in
-  step state params;
-  step twin twin_params;
-  check_bool "state untouched" true (vec_bits params = vec_bits twin_params)
 
 let test_mlp_rejects_bad_dims () =
   let rng = Ft_util.Rng.create 1 in
@@ -133,46 +99,6 @@ let qcheck_forward_finite =
       let rng = Ft_util.Rng.create 5 in
       let net = Ft_nn.Network.mlp rng ~dims:[| 4; 8; 8; 8; 2 |] in
       Array.for_all Float.is_finite (Ft_nn.Network.forward net (Array.of_list xs)))
-
-(* The batched-hot-path contract: [forward_batch] through the blocked
-   GEMM must match the scalar forward to the bit (0 ulp) on every row
-   — the blocked kernel pins the scalar summation order, so this is
-   exact equality, not a tolerance.  Random depths, widths, batch
-   sizes, and inputs; also re-checked after training steps so changed
-   weights flow into the batched path. *)
-let qcheck_forward_batch_equals_scalar =
-  let gen =
-    QCheck.Gen.(
-      let* n_layers = int_range 1 4 in
-      let* dims = list_repeat (n_layers + 1) (int_range 1 13) in
-      let* batch = int_range 1 33 in
-      let* seed = int_range 0 1_000_000 in
-      let* train_steps = int_range 0 3 in
-      return (dims, batch, seed, train_steps))
-  in
-  QCheck.Test.make ~name:"forward_batch bit-equals scalar forward" ~count:60
-    (QCheck.make gen)
-    (fun (dims, batch, seed, train_steps) ->
-      let dims = Array.of_list dims in
-      let rng = Ft_util.Rng.create seed in
-      let net = Ft_nn.Network.mlp rng ~dims in
-      let n_in = dims.(0) and n_out = dims.(Array.length dims - 1) in
-      let sample n = Array.init n (fun _ -> Ft_util.Rng.float rng 4.0 -. 2.0) in
-      for _ = 1 to train_steps do
-        ignore (Ft_nn.Network.train_mse net ~input:(sample n_in) ~target:(sample n_out))
-      done;
-      let inputs = Array.init batch (fun _ -> sample n_in) in
-      let batched = Ft_nn.Network.forward_batch net inputs in
-      Array.length batched = batch
-      && Array.for_all2
-           (fun row input ->
-             let scalar = Ft_nn.Network.forward net input in
-             Array.length row = Array.length scalar
-             && Array.for_all2
-                  (fun a b ->
-                    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-                  row scalar)
-           batched inputs)
 
 (* Reference training step over plain float arrays, in four passes: a
    scalar forward, zeroed gradient buffers, a backward pass
@@ -481,7 +407,7 @@ let test_poisoned_rows_take_the_full_formula () =
       done)
     [ ("huge target", `Target 1e200); ("inf target", `Target infinity); ("nan input", `Input nan) ]
 
-(* The layer kernel is C and checks nothing either: every malformed
+(* The layer kernel is C and checks nothing: every malformed
    call raises in OCaml first, with the parameters, [din], the debt and
    the optimizer state unchanged (a twin that never saw the bad calls
    takes the same valid steps to the same bits). *)
@@ -530,8 +456,6 @@ let test_forward_rejects_bad_width () =
   raises_invalid "short row" (fun () -> ignore (Ft_nn.Network.forward net [| 1.; 2.; 3. |]));
   raises_invalid "long row" (fun () -> ignore (Ft_nn.Network.forward net (Array.make 5 1.)));
   raises_invalid "empty row" (fun () -> ignore (Ft_nn.Network.forward net [||]));
-  raises_invalid "bad batch row" (fun () ->
-      ignore (Ft_nn.Network.forward_batch net [| good; Array.make 9 1. |]));
   (* The cached input and pre-activations still belong to [good]: a
      training step gives the same loss as on a twin that saw no bad
      call. *)
@@ -556,7 +480,6 @@ let () =
             test_copy_params_makes_forward_equal;
           Alcotest.test_case "bad dims" `Quick test_mlp_rejects_bad_dims;
           QCheck_alcotest.to_alcotest qcheck_forward_finite;
-          QCheck_alcotest.to_alcotest qcheck_forward_batch_equals_scalar;
           QCheck_alcotest.to_alcotest qcheck_training_matches_reference;
           Alcotest.test_case "bit-equal to the reference at the paper's widths" `Quick
             test_training_matches_reference_at_paper_dims;
@@ -570,7 +493,6 @@ let () =
         [
           Alcotest.test_case "minimizes quadratic" `Quick test_adadelta_minimizes_quadratic;
           Alcotest.test_case "size mismatch" `Quick test_adadelta_size_mismatch;
-          Alcotest.test_case "bad rows change nothing" `Quick test_update_row_rejects_bad_rows;
           Alcotest.test_case "bad layers change nothing" `Quick
             test_update_layer_rejects_bad_widths;
         ] );

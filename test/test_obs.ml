@@ -182,22 +182,21 @@ let gemm_space () =
   Ft_schedule.Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64)
     Ft_schedule.Target.v100
 
-(* The batched hot paths surface their shape in telemetry: batched
-   evaluation writes one [eval.batch] event carrying its size, and the
-   batched MLP forward accumulates [nn.forward_ns] into the [--trace]
-   summary table. *)
+(* The hot paths surface in telemetry: batched evaluation writes one
+   [eval.batch] event carrying its size, and the MLP forward
+   accumulates [nn.forward_ns] into the [--trace] summary table. *)
 let test_batched_telemetry_names () =
   Trace.close ();
   let path = Filename.temp_file "ft_obs_batch" ".jsonl" in
   Trace.enable_jsonl path;
   let net = Ft_nn.Network.mlp (Ft_util.Rng.create 1) ~dims:[| 4; 8; 3 |] in
-  ignore (Ft_nn.Network.forward_batch net (Array.make 5 [| 1.; 2.; 3.; 4. |]));
+  ignore (Ft_nn.Network.forward net [| 1.; 2.; 3.; 4. |]);
   let space = gemm_space () in
   let rng = Ft_util.Rng.create 2 in
   let evaluator = Ft_explore.Evaluator.create space in
-  ignore
-    (Ft_explore.Evaluator.measure_batch evaluator
-       (List.init 8 (fun _ -> Ft_schedule.Space.random_config rng space)));
+  Ft_explore.Evaluator.commit_batch evaluator ~should_stop:(fun () -> false)
+    (List.init 8 (fun _ -> Ft_schedule.Space.random_config rng space))
+    (fun _ _ -> ());
   let counters = List.map fst (Trace.counters ()) in
   Trace.close ();
   let batch_event line =

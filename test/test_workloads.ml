@@ -106,6 +106,40 @@ let test_operator_table () =
       | Some (_, op, dims) -> check_bool (abbr ^ " builds as " ^ op) true (builds op dims))
     Ft_workloads.Suites.all
 
+(* The front door: any integer vector of a key's arity, each entry in
+   [-2, 6], either builds a graph, is an [Error], or raises only
+   [Invalid_argument].  Every graph that builds makes a space on a GPU,
+   a CPU and an FPGA target, and survives a one-trial P-method search. *)
+let catalog_keys =
+  [ ("gemv", 2); ("gemm", 3); ("bilinear", 4); ("conv1d", 5); ("t1d", 5); ("conv2d", 6);
+    ("conv2d", 7); ("t2d", 6); ("conv3d", 7); ("t3d", 7); ("grp", 7); ("dep", 5); ("dil", 7);
+    ("bcm", 4); ("shift", 4); ("yolo", 1) ]
+
+let qcheck_catalog_front_door =
+  let gen =
+    QCheck.Gen.(
+      let* op, arity = oneofl catalog_keys in
+      let* dims = list_repeat arity (int_range (-2) 6) in
+      return (op, dims))
+  in
+  let print (op, dims) = String.concat " " (op :: List.map string_of_int dims) in
+  QCheck.Test.make ~name:"every key's small vectors build, Error or Invalid_argument"
+    ~count:(300 * List.length catalog_keys) (QCheck.make ~print gen)
+    (fun (op, dims) ->
+      match Catalog.graph_of ~op ~dims with
+      | exception Invalid_argument _ -> true
+      | Error _ -> true
+      | Ok graph ->
+          List.iter
+            (fun target ->
+              let space = Ft_schedule.Space.make graph (Result.get_ok (Catalog.target_of target)) in
+              ignore
+                (Ft_explore.P_method.search_params
+                   { Ft_explore.Search_loop.default_params with n_trials = 1 }
+                   space))
+            [ "v100"; "xeon"; "vu9p" ];
+          true)
+
 let () =
   Alcotest.run "ft_workloads"
     [
@@ -126,5 +160,6 @@ let () =
         [
           Alcotest.test_case "target table" `Quick test_target_table;
           Alcotest.test_case "operator table" `Quick test_operator_table;
+          QCheck_alcotest.to_alcotest qcheck_catalog_front_door;
         ] );
     ]
