@@ -57,15 +57,17 @@ let tests () =
       (Staged.stage (fun () -> Ft_schedule.Config.compute_key cfg));
   ]
 
-(* The "q-network train step" row, in ns per step: a fresh network
-   trained for the ~800 steps a 250-evaluation search takes (a round of
-   16 every five recorded transitions), inputs and trained outputs from
-   fixed cycles.  Training one output on one input for as long as a
-   sampler runs reaches a regime no search does: after ~13k steps the
-   idle rows' optimizer state decays into subnormals. *)
-let q_train_steps = 800
+(* The "q-network train step" and "q-network train round" rows, in ns
+   per call: a fresh network trained on the ~800 samples a
+   250-evaluation search trains on (a round of 16 every five recorded
+   transitions), inputs and trained outputs from fixed cycles, either
+   one sample per call or a round of 16 per call.  Training one output
+   on one input for as long as a sampler runs reaches a regime no
+   search does: after ~13k steps the idle rows' optimizer state decays
+   into subnormals. *)
+let q_train_samples = 800
 
-let q_train_ns_per_step () =
+let q_train_ns_per_call ~batch =
   let rng = Ft_util.Rng.create 3 in
   let inputs =
     Array.init 16 (fun _ ->
@@ -73,15 +75,18 @@ let q_train_ns_per_step () =
   in
   let dims = [| Array.length inputs.(0); 64; 64; 64; 32 |] in
   let outputs = [| 0; 3; 1; 0; 7; 2; 0; 5; 11; 0; 3; 1 |] in
+  let calls = q_train_samples / batch in
   let train seed =
     let net = Ft_nn.Network.mlp (Ft_util.Rng.create seed) ~dims in
     let t0 = Ft_util.Monotime.now_s () in
-    for k = 0 to q_train_steps - 1 do
+    for c = 0 to calls - 1 do
       ignore
-        (Ft_nn.Network.train_mse_component net
-           ~input:inputs.(k mod Array.length inputs)
-           ~index:outputs.(k mod Array.length outputs)
-           ~target:(float_of_int (k mod 5) *. 0.25))
+        (Ft_nn.Network.train_round net
+           (Array.init batch (fun j ->
+                let k = (c * batch) + j in
+                ( inputs.(k mod Array.length inputs),
+                  outputs.(k mod Array.length outputs),
+                  float_of_int (k mod 5) *. 0.25 ))))
     done;
     Ft_util.Monotime.elapsed_s t0
   in
@@ -91,7 +96,7 @@ let q_train_ns_per_step () =
   for seed = 1 to reps do
     total := !total +. train seed
   done;
-  !total *. 1e9 /. float_of_int (reps * q_train_steps)
+  !total *. 1e9 /. float_of_int (reps * calls)
 
 let time_ns_per f reps per =
   let t0 = Ft_util.Monotime.now_s () in
@@ -284,7 +289,10 @@ let run () =
       | _ -> ())
     results;
   let ns_rows =
-    List.sort compare (("flextensor.q-network train step", q_train_ns_per_step ()) :: !rows)
+    List.sort compare
+      (("flextensor.q-network train step", q_train_ns_per_call ~batch:1)
+      :: ("flextensor.q-network train round", q_train_ns_per_call ~batch:16)
+      :: !rows)
   in
   Ft_util.Table.print ~header:[ "hot path"; "ns/call" ]
     (List.map (fun (a, b) -> [ a; Printf.sprintf "%.0f" b ]) ns_rows);

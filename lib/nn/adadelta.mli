@@ -1,6 +1,7 @@
 (** AdaDelta optimizer (Zeiler 2012), as used to train the paper's
-    Q-network (§5.1).  Operates on flat [Bigarray] float64 vectors,
-    one whole dense layer at a time. *)
+    Q-network (§5.1), one whole dense layer of flat [Bigarray] float64
+    vectors at a time: {!accumulate} adds each sample's gradient into
+    the state's sums, {!step} moves the parameters once by the mean. *)
 
 type t
 
@@ -8,23 +9,25 @@ type t
     0.95 and the smoothing term 1e-6. *)
 val create : int -> t
 
-(** [update_layer t ~params ~debt ~last ~dout ~pre ~x ~din]: a whole
-    dense layer's training step, backward product and update in one
-    pass, bit-for-bit AdaDelta on gradients accumulated into zeroed
-    buffers.  [params] holds the layer's [n_out = Array.length debt]
-    rows back to back, each [n = Array.length x] weights then its bias.
-    Row [o]'s output gradient [d] is [dout.(o)] where [last] (a linear
-    layer) or [pre.(o) > 0.] (ReLU), and [0.] elsewhere; its weights'
-    gradients are [d *. x.(i)] (bias: [d]), and [din.(i)] accumulates
-    [w_i *. d] with the pre-update weight.
+(** [accumulate t ~params ~last ~dout ~pre ~x ~din]: one sample's
+    backward pass through a dense layer, [params] holding [n_out =
+    Array.length dout] rows of [n = Array.length x] weights and a bias.
+    Row [o]'s gradient [d] is [dout.(o)] where [last] (linear) or
+    [pre.(o) > 0.] (ReLU), else [0.]; the sums gain [d *. x.(i)] per
+    weight and [d] per bias, and [din.(i)] accumulates [w_i *. d].
+    Raises [Invalid_argument], changing nothing, when [params] is not
+    the state's size or [n_out] rows of [n + 1], [pre] is not [n_out]
+    long, or [din] is shorter than [x]. *)
+val accumulate : t -> params:Ft_linalg.Linalg.vec -> last:bool -> dout:float array ->
+  pre:float array -> x:float array -> din:float array -> unit
 
-    A row that would only decay finite state defers the decay:
-    [debt.(o)] counts the decays row [o] owes ([-1] while its state is
-    not finite), and the row pays them, in order, before its next other
-    step.  A fresh state's debt is all zeros, and a state stepped here
-    must always be stepped here with the same [debt].  Raises
-    [Invalid_argument], changing nothing, when [params] is not the
-    state's size or not [n_out] rows of [n + 1], [dout] or [pre] does
-    not have [n_out] entries, or [din] is shorter than [x]. *)
-val update_layer : t -> params:Ft_linalg.Linalg.vec -> debt:int array -> last:bool ->
-  dout:float array -> pre:float array -> x:float array -> din:float array -> unit
+(** [step t ~params ~debt ~count]: one AdaDelta step on the sums
+    divided by [count], which it then zeroes.  A row whose sums are all
+    zero would only decay finite state, and defers that: [debt.(o)]
+    counts the decays row [o] owes ([-1] while its state is not
+    finite), paid in order before its next other step.  A fresh state's
+    debt is all zeros; always step a state with the same [debt].
+    Raises [Invalid_argument], changing nothing, when [params] is not
+    the state's size or [Array.length debt] equal rows, or [count] is
+    below 1. *)
+val step : t -> params:Ft_linalg.Linalg.vec -> debt:int array -> count:int -> unit

@@ -2,14 +2,14 @@ open Bigarray.Array1
 
 (* Each layer's parameters are one flat Bigarray of [n_out] rows, each
    [n_in] weights followed by that output's bias: one contiguous run
-   per row for the forward kernel and for the fused backward + AdaDelta
-   pass, and one optimizer state for the layer. *)
+   per row for the forward kernel, the backward pass and the AdaDelta
+   step, and one optimizer state for the layer. *)
 type layer = {
   n_in : int;
   n_out : int;
   p : Ft_linalg.Linalg.vec;  (* n_out x (n_in + 1) *)
   opt : Adadelta.t;
-  debt : int array;  (* per row: decays owed, see {!Adadelta.update_layer} *)
+  debt : int array;  (* per row: decays owed, see {!Adadelta.step} *)
   mutable last_input : float array;
   mutable last_pre : float array;  (* pre-activation, cached for backward *)
 }
@@ -37,7 +37,7 @@ let mlp rng ~dims =
    starting from its bias and adding [weight *. input] in ascending
    [i], so each output is bit-for-bit the scalar dot product.  The C
    code checks nothing: [p]'s size is fixed by [make_layer], [pre] is
-   allocated here, and [x]'s width is checked by [run]. *)
+   allocated here, and [x]'s width is checked by [check_input]. *)
 external affine_kernel :
   Ft_linalg.Linalg.vec -> (int[@untagged]) -> (int[@untagged]) -> float array -> float array ->
   unit = "ft_nn_affine_byte" "ft_nn_affine"
@@ -51,13 +51,15 @@ let affine { n_in; n_out; p; _ } (x : float array) =
 (* [Float.max 0. v] (nan stays nan, -0. becomes 0.) without its C call *)
 let relu v = if v > 0. || Float.is_nan v then v else 0.
 
-(* [cache] keeps each layer's input and pre-activation for the
-   training step; inference leaves them alone.  Only the input's width
-   is checked: each layer's output is the next layer's input. *)
-let run ~cache net input =
+let check_input net input =
   let n_in = net.layers.(0).n_in in
   if Array.length input <> n_in then
-    invalid_arg (Printf.sprintf "Network: expects %d inputs, got %d" n_in (Array.length input));
+    invalid_arg (Printf.sprintf "Network: expects %d inputs, got %d" n_in (Array.length input))
+
+(* [cache] keeps each layer's input and pre-activation for the
+   training step; inference leaves them alone.  The callers check the
+   input's width: each layer's output is the next layer's input. *)
+let run ~cache net input =
   let n = Array.length net.layers in
   let x = ref input in
   Array.iteri
@@ -69,6 +71,7 @@ let run ~cache net input =
   !x
 
 let forward net input =
+  check_input net input;
   if not (Ft_obs.Trace.active ()) then run ~cache:false net input
   else begin
     let t0 = Ft_obs.Trace.now_s () in
@@ -77,56 +80,50 @@ let forward net input =
     out
   end
 
-(* One training step from dL/d(output): per layer, last to first, each
-   output row's gradient is consumed where it is produced — backward
-   product and AdaDelta step in one pass, one C call per layer
-   ({!Adadelta.update_layer}).  A layer's input gradient reads its
-   weights before they move and lower layers never read them, so this
-   is bit-for-bit a forward, a backward into zeroed gradient buffers,
-   then AdaDelta (test_nn's reference).  Rows whose gradient is zero —
-   every output but the trained one, ReLU-dead units — only decay their
-   state, and defer even that until they next learn. *)
-let backward_update net dout =
-  let n = Array.length net.layers in
-  let dout = ref dout in
-  for l = n - 1 downto 0 do
-    let layer = net.layers.(l) in
-    let din = Array.make layer.n_in 0. in
-    Adadelta.update_layer layer.opt ~params:layer.p ~debt:layer.debt ~last:(l = n - 1)
-      ~dout:!dout ~pre:layer.last_pre ~x:layer.last_input ~din;
-    dout := din
-  done
+(* One minibatch round: per input, in order, a caching forward and a
+   backward adding its gradient into each layer's sums; then one
+   AdaDelta step per layer on the mean, so every sample reads the same
+   weights.  [grad k out] is input [k]'s output gradient and loss.
+   Widths are checked first: a bad input leaves no partial sums. *)
+let round net inputs grad =
+  Array.iter (check_input net) inputs;
+  let n = Array.length net.layers and count = Array.length inputs in
+  let total = ref 0. in
+  Array.iteri
+    (fun k input ->
+      let dout, loss = grad k (run ~cache:true net input) in
+      total := !total +. loss;
+      let dout = ref dout in
+      for l = n - 1 downto 0 do
+        let layer = net.layers.(l) in
+        let din = Array.make layer.n_in 0. in
+        Adadelta.accumulate layer.opt ~params:layer.p ~last:(l = n - 1) ~dout:!dout
+          ~pre:layer.last_pre ~x:layer.last_input ~din;
+        dout := din
+      done)
+    inputs;
+  if count > 0 then
+    Array.iter (fun { opt; p; debt; _ } -> Adadelta.step opt ~params:p ~debt ~count) net.layers;
+  !total /. float_of_int (max count 1)
 
-(* One step on half the squared error of a single sample; returns the
-   loss before the update. *)
+let n_out net = net.layers.(Array.length net.layers - 1).n_out
+
 let train_mse net ~input ~target =
-  let out = run ~cache:true net input in
-  if Array.length out <> Array.length target then
-    invalid_arg "Network.train_mse: target size mismatch";
-  let dout = Array.map2 (fun o t -> o -. t) out target in
-  let loss = 0.5 *. Array.fold_left (fun acc d -> acc +. (d *. d)) 0. dout in
-  backward_update net dout;
-  loss
+  if Array.length target <> n_out net then invalid_arg "Network.train_mse: target size mismatch";
+  round net [| input |] (fun _ out ->
+      let dout = Array.map2 (fun o t -> o -. t) out target in
+      (dout, 0.5 *. Array.fold_left (fun acc d -> acc +. (d *. d)) 0. dout))
 
-(* Train on the loss of a single output component (others untouched) —
-   the Q-learning update trains only the Q-value of the action taken. *)
-let train_mse_component net ~input ~index ~target =
-  let out = run ~cache:true net input in
-  if index < 0 || index >= Array.length out then
-    invalid_arg "Network.train_mse_component: index out of range";
-  let d = out.(index) -. target in
-  backward_update net (Array.mapi (fun o _ -> if o = index then d else 0.) out);
-  0.5 *. d *. d
+(* The Q-learning loss trains only each sample's action's output. *)
+let train_round net batch =
+  if Array.exists (fun (_, index, _) -> index < 0 || index >= n_out net) batch then
+    invalid_arg "Network.train_round: index out of range";
+  round net (Array.map (fun (input, _, _) -> input) batch) (fun k out ->
+      let _, index, target = batch.(k) in
+      let d = out.(index) -. target in
+      (Array.mapi (fun o _ -> if o = index then d else 0.) out, 0.5 *. d *. d))
 
-let copy_params ~src ~dst =
-  if Array.length src.layers <> Array.length dst.layers then
-    invalid_arg "Network.copy_params: structure mismatch";
-  Array.iter2
-    (fun (s : layer) d ->
-      if s.n_in <> d.n_in || s.n_out <> d.n_out then
-        invalid_arg "Network.copy_params: layer shape mismatch";
-      blit s.p d.p)
-    src.layers dst.layers
+let train_mse_component net ~input ~index ~target = train_round net [| (input, index, target) |]
 
 let param_count net = Array.fold_left (fun acc layer -> acc + dim layer.p) 0 net.layers
 let num_layers net = Array.length net.layers

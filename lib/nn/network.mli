@@ -15,20 +15,22 @@ val mlp : Ft_util.Rng.t -> dims:int array -> t
     is not the first layer's width. *)
 val forward : t -> float array -> float array
 
-(** One training step on half squared error of a full output vector;
-    returns the pre-update loss.  One fused backward + AdaDelta pass
-    per layer; rows with a zero gradient only decay the optimizer
-    state, deferred until they next learn (bit-for-bit the full
-    update, see {!Adadelta.update_layer}). *)
+(** One training round of one sample on half squared error of a full
+    output vector; returns the pre-update loss.  Raises
+    [Invalid_argument] when the input or target has the wrong width. *)
 val train_mse : t -> input:float array -> target:float array -> float
 
-(** One training step on a single output component (the Q-value of the
-    action taken); other outputs receive no gradient. *)
-val train_mse_component : t -> input:float array -> index:int -> target:float -> float
+(** [train_round t batch]: one minibatch round; each [(input, index,
+    target)] trains output [index] towards [target] (half squared
+    error).  Gradients are summed in order against the same weights,
+    then each layer takes one AdaDelta step on their mean
+    ({!Adadelta.step}).  Returns the mean pre-update loss ([0.] for an
+    empty batch).  Raises [Invalid_argument], changing nothing, when an
+    input has the wrong width or an index is out of range. *)
+val train_round : t -> (float array * int * float) array -> float
 
-(** Copy weights into a structurally identical network (the target
-    network of DQN-style training). *)
-val copy_params : src:t -> dst:t -> unit
+(** [train_round] of one sample. *)
+val train_mse_component : t -> input:float array -> index:int -> target:float -> float
 
 val param_count : t -> int
 val num_layers : t -> int

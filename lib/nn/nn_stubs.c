@@ -1,15 +1,17 @@
-/* The Q-network's two hot loops (DESIGN.md §12): the dense forward
-   kernel and the fused backward + AdaDelta training step, one whole
-   layer per call.
+/* The Q-network's hot loops (DESIGN.md §12), one whole layer per
+   call: the dense forward kernel, one sample's backward pass into the
+   round's gradient sums, and the round's AdaDelta step.
 
-   Both are bit-for-bit the scalar OCaml loops they replaced (test_nn
-   pins them against a four-pass reference): every value comes from the
-   same IEEE operations in the same order, and vectorizing only runs
-   independent elements side by side, with [sqrtpd]/[divpd] correctly
-   rounded like their scalar forms.  That holds under the flags in dune
-   and no others: -ffp-contract=off (no FMA, which rounds once where
-   the reference rounds twice), -fno-math-errno ([sqrt] as the
-   instruction, not a libm call kept for errno), nothing host-specific.
+   All are bit-for-bit the scalar OCaml loops of test_nn's reference
+   (a forward, gradients summed into zeroed buffers in sample order,
+   their mean, then AdaDelta over every parameter): every value comes
+   from the same IEEE operations in the same order, and vectorizing
+   only runs independent elements side by side, with [sqrtpd]/[divpd]
+   correctly rounded like their scalar forms.  That holds under the
+   flags in dune and no others: -ffp-contract=off (no FMA, which rounds
+   once where the reference rounds twice), -fno-math-errno ([sqrt] as
+   the instruction, not a libm call kept for errno), nothing
+   host-specific.
 
    The OCaml callers check every bound and width; nothing here checks,
    allocates or raises ([@@noalloc]). */
@@ -101,74 +103,106 @@ static void decay(double *restrict g2, double *restrict d2, intnat m, intnat k,
     }
 }
 
-/* One output row of a dense layer's training step: [n] weights and the
-   bias at [w], their state at [g2]/[d2], the row's output gradient [d]
-   over the input [xs].  [dn[i]] accumulates [w_i * d] with the
-   pre-update weight; each weight's gradient is [0. + d * xs[i]] (the
-   bias's [0. + d]), the value accumulating into a zeroed buffer gives.
-   Returns whether the row's state is finite afterwards. */
+/* One sample's backward pass through a dense layer of [n_out] rows of
+   [n] weights and a bias, added into the round's summed gradient [gv]
+   (the parameters' layout): row [o]'s gradient [d] is [dout[o]] behind
+   the ReLU gate (none on the [last] layer); [dn[i]] accumulates
+   [w_i * d], each weight's sum gains [d * xs[i]] and the bias's [d].
+   The weights do not move until [ft_nn_step], so every sample of a
+   round reads the same ones.
+
+   A row with d = +-0 and a finite pre-activation is skipped: its
+   weights and inputs are finite, so each [d * xs[i]] and [w * d] is
+   +-0, and adding +-0 changes neither a sum that started at +0 nor
+   [dn] (a round-to-nearest sum is -0 only when both terms are). */
+value ft_nn_accumulate(value params, value gv, intnat n, intnat n_out, value last,
+                       value dout, value pre, value x, value din)
+{
+  const double *w = (const double *) Caml_ba_data_val(params);
+  double *g = (double *) Caml_ba_data_val(gv);
+  const double *dv = (const double *) dout, *pv = (const double *) pre;
+  const double *xs = (const double *) x;
+  double *dn = (double *) din;
+  for (intnat o = 0, off = 0; o < n_out; o++, off += n + 1) {
+    double p = pv[o], d = Bool_val(last) || p > 0. ? dv[o] : 0.;
+    if (d == 0. && p - p == 0.) continue;
+    const double *wr = w + off;
+    double *restrict gr = g + off;
+    for (intnat i = 0; i < n; i++) dn[i] = dn[i] + wr[i] * d;
+    for (intnat i = 0; i < n; i++) gr[i] = gr[i] + d * xs[i];
+    gr[n] = gr[n] + d;
+  }
+  return Val_unit;
+}
+
+value ft_nn_accumulate_byte(value *argv, int argn)
+{
+  (void) argn;
+  return ft_nn_accumulate(argv[0], argv[1], Long_val(argv[2]), Long_val(argv[3]), argv[4],
+                          argv[5], argv[6], argv[7], argv[8]);
+}
+
+/* One AdaDelta step on [m] elements with gradient [g[j] / count],
+   zeroing the sums for the next round.  Returns whether the state is
+   finite afterwards. */
 static inline __attribute__((always_inline)) int
-row(double *restrict w, double *restrict g2, double *restrict d2, intnat n,
-    double rho, double eps, double d, const double *xs, double *dn)
+row(double *restrict w, double *restrict g2, double *restrict d2, double *restrict g,
+    intnat m, double count, double rho, double eps)
 {
   double omr = 1. - rho;
   uint64_t bad = 0;
-  for (intnat i = 0; i < n; i++) dn[i] = dn[i] + w[i] * d;
-  for (intnat i = 0; i < n; i++) bad |= step(w, g2, d2, i, 0. + d * xs[i], rho, omr, eps);
-  bad |= step(w, g2, d2, n, 0. + d, rho, omr, eps);
+  for (intnat j = 0; j < m; j++) {
+    bad |= step(w, g2, d2, j, g[j] / count, rho, omr, eps);
+    g[j] = 0.;
+  }
   return (bad >> 63) == 0;
 }
 
-/* A whole layer's training step: [n_out] rows of [n] weights and a
-   bias, row [o]'s gradient [dout[o]] behind the ReLU gate (none on the
-   [last] layer).
+/* A whole layer's AdaDelta step on the round's mean gradient: [n_out]
+   rows of [n] weights and a bias, their sums in [gv].
 
-   A row with d = +-0 and a finite pre-activation has only finite
-   weights and inputs, so every gradient is +0 and every [w * d] is
-   +-0, which cannot change [dn] (a round-to-nearest sum from +0 is -0
-   only when both terms are).  For g = +0 and finite state the formula
-   is a decay: (1-rho)*g*g = +0; the step -r*g is -0 (r is finite and
-   >= 0 since eps > 0 and g2, d2 >= 0), so d2 gains (1-rho)*s*s = +0;
-   and w + -0 = w.  Such a row only decays its state.
+   A row whose sums are all +-0 has gradient +-0 everywhere, and for
+   g = +-0 and finite state the formula is a decay: (1-rho)*g*g = +0;
+   the step -r*g is +-0 (r is finite and >= 0 since eps > 0 and g2,
+   d2 >= 0), so d2 gains (1-rho)*s*s = +0; and w + +-0 = w.  Such a row
+   only decays its state.
 
    [debt[o]] is -1 while row [o]'s state is not finite, and otherwise
    the number of decays the row owes.  A row that would only decay
    finite state adds one to its debt and touches nothing.  Any other
-   row first pays its debt, then runs [row], which reports whether the
-   state is still finite.  Decaying finite, non-negative state keeps it
+   row first pays its debt, then steps, and records whether the state
+   is still finite.  Decaying finite, non-negative state keeps it
    finite, so each deferred step would have been exactly a decay, and
    the replay runs the same operations in the same order: the state a
    row reads is bit-for-bit the eager one, and a debt never paid is
    never read.  Non-finite state stays non-finite, so a row at -1 runs
    the full formula on every step. */
-value ft_nn_update_layer(value params, value g2v, value d2v, value debt, intnat n,
-                         intnat n_out, value last, double rho, double eps,
-                         value dout, value pre, value x, value din)
+value ft_nn_step(value params, value g2v, value d2v, value gv, value debt, intnat n,
+                 intnat n_out, double rho, double eps, double count)
 {
   double *w = (double *) Caml_ba_data_val(params);
   double *g2 = (double *) Caml_ba_data_val(g2v);
   double *d2 = (double *) Caml_ba_data_val(d2v);
-  const double *dv = (const double *) dout, *pv = (const double *) pre;
+  double *g = (double *) Caml_ba_data_val(gv);
   for (intnat o = 0, off = 0; o < n_out; o++, off += n + 1) {
     intnat owed = Long_val(Field(debt, o));
-    double p = pv[o], d = Bool_val(last) || p > 0. ? dv[o] : 0.;
-    if (owed >= 0 && d == 0. && p - p == 0.) {
+    int zero = 1;
+    for (intnat j = 0; j <= n; j++) zero &= g[off + j] == 0.;
+    if (owed >= 0 && zero) {
       Field(debt, o) = Val_long(owed + 1);
       continue;
     }
     if (owed > 0) decay(g2 + off, d2 + off, n + 1, owed, rho);
-    int finite = row(w + off, g2 + off, d2 + off, n, rho, eps, d,
-                     (const double *) x, (double *) din);
+    int finite = row(w + off, g2 + off, d2 + off, g + off, n + 1, count, rho, eps);
     Field(debt, o) = Val_long(finite ? 0 : -1);
   }
   return Val_unit;
 }
 
-value ft_nn_update_layer_byte(value *argv, int argn)
+value ft_nn_step_byte(value *argv, int argn)
 {
   (void) argn;
-  return ft_nn_update_layer(argv[0], argv[1], argv[2], argv[3], Long_val(argv[4]),
-                            Long_val(argv[5]), argv[6], Double_val(argv[7]),
-                            Double_val(argv[8]), argv[9], argv[10], argv[11],
-                            argv[12]);
+  return ft_nn_step(argv[0], argv[1], argv[2], argv[3], argv[4], Long_val(argv[5]),
+                    Long_val(argv[6]), Double_val(argv[7]), Double_val(argv[8]),
+                    Double_val(argv[9]));
 }

@@ -7,7 +7,7 @@ type transition = {
 }
 
 (* The §5.1 hyperparameters, fixed as in the paper (DESIGN.md §3). *)
-let alpha = 0.7  (* discount on the target network's best Q-value *)
+let alpha = 0.7  (* discount on the next state's best Q-value *)
 let hidden = 64  (* width of each of the three hidden layers *)
 
 (* Training runs every five recorded transitions, not every five
@@ -20,9 +20,11 @@ let epsilon_start = 0.3
 let epsilon_decay = 0.98
 let epsilon_min = 0.05
 
+(* One network: X of §5.1.  X moves only at the end of a training
+   round, so during a round it is also §5.1's backup network Y — the
+   copy of X taken at the end of the previous round. *)
 type t = {
-  online : Ft_nn.Network.t;  (* network X of §5.1 *)
-  target : Ft_nn.Network.t;  (* network Y, kept as a stable backup *)
+  online : Ft_nn.Network.t;
   feature_dim : int;
   n_actions : int;
   replay : transition array;
@@ -37,12 +39,8 @@ let create rng ~feature_dim ~n_actions =
   if n_actions <= 0 then invalid_arg "Agent.create: need at least one action";
   (* Four fully connected layers with ReLU, as in the paper. *)
   let dims = [| feature_dim; hidden; hidden; hidden; n_actions |] in
-  let online = Ft_nn.Network.mlp rng ~dims in
-  let target = Ft_nn.Network.mlp rng ~dims in
-  Ft_nn.Network.copy_params ~src:online ~dst:target;
   {
-    online;
-    target;
+    online = Ft_nn.Network.mlp rng ~dims;
     feature_dim;
     n_actions;
     replay =
@@ -72,32 +70,26 @@ let select t ~state ~valid =
         let q = q_values t state in
         Some (List.fold_left (fun best a -> if q.(a) > q.(best) then a else best) first rest)
 
+(* One round on [min 16 replay_len] transitions drawn in order:
+   target = alpha * max_a' Y(next)[a'] + reward (§5.1), with Y = X
+   frozen for the round, then one averaged AdaDelta step. *)
 let train_batch t =
-  let n = min batch_size t.replay_len in
-  let total = ref 0. in
-  for _ = 1 to n do
-    let transition = t.replay.(Ft_util.Rng.int t.rng t.replay_len) in
-    (* target = alpha * max_a' Y(next)[a'] + reward — §5.1; Y is frozen
-       until the copy below. *)
-    let maxq =
-      match transition.next_valid with
-      | [] -> 0.
-      | next_valid ->
-          let row = Ft_nn.Network.forward t.target transition.next_state in
-          List.fold_left (fun acc action -> Float.max acc row.(action)) neg_infinity next_valid
-    in
-    let target = (alpha *. maxq) +. transition.reward in
-    total :=
-      !total
-      +. Ft_nn.Network.train_mse_component t.online ~input:transition.state
-           ~index:transition.action ~target
-  done;
-  (* The updated parameters become the new backup network Y. *)
-  Ft_nn.Network.copy_params ~src:t.online ~dst:t.target;
-  let loss = if n > 0 then !total /. float_of_int n else 0. in
+  let batch =
+    Array.init (min batch_size t.replay_len) (fun _ ->
+        let transition = t.replay.(Ft_util.Rng.int t.rng t.replay_len) in
+        let maxq =
+          match transition.next_valid with
+          | [] -> 0.
+          | next_valid ->
+              let row = q_values t transition.next_state in
+              List.fold_left (fun acc action -> Float.max acc row.(action)) neg_infinity next_valid
+        in
+        (transition.state, transition.action, (alpha *. maxq) +. transition.reward))
+  in
+  let loss = Ft_nn.Network.train_round t.online batch in
   if Ft_obs.Trace.active () then
     Ft_obs.Trace.event "q.train"
-      [ ("loss", Float loss); ("batch", Int n); ("recorded", Int t.recorded) ];
+      [ ("loss", Float loss); ("batch", Int (Array.length batch)); ("recorded", Int t.recorded) ];
   loss
 
 (* Every check precedes the first mutation: a malformed transition in

@@ -3,12 +3,12 @@
     States are schedule-point feature vectors, actions are directions
     in the rearranged schedule space, rewards are normalized
     performance deltas [(Ee - Ep) / Ep].  A four-layer MLP (64-wide
-    hidden layers) predicts Q-values; training runs every five recorded
-    transitions on a 16-transition sample of a 512-entry replay buffer,
-    against a target network that is refreshed after each round — the
-    DQN-style stabilization the paper cites.  The discount is 0.7;
-    epsilon starts at 0.3 and decays by 0.98 per record down to 0.05
-    (DESIGN.md §3). *)
+    hidden layers) predicts Q-values; every five recorded transitions,
+    a 16-transition sample of a 512-entry replay buffer trains it with
+    one averaged AdaDelta step.  Frozen for the round, it is its own
+    target network (the DQN-style stabilization the paper cites).  The
+    discount is 0.7; epsilon starts at 0.3 and decays by 0.98 per
+    record down to 0.05 (DESIGN.md §3). *)
 
 type transition = {
   state : float array;

@@ -235,7 +235,7 @@ let test_winner_note_text () =
       let report = Flextensor.optimize ~options graph target in
       Alcotest.(check string) (Flextensor.Target.name target) expected
         (Flextensor.Perf.note report.perf))
-    Flextensor.Target.[ (v100, "occ=0.16 eff=0.04 memory-bound"); (xeon_e5_2699_v4, "par=8 simd=1.00 compute-bound"); (vu9p, "pe=256 ii=1.0 compute-bound") ]
+    Flextensor.Target.[ (v100, "occ=0.50 eff=0.02 compute-bound"); (xeon_e5_2699_v4, "par=16 simd=1.00 memory-bound"); (vu9p, "pe=512 ii=2.0 compute-bound") ]
 
 let () =
   Alcotest.run "flextensor"

@@ -113,14 +113,16 @@ let test_names_round_trip_through_store () =
    commit before the Search_loop/registry refactor (seed 2020,
    n_trials 15, V100).  These must never drift: they are the
    refactor's bit-for-bit equivalence contract, and any change to the
-   shared loop or a policy that moves them is a behavioral break. *)
+   shared loop or a policy that moves them is a behavioral break.  The
+   Q-method rows were re-pinned once, when the Q-network's training
+   became one averaged AdaDelta step per round of 16 samples. *)
 let pins =
   [
-    ("gemm", "Q-method", 84.542217788403647, 306, 108.9132972128362);
+    ("gemm", "Q-method", 81.607903484605245, 305, 105.31564640187996);
     ("gemm", "P-method", 77.656136265107662, 921, 322.39334309862886);
     ("gemm", "random", 64.357840652102936, 67, 23.532398492495751);
     ("gemm", "AutoTVM", 69.791415224274786, 121, 72.754365317791596);
-    ("conv", "Q-method", 64.612307318113309, 302, 103.26712951116721);
+    ("conv", "Q-method", 62.54083123446388, 304, 106.22259705689081);
     ("conv", "P-method", 65.125160077455462, 1032, 360.05486710148318);
     ("conv", "random", 47.696461451035226, 67, 23.500185429244144);
     ("conv", "AutoTVM", 65.905897684408657, 126, 74.497306820549028);

@@ -47,18 +47,6 @@ let test_component_training_targets_one_output () =
     (Float.abs (after -. 10.) < Float.abs (before -. 10.));
   check_bool "close to target" true (Float.abs (after -. 10.) < 1.0)
 
-let test_copy_params_makes_forward_equal () =
-  let rng = Ft_util.Rng.create 11 in
-  let a = Ft_nn.Network.mlp rng ~dims:[| 4; 8; 8; 8; 2 |] in
-  let b = Ft_nn.Network.mlp rng ~dims:[| 4; 8; 8; 8; 2 |] in
-  let input = [| 0.1; 0.2; 0.3; 0.4 |] in
-  let outa = Ft_nn.Network.forward a input in
-  let outb = Ft_nn.Network.forward b input in
-  check_bool "different before copy" true (outa <> outb);
-  Ft_nn.Network.copy_params ~src:a ~dst:b;
-  Alcotest.(check (array (float 1e-12))) "equal after copy"
-    (Ft_nn.Network.forward a input) (Ft_nn.Network.forward b input)
-
 let vec = Ft_linalg.Linalg.vec_of_array
 let vec_bits v = Array.init (Bigarray.Array1.dim v) (fun i -> Int64.bits_of_float v.{i})
 
@@ -69,17 +57,20 @@ let test_adadelta_minimizes_quadratic () =
   let params = vec [| 10. |] in
   for _ = 1 to 5000 do
     let b = params.{0} in
-    Ft_nn.Adadelta.update_layer state ~params ~debt:[| 0 |] ~last:true
-      ~dout:[| 2. *. (b -. 3.) |] ~pre:[| b |] ~x:[||] ~din:[||]
+    Ft_nn.Adadelta.accumulate state ~params ~last:true ~dout:[| 2. *. (b -. 3.) |] ~pre:[| b |]
+      ~x:[||] ~din:[||];
+    Ft_nn.Adadelta.step state ~params ~debt:[| 0 |] ~count:1
   done;
   check_bool "converged near 3" true (Float.abs (params.{0} -. 3.) < 0.5)
 
 let test_adadelta_size_mismatch () =
   let state = Ft_nn.Adadelta.create 2 in
-  Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.update_layer: size mismatch")
+  Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.accumulate: size mismatch")
     (fun () ->
-      Ft_nn.Adadelta.update_layer state ~params:(vec [| 1. |]) ~debt:[| 0 |] ~last:true
-        ~dout:[| 1. |] ~pre:[| 1. |] ~x:[||] ~din:[||])
+      Ft_nn.Adadelta.accumulate state ~params:(vec [| 1. |]) ~last:true ~dout:[| 1. |]
+        ~pre:[| 1. |] ~x:[||] ~din:[||]);
+  Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.step: size mismatch") (fun () ->
+      Ft_nn.Adadelta.step state ~params:(vec [| 1. |]) ~debt:[| 0 |] ~count:1)
 
 let raises_invalid what f =
   match f () with
@@ -102,7 +93,9 @@ let qcheck_forward_finite =
 
 (* Reference training step over plain float arrays, in four passes: a
    scalar forward, zeroed gradient buffers, a backward pass
-   accumulating into them, then AdaDelta over every parameter.  Same He
+   accumulating into them, then AdaDelta over every parameter; and a
+   minibatch round, the same with one forward and backward per sample
+   and AdaDelta on the sums divided by the batch size.  Same He
    initialization (same gaussian draw order), same rho/eps, same
    summation orders as [Ft_nn]. *)
 module Reference = struct
@@ -176,12 +169,15 @@ module Reference = struct
         params.(i) <- params.(i) +. step)
       grads
 
-  let step net dout =
+  let zero_grads net =
     Array.iter
       (fun layer ->
         Array.fill layer.gw 0 (Array.length layer.gw) 0.;
         Array.fill layer.gb 0 layer.n_out 0.)
-      net;
+      net
+
+  (* The backward pass of the last forward, adding into gw/gb. *)
+  let backward net dout =
     let n = Array.length net in
     let dout = ref dout in
     for l = n - 1 downto 0 do
@@ -202,7 +198,11 @@ module Reference = struct
         done
       done;
       dout := din
-    done;
+    done
+
+  let step net dout =
+    zero_grads net;
+    backward net dout;
     Array.iter
       (fun layer ->
         adadelta ~params:layer.w ~grads:layer.gw ~g2s:layer.w_g2 ~d2s:layer.w_d2;
@@ -223,6 +223,30 @@ module Reference = struct
     dout.(index) <- d;
     step net dout;
     0.5 *. d *. d
+
+  (* A minibatch round: every sample's forward and backward against the
+     same weights, gradients summed in sample order, each sum divided
+     by the batch size, then one AdaDelta step over every parameter. *)
+  let train_round net batch =
+    zero_grads net;
+    let total = ref 0. in
+    Array.iter
+      (fun (input, index, target) ->
+        let out = forward net input in
+        let dout = Array.make (Array.length out) 0. in
+        let d = out.(index) -. target in
+        dout.(index) <- d;
+        total := !total +. (0.5 *. d *. d);
+        backward net dout)
+      batch;
+    let n = float_of_int (Array.length batch) in
+    let mean = Array.map (fun g -> g /. n) in
+    Array.iter
+      (fun layer ->
+        adadelta ~params:layer.w ~grads:(mean layer.gw) ~g2s:layer.w_g2 ~d2s:layer.w_d2;
+        adadelta ~params:layer.b ~grads:(mean layer.gb) ~g2s:layer.b_g2 ~d2s:layer.b_d2)
+      net;
+    !total /. n
 end
 
 (* Bit equality, except that any nan matches any nan: which payload a
@@ -407,35 +431,119 @@ let test_poisoned_rows_take_the_full_formula () =
       done)
     [ ("huge target", `Target 1e200); ("inf target", `Target infinity); ("nan input", `Input nan) ]
 
-(* The layer kernel is C and checks nothing: every malformed
-   call raises in OCaml first, with the parameters, [din], the debt and
-   the optimizer state unchanged (a twin that never saw the bad calls
-   takes the same valid steps to the same bits). *)
-let test_update_layer_rejects_bad_widths () =
+(* Minibatch rounds ([Network.train_round], what the Q-agent trains
+   with) against the reference round: each sample's gradient summed in
+   order against the same weights, the sums divided by the batch size,
+   one AdaDelta step.  At C2D/v100 widths (31 -> 64^3 -> 62), each
+   round's mean loss and a probe forward after it must be bit-equal. *)
+let c2d = [| 31; 64; 64; 64; 62 |]
+
+let round_lockstep name =
+  let net = Ft_nn.Network.mlp (Ft_util.Rng.create 2020) ~dims:c2d in
+  let reference = Reference.mlp (Ft_util.Rng.create 2020) ~dims:c2d in
+  let rng = Ft_util.Rng.create 13 in
+  let entry () =
+    match Ft_util.Rng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> -.Ft_util.Rng.float rng 50.
+    | _ -> Ft_util.Rng.float rng 4. -. 2.
+  in
+  let sample index = (Array.init 31 (fun _ -> entry ()), index, entry ()) in
+  let round what batch =
+    let loss = Ft_nn.Network.train_round net batch in
+    let expected = Reference.train_round reference batch in
+    if not (bits_equal loss expected) then Alcotest.failf "%s: loss of %s" name what;
+    let probe = Array.init 31 (fun _ -> entry ()) in
+    if
+      not
+        (Array.for_all2 bits_equal (Ft_nn.Network.forward net probe)
+           (Reference.forward reference probe))
+    then Alcotest.failf "%s: forward after %s" name what
+  in
+  (round, sample, rng)
+
+let test_round_matches_reference () =
+  List.iter
+    (fun n ->
+      let round, sample, rng = round_lockstep (Printf.sprintf "n = %d" n) in
+      for r = 1 to 60 do
+        round (Printf.sprintf "round %d" r)
+          (Array.init n (fun _ -> sample (Ft_util.Rng.int rng 62)))
+      done)
+    [ 1; 5; 16 ]
+
+(* Rounds that train only outputs 0 and 1 for 400 rounds of 16, so the
+   other output rows and the ReLU-dead hidden rows run up long debts
+   (one decay per round); then rounds that train every output. *)
+let test_round_debts_repaid () =
+  let round, sample, _ = round_lockstep "idle rows" in
+  for r = 1 to 400 do
+    round (Printf.sprintf "idle round %d" r) (Array.init 16 (fun k -> sample ((r + k) mod 2)))
+  done;
+  for r = 0 to 7 do
+    round (Printf.sprintf "repaying round %d" r) (Array.init 16 (fun k -> sample (((16 * r) + k) mod 62)))
+  done
+
+(* A round of 16 in which one sample is poisoned — an infinite target,
+   an overflowing one, or a nan input — after a long clean stretch: the
+   rows it reaches hold non-finite sums and state and take the full
+   formula from then on; clean rounds over every output follow. *)
+let test_round_with_poisoned_sample () =
+  List.iter
+    (fun (what, poison) ->
+      let round, sample, _ = round_lockstep what in
+      for r = 1 to 150 do
+        round (Printf.sprintf "clean round %d" r) (Array.init 16 (fun k -> sample ((r + k) mod 2)))
+      done;
+      let batch = Array.init 16 (fun k -> sample (k mod 3)) in
+      let input, index, _ = batch.(7) in
+      batch.(7) <-
+        (match poison with
+        | `Target t -> (input, index, t)
+        | `Input v ->
+            input.(3) <- v;
+            (input, index, 1.));
+      round "the poisoned round" batch;
+      for r = 1 to 60 do
+        round (Printf.sprintf "round %d after" r) (Array.init 16 (fun k -> sample (((16 * r) + k) mod 62)))
+      done)
+    [ ("inf target", `Target infinity); ("huge target", `Target 1e200); ("nan input", `Input nan) ]
+
+(* The layer kernels are C and check nothing: every malformed call
+   raises in OCaml first, with the parameters, [din], the debt, the
+   summed gradient and the optimizer state unchanged (a twin that never
+   saw the bad calls takes the same valid steps to the same bits). *)
+let test_step_rejects_bad_widths () =
   let make () =
     let state = Ft_nn.Adadelta.create 6 and params = vec [| 0.5; -1.; 2.; 0.25; -0.75; 1.5 |] in
     let debt = [| 0; 0 |] in
     let good ~dout =
-      Ft_nn.Adadelta.update_layer state ~params ~debt ~last:false ~dout ~pre:[| 1.; -1. |]
-        ~x:[| 1.; -2. |] ~din:[| 0.; 0. |]
+      Ft_nn.Adadelta.accumulate state ~params ~last:false ~dout ~pre:[| 1.; -1. |]
+        ~x:[| 1.; -2. |] ~din:[| 0.; 0. |];
+      Ft_nn.Adadelta.step state ~params ~debt ~count:1
     in
     good ~dout:[| 0.3; 0.2 |];
     (state, params, debt, good)
   in
   let state, params, debt, good = make () and _, twin_params, twin_debt, twin_good = make () in
   let din = [| 0.; 0. |] in
-  let bad what ?(params = params) ?(debt = debt) ?(dout = [| 0.7; 0.1 |]) ?(pre = [| 1.; 1. |])
+  let bad what ?(params = params) ?(dout = [| 0.7; 0.1 |]) ?(pre = [| 1.; 1. |])
       ?(x = [| 1.; -2. |]) ?(din = din) () =
     raises_invalid what (fun () ->
-        Ft_nn.Adadelta.update_layer state ~params ~debt ~last:false ~dout ~pre ~x ~din)
+        Ft_nn.Adadelta.accumulate state ~params ~last:false ~dout ~pre ~x ~din)
+  in
+  let bad_step what ?(params = params) ?(debt = debt) ?(count = 1) () =
+    raises_invalid what (fun () -> Ft_nn.Adadelta.step state ~params ~debt ~count)
   in
   bad "short dout" ~dout:[| 0.7 |] ();
   bad "long pre" ~pre:[| 1.; 1.; 1. |] ();
   bad "short din" ~din:[| 0. |] ();
   bad "wide x" ~x:[| 1.; -2.; 3. |] ();
-  bad "debt of three rows" ~debt:[| 0; 0; 0 |] ~dout:[| 0.; 0.; 0. |] ~pre:[| 1.; 1.; 1. |] ();
+  bad_step "debt of four rows" ~debt:[| 0; 0; 0; 0 |] ();
+  bad_step "count 0" ~count:0 ();
   let other = vec (Array.make 7 1.) in
   bad "state size" ~params:other ();
+  bad_step "state size" ~params:other ~debt:[| 0 |] ();
   check_bool "other params untouched" true (Array.for_all (( = ) 1.) (Array.init 7 (fun i -> other.{i})));
   check_bool "din untouched" true (din = [| 0.; 0. |]);
   check_bool "debt untouched" true (debt = twin_debt);
@@ -476,8 +584,6 @@ let () =
           Alcotest.test_case "learns linear map" `Slow test_learns_linear_map;
           Alcotest.test_case "component training" `Quick
             test_component_training_targets_one_output;
-          Alcotest.test_case "target-network copy" `Quick
-            test_copy_params_makes_forward_equal;
           Alcotest.test_case "bad dims" `Quick test_mlp_rejects_bad_dims;
           QCheck_alcotest.to_alcotest qcheck_forward_finite;
           QCheck_alcotest.to_alcotest qcheck_training_matches_reference;
@@ -488,12 +594,17 @@ let () =
             test_long_debts_repaid;
           Alcotest.test_case "poisoned rows take the full formula" `Quick
             test_poisoned_rows_take_the_full_formula;
+          Alcotest.test_case "rounds of 1, 5 and 16 bit-equal the reference round" `Quick
+            test_round_matches_reference;
+          Alcotest.test_case "rounds repay long decay debts bit-equal" `Quick
+            test_round_debts_repaid;
+          Alcotest.test_case "a round with a poisoned sample bit-equals the reference" `Quick
+            test_round_with_poisoned_sample;
         ] );
       ( "adadelta",
         [
           Alcotest.test_case "minimizes quadratic" `Quick test_adadelta_minimizes_quadratic;
           Alcotest.test_case "size mismatch" `Quick test_adadelta_size_mismatch;
-          Alcotest.test_case "bad layers change nothing" `Quick
-            test_update_layer_rejects_bad_widths;
+          Alcotest.test_case "bad layers change nothing" `Quick test_step_rejects_bad_widths;
         ] );
     ]

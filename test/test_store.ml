@@ -410,26 +410,33 @@ let test_exact_hit_reuse () =
     (Ft_schedule.Config.equal first.config again.config);
   check_int "reuse did not append" 1 (Store.length store)
 
-(* Acceptance (deterministic seeded run on Suites gemm shapes):
+(* Acceptance (deterministic seeded runs on Suites gemm shapes):
    warm-starting 64^3 from a 128^3 tuning at an equal eval budget is
-   at least as good as the cold search.  Warm seeds genuinely steer
-   the trajectory, so this is a per-seed property, not a universal
-   dominance guarantee — the search is deterministic, which makes the
-   assertion stable. *)
+   at least as good as the cold search.  Warm seeds genuinely steer the
+   trajectory, so a single seed can go either way: over seeds 1-30 the
+   warm start must match or beat the cold search on at least 20, and
+   its geometric-mean best value must be at least the cold one's. *)
 let test_warm_start_not_worse () =
-  let tune graph store reuse =
-    let options = { Flextensor.default_options with seed = 1; n_trials = 12 } in
+  let tune seed graph store reuse =
+    let options = { Flextensor.default_options with seed; n_trials = 12 } in
     Flextensor.optimize ~options ?store ~reuse graph target
   in
-  let store = Store.create () in
-  ignore (tune (gemm ~m:128 ~n:128 ~k:128) (Some store) false);
-  let cold = tune (gemm ~m:64 ~n:64 ~k:64) None false in
-  let warm = tune (gemm ~m:64 ~n:64 ~k:64) (Some store) true in
-  (match warm.provenance with
-  | Flextensor.Transferred n -> check_bool "some transfer seeds" true (n > 0)
-  | _ -> Alcotest.fail "expected a transferred warm start");
-  check_bool "warm >= cold at equal budget" true
-    (warm.perf_value >= cold.perf_value)
+  let pairs =
+    List.init 30 (fun i ->
+        let seed = i + 1 in
+        let store = Store.create () in
+        ignore (tune seed (gemm ~m:128 ~n:128 ~k:128) (Some store) false);
+        let cold = tune seed (gemm ~m:64 ~n:64 ~k:64) None false in
+        let warm = tune seed (gemm ~m:64 ~n:64 ~k:64) (Some store) true in
+        (match warm.provenance with
+        | Flextensor.Transferred n -> check_bool "some transfer seeds" true (n > 0)
+        | _ -> Alcotest.failf "seed %d: expected a transferred warm start" seed);
+        (warm.perf_value, cold.perf_value))
+  in
+  let wins = List.length (List.filter (fun (warm, cold) -> warm >= cold) pairs) in
+  let log_mean f = List.fold_left (fun acc p -> acc +. log (f p)) 0. pairs /. 30. in
+  if wins < 20 then Alcotest.failf "warm >= cold on %d of 30 seeds, want >= 20" wins;
+  check_bool "geomean warm >= geomean cold" true (log_mean fst >= log_mean snd)
 
 let test_runner_reuses_layers () =
   let store = Store.create () in
