@@ -61,10 +61,12 @@ let tests () =
    per call: a fresh network trained on the ~800 samples a
    250-evaluation search trains on (a round of 16 every five recorded
    transitions), inputs and trained outputs from fixed cycles, either
-   one sample per call or a round of 16 per call.  Training one output
-   on one input for as long as a sampler runs reaches a regime no
-   search does: after ~13k steps the idle rows' optimizer state decays
-   into subnormals. *)
+   a round of one sample per call or a round of 16 per call.  Every
+   round steps every parameter, so the one-sample row is a layer
+   figure for a round no search runs (the agent's smallest round, its
+   first, has 5 samples).  Training on for as long as a sampler runs
+   would reach a regime no search does: after ~13k rounds the idle
+   rows' optimizer state decays into subnormals. *)
 let q_train_samples = 800
 
 let q_train_ns_per_call ~batch =

@@ -23,10 +23,6 @@ type limits = {
   mem_mb : int option;  (** RLIMIT_AS cap in MiB; [None] = unlimited *)
 }
 
-(** 10 s, 4096 MiB — generous enough that well-behaved kernels never
-    trip them; {!preflight} checks buffers against half the cap. *)
-val default_limits : limits
-
 (** [max_int / 1048576]: the largest [mem_mb] whose byte count fits
     in an [int]. *)
 val max_mem_mb : int
@@ -40,7 +36,6 @@ val max_mem_mb : int
 type chaos = Hang | Segv | Oom_hog | Garbage | Truncated | Silent
 
 val chaos_to_string : chaos -> string
-val chaos_of_string : string -> chaos option
 
 (** Pre-flight static guard: reject obviously-doomed configs without
     spawning.  Rejects a watchdog timeout that is not positive
@@ -50,8 +45,10 @@ val chaos_of_string : string -> chaos option
     address-space cap, and (2) [Loopnest.total_iterations] against
     the watchdog (at an optimistic 1 ns per leaf statement the nest
     cannot finish in time), and (3) the estimated unroll expansion
-    against 1024x {!Compile.max_unrolled_stmts}.  [Error] carries the
-    reason; [Ok] carries the lowered program. *)
+    against 1024x {!Compile.max_unrolled_stmts}.  [limits] defaults
+    to 10 s and 4096 MiB, generous enough that well-behaved kernels
+    never trip them.  [Error] carries the reason; [Ok] carries the
+    lowered program. *)
 val preflight :
   ?limits:limits ->
   Ft_schedule.Space.t ->
@@ -66,8 +63,9 @@ val preflight :
     truncated or missing frame, nonzero exit) or [Launch_failed] (no
     pipe or process could be created; every descriptor is closed
     again).  [Ok] can itself be an invalid perf (e.g. a config outside
-    the space) — a result, not a containment event.  [chaos] injects
-    a worker-side fault (tests). *)
+    the space) — a result, not a containment event.  [limits] defaults
+    to 10 s and 4096 MiB, as in {!preflight}.  [chaos] injects a
+    worker-side fault (tests). *)
 val run :
   ?limits:limits ->
   ?chaos:chaos ->
@@ -78,7 +76,9 @@ val run :
 
 (** [measurer space] is an {!Ft_explore.Evaluator.measurer}-shaped
     hook: preflight, then {!run} as a {!Ft_fault.Resilience} fault
-    source under [policy] (default {!Ft_fault.Resilience.default_policy}).
+    source under [limits] (default 10 s and 4096 MiB, as in
+    {!preflight}) and [policy] (default
+    {!Ft_fault.Resilience.default_policy}).
     [Timeout] and [Protocol_error] are retried with backoff (real
     sleeps); [Crashed], [Oom] and [Launch_failed] — and exhausted
     retries — quarantine the config: later measurements of it return

@@ -13,17 +13,17 @@ let create n = Ft_linalg.Linalg.{ g2 = vec n; d2 = vec n; grad = vec n }
 
 (* AdaDelta (Zeiler 2012): parameter-wise adaptive step with no global
    learning rate — the update magnitude is the ratio of RMS(previous
-   updates) to RMS(gradients).  The backward product, the element
-   formula and the deferred decays are in nn_stubs.c, which checks
-   nothing: every bound is checked here, before the call. *)
+   updates) to RMS(gradients).  The backward product and the element
+   formula are in nn_stubs.c, which checks nothing: every bound is
+   checked here, before the call. *)
 external accumulate_kernel :
   vec -> vec -> (int[@untagged]) -> (int[@untagged]) -> bool -> float array -> float array ->
   float array -> float array -> unit = "ft_nn_accumulate_byte" "ft_nn_accumulate"
 [@@noalloc]
 
 external step_kernel :
-  vec -> vec -> vec -> vec -> int array -> (int[@untagged]) -> (int[@untagged]) ->
-  (float[@unboxed]) -> (float[@unboxed]) -> (float[@unboxed]) -> unit
+  vec -> vec -> vec -> vec -> (int[@untagged]) -> (float[@unboxed]) -> (float[@unboxed]) ->
+  (float[@unboxed]) -> unit
   = "ft_nn_step_byte" "ft_nn_step"
 [@@noalloc]
 
@@ -34,10 +34,7 @@ let accumulate t ~params ~last ~dout ~pre ~x ~din =
     invalid_arg "Adadelta.accumulate: width mismatch";
   accumulate_kernel params t.grad n n_out last dout pre x din
 
-let step t ~params ~debt ~count =
-  let n_out = Array.length debt in
-  let n = if n_out = 0 then 0 else (dim params / n_out) - 1 in
+let step t ~params ~count =
   if dim t.g2 <> dim params then invalid_arg "Adadelta.step: size mismatch";
-  if n < 0 || dim params <> n_out * (n + 1) then invalid_arg "Adadelta.step: width mismatch";
   if count < 1 then invalid_arg "Adadelta.step: count must be >= 1";
-  step_kernel params t.g2 t.d2 t.grad debt n n_out rho eps (float_of_int count)
+  step_kernel params t.g2 t.d2 t.grad (dim params) rho eps (float_of_int count)

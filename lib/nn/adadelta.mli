@@ -21,13 +21,8 @@ val create : int -> t
 val accumulate : t -> params:Ft_linalg.Linalg.vec -> last:bool -> dout:float array ->
   pre:float array -> x:float array -> din:float array -> unit
 
-(** [step t ~params ~debt ~count]: one AdaDelta step on the sums
-    divided by [count], which it then zeroes.  A row whose sums are all
-    zero would only decay finite state, and defers that: [debt.(o)]
-    counts the decays row [o] owes ([-1] while its state is not
-    finite), paid in order before its next other step.  A fresh state's
-    debt is all zeros; always step a state with the same [debt].
-    Raises [Invalid_argument], changing nothing, when [params] is not
-    the state's size or [Array.length debt] equal rows, or [count] is
-    below 1. *)
-val step : t -> params:Ft_linalg.Linalg.vec -> debt:int array -> count:int -> unit
+(** [step t ~params ~count]: one AdaDelta step of every parameter on
+    the sums divided by [count], which it then zeroes.  Raises
+    [Invalid_argument], changing nothing, when [params] is not the
+    state's size or [count] is below 1. *)
+val step : t -> params:Ft_linalg.Linalg.vec -> count:int -> unit

@@ -9,7 +9,6 @@ type layer = {
   n_out : int;
   p : Ft_linalg.Linalg.vec;  (* n_out x (n_in + 1) *)
   opt : Adadelta.t;
-  debt : int array;  (* per row: decays owed, see {!Adadelta.step} *)
   mutable last_input : float array;
   mutable last_pre : float array;  (* pre-activation, cached for backward *)
 }
@@ -26,7 +25,7 @@ let make_layer rng n_in n_out =
     unsafe_set p (k + (k / n_in)) (Ft_util.Rng.gaussian rng *. scale)
   done;
   let opt = Adadelta.create (dim p) in
-  { n_in; n_out; p; opt; debt = Array.make n_out 0; last_input = [||]; last_pre = [||] }
+  { n_in; n_out; p; opt; last_input = [||]; last_pre = [||] }
 
 let mlp rng ~dims =
   if Array.length dims < 2 then invalid_arg "Network.mlp: need at least two dims";
@@ -80,20 +79,25 @@ let forward net input =
     out
   end
 
-(* One minibatch round: per input, in order, a caching forward and a
+(* One minibatch round: per sample, in order, a caching forward and a
    backward adding its gradient into each layer's sums; then one
    AdaDelta step per layer on the mean, so every sample reads the same
-   weights.  [grad k out] is input [k]'s output gradient and loss.
-   Widths are checked first: a bad input leaves no partial sums. *)
-let round net inputs grad =
-  Array.iter (check_input net) inputs;
-  let n = Array.length net.layers and count = Array.length inputs in
+   weights.  The Q-learning loss trains only each sample's action's
+   output.  Every sample is checked first: a bad one leaves no partial
+   sums. *)
+let train_round net batch =
+  let n = Array.length net.layers and count = Array.length batch in
+  let n_out = net.layers.(n - 1).n_out in
+  if Array.exists (fun (_, index, _) -> index < 0 || index >= n_out) batch then
+    invalid_arg "Network.train_round: index out of range";
+  Array.iter (fun (input, _, _) -> check_input net input) batch;
   let total = ref 0. in
-  Array.iteri
-    (fun k input ->
-      let dout, loss = grad k (run ~cache:true net input) in
-      total := !total +. loss;
-      let dout = ref dout in
+  Array.iter
+    (fun (input, index, target) ->
+      let out = run ~cache:true net input in
+      let d = out.(index) -. target in
+      total := !total +. (0.5 *. d *. d);
+      let dout = ref (Array.mapi (fun o _ -> if o = index then d else 0.) out) in
       for l = n - 1 downto 0 do
         let layer = net.layers.(l) in
         let din = Array.make layer.n_in 0. in
@@ -101,29 +105,10 @@ let round net inputs grad =
           ~pre:layer.last_pre ~x:layer.last_input ~din;
         dout := din
       done)
-    inputs;
+    batch;
   if count > 0 then
-    Array.iter (fun { opt; p; debt; _ } -> Adadelta.step opt ~params:p ~debt ~count) net.layers;
+    Array.iter (fun { opt; p; _ } -> Adadelta.step opt ~params:p ~count) net.layers;
   !total /. float_of_int (max count 1)
-
-let n_out net = net.layers.(Array.length net.layers - 1).n_out
-
-let train_mse net ~input ~target =
-  if Array.length target <> n_out net then invalid_arg "Network.train_mse: target size mismatch";
-  round net [| input |] (fun _ out ->
-      let dout = Array.map2 (fun o t -> o -. t) out target in
-      (dout, 0.5 *. Array.fold_left (fun acc d -> acc +. (d *. d)) 0. dout))
-
-(* The Q-learning loss trains only each sample's action's output. *)
-let train_round net batch =
-  if Array.exists (fun (_, index, _) -> index < 0 || index >= n_out net) batch then
-    invalid_arg "Network.train_round: index out of range";
-  round net (Array.map (fun (input, _, _) -> input) batch) (fun k out ->
-      let _, index, target = batch.(k) in
-      let d = out.(index) -. target in
-      (Array.mapi (fun o _ -> if o = index then d else 0.) out, 0.5 *. d *. d))
-
-let train_mse_component net ~input ~index ~target = train_round net [| (input, index, target) |]
 
 let param_count net = Array.fold_left (fun acc layer -> acc + dim layer.p) 0 net.layers
 let num_layers net = Array.length net.layers

@@ -15,11 +15,6 @@ val mlp : Ft_util.Rng.t -> dims:int array -> t
     is not the first layer's width. *)
 val forward : t -> float array -> float array
 
-(** One training round of one sample on half squared error of a full
-    output vector; returns the pre-update loss.  Raises
-    [Invalid_argument] when the input or target has the wrong width. *)
-val train_mse : t -> input:float array -> target:float array -> float
-
 (** [train_round t batch]: one minibatch round; each [(input, index,
     target)] trains output [index] towards [target] (half squared
     error).  Gradients are summed in order against the same weights,
@@ -28,9 +23,6 @@ val train_mse : t -> input:float array -> target:float array -> float
     empty batch).  Raises [Invalid_argument], changing nothing, when an
     input has the wrong width or an index is out of range. *)
 val train_round : t -> (float array * int * float) array -> float
-
-(** [train_round] of one sample. *)
-val train_mse_component : t -> input:float array -> index:int -> target:float -> float
 
 val param_count : t -> int
 val num_layers : t -> int

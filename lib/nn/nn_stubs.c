@@ -21,8 +21,6 @@
 #include <caml/mlvalues.h>
 
 #include <math.h>
-#include <stdint.h>
-#include <string.h>
 
 /* A [float array] is read in place as a C array of doubles. */
 #ifndef FLAT_FLOAT_ARRAY
@@ -65,20 +63,9 @@ value ft_nn_affine_byte(value p, value n_in, value n_out, value x, value pre)
   return ft_nn_affine(p, Long_val(n_in), Long_val(n_out), x, pre);
 }
 
-/* Non-zero in the sign bit exactly when [v] is inf or nan: the
-   exponent field plus one carries into the sign bit exactly when it is
-   all ones.  OR-ed over many values, a branch-free finiteness test. */
-static inline __attribute__((always_inline)) uint64_t nonfinite(double v)
-{
-  uint64_t b;
-  memcpy(&b, &v, sizeof b);
-  return (b & (0x7ffULL << 52)) + (1ULL << 52);
-}
-
 /* AdaDelta (Zeiler 2012) on element [j] with gradient [g]: the one
-   copy of the formula.  Returns [nonfinite] of the element's new
-   state. */
-static inline __attribute__((always_inline)) uint64_t
+   copy of the formula. */
+static inline __attribute__((always_inline)) void
 step(double *restrict w, double *restrict g2v, double *restrict d2v, intnat j,
      double g, double rho, double omr, double eps)
 {
@@ -88,19 +75,6 @@ step(double *restrict w, double *restrict g2v, double *restrict d2v, intnat j,
   g2v[j] = g2;
   d2v[j] = d2;
   w[j] = w[j] + s;
-  return nonfinite(g2) | nonfinite(d2);
-}
-
-/* [k] decay-only AdaDelta steps on [m] elements of state: the formula
-   at g = +0 on finite state, in order, one pass per step. */
-static void decay(double *restrict g2, double *restrict d2, intnat m, intnat k,
-                  double rho)
-{
-  for (; k > 0; k--)
-    for (intnat j = 0; j < m; j++) {
-      g2[j] = rho * g2[j] + 0.;
-      d2[j] = rho * d2[j] + 0.;
-    }
 }
 
 /* One sample's backward pass through a dense layer of [n_out] rows of
@@ -142,59 +116,21 @@ value ft_nn_accumulate_byte(value *argv, int argn)
                           argv[5], argv[6], argv[7], argv[8]);
 }
 
-/* One AdaDelta step on [m] elements with gradient [g[j] / count],
-   zeroing the sums for the next round.  Returns whether the state is
-   finite afterwards. */
-static inline __attribute__((always_inline)) int
-row(double *restrict w, double *restrict g2, double *restrict d2, double *restrict g,
-    intnat m, double count, double rho, double eps)
+/* A whole layer's AdaDelta step on the round's mean gradient: every
+   one of its [m] parameters steps with [g[j] / count], and the sums
+   are zeroed for the next round.  An idle row needs no branch: for
+   g = +-0 on finite state the formula is exactly a decay. */
+value ft_nn_step(value params, value g2v, value d2v, value gv, intnat m, double rho,
+                 double eps, double count)
 {
+  double *restrict w = (double *) Caml_ba_data_val(params);
+  double *restrict g2 = (double *) Caml_ba_data_val(g2v);
+  double *restrict d2 = (double *) Caml_ba_data_val(d2v);
+  double *restrict g = (double *) Caml_ba_data_val(gv);
   double omr = 1. - rho;
-  uint64_t bad = 0;
   for (intnat j = 0; j < m; j++) {
-    bad |= step(w, g2, d2, j, g[j] / count, rho, omr, eps);
+    step(w, g2, d2, j, g[j] / count, rho, omr, eps);
     g[j] = 0.;
-  }
-  return (bad >> 63) == 0;
-}
-
-/* A whole layer's AdaDelta step on the round's mean gradient: [n_out]
-   rows of [n] weights and a bias, their sums in [gv].
-
-   A row whose sums are all +-0 has gradient +-0 everywhere, and for
-   g = +-0 and finite state the formula is a decay: (1-rho)*g*g = +0;
-   the step -r*g is +-0 (r is finite and >= 0 since eps > 0 and g2,
-   d2 >= 0), so d2 gains (1-rho)*s*s = +0; and w + +-0 = w.  Such a row
-   only decays its state.
-
-   [debt[o]] is -1 while row [o]'s state is not finite, and otherwise
-   the number of decays the row owes.  A row that would only decay
-   finite state adds one to its debt and touches nothing.  Any other
-   row first pays its debt, then steps, and records whether the state
-   is still finite.  Decaying finite, non-negative state keeps it
-   finite, so each deferred step would have been exactly a decay, and
-   the replay runs the same operations in the same order: the state a
-   row reads is bit-for-bit the eager one, and a debt never paid is
-   never read.  Non-finite state stays non-finite, so a row at -1 runs
-   the full formula on every step. */
-value ft_nn_step(value params, value g2v, value d2v, value gv, value debt, intnat n,
-                 intnat n_out, double rho, double eps, double count)
-{
-  double *w = (double *) Caml_ba_data_val(params);
-  double *g2 = (double *) Caml_ba_data_val(g2v);
-  double *d2 = (double *) Caml_ba_data_val(d2v);
-  double *g = (double *) Caml_ba_data_val(gv);
-  for (intnat o = 0, off = 0; o < n_out; o++, off += n + 1) {
-    intnat owed = Long_val(Field(debt, o));
-    int zero = 1;
-    for (intnat j = 0; j <= n; j++) zero &= g[off + j] == 0.;
-    if (owed >= 0 && zero) {
-      Field(debt, o) = Val_long(owed + 1);
-      continue;
-    }
-    if (owed > 0) decay(g2 + off, d2 + off, n + 1, owed, rho);
-    int finite = row(w + off, g2 + off, d2 + off, g + off, n + 1, count, rho, eps);
-    Field(debt, o) = Val_long(finite ? 0 : -1);
   }
   return Val_unit;
 }
@@ -202,7 +138,6 @@ value ft_nn_step(value params, value g2v, value d2v, value gv, value debt, intna
 value ft_nn_step_byte(value *argv, int argn)
 {
   (void) argn;
-  return ft_nn_step(argv[0], argv[1], argv[2], argv[3], argv[4], Long_val(argv[5]),
-                    Long_val(argv[6]), Double_val(argv[7]), Double_val(argv[8]),
-                    Double_val(argv[9]));
+  return ft_nn_step(argv[0], argv[1], argv[2], argv[3], Long_val(argv[4]),
+                    Double_val(argv[5]), Double_val(argv[6]), Double_val(argv[7]));
 }

@@ -21,12 +21,11 @@ let test_learns_linear_map () =
   let net = Ft_nn.Network.mlp rng ~dims:[| 2; 16; 16; 16; 1 |] in
   let sample () =
     let x = Ft_util.Rng.float rng 2. -. 1. and y = Ft_util.Rng.float rng 2. -. 1. in
-    ([| x; y |], [| (2. *. x) -. (3. *. y) |])
+    ([| x; y |], 0, (2. *. x) -. (3. *. y))
   in
   let initial_loss = ref 0. and final_loss = ref 0. in
   for step = 1 to 3000 do
-    let input, target = sample () in
-    let loss = Ft_nn.Network.train_mse net ~input ~target in
+    let loss = Ft_nn.Network.train_round net [| sample () |] in
     if step <= 100 then initial_loss := !initial_loss +. loss;
     if step > 2900 then final_loss := !final_loss +. loss
   done;
@@ -40,7 +39,7 @@ let test_component_training_targets_one_output () =
      layers) but output #2 must approach the target. *)
   let before = (Ft_nn.Network.forward net input).(2) in
   for _ = 1 to 500 do
-    ignore (Ft_nn.Network.train_mse_component net ~input ~index:2 ~target:10.)
+    ignore (Ft_nn.Network.train_round net [| (input, 2, 10.) |])
   done;
   let after = (Ft_nn.Network.forward net input).(2) in
   check_bool "moved towards target" true
@@ -59,7 +58,7 @@ let test_adadelta_minimizes_quadratic () =
     let b = params.{0} in
     Ft_nn.Adadelta.accumulate state ~params ~last:true ~dout:[| 2. *. (b -. 3.) |] ~pre:[| b |]
       ~x:[||] ~din:[||];
-    Ft_nn.Adadelta.step state ~params ~debt:[| 0 |] ~count:1
+    Ft_nn.Adadelta.step state ~params ~count:1
   done;
   check_bool "converged near 3" true (Float.abs (params.{0} -. 3.) < 0.5)
 
@@ -70,7 +69,7 @@ let test_adadelta_size_mismatch () =
       Ft_nn.Adadelta.accumulate state ~params:(vec [| 1. |]) ~last:true ~dout:[| 1. |]
         ~pre:[| 1. |] ~x:[||] ~din:[||]);
   Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.step: size mismatch") (fun () ->
-      Ft_nn.Adadelta.step state ~params:(vec [| 1. |]) ~debt:[| 0 |] ~count:1)
+      Ft_nn.Adadelta.step state ~params:(vec [| 1. |]) ~count:1)
 
 let raises_invalid what f =
   match f () with
@@ -91,11 +90,10 @@ let qcheck_forward_finite =
       let net = Ft_nn.Network.mlp rng ~dims:[| 4; 8; 8; 8; 2 |] in
       Array.for_all Float.is_finite (Ft_nn.Network.forward net (Array.of_list xs)))
 
-(* Reference training step over plain float arrays, in four passes: a
-   scalar forward, zeroed gradient buffers, a backward pass
-   accumulating into them, then AdaDelta over every parameter; and a
-   minibatch round, the same with one forward and backward per sample
-   and AdaDelta on the sums divided by the batch size.  Same He
+(* Reference training round over plain float arrays, in four passes:
+   zeroed gradient buffers, then per sample a scalar forward and a
+   backward pass accumulating into them, then AdaDelta over every
+   parameter on the sums divided by the batch size.  Same He
    initialization (same gaussian draw order), same rho/eps, same
    summation orders as [Ft_nn]. *)
 module Reference = struct
@@ -200,30 +198,6 @@ module Reference = struct
       dout := din
     done
 
-  let step net dout =
-    zero_grads net;
-    backward net dout;
-    Array.iter
-      (fun layer ->
-        adadelta ~params:layer.w ~grads:layer.gw ~g2s:layer.w_g2 ~d2s:layer.w_d2;
-        adadelta ~params:layer.b ~grads:layer.gb ~g2s:layer.b_g2 ~d2s:layer.b_d2)
-      net
-
-  let train_mse net ~input ~target =
-    let out = forward net input in
-    let dout = Array.map2 (fun o t -> o -. t) out target in
-    let loss = 0.5 *. Array.fold_left (fun acc d -> acc +. (d *. d)) 0. dout in
-    step net dout;
-    loss
-
-  let train_mse_component net ~input ~index ~target =
-    let out = forward net input in
-    let dout = Array.make (Array.length out) 0. in
-    let d = out.(index) -. target in
-    dout.(index) <- d;
-    step net dout;
-    0.5 *. d *. d
-
   (* A minibatch round: every sample's forward and backward against the
      same weights, gradients summed in sample order, each sum divided
      by the batch size, then one AdaDelta step over every parameter. *)
@@ -255,14 +229,15 @@ end
 let bits_equal a b =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (Float.is_nan a && Float.is_nan b)
 
-(* The fused, zero-skipping training step against the four-pass
+(* The fused, zero-skipping training round against the four-pass
    reference: random depths 1-4 and widths 1-13 (so output counts that
    are not multiples of the forward kernel's 4-row tile), inputs with
    exact 0. and -0. entries and large negative ones that kill ReLU
-   units, and several mixed full-vector/component steps.  Half the
-   cases also draw rare infinities and nans, which must take the full
+   units, and several rounds, each of one sample or of one sample per
+   output (so every output row learns in one step).  Half the cases
+   also draw rare infinities and nans, which must take the full
    formula wherever the short cut would not be exact.  Every loss and
-   every forward output after each step must be bit-equal. *)
+   every forward output after each round must be bit-equal. *)
 let qcheck_training_matches_reference =
   let gen =
     QCheck.Gen.(
@@ -300,16 +275,12 @@ let qcheck_training_matches_reference =
       let ok = ref true in
       for _ = 1 to steps do
         let input = sample n_in in
-        let loss, expected =
-          if Ft_util.Rng.int rng 3 = 0 then
-            let target = sample n_out in
-            ( Ft_nn.Network.train_mse net ~input ~target,
-              Reference.train_mse reference ~input ~target )
-          else
-            let index = Ft_util.Rng.int rng n_out and target = entry () in
-            ( Ft_nn.Network.train_mse_component net ~input ~index ~target,
-              Reference.train_mse_component reference ~input ~index ~target )
+        let batch =
+          if Ft_util.Rng.int rng 3 = 0 then Array.init n_out (fun index -> (input, index, entry ()))
+          else [| (input, Ft_util.Rng.int rng n_out, entry ()) |]
         in
+        let loss = Ft_nn.Network.train_round net batch in
+        let expected = Reference.train_round reference batch in
         ok := !ok && bits_equal loss expected && same_outputs (sample n_in)
       done;
       !ok)
@@ -318,8 +289,8 @@ let qcheck_training_matches_reference =
    At the paper's widths the forward's 8-output blocks and the
    vectorized AdaDelta loop carry almost every value, so run the
    Q-networks of two real spaces (features -> 64^3 -> directions) a
-   few hundred steps against the reference, inputs with exact +-0 and
-   ReLU-killing entries. *)
+   few hundred rounds against the reference, inputs with exact +-0 and
+   ReLU-killing entries, every fourth round training every output. *)
 let test_training_matches_reference_at_paper_dims () =
   List.iter
     (fun (name, dims) ->
@@ -337,16 +308,12 @@ let test_training_matches_reference_at_paper_dims () =
       let sample n = Array.init n (fun _ -> entry ()) in
       for step = 1 to 300 do
         let input = sample n_in in
-        let loss, expected =
-          if step mod 4 = 0 then
-            let target = sample n_out in
-            ( Ft_nn.Network.train_mse net ~input ~target,
-              Reference.train_mse reference ~input ~target )
-          else
-            let index = Ft_util.Rng.int rng n_out and target = entry () in
-            ( Ft_nn.Network.train_mse_component net ~input ~index ~target,
-              Reference.train_mse_component reference ~input ~index ~target )
+        let batch =
+          if step mod 4 = 0 then Array.init n_out (fun index -> (input, index, entry ()))
+          else [| (input, Ft_util.Rng.int rng n_out, entry ()) |]
         in
+        let loss = Ft_nn.Network.train_round net batch in
+        let expected = Reference.train_round reference batch in
         if not (bits_equal loss expected) then Alcotest.failf "%s: loss of step %d" name step;
         let probe = sample n_in in
         if
@@ -357,13 +324,13 @@ let test_training_matches_reference_at_paper_dims () =
       done)
     [ ("GMV/v100", [| 13; 64; 64; 64; 22 |]); ("C3D/xeon", [| 38; 64; 64; 64; 80 |]) ]
 
-(* Rows that only decay defer it: an idle row owes one decay per step
-   and repays them all, in order, when it next learns.  At the paper's
-   widths (C2D/v100 and GMV/v100: features -> 64^3 -> directions),
-   train two outputs for 600 steps, so the other output rows and the
-   ReLU-dead hidden rows run up long debts, then train every output in
-   turn.  Each step's loss and a probe forward must stay bit-equal to
-   the eager four-pass reference. *)
+(* Rows that do not learn still decay their optimizer state on every
+   step.  At the paper's widths (C2D/v100 and GMV/v100: features ->
+   64^3 -> directions), train two outputs for 600 one-sample rounds,
+   so the other output rows and the ReLU-dead hidden rows sit idle for
+   long stretches, then train every output in turn.  Each step's loss
+   and a probe forward must stay bit-equal to the four-pass
+   reference. *)
 let lockstep name dims =
   let net = Ft_nn.Network.mlp (Ft_util.Rng.create 2020) ~dims in
   let reference = Reference.mlp (Ft_util.Rng.create 2020) ~dims in
@@ -376,8 +343,8 @@ let lockstep name dims =
         | _ -> Ft_util.Rng.float rng 4. -. 2.)
   in
   let step what ~input ~index ~target =
-    let loss = Ft_nn.Network.train_mse_component net ~input ~index ~target in
-    let expected = Reference.train_mse_component reference ~input ~index ~target in
+    let loss = Ft_nn.Network.train_round net [| (input, index, target) |] in
+    let expected = Reference.train_round reference [| (input, index, target) |] in
     if not (bits_equal loss expected) then Alcotest.failf "%s: loss of %s" name what;
     let probe = sample dims.(0) in
     if
@@ -388,7 +355,7 @@ let lockstep name dims =
   in
   (step, sample)
 
-let test_long_debts_repaid () =
+let test_long_idle_rows () =
   List.iter
     (fun (name, dims) ->
       let step, sample = lockstep name dims in
@@ -398,7 +365,7 @@ let test_long_debts_repaid () =
           ~target:(float_of_int (k mod 5) *. 0.5)
       done;
       for index = 0 to n_out - 1 do
-        step (Printf.sprintf "repaying output %d" index) ~input:(sample n_in) ~index
+        step (Printf.sprintf "waking output %d" index) ~input:(sample n_in) ~index
           ~target:1.
       done)
     [ ("C2D/v100", [| 31; 64; 64; 64; 62 |]); ("GMV/v100", [| 13; 64; 64; 64; 22 |]) ]
@@ -406,8 +373,8 @@ let test_long_debts_repaid () =
 (* After a long clean stretch, one poisoned step: a target so large
    that the squared gradients overflow (the rows it reaches keep finite
    weights but infinite state), an infinite target, or a nan input.
-   The rows it reaches hold non-finite state from then on, so they may
-   not defer and take the eager path; clean steps over every output
+   The rows it reaches hold non-finite state from then on and take the
+   full formula on every step; clean steps over every output
    follow. *)
 let test_poisoned_rows_take_the_full_formula () =
   List.iter
@@ -473,15 +440,15 @@ let test_round_matches_reference () =
     [ 1; 5; 16 ]
 
 (* Rounds that train only outputs 0 and 1 for 400 rounds of 16, so the
-   other output rows and the ReLU-dead hidden rows run up long debts
-   (one decay per round); then rounds that train every output. *)
-let test_round_debts_repaid () =
+   other output rows and the ReLU-dead hidden rows only decay for a
+   long stretch; then rounds that train every output. *)
+let test_round_idle_rows () =
   let round, sample, _ = round_lockstep "idle rows" in
   for r = 1 to 400 do
     round (Printf.sprintf "idle round %d" r) (Array.init 16 (fun k -> sample ((r + k) mod 2)))
   done;
   for r = 0 to 7 do
-    round (Printf.sprintf "repaying round %d" r) (Array.init 16 (fun k -> sample (((16 * r) + k) mod 62)))
+    round (Printf.sprintf "waking round %d" r) (Array.init 16 (fun k -> sample (((16 * r) + k) mod 62)))
   done
 
 (* A round of 16 in which one sample is poisoned — an infinite target,
@@ -510,43 +477,40 @@ let test_round_with_poisoned_sample () =
     [ ("inf target", `Target infinity); ("huge target", `Target 1e200); ("nan input", `Input nan) ]
 
 (* The layer kernels are C and check nothing: every malformed call
-   raises in OCaml first, with the parameters, [din], the debt, the
-   summed gradient and the optimizer state unchanged (a twin that never
+   raises in OCaml first, with the parameters, [din], the summed
+   gradient and the optimizer state unchanged (a twin that never
    saw the bad calls takes the same valid steps to the same bits). *)
 let test_step_rejects_bad_widths () =
   let make () =
     let state = Ft_nn.Adadelta.create 6 and params = vec [| 0.5; -1.; 2.; 0.25; -0.75; 1.5 |] in
-    let debt = [| 0; 0 |] in
     let good ~dout =
       Ft_nn.Adadelta.accumulate state ~params ~last:false ~dout ~pre:[| 1.; -1. |]
         ~x:[| 1.; -2. |] ~din:[| 0.; 0. |];
-      Ft_nn.Adadelta.step state ~params ~debt ~count:1
+      Ft_nn.Adadelta.step state ~params ~count:1
     in
     good ~dout:[| 0.3; 0.2 |];
-    (state, params, debt, good)
+    (state, params, good)
   in
-  let state, params, debt, good = make () and _, twin_params, twin_debt, twin_good = make () in
+  let state, params, good = make () and _, twin_params, twin_good = make () in
   let din = [| 0.; 0. |] in
   let bad what ?(params = params) ?(dout = [| 0.7; 0.1 |]) ?(pre = [| 1.; 1. |])
       ?(x = [| 1.; -2. |]) ?(din = din) () =
     raises_invalid what (fun () ->
         Ft_nn.Adadelta.accumulate state ~params ~last:false ~dout ~pre ~x ~din)
   in
-  let bad_step what ?(params = params) ?(debt = debt) ?(count = 1) () =
-    raises_invalid what (fun () -> Ft_nn.Adadelta.step state ~params ~debt ~count)
+  let bad_step what ?(params = params) ?(count = 1) () =
+    raises_invalid what (fun () -> Ft_nn.Adadelta.step state ~params ~count)
   in
   bad "short dout" ~dout:[| 0.7 |] ();
   bad "long pre" ~pre:[| 1.; 1.; 1. |] ();
   bad "short din" ~din:[| 0. |] ();
   bad "wide x" ~x:[| 1.; -2.; 3. |] ();
-  bad_step "debt of four rows" ~debt:[| 0; 0; 0; 0 |] ();
   bad_step "count 0" ~count:0 ();
   let other = vec (Array.make 7 1.) in
   bad "state size" ~params:other ();
-  bad_step "state size" ~params:other ~debt:[| 0 |] ();
+  bad_step "state size" ~params:other ();
   check_bool "other params untouched" true (Array.for_all (( = ) 1.) (Array.init 7 (fun i -> other.{i})));
   check_bool "din untouched" true (din = [| 0.; 0. |]);
-  check_bool "debt untouched" true (debt = twin_debt);
   check_bool "params untouched" true (vec_bits params = vec_bits twin_params);
   List.iter
     (fun dout ->
@@ -572,8 +536,8 @@ let test_forward_rejects_bad_width () =
     (Array.for_all2 bits_equal before (Ft_nn.Network.forward twin good));
   check_bool "same training step" true
     (bits_equal
-       (Ft_nn.Network.train_mse_component net ~input:good ~index:1 ~target:2.)
-       (Ft_nn.Network.train_mse_component twin ~input:good ~index:1 ~target:2.))
+       (Ft_nn.Network.train_round net [| (good, 1, 2.) |])
+       (Ft_nn.Network.train_round twin [| (good, 1, 2.) |]))
 
 let () =
   Alcotest.run "ft_nn"
@@ -590,14 +554,14 @@ let () =
           Alcotest.test_case "bit-equal to the reference at the paper's widths" `Quick
             test_training_matches_reference_at_paper_dims;
           Alcotest.test_case "bad input width" `Quick test_forward_rejects_bad_width;
-          Alcotest.test_case "long decay debts repaid bit-equal at the paper's widths" `Quick
-            test_long_debts_repaid;
+          Alcotest.test_case "long-idle rows bit-equal the reference" `Quick
+            test_long_idle_rows;
           Alcotest.test_case "poisoned rows take the full formula" `Quick
             test_poisoned_rows_take_the_full_formula;
           Alcotest.test_case "rounds of 1, 5 and 16 bit-equal the reference round" `Quick
             test_round_matches_reference;
-          Alcotest.test_case "rounds repay long decay debts bit-equal" `Quick
-            test_round_debts_repaid;
+          Alcotest.test_case "rounds with long-idle rows bit-equal" `Quick
+            test_round_idle_rows;
           Alcotest.test_case "a round with a poisoned sample bit-equals the reference" `Quick
             test_round_with_poisoned_sample;
         ] );
