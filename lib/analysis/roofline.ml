@@ -51,11 +51,6 @@ let memory_bound roofline target =
   roofline.intensity *. bandwidth_gb target
   < Ft_schedule.Target.peak_gflops target
 
-(* Fraction of the roofline a measured result achieves. *)
-let efficiency roofline target ~gflops =
-  let ceiling = ceiling_gflops roofline target in
-  if ceiling <= 0. then 0. else gflops /. ceiling
-
 let pp fmt roofline =
   Format.fprintf fmt "%d FLOPs over %d compulsory bytes: %.2f FLOP/B"
     roofline.flops roofline.compulsory_bytes roofline.intensity

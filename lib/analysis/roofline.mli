@@ -1,7 +1,6 @@
 (** Roofline analysis: arithmetic intensity and the attainable
     performance ceiling of an operator per target.  No schedule can
-    exceed [ceiling_gflops]; exploration results can be graded against
-    it with [efficiency]. *)
+    exceed [ceiling_gflops]. *)
 
 type t = {
   flops : int;
@@ -16,9 +15,5 @@ val ceiling_gflops : t -> Ft_schedule.Target.t -> float
 
 (** True when the bandwidth roof is below the compute peak. *)
 val memory_bound : t -> Ft_schedule.Target.t -> bool
-
-(** [efficiency r target ~gflops] is the fraction of the roofline an
-    achieved throughput represents. *)
-val efficiency : t -> Ft_schedule.Target.t -> gflops:float -> float
 
 val pp : Format.formatter -> t -> unit

@@ -53,15 +53,6 @@ let analyze graph =
     total_flops = List.fold_left (fun acc n -> acc + n.flops) 0 nodes;
   }
 
-let compute_node info =
-  (* The heaviest node of the mini-graph is the one FlexTensor's
-     back-end schedules; producers are inlined or materialized around
-     it. *)
-  match info.nodes with
-  | [] -> invalid_arg "Static_analyzer.compute_node: empty graph"
-  | first :: rest ->
-      List.fold_left (fun best n -> if n.flops >= best.flops then n else best) first rest
-
 let pp_node fmt n =
   Format.fprintf fmt "%s: #sl=%d #rl=%d stc=[%s] rtc=[%s] #in=%d #out=%d #cs=%d"
     n.tag n.num_spatial n.num_reduce

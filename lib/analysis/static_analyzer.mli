@@ -28,7 +28,4 @@ type graph_info = {
 
 val analyze : Ft_ir.Op.graph -> graph_info
 
-(** The node with the most FLOPs — the one the back-end schedules. *)
-val compute_node : graph_info -> node_info
-
 val pp : Format.formatter -> graph_info -> unit

@@ -11,7 +11,4 @@ type verdict = {
     cuBLAS instead). *)
 val supported : Ft_ir.Op.graph -> bool
 
-(** Algorithm names and their compute-FLOP scale factors for a graph. *)
-val algorithms : Ft_ir.Op.graph -> (string * float) list
-
 val evaluate : Ft_schedule.Target.t -> Ft_ir.Op.graph -> verdict

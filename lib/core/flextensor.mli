@@ -151,7 +151,7 @@ type options = {
   seed : int;
   n_trials : int;
   search : string;
-      (** a method name or CLI key ({!Method.find});
+      (** a method name or CLI key ({!Method.find_exn});
           [optimize] raises [Invalid_argument] for unknown names *)
   max_evals : int option;  (** hard measurement budget *)
   n_parallel : int;

@@ -84,30 +84,6 @@ let optimize_layer ?(seed = 2020) ?(max_evals = 250) ?store optimizer target
         store;
       (result.best_perf.Ft_hw.Perf.time_s, false)
 
-(* [layers] are (name, conv graph, occurrence count); identical layers
-   are optimized once (YOLO-v1 repeats C7/C8 four times). *)
-let run ?(seed = 2020) ?(max_evals = 250) ?store ~network ~target layers
-    optimizer =
-  let reused_layers = ref 0 in
-  let layer_times =
-    List.map
-      (fun (layer_name, graph, occurrences) ->
-        let kernel_s, reused =
-          optimize_layer ~seed ~max_evals ?store optimizer target
-            (Fusion.with_bias_relu graph)
-        in
-        if reused then incr reused_layers;
-        { layer_name; occurrences; kernel_s })
-      layers
-  in
-  let total_s =
-    List.fold_left
-      (fun acc t -> acc +. (float_of_int t.occurrences *. t.kernel_s))
-      0. layer_times
-  in
-  { network; optimizer_name = optimizer_name optimizer; layer_times; total_s;
-    reused_layers = !reused_layers }
-
 (* Layers are deduplicated by name, but a name may only ever stand for
    one graph: a collision between two structurally different graphs
    means the layer table itself is wrong, and silently keeping the
@@ -139,21 +115,43 @@ let count_occurrences layers =
       (name, graph, n))
     !order
 
+(* [layers] are (name, conv graph) in network order; identical layers
+   are optimized once (YOLO-v1 repeats C7/C8 four times). *)
+let run ?(seed = 2020) ?(max_evals = 250) ?store ~network ~target layers
+    optimizer =
+  let reused_layers = ref 0 in
+  let layer_times =
+    List.map
+      (fun (layer_name, graph, occurrences) ->
+        let kernel_s, reused =
+          optimize_layer ~seed ~max_evals ?store optimizer target
+            (Fusion.with_bias_relu graph)
+        in
+        if reused then incr reused_layers;
+        { layer_name; occurrences; kernel_s })
+      (count_occurrences layers)
+  in
+  let total_s =
+    List.fold_left
+      (fun acc t -> acc +. (float_of_int t.occurrences *. t.kernel_s))
+      0. layer_times
+  in
+  { network; optimizer_name = optimizer_name optimizer; layer_times; total_s;
+    reused_layers = !reused_layers }
+
 let yolo_v1 ?seed ?max_evals ?store ~target optimizer =
   let layers =
-    count_occurrences
-      (List.map
-         (fun layer -> (layer.Ft_workloads.Yolo.name, Ft_workloads.Yolo.graph layer))
-         Ft_workloads.Yolo.full_network)
+    List.map
+      (fun layer -> (layer.Ft_workloads.Yolo.name, Ft_workloads.Yolo.graph layer))
+      Ft_workloads.Yolo.full_network
   in
   run ?seed ?max_evals ?store ~network:"YOLO-v1" ~target layers optimizer
 
 let overfeat ?seed ?max_evals ?store ~target optimizer =
   let layers =
-    count_occurrences
-      (List.map
-         (fun layer ->
-           (layer.Ft_workloads.Overfeat.name, Ft_workloads.Overfeat.graph layer))
-         Ft_workloads.Overfeat.layers)
+    List.map
+      (fun layer ->
+        (layer.Ft_workloads.Overfeat.name, Ft_workloads.Overfeat.graph layer))
+      Ft_workloads.Overfeat.layers
   in
   run ?seed ?max_evals ?store ~network:"OverFeat" ~target layers optimizer

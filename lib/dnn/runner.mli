@@ -1,6 +1,6 @@
 (** End-to-end DNN latency under different operator optimizers
     (§6.6).  The optimizer is any search method of the table, selected
-    by its stable name or CLI key ({!Ft_explore.Method.find}) —
+    by its stable name or CLI key ({!Ft_explore.Method.find_exn}) —
     "Q-method" (the paper's FlexTensor runs), "AutoTVM", "CD-method",
     …  Unknown names raise [Invalid_argument]. *)
 
@@ -18,22 +18,19 @@ type network_result = {
   reused_layers : int;  (** distinct layers satisfied from the tuning log *)
 }
 
-(** Display name of a method in network results: "Q-method" is
-    branded "FlexTensor" (the paper's tables), every other method keeps
-    its own name. *)
-val optimizer_name : string -> string
-
-(** Deduplicate a layer sequence into (name, graph, count).  Raises
+(** [run ~network ~target layers optimizer] optimizes each distinct
+    layer of the (name, graph) sequence once, fused with bias and ReLU,
+    and weighs its kernel time by its occurrences.  Raises
     [Invalid_argument] if one name stands for two structurally
     different graphs — silently keeping the first would mis-tally the
-    network latency. *)
-val count_occurrences :
-  (string * Ft_ir.Op.graph) list -> (string * Ft_ir.Op.graph * int) list
-
+    network latency.  [optimizer_name] brands "Q-method" "FlexTensor"
+    (the paper's tables); every other method keeps its own name.
+    Only [test_dnn] and [test_store] call it: {!yolo_v1} and
+    {!overfeat} cost too much for the tier-1 tests. *)
 val run :
   ?seed:int -> ?max_evals:int -> ?store:Ft_store.Store.t ->
   network:string -> target:Ft_schedule.Target.t ->
-  (string * Ft_ir.Op.graph * int) list -> string -> network_result
+  (string * Ft_ir.Op.graph) list -> string -> network_result
 
 val yolo_v1 :
   ?seed:int -> ?max_evals:int -> ?store:Ft_store.Store.t ->

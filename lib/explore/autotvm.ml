@@ -182,7 +182,7 @@ let policy ~template : (module Search_loop.POLICY) =
               (List.map (fun (cfg, _) -> Space.features space cfg) evaluated)
           in
           let ys = Array.of_list (List.map snd evaluated) in
-          let model = Ft_gbt.Boost.fit ~rounds:12 ~depth:3 xs ys in
+          let model = Ft_gbt.Boost.fit xs ys in
           if Ft_obs.Trace.active () then
             Ft_obs.Trace.event "gbt.train" [ ("points", Int (Array.length xs)) ];
           Evaluator.charge evaluator training_cost;

@@ -24,7 +24,6 @@ type state = {
   mutable samples : sample list;
 }
 
-val visit : state -> Ft_schedule.Config.t -> unit
 val seen : state -> Ft_schedule.Config.t -> bool
 
 (** [absorb state cfg value] folds an externally measured point into

@@ -70,12 +70,6 @@ let compute t cfg =
   let perf = Ft_hw.Cost.evaluate t.space cfg in
   (Ft_hw.Cost.perf_value t.space perf, perf)
 
-let median xs =
-  let arr = Array.of_list xs in
-  Array.sort Float.compare arr;
-  let n = Array.length arr in
-  if n mod 2 = 1 then arr.(n / 2) else (arr.((n / 2) - 1) +. arr.(n / 2)) /. 2.
-
 (* Resolve the fault plan for one fresh measurement through the
    shared {!Ft_fault.Resilience} loop.  The plan is the fault source:
    each attempt is an independent seeded draw, so every fault is
@@ -111,7 +105,9 @@ let fault_resolve t plan key ((value, perf) as computed : float * Ft_hw.Perf.t) 
             !cost +. compile_cost
             +. (float_of_int noisy_repeats
                *. (host_overhead +. (float_of_int runs_per_measure *. run_s)));
-          Ok (median (List.map (fun f -> value *. f) factors), perf)
+          let timings = Array.of_list (List.map (fun f -> value *. f) factors) in
+          Array.sort Float.compare timings;
+          Ok (Ft_util.Stats.median timings, perf)
       | Ft_fault.Plan.Fault fault ->
           let fail_cost =
             match fault with
@@ -250,4 +246,3 @@ let commit_batch t ~should_stop cfgs on_commit =
 
 let clock t = t.clock_s
 let n_evals t = t.n_evals
-let live_lanes t = t.live_lanes

@@ -78,8 +78,9 @@ val peek : t -> Ft_schedule.Config.t -> (float * Ft_hw.Perf.t) option
     included) charge the cache cost; fresh points are computed (the
     uncached first occurrences of [cfgs] through [dispatch] in one
     call, when the evaluator has one), enter the cache, count as an
-    eval, and charge the clock in waves of {!live_lanes}.  A partial
-    final wave is charged on return. *)
+    eval, and charge the clock in waves of the live lanes: [n_parallel]
+    minus injected lane deaths, floored at 1, so a dead lane degrades
+    every subsequent wave.  A partial final wave is charged on return. *)
 val commit_batch :
   t -> should_stop:(unit -> bool) -> Ft_schedule.Config.t list ->
   (Ft_schedule.Config.t -> float -> unit) -> unit
@@ -89,8 +90,3 @@ val clock : t -> float
 
 (** Distinct points evaluated. *)
 val n_evals : t -> int
-
-(** Measurement lanes still alive: [n_parallel] minus injected lane
-    deaths, floored at 1.  Waves fill up to this count, so a dead lane
-    degrades every subsequent wave. *)
-val live_lanes : t -> int

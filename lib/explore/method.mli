@@ -1,5 +1,5 @@
 (** The search methods: one fixed table, one interface for all search
-    back-ends.  Consumers dispatch by name through {!find}/{!all}, so a
+    back-ends.  Consumers dispatch by name through {!find_exn}/{!all}, so a
     new search method is a {!Search_loop.POLICY} module plus one row in
     the table.
 
@@ -18,8 +18,6 @@ type t = {
     CD-method, AutoTVM, AutoTVM-2019. *)
 val all : t list
 
-(** Look up by stable name first, then by CLI key. *)
-val find : string -> t option
-
-(** Like {!find}; raises [Invalid_argument] listing the known names. *)
+(** Look up by stable name first, then by CLI key; raises
+    [Invalid_argument] listing the known names. *)
 val find_exn : string -> t

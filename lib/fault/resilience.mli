@@ -22,22 +22,16 @@ type fault =
       (** the measurement child exited without a well-formed result *)
   | Launch_failed of string  (** the measurement child could not start *)
 
-(** Stable snake_case name of a fault's kind — the counter suffix
-    (["compile_error"], ["timeout"], ["runtime_crash"], ["lane_death"],
-    ["crashed"], ["oom"], ["protocol_error"], ["launch_failed"]). *)
-val kind_name : fault -> string
-
-(** {!kind_name} plus the payload where it explains the failure: the
-    signal of [Crashed], the message of [Protocol_error] and
-    [Launch_failed]. *)
+(** The stable snake_case name of a fault's kind (["compile_error"],
+    ["timeout"], ["runtime_crash"], ["lane_death"], ["crashed"],
+    ["oom"], ["protocol_error"], ["launch_failed"]), plus the payload
+    where it explains the failure: the signal of [Crashed], the message
+    of [Protocol_error] and [Launch_failed]. *)
 val to_string : fault -> string
 
 (** Attempts per measurement = [max_retries + 1]; the wait before
     retry [k] (0-based) is [backoff_s *. 2 ** k]. *)
 type policy = { max_retries : int; backoff_s : float }
-
-(** 2 retries, 0.05 s base backoff. *)
-val default_policy : policy
 
 (** A failed attempt as its source reports it: [retryable] says whether
     another attempt could change the outcome. *)
@@ -51,7 +45,9 @@ type failure = { fault : fault; retryable : bool }
     when n = 1).  Before retry [k] it
     calls [wait (backoff_s *. 2 ** k)].
 
-    Trace output, all under [prefix]: counter [<prefix>.<kind>] and
+    The default policy is 2 retries with a 0.05 s base backoff.
+    Trace output, all under [prefix]: counter [<prefix>.<kind>] (the
+    kind name {!to_string} starts with) and
     event [<prefix>.fault] (fields [fault], [attempt]) per failure,
     [<prefix>.retry] per retry, [<prefix>.quarantined] and event
     [<prefix>.quarantine] (fields [kind], [attempts]) per quarantine.

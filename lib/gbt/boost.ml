@@ -1,12 +1,17 @@
 (* Shrinkage applied to every tree's contribution. *)
 let learning_rate = 0.3
 
+(* Trees per fit and their depth: the AutoTVM baseline's cost model,
+   the only caller, fits 12 trees of depth 3. *)
+let rounds = 12
+let depth = 3
+
 type t = { base : float; trees : Tree.t list }
 
 (* Gradient boosting with squared loss: each round fits a tree to the
    current residuals — the XGBoost stand-in behind the AutoTVM
    baseline's cost model. *)
-let fit ?(rounds = 20) ?(depth = 3) xs ys =
+let fit xs ys =
   if Array.length xs <> Array.length ys then invalid_arg "Boost.fit: size mismatch";
   if Array.length xs = 0 then { base = 0.; trees = [] }
   else

@@ -14,8 +14,6 @@ open Ft_schedule
    an aggregate L2->L1 term, with penalties when tiles overflow their
    cache level. *)
 
-let log2 x = log x /. log 2.
-
 let evaluate ?(flops_scale = 1.0) (spec : Target.cpu_spec) (space : Space.t)
     (cfg : Config.t) =
   let flops = space.flops in
@@ -35,7 +33,9 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.cpu_spec) (space : Space.t)
     else 0.7
   in
   let unroll = Space.unroll_depth cfg in
-  let unroll_bonus = Float.min 1.0 (0.75 +. (0.085 *. log2 (float_of_int unroll))) in
+  let unroll_bonus =
+    Float.min 1.0 (0.75 +. (0.085 *. Ft_util.Mathx.log2 (float_of_int unroll)))
+  in
   let perm = Config.order_perm cfg.order_id in
   let order_factor =
     if perm.(0) = 0 then 1.0 else if perm.(2) = 0 then 0.88 else 0.93

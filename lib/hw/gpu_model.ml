@@ -19,8 +19,6 @@ open Ft_schedule
    Hard resource limits (threads per block, shared memory per block,
    at least one resident block) make the schedule invalid. *)
 
-let log2 x = log x /. log 2.
-
 let last_of arr = arr.(Array.length arr - 1)
 
 let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
@@ -78,7 +76,7 @@ let evaluate ?(flops_scale = 1.0) (spec : Target.gpu_spec) (space : Space.t)
           Float.min 1.
             ((0.25 +. (0.75 *. occupancy))
             *. (0.55 +. (0.45 *. ilp))
-            *. (1. +. (0.04 *. log2 (float_of_int unroll))))
+            *. (1. +. (0.04 *. Ft_util.Mathx.log2 (float_of_int unroll))))
         in
         let perm = Config.order_perm cfg.order_id in
         let order_factor =

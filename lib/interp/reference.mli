@@ -8,10 +8,8 @@ val eval_texpr :
 
 val combine_value : Ft_ir.Op.combine -> float -> float -> float
 
-(** Execute one node, allocating its output in the environment. *)
-val run_op : Buffer_env.t -> Ft_ir.Op.t -> unit
-
-(** Execute a whole graph; returns the output buffer's data. *)
+(** Execute a whole graph node by node, allocating each node's output
+    in the environment; returns the output buffer's data. *)
 val run_graph : Buffer_env.t -> Ft_ir.Op.graph -> float array
 
 (** Fresh environment with random input tensors. *)

@@ -156,14 +156,6 @@ let rec affine_of_iexpr = function
           Some (affine_const (euclid_mod n d))
       | _ -> None)
 
-let affine_eval env { base; terms } =
-  List.fold_left
-    (fun acc (v, c) ->
-      match List.assoc_opt v env with
-      | Some value -> acc + (c * value)
-      | None -> invalid_arg (Printf.sprintf "Expr.affine_eval: unbound index %s" v))
-    base terms
-
 (* Constant folding: evaluate every constant subtree, preserving the
    Euclidean div/mod semantics.  Returns a tree (not an affine form) so
    non-affine expressions still simplify — an unrolled loop substitutes

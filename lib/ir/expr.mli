@@ -77,10 +77,6 @@ val affine_scale : int -> affine -> affine
     binds all variables. *)
 val affine_of_iexpr : iexpr -> affine option
 
-(** Evaluate an affine form; raises [Invalid_argument] on an unbound
-    variable. *)
-val affine_eval : (string * int) list -> affine -> int
-
 (** Constant-fold an index expression (Euclidean div/mod, additive and
     multiplicative identities).  Unlike {!affine_of_iexpr} this keeps
     the tree shape for non-affine parts, so substituting [Iconst] for

@@ -60,10 +60,9 @@ val consumers : graph -> string -> t list
 val producers : graph -> t -> t list
 
 (** Structural well-formedness: distinct names, topological order,
-    access arity matches tensor rank, no unbound index variables. *)
-val validate : graph -> (unit, string) result
-
+    access arity matches tensor rank, no unbound index variables.
+    Returns the graph, or raises [Invalid_argument] naming the first
+    violation. *)
 val validate_exn : graph -> graph
 
-val pp : Format.formatter -> t -> unit
 val pp_graph : Format.formatter -> graph -> unit

@@ -324,21 +324,3 @@ let relu ~input ~output ~shape =
       { Op.tag = "relu"; output; spatial; reduce = []; init = 0.; combine = Op.Acc_max;
         body = x }
   | _ -> invalid_arg "Operators.relu: expected NCHW shape"
-
-let max_pool2d ~input ~output ~shape ~kernel ~stride =
-  at_least 1 "kernel" kernel;
-  at_least 1 "stride" stride;
-  match shape with
-  | [ b; k; h; w ] ->
-      let out_h = ((h - kernel) / stride) + 1 and out_w = ((w - kernel) / stride) + 1 in
-      { Op.tag = "max_pool2d"; output;
-        spatial = [ Op.axis "b" b; Op.axis "k" k; Op.axis "i" out_h; Op.axis "j" out_w ];
-        reduce = [ Op.axis "rx" kernel; Op.axis "ry" kernel ];
-        init = Float.neg_infinity;
-        combine = Op.Acc_max;
-        body =
-          Access
-            ( input,
-              [ v "b"; v "k"; (v "i" *: c stride) +: v "rx"; (v "j" *: c stride) +: v "ry" ] );
-      }
-  | _ -> invalid_arg "Operators.max_pool2d: expected NCHW shape"

@@ -8,10 +8,6 @@
     zero-insertion expansion node, so mini-graph node counts match
     Table 3 (2 nodes for C1D/C2D/C3D, 3 for T1D/T2D/T3D). *)
 
-(** Output size of a strided, dilated, padded convolution along one
-    dimension. *)
-val conv_out_size : size:int -> pad:int -> dilation:int -> kernel:int -> stride:int -> int
-
 val gemv : m:int -> k:int -> Op.graph
 val gemm : m:int -> n:int -> k:int -> Op.graph
 val bilinear : m:int -> n:int -> k:int -> l:int -> Op.graph
@@ -70,12 +66,7 @@ val bcm : m:int -> n:int -> k:int -> block:int -> Op.graph
     3x3 offsets selected by channel index. *)
 val shift : batch:int -> channels:int -> height:int -> width:int -> Op.graph
 
-(** {2 Element-wise / pooling nodes for DNN composition} *)
+(** {2 Element-wise nodes for DNN composition} *)
 
 val bias_add : input:string -> bias:string -> output:string -> shape:int list -> Op.t
 val relu : input:string -> output:string -> shape:int list -> Op.t
-
-(** Raises [Invalid_argument] naming the parameter when [kernel] or
-    [stride] is below 1. *)
-val max_pool2d :
-  input:string -> output:string -> shape:int list -> kernel:int -> stride:int -> Op.t

@@ -40,13 +40,11 @@ open Ft_ir
 type vec = Ft_interp.Buffer_env.vec
 
 type t = {
-  source : string;
   allocs : (string * int list) list;
   body : Loopnest.stmt list;  (* unroll-flattened, constant-folded *)
   slots : int;  (* loop counters (max nesting depth); cells follow *)
 }
 
-let source t = t.source
 let stmt_count t = Loopnest.count_stmts t.body
 
 (* -- Unroll flattening and constant folding ------------------------- *)
@@ -117,7 +115,6 @@ let rec flatten_stmt = function
 let compile (program : Loopnest.program) =
   let body = List.concat_map flatten_stmt program.body in
   {
-    source = program.source;
     allocs = program.allocs;
     body;
     slots = max 1 (Loopnest.max_depth body);
@@ -407,4 +404,3 @@ let bind t env =
     Array.blit init 0 vars 0 (Array.length init);
     Array.iter (fun f -> f vars) fns
 
-let run t env = bind t env ()

@@ -26,7 +26,7 @@ type t
 
 (** Unroll-expansion budget: an [Unrolled] loop whose flattening would
     exceed this many statements degrades to [Serial] instead.  Also a
-    {!Sandbox.preflight} threshold. *)
+    threshold of {!Sandbox.measurer}'s pre-flight guard. *)
 val max_unrolled_stmts : int
 
 (** Flatten and fold; raises nothing, performs no allocation of
@@ -38,10 +38,7 @@ val compile : Loopnest.program -> t
     a rank mismatches. *)
 val bind : t -> Ft_interp.Buffer_env.t -> unit -> unit
 
-(** [run t env] = [bind t env ()]. *)
-val run : t -> Ft_interp.Buffer_env.t -> unit
-
-val source : t -> string
-
-(** Statement count after unroll flattening. *)
+(** Statement count after unroll flattening.  Only [test_compile]
+    reads it: the compiled body is abstract, so the flattening cannot
+    be counted any other way. *)
 val stmt_count : t -> int

@@ -1,12 +1,8 @@
 (** Schedule application: config + mini-graph -> explicit loop nest. *)
 
-(** Reconstruction of the original axis index from its split
-    sub-variables. *)
-val axis_index : Ft_ir.Op.axis -> int array -> Ft_ir.Expr.iexpr
-
-(** Transitively inline reduce-free producer bodies into an
-    expression. *)
-val inline_expr : Ft_ir.Op.graph -> Ft_ir.Expr.texpr -> Ft_ir.Expr.texpr
-
-(** Apply a schedule point to the space's graph. *)
+(** Apply a schedule point to the space's graph: every split axis is
+    indexed by reconstructing it from its sub-variables
+    ([i = ((i.0 * f1 + i.1) * f2 + i.2) ...]), and with [inline] set
+    reduce-free producer bodies are inlined transitively into the
+    compute node's body. *)
 val lower : Ft_schedule.Space.t -> Ft_schedule.Config.t -> Loopnest.program

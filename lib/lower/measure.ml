@@ -8,11 +8,6 @@
    GFLOPS are on one scale.  Re-running the thunk is sound because the
    lowered init nests re-zero accumulators on every execution. *)
 
-let median sorted =
-  let n = Array.length sorted in
-  if n mod 2 = 1 then sorted.(n / 2)
-  else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
-
 (* Fixed inputs: every measurement of a config times the same data. *)
 let seed = 2020
 
@@ -35,7 +30,7 @@ let run ?(reps = 5) (space : Ft_schedule.Space.t) cfg =
           Ft_util.Monotime.elapsed_s t0)
     in
     Array.sort Float.compare times;
-    let time_s = Float.max (median times) 1e-9 in
+    let time_s = Float.max (Ft_util.Stats.median times) 1e-9 in
     let min_ns = Float.max times.(0) 1e-9 *. 1e9 in
     Ft_hw.Perf.measured
       ~flops:(Ft_ir.Op.flops space.node)

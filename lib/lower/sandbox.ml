@@ -70,19 +70,17 @@ let rec unrolled_stmts stmts =
       | Loopnest.Init _ | Loopnest.Accum _ | Loopnest.Assign _ -> 1)
     0 stmts
 
-let numel shape = List.fold_left ( * ) 1 shape
-
 (* Graph inputs plus program allocs cover every float64 buffer the
    child will materialize. *)
 let estimated_bytes (space : Ft_schedule.Space.t)
     (program : Loopnest.program) =
-  let bytes (_, shape) = 8 * numel shape in
+  let bytes (_, shape) = 8 * Ft_interp.Buffer_env.numel shape in
   List.fold_left
     (fun acc b -> acc + bytes b)
     0
     (space.graph.Ft_ir.Op.inputs @ program.Loopnest.allocs)
 
-let preflight ?(limits = default_limits) (space : Ft_schedule.Space.t) cfg =
+let preflight limits (space : Ft_schedule.Space.t) cfg =
   (* nan compares false with everything, so it would slip past the
      iteration check below and reach the watchdog's select *)
   if not (limits.timeout_s > 0.) then
@@ -127,7 +125,7 @@ let preflight ?(limits = default_limits) (space : Ft_schedule.Space.t) cfg =
           (Printf.sprintf
              "unroll expansion beyond %dx the %d-statement cap"
              1024 Compile.max_unrolled_stmts)
-      else Ok program
+      else Ok ()
 
 (* ---------------------------------------------------------------- *)
 (* Child side                                                       *)
@@ -372,11 +370,11 @@ let measurer ?limits ?policy ?chaos ?reps space =
           Hashtbl.replace quarantined key perf;
           perf
         in
-        match preflight ~limits space cfg with
+        match preflight limits space cfg with
         | Error reason ->
             Ft_obs.Trace.incr "measure.preflight";
             quarantine ("preflight: " ^ reason)
-        | Ok _ -> (
+        | Ok () -> (
             let chaos =
               match chaos with Some f -> f cfg | None -> chaos_from_env key
             in

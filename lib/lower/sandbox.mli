@@ -37,24 +37,6 @@ type chaos = Hang | Segv | Oom_hog | Garbage | Truncated | Silent
 
 val chaos_to_string : chaos -> string
 
-(** Pre-flight static guard: reject obviously-doomed configs without
-    spawning.  Rejects a watchdog timeout that is not positive
-    (including [nan]) and a [mem_mb] outside [1 .. max_mem_mb], then
-    checks (1) estimated buffer bytes (8 bytes x the shape
-    product of every graph input and program alloc) against half the
-    address-space cap, and (2) [Loopnest.total_iterations] against
-    the watchdog (at an optimistic 1 ns per leaf statement the nest
-    cannot finish in time), and (3) the estimated unroll expansion
-    against 1024x {!Compile.max_unrolled_stmts}.  [limits] defaults
-    to 10 s and 4096 MiB, generous enough that well-behaved kernels
-    never trip them.  [Error] carries the reason; [Ok] carries the
-    lowered program. *)
-val preflight :
-  ?limits:limits ->
-  Ft_schedule.Space.t ->
-  Ft_schedule.Config.t ->
-  (Loopnest.program, string) result
-
 (** [run space cfg] measures [cfg] in a spawned worker (same inputs,
     warm-up and [reps] as {!Measure.run}) and returns the worker's
     result, or the fault that contained it: [Timeout] (watchdog
@@ -64,8 +46,8 @@ val preflight :
     pipe or process could be created; every descriptor is closed
     again).  [Ok] can itself be an invalid perf (e.g. a config outside
     the space) — a result, not a containment event.  [limits] defaults
-    to 10 s and 4096 MiB, as in {!preflight}.  [chaos] injects a
-    worker-side fault (tests). *)
+    to 10 s and 4096 MiB, generous enough that well-behaved kernels
+    never trip them.  [chaos] injects a worker-side fault (tests). *)
 val run :
   ?limits:limits ->
   ?chaos:chaos ->
@@ -75,10 +57,19 @@ val run :
   (Ft_hw.Perf.t, Ft_fault.Resilience.fault) result
 
 (** [measurer space] is an {!Ft_explore.Evaluator.measurer}-shaped
-    hook: preflight, then {!run} as a {!Ft_fault.Resilience} fault
-    source under [limits] (default 10 s and 4096 MiB, as in
-    {!preflight}) and [policy] (default
-    {!Ft_fault.Resilience.default_policy}).
+    hook: a pre-flight static guard, then {!run} as a
+    {!Ft_fault.Resilience} fault source under [limits] (default as in
+    {!run}) and [policy] (default that of {!Ft_fault.Resilience.run}).
+
+    The pre-flight guard rejects obviously-doomed configs without
+    spawning.  It rejects a watchdog timeout that is not positive
+    (including [nan]) and a [mem_mb] outside [1 .. max_mem_mb], then
+    checks (1) estimated buffer bytes (8 bytes x the shape product of
+    every graph input and program alloc) against half the
+    address-space cap, (2) [Loopnest.total_iterations] against the
+    watchdog (at an optimistic 1 ns per leaf statement the nest cannot
+    finish in time), and (3) the estimated unroll expansion against
+    1024x {!Compile.max_unrolled_stmts}.
     [Timeout] and [Protocol_error] are retried with backoff (real
     sleeps); [Crashed], [Oom] and [Launch_failed] — and exhausted
     retries — quarantine the config: later measurements of it return

@@ -56,7 +56,3 @@ let check (space : Ft_schedule.Space.t) cfg =
                   Error
                     (Printf.sprintf "max abs diff %.2e exceeds %.2e" diff tol)))
 
-let check_exn space cfg =
-  match check space cfg with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Verify.check_exn: " ^ msg)

@@ -3,5 +3,3 @@
     max absolute difference. *)
 
 val check : Ft_schedule.Space.t -> Ft_schedule.Config.t -> (unit, string) result
-
-val check_exn : Ft_schedule.Space.t -> Ft_schedule.Config.t -> unit

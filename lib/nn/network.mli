@@ -24,5 +24,8 @@ val forward : t -> float array -> float array
     input has the wrong width or an index is out of range. *)
 val train_round : t -> (float array * int * float) array -> float
 
+(** Parameter and layer counts.  Only [test_nn] reads them: the layer
+    array is abstract, so no caller can count it any other way. *)
 val param_count : t -> int
+
 val num_layers : t -> int

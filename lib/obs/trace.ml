@@ -149,7 +149,7 @@ let span_begin name fields =
         emit_locked Span_begin name ~span:id ~parent fields;
         id)
 
-let span_end ?(fields = []) id =
+let span_end id =
   if !enabled && id <> 0 then
     locked (fun () ->
         match Hashtbl.find_opt open_spans id with
@@ -158,8 +158,7 @@ let span_end ?(fields = []) id =
             Hashtbl.remove open_spans id;
             span_stack := List.filter (fun x -> x <> id) !span_stack;
             let dur = Float.max 0. (now_s () -. began) in
-            emit_locked Span_end name ~span:id ~parent
-              (("dur_s", Float dur) :: fields))
+            emit_locked Span_end name ~span:id ~parent [ ("dur_s", Float dur) ])
 
 let with_span name ?(fields = []) f =
   if not !enabled then f ()

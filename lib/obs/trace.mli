@@ -31,19 +31,14 @@ module Sink : sig
 
   (** [make ?close emit] is a custom sink (e.g. in-memory for tests). *)
   val make : ?close:(unit -> unit) -> (record -> unit) -> t
-
-  (** Drops everything. *)
-  val null : t
-
-  (** [jsonl path] writes one JSON object per line to [path]
-      (truncates an existing file). *)
-  val jsonl : string -> t
 end
 
 (** [enable sink] installs [sink], resets the clock, spans, counters,
     and gauges, and turns tracing on (closing any previous sink). *)
 val enable : Sink.t -> unit
 
+(** [enable_jsonl path] enables a sink writing one JSON object per
+    line to [path] (truncating an existing file). *)
 val enable_jsonl : string -> unit
 
 (** Install a JSONL sink on [$FT_TRACE] when set and non-empty;
@@ -72,17 +67,11 @@ val incr : ?by:int -> string -> unit
 (** Set a named gauge: records the value and emits a gauge record. *)
 val gauge : string -> float -> unit
 
-(** [span_begin name fields] opens a span and returns its id (0 when
-    tracing is off).  Spans nest: the innermost open span is the
-    parent of everything emitted until its {!span_end}. *)
-val span_begin : string -> (string * field) list -> int
-
-(** Close a span, emitting its wall-clock [dur_s].  Unknown ids (and
-    0) are ignored. *)
-val span_end : ?fields:(string * field) list -> int -> unit
-
-(** [with_span name f] wraps [f ()] in a span, closing it on normal
-    return and on exceptions. *)
+(** [with_span name ?fields f] wraps [f ()] in a span: a begin record
+    carrying [fields], then an end record carrying the wall-clock
+    [dur_s], emitted on normal return and on exceptions.  Spans nest:
+    the innermost open span is the parent of everything emitted inside
+    it. *)
 val with_span : string -> ?fields:(string * field) list -> (unit -> 'a) -> 'a
 
 (** Snapshot of all counters / gauges, sorted by name. *)

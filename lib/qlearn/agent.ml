@@ -111,4 +111,3 @@ let record t transition =
   if t.recorded mod train_every = 0 then Some (train_batch t) else None
 
 let epsilon t = t.epsilon
-let recorded t = t.recorded

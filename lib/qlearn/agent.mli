@@ -23,7 +23,9 @@ type t
 (** Raises [Invalid_argument] when [n_actions] is below 1. *)
 val create : Ft_util.Rng.t -> feature_dim:int -> n_actions:int -> t
 
-(** Online-network Q-values of every action at a state. *)
+(** Online-network Q-values of every action at a state.  Only
+    [test_qlearn] calls it today; the benchmark kit's Q-network timing
+    is to call it in place of {!q_values_batch}. *)
 val q_values : t -> float array -> float array
 
 (** [Array.map (q_values t)]: kept only for the benchmark kit's
@@ -42,4 +44,3 @@ val select : t -> state:float array -> valid:int list -> int option
 val record : t -> transition -> float option
 
 val epsilon : t -> float
-val recorded : t -> int

@@ -16,8 +16,6 @@ let copy cfg =
     reduce = Array.map Array.copy cfg.reduce;
   }
 
-let level factors idx = Array.map (fun parts -> parts.(idx)) factors
-
 let product_level factors idx =
   Array.fold_left (fun acc parts -> acc * parts.(idx)) 1 factors
 
@@ -104,18 +102,3 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
-
-let pp fmt cfg =
-  let pp_factors fmt factors =
-    Array.iter
-      (fun parts ->
-        Format.fprintf fmt "[%s]"
-          (String.concat "," (Array.to_list (Array.map string_of_int parts))))
-      factors
-  in
-  Format.fprintf fmt
-    "spatial=%a reduce=%a order=%d unroll=%d fuse=%d vec=%b inline=%b part=%d"
-    pp_factors cfg.spatial pp_factors cfg.reduce cfg.order_id cfg.unroll_id
-    cfg.fuse_levels cfg.vectorize cfg.inline cfg.partition_id
-
-let to_string cfg = Format.asprintf "%a" pp cfg

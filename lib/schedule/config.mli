@@ -38,10 +38,6 @@ type t = {
     physically distinct arrays (the [config equal] micro-benchmark). *)
 val copy : t -> t
 
-(** Extract one level across axes: [level cfg.spatial 0] is the
-    outermost factor of every spatial axis. *)
-val level : int array array -> int -> int array
-
 val product_level : int array array -> int -> int
 
 (** [order_perm id] maps a loop-order template id (0..5) to the
@@ -63,6 +59,3 @@ val hash : t -> int
 (** Tables keyed by {!equal}/{!hash}; keys rely on configs never being
     mutated. *)
 module Tbl : Hashtbl.S with type key = t
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -14,22 +14,15 @@ type span
 (** Every access of one tensor, each a compiled index per dimension. *)
 type reads = { tensor : string; accesses : span list list }
 
-(** Compile one index expression against the given axes. *)
-val index : Ft_ir.Op.axis list -> Ft_ir.Expr.iexpr -> span
-
-(** [span widths s] is an upper bound on the number of distinct values
-    the index takes when axis slot [i] ranges over a window of width
-    [widths.(i)]. *)
-val span : int array -> span -> int
-
 (** The distinct tensors [op] reads. *)
 val compile : Ft_ir.Op.t -> reads list
 
-(** Footprint (elements) of one tensor in one tile: the largest over
-    its accesses, which overlap in practice. *)
-val tensor_elems : int array -> reads -> int
-
-(** Sum of {!tensor_elems} over the tensors read. *)
+(** [total widths reads] sums, over the tensors read, the footprint
+    (elements) of each in one tile, where axis slot [i] ranges over a
+    window of width [widths.(i)].  A tensor's footprint is the largest
+    over its accesses, which overlap in practice; an access's is the
+    product over dimensions of an upper bound on the distinct values
+    its index takes. *)
 val total : int array -> reads list -> int
 
 (** Tile widths by slot from a config: a spatial axis spans the

@@ -3,11 +3,9 @@
 
 val closest_divisor : int -> int -> int
 
-(** Divisible split approximating the target factors of every level
-    but the outermost; [targets] ordered outer-to-inner, result length
-    is [length targets + 1]. *)
-val split_near : extent:int -> targets:int list -> int array
-
+(** Library-style configs: each spatial axis is a divisible split
+    approximating the per-level targets (outer-to-inner) under a free
+    outermost level. *)
 val gpu_config :
   Space.t -> threads_per_axis:int -> vthread:int -> inner:int -> rtile:int -> Config.t
 

@@ -19,7 +19,6 @@ type t =
   | Pipeline of { stages : int }
   | Partition of { banks : int }
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** Render a schedule point as the primitive sequence the target's

@@ -140,8 +140,6 @@ let name = function
   | Cpu spec -> spec.cpu_name
   | Fpga spec -> spec.fpga_name
 
-let kind = function Gpu _ -> "gpu" | Cpu _ -> "cpu" | Fpga _ -> "fpga"
-
 (* Peak single-precision throughput in GFLOPS, used to sanity-bound the
    performance models. *)
 let peak_gflops = function

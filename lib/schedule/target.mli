@@ -57,5 +57,4 @@ val xeon_platinum_8168 : t
 val vu9p : t
 
 val name : t -> string
-val kind : t -> string
 val peak_gflops : t -> float

@@ -19,18 +19,12 @@ type t = {
   rng_state : int64;  (** search RNG state at the checkpoint *)
 }
 
-val to_json : t -> string
-val of_json : string -> (t, string) result
-
 (** Append one checkpoint line (line-atomic; creates the file). *)
 val append : string -> t -> unit
 
 (** A skipped checkpoint line. *)
 type issue = { line : int;  (** 1-based *) reason : string }
 
-(** All well-formed checkpoints in file order, plus the skipped lines.
-    A missing file is an empty trail. *)
-val load : string -> t list * issue list
-
-(** The newest checkpoint whose [run_id] matches, if any. *)
+(** The newest checkpoint whose [run_id] matches, if any, plus the
+    skipped lines.  A missing file is an empty trail. *)
 val latest : run_id:string -> string -> t option * issue list

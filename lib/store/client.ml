@@ -21,17 +21,8 @@ type t = {
   mutable poisoned : string option;
 }
 
-(* A peer hanging up between our write and their read raises SIGPIPE,
-   whose default disposition kills the process — the one transport
-   failure [Error] cannot catch.  Ignoring it turns the hangup into
-   EPIPE, which [roundtrip] reports like any other lost connection.
-   (Windows has no SIGPIPE; [set_signal] raises there, hence the
-   catch.) *)
-let ignore_sigpipe =
-  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
-
 let connect addr_text =
-  Lazy.force ignore_sigpipe;
+  Protocol.ignore_sigpipe ();
   match Protocol.parse_addr addr_text with
   | Error msg -> Error (Printf.sprintf "bad address %S: %s" addr_text msg)
   | Ok addr -> (
@@ -51,14 +42,6 @@ let connect addr_text =
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Error
             (Printf.sprintf "connect %s: %s" addr_text (Unix.error_message err)))
-
-let address t = t.addr
-
-let poisoned t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () -> t.poisoned)
 
 let close t =
   try Unix.close t.fd with Unix.Unix_error _ -> ()

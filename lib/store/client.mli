@@ -23,13 +23,6 @@ type t
 (** Connect to a daemon ({!Protocol.parse_addr} address forms). *)
 val connect : string -> (t, string) result
 
-(** The daemon's address as given to {!connect}. *)
-val address : t -> string
-
-(** [Some reason] once a transport failure has poisoned this client
-    (see the poisoning contract above); [None] while it is usable. *)
-val poisoned : t -> string option
-
 val close : t -> unit
 
 val ping : t -> (unit, string) result

@@ -176,6 +176,12 @@ let frame_of_string s =
 
 (* -- addresses ------------------------------------------------------- *)
 
+(* No SIGPIPE on Windows; [set_signal] raises there, hence the catch. *)
+let sigpipe_ignored =
+  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
+
+let ignore_sigpipe () = Lazy.force sigpipe_ignored
+
 let parse_addr text =
   let text = String.trim text in
   if text = "" then Result.Error "empty address"

@@ -46,6 +46,13 @@ val read_frame : in_channel -> (string, string) result
     [s] — for a peer whose whole output was collected up to EOF. *)
 val frame_of_string : string -> (string, string) result
 
+(** Ignore SIGPIPE in this process (idempotent).  A peer hanging up
+    while we write would otherwise kill the process — the one
+    transport failure an [Error] result cannot carry; ignored, the
+    write fails with EPIPE and only that connection ends.  The daemon
+    and the client both call it before their first socket. *)
+val ignore_sigpipe : unit -> unit
+
 (** Parse a listen/connect address: ["unix:PATH"], ["HOST:PORT"], or
     [":PORT"] / ["PORT"] (loopback). *)
 val parse_addr : string -> (Unix.sockaddr, string) result

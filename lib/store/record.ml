@@ -41,8 +41,8 @@ let same_operator a b =
 (* Shapes live on a multiplicative scale (a 2x larger extent matters
    the same at every size), hence log2 before the L2 norm. *)
 let log2_extents k =
-  let log2 n = log (float_of_int (max 1 n)) /. log 2. in
-  Array.of_list (List.map log2 (k.spatial @ k.reduce))
+  Array.of_list
+    (List.map (fun n -> Ft_util.Mathx.log2 (float_of_int (max 1 n))) (k.spatial @ k.reduce))
 
 let log_distance a b =
   if Array.length a <> Array.length b then

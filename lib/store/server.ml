@@ -13,13 +13,6 @@ type t = {
   stop_mutex : Mutex.t;
 }
 
-(* A client hanging up while a handler writes its response raises
-   SIGPIPE, whose default disposition kills the daemon.  Ignored, the
-   write fails with EPIPE and only that connection ends.  (No SIGPIPE
-   on Windows, hence the catch.) *)
-let ignore_sigpipe =
-  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
-
 (* Is some process accepting on the unix socket at [path]?  A connect
    probe distinguishes a live daemon (connect succeeds) from the stale
    socket file of a dead one (ECONNREFUSED).  Errors that leave the
@@ -63,7 +56,7 @@ let claim_unix_path path =
 let backlog = 64
 
 let create ~repo ~listen =
-  Lazy.force ignore_sigpipe;
+  Protocol.ignore_sigpipe ();
   let addr =
     match Protocol.parse_addr listen with
     | Ok addr -> addr
@@ -92,7 +85,6 @@ let create ~repo ~listen =
     stop_mutex = Mutex.create ();
   }
 
-let repo t = t.repo
 let address t = Protocol.string_of_sockaddr t.addr
 
 let handle repo (req : Protocol.request) : Protocol.response =

@@ -23,19 +23,14 @@ type t
     connect-probed first, and [create] refuses (raises [Failure]) when
     a live daemon answers on it — blindly removing it would orphan
     that daemon.  Only a provably stale socket (connect refused) is
-    recycled, and a path that exists but is not a socket is never
+    recycled — a probe error that leaves the answer unknown counts as
+    live — and a path that exists but is not a socket is never
     touched. *)
 val create : repo:Shard.t -> listen:string -> t
-
-val repo : t -> Shard.t
 
 (** The bound address in [parse_addr] form — with the real port when
     an ephemeral one was requested. *)
 val address : t -> string
-
-(** Per-request dispatcher (exposed for tests): the pure mapping from
-    request to response against a repository. *)
-val handle : Shard.t -> Protocol.request -> Protocol.response
 
 (** What the accept loop does with one [Unix.accept] failure; pure and
     exposed so the policy is testable without provoking real EINTR or
@@ -46,21 +41,9 @@ val handle : Shard.t -> Protocol.request -> Protocol.response
     swallowed, with a pause so a persistent error cannot spin. *)
 type accept_decision = Stop | Retry | Backoff of float | Log_and_retry of float
 
+(** Only [test_store_service] calls it: the errno table (EMFILE …)
+    cannot be provoked in a test. *)
 val accept_decision : stopping:bool -> Unix.error -> accept_decision
-
-(** Claim the unix-socket path for this process, or raise [Failure]:
-    refuses when a live daemon answers on it, unlinks a provably stale
-    socket, never touches a non-socket path.  The logic behind
-    [create]'s unix handling. *)
-val claim_unix_path : string -> unit
-
-(** Is a live daemon accepting on the unix socket at [path]?  The
-    connect probe behind [create]'s claim logic, exposed for reuse:
-    [false] only when the socket provably refuses connections (stale
-    file of a dead daemon); errors that leave the answer unknown count
-    as live, so callers never unlink a socket they cannot prove
-    dead. *)
-val unix_socket_live : string -> bool
 
 (** Blocking accept loop; returns after {!stop}. *)
 val serve : t -> unit

@@ -77,8 +77,6 @@ let open_dir ?(k = 4) ?compact_every dir =
     (list_shards dir);
   t
 
-let dir t = t.dir
-let k t = t.k
 let issues t = List.rev t.probs
 
 let with_index t f = with_mutex t (fun () -> f t.index)

@@ -35,9 +35,6 @@ type issue = { shard : string;  (** shard base name *) line : int; reason : stri
     many appends to it. *)
 val open_dir : ?k:int -> ?compact_every:int -> string -> t
 
-val dir : t -> string
-val k : t -> int
-
 (** Malformed lines skipped while loading, in shard/file order. *)
 val issues : t -> issue list
 
@@ -46,9 +43,6 @@ val count : t -> int
 
 (** Base names of the shard files currently on disk. *)
 val shards : t -> string list
-
-(** Shard base name a key's records live in. *)
-val shard_name : Record.key -> string
 
 (** Append to the key's shard file and index the record. *)
 val add : t -> Record.t -> unit
@@ -59,13 +53,10 @@ val best_exact : ?method_name:string -> t -> Record.key -> Record.t option
 
 val nearest : ?method_name:string -> ?limit:int -> t -> Record.key -> Record.t list
 
-(** [compact t shard] rewrites [DIR/shard.jsonl] keeping the best-k
-    records per (key, method), dropping the rest and any malformed
-    lines, then atomically renames the rewrite into place.  The file
-    is re-read under the shard lock, so records appended concurrently
-    (by this or another process) survive.  Returns
-    [(kept, dropped)]. *)
-val compact : t -> string -> int * int
-
-(** Compact every shard; returns the summed [(kept, dropped)]. *)
+(** Compact every shard: rewrite each [DIR/shard.jsonl] keeping the
+    best-k records per (key, method), dropping the rest and any
+    malformed lines, then atomically rename the rewrite into place.
+    Each file is re-read under its shard lock, so records appended
+    concurrently (by this or another process) survive.  Returns the
+    summed [(kept, dropped)]. *)
 val compact_all : t -> int * int

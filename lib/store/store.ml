@@ -3,7 +3,7 @@ type issue = { line : int; reason : string }
 type t = {
   store_path : string option;
   mutable recs : Record.t list;  (* reverse chronological; enumeration only *)
-  index : Index.t;  (* serves length / best_exact / nearest *)
+  index : Index.t;  (* serves best_exact / nearest *)
   mutable probs : issue list;  (* reverse file order *)
 }
 
@@ -27,12 +27,8 @@ let create ?path () =
 
 let load path = create ~path ()
 
-let path t = t.store_path
 let records t = List.rev t.recs
 let issues t = List.rev t.probs
-
-(* O(1): the index counts insertions — no list walk per lookup. *)
-let length t = Index.count t.index
 
 let add t record =
   t.recs <- record :: t.recs;

@@ -28,16 +28,11 @@ val create : ?path:string -> unit -> t
 (** [load path] = [create ~path ()]. *)
 val load : string -> t
 
-val path : t -> string option
-
 (** Records in chronological (file) order. *)
 val records : t -> Record.t list
 
 (** Malformed lines skipped while loading, in file order. *)
 val issues : t -> issue list
-
-(** Number of records (an O(1) counter, not a list length). *)
-val length : t -> int
 
 (** Append one record to memory and (when backed) to the log file. *)
 val add : t -> Record.t -> unit

@@ -58,6 +58,8 @@ let ceil_div a b =
   if b <= 0 then invalid_arg "Mathx.ceil_div: positive divisor required";
   (a + b - 1) / b
 
+let log2 x = log x /. log 2.
+
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
 let clampf lo hi x = if x < lo then lo else if x > hi then hi else x

@@ -17,9 +17,6 @@ val state : t -> int64
 
 val set_state : t -> int64 -> unit
 
-(** Next raw 64-bit value; primarily exposed for testing. *)
-val next_int64 : t -> int64
-
 (** [int t bound] is uniform in [0, bound) — bias-free via rejection
     sampling, so a draw may consume more than one raw 64-bit value.
     Raises [Invalid_argument] when [bound <= 0]. *)

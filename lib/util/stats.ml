@@ -22,6 +22,11 @@ let normalize_to_max xs =
   if top <= 0. then invalid_arg "Stats.normalize_to_max: max must be positive";
   List.map (fun x -> x /. top) xs
 
+let median sorted =
+  let n = Array.length sorted in
+  if n mod 2 = 1 then sorted.(n / 2)
+  else (sorted.((n / 2) - 1) +. sorted.(n / 2)) /. 2.
+
 (* Average ranks (1-based), ties sharing the mean of their positions —
    the standard fractional ranking Spearman correlation expects. *)
 let ranks xs =

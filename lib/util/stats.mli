@@ -14,8 +14,9 @@ val maximum : float list -> float
     figures). *)
 val normalize_to_max : float list -> float list
 
-(** 1-based fractional ranks (ties share the mean of their positions). *)
-val ranks : float array -> float array
+(** Median of an ascending-sorted, non-empty array (the mean of the
+    middle two when the length is even). *)
+val median : float array -> float
 
 (** Spearman rank correlation (Pearson on fractional ranks); 0. when
     either series is constant, raises on mismatched or <2-point

@@ -1,20 +1,8 @@
 (** Test-case suites for the 12 Table-3 benchmarks plus the new
-    operators of §6.4, and tiny instances for execution-level tests. *)
+    operators of §6.4. *)
 
 type case = { case_name : string; graph : Ft_ir.Op.graph }
 
-val gemv_cases : case list
-val gemm_cases : case list
-val bilinear_cases : case list
-val conv1d_cases : case list
-val t1d_cases : case list
-val conv2d_cases : case list
-val t2d_cases : case list
-val conv3d_cases : case list
-val t3d_cases : case list
-val group_cases : case list
-val depthwise_cases : case list
-val dilated_cases : case list
 val bcm_cases : case list
 val shift_cases : case list
 
@@ -23,7 +11,3 @@ val shift_cases : case list
 val all : (string * case list) list
 
 val find : string -> case list
-
-(** Small instances of all 14 operator families for point-by-point
-    execution tests. *)
-val tiny : case list

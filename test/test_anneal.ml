@@ -1,13 +1,9 @@
 let check_bool = Alcotest.(check bool)
 
-let test_weight_properties () =
-  Alcotest.(check (float 1e-9)) "best has weight 1" 1.
-    (Ft_anneal.Sa.weight ~gamma:2. ~best:10. 10.);
-  check_bool "worse is lighter" true
-    (Ft_anneal.Sa.weight ~gamma:2. ~best:10. 5.
-    < Ft_anneal.Sa.weight ~gamma:2. ~best:10. 9.);
-  Alcotest.(check (float 1e-9)) "degenerate best" 1.
-    (Ft_anneal.Sa.weight ~gamma:2. ~best:0. 0.)
+(* The selection weight of §5.1, spelled out as the oracle for the
+   pool's cached weights. *)
+let weight ~gamma ~best value =
+  if best <= 0. then 1. else exp (-.gamma *. (best -. value) /. best)
 
 (* A pool holding [points], given newest first (the order H is read
    in), so each case reads like the list it describes. *)
@@ -15,6 +11,23 @@ let pool_of points =
   let pool = Ft_anneal.Sa.pool () in
   List.iter (fun (p, v) -> Ft_anneal.Sa.add pool p v) (List.rev points);
   pool
+
+(* The head's weight is the width of its interval: a threshold just
+   below it picks the head, the weight itself the next point. *)
+let test_weight_properties () =
+  let head_weight_is w points =
+    let pick threshold = Ft_anneal.Sa.pick_at ~gamma:2. ~threshold (pool_of points) in
+    String.equal (fst (List.hd points)) (pick (Float.pred w))
+    && not (String.equal (fst (List.hd points)) (pick w))
+  in
+  check_bool "best has weight 1" true
+    (head_weight_is 1. [ ("best", 10.); ("worse", 5.) ]);
+  check_bool "worse is lighter" true
+    (head_weight_is (exp (-1.)) [ ("worse", 5.); ("best", 10.) ]);
+  check_bool "weight formula" true
+    (head_weight_is (weight ~gamma:2. ~best:10. 9.) [ ("near", 9.); ("best", 10.) ]);
+  check_bool "degenerate best" true
+    (head_weight_is 1. [ ("a", 0.); ("b", -3.) ])
 
 let test_select_empty_and_count () =
   let rng = Ft_util.Rng.create 1 in
@@ -125,7 +138,7 @@ module Oracle = struct
         in
         let weighted =
           List.map
-            (fun ((_, value) as point) -> (point, Ft_anneal.Sa.weight ~gamma ~best value))
+            (fun ((_, value) as point) -> (point, weight ~gamma ~best value))
             points
         in
         List.init count (fun _ -> weighted_pick rng weighted)

@@ -32,7 +32,7 @@ let assert_bit_identical ?(seed = 11) (space : Space.t) cfg ctx =
   let env_compiled = clone_inputs graph env_exec in
   Ft_lower.Exec.run env_exec program;
   let compiled = Ft_lower.Compile.compile program in
-  Ft_lower.Compile.run compiled env_compiled;
+  Ft_lower.Compile.bind compiled env_compiled ();
   List.iter
     (fun (tensor, _) ->
       let a = Ft_interp.Buffer_env.(to_array (find env_exec tensor)) in
@@ -41,7 +41,7 @@ let assert_bit_identical ?(seed = 11) (space : Space.t) cfg ctx =
         Alcotest.failf "%s: buffer %s differs (max abs diff %.3e, config %s)"
           ctx tensor
           (Ft_interp.Buffer_env.max_abs_diff a b)
-          (Config.to_string cfg))
+          (Config_io.to_string cfg))
     program.allocs
 
 (* Every operator family x every target x default + random configs. *)
@@ -61,7 +61,7 @@ let test_compiled_matches_exec_all_operators () =
               (Printf.sprintf "%s on %s" case.case_name (Target.name target))
           done)
         all_targets)
-    Ft_workloads.Suites.tiny
+    Tiny.cases
 
 (* Inline on/off over a producer-bearing graph (conv has a pad
    producer), plus forced unroll and vectorize splits — the paths the
@@ -95,7 +95,7 @@ let qcheck_compiled_bit_for_bit =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Ft_util.Rng.create seed in
-      let cases = Ft_workloads.Suites.tiny in
+      let cases = Tiny.cases in
       let case = List.nth cases (Ft_util.Rng.int rng (List.length cases)) in
       let target =
         List.nth all_targets (Ft_util.Rng.int rng (List.length all_targets))
@@ -140,10 +140,13 @@ let test_missing_input_named () =
   let env = Ft_interp.Buffer_env.create () in
   Alcotest.check_raises "names the tensor"
     (Invalid_argument "Buffer_env.find: no tensor A") (fun () ->
-      Ft_lower.Compile.run compiled env)
+      Ft_lower.Compile.bind compiled env ())
 
 (* Affine linearization groundwork: the stride analysis in Ft_ir.Expr
    agrees with eval_iexpr on every environment. *)
+let affine_eval env { Ft_ir.Expr.base; terms } =
+  List.fold_left (fun acc (v, c) -> acc + (c * List.assoc v env)) base terms
+
 let qcheck_affine_agrees_with_eval =
   let open Ft_ir.Expr in
   let rec random_iexpr rng depth =
@@ -292,7 +295,7 @@ let run_hand_built ?(inputs = [ ("X", [ 4; 6 ]); ("W", [ 3 ]) ]) allocs body =
   in
   let env_exec = fresh () and env_compiled = fresh () in
   Ft_lower.Exec.run env_exec program;
-  Ft_lower.Compile.run (Ft_lower.Compile.compile program) env_compiled;
+  Ft_lower.Compile.bind (Ft_lower.Compile.compile program) env_compiled ();
   List.iter
     (fun (tensor, _) ->
       let a = Ft_interp.Buffer_env.(to_array (find env_exec tensor)) in
@@ -436,7 +439,7 @@ let test_out_of_bounds_named () =
   Alcotest.check_raises "Exec" expected (fun () ->
       Ft_lower.Exec.run (env ()) program);
   Alcotest.check_raises "Compile" expected (fun () ->
-      Ft_lower.Compile.(run (compile program)) (env ()))
+      Ft_lower.Compile.(bind (compile program)) (env ()) ())
 
 let () =
   Alcotest.run "ft_compile"

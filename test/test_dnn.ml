@@ -9,7 +9,7 @@ let test_fused_graph_structure () =
   let fused = Ft_dnn.Fusion.with_bias_relu tiny_conv in
   check_int "4 nodes: pad, conv, bias, relu" 4 (List.length fused.ops);
   Alcotest.(check string) "output" "O.relu" fused.output;
-  check_bool "validates" true (Result.is_ok (Ft_ir.Op.validate fused))
+  check_bool "validates" true (Ft_ir.Op.validate_exn fused == fused)
 
 let test_fused_graph_semantics () =
   (* Execute the fused graph and compare with a manual conv + bias +
@@ -50,18 +50,36 @@ let test_fusion_rejects_low_rank () =
             (contains ~sub:(Printf.sprintf "rank %d" rank) msg))
     [ (Ft_ir.Operators.gemv ~m:8 ~k:8, 1); (Ft_ir.Operators.gemm ~m:8 ~n:8 ~k:8, 2) ]
 
+(* One evaluation per layer keeps a whole-network run cheap. *)
+let run_once layers optimizer =
+  Ft_dnn.Runner.run ~max_evals:1 ~network:"net" ~target:Ft_schedule.Target.v100
+    layers optimizer
+
 let test_count_occurrences () =
   let layers =
     List.map
       (fun layer -> (layer.Ft_workloads.Yolo.name, Ft_workloads.Yolo.graph layer))
       Ft_workloads.Yolo.full_network
   in
-  let distinct = Ft_dnn.Runner.count_occurrences layers in
+  let result = run_once layers "P-method" in
+  let distinct = result.layer_times in
   check_int "15 distinct" 15 (List.length distinct);
-  let total = List.fold_left (fun acc (_, _, n) -> acc + n) 0 distinct in
+  let total =
+    List.fold_left (fun acc (t : Ft_dnn.Runner.layer_time) -> acc + t.occurrences) 0 distinct
+  in
   check_int "24 total" 24 total;
-  let _, _, c7 = List.find (fun (name, _, _) -> name = "C7") distinct in
-  check_int "C7 repeats 4x" 4 c7
+  let c7 = List.find (fun (t : Ft_dnn.Runner.layer_time) -> t.layer_name = "C7") distinct in
+  check_int "C7 repeats 4x" 4 c7.occurrences;
+  let first_seen =
+    List.rev
+      (List.fold_left
+         (fun seen (name, _) -> if List.mem name seen then seen else name :: seen)
+         [] layers)
+  in
+  Alcotest.(check (list string)) "first-occurrence order" first_seen
+    (List.map (fun (t : Ft_dnn.Runner.layer_time) -> t.layer_name) distinct);
+  Alcotest.(check string) "other methods keep their name" "P-method"
+    result.optimizer_name
 
 (* Regression: dedup used to key by name alone and silently keep the
    first graph, so a name collision between two different shapes
@@ -72,17 +90,17 @@ let test_count_occurrences_name_collision () =
       ~width:5 ~kernel:3 ~pad:1 ()
   in
   check_bool "same graph under one name is fine" true
-    (match Ft_dnn.Runner.count_occurrences [ ("L", tiny_conv); ("L", tiny_conv) ] with
-    | [ (_, _, 2) ] -> true
+    (match (run_once [ ("L", tiny_conv); ("L", tiny_conv) ] "P-method").layer_times with
+    | [ { occurrences = 2; _ } ] -> true
     | _ -> false);
   Alcotest.check_raises "differing graphs refuse"
     (Invalid_argument
        "Runner.count_occurrences: layer name \"L\" stands for two different \
         graphs") (fun () ->
-      ignore (Ft_dnn.Runner.count_occurrences [ ("L", tiny_conv); ("L", other) ]))
+      ignore (run_once [ ("L", tiny_conv); ("L", other) ] "P-method"))
 
 let test_single_layer_run () =
-  let layers = [ ("L", tiny_conv, 2) ] in
+  let layers = [ ("L", tiny_conv); ("L", tiny_conv) ] in
   let result =
     Ft_dnn.Runner.run ~max_evals:40 ~network:"tiny" ~target:Ft_schedule.Target.v100
       layers "Q-method"

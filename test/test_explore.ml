@@ -142,11 +142,9 @@ let test_incumbent_tracks_max_of_history () =
       if n = 0 then acc
       else
         let cfg = Space.random_config rng space in
-        if Ft_explore.Driver.seen state cfg then gather acc n
-        else begin
-          Ft_explore.Driver.visit state cfg;
-          gather (cfg :: acc) (n - 1)
-        end
+        if Ft_explore.Driver.seen state cfg || List.exists (Config.equal cfg) acc
+        then gather acc n
+        else gather (cfg :: acc) (n - 1)
     in
     gather [] 3
   in
@@ -240,7 +238,6 @@ let test_finish_snapshot_covers_absorbed_best () =
     in
     fresh ()
   in
-  Ft_explore.Driver.visit state outside;
   ignore (Ft_explore.Driver.absorb state outside 1e9);
   let clock = Ft_explore.Evaluator.clock evaluator in
   let n = Ft_explore.Evaluator.n_evals evaluator in

@@ -189,7 +189,7 @@ let test_loop_zero_retries () =
 
    The constants below mirror Evaluator's cost model: failed compile
    0.1 s, compile 0.3 s, host overhead 0.05 s, 3 kernel runs per
-   measurement, and Resilience.default_policy: max_retries = 2 (3
+   measurement, and Resilience.run's default policy: max_retries = 2 (3
    attempts) with backoff 0.05 * 2^attempt. *)
 
 let evaluator_with ?n_parallel plan =
@@ -245,10 +245,28 @@ let test_lane_degradation () =
   let space, e =
     evaluator_with ~n_parallel:4 { Plan.zero with lane_death = 1.0 }
   in
-  check_int "all lanes live initially" 4 (Ft_explore.Evaluator.live_lanes e);
-  ignore (Ft_explore.Evaluator.measure e (Space.default_config space));
-  (* 3 attempts, each killing a lane: 4 -> 1, floored at 1. *)
-  check_int "degraded to the floor" 1 (Ft_explore.Evaluator.live_lanes e)
+  let live = ref [] in
+  Ft_obs.Trace.enable
+    (Ft_obs.Trace.Sink.make (fun (r : Ft_obs.Trace.record) ->
+         match (r.name, r.fields) with
+         | "pool.lane_dead", [ ("live", Ft_obs.Trace.Int n) ] -> live := n :: !live
+         | _ -> ()));
+  Fun.protect ~finally:Ft_obs.Trace.close (fun () ->
+      ignore (Ft_explore.Evaluator.measure e (Space.default_config space)));
+  (* 3 attempts, each killing a lane: 4 -> 3 -> 2 -> 1. *)
+  Alcotest.(check (list int)) "one lane lost per attempt" [ 3; 2; 1 ] (List.rev !live);
+  let _, again =
+    evaluator_with ~n_parallel:2 { Plan.zero with lane_death = 1.0 }
+  in
+  live := [];
+  Ft_obs.Trace.enable
+    (Ft_obs.Trace.Sink.make (fun (r : Ft_obs.Trace.record) ->
+         match (r.name, r.fields) with
+         | "pool.lane_dead", [ ("live", Ft_obs.Trace.Int n) ] -> live := n :: !live
+         | _ -> ()));
+  Fun.protect ~finally:Ft_obs.Trace.close (fun () ->
+      ignore (Ft_explore.Evaluator.measure again (Space.default_config space)));
+  Alcotest.(check (list int)) "floored at one lane" [ 1; 1; 1 ] (List.rev !live)
 
 let test_model_query_immune () =
   (* An FPGA space: every point is an analytical-model query. *)

@@ -30,14 +30,14 @@ let test_boost_reduces_mse () =
   in
   let target x = (3. *. x.(0)) +. (x.(1) *. x.(1)) in
   let ys = Array.map target xs in
-  let model = Ft_gbt.Boost.fit ~rounds:30 ~depth:3 xs ys in
+  let model = Ft_gbt.Boost.fit xs ys in
   let mean = Array.fold_left ( +. ) 0. ys /. 200. in
   let constant_mse =
     Array.fold_left (fun acc y -> acc +. ((y -. mean) ** 2.)) 0. ys /. 200.
   in
   let model_mse = mse model xs ys in
   check_bool "beats constant baseline by 5x" true (model_mse < constant_mse /. 5.);
-  Alcotest.(check int) "tree count" 30 (Ft_gbt.Boost.n_trees model)
+  Alcotest.(check int) "tree count" 12 (Ft_gbt.Boost.n_trees model)
 
 let test_boost_empty_and_mismatch () =
   let model = Ft_gbt.Boost.fit [||] [||] in
@@ -53,7 +53,7 @@ let test_boost_generalizes_ranking () =
   let target x = 10. *. x.(0) in
   let xs = Array.init 100 (fun _ -> feature ()) in
   let ys = Array.map target xs in
-  let model = Ft_gbt.Boost.fit ~rounds:20 ~depth:2 xs ys in
+  let model = Ft_gbt.Boost.fit xs ys in
   let correct = ref 0 in
   for _ = 1 to 100 do
     let a = feature () and b = feature () in

@@ -28,8 +28,8 @@ let test_footprint_spans () =
     Array.of_list (List.map (fun (a : Ft_ir.Op.axis) -> tiles a.axis_name) (node.spatial @ node.reduce))
   in
   let elems tensor =
-    Footprint.tensor_elems widths
-      (List.find (fun (r : Footprint.reads) -> r.tensor = tensor) (Footprint.compile node))
+    Footprint.total widths
+      (List.filter (fun (r : Footprint.reads) -> r.tensor = tensor) (Footprint.compile node))
   in
   (* I.pad tile: b=1, rc=4, i+rx spans 4+3-1=6, j+ry spans 6 -> 144 *)
   check_int "input tile" 144 (elems "I.pad");
@@ -39,7 +39,14 @@ let test_footprint_spans () =
 let test_span_arithmetic () =
   let open Ft_ir.Expr in
   let axes = [ Ft_ir.Op.axis "i" 10; Ft_ir.Op.axis "j" 10 ] in
-  let span e = Footprint.span [| 5; 3 |] (Footprint.index axes e) in
+  (* The footprint of a node reading A at [e] alone is the span of [e]. *)
+  let span e =
+    let node =
+      { Ft_ir.Op.tag = "read"; output = "O"; spatial = axes; reduce = []; init = 0.;
+        combine = Ft_ir.Op.Acc_sum; body = Access ("A", [ e ]) }
+    in
+    Footprint.total [| 5; 3 |] (Footprint.compile node)
+  in
   check_int "var" 5 (span (v "i"));
   check_int "unknown var" 1 (span (v "x"));
   check_int "const" 1 (span (c 42));

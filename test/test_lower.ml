@@ -25,10 +25,10 @@ let test_random_schedules_preserve_semantics () =
             | Ok () -> ()
             | Error msg ->
                 Alcotest.failf "%s on %s: %s (config %s)" case.case_name
-                  (Target.name target) msg (Config.to_string cfg)
+                  (Target.name target) msg (Config_io.to_string cfg)
           done)
         all_targets)
-    Ft_workloads.Suites.tiny
+    Tiny.cases
 
 let test_all_order_templates_preserve_semantics () =
   let graph =
@@ -53,16 +53,41 @@ let test_inline_vs_materialized_agree () =
   let rng = Ft_util.Rng.create 8 in
   for _ = 1 to 5 do
     let cfg = Space.random_config rng space in
-    Ft_lower.Verify.check_exn space { cfg with inline = true };
-    Ft_lower.Verify.check_exn space { cfg with inline = false }
+    List.iter
+      (fun inline ->
+        match Ft_lower.Verify.check space { cfg with inline } with
+        | Ok () -> ()
+        | Error msg -> Alcotest.failf "inline=%b: %s" inline msg)
+      [ true; false ]
   done
 
+(* The leaf statements of a lowered program, in program order. *)
+let rec leaves stmts =
+  List.concat_map
+    (function
+      | Ft_lower.Loopnest.Loop { body; _ } -> leaves body
+      | stmt -> [ stmt ])
+    stmts
+
 let test_axis_index_reconstruction () =
-  (* decompose every i in [0, 24) via factors [2;3;2;2] and evaluate the
-     reconstruction expression. *)
-  let axis = Ft_ir.Op.axis "i" 24 in
-  let factors = [| 2; 3; 2; 2 |] in
-  let expr = Ft_lower.Lowering.axis_index axis factors in
+  (* split i in [0, 24) by factors [2;3;2;2], then decompose every i
+     and evaluate the output index the lowered accumulation writes. *)
+  let space = Space.make (Ft_ir.Operators.gemv ~m:24 ~k:4) Target.v100 in
+  let cfg = Space.default_config space in
+  let cfg = { cfg with spatial = [| [| 2; 3; 2; 2 |] |] } in
+  check_bool "valid split" true (Space.valid space cfg);
+  let program = Ft_lower.Lowering.lower space cfg in
+  let expr =
+    match
+      List.find_map
+        (function
+          | Ft_lower.Loopnest.Accum { tensor = "O"; indices = [ i ]; _ } -> Some i
+          | _ -> None)
+        (leaves program.body)
+    with
+    | Some i -> i
+    | None -> Alcotest.fail "no accumulation into O"
+  in
   let idx = ref 0 in
   for i0 = 0 to 1 do
     for i1 = 0 to 2 do
@@ -76,18 +101,28 @@ let test_axis_index_reconstruction () =
         done
       done
     done
-  done
+  done;
+  check_bool "lowered program matches the reference" true
+    (Result.is_ok (Ft_lower.Verify.check space cfg))
 
 let test_inline_expr_removes_producer_accesses () =
   let graph =
     Ft_ir.Operators.conv2d ~batch:1 ~in_channels:2 ~out_channels:2 ~height:4
       ~width:4 ~kernel:3 ~pad:1 ()
   in
-  let node = Space.compute_node graph in
-  let inlined = Ft_lower.Lowering.inline_expr graph node.body in
-  check_bool "no more pad access" false
-    (List.mem "I.pad" (Ft_ir.Expr.tensors_read inlined));
-  check_bool "reads raw input" true (List.mem "I" (Ft_ir.Expr.tensors_read inlined))
+  let space = Space.make graph Target.v100 in
+  let read inline =
+    let program = Ft_lower.Lowering.lower space { (Space.default_config space) with inline } in
+    List.concat_map
+      (function
+        | Ft_lower.Loopnest.Accum { value; _ } | Ft_lower.Loopnest.Assign { value; _ } ->
+            Ft_ir.Expr.tensors_read value
+        | _ -> [])
+      (leaves program.body)
+  in
+  check_bool "no more pad access" false (List.mem "I.pad" (read true));
+  check_bool "reads raw input" true (List.mem "I" (read true));
+  check_bool "materialized pad is read" true (List.mem "I.pad" (read false))
 
 let test_program_structure () =
   let graph = Ft_ir.Operators.gemm ~m:8 ~n:8 ~k:8 in

@@ -25,20 +25,14 @@ let test_builtins_registered () =
 let test_find_by_name_and_key () =
   List.iter
     (fun (m : Flextensor.Method.t) ->
-      (match Flextensor.Method.find m.name with
-      | Some found -> check_string ("find " ^ m.name) m.name found.name
-      | None -> Alcotest.failf "name %s not found" m.name);
-      match Flextensor.Method.find m.key with
-      | Some found -> check_string ("find key " ^ m.key) m.name found.name
-      | None -> Alcotest.failf "key %s not found" m.key)
+      check_string ("find " ^ m.name) m.name (Flextensor.Method.find_exn m.name).name;
+      check_string ("find key " ^ m.key) m.name (Flextensor.Method.find_exn m.key).name)
     Flextensor.Method.all;
-  check_bool "unknown name misses" true
-    (Option.is_none (Flextensor.Method.find "no-such-method"));
-  check_bool "find_exn raises" true
-    (try
-       ignore (Flextensor.Method.find_exn "no-such-method");
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.check_raises "unknown name raises, listing the known names"
+    (Invalid_argument
+       "unknown search method \"no-such-method\" (known: Q-method, P-method, random, \
+        CD-method, AutoTVM, AutoTVM-2019)")
+    (fun () -> ignore (Flextensor.Method.find_exn "no-such-method"))
 
 (* The table is a literal: its keys and names are pairwise distinct
    (and no key is another row's name, which [find] would resolve to
@@ -67,10 +61,7 @@ let test_fixed_table () =
   List.iter
     (fun (m : Flextensor.Method.t) ->
       List.iter
-        (fun s ->
-          match Flextensor.Method.find s with
-          | Some found -> check_string ("find " ^ s) m.name found.name
-          | None -> Alcotest.failf "%s not found" s)
+        (fun s -> check_string ("find " ^ s) m.name (Flextensor.Method.find_exn s).name)
         [ m.key; m.name ])
     all
 

@@ -40,6 +40,31 @@ let space_of ?(m = 16) ?(n = 16) ?(k = 16) () =
 
 let tiny = { Sandbox.timeout_s = 5.; mem_mb = Some 2048 }
 
+let counter name =
+  Option.value (List.assoc_opt name (Ft_obs.Trace.counters ())) ~default:0
+
+let with_trace f =
+  Ft_obs.Trace.enable (Ft_obs.Trace.Sink.make (fun _ -> ()));
+  Fun.protect ~finally:Ft_obs.Trace.close f
+
+(* The pre-flight guard runs first in [measurer]: a rejection is an
+   invalid perf noted "preflight: <reason>", counted, and spawns no
+   worker; an accepted config goes on to a sandboxed measurement. *)
+let preflight ~limits space cfg =
+  with_trace (fun () ->
+      let perf = Sandbox.measurer ~limits space cfg in
+      let note = Ft_hw.Perf.note perf in
+      let prefix = "preflight: " in
+      if String.starts_with ~prefix note then begin
+        check_int "preflight counted" 1 (counter "measure.preflight");
+        check_int "no launch" 0 (counter "measure.sandboxed");
+        Error (String.sub note (String.length prefix) (String.length note - String.length prefix))
+      end
+      else begin
+        check_int "no preflight rejection" 0 (counter "measure.preflight");
+        Ok perf
+      end)
+
 (* --- monotonic clock --- *)
 
 let test_monotime_monotonic () =
@@ -212,11 +237,7 @@ let test_preflight_rejects_huge_buffers () =
   let space = space_of ~m:256 ~n:256 ~k:256 () in
   let cfg = Ft_schedule.Space.default_config space in
   (* 3 x 256^2 x 8 bytes = 1.5 MiB of buffers against a 1 MiB cap *)
-  match
-    Sandbox.preflight
-      ~limits:{ Sandbox.timeout_s = 5.; mem_mb = Some 1 }
-      space cfg
-  with
+  match preflight ~limits:{ Sandbox.timeout_s = 5.; mem_mb = Some 1 } space cfg with
   | Error reason -> check_bool "names the cap" true
         (String.length reason > 0)
   | Ok _ -> Alcotest.fail "expected a buffer-bytes rejection"
@@ -224,11 +245,7 @@ let test_preflight_rejects_huge_buffers () =
 let test_preflight_rejects_undersized_watchdog () =
   let space = space_of () in
   let cfg = Ft_schedule.Space.default_config space in
-  match
-    Sandbox.preflight
-      ~limits:{ Sandbox.timeout_s = 1e-7; mem_mb = None }
-      space cfg
-  with
+  match preflight ~limits:{ Sandbox.timeout_s = 1e-7; mem_mb = None } space cfg with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an iteration-count rejection"
 
@@ -240,7 +257,7 @@ let test_preflight_rejects_out_of_range_caps () =
   let space = space_of () in
   let cfg = Ft_schedule.Space.default_config space in
   let preflight mem_mb =
-    Sandbox.preflight ~limits:{ tiny with Sandbox.mem_mb = Some mem_mb } space cfg
+    preflight ~limits:{ tiny with Sandbox.mem_mb = Some mem_mb } space cfg
   in
   List.iter
     (fun mem_mb ->
@@ -257,18 +274,11 @@ let test_preflight_rejects_out_of_range_caps () =
 let test_preflight_accepts_sane_configs () =
   let space = space_of () in
   let cfg = Ft_schedule.Space.default_config space in
-  match Sandbox.preflight ~limits:tiny space cfg with
-  | Ok _ -> ()
+  match preflight ~limits:tiny space cfg with
+  | Ok perf -> check_bool "measured" true perf.Ft_hw.Perf.valid
   | Error reason -> Alcotest.fail ("sane config rejected: " ^ reason)
 
 (* --- resilience: counters, retries, quarantine --- *)
-
-let counter name =
-  Option.value (List.assoc_opt name (Ft_obs.Trace.counters ())) ~default:0
-
-let with_trace f =
-  Ft_obs.Trace.enable (Ft_obs.Trace.Sink.make (fun _ -> ()));
-  Fun.protect ~finally:Ft_obs.Trace.close f
 
 let test_deterministic_crash_quarantines () =
   with_trace (fun () ->
@@ -342,7 +352,7 @@ let test_non_positive_timeout_never_spawns () =
   List.iter
     (fun timeout_s ->
       let limits = { tiny with Sandbox.timeout_s } in
-      match Sandbox.preflight ~limits space cfg with
+      match preflight ~limits space cfg with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "timeout %g accepted" timeout_s))
     [ Float.nan; 0.; -1. ];

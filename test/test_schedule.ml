@@ -52,15 +52,26 @@ let test_heuristic_seeds_valid () =
         (Heuristics.seed_configs space))
     all_targets
 
+(* The GPU heuristic splits its largest axis (here also the innermost)
+   near [vthread; threads; inner] under the outermost level. *)
 let test_split_near () =
-  let factors = Heuristics.split_near ~extent:1024 ~targets:[ 2; 16; 4 ] in
-  check_int "levels" 4 (Array.length factors);
+  let space = Space.make (Ft_ir.Operators.gemm ~m:7 ~n:1024 ~k:8) Target.v100 in
+  let cfg =
+    Heuristics.gpu_config space ~threads_per_axis:16 ~vthread:2 ~inner:4 ~rtile:1
+  in
+  let factors = cfg.spatial.(1) in
+  Alcotest.(check (array int)) "levels" [| 8; 2; 16; 4 |] factors;
   check_int "product" 1024 (Array.fold_left ( * ) 1 factors);
   check_int "thread level" 16 factors.(2);
   check_int "inner level" 4 factors.(3);
-  (* prime extent: everything collapses to the outermost *)
-  let prime = Heuristics.split_near ~extent:7 ~targets:[ 2; 2; 2 ] in
-  check_int "prime outer" 7 (Array.fold_left ( * ) 1 prime)
+  (* prime extent: no divisor is near a target but 7 itself *)
+  let prime = cfg.spatial.(0) in
+  check_int "prime product" 7 (Array.fold_left ( * ) 1 prime);
+  (* the CPU heuristic's targets [1; 1; 1] collapse a prime extent to
+     the outermost level *)
+  let cpu = Space.make (Ft_ir.Operators.gemm ~m:7 ~n:1024 ~k:8) Target.xeon_e5_2699_v4 in
+  Alcotest.(check (array int)) "prime outer" [| 7; 1; 1; 1 |]
+    (Heuristics.cpu_config cpu ~mid:2 ~inner:4 ~vec:8 ~rtile:1).spatial.(0)
 
 let test_order_perms () =
   for id = 0 to Space.n_orders - 1 do

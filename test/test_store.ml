@@ -147,14 +147,14 @@ let test_append_and_reload () =
       Store.add store (record_of ~best:10. (space_of (gemm ~m:64 ~n:64 ~k:64)));
       Store.add store (record_of ~best:20. (space_of (gemm ~m:128 ~n:128 ~k:128)));
       let reloaded = Store.load path in
-      check_int "both records survive" 2 (Store.length reloaded);
+      check_int "both records survive" 2 (List.length (Store.records reloaded));
       check_int "no issues" 0 (List.length (Store.issues reloaded));
       let values = List.map (fun r -> r.Record.best_value) (Store.records reloaded) in
       check_bool "chronological order" true (values = [ 10.; 20. ]))
 
 let test_missing_file_is_empty () =
   let store = Store.create ~path:"/nonexistent/dir/never.jsonl" () in
-  check_int "empty" 0 (Store.length store)
+  check_int "empty" 0 (List.length (Store.records store))
 
 let test_malformed_lines_skipped () =
   let path = temp_log () in
@@ -169,7 +169,7 @@ let test_malformed_lines_skipped () =
       output_string oc (good ^ "\n");
       close_out oc;
       let store = Store.load path in
-      check_int "good lines kept" 2 (Store.length store);
+      check_int "good lines kept" 2 (List.length (Store.records store));
       let issues = Store.issues store in
       check_int "bad lines reported" 2 (List.length issues);
       Alcotest.(check (list int)) "1-based line numbers" [ 2; 3 ]
@@ -251,23 +251,33 @@ let test_nearest_colliding_op_ids () =
 
 (* --- transfer --- *)
 
+(* A logged config, refitted onto [space] as the exact hit's seed. *)
+let refit space cfg =
+  let logged =
+    { (record_of space) with Record.config = Ft_schedule.Config_io.to_string cfg }
+  in
+  match Transfer.seeds_of_records ~exact:(Some logged) ~near:[] space with
+  | [] -> None
+  | [ seed ] -> Some seed
+  | _ -> Alcotest.fail "one record yields at most one seed"
+
 let test_refit_identity_and_cross_shape () =
   let small = space_of (gemm ~m:64 ~n:64 ~k:64) in
   let big = space_of (gemm ~m:128 ~n:256 ~k:64) in
   let rng = Ft_util.Rng.create 5 in
   for _ = 1 to 20 do
     let cfg = Ft_schedule.Space.random_config rng small in
-    (match Transfer.refit small cfg with
+    (match refit small cfg with
     | Some same -> check_bool "identity refit" true (Ft_schedule.Config.equal cfg same)
     | None -> Alcotest.fail "valid config must refit to itself");
-    match Transfer.refit big cfg with
+    match refit big cfg with
     | Some moved -> check_bool "refit valid in new space" true
         (Ft_schedule.Space.valid big moved)
     | None -> Alcotest.fail "same-rank refit must succeed"
   done;
   let gemv = space_of (Ft_ir.Operators.gemv ~m:64 ~k:64) in
   let cfg = Ft_schedule.Space.default_config small in
-  check_bool "rank mismatch refuses" true (Transfer.refit gemv cfg = None)
+  check_bool "rank mismatch refuses" true (refit gemv cfg = None)
 
 let test_transfer_seeds_valid () =
   let store = Store.create () in
@@ -298,9 +308,22 @@ let checkpoint_of ?(run_id = "g|gemm|V100|Q-method|seed=1") ?(trial = 5)
     rng_state = 0x9E3779B97F4A7C15L;
   }
 
+(* A checkpoint appended to a fresh file and read back as its run's
+   latest. *)
+let reloaded (ck : Checkpoint.t) =
+  let path = temp_log () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Checkpoint.append path ck;
+      match Checkpoint.latest ~run_id:ck.run_id path with
+      | Some parsed, [] -> Ok parsed
+      | None, _ -> Error "no checkpoint read back"
+      | Some _, _ :: _ -> Error "a line was skipped")
+
 let test_checkpoint_roundtrip () =
   let ck = checkpoint_of () in
-  match Checkpoint.of_json (Checkpoint.to_json ck) with
+  match reloaded ck with
   | Ok parsed ->
       check_string "run_id" ck.run_id parsed.Checkpoint.run_id;
       check_int "trial" ck.trial parsed.trial;
@@ -318,10 +341,7 @@ let test_checkpoint_roundtrip () =
 let qcheck_checkpoint_rng_roundtrip =
   QCheck.Test.make ~name:"any int64 rng state roundtrips" ~count:200
     QCheck.int64 (fun state ->
-      match
-        Checkpoint.of_json
-          (Checkpoint.to_json { (checkpoint_of ()) with rng_state = state })
-      with
+      match reloaded { (checkpoint_of ()) with rng_state = state } with
       | Ok parsed -> Int64.equal state parsed.Checkpoint.rng_state
       | Error _ -> false)
 
@@ -356,15 +376,19 @@ let test_append_after_torn_line () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Checkpoint.append path (checkpoint_of ~trial:6 ());
+      Checkpoint.append path (checkpoint_of ~run_id:"before" ~trial:6 ());
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "{\"run\":\"torn";
       close_out oc;
-      Checkpoint.append path (checkpoint_of ~trial:11 ());
-      let cks, issues = Checkpoint.load path in
-      Alcotest.(check (list int)) "both records load" [ 6; 11 ]
-        (List.map (fun (ck : Checkpoint.t) -> ck.trial) cks);
-      check_int "only the fragment is skipped" 1 (List.length issues))
+      Checkpoint.append path (checkpoint_of ~run_id:"after" ~trial:11 ());
+      let trial run_id =
+        Option.map (fun (ck : Checkpoint.t) -> ck.trial)
+          (fst (Checkpoint.latest ~run_id path))
+      in
+      Alcotest.(check (list (option int))) "both records load" [ Some 6; Some 11 ]
+        [ trial "before"; trial "after" ];
+      check_int "only the fragment is skipped" 1
+        (List.length (snd (Checkpoint.latest ~run_id:"after" path))))
 
 (* --- store invisibility: logging must never change search results --- *)
 
@@ -391,7 +415,7 @@ let test_store_invisible_to_search () =
                (Int64.bits_of_float cold.perf_value)
                (Int64.bits_of_float logged.perf_value));
           check_int "same eval count" cold.n_evals logged.n_evals;
-          check_bool "search was logged" true (Store.length store = 1)))
+          check_bool "search was logged" true (List.length (Store.records store) = 1)))
     [ 1; 4 ]
 
 let test_exact_hit_reuse () =
@@ -408,7 +432,7 @@ let test_exact_hit_reuse () =
        (Int64.bits_of_float again.perf_value));
   check_bool "identical config" true
     (Ft_schedule.Config.equal first.config again.config);
-  check_int "reuse did not append" 1 (Store.length store)
+  check_int "reuse did not append" 1 (List.length (Store.records store))
 
 (* Acceptance (deterministic seeded runs on Suites gemm shapes):
    warm-starting 64^3 from a 128^3 tuning at an equal eval budget is
@@ -445,7 +469,7 @@ let test_runner_reuses_layers () =
       Ft_ir.Operators.conv2d ~batch:1 ~in_channels:8 ~out_channels ~height:14
         ~width:14 ~kernel:3 ~pad:1 ()
     in
-    [ ("L1", conv 16, 2); ("L2", conv 32, 1) ]
+    [ ("L1", conv 16); ("L1", conv 16); ("L2", conv 32) ]
   in
   let cold =
     Ft_dnn.Runner.run ~max_evals:40 ~store ~network:"tiny" ~target

@@ -77,7 +77,7 @@ let test_concurrent_big_appends_atomic () =
       let store = Store.load path in
       check_int "no torn lines" 0 (List.length (Store.issues store));
       check_int "every record present" (n_domains * per_domain)
-        (Store.length store);
+        (List.length (Store.records store));
       (* each line must be one writer's record, never an interleaving *)
       List.iter
         (fun r ->
@@ -109,7 +109,7 @@ let test_concurrent_append_stress () =
       let store = Store.load path in
       check_int "zero issues" 0 (List.length (Store.issues store));
       check_int "every record survives" (n_domains * per_domain)
-        (Store.length store);
+        (List.length (Store.records store));
       let seeds =
         List.sort_uniq compare
           (List.map (fun r -> r.Record.seed) (Store.records store))
@@ -301,7 +301,14 @@ let test_op_id_pinned () =
   check_string "conv2d" "conv2d|Xeon-E5-2699v4|4|3" (Index.op_id conv);
   check_string "gemv" "gemv|VU9P|1|1"
     (Index.op_id (key (Ft_ir.Operators.gemv ~m:64 ~k:64) Ft_schedule.Target.vu9p));
-  check_string "shard name" "conv2d-Xeon-E5-2699v4-4-3" (Shard.shard_name conv)
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let repo = Shard.open_dir dir in
+      Shard.add repo { (record_of (space_of (gemm ~m:8 ~n:8 ~k:8))) with key = conv };
+      Alcotest.(check (list string)) "shard name" [ "conv2d-Xeon-E5-2699v4-4-3" ]
+        (Shard.shards repo))
 
 let test_shard_roundtrip_and_reload () =
   let dir = temp_dir () in
@@ -372,7 +379,6 @@ let test_compaction_vs_appender_race () =
     (fun () ->
       let repo = Shard.open_dir ~k:10_000 dir in
       let space = space_of (gemm ~m:64 ~n:64 ~k:64) in
-      let shard = Shard.shard_name (Record.key_of_space space) in
       let n_appenders = 4 and per_appender = 40 in
       let appenders =
         List.init n_appenders (fun d ->
@@ -385,10 +391,10 @@ let test_compaction_vs_appender_race () =
                 done))
       in
       for _ = 1 to 20 do
-        ignore (Shard.compact repo shard)
+        ignore (Shard.compact_all repo)
       done;
       List.iter Domain.join appenders;
-      ignore (Shard.compact repo shard);
+      ignore (Shard.compact_all repo);
       let reloaded = Shard.open_dir dir in
       check_int "reload has no issues" 0 (List.length (Shard.issues reloaded));
       check_int "no record lost to the race" (n_appenders * per_appender)
@@ -734,25 +740,28 @@ let test_client_poisoned_after_truncated_frame () =
       flush oc)
     (fun addr ->
       with_client addr (fun client ->
-          check_bool "not poisoned at connect" true
-            (Client.poisoned client = None);
-          (match Client.ping client with
-          | Ok () -> Alcotest.fail "a truncated frame cannot be a pong"
-          | Error _ -> ());
-          (match Client.poisoned client with
-          | Some _ -> ()
-          | None -> Alcotest.fail "transport failure must poison the client");
+          let contains needle msg =
+            let lowered = String.lowercase_ascii msg in
+            let n = String.length lowered and m = String.length needle in
+            let rec scan i =
+              i + m <= n && (String.sub lowered i m = needle || scan (i + 1))
+            in
+            scan 0
+          in
+          let first =
+            match Client.ping client with
+            | Ok () -> Alcotest.fail "a truncated frame cannot be a pong"
+            | Error msg -> msg
+          in
+          check_bool "not poisoned at connect: the call reached the server" true
+            (contains "truncated frame" first);
+          check_bool "transport failure must poison the client" true
+            (contains "poisoned" first);
           match Client.ping client with
           | Ok () -> Alcotest.fail "a poisoned client must not roundtrip"
           | Error msg ->
-              check_bool "later calls fail fast, naming the poisoning" true
-                (let lowered = String.lowercase_ascii msg in
-                 let needle = "poisoned" in
-                 let n = String.length lowered and m = String.length needle in
-                 let rec scan i =
-                   i + m <= n && (String.sub lowered i m = needle || scan (i + 1))
-                 in
-                 scan 0)))
+              (* a second roundtrip would have read "connection closed" *)
+              check_string "later calls fail fast, naming the poisoning" first msg))
 
 (* A complete-but-unparseable frame is NOT a transport failure: frame
    boundaries held, so the connection stays usable. *)
@@ -768,8 +777,7 @@ let test_client_survives_garbage_frame () =
           (match Client.ping client with
           | Ok () -> Alcotest.fail "garbage cannot be a pong"
           | Error _ -> ());
-          check_bool "garbage in one frame does not poison" true
-            (Client.poisoned client = None);
+          (* garbage in one frame does not poison *)
           match Client.ping client with
           | Ok () -> ()
           | Error e -> Alcotest.fail ("connection should have survived: " ^ e)))
@@ -794,7 +802,8 @@ let test_second_daemon_refuses_live_socket () =
       Fun.protect
         ~finally:(fun () -> Server.stop first)
         (fun () ->
-          check_bool "the socket shows as live" true (Server.unix_socket_live sock);
+          with_client ("unix:" ^ sock) (fun client ->
+              check_bool "the socket is live" true (Client.ping client = Ok ()));
           (match Server.create ~repo ~listen:("unix:" ^ sock) with
           | exception Failure _ -> ()
           | second ->
@@ -821,8 +830,8 @@ let test_stale_socket_recycled () =
       let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind dead (Unix.ADDR_UNIX sock);
       Unix.close dead;
-      check_bool "a dead socket shows as stale" false
-        (Server.unix_socket_live sock);
+      check_bool "a dead socket refuses connections" true
+        (Result.is_error (Client.connect ("unix:" ^ sock)));
       let repo = Shard.open_dir dir in
       let server = Server.create ~repo ~listen:("unix:" ^ sock) in
       let _t = Server.start server in
@@ -837,12 +846,17 @@ let test_stale_socket_recycled () =
 (* A path that exists but is not a socket is never touched. *)
 let test_non_socket_path_never_touched () =
   let path = Filename.temp_file "ft_svc_notasock" ".txt" in
+  let dir = temp_dir () in
   Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    ~finally:(fun () ->
+      rm_rf dir;
+      if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      (match Server.claim_unix_path path with
-      | exception Failure _ -> ()
-      | () -> Alcotest.fail "claiming a non-socket path must refuse");
+      (match Server.create ~repo:(Shard.open_dir dir) ~listen:("unix:" ^ path) with
+      | server ->
+          Server.stop server;
+          Alcotest.fail "claiming a non-socket path must refuse"
+      | exception Failure _ -> ());
       check_bool "the file survives the refusal" true (Sys.file_exists path))
 
 (* --- optimize against the daemon --- *)

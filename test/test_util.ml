@@ -5,7 +5,9 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_rng_deterministic () =
   let a = Ft_util.Rng.create 42 and b = Ft_util.Rng.create 42 in
   for _ = 1 to 100 do
-    check_bool "same stream" true (Ft_util.Rng.next_int64 a = Ft_util.Rng.next_int64 b)
+    check_int "same int" (Ft_util.Rng.int a 1_000_003) (Ft_util.Rng.int b 1_000_003);
+    Alcotest.(check (float 0.)) "same float" (Ft_util.Rng.float a 1.) (Ft_util.Rng.float b 1.);
+    Alcotest.(check int64) "same state" (Ft_util.Rng.state a) (Ft_util.Rng.state b)
   done
 
 let test_rng_int_bounds () =
@@ -26,7 +28,7 @@ let test_rng_split_independent () =
   let a = Ft_util.Rng.create 5 in
   let b = Ft_util.Rng.split a in
   check_bool "different streams" true
-    (Ft_util.Rng.next_int64 a <> Ft_util.Rng.next_int64 b)
+    (Ft_util.Rng.float a 1. <> Ft_util.Rng.float b 1.)
 
 let test_rng_invalid () =
   let rng = Ft_util.Rng.create 1 in
@@ -82,9 +84,13 @@ let test_divisors () =
   Alcotest.(check (list int)) "divisors 1" [ 1 ] (Ft_util.Mathx.divisors 1);
   Alcotest.(check (list int)) "divisors 7" [ 1; 7 ] (Ft_util.Mathx.divisors 7)
 
+(* The closed-form count multiplies one stars-and-bars term per prime
+   power, so it reads the factorization back: 360 = 2^3 * 3^2 * 5. *)
 let test_prime_factors () =
-  Alcotest.(check (list int)) "360" [ 2; 2; 2; 3; 3; 5 ] (Ft_util.Mathx.prime_factors 360);
-  Alcotest.(check (list int)) "1" [] (Ft_util.Mathx.prime_factors 1);
+  check_int "360 into 2" (4 * 3 * 2) (Ft_util.Mathx.count_factorizations 360 2);
+  check_int "360 into 3" (10 * 6 * 3) (Ft_util.Mathx.count_factorizations 360 3);
+  check_int "1 into 4" 1 (Ft_util.Mathx.count_factorizations 1 4);
+  check_int "prime 97 into 3" 3 (Ft_util.Mathx.count_factorizations 97 3);
   Alcotest.(check (option int)) "spf 1" None (Ft_util.Mathx.smallest_prime_factor 1);
   Alcotest.(check (option int)) "spf 15" (Some 3) (Ft_util.Mathx.smallest_prime_factor 15)
 
@@ -108,7 +114,9 @@ let test_count_factorizations_matches_enumeration () =
 let test_misc_math () =
   check_int "ceil_div" 4 (Ft_util.Mathx.ceil_div 10 3);
   check_int "clamp" 5 (Ft_util.Mathx.clamp 0 5 9);
-  check_int "binomial" 10 (Ft_util.Mathx.binomial 5 2)
+  (* 8 = 2^3 into 3 parts: C(5, 2) *)
+  check_int "binomial" 10 (Ft_util.Mathx.count_factorizations 8 3);
+  check_float "log2" 10. (Ft_util.Mathx.log2 1024.)
 
 let test_stats () =
   check_float "mean" 2.5 (Ft_util.Stats.mean [ 1.; 2.; 3.; 4. ]);
@@ -116,7 +124,16 @@ let test_stats () =
   check_float "min" 1. (Ft_util.Stats.minimum [ 3.; 1.; 2. ]);
   check_float "max" 3. (Ft_util.Stats.maximum [ 3.; 1.; 2. ]);
   Alcotest.(check (list (float 1e-9))) "normalize" [ 0.5; 1. ]
-    (Ft_util.Stats.normalize_to_max [ 2.; 4. ])
+    (Ft_util.Stats.normalize_to_max [ 2.; 4. ]);
+  check_float "median odd" 2. (Ft_util.Stats.median [| 1.; 2.; 7. |]);
+  check_float "median even" 2.5 (Ft_util.Stats.median [| 1.; 2.; 3.; 7. |]);
+  (* tied values share their mean rank: ranks [1.5; 1.5; 3] and [1; 2; 3] *)
+  check_float "spearman ties" (sqrt 0.75)
+    (Ft_util.Stats.spearman [| 1.; 1.; 2. |] [| 1.; 2.; 3. |]);
+  check_float "spearman reversed" (-1.)
+    (Ft_util.Stats.spearman [| 1.; 2.; 3. |] [| 9.; 5.; 0. |]);
+  check_float "spearman constant" 0.
+    (Ft_util.Stats.spearman [| 1.; 1.; 1. |] [| 1.; 2.; 3. |])
 
 let test_stats_invalid () =
   Alcotest.check_raises "geomean empty" (Invalid_argument "Stats.geomean: empty list")
@@ -157,9 +174,9 @@ let test_rng_streams () =
   let a' = Ft_util.Rng.stream 42 0 in
   let b = Ft_util.Rng.stream 42 1 in
   Alcotest.(check int64) "stream is a pure function"
-    (Ft_util.Rng.next_int64 a) (Ft_util.Rng.next_int64 a');
+    (Ft_util.Rng.state a) (Ft_util.Rng.state a');
   check_bool "streams differ" true
-    (Ft_util.Rng.next_int64 a <> Ft_util.Rng.next_int64 b);
+    (Ft_util.Rng.float a 1. <> Ft_util.Rng.float b 1.);
   Alcotest.check_raises "negative stream index"
     (Invalid_argument "Rng.mix: stream index must be >= 0") (fun () ->
       ignore (Ft_util.Rng.mix 42 (-1)))

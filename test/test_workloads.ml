@@ -52,7 +52,7 @@ let test_all_cases_validate () =
           check_bool
             (Printf.sprintf "%s/%s validates" abbr case.case_name)
             true
-            (Result.is_ok (Ft_ir.Op.validate case.graph)))
+            (Ft_ir.Op.validate_exn case.graph == case.graph))
         cases)
     Ft_workloads.Suites.all
 
