@@ -100,6 +100,52 @@ let q_train_ns_per_call ~batch =
   done;
   !total *. 1e9 /. float_of_int (reps * calls)
 
+(* The "q-agent round" row, in ns per training round: a fresh agent at
+   C2D widths (31 features, 62 directions) records 800 transitions and
+   so trains 160 rounds (the first three of 5, 10 and 15 samples, the
+   rest of 16), each computing its target rows before its step, as a
+   search's agent does; the fastest of 16 such agents, so a busy host
+   moves it less.  States are C8 features from a fixed cycle, actions
+   and rewards from fixed cycles. *)
+let q_agent_records = 800
+
+let q_agent_ns_per_round () =
+  let rng = Ft_util.Rng.create 5 in
+  let states =
+    Array.init 16 (fun _ ->
+        Ft_schedule.Space.features conv_space (Ft_schedule.Space.random_config rng conv_space))
+  in
+  let n_actions = 62 in
+  let transitions =
+    Array.init q_agent_records (fun k ->
+        {
+          Ft_qlearn.Agent.state = states.(k mod 16);
+          action = (7 * k) mod n_actions;
+          reward = (float_of_int (k mod 5) *. 0.25) -. 0.5;
+          next_state = states.((k + 1) mod 16);
+          next_valid = List.init n_actions Fun.id;
+        })
+  in
+  let run seed =
+    let agent =
+      Ft_qlearn.Agent.create (Ft_util.Rng.create seed)
+        ~feature_dim:(Array.length states.(0)) ~n_actions
+    in
+    let rounds = ref 0 in
+    let t0 = Ft_util.Monotime.now_s () in
+    Array.iter
+      (fun tr -> if Option.is_some (Ft_qlearn.Agent.record agent tr) then incr rounds)
+      transitions;
+    (Ft_util.Monotime.elapsed_s t0, !rounds)
+  in
+  ignore (run 0);
+  let best = ref infinity in
+  for seed = 1 to 16 do
+    let dt, rounds = run seed in
+    best := Float.min !best (dt *. 1e9 /. float_of_int rounds)
+  done;
+  !best
+
 let time_ns_per f reps per =
   let t0 = Ft_util.Monotime.now_s () in
   for _ = 1 to reps do
@@ -292,7 +338,8 @@ let run () =
     results;
   let ns_rows =
     List.sort compare
-      (("flextensor.q-network train step", q_train_ns_per_call ~batch:1)
+      (("flextensor.q-agent round", q_agent_ns_per_round ())
+      :: ("flextensor.q-network train step", q_train_ns_per_call ~batch:1)
       :: ("flextensor.q-network train round", q_train_ns_per_call ~batch:16)
       :: !rows)
   in

@@ -17,8 +17,9 @@ let create n = Ft_linalg.Linalg.{ g2 = vec n; d2 = vec n; grad = vec n }
    formula are in nn_stubs.c, which checks nothing: every bound is
    checked here, before the call. *)
 external accumulate_kernel :
-  vec -> vec -> (int[@untagged]) -> (int[@untagged]) -> bool -> float array -> float array ->
-  float array -> float array -> unit = "ft_nn_accumulate_byte" "ft_nn_accumulate"
+  vec -> vec -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> bool ->
+  float array -> float array -> float array -> float array -> unit
+  = "ft_nn_accumulate_byte" "ft_nn_accumulate"
 [@@noalloc]
 
 external step_kernel :
@@ -27,12 +28,15 @@ external step_kernel :
   = "ft_nn_step_byte" "ft_nn_step"
 [@@noalloc]
 
-let accumulate t ~params ~last ~dout ~pre ~x ~din =
-  let n = Array.length x and n_out = Array.length dout in
+let accumulate t ~params ~n_in ~samples ~last ~dout ~pre ~x ~din =
   if dim t.grad <> dim params then invalid_arg "Adadelta.accumulate: size mismatch";
-  if dim params <> n_out * (n + 1) || Array.length pre <> n_out || Array.length din < n then
-    invalid_arg "Adadelta.accumulate: width mismatch";
-  accumulate_kernel params t.grad n n_out last dout pre x din
+  let n_out = dim params / max 1 (n_in + 1) in
+  (* [samples * w] would overflow on a huge [samples]: divide instead *)
+  let short a w = w > 0 && samples > Array.length a / w in
+  if n_in < 0 || samples < 0 || n_out * (n_in + 1) <> dim params || short dout n_out
+     || short pre n_out || short x n_in || (Array.length din > 0 && short din n_in)
+  then invalid_arg "Adadelta.accumulate: width mismatch";
+  accumulate_kernel params t.grad n_in n_out samples last dout pre x din
 
 let step t ~params ~count =
   if dim t.g2 <> dim params then invalid_arg "Adadelta.step: size mismatch";

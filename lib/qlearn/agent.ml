@@ -54,9 +54,7 @@ let create rng ~feature_dim ~n_actions =
   }
 
 let q_values t state = Ft_nn.Network.forward t.online state
-
-(* Kept only for the benchmark kit's Q-network layer timing. *)
-let q_values_batch t states = Array.map (q_values t) states
+let q_values_batch t states = Ft_nn.Network.forward_rows t.online states
 
 (* Epsilon-greedy over the *valid* directions only: one RNG float,
    plus one choose on the exploration branch; the Q row is computed
@@ -72,19 +70,24 @@ let select t ~state ~valid =
 
 (* One round on [min 16 replay_len] transitions drawn in order:
    target = alpha * max_a' Y(next)[a'] + reward (§5.1), with Y = X
-   frozen for the round, then one averaged AdaDelta step. *)
+   frozen for the round, so every target row comes from one block
+   before the round's averaged AdaDelta step. *)
 let train_batch t =
-  let batch =
+  let sampled =
     Array.init (min batch_size t.replay_len) (fun _ ->
-        let transition = t.replay.(Ft_util.Rng.int t.rng t.replay_len) in
+        t.replay.(Ft_util.Rng.int t.rng t.replay_len))
+  in
+  let rows = q_values_batch t (Array.map (fun tr -> tr.next_state) sampled) in
+  let batch =
+    Array.mapi
+      (fun j tr ->
         let maxq =
-          match transition.next_valid with
+          match tr.next_valid with
           | [] -> 0.
-          | next_valid ->
-              let row = q_values t transition.next_state in
-              List.fold_left (fun acc action -> Float.max acc row.(action)) neg_infinity next_valid
+          | valid -> List.fold_left (fun acc a -> Float.max acc rows.(j).(a)) neg_infinity valid
         in
-        (transition.state, transition.action, (alpha *. maxq) +. transition.reward))
+        (tr.state, tr.action, (alpha *. maxq) +. tr.reward))
+      sampled
   in
   let loss = Ft_nn.Network.train_round t.online batch in
   if Ft_obs.Trace.active () then

@@ -28,8 +28,9 @@ val create : Ft_util.Rng.t -> feature_dim:int -> n_actions:int -> t
     is to call it in place of {!q_values_batch}. *)
 val q_values : t -> float array -> float array
 
-(** [Array.map (q_values t)]: kept only for the benchmark kit's
-    Q-network timing, as [Flextensor.Pool] is for its child. *)
+(** {!q_values} of each state, as one block through the network: the
+    target rows of a training round, and the benchmark kit's Q-network
+    timing. *)
 val q_values_batch : t -> float array array -> float array array
 
 (** Epsilon-greedy choice among the valid action indices; [None] when

@@ -56,8 +56,8 @@ let test_adadelta_minimizes_quadratic () =
   let params = vec [| 10. |] in
   for _ = 1 to 5000 do
     let b = params.{0} in
-    Ft_nn.Adadelta.accumulate state ~params ~last:true ~dout:[| 2. *. (b -. 3.) |] ~pre:[| b |]
-      ~x:[||] ~din:[||];
+    Ft_nn.Adadelta.accumulate state ~params ~n_in:0 ~samples:1 ~last:true
+      ~dout:[| 2. *. (b -. 3.) |] ~pre:[| b |] ~x:[||] ~din:[||];
     Ft_nn.Adadelta.step state ~params ~count:1
   done;
   check_bool "converged near 3" true (Float.abs (params.{0} -. 3.) < 0.5)
@@ -66,8 +66,8 @@ let test_adadelta_size_mismatch () =
   let state = Ft_nn.Adadelta.create 2 in
   Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.accumulate: size mismatch")
     (fun () ->
-      Ft_nn.Adadelta.accumulate state ~params:(vec [| 1. |]) ~last:true ~dout:[| 1. |]
-        ~pre:[| 1. |] ~x:[||] ~din:[||]);
+      Ft_nn.Adadelta.accumulate state ~params:(vec [| 1. |]) ~n_in:0 ~samples:1 ~last:true
+        ~dout:[| 1. |] ~pre:[| 1. |] ~x:[||] ~din:[||]);
   Alcotest.check_raises "mismatch" (Invalid_argument "Adadelta.step: size mismatch") (fun () ->
       Ft_nn.Adadelta.step state ~params:(vec [| 1. |]) ~count:1)
 
@@ -229,13 +229,29 @@ end
 let bits_equal a b =
   Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (Float.is_nan a && Float.is_nan b)
 
+(* [count] rows of [n] entries from [entry], pairwise distinct in their
+   bits: a block kernel that mixed up two samples' columns cannot pass
+   on them, as it can on copies of one row. *)
+let distinct_rows ~count n entry =
+  let same =
+    Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+  in
+  let rec draw acc k =
+    if k = 0 then Array.of_list (List.rev acc)
+    else
+      let row = Array.init n (fun _ -> entry ()) in
+      if List.exists (same row) acc then draw acc k else draw (row :: acc) (k - 1)
+  in
+  draw [] count
+
 (* The fused, zero-skipping training round against the four-pass
    reference: random depths 1-4 and widths 1-13 (so output counts that
-   are not multiples of the forward kernel's 4-row tile), inputs with
+   are not multiples of the forward kernel's tiles), inputs with
    exact 0. and -0. entries and large negative ones that kill ReLU
-   units, and several rounds, each of one sample or of one sample per
-   output (so every output row learns in one step).  Half the cases
-   also draw rare infinities and nans, which must take the full
+   units, and several rounds, each of one sample, of one sample per
+   output (so every output row learns in one step) or of 2-17 distinct
+   samples (so each sample's column of the blocks is its own).  Half
+   the cases also draw rare infinities and nans, which must take the full
    formula wherever the short cut would not be exact.  Every loss and
    every forward output after each round must be bit-equal. *)
 let qcheck_training_matches_reference =
@@ -276,8 +292,13 @@ let qcheck_training_matches_reference =
       for _ = 1 to steps do
         let input = sample n_in in
         let batch =
-          if Ft_util.Rng.int rng 3 = 0 then Array.init n_out (fun index -> (input, index, entry ()))
-          else [| (input, Ft_util.Rng.int rng n_out, entry ()) |]
+          match Ft_util.Rng.int rng 3 with
+          | 0 -> Array.init n_out (fun index -> (input, index, entry ()))
+          | 1 ->
+              Array.map
+                (fun row -> (row, Ft_util.Rng.int rng n_out, entry ()))
+                (distinct_rows ~count:(2 + Ft_util.Rng.int rng 16) n_in entry)
+          | _ -> [| (input, Ft_util.Rng.int rng n_out, entry ()) |]
         in
         let loss = Ft_nn.Network.train_round net batch in
         let expected = Reference.train_round reference batch in
@@ -286,11 +307,12 @@ let qcheck_training_matches_reference =
       !ok)
 
 (* The qcheck above draws widths 1-13: the kernels' remainder paths.
-   At the paper's widths the forward's 8-output blocks and the
+   At the paper's widths the forward's full tiles and the
    vectorized AdaDelta loop carry almost every value, so run the
    Q-networks of two real spaces (features -> 64^3 -> directions) a
    few hundred rounds against the reference, inputs with exact +-0 and
-   ReLU-killing entries, every fourth round training every output. *)
+   ReLU-killing entries, every fourth round training every output and
+   every other even round 2-17 distinct samples. *)
 let test_training_matches_reference_at_paper_dims () =
   List.iter
     (fun (name, dims) ->
@@ -309,8 +331,13 @@ let test_training_matches_reference_at_paper_dims () =
       for step = 1 to 300 do
         let input = sample n_in in
         let batch =
-          if step mod 4 = 0 then Array.init n_out (fun index -> (input, index, entry ()))
-          else [| (input, Ft_util.Rng.int rng n_out, entry ()) |]
+          match step mod 4 with
+          | 0 -> Array.init n_out (fun index -> (input, index, entry ()))
+          | 2 ->
+              Array.map
+                (fun row -> (row, Ft_util.Rng.int rng n_out, entry ()))
+                (distinct_rows ~count:(2 + Ft_util.Rng.int rng 16) n_in entry)
+          | _ -> [| (input, Ft_util.Rng.int rng n_out, entry ()) |]
         in
         let loss = Ft_nn.Network.train_round net batch in
         let expected = Reference.train_round reference batch in
@@ -476,6 +503,52 @@ let test_round_with_poisoned_sample () =
       done)
     [ ("inf target", `Target infinity); ("huge target", `Target 1e200); ("nan input", `Input nan) ]
 
+(* [forward_rows] runs a block of rows through each layer at once:
+   every row's outputs must bit-equal the reference's forward of that
+   row alone.  Blocks of 1-20 distinct rows (the kernel's 8-, 4- and
+   2-sample tiles and the odd last sample), random depths 1-4 at widths
+   1-13 (its output remainders) and the C2D network (31 -> 64^3 ->
+   62), entries with exact +-0 and ReLU-killing ones, and in half the
+   cases rare infinities and nans. *)
+let qcheck_block_forward_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* paper = bool in
+      let* dims =
+        if paper then return (Array.to_list c2d)
+        else
+          let* n_layers = int_range 1 4 in
+          list_repeat (n_layers + 1) (int_range 1 13)
+      in
+      let* seed = int_range 0 1_000_000 in
+      let* count = int_range 1 20 in
+      let* poisoned = bool in
+      return (dims, seed, count, poisoned))
+  in
+  QCheck.Test.make ~name:"a block of distinct rows bit-equals the reference row by row"
+    ~count:200 (QCheck.make gen)
+    (fun (dims, seed, count, poisoned) ->
+      let dims = Array.of_list dims in
+      let net = Ft_nn.Network.mlp (Ft_util.Rng.create seed) ~dims in
+      let reference = Reference.mlp (Ft_util.Rng.create seed) ~dims in
+      let rng = Ft_util.Rng.create (seed + 1) in
+      let entry () =
+        match Ft_util.Rng.int rng (if poisoned then 60 else 5) with
+        | 0 -> 0.
+        | 1 -> -0.
+        | 2 -> -.Ft_util.Rng.float rng 50.
+        | 5 -> infinity
+        | 6 -> neg_infinity
+        | 7 -> nan
+        | _ -> Ft_util.Rng.float rng 4. -. 2.
+      in
+      let rows = distinct_rows ~count dims.(0) entry in
+      let outs = Ft_nn.Network.forward_rows net rows in
+      Array.length outs = count
+      && Array.for_all2
+           (fun row out -> Array.for_all2 bits_equal out (Reference.forward reference row))
+           rows outs)
+
 (* The layer kernels are C and check nothing: every malformed call
    raises in OCaml first, with the parameters, [din], the summed
    gradient and the optimizer state unchanged (a twin that never
@@ -484,8 +557,8 @@ let test_step_rejects_bad_widths () =
   let make () =
     let state = Ft_nn.Adadelta.create 6 and params = vec [| 0.5; -1.; 2.; 0.25; -0.75; 1.5 |] in
     let good ~dout =
-      Ft_nn.Adadelta.accumulate state ~params ~last:false ~dout ~pre:[| 1.; -1. |]
-        ~x:[| 1.; -2. |] ~din:[| 0.; 0. |];
+      Ft_nn.Adadelta.accumulate state ~params ~n_in:2 ~samples:1 ~last:false ~dout
+        ~pre:[| 1.; -1. |] ~x:[| 1.; -2. |] ~din:[| 0.; 0. |];
       Ft_nn.Adadelta.step state ~params ~count:1
     in
     good ~dout:[| 0.3; 0.2 |];
@@ -493,18 +566,22 @@ let test_step_rejects_bad_widths () =
   in
   let state, params, good = make () and _, twin_params, twin_good = make () in
   let din = [| 0.; 0. |] in
-  let bad what ?(params = params) ?(dout = [| 0.7; 0.1 |]) ?(pre = [| 1.; 1. |])
-      ?(x = [| 1.; -2. |]) ?(din = din) () =
+  let bad what ?(params = params) ?(n_in = 2) ?(samples = 1) ?(dout = [| 0.7; 0.1 |])
+      ?(pre = [| 1.; 1. |]) ?(x = [| 1.; -2. |]) ?(din = din) () =
     raises_invalid what (fun () ->
-        Ft_nn.Adadelta.accumulate state ~params ~last:false ~dout ~pre ~x ~din)
+        Ft_nn.Adadelta.accumulate state ~params ~n_in ~samples ~last:false ~dout ~pre ~x ~din)
   in
   let bad_step what ?(params = params) ?(count = 1) () =
     raises_invalid what (fun () -> Ft_nn.Adadelta.step state ~params ~count)
   in
   bad "short dout" ~dout:[| 0.7 |] ();
-  bad "long pre" ~pre:[| 1.; 1.; 1. |] ();
+  bad "short pre" ~pre:[| 1. |] ();
   bad "short din" ~din:[| 0. |] ();
-  bad "wide x" ~x:[| 1.; -2.; 3. |] ();
+  bad "short x" ~x:[| 1. |] ();
+  bad "wide x" ~n_in:3 ~x:[| 1.; -2.; 3. |] ();
+  bad "negative width" ~n_in:(-1) ();
+  bad "two samples" ~samples:2 ();
+  bad "negative samples" ~samples:(-1) ();
   bad_step "count 0" ~count:0 ();
   let other = vec (Array.make 7 1.) in
   bad "state size" ~params:other ();
@@ -519,8 +596,8 @@ let test_step_rejects_bad_widths () =
     [ [| 0.; 0. |]; [| -0.4; 0.5 |] ];
   check_bool "state untouched" true (vec_bits params = vec_bits twin_params)
 
-(* A row of the wrong width must raise before the C forward kernel
-   reads it, and leave the training caches alone. *)
+(* A row of the wrong width, alone or in a block, must raise before
+   the C forward kernel reads it, and change nothing. *)
 let test_forward_rejects_bad_width () =
   let net = Ft_nn.Network.mlp (Ft_util.Rng.create 3) ~dims:[| 4; 16; 3 |] in
   let good = [| 0.5; -1.; 2.; 0.25 |] in
@@ -528,8 +605,9 @@ let test_forward_rejects_bad_width () =
   raises_invalid "short row" (fun () -> ignore (Ft_nn.Network.forward net [| 1.; 2.; 3. |]));
   raises_invalid "long row" (fun () -> ignore (Ft_nn.Network.forward net (Array.make 5 1.)));
   raises_invalid "empty row" (fun () -> ignore (Ft_nn.Network.forward net [||]));
-  (* The cached input and pre-activations still belong to [good]: a
-     training step gives the same loss as on a twin that saw no bad
+  raises_invalid "short row in a block" (fun () ->
+      ignore (Ft_nn.Network.forward_rows net [| good; good; [| 1.; 2.; 3. |] |]));
+  (* A training step gives the same loss as on a twin that saw no bad
      call. *)
   let twin = Ft_nn.Network.mlp (Ft_util.Rng.create 3) ~dims:[| 4; 16; 3 |] in
   check_bool "same outputs" true
@@ -564,6 +642,7 @@ let () =
             test_round_idle_rows;
           Alcotest.test_case "a round with a poisoned sample bit-equals the reference" `Quick
             test_round_with_poisoned_sample;
+          QCheck_alcotest.to_alcotest qcheck_block_forward_matches_reference;
         ] );
       ( "adadelta",
         [

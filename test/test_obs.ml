@@ -202,6 +202,52 @@ let test_batched_telemetry_names () =
   check_bool "eval.batch event" true (List.exists batch_event (read_lines path));
   check_bool "nn.forward_ns counter" true (List.mem "nn.forward_ns" counters)
 
+(* A training round computes its 16 target rows as one block
+   ([Agent.q_values_batch]), timed into [nn.forward_ns] like every
+   other inference call: five recorded transitions run one round and
+   no selection, so the counter is the target rows' alone.  A traced
+   Q-method search that trains reports it too. *)
+let test_target_rows_timed () =
+  Trace.close ();
+  let forward_ns () =
+    Option.value ~default:0 (List.assoc_opt "nn.forward_ns" (Trace.counters ()))
+  in
+  let path = Filename.temp_file "ft_obs_targets" ".jsonl" in
+  Trace.enable_jsonl path;
+  let agent = Ft_qlearn.Agent.create (Ft_util.Rng.create 3) ~feature_dim:4 ~n_actions:3 in
+  let rounds = ref 0 in
+  for k = 1 to 5 do
+    let state = Array.init 4 (fun i -> float_of_int (k + i) *. 0.25) in
+    let transition =
+      {
+        Ft_qlearn.Agent.state;
+        action = k mod 3;
+        reward = 0.5;
+        next_state = Array.map Float.neg state;
+        next_valid = [ 0; 1; 2 ];
+      }
+    in
+    if Option.is_some (Ft_qlearn.Agent.record agent transition) then incr rounds
+  done;
+  let after_round = forward_ns () in
+  Trace.close ();
+  Trace.enable_jsonl path;
+  ignore
+    (Ft_explore.Q_method.search_params
+       { Ft_explore.Search_loop.default_params with seed = 5; n_trials = 5; max_evals = Some 60 }
+       (gemm_space ()));
+  let after_search = forward_ns () in
+  Trace.close ();
+  let trains =
+    List.exists
+      (fun line -> Json.member "name" (parse line) = Some (Json.Str "q.train"))
+      (read_lines path)
+  in
+  Alcotest.(check int) "one round" 1 !rounds;
+  check_bool "target rows timed" true (after_round > 0);
+  check_bool "the search trains" true trains;
+  check_bool "the search's forwards timed" true (after_search > 0)
+
 let result_fingerprint (r : Ft_explore.Driver.result) =
   ( Ft_schedule.Config.compute_key r.best_config,
     r.best_value,
@@ -260,6 +306,7 @@ let () =
           Alcotest.test_case "jsonl round-trips" `Quick test_jsonl_round_trips;
           Alcotest.test_case "batched-path telemetry" `Quick
             test_batched_telemetry_names;
+          Alcotest.test_case "target rows timed" `Quick test_target_rows_timed;
         ] );
       ("determinism", [ qcheck test_tracing_is_invisible ]);
     ]
