@@ -168,9 +168,10 @@ let gemm_gflops_by_batch () =
     [ 16; 64; 256; 1024 ]
 
 (* Evaluation throughput on the C8 space: the same distinct candidate
-   list measured point by point and through [Evaluator.commit_batch].
-   The values are identical by construction (see test_explore); only
-   evaluations/second moves. *)
+   list committed into a search state point by point
+   ([Driver.evaluate]) and in batches ([Driver.evaluate_batch]), each
+   after a [Driver.init] on its first point.  The values are identical
+   by construction (see test_explore); only evaluations/second moves. *)
 
 (* FT_BENCH_CANDIDATES shrinks the throughput sweep for smoke runs
    (CI runs the whole benchmark on a small sweep just to validate the
@@ -217,23 +218,25 @@ let rec batches_of k = function
       let batch, rest = take k [] xs in
       batch :: batches_of k rest
 
-let commit evaluator batch =
-  Ft_explore.Evaluator.commit_batch evaluator ~should_stop:(fun () -> false) batch (fun _ _ -> ())
-
-let batched_evals_per_sec cfgs =
+(* Evaluations per wall second of [Driver.init] on the first
+   candidate followed by [evaluate_rest] on the others. *)
+let driver_evals_per_sec evaluate_rest cfgs =
   let evaluator = Ft_explore.Evaluator.create conv_space in
-  let batches = batches_of throughput_batch cfgs in
   let t0 = Ft_util.Monotime.now_s () in
-  List.iter (commit evaluator) batches;
+  let state = Ft_explore.Driver.init evaluator [ List.hd cfgs ] in
+  evaluate_rest state (List.tl cfgs);
   let dt = Ft_util.Monotime.elapsed_s t0 in
   float_of_int (Ft_explore.Evaluator.n_evals evaluator) /. dt
 
-let sequential_evals_per_sec cfgs =
-  let evaluator = Ft_explore.Evaluator.create conv_space in
-  let t0 = Ft_util.Monotime.now_s () in
-  List.iter (fun cfg -> ignore (Ft_explore.Evaluator.measure evaluator cfg)) cfgs;
-  let dt = Ft_util.Monotime.elapsed_s t0 in
-  float_of_int (Ft_explore.Evaluator.n_evals evaluator) /. dt
+let sequential_evals_per_sec =
+  driver_evals_per_sec (fun state ->
+      List.iter (fun cfg -> ignore (Ft_explore.Driver.evaluate state cfg)))
+
+let batched_evals_per_sec =
+  driver_evals_per_sec (fun state cfgs ->
+      List.iter
+        (fun batch -> ignore (Ft_explore.Driver.evaluate_batch state batch))
+        (batches_of throughput_batch cfgs))
 
 (* Evaluations per *simulated* second: the paper's multi-device
    measurement (Fig 6d/7) — with [n_parallel] devices, each wave of
@@ -242,7 +245,11 @@ let sequential_evals_per_sec cfgs =
    the host's core count. *)
 let simulated_evals_per_sec n_parallel cfgs =
   let evaluator = Ft_explore.Evaluator.create ~n_parallel conv_space in
-  List.iter (commit evaluator) (batches_of throughput_batch cfgs);
+  List.iter
+    (fun batch ->
+      Ft_explore.Evaluator.commit_batch evaluator ~known:(fun _ -> false)
+        ~should_stop:(fun () -> false) batch (fun _ _ -> ()))
+    (batches_of throughput_batch cfgs);
   float_of_int (Ft_explore.Evaluator.n_evals evaluator)
   /. Ft_explore.Evaluator.clock evaluator
 
@@ -256,34 +263,71 @@ let measure_throughput () =
   let simulated = List.map (fun n -> (n, simulated_evals_per_sec n cfgs)) [ 1; 4 ] in
   (sequential, batched, simulated)
 
-(* Search scaling: the P-method on one conv2d/xeon job at two trial
+(* Search scaling: the P-method on one conv2d/xeon job at three trial
    budgets.  A trial's bookkeeping cost must not grow with the size of
    H, so evals/s at 1000 trials should stay close to evals/s at 250;
    [ratio] (1000 / 250) compares the host with itself. *)
-let scaling_trials = [ 250; 1000 ]
+let scaling_trials = [ 250; 1000; 4000 ]
+
+let scaling_space =
+  Ft_schedule.Space.make
+    (Result.get_ok
+       (Ft_workloads.Catalog.graph_of ~op:"conv2d" ~dims:[ 1; 64; 56; 56; 64; 3; 3 ]))
+    (Result.get_ok (Ft_workloads.Catalog.target_of "xeon"))
 
 let search_scaling () =
-  let space =
-    Ft_schedule.Space.make
-      (Result.get_ok
-         (Ft_workloads.Catalog.graph_of ~op:"conv2d" ~dims:[ 1; 64; 56; 56; 64; 3; 3 ]))
-      (Result.get_ok (Ft_workloads.Catalog.target_of "xeon"))
-  in
   List.map
     (fun n_trials ->
       let t0 = Ft_util.Monotime.now_s () in
       let result =
         Ft_explore.P_method.search_params
           { Ft_explore.Search_loop.default_params with n_trials }
-          space
+          scaling_space
       in
       (n_trials, float_of_int result.n_evals /. Ft_util.Monotime.elapsed_s t0))
     scaling_trials
 
 let scaling_ratio scaling = List.assoc 1000 scaling /. List.assoc 250 scaling
 
+(* Bytes of search state per evaluation: [Obj.reachable_words] of a
+   driver state after [Driver.init] and [Driver.evaluate_batch] of
+   [probe_evals] distinct points of the scaling job's space — the probe
+   test_explore's memory case bounds.  The points come from a seeded
+   neighbourhood walk (each a random neighbour of a random earlier
+   one), so they share factor arrays as a search's points do.  A word
+   count, so the figure does not depend on the host's speed or core
+   count. *)
+let probe_evals = 5000
+
+let neighbourhood_walk space n =
+  let rng = Ft_util.Rng.create 5 in
+  let seen = Ft_schedule.Config.Tbl.create n in
+  let points = Array.make n (Ft_schedule.Space.default_config space) in
+  Ft_schedule.Config.Tbl.add seen points.(0) ();
+  let k = ref 1 in
+  while !k < n do
+    match Ft_schedule.Neighborhood.neighbors space points.(Ft_util.Rng.int rng !k) with
+    | [] -> ()
+    | moves ->
+        let _, cfg = Ft_util.Rng.choose rng moves in
+        if not (Ft_schedule.Config.Tbl.mem seen cfg) then begin
+          Ft_schedule.Config.Tbl.add seen cfg ();
+          points.(!k) <- cfg;
+          incr k
+        end
+  done;
+  Array.to_list points
+
+let bytes_per_eval () =
+  let cfgs = neighbourhood_walk scaling_space probe_evals in
+  let evaluator = Ft_explore.Evaluator.create scaling_space in
+  let state = Ft_explore.Driver.init evaluator [ List.hd cfgs ] in
+  ignore (Ft_explore.Driver.evaluate_batch state (List.tl cfgs));
+  float_of_int (Obj.reachable_words (Obj.repr state) * (Sys.word_size / 8))
+  /. float_of_int (Ft_explore.Evaluator.n_evals evaluator)
+
 (* BENCH_micro.json, rounded to the printed precision. *)
-let micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling =
+let micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling ~bytes =
   let module J = Ft_util.Json in
   let num digits x =
     let scale = 10. ** float_of_int digits in
@@ -301,6 +345,10 @@ let micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling =
       ( "batched_eval",
         J.Obj
           [
+            ( "note",
+              J.Str
+                "Driver.init on the first candidate, then Driver.evaluate per \
+                 point (sequential) or Driver.evaluate_batch per batch" );
             ("candidates", J.Num (float_of_int throughput_candidates));
             ("batch", J.Num (float_of_int throughput_batch));
             ("sequential_evals_per_sec", num 1 sequential);
@@ -316,6 +364,13 @@ let micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling =
             ("job", J.Str "P-method conv2d 1 64 56 56 64 3 3 on xeon");
             ("evals_per_sec", table 1 (Printf.sprintf "trials_%d") scaling);
             ("ratio", num 2 (scaling_ratio scaling));
+            ( "bytes_per_eval_probe",
+              J.Str
+                (Printf.sprintf
+                   "Obj.reachable_words of a Driver state after %d distinct \
+                    points of a seeded neighbourhood walk in the job's space"
+                   probe_evals) );
+            ("bytes_per_eval", num 1 bytes);
           ] );
       ])
 
@@ -371,9 +426,12 @@ let run () =
        (fun (n, rate) -> [ string_of_int n; Printf.sprintf "%.0f" rate ])
        scaling);
   Printf.printf "ratio (1000 / 250): %.2f\n" (scaling_ratio scaling);
+  let bytes = bytes_per_eval () in
+  Printf.printf "search state: %.0f bytes per evaluation (%d evaluations)\n" bytes
+    probe_evals;
   Out_channel.with_open_text "BENCH_micro.json" (fun oc ->
       output_string oc
         (Ft_util.Json.to_string
-           (micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling));
+           (micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling ~bytes));
       output_char oc '\n');
   print_endline "\n[wrote BENCH_micro.json]"

@@ -45,6 +45,9 @@ let add pool point value =
   if not (Float.equal best pool.best) then pool.weighed <- 0;
   pool.best <- best
 
+let size pool = pool.size
+let value pool i = pool.values.(i)
+
 let to_list pool =
   List.init pool.size (fun i ->
       let j = pool.size - 1 - i in

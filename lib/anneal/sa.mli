@@ -10,6 +10,10 @@ val pool : unit -> 'a pool
 (** [add pool point value] appends a point to H. *)
 val add : 'a pool -> 'a -> float -> unit
 
+(** Points in H; [value pool i] is the [i]-th one's value (from 0). *)
+val size : 'a pool -> int
+val value : 'a pool -> int -> float
+
 (** H as [(point, performance)] pairs, newest first. *)
 val to_list : 'a pool -> ('a * float) list
 

@@ -14,32 +14,23 @@ type result = {
 
 type state = {
   evaluator : Evaluator.t;
-  visited : unit Tbl.t;
+  index : int Tbl.t;  (* config -> pool index of its first occurrence *)
   pool : Ft_schedule.Config.t Ft_anneal.Sa.pool;  (* the set H *)
   mutable best : Ft_schedule.Config.t * float;
+  mutable best_perf : Ft_hw.Perf.t option;  (* None unless measured here *)
   mutable samples : sample list;  (* reverse chronological *)
 }
 
-let visit state cfg = Tbl.replace state.visited cfg ()
+let seen state cfg = Tbl.mem state.index cfg
 
-let seen state cfg = Tbl.mem state.visited cfg
-
-let record_sample state =
-  state.samples <-
-    {
-      at_s = Evaluator.clock state.evaluator;
-      n_evals = Evaluator.n_evals state.evaluator;
-      best_value = snd state.best;
-    }
-    :: state.samples
-
-(* Fold a point into H, update the incumbent. *)
-let absorb state cfg value =
-  visit state cfg;
+(* Append an indexed point to H, update the incumbent; [perf] is the
+   model result of a point measured here. *)
+let push state cfg value perf =
   Ft_anneal.Sa.add state.pool cfg value;
   Ft_obs.Trace.incr "driver.commits";
   if value > snd state.best then begin
     state.best <- (cfg, value);
+    state.best_perf <- perf;
     if Ft_obs.Trace.active () then
       Ft_obs.Trace.event "driver.incumbent"
         [
@@ -48,19 +39,32 @@ let absorb state cfg value =
           ("n_evals", Int (Evaluator.n_evals state.evaluator));
         ]
   end;
-  record_sample state;
+  state.samples <-
+    {
+      at_s = Evaluator.clock state.evaluator;
+      n_evals = Evaluator.n_evals state.evaluator;
+      best_value = snd state.best;
+    }
+    :: state.samples;
   value
 
-(* Evaluate a point, fold it into H, update the incumbent. *)
-let evaluate state cfg =
-  absorb state cfg (Evaluator.measure state.evaluator cfg)
+let absorb state cfg value =
+  if not (seen state cfg) then Tbl.add state.index cfg (Ft_anneal.Sa.size state.pool);
+  push state cfg value None
 
-(* Batched frontier evaluation: skip already-visited points and
-   in-batch duplicates, then commit the rest in input order through
-   {!Evaluator.commit_batch}, stopping at the first point for which
-   [should_stop] holds (the search's eval budget) — exactly the
-   decisions the sequential per-point loop would have made.  Returns
-   the committed points with their values, in order. *)
+(* Fold an evaluator commit into H: a fresh point is indexed at the
+   slot it is about to take; a hit re-enters at its first value. *)
+let commit state cfg = function
+  | Some (value, perf) ->
+      Tbl.add state.index cfg (Ft_anneal.Sa.size state.pool);
+      push state cfg value (Some perf)
+  | None -> push state cfg (Ft_anneal.Sa.value state.pool (Tbl.find state.index cfg)) None
+
+let evaluate state cfg =
+  commit state cfg (Evaluator.measure state.evaluator ~known:(seen state) cfg)
+
+(* The points left after dropping those in H and in-batch duplicates
+   are distinct and not in H, so none of them is [known] at its commit. *)
 let evaluate_batch ?(should_stop = fun () -> false) state cfgs =
   let in_batch = Tbl.create 32 in
   let fresh =
@@ -74,8 +78,8 @@ let evaluate_batch ?(should_stop = fun () -> false) state cfgs =
       cfgs
   in
   let committed = ref [] in
-  Evaluator.commit_batch state.evaluator ~should_stop fresh (fun cfg value ->
-      committed := (cfg, absorb state cfg value) :: !committed);
+  Evaluator.commit_batch state.evaluator ~known:(fun _ -> false) ~should_stop fresh
+    (fun cfg entry -> committed := (cfg, commit state cfg entry) :: !committed);
   List.rev !committed
 
 let init evaluator initial =
@@ -85,7 +89,7 @@ let init evaluator initial =
       let state =
         {
           evaluator;
-          visited = Tbl.create 1024;
+          index = Tbl.create 1024;
           pool = Ft_anneal.Sa.pool ();
           (* Seed the incumbent below every representable value so the
              first committed point is absorbed unconditionally: a 0.
@@ -93,6 +97,7 @@ let init evaluator initial =
              <= 0, and [finish] would then report best_value = 0. for
              a config never measured at that value. *)
           best = (first, neg_infinity);
+          best_perf = None;
           samples = [];
         }
       in
@@ -100,9 +105,10 @@ let init evaluator initial =
         ~fields:[ ("n", Int (List.length initial)) ]
         (fun () ->
           (* Unlike [evaluate_batch], seeding keeps duplicate inputs in H
-             (as cache hits), matching the sequential per-point loop. *)
-          Evaluator.commit_batch evaluator ~should_stop:(fun () -> false) initial
-            (fun cfg value -> ignore (absorb state cfg value));
+             (as hits), matching the sequential per-point loop. *)
+          Evaluator.commit_batch evaluator ~known:(seen state)
+            ~should_stop:(fun () -> false) initial
+            (fun cfg entry -> ignore (commit state cfg entry));
           state)
 
 (* Default H seeding: the naive point, the two generic per-hardware
@@ -118,24 +124,14 @@ let seed_points ?(heuristics = true) ?(extra = []) rng space n_random =
   @ List.init n_random (fun _ -> Ft_schedule.Space.random_config rng space)
   @ extra
 
+(* Reporting charges and counts nothing, so the clock and counters
+   describe the search alone. *)
 let finish ~method_name state =
-  (* Snapshot the accounting before assembling anything: the clock and
-     counters must describe the search alone.  (The old code called
-     [Evaluator.perf_of] inside the record literal, charging a cache
-     hit during *reporting* — and since OCaml leaves record-field
-     evaluation order unspecified, [sim_time_s] may or may not have
-     included that charge.) *)
-  let sim_time_s = Evaluator.clock state.evaluator in
-  let n_evals = Evaluator.n_evals state.evaluator in
   let best_config, best_value = state.best in
   let best_perf =
-    match Evaluator.peek state.evaluator best_config with
-    | Some (_, perf) -> perf
-    | None ->
-        (* Only reachable for externally [absorb]ed points that never
-           went through the evaluator; the snapshots above keep even
-           this fallback out of the reported accounting. *)
-        Evaluator.perf_of state.evaluator best_config
+    match state.best_perf with
+    | Some perf -> perf
+    | None -> Evaluator.model state.evaluator best_config (* an absorbed incumbent *)
   in
   (* A run whose every candidate was invalid (e.g. all quarantined
      under fault injection) still "finishes" — with best_value 0 and a
@@ -154,8 +150,8 @@ let finish ~method_name state =
     best_value;
     best_perf;
     history = List.rev state.samples;
-    n_evals;
-    sim_time_s;
+    n_evals = Evaluator.n_evals state.evaluator;
+    sim_time_s = Evaluator.clock state.evaluator;
   }
 
 (* A result is only usable if its best schedule is actually valid; a

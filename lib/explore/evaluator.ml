@@ -1,28 +1,16 @@
 module Tbl = Ft_schedule.Config.Tbl
 
-(* An external evaluation backend for a batch's fresh points (the
-   benchmark's traced pass times the cost model through one).  Must
-   return one entry per input, in input order, each bit-for-bit equal
-   to what [compute] would produce — dispatch replaces only *where*
-   the pure cost model runs, never what it returns. *)
 type dispatch =
   (Ft_schedule.Config.t * string) list -> (float * Ft_hw.Perf.t) list
 
-(* A hardware measurement hook (mirrors [dispatch]'s shape: the hook
-   changes where a number comes from, never the search that produced
-   the config).  Measurers run strictly after a search finishes — on
-   its winning config — so seeded analytical searches stay bit-for-bit
-   reproducible; the returned perf must be tagged [Measured]. *)
 type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
 
 type t = {
   space : Ft_schedule.Space.t;
   model_query : bool;  (* FPGA: points cost a model query, never a measurement *)
-  n_parallel : int;  (* simulated measurement devices (lanes) *)
   dispatch : dispatch option;  (* external backend for batched fresh points *)
   faults : Ft_fault.Plan.t option;  (* Some only when the plan injects faults *)
-  mutable live_lanes : int;  (* n_parallel minus injected lane deaths *)
-  cache : (float * Ft_hw.Perf.t) Tbl.t;
+  mutable live_lanes : int;  (* simulated devices minus injected lane deaths *)
   mutable clock_s : float;
   mutable n_evals : int;
 }
@@ -53,9 +41,7 @@ let create ?(n_parallel = 1) ?dispatch ?faults space =
     Option.bind faults (fun plan ->
         if Ft_fault.Plan.injects_measurement_faults plan then Some plan else None)
   in
-  { space; model_query; n_parallel; dispatch; faults;
-    live_lanes = n_parallel;
-    cache = Tbl.create 256; clock_s = 0.; n_evals = 0 }
+  { space; model_query; dispatch; faults; live_lanes = n_parallel; clock_s = 0.; n_evals = 0 }
 
 let charge t seconds = t.clock_s <- t.clock_s +. seconds
 
@@ -77,7 +63,8 @@ let compute t cfg =
    accumulates into the point's lane occupancy — failures charge their
    kind-specific cost (a timed-out kernel occupies the lane up to the
    cap, a failed compile only its compile cost).  A quarantined config
-   becomes an invalid perf that is cached and never remeasured.
+   becomes an invalid perf with value 0; it enters H like any point,
+   so it is never remeasured.
    Outcomes are a pure function of (fault seed, key, attempt), so the
    resolved entry and its cost are independent of commit order.  Hardware faults only strike real measurements: model
    queries (FPGA) and model-invalid configs keep their deterministic
@@ -133,54 +120,39 @@ let fault_resolve t plan key ((value, perf) as computed : float * Ft_hw.Perf.t) 
     | Error note -> ((0., Ft_hw.Perf.invalid (Lazy.from_val note)), !cost)
   end
 
-(* Insert a freshly computed point, charging the clock via [charge_one]
-   so batch commits can model parallel measurement lanes.  Under fault
-   injection the entry committed is the *resolved* one (possibly noisy
-   or quarantined) and the cost is the whole retry sequence's. *)
-let commit_fresh t ~charge_one cfg ((_, perf) as computed) =
-  let ((value, _) as entry), cost =
-    match t.faults with
-    | Some plan -> fault_resolve t plan (Ft_schedule.Config.compute_key cfg) computed
-    | None -> (computed, measure_cost t perf)
-  in
-  Tbl.replace t.cache cfg entry;
-  t.n_evals <- t.n_evals + 1;
-  charge_one cost;
-  if Ft_obs.Trace.active () then begin
-    Ft_obs.Trace.incr "eval.fresh";
-    Ft_obs.Trace.event "eval.measure"
-      [ ("value", Float value); ("cost_s", Float cost); ("n_evals", Int t.n_evals) ]
-  end;
-  entry
+(* One point.  A point the caller [known]s is a hit: a fixed cost,
+   charged at once.  A fresh point is computed by [compute] and charged
+   via [charge_one], so batch commits can model parallel measurement
+   lanes; under fault injection the entry returned is the *resolved*
+   one (possibly noisy or quarantined) and the cost is the whole retry
+   sequence's. *)
+let measure_with t ~known ~charge_one ~compute cfg =
+  if known cfg then begin
+    charge t cache_hit_cost;
+    Ft_obs.Trace.incr "eval.cache_hit";
+    None
+  end
+  else
+    let ((_, perf) as computed) = compute cfg in
+    let ((value, _) as entry), cost =
+      match t.faults with
+      | Some plan -> fault_resolve t plan (Ft_schedule.Config.compute_key cfg) computed
+      | None -> (computed, measure_cost t perf)
+    in
+    t.n_evals <- t.n_evals + 1;
+    charge_one cost;
+    if Ft_obs.Trace.active () then begin
+      Ft_obs.Trace.incr "eval.fresh";
+      Ft_obs.Trace.event "eval.measure"
+        [ ("value", Float value); ("cost_s", Float cost); ("n_evals", Int t.n_evals) ]
+    end;
+    Some entry
 
-(* One point: a cache hit charges its (tiny) fixed cost; a fresh point
-   is computed by [compute] and committed through [commit_fresh]. *)
-let measure_with t ~charge_one ~compute cfg =
-  match Tbl.find_opt t.cache cfg with
-  | Some entry ->
-      charge t cache_hit_cost;
-      Ft_obs.Trace.incr "eval.cache_hit";
-      entry
-  | None -> commit_fresh t ~charge_one cfg (compute cfg)
+let measure t ~known cfg = measure_with t ~known ~charge_one:(charge t) ~compute:(compute t) cfg
 
-(* Returns both the performance value E and the full model result of a
-   point with a single cache lookup per call; repeated queries of the
-   same point hit the cache. *)
-let measure_full t cfg = measure_with t ~charge_one:(charge t) ~compute:(compute t) cfg
-
-let measure t cfg = fst (measure_full t cfg)
-let perf_of t cfg = snd (measure_full t cfg)
-
-(* Cache lookup for result assembly: unlike [measure_full], charges
-   nothing and bumps no counter, so reporting never perturbs the
-   simulated clock or the telemetry. *)
-let peek t cfg = Tbl.find_opt t.cache cfg
+let model t cfg = Ft_hw.Cost.evaluate t.space cfg
 
 (* -- Batched evaluation ---------------------------------------------
-
-   [commit_batch] commits a candidate list strictly in input order,
-   computing each fresh point when it is committed, so cache contents,
-   eval counts and clock charges are decided by commit order alone.
 
    The simulated clock models the paper's multi-device measurement:
    fresh points are grouped into waves in commit order, and each wave
@@ -191,11 +163,11 @@ let peek t cfg = Tbl.find_opt t.cache cfg
    every wave is a single point, which reproduces the sequential
    accounting exactly. *)
 
-(* With a dispatch (the benchmark's traced pass), the batch's uncached
+(* With a dispatch (the benchmark's traced pass), the batch's unknown
    first occurrences go to it in one call, as [(config, key)] pairs.
-   The cache only grows, so every point still uncached at its commit
-   is in the table. *)
-let dispatch_compute t cfgs =
+   The caller's set of known points only grows, so every point still
+   unknown at its commit is in the table. *)
+let dispatch_compute t ~known cfgs =
   match t.dispatch with
   | None -> compute t
   | Some dispatch ->
@@ -203,7 +175,7 @@ let dispatch_compute t cfgs =
       let fresh =
         List.filter
           (fun cfg ->
-            let first = not (Tbl.mem t.cache cfg || Tbl.mem todo cfg) in
+            let first = not (known cfg || Tbl.mem todo cfg) in
             if first then Tbl.add todo cfg ();
             first)
           cfgs
@@ -215,8 +187,8 @@ let dispatch_compute t cfgs =
              (List.map (fun cfg -> (cfg, Ft_schedule.Config.compute_key cfg)) fresh));
       Tbl.find computed
 
-let commit_batch t ~should_stop cfgs on_commit =
-  let compute = dispatch_compute t cfgs in
+let commit_batch t ~known ~should_stop cfgs on_commit =
+  let compute = dispatch_compute t ~known cfgs in
   if Ft_obs.Trace.active () then
     Ft_obs.Trace.event "eval.batch" [ ("n", Int (List.length cfgs)) ];
   let wave_len = ref 0 and wave_max = ref 0. in
@@ -237,7 +209,7 @@ let commit_batch t ~should_stop cfgs on_commit =
   in
   let rec go = function
     | cfg :: rest when not (should_stop ()) ->
-        on_commit cfg (fst (measure_with t ~charge_one ~compute cfg));
+        on_commit cfg (measure_with t ~known ~charge_one ~compute cfg);
         go rest
     | _ -> ()
   in

@@ -6,7 +6,10 @@
     model query on FPGA), which is what the exploration-time figures
     (6d, 7) plot.
 
-    A candidate list is evaluated by one commit loop
+    The evaluator keeps no per-point state: the caller owns the
+    evaluated set H ({!Driver.state}) and passes a [known] lookup.  A
+    known point is a hit, charged a small fixed cost and never
+    recomputed.  A candidate list is evaluated by one commit loop
     ({!commit_batch}): points are committed strictly in input order,
     each fresh one computed when it is committed (or, with a
     {!dispatch}, all of a batch's fresh points in one call), so every
@@ -23,10 +26,10 @@ type t
     benchmark's traced pass times the cost model through one.  Points
     arrive as [(config, Config.compute_key config)] pairs.
     Contract: return one entry per input, in input order, each
-    bit-for-bit what the local cost model would produce.  A dispatch changes only {e where} the pure
-    computation runs; results, cache contents, clock charges and
-    commit order are untouched, so a dispatched search is identical to
-    an in-process one. *)
+    bit-for-bit what the local cost model would produce.  A dispatch
+    changes only {e where} the pure computation runs; results, clock
+    charges and commit order are untouched, so a dispatched search is
+    identical to an in-process one. *)
 type dispatch =
   (Ft_schedule.Config.t * string) list -> (float * Ft_hw.Perf.t) list
 
@@ -34,7 +37,7 @@ type dispatch =
     shape-changes-nothing contract: it runs strictly {e after} a
     search finishes, on the winning config only, and must return a
     perf tagged {!Ft_hw.Perf.Measured}.  Because no measurement ever
-    feeds back into evaluation, caching, or the RNG, a measured run's
+    feeds back into evaluation or the RNG, a measured run's
     search trajectory is bit-for-bit the analytical one. *)
 type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
 
@@ -47,10 +50,10 @@ type measurer = Ft_schedule.Config.t -> Ft_hw.Perf.t
     measurement failures, absorbed by {!Ft_fault.Resilience}'s default
     policy (DESIGN.md §11): every attempt and backoff is charged to the
     simulated clock, a noisy timing is the median of 3 repeats, and a
-    config whose retries are exhausted is quarantined — cached as an
-    invalid {!Ft_hw.Perf.t} with value 0 and never remeasured.  Omitted,
-    or with a plan that injects nothing, the evaluator is bit-for-bit
-    the fault-free one.  Raises [Invalid_argument] when
+    config whose retries are exhausted is quarantined — committed as an
+    invalid {!Ft_hw.Perf.t} with value 0, so it enters H and is never
+    remeasured.  Omitted, or with a plan that injects nothing, the
+    evaluator is bit-for-bit the fault-free one.  Raises [Invalid_argument] when
     [n_parallel < 1]. *)
 val create :
   ?n_parallel:int ->
@@ -60,30 +63,31 @@ val create :
 (** Add search bookkeeping time to the simulated clock. *)
 val charge : t -> float -> unit
 
-(** Performance value E of a point (cached), charging the clock. *)
-val measure : t -> Ft_schedule.Config.t -> float
+(** [measure t ~known cfg] is [None] for a hit ([known cfg]: the hit
+    cost, counted as [eval.cache_hit]) and otherwise the fresh point's
+    value E and model result (fault-resolved under a plan), counted as
+    an eval and charged to the clock. *)
+val measure :
+  t -> known:(Ft_schedule.Config.t -> bool) -> Ft_schedule.Config.t ->
+  (float * Ft_hw.Perf.t) option
 
-(** Full model result for a point (measures it if new). *)
-val perf_of : t -> Ft_schedule.Config.t -> Ft_hw.Perf.t
+(** The model result of a point, charging and counting nothing. *)
+val model : t -> Ft_schedule.Config.t -> Ft_hw.Perf.t
 
-(** Non-charging cache peek: the value and model result of a point if
-    it has been measured, touching neither the clock nor any counter.
-    For assembling results — never a substitute for {!measure}. *)
-val peek : t -> Ft_schedule.Config.t -> (float * Ft_hw.Perf.t) option
-
-(** [commit_batch t ~should_stop cfgs on_commit] commits [cfgs] in
-    input order, checking [should_stop ()] before each point and
-    stopping at the first that holds; [on_commit cfg value] runs after
-    each commit.  Cache hits (duplicates after their first occurrence
-    included) charge the cache cost; fresh points are computed (the
-    uncached first occurrences of [cfgs] through [dispatch] in one
-    call, when the evaluator has one), enter the cache, count as an
-    eval, and charge the clock in waves of the live lanes: [n_parallel]
-    minus injected lane deaths, floored at 1, so a dead lane degrades
-    every subsequent wave.  A partial final wave is charged on return. *)
+(** [commit_batch t ~known ~should_stop cfgs on_commit] runs
+    [on_commit cfg (measure t ~known cfg)] on [cfgs] in input order,
+    checking [should_stop ()] before each point and stopping at the
+    first that holds.  [known] is asked at each commit, so a duplicate
+    of a point [on_commit] added to H is a hit.  Fresh points (with a
+    [dispatch], the batch's first occurrences of points not [known] at
+    the start, computed in one call) are charged in waves of the live
+    lanes: [n_parallel] minus injected lane deaths, floored at 1, so a
+    dead lane degrades every subsequent wave.  A partial final wave is
+    charged on return. *)
 val commit_batch :
-  t -> should_stop:(unit -> bool) -> Ft_schedule.Config.t list ->
-  (Ft_schedule.Config.t -> float -> unit) -> unit
+  t -> known:(Ft_schedule.Config.t -> bool) -> should_stop:(unit -> bool) ->
+  Ft_schedule.Config.t list ->
+  (Ft_schedule.Config.t -> (float * Ft_hw.Perf.t) option -> unit) -> unit
 
 (** Simulated seconds elapsed. *)
 val clock : t -> float

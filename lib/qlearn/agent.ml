@@ -84,7 +84,7 @@ let train_batch t =
         let maxq =
           match tr.next_valid with
           | [] -> 0.
-          | valid -> List.fold_left (fun acc a -> Float.max acc rows.(j).(a)) neg_infinity valid
+          | valid -> Ft_util.Mathx.max_at rows.(j) valid
         in
         (tr.state, tr.action, (alpha *. maxq) +. tr.reward))
       sampled

@@ -63,3 +63,13 @@ let log2 x = log x /. log 2.
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
 let clampf lo hi x = if x < lo then lo else if x > hi then hi else x
+
+(* A recursion, not a fold: no closure, and the accumulator stays unboxed. *)
+let max_at row idx =
+  let rec go m = function
+    | [] -> m
+    | i :: rest ->
+        let v = row.(i) in
+        go (if v > m then v else if v < m then m else Float.max m v) rest
+  in
+  go neg_infinity idx

@@ -25,3 +25,7 @@ val log2 : float -> float
 val clamp : int -> int -> int -> int
 
 val clampf : float -> float -> float -> float
+
+(** [max_at row idx] is [Float.max] folded over [row.(i)] for [i] in
+    [idx] from [neg_infinity], bit for bit, calling it only on ties and nans. *)
+val max_at : float array -> int list -> float

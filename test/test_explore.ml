@@ -6,13 +6,19 @@ let params = Ft_explore.Search_loop.default_params
 let gemm_space ?(target = Target.v100) () =
   Space.make (Ft_ir.Operators.gemm ~m:256 ~n:256 ~k:256) target
 
+(* The value of a fresh point, measured outside any driver. *)
+let measure evaluator cfg =
+  fst (Option.get (Ft_explore.Evaluator.measure evaluator ~known:(fun _ -> false) cfg))
+
+(* H is owned by the driver: re-evaluating a point in it is a hit. *)
 let test_evaluator_caching () =
   let space = gemm_space () in
   let evaluator = Ft_explore.Evaluator.create space in
   let cfg = Space.default_config space in
-  let v1 = Ft_explore.Evaluator.measure evaluator cfg in
+  let state = Ft_explore.Driver.init evaluator [ cfg ] in
+  let v1 = snd state.best in
   let t1 = Ft_explore.Evaluator.clock evaluator in
-  let v2 = Ft_explore.Evaluator.measure evaluator cfg in
+  let v2 = Ft_explore.Driver.evaluate state cfg in
   let t2 = Ft_explore.Evaluator.clock evaluator in
   Alcotest.(check (float 1e-9)) "cached value" v1 v2;
   Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Evaluator.n_evals evaluator);
@@ -22,7 +28,7 @@ let test_evaluator_caching () =
 let first_point_clock target =
   let space = gemm_space ~target () in
   let evaluator = Ft_explore.Evaluator.create space in
-  ignore (Ft_explore.Evaluator.measure evaluator (Space.default_config space));
+  ignore (measure evaluator (Space.default_config space));
   Ft_explore.Evaluator.clock evaluator
 
 let test_evaluator_charges_hardware_cost () =
@@ -107,7 +113,7 @@ let test_invalid_configs_charged_failed_compile () =
   let evaluator = Ft_explore.Evaluator.create space in
   let cfg = Space.default_config space in
   cfg.spatial.(0).(0) <- 7 (* outside the space *);
-  let value = Ft_explore.Evaluator.measure evaluator cfg in
+  let value = measure evaluator cfg in
   Alcotest.(check (float 0.)) "zero value" 0. value;
   let clock = Ft_explore.Evaluator.clock evaluator in
   check_bool "cheap failure" true (clock < 0.3)
@@ -177,28 +183,6 @@ let test_driver_rejects_empty_init () =
     (Invalid_argument "Driver.init: need at least one initial point") (fun () ->
       ignore (Ft_explore.Driver.init evaluator []))
 
-(* Regression: [peek] must never charge the clock or bump counters —
-   it exists so that reporting can look up a cached measurement
-   without polluting the accounting the way [perf_of] does. *)
-let test_peek_does_not_charge () =
-  let space = gemm_space () in
-  let evaluator = Ft_explore.Evaluator.create space in
-  let cfg = Space.default_config space in
-  check_bool "unmeasured peek is None" true
-    (Ft_explore.Evaluator.peek evaluator cfg = None);
-  Alcotest.(check (float 0.)) "miss did not charge" 0.
-    (Ft_explore.Evaluator.clock evaluator);
-  let value = Ft_explore.Evaluator.measure evaluator cfg in
-  let clock = Ft_explore.Evaluator.clock evaluator in
-  let n = Ft_explore.Evaluator.n_evals evaluator in
-  (match Ft_explore.Evaluator.peek evaluator cfg with
-  | Some (v, _) -> Alcotest.(check (float 0.)) "peek sees cached value" value v
-  | None -> Alcotest.fail "measured config not peekable");
-  Alcotest.(check (float 0.)) "peek did not charge" clock
-    (Ft_explore.Evaluator.clock evaluator);
-  Alcotest.(check int) "peek did not count" n
-    (Ft_explore.Evaluator.n_evals evaluator)
-
 (* Regression: [finish] used to call [Evaluator.perf_of] while
    assembling the result record, charging a reporting-time cache hit
    whose inclusion in [sim_time_s] depended on unspecified record
@@ -266,18 +250,20 @@ let distinct_configs space n =
   in
   go [] n
 
-(* Every committed point with its value, in input order. *)
+(* Every committed point of a list of distinct configs with its
+   value, in input order. *)
 let commit_all evaluator cfgs =
   let out = ref [] in
-  Ft_explore.Evaluator.commit_batch evaluator ~should_stop:(fun () -> false) cfgs
-    (fun cfg value -> out := (cfg, value) :: !out);
+  Ft_explore.Evaluator.commit_batch evaluator ~known:(fun _ -> false)
+    ~should_stop:(fun () -> false) cfgs
+    (fun cfg entry -> out := (cfg, fst (Option.get entry)) :: !out);
   List.rev !out
 
 let test_commit_batch_matches_sequential () =
   let space = small_gemm_space () in
   let cfgs = distinct_configs space 40 in
   let seq = Ft_explore.Evaluator.create space in
-  let seq_values = List.map (fun cfg -> (cfg, Ft_explore.Evaluator.measure seq cfg)) cfgs in
+  let seq_values = List.map (fun cfg -> (cfg, measure seq cfg)) cfgs in
   let batched = Ft_explore.Evaluator.create space in
   let values = commit_all batched cfgs in
   check_bool "same values" true
@@ -311,7 +297,8 @@ let test_commit_batch_duplicates_hit_cache () =
   let space = small_gemm_space () in
   let cfg = Space.default_config space in
   let evaluator = Ft_explore.Evaluator.create space in
-  let results = commit_all evaluator [ cfg; cfg; cfg ] in
+  let state = Ft_explore.Driver.init evaluator [ cfg; cfg; cfg ] in
+  let results = Ft_anneal.Sa.to_list state.pool in
   Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Evaluator.n_evals evaluator);
   Alcotest.(check int) "every input answered" 3 (List.length results);
   let values = List.map snd results in
@@ -360,10 +347,61 @@ let test_evaluate_batch_budget_stop () =
   Alcotest.(check int) "stopped at the budget" 8 (Ft_explore.Evaluator.n_evals evaluator);
   Alcotest.(check int) "committed up to the budget" 7 (List.length committed)
 
-(* A dispatch that records its inputs sees each batch's uncached
-   configs exactly once, in first-occurrence order: never a visited,
-   cached or in-batch duplicate config, and no call for a batch with
-   nothing fresh.  The run equals a dispatch-free one bit for bit. *)
+(* A seeded neighbourhood walk of [n] distinct points: each a random
+   neighbour of a random earlier one, so the points share factor arrays
+   as a search's points do. *)
+let neighbourhood_walk space n =
+  let rng = Ft_util.Rng.create 5 in
+  let seen = Config.Tbl.create n in
+  let points = Array.make n (Space.default_config space) in
+  Config.Tbl.add seen points.(0) ();
+  let k = ref 1 in
+  while !k < n do
+    match Neighborhood.neighbors space points.(Ft_util.Rng.int rng !k) with
+    | [] -> ()
+    | moves ->
+        let _, cfg = Ft_util.Rng.choose rng moves in
+        if not (Config.Tbl.mem seen cfg) then begin
+          Config.Tbl.add seen cfg ();
+          points.(!k) <- cfg;
+          incr k
+        end
+  done;
+  Array.to_list points
+
+(* H is held once: the search state of 5,000 evaluations stays under
+   350 bytes per evaluation (a word count, independent of the host),
+   where keeping every point in an evaluator cache and a visited set
+   as well took ~540.  [seen] holds exactly for the configs of the
+   pool. *)
+let test_state_bytes_per_eval () =
+  let space =
+    Space.make
+      (Result.get_ok
+         (Ft_workloads.Catalog.graph_of ~op:"conv2d" ~dims:[ 1; 64; 56; 56; 64; 3; 3 ]))
+      (Result.get_ok (Ft_workloads.Catalog.target_of "xeon"))
+  in
+  let cfgs = neighbourhood_walk space 5000 in
+  let evaluator = Ft_explore.Evaluator.create space in
+  let state = Ft_explore.Driver.init evaluator [ List.hd cfgs ] in
+  ignore (Ft_explore.Driver.evaluate_batch state (List.tl cfgs));
+  let n = Ft_explore.Evaluator.n_evals evaluator in
+  Alcotest.(check int) "every point evaluated" 5000 n;
+  let bytes = Obj.reachable_words (Obj.repr state) * (Sys.word_size / 8) in
+  let per_eval = float_of_int bytes /. float_of_int n in
+  if per_eval >= 350. then
+    Alcotest.failf "%.1f bytes of search state per evaluation (bound 350)" per_eval;
+  let pool = List.map fst (Ft_anneal.Sa.to_list state.pool) in
+  check_bool "every pool config is seen" true
+    (List.for_all (Ft_explore.Driver.seen state) pool);
+  Alcotest.(check int) "seen holds for the pool's configs only"
+    (List.length (List.sort_uniq compare (List.map Config.compute_key pool)))
+    (Config.Tbl.length state.index)
+
+(* A dispatch that records its inputs sees each batch's fresh configs
+   exactly once, in first-occurrence order: never a config in H
+   (measured or absorbed) or an in-batch duplicate, and no call for a
+   batch with nothing fresh.  The run equals a dispatch-free one bit for bit. *)
 let test_evaluate_batch_recording_dispatch () =
   let space = small_gemm_space () in
   let cfgs = distinct_configs space 18 in
@@ -387,9 +425,9 @@ let test_evaluate_batch_recording_dispatch () =
   let run evaluator =
     let state = Ft_explore.Driver.init evaluator [ seed_cfg ] in
     let r1 = Ft_explore.Driver.evaluate_batch state (a @ [ nth 0; nth 4; nth 9 ]) in
-    (* Cached but not visited: measured outside the driver. *)
-    ignore (Ft_explore.Evaluator.measure evaluator x1);
-    ignore (Ft_explore.Evaluator.measure evaluator x2);
+    (* In H without a measurement: absorbed from outside. *)
+    ignore (Ft_explore.Driver.absorb state x1 0.);
+    ignore (Ft_explore.Driver.absorb state x2 0.);
     let r2 =
       Ft_explore.Driver.evaluate_batch state [ nth 0; x1; b0; b1; b0; x2; b2; nth 1; b1 ]
     in
@@ -415,7 +453,6 @@ let () =
           Alcotest.test_case "hardware cost" `Quick test_evaluator_charges_hardware_cost;
           Alcotest.test_case "model cost" `Quick test_evaluator_model_mode_cheap;
           Alcotest.test_case "mode defaults" `Quick test_fpga_defaults_to_model;
-          Alcotest.test_case "peek does not charge" `Quick test_peek_does_not_charge;
         ] );
       ( "finish accounting",
         [
@@ -455,5 +492,6 @@ let () =
           Alcotest.test_case "budget stop" `Quick test_evaluate_batch_budget_stop;
           Alcotest.test_case "recording dispatch" `Quick
             test_evaluate_batch_recording_dispatch;
+          Alcotest.test_case "state bytes per eval" `Quick test_state_bytes_per_eval;
         ] );
     ]

@@ -199,24 +199,28 @@ let evaluator_with ?n_parallel plan =
   in
   (space, e)
 
+(* The value of a fresh point, measured outside any driver. *)
+let measure e cfg =
+  fst (Option.get (Ft_explore.Evaluator.measure e ~known:(fun _ -> false) cfg))
+
 let test_quarantine_clock_math () =
   let space, e = evaluator_with { Plan.zero with compile_error = 1.0 } in
   let cfg = Space.default_config space in
-  let value = Ft_explore.Evaluator.measure e cfg in
-  check_clock "quarantined value is 0" 0. value;
+  let state = Ft_explore.Driver.init e [ cfg ] in
+  check_clock "quarantined value is 0" 0. (snd state.Ft_explore.Driver.best);
   (* 3 failed compiles at 0.1 plus backoffs 0.05 + 0.10. *)
   check_clock "whole retry sequence charged" 0.45 (Ft_explore.Evaluator.clock e);
   check_int "one eval" 1 (Ft_explore.Evaluator.n_evals e);
-  (match Ft_explore.Evaluator.peek e cfg with
-  | Some (_, perf) ->
+  (match state.best_perf with
+  | Some perf ->
       check_bool "quarantined perf is invalid" false perf.Ft_hw.Perf.valid;
       check_bool "note names the kind and attempts" true
         (Ft_hw.Perf.note perf = "quarantined: compile_error after 3 attempts")
-  | None -> Alcotest.fail "quarantined entry must be cached");
-  (* Quarantine is permanent: re-measuring is a cache hit, never a
+  | None -> Alcotest.fail "quarantined incumbent must keep its perf");
+  (* Quarantine is permanent: re-measuring is a hit on H, never a
      fresh attempt sequence. *)
   let clock = Ft_explore.Evaluator.clock e in
-  let again = Ft_explore.Evaluator.measure e cfg in
+  let again = Ft_explore.Driver.evaluate state cfg in
   check_clock "still 0" 0. again;
   check_int "no remeasure" 1 (Ft_explore.Evaluator.n_evals e);
   check_clock "only a cache-hit charge" (clock +. 0.0005)
@@ -224,7 +228,7 @@ let test_quarantine_clock_math () =
 
 let test_timeout_clock_math () =
   let space, e = evaluator_with { Plan.zero with timeout = 1.0 } in
-  ignore (Ft_explore.Evaluator.measure e (Space.default_config space));
+  ignore (measure e (Space.default_config space));
   (* 3 timed-out kernels at compile + host + 1.0 cap, plus backoffs. *)
   check_clock "lane occupied to the cap each attempt"
     ((3. *. (0.3 +. 0.05 +. 1.0)) +. 0.15)
@@ -234,8 +238,8 @@ let test_noisy_median_jitter_zero () =
   let space, clean = evaluator_with Plan.zero in
   let _, noisy = evaluator_with { Plan.zero with noise = 1.0; jitter = 0. } in
   let cfg = Space.default_config space in
-  let v_clean = Ft_explore.Evaluator.measure clean cfg in
-  let v_noisy = Ft_explore.Evaluator.measure noisy cfg in
+  let v_clean = measure clean cfg in
+  let v_noisy = measure noisy cfg in
   check_bool "jitter 0: median of repeats = the true value" true
     (Float.equal v_clean v_noisy);
   check_bool "repeats cost more than one measurement" true
@@ -252,7 +256,7 @@ let test_lane_degradation () =
          | "pool.lane_dead", [ ("live", Ft_obs.Trace.Int n) ] -> live := n :: !live
          | _ -> ()));
   Fun.protect ~finally:Ft_obs.Trace.close (fun () ->
-      ignore (Ft_explore.Evaluator.measure e (Space.default_config space)));
+      ignore (measure e (Space.default_config space)));
   (* 3 attempts, each killing a lane: 4 -> 3 -> 2 -> 1. *)
   Alcotest.(check (list int)) "one lane lost per attempt" [ 3; 2; 1 ] (List.rev !live);
   let _, again =
@@ -265,7 +269,7 @@ let test_lane_degradation () =
          | "pool.lane_dead", [ ("live", Ft_obs.Trace.Int n) ] -> live := n :: !live
          | _ -> ()));
   Fun.protect ~finally:Ft_obs.Trace.close (fun () ->
-      ignore (Ft_explore.Evaluator.measure again (Space.default_config space)));
+      ignore (measure again (Space.default_config space)));
   Alcotest.(check (list int)) "floored at one lane" [ 1; 1; 1 ] (List.rev !live)
 
 let test_model_query_immune () =
@@ -277,8 +281,8 @@ let test_model_query_immune () =
   let cfg = Space.default_config space in
   check_bool "model queries never fault" true
     (Float.equal
-       (Ft_explore.Evaluator.measure clean cfg)
-       (Ft_explore.Evaluator.measure e cfg));
+       (measure clean cfg)
+       (measure e cfg));
   check_clock "model-query cost unchanged"
     (Ft_explore.Evaluator.clock clean)
     (Ft_explore.Evaluator.clock e)

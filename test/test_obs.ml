@@ -189,7 +189,8 @@ let test_batched_telemetry_names () =
   let space = gemm_space () in
   let rng = Ft_util.Rng.create 2 in
   let evaluator = Ft_explore.Evaluator.create space in
-  Ft_explore.Evaluator.commit_batch evaluator ~should_stop:(fun () -> false)
+  Ft_explore.Evaluator.commit_batch evaluator ~known:(fun _ -> false)
+    ~should_stop:(fun () -> false)
     (List.init 8 (fun _ -> Ft_schedule.Space.random_config rng space))
     (fun _ _ -> ());
   let counters = List.map fst (Trace.counters ()) in

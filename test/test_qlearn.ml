@@ -166,6 +166,36 @@ let test_record_rejects_bad_next_valid () =
   | Some loss -> check_bool "trains" true (Float.is_finite loss)
   | None -> Alcotest.fail "the fifth record must train"
 
+(* The targets' max over valid actions: bit for bit the [Float.max]
+   fold, on rows with nan, signed zeros and infinities in every
+   position, and on random index lists with repeats. *)
+let test_max_at_matches_float_max_fold () =
+  let reference row idx =
+    List.fold_left (fun m i -> Float.max m row.(i)) neg_infinity idx
+  in
+  let specials = [| nan; 0.; -0.; neg_infinity; infinity; 1.5; -2.; Float.min_float |] in
+  let same row idx =
+    Int64.equal
+      (Int64.bits_of_float (reference row idx))
+      (Int64.bits_of_float (Ft_util.Mathx.max_at row idx))
+  in
+  let n = Array.length specials in
+  check_bool "empty" true (same specials []);
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      for k = 0 to n - 1 do
+        if not (same specials [ i; j; k ]) then
+          Alcotest.failf "differs on [%g; %g; %g]" specials.(i) specials.(j) specials.(k)
+      done
+    done
+  done;
+  let rng = Ft_util.Rng.create 3 in
+  for _ = 1 to 1000 do
+    let row = Array.init 62 (fun _ -> Ft_util.Rng.choose_array rng specials) in
+    let idx = List.init (Ft_util.Rng.int rng 20) (fun _ -> Ft_util.Rng.int rng 62) in
+    if not (same row idx) then Alcotest.fail "differs on a random row"
+  done
+
 let () =
   Alcotest.run "ft_qlearn"
     [
@@ -179,5 +209,7 @@ let () =
           Alcotest.test_case "bad action" `Quick test_record_rejects_bad_action;
           Alcotest.test_case "bad state shapes" `Quick test_record_rejects_bad_shapes;
           Alcotest.test_case "bad next_valid" `Quick test_record_rejects_bad_next_valid;
+          Alcotest.test_case "target max matches Float.max fold" `Quick
+            test_max_at_matches_float_max_fold;
         ] );
     ]
