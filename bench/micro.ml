@@ -168,10 +168,11 @@ let gemm_gflops_by_batch () =
     [ 16; 64; 256; 1024 ]
 
 (* Evaluation throughput on the C8 space: the same distinct candidate
-   list committed into a search state point by point
-   ([Driver.evaluate]) and in batches ([Driver.evaluate_batch]), each
-   after a [Driver.init] on its first point.  The values are identical
-   by construction (see test_explore); only evaluations/second moves. *)
+   list committed into a search state by [Driver.evaluate_batch] in
+   one-point batches (the path of a trial's uniform sample and of the
+   CD hop) and in batches of [throughput_batch], each after a
+   [Driver.init] on its first point.  The values are identical by
+   construction (see test_explore); only evaluations/second moves. *)
 
 (* FT_BENCH_CANDIDATES shrinks the throughput sweep for smoke runs
    (CI runs the whole benchmark on a small sweep just to validate the
@@ -220,23 +221,19 @@ let rec batches_of k = function
 
 (* Evaluations per wall second of [Driver.init] on the first
    candidate followed by [evaluate_rest] on the others. *)
-let driver_evals_per_sec evaluate_rest cfgs =
-  let evaluator = Ft_explore.Evaluator.create conv_space in
+let driver_evals_per_sec batch cfgs =
   let t0 = Ft_util.Monotime.now_s () in
-  let state = Ft_explore.Driver.init evaluator [ List.hd cfgs ] in
-  evaluate_rest state (List.tl cfgs);
+  let state =
+    Ft_explore.Driver.init (Ft_explore.Evaluator.create conv_space) [ List.hd cfgs ]
+  in
+  List.iter
+    (fun cfgs -> ignore (Ft_explore.Driver.evaluate_batch state cfgs))
+    (batches_of batch (List.tl cfgs));
   let dt = Ft_util.Monotime.elapsed_s t0 in
-  float_of_int (Ft_explore.Evaluator.n_evals evaluator) /. dt
+  float_of_int (Ft_explore.Driver.n_evals state) /. dt
 
-let sequential_evals_per_sec =
-  driver_evals_per_sec (fun state ->
-      List.iter (fun cfg -> ignore (Ft_explore.Driver.evaluate state cfg)))
-
-let batched_evals_per_sec =
-  driver_evals_per_sec (fun state cfgs ->
-      List.iter
-        (fun batch -> ignore (Ft_explore.Driver.evaluate_batch state batch))
-        (batches_of throughput_batch cfgs))
+let sequential_evals_per_sec = driver_evals_per_sec 1
+let batched_evals_per_sec = driver_evals_per_sec throughput_batch
 
 (* Evaluations per *simulated* second: the paper's multi-device
    measurement (Fig 6d/7) — with [n_parallel] devices, each wave of
@@ -244,14 +241,10 @@ let batched_evals_per_sec =
    measurement throughput scales with the device count regardless of
    the host's core count. *)
 let simulated_evals_per_sec n_parallel cfgs =
-  let evaluator = Ft_explore.Evaluator.create ~n_parallel conv_space in
-  List.iter
-    (fun batch ->
-      Ft_explore.Evaluator.commit_batch evaluator ~known:(fun _ -> false)
-        ~should_stop:(fun () -> false) batch (fun _ _ -> ()))
-    (batches_of throughput_batch cfgs);
-  float_of_int (Ft_explore.Evaluator.n_evals evaluator)
-  /. Ft_explore.Evaluator.clock evaluator
+  let state =
+    Ft_explore.Driver.init ~n_parallel (Ft_explore.Evaluator.create conv_space) cfgs
+  in
+  float_of_int (Ft_explore.Driver.n_evals state) /. Ft_explore.Driver.clock state
 
 let measure_throughput () =
   let cfgs = distinct_configs throughput_candidates in
@@ -320,11 +313,36 @@ let neighbourhood_walk space n =
 
 let bytes_per_eval () =
   let cfgs = neighbourhood_walk scaling_space probe_evals in
-  let evaluator = Ft_explore.Evaluator.create scaling_space in
-  let state = Ft_explore.Driver.init evaluator [ List.hd cfgs ] in
+  let state =
+    Ft_explore.Driver.init (Ft_explore.Evaluator.create scaling_space) [ List.hd cfgs ]
+  in
   ignore (Ft_explore.Driver.evaluate_batch state (List.tl cfgs));
   float_of_int (Obj.reachable_words (Obj.repr state) * (Sys.word_size / 8))
-  /. float_of_int (Ft_explore.Evaluator.n_evals evaluator)
+  /. float_of_int (Ft_explore.Driver.n_evals state)
+
+(* The "boost fit" row, in ns per fit: AutoTVM's per-round refit
+   ([Boost.fit], 12 trees of depth 3) on |H| = [fit_points] points of
+   a seeded neighbourhood walk in the conv2d job's space on v100,
+   features as AutoTVM embeds them, targets the cost model's values;
+   the fastest of 3 fits. *)
+let fit_points = 1600
+
+let boost_fit_ns () =
+  let space =
+    Ft_schedule.Space.make scaling_space.Ft_schedule.Space.graph Ft_schedule.Target.v100
+  in
+  let cfgs = Array.of_list (neighbourhood_walk space fit_points) in
+  let xs = Array.map (Ft_schedule.Space.features space) cfgs in
+  let ys =
+    Array.map (fun cfg -> Ft_hw.Cost.perf_value space (Ft_hw.Cost.evaluate space cfg)) cfgs
+  in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Ft_util.Monotime.now_s () in
+    ignore (Ft_gbt.Boost.fit xs ys);
+    best := Float.min !best (Ft_util.Monotime.elapsed_s t0 *. 1e9)
+  done;
+  !best
 
 (* BENCH_micro.json, rounded to the printed precision. *)
 let micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling ~bytes =
@@ -347,8 +365,10 @@ let micro_json ~ns_rows ~gemm ~sequential ~batched ~simulated ~scaling ~bytes =
           [
             ( "note",
               J.Str
-                "Driver.init on the first candidate, then Driver.evaluate per \
-                 point (sequential) or Driver.evaluate_batch per batch" );
+                "Driver.init on the first candidate, then Driver.evaluate_batch \
+                 on one-point batches (sequential) or on batches of the given \
+                 size (batched); the simulated rows commit every candidate in \
+                 one Driver.init ~n_parallel" );
             ("candidates", J.Num (float_of_int throughput_candidates));
             ("batch", J.Num (float_of_int throughput_batch));
             ("sequential_evals_per_sec", num 1 sequential);
@@ -394,6 +414,7 @@ let run () =
   let ns_rows =
     List.sort compare
       (("flextensor.q-agent round", q_agent_ns_per_round ())
+      :: (Printf.sprintf "flextensor.boost fit (%d points)" fit_points, boost_fit_ns ())
       :: ("flextensor.q-network train step", q_train_ns_per_call ~batch:1)
       :: ("flextensor.q-network train round", q_train_ns_per_call ~batch:16)
       :: !rows)

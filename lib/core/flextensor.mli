@@ -115,10 +115,11 @@ module Store_server = Ft_store.Server
     remote repository behind [optimize --reuse=HOST:PORT]. *)
 module Store_client = Ft_store.Client
 
-(** Point evaluation with the simulated clock
-    ({!Ft_explore.Evaluator}) — exposed for its [dispatch] type, the
-    hook {!optimize}'s [?dispatch] takes; the benchmark's traced pass
-    plugs a timed cost-model dispatch into it. *)
+(** The price of a fresh point on the simulated clock
+    ({!Ft_explore.Evaluator}; the search driver owns the clock and the
+    commit loop) — exposed for its [dispatch] type, the hook
+    {!optimize}'s [?dispatch] takes; the benchmark's traced pass plugs
+    a timed cost-model dispatch into it. *)
 module Evaluator = Ft_explore.Evaluator
 
 (** The CLI's target and operator tables ({!Ft_workloads.Catalog})
@@ -228,7 +229,7 @@ type report = {
     transport failures degrade into misses — a dead daemon can cost a
     warm start, never fail a search.
 
-    [dispatch] routes batched fresh evaluations to an external backend
+    [dispatch] routes fresh evaluations to an external backend
     (the benchmark's traced pass times the cost model through one); by
     the {!Evaluator.dispatch} contract the report is bit-for-bit what
     the local cost model produces.

@@ -170,10 +170,7 @@ let policy ~template : (module Search_loop.POLICY) =
       }
 
     let trial t (ctx : Search_loop.ctx) ~index =
-      let { Search_loop.rng; space; evaluator; state; out_of_budget; _ }
-          =
-        ctx
-      in
+      let { Search_loop.rng; space; state; _ } = ctx in
       Search_loop.trial_span ~key:"autotvm" ~index (fun () ->
           (* Retrain the cost model on everything measured so far. *)
           let evaluated = Ft_anneal.Sa.to_list state.pool in
@@ -185,7 +182,7 @@ let policy ~template : (module Search_loop.POLICY) =
           let model = Ft_gbt.Boost.fit xs ys in
           if Ft_obs.Trace.active () then
             Ft_obs.Trace.event "gbt.train" [ ("points", Int (Array.length xs)) ];
-          Evaluator.charge evaluator training_cost;
+          Driver.charge state training_cost;
           (* Annealing proposal: a population of mutations of previous knob
              settings plus fresh random templates, ranked by the model. *)
           let proposals =
@@ -194,8 +191,7 @@ let policy ~template : (module Search_loop.POLICY) =
                   random_knobs ~template rng space
                 else mutate ~template rng space (Ft_util.Rng.choose rng t.knob_pool))
           in
-          Evaluator.charge evaluator
-            (float_of_int population *. scoring_cost_per_candidate);
+          Driver.charge state (float_of_int population *. scoring_cost_per_candidate);
           let scored =
             List.map
               (fun knobs ->
@@ -214,9 +210,7 @@ let policy ~template : (module Search_loop.POLICY) =
              workflow the paper compares against measures its
              per-round candidates concurrently ([n_parallel] models
              that on the simulated clock). *)
-          ignore
-            (Driver.evaluate_batch ~should_stop:out_of_budget state
-               (List.map (fun (_, cfg, _) -> cfg) chosen));
+          ignore (Driver.evaluate_batch state (List.map (fun (_, cfg, _) -> cfg) chosen));
           t.knob_pool <- List.map (fun (knobs, _, _) -> knobs) chosen @ t.knob_pool);
       1
   end)

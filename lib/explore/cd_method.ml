@@ -14,21 +14,16 @@ module Policy = struct
   let create _ctx = ()
 
   let trial () (ctx : Search_loop.ctx) ~index =
-    let { Search_loop.rng; space; state; out_of_budget; _ } = ctx in
+    let { Search_loop.rng; space; state; _ } = ctx in
     Search_loop.trial_span ~key:"cd" ~index (fun () ->
         let incumbent, _ = state.best in
         let frontier =
           List.map snd (Ft_schedule.Neighborhood.neighbors space incumbent)
         in
-        let committed =
-          Driver.evaluate_batch ~should_stop:out_of_budget state frontier
-        in
         (* Stuck at an exhausted incumbent: hop to a fresh random
            point so descent can resume somewhere new. *)
-        if committed = [] && not (out_of_budget ()) then begin
-          let cfg = Ft_schedule.Space.random_config rng space in
-          if not (Driver.seen state cfg) then ignore (Driver.evaluate state cfg)
-        end);
+        if Driver.evaluate_batch state frontier = 0 && not (Driver.out_of_budget state) then
+          ignore (Driver.evaluate_batch state [ Ft_schedule.Space.random_config rng space ]));
     1
 end
 

@@ -1,6 +1,7 @@
 (** Shared bookkeeping for the search methods: the evaluated set H
     (the paper's exploration never revisits a point in it), the
-    incumbent best, and the best-so-far timeline. *)
+    incumbent best, the best-so-far timeline, the simulated clock and
+    the one commit loop that adds points to H. *)
 
 type sample = { at_s : float; n_evals : int; best_value : float }
 
@@ -19,49 +20,61 @@ type result = {
     first occurrence.  Only the incumbent keeps its model result. *)
 type state = {
   evaluator : Evaluator.t;
+  dispatch : Evaluator.dispatch option;
+  max_evals : int;  (** [max_int]: no budget *)
   index : int Ft_schedule.Config.Tbl.t;
   pool : Ft_schedule.Config.t Ft_anneal.Sa.pool;  (** the evaluated set H *)
   mutable best : Ft_schedule.Config.t * float;
   mutable best_perf : Ft_hw.Perf.t option;  (** [None] if {!absorb}ed *)
   mutable samples : sample list;
+  mutable lanes : int;  (** simulated devices minus injected lane deaths *)
+  mutable clock_s : float;
+  mutable n_evals : int;
 }
 
 val seen : state -> Ft_schedule.Config.t -> bool
 
+(** The value of a point in H (its first occurrence's), or [None]. *)
+val value : state -> Ft_schedule.Config.t -> float option
+
 (** [absorb state cfg value] folds an externally measured point into
     H, updating the incumbent and the timeline, without charging the
-    evaluator — for replaying persisted measurements or custom
-    objectives.  Returns [value]. *)
-val absorb : state -> Ft_schedule.Config.t -> float -> float
+    clock — for replaying persisted measurements or custom
+    objectives. *)
+val absorb : state -> Ft_schedule.Config.t -> float -> unit
 
-(** Measure a point, add it to H, update the incumbent; a point
-    already in H is a hit and re-enters at its first value. *)
-val evaluate : state -> Ft_schedule.Config.t -> float
+(** [evaluate_batch state cfgs] commits [cfgs] in input order,
+    skipping points in H (a later duplicate included) and stopping at
+    the [max_evals] budget.  Fresh points are charged in waves of the
+    live lanes, max cost over the wave, a partial last wave on return.
+    Returns the number of points committed. *)
+val evaluate_batch : state -> Ft_schedule.Config.t list -> int
 
-(** [evaluate_batch state cfgs] measures a candidate frontier through
-    {!Evaluator.commit_batch}: points are committed sequentially in
-    input order — skipping points in H and in-batch duplicates, and
-    stopping as soon as [should_stop ()] holds.  Results are identical
-    to calling {!evaluate} on each unseen point in order.
-    Returns the committed [(config, value)] pairs in order. *)
-val evaluate_batch :
-  ?should_stop:(unit -> bool) -> state -> Ft_schedule.Config.t list ->
-  (Ft_schedule.Config.t * float) list
+(** [init evaluator initial] builds the search state and commits
+    [initial] like {!evaluate_batch}, but keeping duplicates as hits
+    (charged at once, re-entering H at the first value) and ignoring
+    the budget.  [n_parallel] (default 1) is the number of simulated
+    measurement devices, [dispatch] an external cost-model backend
+    (called once per commit loop), [max_evals] the budget.  Raises
+    [Invalid_argument] on an empty list or [n_parallel < 1]. *)
+val init :
+  ?n_parallel:int -> ?dispatch:Evaluator.dispatch -> ?max_evals:int ->
+  Evaluator.t -> Ft_schedule.Config.t list -> state
 
-(** Evaluate the initial points and build the search state. *)
-val init : Evaluator.t -> Ft_schedule.Config.t list -> state
+(** Add search bookkeeping time to the simulated clock. *)
+val charge : state -> float -> unit
 
-(** Default initial H: the naive config, the generic per-hardware
-    heuristic points (unless [heuristics] is false), [n] random
-    points, then the [extra] warm-start points (default none) —
-    appended last so the RNG stream does not depend on them. *)
-val seed_points :
-  ?heuristics:bool ->
-  ?extra:Ft_schedule.Config.t list ->
-  Ft_util.Rng.t -> Ft_schedule.Space.t -> int -> Ft_schedule.Config.t list
+(** Simulated seconds elapsed. *)
+val clock : state -> float
+
+(** Distinct points evaluated. *)
+val n_evals : state -> int
+
+(** True once [max_evals] points are evaluated. *)
+val out_of_budget : state -> bool
 
 (** Assemble the result, charging and counting nothing (an absorbed
-    incumbent's perf is {!Evaluator.model}'s).  If the incumbent's
+    incumbent's perf is {!Evaluator.compute}'s).  If the incumbent's
     model result is invalid (every candidate failed, e.g. all
     quarantined under fault
     injection), [finish] flags it: a [driver.invalid_best] counter and

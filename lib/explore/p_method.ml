@@ -13,7 +13,7 @@ module Policy = struct
   let create _ctx = ()
 
   let trial () (ctx : Search_loop.ctx) ~index =
-    let { Search_loop.space; state; out_of_budget; _ } = ctx in
+    let { Search_loop.space; state; _ } = ctx in
     Search_loop.trial_span ~key:"p" ~index (fun () ->
         let frontier =
           List.concat_map
@@ -21,7 +21,7 @@ module Policy = struct
               List.map snd (Ft_schedule.Neighborhood.neighbors space cfg))
             (Search_loop.sa_starts ctx)
         in
-        ignore (Driver.evaluate_batch ~should_stop:out_of_budget state frontier));
+        ignore (Driver.evaluate_batch state frontier));
     1
 end
 

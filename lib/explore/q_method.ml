@@ -64,7 +64,7 @@ module Policy = struct
   (* One lockstep step of all live walks: select, batch-measure,
      learn. *)
   let step_walks { directions; agent } (ctx : Search_loop.ctx) walks =
-    let { Search_loop.space; evaluator; state; _ } = ctx in
+    let { Search_loop.space; state; _ } = ctx in
     let proposals =
       List.filter_map
         (fun w ->
@@ -73,7 +73,7 @@ module Policy = struct
             let valid =
               match w.valid with Some v -> v | None -> valid_actions space state directions w.cfg
             in
-            Evaluator.charge evaluator agent_query_cost;
+            Driver.charge state agent_query_cost;
             match Ft_qlearn.Agent.select agent ~state:w.features ~valid with
             | None ->
                 kill w "no_valid_action";
@@ -93,17 +93,12 @@ module Policy = struct
           end)
         walks
     in
-    let committed =
-      Driver.evaluate_batch ~should_stop:ctx.out_of_budget state
-        (List.map (fun (_, _, next) -> next) proposals)
-    in
-    let value_of = Ft_schedule.Config.Tbl.create (List.length committed) in
-    List.iter
-      (fun (cfg, value) -> Ft_schedule.Config.Tbl.replace value_of cfg value)
-      committed;
+    ignore (Driver.evaluate_batch state (List.map (fun (_, _, next) -> next) proposals));
+    (* Every proposal was outside H when selected, so one in H now was
+       committed by this batch. *)
     List.iter
       (fun (w, action, next) ->
-        match Ft_schedule.Config.Tbl.find_opt value_of next with
+        match Driver.value state next with
         | None ->
             (* The budget cut the batch short of this proposal. *)
             kill w "budget_cut"
@@ -127,7 +122,7 @@ module Policy = struct
                    next_valid;
                  }
              with
-            | Some _loss -> Evaluator.charge evaluator training_round_cost
+            | Some _loss -> Driver.charge state training_round_cost
             | None -> ());
             w.cfg <- next;
             w.value <- next_value;
@@ -136,7 +131,7 @@ module Policy = struct
       proposals
 
   let trial t (ctx : Search_loop.ctx) ~index =
-    let { Search_loop.params; out_of_budget; _ } = ctx in
+    let { Search_loop.params; state; _ } = ctx in
     Search_loop.trial_span ~key:"q" ~index (fun () ->
         let walks =
           List.map
@@ -148,7 +143,7 @@ module Policy = struct
         let step = ref 0 in
         while
           !step < params.steps
-          && (not (out_of_budget ()))
+          && (not (Driver.out_of_budget state))
           && List.exists (fun w -> w.alive) walks
         do
           incr step;

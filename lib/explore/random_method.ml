@@ -13,13 +13,13 @@ module Policy = struct
   let create _ctx = ()
 
   let trial () (ctx : Search_loop.ctx) ~index =
-    let { Search_loop.params; rng; space; state; out_of_budget; _ } = ctx in
+    let { Search_loop.params; rng; space; state } = ctx in
     let take = min chunk_trials (params.n_trials - (index - 1)) in
     Search_loop.trial_span ~key:"random" ~index ~n:take (fun () ->
         let cfgs =
           List.init take (fun _ -> Ft_schedule.Space.random_config rng space)
         in
-        ignore (Driver.evaluate_batch ~should_stop:out_of_budget state cfgs));
+        ignore (Driver.evaluate_batch state cfgs));
     take
 end
 

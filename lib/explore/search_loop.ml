@@ -58,9 +58,7 @@ type ctx = {
   params : params;
   rng : Ft_util.Rng.t;
   space : Ft_schedule.Space.t;
-  evaluator : Evaluator.t;
   state : Driver.state;
-  out_of_budget : unit -> bool;
 }
 
 module type POLICY = sig
@@ -88,8 +86,10 @@ end
    points, four random points, then the warm-start transfer points —
    appended last so the RNG stream does not depend on them. *)
 let default_seeds (p : params) rng space =
-  Driver.seed_points ~heuristics:p.heuristic_seeds ~extra:p.transfer_seeds rng
-    space 4
+  (Ft_schedule.Space.default_config space
+  :: (if p.heuristic_seeds then Ft_schedule.Heuristics.seed_configs space else []))
+  @ List.init 4 (fun _ -> Ft_schedule.Space.random_config rng space)
+  @ p.transfer_seeds
 
 (* The per-trial telemetry span every method emits; [n] is for chunked
    policies that cover several trial indices per span. *)
@@ -107,10 +107,8 @@ let trial_span ~key ~index ?n f =
    use, no effect on evaluation order). *)
 let sa_starts ctx =
   let { rng; space; state; _ } = ctx in
-  if Ft_util.Rng.float rng 1.0 < explore_prob then begin
-    let cfg = Ft_schedule.Space.random_config rng space in
-    if not (Driver.seen state cfg) then ignore (Driver.evaluate state cfg)
-  end;
+  if Ft_util.Rng.float rng 1.0 < explore_prob then
+    ignore (Driver.evaluate_batch state [ Ft_schedule.Space.random_config rng space ]);
   let starts = Ft_anneal.Sa.select rng ~gamma ~count:n_starts state.pool in
   if Ft_obs.Trace.active () then
     Ft_obs.Trace.event "sa.starts"
@@ -133,10 +131,6 @@ let run_id ~method_name params space =
 
 let run (module P : POLICY) params space =
   let rng = Ft_util.Rng.create params.seed in
-  let evaluator =
-    Evaluator.create ~n_parallel:params.n_parallel ?dispatch:params.dispatch
-      ~faults:params.faults space
-  in
   let rid = run_id ~method_name:P.method_name params space in
   (* Resume state is read before any RNG draw or measurement; a
      missing or foreign checkpoint file simply starts the run fresh
@@ -149,7 +143,12 @@ let run (module P : POLICY) params space =
       | None -> None
       | Some path -> fst (Ft_store.Checkpoint.latest ~run_id:rid path)
   in
-  let state = Driver.init evaluator (P.seeds params rng space) in
+  let state =
+    Driver.init ~n_parallel:params.n_parallel ?dispatch:params.dispatch
+      ?max_evals:params.max_evals
+      (Evaluator.create ~faults:params.faults space)
+      (P.seeds params rng space)
+  in
   (match resumed_from with
   | None -> ()
   | Some ck ->
@@ -159,19 +158,14 @@ let run (module P : POLICY) params space =
          that config would now fault — and the RNG continues the
          crashed run's stream from the save point. *)
       (match Ft_schedule.Config_io.of_string_for space ck.config with
-      | Ok cfg -> ignore (Driver.absorb state cfg ck.best_value)
+      | Ok cfg -> Driver.absorb state cfg ck.best_value
       | Error _ -> ());
       Ft_util.Rng.set_state rng ck.rng_state;
       Ft_obs.Trace.incr "checkpoint.resume";
       if Ft_obs.Trace.active () then
         Ft_obs.Trace.event "checkpoint.resume"
           [ ("trial", Int ck.trial); ("best", Float ck.best_value) ]);
-  let out_of_budget () =
-    match params.max_evals with
-    | Some cap -> Evaluator.n_evals evaluator >= cap
-    | None -> false
-  in
-  let ctx = { params; rng; space; evaluator; state; out_of_budget } in
+  let ctx = { params; rng; space; state } in
   let policy = P.create ctx in
   let trial =
     ref (match resumed_from with Some ck -> ck.trial | None -> 0)
@@ -185,8 +179,8 @@ let run (module P : POLICY) params space =
           {
             Ft_store.Checkpoint.run_id = rid;
             trial = !trial;
-            n_evals = Evaluator.n_evals evaluator;
-            clock_s = Evaluator.clock evaluator;
+            n_evals = Driver.n_evals state;
+            clock_s = Driver.clock state;
             best_value;
             config = Ft_schedule.Config_io.to_string best_config;
             rng_state = Ft_util.Rng.state rng;
@@ -195,7 +189,7 @@ let run (module P : POLICY) params space =
         Ft_obs.Trace.incr "checkpoint.write"
     | Some _ | None -> ()
   in
-  while !trial < params.n_trials && not (out_of_budget ()) do
+  while !trial < params.n_trials && not (Driver.out_of_budget state) do
     let before = !trial in
     let consumed = P.trial policy ctx ~index:(!trial + 1) in
     trial := !trial + max 1 consumed;

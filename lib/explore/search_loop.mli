@@ -50,14 +50,12 @@ type ctx = {
   params : params;
   rng : Ft_util.Rng.t;
   space : Ft_schedule.Space.t;
-  evaluator : Evaluator.t;
   state : Driver.state;
-  out_of_budget : unit -> bool;
 }
 
 (** A search method: how to seed H and what one trial does.  Proposals
-    are evaluated and observed through {!Driver.state} ([evaluate],
-    [evaluate_batch], [state.best], [state.pool]). *)
+    are evaluated and observed through {!Driver.state}
+    ([evaluate_batch], [value], [charge], [state.best], [state.pool]). *)
 module type POLICY = sig
   type t
 
@@ -77,8 +75,10 @@ module type POLICY = sig
   val trial : t -> ctx -> index:int -> int
 end
 
-(** The default H seeding ({!Driver.seed_points} with 4 random points,
-    honouring [heuristic_seeds] and [transfer_seeds]). *)
+(** The default H seeding: the naive config, the generic per-hardware
+    heuristic points (if [heuristic_seeds]), 4 random points, then the
+    [transfer_seeds] — appended last so the RNG stream does not depend
+    on them. *)
 val default_seeds :
   params -> Ft_util.Rng.t -> Ft_schedule.Space.t -> Ft_schedule.Config.t list
 

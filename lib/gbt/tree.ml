@@ -25,6 +25,39 @@ let thresholds xs idx feature =
   in
   midpoints values
 
+(* The SSE gain of splitting [idx] at [threshold] on [feature], or
+   [None] if a side is empty.  Two passes over [idx] and no lists:
+   each side's sum and count, then each side's squared deviations from
+   its mean — the additions of [sse] on the partitioned arrays, in the
+   same order.  Left is [<=], right is [>]: a nan feature is on
+   neither side. *)
+let split_gain (xs : float array array) (ys : float array) idx base feature threshold =
+  let sum_l = ref 0. and n_l = ref 0 and sum_r = ref 0. and n_r = ref 0 in
+  for k = 0 to Array.length idx - 1 do
+    let i = idx.(k) in
+    let x = xs.(i).(feature) in
+    if x <= threshold then begin
+      sum_l := !sum_l +. ys.(i);
+      incr n_l
+    end
+    else if x > threshold then begin
+      sum_r := !sum_r +. ys.(i);
+      incr n_r
+    end
+  done;
+  if !n_l = 0 || !n_r = 0 then None
+  else begin
+    let m_l = !sum_l /. float_of_int !n_l and m_r = !sum_r /. float_of_int !n_r in
+    let sse_l = ref 0. and sse_r = ref 0. in
+    for k = 0 to Array.length idx - 1 do
+      let i = idx.(k) in
+      let x = xs.(i).(feature) in
+      if x <= threshold then sse_l := !sse_l +. ((ys.(i) -. m_l) ** 2.)
+      else if x > threshold then sse_r := !sse_r +. ((ys.(i) -. m_r) ** 2.)
+    done;
+    Some (base -. !sse_l -. !sse_r)
+  end
+
 let best_split xs ys idx =
   if Array.length idx < 4 then None
   else
@@ -34,21 +67,19 @@ let best_split xs ys idx =
     for feature = 0 to n_features - 1 do
       List.iter
         (fun threshold ->
-          let left = Array.of_list (List.filter (fun i -> xs.(i).(feature) <= threshold)
-                                      (Array.to_list idx)) in
-          let right = Array.of_list (List.filter (fun i -> xs.(i).(feature) > threshold)
-                                       (Array.to_list idx)) in
-          if Array.length left > 0 && Array.length right > 0 then begin
-            let gain = base -. sse ys left -. sse ys right in
-            match !best with
-            | Some (best_gain, _, _, _, _) when gain <= best_gain -> ()
-            | _ -> best := Some (gain, feature, threshold, left, right)
-          end)
+          match (split_gain xs ys idx base feature threshold, !best) with
+          | None, _ -> ()
+          | Some gain, Some (best_gain, _, _) when gain <= best_gain -> ()
+          | Some gain, _ -> best := Some (gain, feature, threshold))
         (thresholds xs idx feature)
     done;
     match !best with
-    | Some (gain, feature, threshold, left, right) when gain > 1e-12 ->
-        Some (feature, threshold, left, right)
+    | Some (gain, feature, threshold) when gain > 1e-12 ->
+        let part keep =
+          Array.of_list
+            (List.filter (fun i -> keep xs.(i).(feature) threshold) (Array.to_list idx))
+        in
+        Some (feature, threshold, part ( <= ), part ( > ))
     | _ -> None
 
 let rec fit_idx ~depth xs ys idx =

@@ -6,30 +6,30 @@ let params = Ft_explore.Search_loop.default_params
 let gemm_space ?(target = Target.v100) () =
   Space.make (Ft_ir.Operators.gemm ~m:256 ~n:256 ~k:256) target
 
-(* The value of a fresh point, measured outside any driver. *)
-let measure evaluator cfg =
-  fst (Option.get (Ft_explore.Evaluator.measure evaluator ~known:(fun _ -> false) cfg))
+(* A search state whose H is [cfgs], committed by [Driver.init]. *)
+let init ?n_parallel ?dispatch ?max_evals space cfgs =
+  Ft_explore.Driver.init ?n_parallel ?dispatch ?max_evals
+    (Ft_explore.Evaluator.create space) cfgs
 
-(* H is owned by the driver: re-evaluating a point in it is a hit. *)
+(* H is owned by the driver: seeding a point twice is a hit, and a
+   point in H is never evaluated again. *)
 let test_evaluator_caching () =
   let space = gemm_space () in
-  let evaluator = Ft_explore.Evaluator.create space in
   let cfg = Space.default_config space in
-  let state = Ft_explore.Driver.init evaluator [ cfg ] in
-  let v1 = snd state.best in
-  let t1 = Ft_explore.Evaluator.clock evaluator in
-  let v2 = Ft_explore.Driver.evaluate state cfg in
-  let t2 = Ft_explore.Evaluator.clock evaluator in
-  Alcotest.(check (float 1e-9)) "cached value" v1 v2;
-  Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Evaluator.n_evals evaluator);
-  check_bool "cache hit is much cheaper" true (t2 -. t1 < 0.01)
+  let once = init space [ cfg ] in
+  let state = init space [ cfg; cfg ] in
+  Alcotest.(check (float 1e-9)) "cached value" (snd once.best)
+    (Ft_anneal.Sa.value state.pool 1);
+  Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Driver.n_evals state);
+  check_bool "cache hit is much cheaper" true
+    (Ft_explore.Driver.clock state -. Ft_explore.Driver.clock once < 0.01);
+  Alcotest.(check int) "a point in H commits nothing" 0
+    (Ft_explore.Driver.evaluate_batch state [ cfg ])
 
 (* Simulated seconds charged for one fresh point of [target]'s space. *)
 let first_point_clock target =
   let space = gemm_space ~target () in
-  let evaluator = Ft_explore.Evaluator.create space in
-  ignore (measure evaluator (Space.default_config space));
-  Ft_explore.Evaluator.clock evaluator
+  Ft_explore.Driver.clock (init space [ Space.default_config space ])
 
 let test_evaluator_charges_hardware_cost () =
   check_bool "at least compile cost" true (first_point_clock Target.v100 >= 0.3)
@@ -110,12 +110,11 @@ let test_q_beats_random_at_equal_budget () =
 
 let test_invalid_configs_charged_failed_compile () =
   let space = gemm_space () in
-  let evaluator = Ft_explore.Evaluator.create space in
   let cfg = Space.default_config space in
   cfg.spatial.(0).(0) <- 7 (* outside the space *);
-  let value = measure evaluator cfg in
-  Alcotest.(check (float 0.)) "zero value" 0. value;
-  let clock = Ft_explore.Evaluator.clock evaluator in
+  let state = init space [ cfg ] in
+  Alcotest.(check (float 0.)) "zero value" 0. (snd state.best);
+  let clock = Ft_explore.Driver.clock state in
   check_bool "cheap failure" true (clock < 0.3)
 
 let test_cold_start_option () =
@@ -190,22 +189,21 @@ let test_driver_rejects_empty_init () =
    exactly, and finishing must not move the evaluator's clock. *)
 let test_finish_leaves_clock_untouched () =
   let space = gemm_space () in
-  let evaluator = Ft_explore.Evaluator.create space in
-  let state = Ft_explore.Driver.init evaluator [ Space.default_config space ] in
+  let state = init space [ Space.default_config space ] in
   let rng = Ft_util.Rng.create 7 in
   for _ = 1 to 5 do
-    ignore (Ft_explore.Driver.evaluate state (Space.random_config rng space))
+    ignore (Ft_explore.Driver.evaluate_batch state [ Space.random_config rng space ])
   done;
-  let clock = Ft_explore.Evaluator.clock evaluator in
-  let n = Ft_explore.Evaluator.n_evals evaluator in
+  let clock = Ft_explore.Driver.clock state in
+  let n = Ft_explore.Driver.n_evals state in
   let result = Ft_explore.Driver.finish ~method_name:"test" state in
   Alcotest.(check (float 0.)) "report equals pre-finish clock" clock
     result.sim_time_s;
   Alcotest.(check int) "report equals pre-finish count" n result.n_evals;
   Alcotest.(check (float 0.)) "finish did not charge" clock
-    (Ft_explore.Evaluator.clock evaluator);
+    (Ft_explore.Driver.clock state);
   Alcotest.(check int) "finish did not count" n
-    (Ft_explore.Evaluator.n_evals evaluator)
+    (Ft_explore.Driver.n_evals state)
 
 (* Even when the best point was absorbed from outside the evaluator
    (so [finish] must fall back to [perf_of]), the *reported* clock and
@@ -223,14 +221,18 @@ let test_finish_snapshot_covers_absorbed_best () =
     fresh ()
   in
   ignore (Ft_explore.Driver.absorb state outside 1e9);
-  let clock = Ft_explore.Evaluator.clock evaluator in
-  let n = Ft_explore.Evaluator.n_evals evaluator in
+  let clock = Ft_explore.Driver.clock state in
+  let n = Ft_explore.Driver.n_evals state in
   let result = Ft_explore.Driver.finish ~method_name:"test" state in
   Alcotest.(check (float 0.)) "report clock is the snapshot" clock
     result.sim_time_s;
   Alcotest.(check int) "report count is the snapshot" n result.n_evals
 
-(* -- batched evaluation -------------------------------------------- *)
+(* -- batched evaluation --------------------------------------------
+
+   Both groups drive the driver's one commit loop: "commit_batch"
+   through [Driver.init] and one-point batches, "evaluate_batch"
+   through candidate lists. *)
 
 let small_gemm_space ?(target = Target.v100) () =
   Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64) target
@@ -250,30 +252,33 @@ let distinct_configs space n =
   in
   go [] n
 
-(* Every committed point of a list of distinct configs with its
-   value, in input order. *)
-let commit_all evaluator cfgs =
-  let out = ref [] in
-  Ft_explore.Evaluator.commit_batch evaluator ~known:(fun _ -> false)
-    ~should_stop:(fun () -> false) cfgs
-    (fun cfg entry -> out := (cfg, fst (Option.get entry)) :: !out);
-  List.rev !out
+let driver_fingerprint (state : Ft_explore.Driver.state) =
+  ( List.map
+      (fun (cfg, v) -> (Config.compute_key cfg, v))
+      (Ft_anneal.Sa.to_list state.pool),
+    (Config.compute_key (fst state.best), snd state.best),
+    List.map
+      (fun (s : Ft_explore.Driver.sample) -> (s.at_s, s.n_evals, s.best_value))
+      state.samples )
 
+(* One batch of distinct configs commits what one-point batches of the
+   same configs commit, and at [n_parallel = 1] charges the same
+   clock. *)
 let test_commit_batch_matches_sequential () =
   let space = small_gemm_space () in
   let cfgs = distinct_configs space 40 in
-  let seq = Ft_explore.Evaluator.create space in
-  let seq_values = List.map (fun cfg -> (cfg, measure seq cfg)) cfgs in
-  let batched = Ft_explore.Evaluator.create space in
-  let values = commit_all batched cfgs in
-  check_bool "same values" true
-    (List.for_all2 (fun (_, a) (_, b) -> Float.equal a b) seq_values values);
+  let seed_cfg = Space.default_config space in
+  let seq = init space [ seed_cfg ] in
+  List.iter (fun cfg -> ignore (Ft_explore.Driver.evaluate_batch seq [ cfg ])) cfgs;
+  let batched = init space [ seed_cfg ] in
+  ignore (Ft_explore.Driver.evaluate_batch batched cfgs);
+  check_bool "same values" true (driver_fingerprint seq = driver_fingerprint batched);
   Alcotest.(check int) "same eval count"
-    (Ft_explore.Evaluator.n_evals seq)
-    (Ft_explore.Evaluator.n_evals batched);
-  Alcotest.(check (float 1e-9)) "same clock at n_parallel=1"
-    (Ft_explore.Evaluator.clock seq)
-    (Ft_explore.Evaluator.clock batched)
+    (Ft_explore.Driver.n_evals seq)
+    (Ft_explore.Driver.n_evals batched);
+  Alcotest.(check (float 0.)) "same clock at n_parallel=1"
+    (Ft_explore.Driver.clock seq)
+    (Ft_explore.Driver.clock batched)
 
 let test_commit_batch_clock_max_over_lanes () =
   let space = small_gemm_space ~target:Target.vu9p () in
@@ -281,11 +286,7 @@ let test_commit_batch_clock_max_over_lanes () =
   (* An FPGA model query charges a constant per fresh point, so
      n_parallel = k must shrink the batched clock by exactly k (12
      waves of 1 vs 3 waves of 4, max = the constant either way). *)
-  let clock_at n_parallel =
-    let evaluator = Ft_explore.Evaluator.create ~n_parallel space in
-    ignore (commit_all evaluator cfgs);
-    Ft_explore.Evaluator.clock evaluator
-  in
+  let clock_at n_parallel = Ft_explore.Driver.clock (init ~n_parallel space cfgs) in
   Alcotest.(check (float 1e-12)) "4 lanes = 1/4 clock"
     (clock_at 1 /. 4.) (clock_at 4);
   (* A partial final wave still charges: 12 points at n_parallel = 8
@@ -296,40 +297,24 @@ let test_commit_batch_clock_max_over_lanes () =
 let test_commit_batch_duplicates_hit_cache () =
   let space = small_gemm_space () in
   let cfg = Space.default_config space in
-  let evaluator = Ft_explore.Evaluator.create space in
-  let state = Ft_explore.Driver.init evaluator [ cfg; cfg; cfg ] in
+  let state = init space [ cfg; cfg; cfg ] in
   let results = Ft_anneal.Sa.to_list state.pool in
-  Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Evaluator.n_evals evaluator);
+  Alcotest.(check int) "one distinct eval" 1 (Ft_explore.Driver.n_evals state);
   Alcotest.(check int) "every input answered" 3 (List.length results);
   let values = List.map snd results in
   check_bool "same value for duplicates" true
     (List.for_all (Float.equal (List.hd values)) values)
-
-let driver_fingerprint (state : Ft_explore.Driver.state) =
-  ( List.map
-      (fun (cfg, v) -> (Config.compute_key cfg, v))
-      (Ft_anneal.Sa.to_list state.pool),
-    (Config.compute_key (fst state.best), snd state.best),
-    List.map
-      (fun (s : Ft_explore.Driver.sample) -> (s.at_s, s.n_evals, s.best_value))
-      state.samples )
 
 let test_evaluate_batch_matches_sequential_driver () =
   let space = small_gemm_space () in
   let cfgs = distinct_configs space 30 in
   let with_dups = cfgs @ List.filteri (fun i _ -> i mod 3 = 0) cfgs in
   let seed_cfg = Space.default_config space in
-  let seq_state =
-    Ft_explore.Driver.init (Ft_explore.Evaluator.create space) [ seed_cfg ]
-  in
+  let seq_state = init space [ seed_cfg ] in
   List.iter
-    (fun cfg ->
-      if not (Ft_explore.Driver.seen seq_state cfg) then
-        ignore (Ft_explore.Driver.evaluate seq_state cfg))
+    (fun cfg -> ignore (Ft_explore.Driver.evaluate_batch seq_state [ cfg ]))
     with_dups;
-  let batch_state =
-    Ft_explore.Driver.init (Ft_explore.Evaluator.create space) [ seed_cfg ]
-  in
+  let batch_state = init space [ seed_cfg ] in
   ignore (Ft_explore.Driver.evaluate_batch batch_state with_dups);
   check_bool "identical driver state" true
     (driver_fingerprint seq_state = driver_fingerprint batch_state)
@@ -337,15 +322,10 @@ let test_evaluate_batch_matches_sequential_driver () =
 let test_evaluate_batch_budget_stop () =
   let space = small_gemm_space () in
   let cfgs = distinct_configs space 20 in
-  let evaluator = Ft_explore.Evaluator.create space in
-  let state = Ft_explore.Driver.init evaluator [ Space.default_config space ] in
-  let committed =
-    Ft_explore.Driver.evaluate_batch
-      ~should_stop:(fun () -> Ft_explore.Evaluator.n_evals evaluator >= 8)
-      state cfgs
-  in
-  Alcotest.(check int) "stopped at the budget" 8 (Ft_explore.Evaluator.n_evals evaluator);
-  Alcotest.(check int) "committed up to the budget" 7 (List.length committed)
+  let state = init ~max_evals:8 space [ Space.default_config space ] in
+  let committed = Ft_explore.Driver.evaluate_batch state cfgs in
+  Alcotest.(check int) "stopped at the budget" 8 (Ft_explore.Driver.n_evals state);
+  Alcotest.(check int) "committed up to the budget" 7 committed
 
 (* A seeded neighbourhood walk of [n] distinct points: each a random
    neighbour of a random earlier one, so the points share factor arrays
@@ -382,10 +362,9 @@ let test_state_bytes_per_eval () =
       (Result.get_ok (Ft_workloads.Catalog.target_of "xeon"))
   in
   let cfgs = neighbourhood_walk space 5000 in
-  let evaluator = Ft_explore.Evaluator.create space in
-  let state = Ft_explore.Driver.init evaluator [ List.hd cfgs ] in
+  let state = init space [ List.hd cfgs ] in
   ignore (Ft_explore.Driver.evaluate_batch state (List.tl cfgs));
-  let n = Ft_explore.Evaluator.n_evals evaluator in
+  let n = Ft_explore.Driver.n_evals state in
   Alcotest.(check int) "every point evaluated" 5000 n;
   let bytes = Obj.reachable_words (Obj.repr state) * (Sys.word_size / 8) in
   let per_eval = float_of_int bytes /. float_of_int n in
@@ -422,8 +401,8 @@ let test_evaluate_batch_recording_dispatch () =
         (Ft_hw.Cost.perf_value space perf, perf))
       pairs
   in
-  let run evaluator =
-    let state = Ft_explore.Driver.init evaluator [ seed_cfg ] in
+  let run dispatch =
+    let state = init ?dispatch space [ seed_cfg ] in
     let r1 = Ft_explore.Driver.evaluate_batch state (a @ [ nth 0; nth 4; nth 9 ]) in
     (* In H without a measurement: absorbed from outside. *)
     ignore (Ft_explore.Driver.absorb state x1 0.);
@@ -432,17 +411,135 @@ let test_evaluate_batch_recording_dispatch () =
       Ft_explore.Driver.evaluate_batch state [ nth 0; x1; b0; b1; b0; x2; b2; nth 1; b1 ]
     in
     let r3 = Ft_explore.Driver.evaluate_batch state a in
-    (r1 @ r2 @ r3, driver_fingerprint state, Ft_explore.Evaluator.clock evaluator)
+    ([ r1; r2; r3 ], driver_fingerprint state, Ft_explore.Driver.clock state)
   in
-  let dispatched = run (Ft_explore.Evaluator.create ~dispatch space) in
-  let local = run (Ft_explore.Evaluator.create space) in
+  let dispatched = run (Some dispatch) in
+  let local = run None in
   check_bool "dispatch inputs" true
     (List.rev !calls = [ [ seed_cfg ]; a; [ b0; b1; b2 ] ]);
-  let results (r, _, _) = List.map (fun (cfg, v) -> (cfg, Int64.bits_of_float v)) r in
+  let results (r, _, _) = r in
+  Alcotest.(check (list int)) "committed counts" [ 10; 3; 0 ] (results dispatched);
   check_bool "same results" true (results dispatched = results local);
   let (_, fp_d, clock_d), (_, fp_l, clock_l) = (dispatched, local) in
   check_bool "same driver state" true (fp_d = fp_l);
   check_bool "same clock" true (Int64.bits_of_float clock_d = Int64.bits_of_float clock_l)
+
+(* The commit loop against a reference written from its rules: init
+   commits every input, a point already in H as a hit charged at once
+   at its first value; evaluate_batch commits the first occurrences of
+   points not in H, in input order, until [max_evals] points are
+   evaluated.  Fresh points are charged in waves of [n_parallel], max
+   cost over the wave, a partial wave when the loop returns; every push
+   records (clock, count, best).  A recording dispatch sees each fresh
+   point once. *)
+type reference = {
+  mutable h : (string * float) list;  (* newest first *)
+  mutable clock : float;
+  mutable n : int;
+  mutable best : float;
+  mutable history : (float * int * float) list;  (* newest first *)
+}
+
+let reference_loop r ~lanes ~seeding ~cap ~price cfgs =
+  let push key v =
+    r.h <- (key, v) :: r.h;
+    r.best <- Float.max r.best v;
+    r.history <- (r.clock, r.n, r.best) :: r.history
+  in
+  let wave = ref [] in
+  let flush () =
+    if !wave <> [] then r.clock <- r.clock +. List.fold_left Float.max 0. !wave;
+    wave := []
+  in
+  let fresh =
+    List.filter
+      (fun cfg ->
+        let key = Config.compute_key cfg in
+        if (not seeding) && r.n >= cap then false
+        else
+          match List.assoc_opt key (List.rev r.h) with
+          | Some v ->
+              if seeding then begin
+                r.clock <- r.clock +. 0.0005;
+                push key v
+              end;
+              false
+          | None ->
+              let v, cost = price cfg in
+              r.n <- r.n + 1;
+              wave := cost :: !wave;
+              if List.length !wave >= lanes then flush ();
+              push key v;
+              true)
+      cfgs
+  in
+  flush ();
+  fresh
+
+let test_commit_loop_reference =
+  let space = small_gemm_space () in
+  let pool = Array.of_list (distinct_configs space 6) in
+  let evaluator = Ft_explore.Evaluator.create space in
+  let price cfg =
+    let (v, _), cost =
+      Ft_explore.Evaluator.price evaluator ~lane_dead:ignore cfg
+        (Ft_explore.Evaluator.compute evaluator cfg)
+    in
+    (v, cost)
+  in
+  QCheck.Test.make ~count:300 ~name:"commit loop matches its reference"
+    QCheck.(int_bound 999_999)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let draw k = List.init k (fun _ -> pool.(Ft_util.Rng.int rng (Array.length pool))) in
+      let initial = draw (1 + Ft_util.Rng.int rng 4) in
+      let absorbed = draw (Ft_util.Rng.int rng 3) in
+      let batch = draw (Ft_util.Rng.int rng 13) in
+      let n_parallel = 1 + Ft_util.Rng.int rng 4 in
+      let max_evals =
+        if Ft_util.Rng.bool rng then Some (Ft_util.Rng.int rng 8) else None
+      in
+      let calls = ref [] in
+      let dispatch pairs =
+        calls := List.rev_append (List.map fst pairs) !calls;
+        List.map (fun (cfg, _) -> Ft_explore.Evaluator.compute evaluator cfg) pairs
+      in
+      let dispatch = if Ft_util.Rng.bool rng then Some dispatch else None in
+      let state = init ~n_parallel ?dispatch ?max_evals space initial in
+      let r = { h = []; clock = 0.; n = 0; best = neg_infinity; history = [] } in
+      let ref_loop = reference_loop r ~lanes:n_parallel ~price in
+      let fresh_init = ref_loop ~seeding:true ~cap:max_int initial in
+      List.iteri
+        (fun i cfg ->
+          let v = float_of_int (i + 1) *. 1e4 in
+          Ft_explore.Driver.absorb state cfg v;
+          r.h <- (Config.compute_key cfg, v) :: r.h;
+          r.best <- Float.max r.best v;
+          r.history <- (r.clock, r.n, r.best) :: r.history)
+        absorbed;
+      let committed = Ft_explore.Driver.evaluate_batch state batch in
+      let cap = Option.value max_evals ~default:max_int in
+      let fresh_batch = ref_loop ~seeding:false ~cap batch in
+      let bits = Int64.bits_of_float in
+      let ok =
+        committed = List.length fresh_batch
+        && List.map (fun (cfg, v) -> (Config.compute_key cfg, bits v))
+             (Ft_anneal.Sa.to_list state.pool)
+           = List.map (fun (k, v) -> (k, bits v)) r.h
+        && Ft_explore.Driver.n_evals state = r.n
+        && bits (Ft_explore.Driver.clock state) = bits r.clock
+        && List.map
+             (fun (s : Ft_explore.Driver.sample) ->
+               (bits s.at_s, s.n_evals, bits s.best_value))
+             state.samples
+           = List.map (fun (c, n, b) -> (bits c, n, bits b)) r.history
+        && (dispatch = None
+           || List.map Config.compute_key (List.rev !calls)
+              = List.map Config.compute_key (fresh_init @ fresh_batch))
+      in
+      if not ok then
+        QCheck.Test.fail_reportf "seed %d: commit loop differs from its reference" seed;
+      true)
 
 let () =
   Alcotest.run "ft_explore"
@@ -493,5 +590,6 @@ let () =
           Alcotest.test_case "recording dispatch" `Quick
             test_evaluate_batch_recording_dispatch;
           Alcotest.test_case "state bytes per eval" `Quick test_state_bytes_per_eval;
+          QCheck_alcotest.to_alcotest test_commit_loop_reference;
         ] );
     ]

@@ -192,63 +192,59 @@ let test_loop_zero_retries () =
    measurement, and Resilience.run's default policy: max_retries = 2 (3
    attempts) with backoff 0.05 * 2^attempt. *)
 
-let evaluator_with ?n_parallel plan =
-  let space = gemm_space () in
-  let e =
-    Ft_explore.Evaluator.create ?n_parallel ~faults:plan space
-  in
-  (space, e)
+(* A search state whose H is [cfgs] of the v100 gemm space, committed
+   under [plan]. *)
+let init_with ?n_parallel ?(space = gemm_space ()) plan cfgs =
+  Ft_explore.Driver.init ?n_parallel (Ft_explore.Evaluator.create ~faults:plan space) cfgs
 
-(* The value of a fresh point, measured outside any driver. *)
-let measure e cfg =
-  fst (Option.get (Ft_explore.Evaluator.measure e ~known:(fun _ -> false) cfg))
+(* The value of one fresh point under [plan] and the state it left. *)
+let measure ?n_parallel ?space plan cfg =
+  let state = init_with ?n_parallel ?space plan [ cfg ] in
+  (snd state.Ft_explore.Driver.best, state)
 
 let test_quarantine_clock_math () =
-  let space, e = evaluator_with { Plan.zero with compile_error = 1.0 } in
+  let space = gemm_space () in
   let cfg = Space.default_config space in
-  let state = Ft_explore.Driver.init e [ cfg ] in
+  let state = init_with { Plan.zero with compile_error = 1.0 } [ cfg; cfg ] in
   check_clock "quarantined value is 0" 0. (snd state.Ft_explore.Driver.best);
-  (* 3 failed compiles at 0.1 plus backoffs 0.05 + 0.10. *)
-  check_clock "whole retry sequence charged" 0.45 (Ft_explore.Evaluator.clock e);
-  check_int "one eval" 1 (Ft_explore.Evaluator.n_evals e);
+  (* 3 failed compiles at 0.1 plus backoffs 0.05 + 0.10, then the
+     duplicate seed: a hit on H, never a fresh attempt sequence. *)
+  check_clock "whole retry sequence charged, then only a cache-hit charge"
+    (0.45 +. 0.0005) (Ft_explore.Driver.clock state);
+  check_int "one eval" 1 (Ft_explore.Driver.n_evals state);
   (match state.best_perf with
   | Some perf ->
       check_bool "quarantined perf is invalid" false perf.Ft_hw.Perf.valid;
       check_bool "note names the kind and attempts" true
         (Ft_hw.Perf.note perf = "quarantined: compile_error after 3 attempts")
   | None -> Alcotest.fail "quarantined incumbent must keep its perf");
-  (* Quarantine is permanent: re-measuring is a hit on H, never a
-     fresh attempt sequence. *)
-  let clock = Ft_explore.Evaluator.clock e in
-  let again = Ft_explore.Driver.evaluate state cfg in
-  check_clock "still 0" 0. again;
-  check_int "no remeasure" 1 (Ft_explore.Evaluator.n_evals e);
-  check_clock "only a cache-hit charge" (clock +. 0.0005)
-    (Ft_explore.Evaluator.clock e)
+  (* Quarantine is permanent: evaluating the point again commits
+     nothing and charges nothing. *)
+  let clock = Ft_explore.Driver.clock state in
+  check_int "no remeasure" 0 (Ft_explore.Driver.evaluate_batch state [ cfg ]);
+  check_int "still one eval" 1 (Ft_explore.Driver.n_evals state);
+  check_clock "no charge" clock (Ft_explore.Driver.clock state)
 
 let test_timeout_clock_math () =
-  let space, e = evaluator_with { Plan.zero with timeout = 1.0 } in
-  ignore (measure e (Space.default_config space));
+  let space = gemm_space () in
+  let _, state = measure { Plan.zero with timeout = 1.0 } (Space.default_config space) in
   (* 3 timed-out kernels at compile + host + 1.0 cap, plus backoffs. *)
   check_clock "lane occupied to the cap each attempt"
     ((3. *. (0.3 +. 0.05 +. 1.0)) +. 0.15)
-    (Ft_explore.Evaluator.clock e)
+    (Ft_explore.Driver.clock state)
 
 let test_noisy_median_jitter_zero () =
-  let space, clean = evaluator_with Plan.zero in
-  let _, noisy = evaluator_with { Plan.zero with noise = 1.0; jitter = 0. } in
+  let space = gemm_space () in
   let cfg = Space.default_config space in
-  let v_clean = measure clean cfg in
-  let v_noisy = measure noisy cfg in
+  let v_clean, clean = measure Plan.zero cfg in
+  let v_noisy, noisy = measure { Plan.zero with noise = 1.0; jitter = 0. } cfg in
   check_bool "jitter 0: median of repeats = the true value" true
     (Float.equal v_clean v_noisy);
   check_bool "repeats cost more than one measurement" true
-    (Ft_explore.Evaluator.clock noisy > Ft_explore.Evaluator.clock clean)
+    (Ft_explore.Driver.clock noisy > Ft_explore.Driver.clock clean)
 
 let test_lane_degradation () =
-  let space, e =
-    evaluator_with ~n_parallel:4 { Plan.zero with lane_death = 1.0 }
-  in
+  let space = gemm_space () in
   let live = ref [] in
   Ft_obs.Trace.enable
     (Ft_obs.Trace.Sink.make (fun (r : Ft_obs.Trace.record) ->
@@ -256,12 +252,11 @@ let test_lane_degradation () =
          | "pool.lane_dead", [ ("live", Ft_obs.Trace.Int n) ] -> live := n :: !live
          | _ -> ()));
   Fun.protect ~finally:Ft_obs.Trace.close (fun () ->
-      ignore (measure e (Space.default_config space)));
+      ignore
+        (measure ~n_parallel:4 { Plan.zero with lane_death = 1.0 }
+           (Space.default_config space)));
   (* 3 attempts, each killing a lane: 4 -> 3 -> 2 -> 1. *)
   Alcotest.(check (list int)) "one lane lost per attempt" [ 3; 2; 1 ] (List.rev !live);
-  let _, again =
-    evaluator_with ~n_parallel:2 { Plan.zero with lane_death = 1.0 }
-  in
   live := [];
   Ft_obs.Trace.enable
     (Ft_obs.Trace.Sink.make (fun (r : Ft_obs.Trace.record) ->
@@ -269,27 +264,26 @@ let test_lane_degradation () =
          | "pool.lane_dead", [ ("live", Ft_obs.Trace.Int n) ] -> live := n :: !live
          | _ -> ()));
   Fun.protect ~finally:Ft_obs.Trace.close (fun () ->
-      ignore (measure again (Space.default_config space)));
+      ignore
+        (measure ~n_parallel:2 { Plan.zero with lane_death = 1.0 }
+           (Space.default_config space)));
   Alcotest.(check (list int)) "floored at one lane" [ 1; 1; 1 ] (List.rev !live)
 
 let test_model_query_immune () =
   (* An FPGA space: every point is an analytical-model query. *)
   let space = Space.make (Ft_ir.Operators.gemm ~m:64 ~n:64 ~k:64) Target.vu9p in
   let plan = { Plan.zero with compile_error = 1.0 } in
-  let e = Ft_explore.Evaluator.create ~faults:plan space in
-  let clean = Ft_explore.Evaluator.create space in
   let cfg = Space.default_config space in
-  check_bool "model queries never fault" true
-    (Float.equal
-       (measure clean cfg)
-       (measure e cfg));
+  let v, e = measure ~space plan cfg in
+  let v_clean, clean = measure ~space Plan.zero cfg in
+  check_bool "model queries never fault" true (Float.equal v_clean v);
   check_clock "model-query cost unchanged"
-    (Ft_explore.Evaluator.clock clean)
-    (Ft_explore.Evaluator.clock e)
+    (Ft_explore.Driver.clock clean)
+    (Ft_explore.Driver.clock e)
 
 let test_all_quarantined_run_fails () =
-  let space, e = evaluator_with { Plan.zero with compile_error = 1.0 } in
-  let state = Ft_explore.Driver.init e [ Space.default_config space ] in
+  let space = gemm_space () in
+  let _, state = measure { Plan.zero with compile_error = 1.0 } (Space.default_config space) in
   let result = Ft_explore.Driver.finish ~method_name:"test" state in
   check_bool "all-quarantined run is not a success" false
     (Ft_explore.Driver.succeeded result)

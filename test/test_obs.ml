@@ -178,7 +178,7 @@ let gemm_space () =
     Ft_schedule.Target.v100
 
 (* The hot paths surface in telemetry: batched evaluation writes one
-   [eval.batch] event carrying its size, and the MLP forward
+   [eval.batch] event carrying the number of points it committed, and the MLP forward
    accumulates [nn.forward_ns] into the [--trace] summary table. *)
 let test_batched_telemetry_names () =
   Trace.close ();
@@ -188,11 +188,20 @@ let test_batched_telemetry_names () =
   ignore (Ft_nn.Network.forward net [| 1.; 2.; 3.; 4. |]);
   let space = gemm_space () in
   let rng = Ft_util.Rng.create 2 in
-  let evaluator = Ft_explore.Evaluator.create space in
-  Ft_explore.Evaluator.commit_batch evaluator ~known:(fun _ -> false)
-    ~should_stop:(fun () -> false)
-    (List.init 8 (fun _ -> Ft_schedule.Space.random_config rng space))
-    (fun _ _ -> ());
+  let state =
+    Ft_explore.Driver.init (Ft_explore.Evaluator.create space)
+      [ Ft_schedule.Space.default_config space ]
+  in
+  (* Eight points not yet in H: the batch commits all of them. *)
+  let rec fresh acc =
+    if List.length acc = 8 then acc
+    else
+      let cfg = Ft_schedule.Space.random_config rng space in
+      if Ft_explore.Driver.seen state cfg || List.exists (Ft_schedule.Config.equal cfg) acc
+      then fresh acc
+      else fresh (cfg :: acc)
+  in
+  ignore (Ft_explore.Driver.evaluate_batch state (fresh []));
   let counters = List.map fst (Trace.counters ()) in
   Trace.close ();
   let batch_event line =
