@@ -12,8 +12,9 @@ let weight ~gamma ~best value =
    so all weights are recomputed only when gamma or the running best
    changes ([Float.equal] suffices: [weight] agrees on -0. and 0., and
    is NaN under any NaN); otherwise [select] weighs just the points
-   added since the last call.  Totals are summed and picks scanned
-   newest first, as in the list this replaced, so every pick is
+   added since the last call.  Each call then makes one cumulative
+   pass, newest first in the summation order of the list this
+   replaced, and every pick binary-searches it, so every pick is
    bit-for-bit the same (a Fenwick tree would change the summation
    order). *)
 type 'a pool = {
@@ -61,34 +62,61 @@ let reweigh pool ~gamma =
   done;
   pool.weighed <- pool.size
 
+(* One scratch array per domain, as [Config.key_buf]: kept in the pool
+   it would add 8 bytes per point to the search state. *)
+let cum_key = Domain.DLS.new_key (fun () -> ([||] : float array))
+
+(* [cum.(i)] sums the weights from the newest point down to point [i],
+   in that order, so [cum.(0)] is the total.  A loop: a float
+   accumulator passed to a recursion is boxed per step. *)
+let cumulate pool =
+  let cum =
+    let cum = Domain.DLS.get cum_key in
+    if Array.length cum >= pool.size then cum
+    else begin
+      let cum = Array.make (2 * pool.size) 0. in
+      Domain.DLS.set cum_key cum;
+      cum
+    end
+  in
+  let acc = ref 0. in
+  for i = pool.size - 1 downto 0 do
+    acc := !acc +. pool.weights.(i);
+    cum.(i) <- !acc
+  done;
+  cum
+
 (* The index whose cumulative-weight interval, newest first, contains
-   [threshold].  Strict [>]: with [>=], a leading zero-weight point
-   would be picked whenever the draw is exactly 0; this way it spans an
-   empty interval.  The oldest point is the fallback for
-   [threshold >= total] (summation slack). *)
-let pick_index pool threshold =
-  (* A loop: a float accumulator passed to a recursion is boxed per step. *)
-  let acc = ref 0. and i = ref (pool.size - 1) in
-  while !i > 0 && (acc := !acc +. pool.weights.(!i); not (!acc > threshold)) do decr i done;
-  !i
+   [threshold]: the largest [i >= 1] with [cum.(i) > threshold], else
+   0.  Strict [>]: with [>=], a leading zero-weight point would be
+   picked whenever the draw is exactly 0.  The oldest point is the
+   fallback for [threshold >= total] (summation slack).  Weights are
+   >= 0 or NaN, and a NaN reaches every older entry, so
+   [not (cum.(i) <= threshold)] holds on a prefix of [cum]; its last
+   index is the answer unless it fails [>] too (on NaN). *)
+let pick_index cum size threshold =
+  let lo = ref 0 and hi = ref size in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if cum.(mid) <= threshold then hi := mid else lo := mid
+  done;
+  if cum.(!lo) > threshold then !lo else 0
 
 let pick_at ~gamma ~threshold pool =
   if pool.size = 0 then invalid_arg "Sa.pick_at: empty pool";
   reweigh pool ~gamma;
-  pool.points.(pick_index pool threshold)
+  pool.points.(pick_index (cumulate pool) pool.size threshold)
 
 let select rng ~gamma ~count pool =
   if pool.size = 0 then []
   else begin
     reweigh pool ~gamma;
-    let sum = ref 0. in
-    for i = pool.size - 1 downto 0 do sum := !sum +. pool.weights.(i) done;
-    let total = !sum in
+    let cum = cumulate pool in
+    let total = cum.(0) in
     List.init count (fun _ ->
         let i =
           if total <= 0. then pool.size - 1 - Ft_util.Rng.int rng pool.size
-          else pick_index pool (Ft_util.Rng.float rng total)
+          else pick_index cum pool.size (Ft_util.Rng.float rng total)
         in
         (pool.points.(i), pool.values.(i)))
   end
-

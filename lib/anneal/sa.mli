@@ -23,7 +23,8 @@ val to_list : 'a pool -> ('a * float) list
     in H (1 when the best is not positive) — uniformly when the total
     weight is not positive — and returns each draw together with its
     performance.  Zero-weight points are unreachable while any weight
-    is positive.  An empty pool yields []. *)
+    is positive.  An empty pool yields [].  One cumulative pass over H
+    per call, then a binary search per draw. *)
 val select :
   Ft_util.Rng.t -> gamma:float -> count:int -> 'a pool -> ('a * float) list
 

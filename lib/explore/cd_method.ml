@@ -7,19 +7,20 @@
    in the sequential neighbor order. *)
 
 module Policy = struct
-  type t = unit
+  (* The space's directions, built once per search. *)
+  type t = Ft_schedule.Neighborhood.move array
 
   let method_name = "CD-method"
   let seeds = Search_loop.default_seeds
-  let create _ctx = ()
 
-  let trial () (ctx : Search_loop.ctx) ~index =
+  let create (ctx : Search_loop.ctx) =
+    Array.of_list (Ft_schedule.Neighborhood.directions ctx.space)
+
+  let trial directions (ctx : Search_loop.ctx) ~index =
     let { Search_loop.rng; space; state; _ } = ctx in
     Search_loop.trial_span ~key:"cd" ~index (fun () ->
         let incumbent, _ = state.best in
-        let frontier =
-          List.map snd (Ft_schedule.Neighborhood.neighbors space incumbent)
-        in
+        let frontier = Search_loop.expand space directions incumbent [] in
         (* Stuck at an exhausted incumbent: hop to a fresh random
            point so descent can resume somewhere new. *)
         if Driver.evaluate_batch state frontier = 0 && not (Driver.out_of_budget state) then

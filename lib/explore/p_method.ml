@@ -6,20 +6,22 @@
    point-by-point loop. *)
 
 module Policy = struct
-  type t = unit
+  (* The space's directions, built once per search. *)
+  type t = Ft_schedule.Neighborhood.move array
 
   let method_name = "P-method"
   let seeds = Search_loop.default_seeds
-  let create _ctx = ()
 
-  let trial () (ctx : Search_loop.ctx) ~index =
+  let create (ctx : Search_loop.ctx) =
+    Array.of_list (Ft_schedule.Neighborhood.directions ctx.space)
+
+  let trial directions (ctx : Search_loop.ctx) ~index =
     let { Search_loop.space; state; _ } = ctx in
     Search_loop.trial_span ~key:"p" ~index (fun () ->
         let frontier =
-          List.concat_map
-            (fun (cfg, _) ->
-              List.map snd (Ft_schedule.Neighborhood.neighbors space cfg))
-            (Search_loop.sa_starts ctx)
+          List.fold_right
+            (fun (cfg, _) acc -> Search_loop.expand space directions cfg acc)
+            (Search_loop.sa_starts ctx) []
         in
         ignore (Driver.evaluate_batch state frontier));
     1

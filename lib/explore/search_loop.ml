@@ -121,6 +121,18 @@ let sa_starts ctx =
       ];
   starts
 
+(* [Neighborhood.neighbors] without the moves, along directions built
+   once per search, in front of [acc]: applied last to first, so the
+   list reads in direction order. *)
+let expand space directions cfg acc =
+  let acc = ref acc in
+  for d = Array.length directions - 1 downto 0 do
+    match Ft_schedule.Neighborhood.apply space cfg directions.(d) with
+    | Some next -> acc := next :: !acc
+    | None -> ()
+  done;
+  !acc
+
 (* Identifies one (space, method, seed) run in a checkpoint trail;
    checkpoints from other operators, targets, methods, or seeds in the
    same file never match. *)

@@ -89,6 +89,17 @@ val default_seeds :
     [sa.starts] trace event. *)
 val sa_starts : ctx -> (Ft_schedule.Config.t * float) list
 
+(** [expand space directions cfg acc]: the valid neighbours of [cfg]
+    along [directions] (a space's {!Ft_schedule.Neighborhood.directions},
+    built once per search), in direction order, in front of [acc] —
+    the points of {!Ft_schedule.Neighborhood.neighbors}. *)
+val expand :
+  Ft_schedule.Space.t ->
+  Ft_schedule.Neighborhood.move array ->
+  Ft_schedule.Config.t ->
+  Ft_schedule.Config.t list ->
+  Ft_schedule.Config.t list
+
 (** The per-trial telemetry span ([trial], with [method]/[index] and
     optionally [n] fields). *)
 val trial_span : key:string -> index:int -> ?n:int -> (unit -> 'a) -> 'a

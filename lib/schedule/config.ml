@@ -17,7 +17,9 @@ let copy cfg =
   }
 
 let product_level factors idx =
-  Array.fold_left (fun acc parts -> acc * parts.(idx)) 1 factors
+  let acc = ref 1 in
+  for axis = 0 to Array.length factors - 1 do acc := !acc * factors.(axis).(idx) done;
+  !acc
 
 (* The six loop-order templates permute three serial loop groups
    (spatial middle tile, reduce outer, reduce middle); the reduce-inner

@@ -47,7 +47,9 @@ let rec span widths = function
   | Scale (c, a) -> (c * (span widths a - 1)) + 1
   | Prod (a, b) -> span widths a * span widths b
   | Div (c, a) -> ((span widths a - 1) / c) + 1
-  | Mod (c, a) -> min (span widths a) c
+  | Mod (c, a) ->
+      let w = span widths a in
+      if w <= c then w else c
 
 let compile (op : Op.t) =
   let axes = op.spatial @ op.reduce and accesses = Expr.accesses op.body in
@@ -59,18 +61,38 @@ let compile (op : Op.t) =
       { tensor; accesses = List.filter_map of_tensor accesses })
     (Op.tensors_read op)
 
-(* Multiple accesses to one tensor keep the largest footprint (they
-   overlap in practice). *)
-let tensor_elems widths r =
-  List.fold_left
-    (fun acc access ->
-      max acc (List.fold_left (fun acc s -> acc * span widths s) 1 access))
-    0 r.accesses
+(* Recursions over the compiled reads, not folds: no closure per
+   query.  An access's footprint is the product over its dimensions;
+   multiple accesses to one tensor keep the largest (they overlap in
+   practice); tensors add up. *)
+let rec access_elems widths acc = function
+  | [] -> acc
+  | s :: rest -> access_elems widths (acc * span widths s) rest
 
-let total widths reads = List.fold_left (fun acc r -> acc + tensor_elems widths r) 0 reads
+let rec tensor_elems widths acc = function
+  | [] -> acc
+  | access :: rest ->
+      let elems = access_elems widths 1 access in
+      tensor_elems widths (if acc >= elems then acc else elems) rest
 
+let rec reads_elems widths acc = function
+  | [] -> acc
+  | r :: rest -> reads_elems widths (acc + tensor_elems widths 0 r.accesses) rest
+
+let total widths reads = reads_elems widths 0 reads
+
+let rec level_product (parts : int array) acc = function
+  | [] -> acc
+  | level :: rest -> level_product parts (acc * parts.(level)) rest
+
+(* One array, spatial slots then reduce slots. *)
 let widths (cfg : Config.t) ~spatial_levels ~reduce_levels =
-  let width levels parts = List.fold_left (fun acc level -> acc * parts.(level)) 1 levels in
-  Array.append
-    (Array.map (width spatial_levels) cfg.spatial)
-    (Array.map (width reduce_levels) cfg.reduce)
+  let n_spatial = Array.length cfg.spatial in
+  let widths = Array.make (n_spatial + Array.length cfg.reduce) 1 in
+  for i = 0 to n_spatial - 1 do
+    widths.(i) <- level_product cfg.spatial.(i) 1 spatial_levels
+  done;
+  for i = 0 to Array.length cfg.reduce - 1 do
+    widths.(n_spatial + i) <- level_product cfg.reduce.(i) 1 reduce_levels
+  done;
+  widths

@@ -134,16 +134,22 @@ let random_config rng space =
     partition_id = Ft_util.Rng.int rng (Array.length partitions);
   }
 
+(* Plain recursions, not [Array.for_all] closures: [Cost.evaluate]
+   checks every point it prices. *)
+let rec factors_ok (fs : int array) extent parts i prod =
+  if i = parts then prod = extent
+  else fs.(i) >= 1 && factors_ok fs extent parts (i + 1) (prod * fs.(i))
+
+let rec axes_ok (extents : int array) (factors : int array array) parts axis =
+  axis = Array.length factors
+  || Array.length factors.(axis) = parts
+     && factors_ok factors.(axis) extents.(axis) parts 0 1
+     && axes_ok extents factors parts (axis + 1)
+
+let splits_ok extents factors parts =
+  Array.length factors = Array.length extents && axes_ok extents factors parts 0
+
 let valid space (cfg : Config.t) =
-  let splits_ok extents factors parts =
-    Array.length factors = Array.length extents
-    && Array.for_all (fun fs -> Array.length fs = parts) factors
-    && Array.for_all2
-         (fun fs extent ->
-           Array.for_all (fun f -> f >= 1) fs
-           && Array.fold_left ( * ) 1 fs = extent)
-         factors extents
-  in
   splits_ok space.spatial_extents cfg.spatial n_spatial_parts
   && splits_ok space.reduce_extents cfg.reduce n_reduce_parts
   && cfg.order_id >= 0 && cfg.order_id < n_orders

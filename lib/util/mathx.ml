@@ -20,8 +20,14 @@ let prime_factors n =
   in
   go n 2 []
 
+let rec first_divisor n d =
+  if d * d > n then n else if n mod d = 0 then d else first_divisor n (d + 1)
+
+(* The head of [prime_factors n] (and its error), by trial division
+   that stops at the first divisor. *)
 let smallest_prime_factor n =
-  match prime_factors n with [] -> None | p :: _ -> Some p
+  if n <= 0 then invalid_arg "Mathx.prime_factors: positive argument required";
+  if n = 1 then None else Some (first_divisor n 2)
 
 (* Ordered k-way factorizations: all [f1; ...; fk] with product n.
    The count is multiplicative over prime powers: for p^a it is

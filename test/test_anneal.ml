@@ -190,6 +190,54 @@ let qcheck_pool_matches_list_select =
       done;
       !ok && Ft_anneal.Sa.to_list pool = !list)
 
+(* The pick as a scan, newest first, over the pool's weights (oldest
+   first): the oracle for the cumulative binary search. *)
+let scan_pick ~threshold weights =
+  let acc = ref 0. and i = ref (Array.length weights - 1) in
+  while !i > 0 && (acc := !acc +. weights.(!i); not (!acc > threshold)) do decr i done;
+  !i
+
+(* Pools whose weights include zeros (neg_infinity values under
+   gamma > 0), +inf (very low values under a negative gamma), NaN
+   everywhere (a NaN value makes the best NaN) and NaN on the oldest
+   points only (neg_infinity under gamma = 0), probed at random
+   thresholds and at every cumulative value, its neighbours, 0, the
+   total, infinities and NaN. *)
+let qcheck_pick_matches_scan =
+  QCheck.Test.make ~name:"cumulative pick = newest-first scan" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let gen = Ft_util.Rng.create seed in
+      let n = 1 + Ft_util.Rng.int gen 12 in
+      let values =
+        List.init n (fun _ ->
+            match Ft_util.Rng.int gen 8 with
+            | 0 -> neg_infinity
+            | 1 -> 0.
+            | 2 -> -1000.
+            | 3 when Ft_util.Rng.int gen 6 = 0 -> nan
+            | 4 -> float_of_int (Ft_util.Rng.int gen 3)
+            | _ -> Ft_util.Rng.float gen 10.)
+      in
+      let gamma = Ft_util.Rng.choose gen [ 2.; 0.5; 0.; -10.; infinity ] in
+      let pool = Ft_anneal.Sa.pool () in
+      List.iteri (fun i v -> Ft_anneal.Sa.add pool i v) values;
+      let best = List.fold_left Float.max neg_infinity values in
+      let weights = Array.of_list (List.map (weight ~gamma ~best) values) in
+      let _, cums =
+        Array.fold_right
+          (fun w (acc, cums) -> (acc +. w, (acc +. w) :: cums))
+          weights (0., [])
+      in
+      let thresholds =
+        List.concat_map (fun c -> [ c; Float.pred c; Float.succ c ]) cums
+        @ [ 0.; -1.; infinity; neg_infinity; nan; Ft_util.Rng.float gen 20. ]
+      in
+      List.for_all
+        (fun threshold ->
+          Ft_anneal.Sa.pick_at ~gamma ~threshold pool = scan_pick ~threshold weights)
+        thresholds)
+
 let () =
   Alcotest.run "ft_anneal"
     [
@@ -208,5 +256,6 @@ let () =
           Alcotest.test_case "select degenerate values" `Quick
             test_select_all_negative_or_sentinel;
           QCheck_alcotest.to_alcotest qcheck_pool_matches_list_select;
+          QCheck_alcotest.to_alcotest qcheck_pick_matches_scan;
         ] );
     ]

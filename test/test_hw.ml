@@ -55,6 +55,86 @@ let test_span_arithmetic () =
   check_int "div" 3 (span (v "i" /: c 2));
   check_int "mod" 3 (span (v "i" %: c 3))
 
+(* The footprint queries as list folds over the uncompiled index
+   expressions: [widths] as two [Array.map]s appended, [total] as
+   nested [List.fold_left]s, spans read off each [Expr.iexpr]. *)
+module Reference = struct
+  let widths (cfg : Config.t) ~spatial_levels ~reduce_levels =
+    let width levels parts = List.fold_left (fun acc level -> acc * parts.(level)) 1 levels in
+    Array.append
+      (Array.map (width spatial_levels) cfg.spatial)
+      (Array.map (width reduce_levels) cfg.reduce)
+
+  let rec span axes widths (e : Ft_ir.Expr.iexpr) =
+    let span = span axes widths in
+    match e with
+    | Ivar name -> (
+        match List.find_index (fun (a : Ft_ir.Op.axis) -> a.axis_name = name) axes with
+        | Some i -> widths.(i)
+        | None -> 1)
+    | Iconst _ -> 1
+    | Iadd (a, b) | Isub (a, b) -> span a + span b - 1
+    | Imul (Iconst ca, b) -> (abs ca * (span b - 1)) + 1
+    | Imul (a, Iconst cb) -> (abs cb * (span a - 1)) + 1
+    | Imul (a, b) -> span a * span b
+    | Idiv (a, Iconst cb) when cb > 0 -> ((span a - 1) / cb) + 1
+    | Imod (a, Iconst cb) when cb > 0 -> min (span a) cb
+    | Idiv (a, _) | Imod (a, _) -> span a
+
+  let total (node : Ft_ir.Op.t) widths =
+    let axes = node.spatial @ node.reduce and accesses = Ft_ir.Expr.accesses node.body in
+    List.fold_left
+      (fun acc tensor ->
+        acc
+        + List.fold_left
+            (fun acc (t, indices) ->
+              if t <> tensor then acc
+              else
+                max acc
+                  (List.fold_left (fun acc e -> acc * span axes widths e) 1 indices))
+            0 accesses)
+      0 (Ft_ir.Op.tensors_read node)
+end
+
+(* Every level set the three models query: GPU staging tile, CPU L1
+   and L2 tiles, FPGA buffer. *)
+let model_level_sets =
+  [ ([ 1; 2; 3 ], [ 2 ]); ([ 2; 3 ], [ 2 ]); ([ 1; 2; 3 ], [ 1; 2 ]); ([ 2; 3 ], [ 0; 1; 2 ]) ]
+
+(* No Tiny case reads one tensor twice in its compute node: this one
+   reads A at two overlapping windows, so the largest access counts. *)
+let double_read =
+  let open Ft_ir.Expr in
+  { Ft_ir.Op.tag = "double"; output = "O"; spatial = [ Ft_ir.Op.axis "i" 8; Ft_ir.Op.axis "j" 8 ];
+    reduce = [ Ft_ir.Op.axis "k" 6 ]; init = 0.; combine = Ft_ir.Op.Acc_sum;
+    body =
+      Add
+        ( Mul (Access ("A", [ v "i"; v "k" ]), Access ("A", [ v "i" +: v "j"; v "k" *: c 2 ])),
+          Access ("B", [ (v "i" *: v "j") /: c 3 %: c 5 ]) ) }
+
+let qcheck_footprint_matches_reference =
+  QCheck.Test.make ~name:"footprint widths/total = list-fold reference" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let widths = Array.init 3 (fun _ -> 1 + Ft_util.Rng.int rng 8) in
+      Footprint.total widths (Footprint.compile double_read)
+      = Reference.total double_read widths
+      && List.for_all
+        (fun (case : Ft_workloads.Suites.case) ->
+          List.for_all
+            (fun target ->
+              let space = Space.make case.graph target in
+              let cfg = Space.random_config rng space in
+              List.for_all
+                (fun (spatial_levels, reduce_levels) ->
+                  let got = Footprint.widths cfg ~spatial_levels ~reduce_levels in
+                  got = Reference.widths cfg ~spatial_levels ~reduce_levels
+                  && Footprint.total got space.reads = Reference.total space.node got)
+                model_level_sets)
+            Target.[ v100; xeon_e5_2699_v4; vu9p ])
+        Tiny.cases)
+
 let test_gpu_thread_limit () =
   let space = gemm_space Target.v100 in
   let cfg = Space.default_config space in
@@ -267,7 +347,11 @@ let () =
             test_cpu_l3_resident_working_set;
           Alcotest.test_case "avx512 peak" `Quick test_avx512_target_peak_higher;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest qcheck_footprint_monotone ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest qcheck_footprint_monotone;
+          QCheck_alcotest.to_alcotest qcheck_footprint_matches_reference;
+        ] );
       ( "fpga",
         [
           Alcotest.test_case "dsp limit" `Quick test_fpga_dsp_limit;

@@ -368,6 +368,103 @@ let qcheck_equal_hash_agree_with_key =
           && ((not eq) || Config.hash a = Config.hash b))
         others)
 
+(* [Space.valid] as it was with [Array.for_all]/[for_all2]/[fold_left]
+   closures: the oracle for the loop version. *)
+let closure_valid (space : Space.t) (cfg : Config.t) =
+  let splits_ok extents factors parts =
+    Array.length factors = Array.length extents
+    && Array.for_all (fun fs -> Array.length fs = parts) factors
+    && Array.for_all2
+         (fun fs extent ->
+           Array.for_all (fun f -> f >= 1) fs && Array.fold_left ( * ) 1 fs = extent)
+         factors extents
+  in
+  splits_ok space.spatial_extents cfg.spatial Space.n_spatial_parts
+  && splits_ok space.reduce_extents cfg.reduce Space.n_reduce_parts
+  && cfg.order_id >= 0 && cfg.order_id < Space.n_orders
+  && cfg.unroll_id >= 0
+  && cfg.unroll_id < Array.length Space.unroll_depths
+  && cfg.fuse_levels >= 1
+  && cfg.fuse_levels <= 2
+  && cfg.partition_id >= 0
+  && cfg.partition_id < Array.length Space.partitions
+  && (space.has_producers || cfg.inline)
+
+(* Broken copies of a valid config, each off in one way: an axis too
+   many or too few, a part too many or too few, a factor of 0 or below,
+   a factor one off (so the product is), each knob one step out of
+   range, and [inline = false] without producers. *)
+let mutants rng (space : Space.t) (cfg : Config.t) =
+  let with_factors kind f =
+    let cfg = Config.copy cfg in
+    (match kind with `Spatial -> f cfg.Config.spatial | `Reduce -> f cfg.reduce);
+    cfg
+  in
+  let on_axis kind f =
+    let factors = match kind with `Spatial -> cfg.spatial | `Reduce -> cfg.reduce in
+    if Array.length factors = 0 then []
+    else
+      let axis = Ft_util.Rng.int rng (Array.length factors) in
+      let pos = Ft_util.Rng.int rng (Array.length factors.(axis)) in
+      [ with_factors kind (fun factors -> f factors axis pos) ]
+  in
+  let axes kind =
+    let factors = match kind with `Spatial -> cfg.spatial | `Reduce -> cfg.reduce in
+    let set factors' =
+      match kind with
+      | `Spatial -> { cfg with spatial = factors' }
+      | `Reduce -> { cfg with reduce = factors' }
+    in
+    [ set (Array.append factors [| [| 1; 1; 1; 1 |] |]) ]
+    @ (if Array.length factors > 0 then [ set (Array.sub factors 1 (Array.length factors - 1)) ]
+       else [])
+    @ on_axis kind (fun factors axis _ -> factors.(axis) <- Array.append factors.(axis) [| 1 |])
+    @ on_axis kind (fun factors axis _ ->
+          let parts = factors.(axis) in
+          factors.(axis) <- Array.sub parts 0 (Array.length parts - 1))
+    @ on_axis kind (fun factors axis pos -> factors.(axis).(pos) <- 0)
+    @ on_axis kind (fun factors axis pos ->
+          (* Two negated factors keep the product: only [f >= 1] fails. *)
+          let parts = factors.(axis) in
+          let other = (pos + 1) mod Array.length parts in
+          parts.(pos) <- -parts.(pos);
+          parts.(other) <- -parts.(other))
+    @ on_axis kind (fun factors axis pos -> factors.(axis).(pos) <- factors.(axis).(pos) + 1)
+    @ on_axis kind (fun factors axis pos ->
+          factors.(axis).(pos) <- factors.(axis).(pos) - 1)
+  in
+  axes `Spatial @ axes `Reduce
+  @ [
+      { cfg with order_id = -1 };
+      { cfg with order_id = Space.n_orders };
+      { cfg with unroll_id = -1 };
+      { cfg with unroll_id = Array.length Space.unroll_depths };
+      { cfg with fuse_levels = 0 };
+      { cfg with fuse_levels = 3 };
+      { cfg with partition_id = -1 };
+      { cfg with partition_id = Array.length Space.partitions };
+    ]
+  @ if space.has_producers then [] else [ { cfg with inline = false } ]
+
+let qcheck_valid_matches_closure_form =
+  QCheck.Test.make ~name:"valid == closure valid, random configs and mutants" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      List.for_all
+        (fun (case : Ft_workloads.Suites.case) ->
+          List.for_all
+            (fun target ->
+              let space = Space.make case.graph target in
+              let cfg = Space.random_config rng space in
+              Space.valid space cfg
+              && closure_valid space cfg
+              && List.for_all
+                   (fun m -> (not (Space.valid space m)) && not (closure_valid space m))
+                   (mutants rng space cfg))
+            all_targets)
+        Tiny.cases)
+
 (* [Neighborhood.apply] as it was when every move deep-copied its
    source: the oracle for the sharing version. *)
 let copying_apply (space : Space.t) (cfg : Config.t) move =
@@ -472,6 +569,7 @@ let () =
           Alcotest.test_case "split near" `Quick test_split_near;
           Alcotest.test_case "feature dim" `Quick test_features_fixed_dim;
           QCheck_alcotest.to_alcotest qcheck_random_config_valid;
+          QCheck_alcotest.to_alcotest qcheck_valid_matches_closure_form;
         ] );
       ( "config",
         [

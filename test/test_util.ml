@@ -94,6 +94,31 @@ let test_prime_factors () =
   Alcotest.(check (option int)) "spf 1" None (Ft_util.Mathx.smallest_prime_factor 1);
   Alcotest.(check (option int)) "spf 15" (Some 3) (Ft_util.Mathx.smallest_prime_factor 15)
 
+(* The list-building factorization [smallest_prime_factor] read the
+   head of before it stopped at the first divisor. *)
+let prime_factors n =
+  if n <= 0 then invalid_arg "Mathx.prime_factors: positive argument required";
+  let rec go n d acc =
+    if n = 1 then List.rev acc
+    else if d * d > n then List.rev (n :: acc)
+    else if n mod d = 0 then go (n / d) d (d :: acc)
+    else go n (d + 1) acc
+  in
+  go n 2 []
+
+let test_smallest_prime_factor_is_head () =
+  for n = 1 to 100_000 do
+    let want = match prime_factors n with [] -> None | p :: _ -> Some p in
+    if Ft_util.Mathx.smallest_prime_factor n <> want then
+      Alcotest.failf "smallest_prime_factor %d" n
+  done;
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "spf %d" n)
+        (Invalid_argument "Mathx.prime_factors: positive argument required") (fun () ->
+          ignore (Ft_util.Mathx.smallest_prime_factor n)))
+    [ 0; -1; -12; min_int ]
+
 let test_factorizations () =
   let fs = Ft_util.Mathx.factorizations 12 2 in
   check_int "count 12 into 2" 6 (List.length fs);
@@ -200,6 +225,8 @@ let () =
         [
           Alcotest.test_case "divisors" `Quick test_divisors;
           Alcotest.test_case "prime factors" `Quick test_prime_factors;
+          Alcotest.test_case "smallest prime factor = head" `Quick
+            test_smallest_prime_factor_is_head;
           Alcotest.test_case "factorizations" `Quick test_factorizations;
           Alcotest.test_case "closed-form count" `Quick
             test_count_factorizations_matches_enumeration;
