@@ -273,7 +273,7 @@ let search_scaling () =
     (fun n_trials ->
       let t0 = Ft_util.Monotime.now_s () in
       let result =
-        Ft_explore.P_method.search_params
+        (Ft_explore.Method.find_exn "P-method").search
           { Ft_explore.Search_loop.default_params with n_trials }
           scaling_space
       in

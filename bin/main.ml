@@ -208,8 +208,9 @@ let measure_mem_mb_arg =
 let log_arg =
   Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE"
          ~doc:"Append the finished search to the JSONL tuning log $(docv) \
-               (created if missing).  Logging never changes search \
-               results — the store consumes no search RNG.")
+               (created if missing), unless it found no valid schedule.  \
+               Logging never changes search results — the store \
+               consumes no search RNG.")
 
 (* --reuse consults a repository before searching: bare `--reuse`
    means the local --log file; `--reuse=HOST:PORT` (or unix:PATH)

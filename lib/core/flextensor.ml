@@ -240,12 +240,13 @@ let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
             }
         | _ -> record
       in
-      (match store with Some s -> Store.add s record | None -> ());
-      (match remote with
-      | Some client -> (
-          match Store_client.append client record with
-          | Ok () | Error _ -> ())
-      | None -> ());
+      (* A run with no valid schedule (every candidate quarantined) is
+         not logged: a later --reuse would reapply its unmeasured
+         incumbent as an exact hit. *)
+      if Driver.succeeded result then begin
+        Option.iter (fun s -> Store.add s record) store;
+        Option.iter (fun client -> ignore (Store_client.append client record)) remote
+      end;
       let provenance =
         match transfer with
         | [] -> Searched

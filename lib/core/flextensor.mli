@@ -218,7 +218,9 @@ type report = {
 
     With [~store], the finished search is appended to the tuning log;
     with [~remote], it is also appended to the shared repository
-    served by a tuning daemon.  With [~reuse:true] (requires [~store]
+    served by a tuning daemon.  A search that found no valid schedule
+    ({!Driver.succeeded} false, e.g. every candidate quarantined) is
+    appended nowhere.  With [~reuse:true] (requires [~store]
     or [~remote]): an exact-key hit for the same search method — the
     remote repository is consulted first — reapplies the logged
     schedule through the cost model: zero fresh measurements,

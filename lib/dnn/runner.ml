@@ -66,22 +66,24 @@ let optimize_layer ?(seed = 2020) ?(max_evals = 250) ?store optimizer target
           }
           space
       in
-      Option.iter
-        (fun store ->
-          Ft_store.Store.add store
-            {
-              Ft_store.Record.key;
-              method_name;
-              seed;
-              best_value = result.Ft_explore.Driver.best_value;
-              sim_time_s = result.sim_time_s;
-              n_evals = result.n_evals;
-              config = Ft_schedule.Config_io.to_string result.best_config;
-              source =
-                Ft_hw.Perf.provenance_to_string
-                  result.best_perf.Ft_hw.Perf.source;
-            })
-        store;
+      (* Only a valid schedule is logged (see [Flextensor.optimize]). *)
+      if Ft_explore.Driver.succeeded result then
+        Option.iter
+          (fun store ->
+            Ft_store.Store.add store
+              {
+                Ft_store.Record.key;
+                method_name;
+                seed;
+                best_value = result.Ft_explore.Driver.best_value;
+                sim_time_s = result.sim_time_s;
+                n_evals = result.n_evals;
+                config = Ft_schedule.Config_io.to_string result.best_config;
+                source =
+                  Ft_hw.Perf.provenance_to_string
+                    result.best_perf.Ft_hw.Perf.source;
+              })
+          store;
       (result.best_perf.Ft_hw.Perf.time_s, false)
 
 (* Layers are deduplicated by name, but a name may only ever stand for

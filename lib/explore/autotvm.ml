@@ -151,69 +151,57 @@ let population = 128
    instead of the schedule-space heuristics — AutoTVM never sees the
    full space — and warm-start transfer seeds are appended after all
    RNG draws, exactly as the other methods do. *)
-let policy ~template : (module Search_loop.POLICY) =
-  (module struct
-    type t = { mutable knob_pool : knobs list }
+let seeds template (p : Search_loop.params) rng space =
+  List.init batch (fun _ -> to_config space (random_knobs ~template rng space))
+  @ p.transfer_seeds
 
-    let method_name =
-      match template with `Divisor -> "AutoTVM" | `Paper_era -> "AutoTVM-2019"
+(* The knob settings measured so far, newest first, are the state kept
+   across rounds. *)
+let trial template knob_pool (ctx : Search_loop.ctx) ~index =
+  let { Search_loop.rng; space; state; _ } = ctx in
+  Search_loop.trial_span ~key:"autotvm" ~index (fun () ->
+      (* Retrain the cost model on everything measured so far. *)
+      let evaluated = Ft_anneal.Sa.to_list state.pool in
+      let xs =
+        Array.of_list (List.map (fun (cfg, _) -> Space.features space cfg) evaluated)
+      in
+      let ys = Array.of_list (List.map snd evaluated) in
+      let model = Ft_gbt.Boost.fit xs ys in
+      if Ft_obs.Trace.active () then
+        Ft_obs.Trace.event "gbt.train" [ ("points", Int (Array.length xs)) ];
+      Driver.charge state training_cost;
+      (* Annealing proposal: a population of mutations of previous knob
+         settings plus fresh random templates, ranked by the model. *)
+      let proposals =
+        List.init population (fun i ->
+            if i mod 2 = 0 || !knob_pool = [] then random_knobs ~template rng space
+            else mutate ~template rng space (Ft_util.Rng.choose rng !knob_pool))
+      in
+      Driver.charge state (float_of_int population *. scoring_cost_per_candidate);
+      let scored =
+        List.map
+          (fun knobs ->
+            let cfg = to_config space knobs in
+            (knobs, cfg, Ft_gbt.Boost.predict model (Space.features space cfg)))
+          proposals
+      in
+      let ranked = List.sort (fun (_, _, a) (_, _, b) -> compare b a) scored in
+      let fresh = List.filter (fun (_, cfg, _) -> not (Driver.seen state cfg)) ranked in
+      let chosen = List.filteri (fun i _ -> i < batch) fresh in
+      (* The round's measurements form one batch — the AutoTVM
+         workflow the paper compares against measures its per-round
+         candidates concurrently ([n_parallel] models that on the
+         simulated clock). *)
+      ignore (Driver.evaluate_batch state (List.map (fun (_, cfg, _) -> cfg) chosen));
+      knob_pool := List.map (fun (knobs, _, _) -> knobs) chosen @ !knob_pool);
+  1
 
-    let seeds (p : Search_loop.params) rng space =
-      List.init batch (fun _ ->
-          to_config space (random_knobs ~template rng space))
-      @ p.transfer_seeds
-
-    let create (ctx : Search_loop.ctx) =
-      {
-        knob_pool =
-          List.init batch (fun _ -> random_knobs ~template ctx.rng ctx.space);
-      }
-
-    let trial t (ctx : Search_loop.ctx) ~index =
-      let { Search_loop.rng; space; state; _ } = ctx in
-      Search_loop.trial_span ~key:"autotvm" ~index (fun () ->
-          (* Retrain the cost model on everything measured so far. *)
-          let evaluated = Ft_anneal.Sa.to_list state.pool in
-          let xs =
-            Array.of_list
-              (List.map (fun (cfg, _) -> Space.features space cfg) evaluated)
-          in
-          let ys = Array.of_list (List.map snd evaluated) in
-          let model = Ft_gbt.Boost.fit xs ys in
-          if Ft_obs.Trace.active () then
-            Ft_obs.Trace.event "gbt.train" [ ("points", Int (Array.length xs)) ];
-          Driver.charge state training_cost;
-          (* Annealing proposal: a population of mutations of previous knob
-             settings plus fresh random templates, ranked by the model. *)
-          let proposals =
-            List.init population (fun i ->
-                if i mod 2 = 0 || t.knob_pool = [] then
-                  random_knobs ~template rng space
-                else mutate ~template rng space (Ft_util.Rng.choose rng t.knob_pool))
-          in
-          Driver.charge state (float_of_int population *. scoring_cost_per_candidate);
-          let scored =
-            List.map
-              (fun knobs ->
-                let cfg = to_config space knobs in
-                (knobs, cfg, Ft_gbt.Boost.predict model (Space.features space cfg)))
-              proposals
-          in
-          let ranked = List.sort (fun (_, _, a) (_, _, b) -> compare b a) scored in
-          let fresh =
-            List.filter
-              (fun (_, cfg, _) -> not (Driver.seen state cfg))
-              ranked
-          in
-          let chosen = List.filteri (fun i _ -> i < batch) fresh in
-          (* The round's measurements form one batch — the AutoTVM
-             workflow the paper compares against measures its
-             per-round candidates concurrently ([n_parallel] models
-             that on the simulated clock). *)
-          ignore (Driver.evaluate_batch state (List.map (fun (_, cfg, _) -> cfg) chosen));
-          t.knob_pool <- List.map (fun (knobs, _, _) -> knobs) chosen @ t.knob_pool);
-      1
-  end)
-
-let search_params ?(template = `Divisor) params space =
-  Search_loop.run (policy ~template) params space
+let policy template =
+  {
+    Search_loop.seeds = seeds template;
+    start =
+      (fun ctx ->
+        trial template
+          (ref (List.init batch (fun _ -> random_knobs ~template ctx.rng ctx.space)))
+          ctx);
+  }

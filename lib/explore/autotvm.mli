@@ -14,14 +14,9 @@ type template = [ `Divisor | `Paper_era ]
     comparison). Default [`Divisor]. *)
 val template_size : ?template:template -> Ft_schedule.Space.t -> float
 
-(** The search behind {!Method}'s "AutoTVM" ([`Divisor] templates)
-    and "AutoTVM-2019" ([`Paper_era]) rows: run on an explicit parameter
-    record; [params.n_trials] is the round count, each round scoring
-    128 proposals and measuring the best 8.  H is seeded with 8
-    random template instantiations (never the schedule-space
-    heuristics), then any [params.transfer_seeds]. *)
-val search_params :
-  ?template:template ->
-  Search_loop.params ->
-  Ft_schedule.Space.t ->
-  Driver.result
+(** The search behind {!Method}'s AutoTVM ([`Divisor] templates)
+    and AutoTVM-2019 ([`Paper_era]) rows: [params.n_trials] is the
+    round count, each round scoring 128 proposals and measuring the
+    best 8.  H is seeded with 8 random template instantiations (never
+    the schedule-space heuristics), then any [params.transfer_seeds]. *)
+val policy : template -> Search_loop.policy

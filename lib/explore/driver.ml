@@ -3,7 +3,6 @@ module Tbl = Ft_schedule.Config.Tbl
 type sample = { at_s : float; n_evals : int; best_value : float }
 
 type result = {
-  method_name : string;
   best_config : Ft_schedule.Config.t;
   best_value : float;
   best_perf : Ft_hw.Perf.t;
@@ -178,7 +177,7 @@ let init ?(n_parallel = 1) ?dispatch ?(max_evals = max_int) evaluator initial =
 
 (* Reporting charges and counts nothing, so the clock and counters
    describe the search alone. *)
-let finish ~method_name state =
+let finish state =
   let best_config, best_value = state.best in
   let best_perf =
     match state.best_perf with
@@ -197,7 +196,6 @@ let finish ~method_name state =
         [ ("note", Str (Ft_hw.Perf.note best_perf)) ]
   end;
   {
-    method_name;
     best_config;
     best_value;
     best_perf;

@@ -6,7 +6,6 @@
 type sample = { at_s : float; n_evals : int; best_value : float }
 
 type result = {
-  method_name : string;
   best_config : Ft_schedule.Config.t;
   best_value : float;
   best_perf : Ft_hw.Perf.t;
@@ -81,7 +80,7 @@ val out_of_budget : state -> bool
     event fire, and {!succeeded} on the result is [false] — a
     [best_value] of 0. from such a run must not be mistaken for a
     measured schedule. *)
-val finish : method_name:string -> state -> result
+val finish : state -> result
 
 (** True when the result's best schedule is valid ([best_perf.valid]);
     false for a run whose every candidate was invalid. *)

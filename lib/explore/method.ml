@@ -1,73 +1,47 @@
 (* The search methods: one fixed table, each row a [Search_loop]
-   policy's entry point under a short CLI key and its stable
-   [method_name].  Consumers (the [optimize] facade, the CLI, the DNN
-   runner, the benches) dispatch through [find]/[all], so adding a
-   search method is a policy module plus one row here.
+   policy under a short CLI key and its stable name.  Consumers (the
+   [optimize] facade, the CLI, the DNN runner, the benches) dispatch
+   through [find]/[all], so adding a search method is a policy plus
+   one row here.
 
-   [name] is persisted in tuning-log records ([Ft_store]); renaming a
-   method silently orphans every stored schedule, so names never
-   change — see DESIGN.md §10. *)
+   [name] is written here and nowhere else: [search] runs the policy
+   under it, so it is the checkpoint trail's run id, and the tuning
+   log ([Ft_store]) persists it.  Renaming a method silently orphans
+   every stored schedule, so names never change — see DESIGN.md §10. *)
 
 type t = {
   key : string;  (* short CLI alias, e.g. "q" *)
-  name : string;  (* stable persisted method_name, e.g. "Q-method" *)
+  name : string;  (* stable persisted name, e.g. Q-method *)
   description : string;
   search : Search_loop.params -> Ft_schedule.Space.t -> Driver.result;
 }
 
+let row key name description policy =
+  { key; name; description; search = Search_loop.run ~method_name:name policy }
+
 (* Table order is presentation order (CLI listing, bench columns). *)
 let all =
   [
-    {
-      key = "q";
-      name = "Q-method";
-      description =
-        "SA starting points + Q-network direction selection (the paper's \
-         full back-end, §5.1)";
-      search = Q_method.search_params;
-    };
-    {
-      key = "p";
-      name = "P-method";
-      description =
-        "SA starting points with exhaustive direction evaluation (§6.5)";
-      search = P_method.search_params;
-    };
-    {
-      key = "random";
-      name = "random";
-      description = "uniform random sampling — the ablation floor";
-      (* The historical [optimize] budget: [n_trials * n_starts] raw
-         draws, since random has no per-trial expansion. *)
-      search =
-        (fun p space ->
-          Random_method.search_params
-            { p with n_trials = p.n_trials * Search_loop.n_starts }
-            space);
-    };
-    {
-      key = "cd";
-      name = "CD-method";
-      description =
-        "coordinate descent: greedy single-knob refinement of the incumbent";
-      search = Cd_method.search_params;
-    };
-    {
-      key = "autotvm";
-      name = "AutoTVM";
-      description =
-        "template-restricted GBT-guided tuning (mainline divisor-knob \
-         templates)";
-      search = Autotvm.search_params ~template:`Divisor;
-    };
-    {
-      key = "autotvm-2019";
-      name = "AutoTVM-2019";
-      description =
-        "AutoTVM with the paper-era 2019 templates (no virtual threading, \
-         snapped knobs)";
-      search = Autotvm.search_params ~template:`Paper_era;
-    };
+    row "q" "Q-method"
+      "SA starting points + Q-network direction selection (the paper's full \
+       back-end, §5.1)"
+      Q_method.policy;
+    row "p" "P-method" "SA starting points with exhaustive direction evaluation (§6.5)"
+      P_method.policy;
+    (let name = "random" (* also its CLI key *) in
+     let m = row name name "uniform random sampling — the ablation floor" Random_method.policy in
+     (* The historical [optimize] budget: [n_trials * n_starts] raw
+        draws, since random has no per-trial expansion. *)
+     { m with search = (fun p -> m.search { p with n_trials = p.n_trials * Search_loop.n_starts }) });
+    row "cd" "CD-method" "coordinate descent: greedy single-knob refinement of the incumbent"
+      Cd_method.policy;
+    row "autotvm" "AutoTVM"
+      "template-restricted GBT-guided tuning (mainline divisor-knob templates)"
+      (Autotvm.policy `Divisor);
+    row "autotvm-2019" "AutoTVM-2019"
+      "AutoTVM with the paper-era 2019 templates (no virtual threading, snapped \
+       knobs)"
+      (Autotvm.policy `Paper_era);
   ]
 
 let find s =

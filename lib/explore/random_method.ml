@@ -5,22 +5,13 @@
 
 let chunk_trials = 32
 
-module Policy = struct
-  type t = unit
+let trial (ctx : Search_loop.ctx) ~index =
+  let { Search_loop.params; rng; space; state; _ } = ctx in
+  let take = min chunk_trials (params.n_trials - (index - 1)) in
+  (* The random row's trace key is its stable name. *)
+  Search_loop.trial_span ~key:ctx.method_name ~index ~n:take (fun () ->
+      let cfgs = List.init take (fun _ -> Ft_schedule.Space.random_config rng space) in
+      ignore (Driver.evaluate_batch state cfgs));
+  take
 
-  let method_name = "random"
-  let seeds = Search_loop.default_seeds
-  let create _ctx = ()
-
-  let trial () (ctx : Search_loop.ctx) ~index =
-    let { Search_loop.params; rng; space; state } = ctx in
-    let take = min chunk_trials (params.n_trials - (index - 1)) in
-    Search_loop.trial_span ~key:"random" ~index ~n:take (fun () ->
-        let cfgs =
-          List.init take (fun _ -> Ft_schedule.Space.random_config rng space)
-        in
-        ignore (Driver.evaluate_batch state cfgs));
-    take
-end
-
-let search_params params space = Search_loop.run (module Policy) params space
+let policy = { Search_loop.seeds = Search_loop.default_seeds; start = trial }

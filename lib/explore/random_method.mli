@@ -1,8 +1,5 @@
-(** Uniform random search — ablation floor. *)
+(** Uniform random search — ablation floor.  [params.n_trials] is the
+    literal number of random draws (the {!Method} row multiplies it by
+    {!Search_loop.n_starts} to keep the historical [optimize] budget). *)
 
-(** The {!Method} table's entry point: run on an explicit parameter
-    record.  [params.n_trials] is the literal number of random draws
-    (the table's row multiplies by {!Search_loop.n_starts} to keep the
-    historical [optimize] budget). *)
-val search_params :
-  Search_loop.params -> Ft_schedule.Space.t -> Driver.result
+val policy : Search_loop.policy

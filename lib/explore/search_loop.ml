@@ -4,8 +4,9 @@
    transfer points appended last), the measurement-budget gate, the
    traced trial loop, and result assembly via [Driver.finish].
 
-   A search method is a [POLICY]: it decides the initial H and what one
-   trial does (propose candidates, observe the committed values through
+   A search method is a [policy] value: its initial H and a function
+   that, given the search context, returns what one trial does
+   (propose candidates, observe the committed values through
    [Driver.state]); the loop owns everything else.  The extraction is
    draw-for-draw faithful: for a given policy the RNG consumption, the
    evaluation order, the clock charges and the emitted trace records
@@ -58,29 +59,16 @@ type ctx = {
   params : params;
   rng : Ft_util.Rng.t;
   space : Ft_schedule.Space.t;
+  directions : Ft_schedule.Neighborhood.move array;  (* built once per search *)
   state : Driver.state;
+  method_name : string;  (* the run's stable name *)
 }
 
-module type POLICY = sig
-  type t
-
-  (* Stable [Driver.result] method name; persisted in tuning logs, so
-     it must never be renamed (DESIGN.md §10). *)
-  val method_name : string
-
-  (* Initial H, drawn before [Driver.init]; most policies use
-     {!default_seeds}. *)
-  val seeds :
-    params -> Ft_util.Rng.t -> Ft_schedule.Space.t -> Ft_schedule.Config.t list
-
-  (* Policy state, built after H is seeded (so RNG draws here follow
-     the seeding draws, as the hand-written loops had it). *)
-  val create : ctx -> t
-
-  (* One traced trial at 1-based [index]; returns how many trial
-     indices it consumed (>= 1; chunked policies consume several). *)
-  val trial : t -> ctx -> index:int -> int
-end
+type policy = {
+  seeds :
+    params -> Ft_util.Rng.t -> Ft_schedule.Space.t -> Ft_schedule.Config.t list;
+  start : ctx -> index:int -> int;
+}
 
 (* Default H: the naive point, the generic per-hardware heuristic
    points, four random points, then the warm-start transfer points —
@@ -121,10 +109,9 @@ let sa_starts ctx =
       ];
   starts
 
-(* [Neighborhood.neighbors] without the moves, along directions built
-   once per search, in front of [acc]: applied last to first, so the
-   list reads in direction order. *)
-let expand space directions cfg acc =
+(* [Neighborhood.neighbors] without the moves, in front of [acc]:
+   applied last to first, so the list reads in direction order. *)
+let expand { space; directions; _ } cfg acc =
   let acc = ref acc in
   for d = Array.length directions - 1 downto 0 do
     match Ft_schedule.Neighborhood.apply space cfg directions.(d) with
@@ -141,9 +128,9 @@ let run_id ~method_name params space =
   Printf.sprintf "%s|%s|%s|%s|seed=%d" key.Ft_store.Record.graph
     key.Ft_store.Record.op key.Ft_store.Record.target method_name params.seed
 
-let run (module P : POLICY) params space =
+let run ~method_name policy params space =
   let rng = Ft_util.Rng.create params.seed in
-  let rid = run_id ~method_name:P.method_name params space in
+  let rid = run_id ~method_name params space in
   (* Resume state is read before any RNG draw or measurement; a
      missing or foreign checkpoint file simply starts the run fresh
      (malformed lines are tolerated, a half-written line from the
@@ -159,7 +146,7 @@ let run (module P : POLICY) params space =
     Driver.init ~n_parallel:params.n_parallel ?dispatch:params.dispatch
       ?max_evals:params.max_evals
       (Evaluator.create ~faults:params.faults space)
-      (P.seeds params rng space)
+      (policy.seeds params rng space)
   in
   (match resumed_from with
   | None -> ()
@@ -177,8 +164,9 @@ let run (module P : POLICY) params space =
       if Ft_obs.Trace.active () then
         Ft_obs.Trace.event "checkpoint.resume"
           [ ("trial", Int ck.trial); ("best", Float ck.best_value) ]);
-  let ctx = { params; rng; space; state } in
-  let policy = P.create ctx in
+  let directions = Array.of_list (Ft_schedule.Neighborhood.directions space) in
+  (* RNG draws in [start] follow the seeding draws. *)
+  let step = policy.start { params; rng; space; directions; state; method_name } in
   let trial =
     ref (match resumed_from with Some ck -> ck.trial | None -> 0)
   in
@@ -203,7 +191,7 @@ let run (module P : POLICY) params space =
   in
   while !trial < params.n_trials && not (Driver.out_of_budget state) do
     let before = !trial in
-    let consumed = P.trial policy ctx ~index:(!trial + 1) in
+    let consumed = step ~index:(!trial + 1) in
     trial := !trial + max 1 consumed;
     if
       params.checkpoint_path <> None
@@ -219,4 +207,4 @@ let run (module P : POLICY) params space =
         raise (Ft_fault.Plan.Injected_crash !trial)
     | Some _ | None -> ()
   done;
-  Driver.finish ~method_name:P.method_name state
+  Driver.finish state

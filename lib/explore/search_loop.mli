@@ -1,9 +1,11 @@
 (** The exploration scaffolding shared by every search method: RNG and
     evaluator creation, H seeding (warm-start transfer points appended
-    last), the measurement-budget gate, the traced trial loop, and
-    result assembly.  A method supplies only a {!POLICY}; {!run} owns
-    the rest, and is draw-for-draw faithful to the hand-written loops
-    it replaced — results are bit-for-bit identical. *)
+    last), the space's directions, the measurement-budget gate, the
+    traced trial loop, and result assembly.  A method supplies only a
+    {!policy} — its seeds and its trial step — and {!Method} runs it
+    under its stable name; {!run} owns the rest, and is draw-for-draw
+    faithful to the hand-written loops it replaced — results are
+    bit-for-bit identical. *)
 
 (** The parameter surface shared by all search methods.  Fields a
     method does not use are ignored (e.g. [steps] outside the
@@ -45,35 +47,30 @@ val default_params : params
 (** Annealing starting points per Q- or P-method trial (§5.1): 4. *)
 val n_starts : int
 
-(** Everything a policy may consult during a search. *)
+(** Everything a policy may consult during a search.  Proposals are
+    evaluated and observed through [state] ({!Driver.evaluate_batch},
+    {!Driver.value}, {!Driver.charge}, [state.best], [state.pool]). *)
 type ctx = {
   params : params;
   rng : Ft_util.Rng.t;
   space : Ft_schedule.Space.t;
+  directions : Ft_schedule.Neighborhood.move array;
+      (** [space]'s {!Ft_schedule.Neighborhood.directions}, built once
+          per search (the Q-network's action indexing) *)
   state : Driver.state;
+  method_name : string;  (** the name {!run} was given *)
 }
 
-(** A search method: how to seed H and what one trial does.  Proposals
-    are evaluated and observed through {!Driver.state}
-    ([evaluate_batch], [value], [charge], [state.best], [state.pool]). *)
-module type POLICY = sig
-  type t
-
-  (** Stable [Driver.result] method name; persisted in tuning logs —
-      never rename (DESIGN.md §10). *)
-  val method_name : string
-
-  val seeds :
-    params -> Ft_util.Rng.t -> Ft_schedule.Space.t -> Ft_schedule.Config.t list
-
-  (** Policy state, built after H is seeded (RNG draws here follow the
-      seeding draws). *)
-  val create : ctx -> t
-
-  (** One traced trial at 1-based [index]; returns the number of trial
-      indices consumed (>= 1). *)
-  val trial : t -> ctx -> index:int -> int
-end
+(** A search method: how to seed H and what one trial does.  [start]
+    is called once, after H is seeded (its RNG draws follow the
+    seeding draws); it builds whatever the method keeps across trials
+    and returns the trial step, which runs one traced trial at 1-based
+    [index] and returns the number of trial indices consumed (>= 1). *)
+type policy = {
+  seeds :
+    params -> Ft_util.Rng.t -> Ft_schedule.Space.t -> Ft_schedule.Config.t list;
+  start : ctx -> index:int -> int;
+}
 
 (** The default H seeding: the naive config, the generic per-hardware
     heuristic points (if [heuristic_seeds]), 4 random points, then the
@@ -89,16 +86,11 @@ val default_seeds :
     [sa.starts] trace event. *)
 val sa_starts : ctx -> (Ft_schedule.Config.t * float) list
 
-(** [expand space directions cfg acc]: the valid neighbours of [cfg]
-    along [directions] (a space's {!Ft_schedule.Neighborhood.directions},
-    built once per search), in direction order, in front of [acc] —
-    the points of {!Ft_schedule.Neighborhood.neighbors}. *)
+(** [expand ctx cfg acc]: the valid neighbours of [cfg] along
+    [ctx.directions], in direction order, in front of [acc] — the
+    points of {!Ft_schedule.Neighborhood.neighbors}. *)
 val expand :
-  Ft_schedule.Space.t ->
-  Ft_schedule.Neighborhood.move array ->
-  Ft_schedule.Config.t ->
-  Ft_schedule.Config.t list ->
-  Ft_schedule.Config.t list
+  ctx -> Ft_schedule.Config.t -> Ft_schedule.Config.t list -> Ft_schedule.Config.t list
 
 (** The per-trial telemetry span ([trial], with [method]/[index] and
     optionally [n] fields). *)
@@ -109,10 +101,12 @@ val trial_span : key:string -> index:int -> ?n:int -> (unit -> 'a) -> 'a
 val run_id :
   method_name:string -> params -> Ft_schedule.Space.t -> string
 
-(** Run a policy to completion: seed H, loop trials under the budget,
-    finish.  The result's [method_name] is the policy's.  With
-    [checkpoint_path] set, resumable state is appended every 5 trials;
-    with [faults.crash_at_trial] set, the loop checkpoints and raises
-    {!Ft_fault.Plan.Injected_crash} when the trial counter first
+(** [run ~method_name policy params space] runs [policy] to
+    completion: seed H, loop trials under the budget, finish.
+    [method_name] identifies the run's checkpoint trail ({!run_id}).
+    With [checkpoint_path] set, resumable state is appended every 5
+    trials; with [faults.crash_at_trial] set, the loop checkpoints and
+    raises {!Ft_fault.Plan.Injected_crash} when the trial counter first
     crosses N. *)
-val run : (module POLICY) -> params -> Ft_schedule.Space.t -> Driver.result
+val run :
+  method_name:string -> policy -> params -> Ft_schedule.Space.t -> Driver.result

@@ -46,8 +46,9 @@ val product_level : int array array -> int -> int
 val order_perm : int -> int array
 
 (** Canonical string serialization, equal exactly for {!equal} configs.
-    Built only where its bytes seed something (the fault plan's hash,
-    transfer dedup, a dispatch's input); search bookkeeping uses {!Tbl}. *)
+    Built only where its bytes seed something (the fault plan's hash, a
+    dispatch's input); search bookkeeping and transfer dedup use
+    {!Tbl}. *)
 val compute_key : t -> string
 
 (** Structural equality. *)

@@ -8,9 +8,9 @@
       even for records longer than a channel buffer;
     - loading is tolerant: malformed lines are skipped and reported
       via {!issues}, never raised;
-    - {!length}, {!best_exact} and {!nearest} are served from an
-      in-memory {!Index} (O(1) count, hash-keyed lookups) — no
-      per-query list rebuild or full-log fold;
+    - {!best_exact} and {!nearest} are served from an in-memory
+      {!Index} (hash-keyed lookups) — no per-query list rebuild or
+      full-log fold;
     - the store NEVER feeds back into search randomness — reads and
       writes consume no search RNG, so logging leaves results
       bit-for-bit unchanged (DESIGN.md §9). *)

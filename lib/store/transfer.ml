@@ -72,13 +72,12 @@ let seeds_of_records ~exact ~near space =
     | Error _ -> None
     | Ok cfg -> refit space cfg
   in
-  (* Dedup by structural key, preserving exact-first order. *)
-  let seen = Hashtbl.create 8 in
+  (* Dedup by structural equality, preserving exact-first order. *)
+  let seen = Config.Tbl.create 8 in
   List.filter
     (fun cfg ->
-      let k = Config.compute_key cfg in
-      let fresh = not (Hashtbl.mem seen k) in
-      Hashtbl.replace seen k ();
+      let fresh = not (Config.Tbl.mem seen cfg) in
+      Config.Tbl.replace seen cfg ();
       fresh)
     (Option.to_list (Option.bind exact of_record) @ List.filter_map of_record near)
 

@@ -134,7 +134,7 @@ let test_roofline_bounds_search_results () =
   let roofline = Roofline.of_graph graph in
   let space = Ft_schedule.Space.make graph Ft_schedule.Target.v100 in
   let result =
-    Ft_explore.Q_method.search_params
+    (Ft_explore.Method.find_exn "Q-method").search
       { params with seed = 1; n_trials = 20 } space
   in
   let eff =

@@ -102,7 +102,7 @@ let test_autotvm_template_smaller_than_space () =
 let test_autotvm_paper_era_search () =
   let space = Space.make conv3x3 Target.v100 in
   let result =
-    Ft_explore.Autotvm.search_params ~template:`Paper_era
+    (Ft_explore.Method.find_exn "AutoTVM-2019").search
       { params with seed = 3; n_trials = 4 } space
   in
   check_bool "valid" true (Space.valid space result.best_config);
@@ -124,21 +124,20 @@ let test_best_of_falls_back_when_all_invalid () =
 let test_autotvm_search_stays_in_space () =
   let space = Space.make conv3x3 Target.v100 in
   let result =
-    Ft_explore.Autotvm.search_params
+    (Ft_explore.Method.find_exn "AutoTVM").search
       { params with seed = 1; n_trials = 4 } space
   in
   check_bool "valid result" true (Space.valid space result.best_config);
-  check_bool "positive" true (result.best_value > 0.);
-  Alcotest.(check string) "method name" "AutoTVM" result.method_name
+  check_bool "positive" true (result.best_value > 0.)
 
 let test_autotvm_deterministic () =
   let space = Space.make conv3x3 Target.v100 in
   let a =
-    Ft_explore.Autotvm.search_params
+    (Ft_explore.Method.find_exn "AutoTVM").search
       { params with seed = 9; n_trials = 3 } space
   in
   let b =
-    Ft_explore.Autotvm.search_params
+    (Ft_explore.Method.find_exn "AutoTVM").search
       { params with seed = 9; n_trials = 3 } space
   in
   Alcotest.(check (float 1e-9)) "same best" a.best_value b.best_value

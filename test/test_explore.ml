@@ -2,6 +2,11 @@ open Ft_schedule
 
 let check_bool = Alcotest.(check bool)
 let params = Ft_explore.Search_loop.default_params
+let search name = (Ft_explore.Method.find_exn name).search
+
+(* [params.n_trials] random draws, without the table row's budget. *)
+let random_search =
+  Ft_explore.Search_loop.run ~method_name:"random" Ft_explore.Random_method.policy
 
 let gemm_space ?(target = Target.v100) () =
   Space.make (Ft_ir.Operators.gemm ~m:256 ~n:256 ~k:256) target
@@ -55,11 +60,11 @@ let history_nondecreasing (result : Ft_explore.Driver.result) =
 let test_q_method_improves_and_is_deterministic () =
   let space = gemm_space () in
   let a =
-    Ft_explore.Q_method.search_params
+    search "Q-method"
       { params with seed = 1; n_trials = 20 } space
   in
   let b =
-    Ft_explore.Q_method.search_params
+    search "Q-method"
       { params with seed = 1; n_trials = 20 } space
   in
   check_bool "deterministic" true (Config.equal a.best_config b.best_config);
@@ -74,7 +79,7 @@ let test_q_method_improves_and_is_deterministic () =
 let test_p_method_runs () =
   let space = gemm_space () in
   let result =
-    Ft_explore.P_method.search_params
+    search "P-method"
       { params with seed = 1; n_trials = 5 } space
   in
   check_bool "found something" true (result.best_value > 0.);
@@ -83,7 +88,7 @@ let test_p_method_runs () =
 let test_random_method_runs () =
   let space = gemm_space () in
   let result =
-    Ft_explore.Random_method.search_params
+    random_search
       { params with seed = 1; n_trials = 50 } space
   in
   check_bool "found something" true (result.best_value > 0.)
@@ -91,7 +96,7 @@ let test_random_method_runs () =
 let test_max_evals_budget () =
   let space = gemm_space () in
   let result =
-    Ft_explore.Q_method.search_params
+    search "Q-method"
       { params with seed = 1; n_trials = 1000; max_evals = Some 30 } space
   in
   check_bool "stopped at budget" true (result.n_evals <= 40)
@@ -99,11 +104,11 @@ let test_max_evals_budget () =
 let test_q_beats_random_at_equal_budget () =
   let space = gemm_space () in
   let q =
-    Ft_explore.Q_method.search_params
+    search "Q-method"
       { params with seed = 3; n_trials = 1000; max_evals = Some 150 } space
   in
   let r =
-    Ft_explore.Random_method.search_params
+    random_search
       { params with seed = 3; n_trials = 1000; max_evals = Some 150 } space
   in
   check_bool "guided beats random" true (q.best_value > r.best_value)
@@ -120,11 +125,11 @@ let test_invalid_configs_charged_failed_compile () =
 let test_cold_start_option () =
   let space = gemm_space () in
   let warm =
-    Ft_explore.Q_method.search_params
+    search "Q-method"
       { params with seed = 4; n_trials = 5 } space
   in
   let cold =
-    Ft_explore.Q_method.search_params
+    search "Q-method"
       { params with seed = 4; n_trials = 5; heuristic_seeds = false } space
   in
   (* with seeds, the first evaluations already include good points *)
@@ -159,7 +164,7 @@ let test_incumbent_tracks_max_of_history () =
       ignore (Ft_explore.Driver.absorb state b (-2.));
       ignore (Ft_explore.Driver.absorb state c (-7.))
   | _ -> Alcotest.fail "expected 3 configs");
-  let result = Ft_explore.Driver.finish ~method_name:"test" state in
+  let result = Ft_explore.Driver.finish state in
   let in_history =
     List.exists
       (fun (cfg, value) ->
@@ -196,7 +201,7 @@ let test_finish_leaves_clock_untouched () =
   done;
   let clock = Ft_explore.Driver.clock state in
   let n = Ft_explore.Driver.n_evals state in
-  let result = Ft_explore.Driver.finish ~method_name:"test" state in
+  let result = Ft_explore.Driver.finish state in
   Alcotest.(check (float 0.)) "report equals pre-finish clock" clock
     result.sim_time_s;
   Alcotest.(check int) "report equals pre-finish count" n result.n_evals;
@@ -223,7 +228,7 @@ let test_finish_snapshot_covers_absorbed_best () =
   ignore (Ft_explore.Driver.absorb state outside 1e9);
   let clock = Ft_explore.Driver.clock state in
   let n = Ft_explore.Driver.n_evals state in
-  let result = Ft_explore.Driver.finish ~method_name:"test" state in
+  let result = Ft_explore.Driver.finish state in
   Alcotest.(check (float 0.)) "report clock is the snapshot" clock
     result.sim_time_s;
   Alcotest.(check int) "report count is the snapshot" n result.n_evals

@@ -284,7 +284,7 @@ let test_model_query_immune () =
 let test_all_quarantined_run_fails () =
   let space = gemm_space () in
   let _, state = measure { Plan.zero with compile_error = 1.0 } (Space.default_config space) in
-  let result = Ft_explore.Driver.finish ~method_name:"test" state in
+  let result = Ft_explore.Driver.finish state in
   check_bool "all-quarantined run is not a success" false
     (Ft_explore.Driver.succeeded result)
 

@@ -98,6 +98,35 @@ let test_names_round_trip_through_store () =
       | None -> Alcotest.failf "method name %S lost by the store" m.name)
     Flextensor.Method.all
 
+(* A run persists its row's name in two places: the logged record's
+   method and the checkpoint trail's run id.  The run is selected by
+   CLI key, so the name comes from the table alone. *)
+let test_names_reach_log_and_checkpoint () =
+  let graph = gemm () in
+  let space = Flextensor.Space.make graph Flextensor.Target.v100 in
+  List.iter
+    (fun (m : Flextensor.Method.t) ->
+      let path = Filename.temp_file "ft_method_ck" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let store = Flextensor.Store.create () in
+          let options =
+            { Flextensor.default_options with n_trials = 5; search = m.key; checkpoint = Some path }
+          in
+          ignore (Flextensor.optimize ~options ~store graph Flextensor.Target.v100);
+          (match Flextensor.Store.records store with
+          | [ record ] -> check_string ("logged method of " ^ m.key) m.name record.method_name
+          | records -> Alcotest.failf "%s: %d records logged" m.key (List.length records));
+          let run_id =
+            Flextensor.Search_loop.run_id ~method_name:m.name
+              { Flextensor.Search_loop.default_params with seed = options.seed }
+              space
+          in
+          check_bool ("checkpoint run id of " ^ m.key) true
+            (Option.is_some (fst (Flextensor.Checkpoint.latest ~run_id path)))))
+    Flextensor.Method.all
+
 (* -- bit-for-bit pins ----------------------------------------------- *)
 
 (* Seeded results for the four original methods, captured on the
@@ -189,6 +218,8 @@ let () =
         [
           Alcotest.test_case "names round-trip through the store" `Quick
             test_names_round_trip_through_store;
+          Alcotest.test_case "names reach the log and the checkpoint" `Quick
+            test_names_reach_log_and_checkpoint;
         ] );
       ( "bit-for-bit pins",
         [

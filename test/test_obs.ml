@@ -243,7 +243,7 @@ let test_target_rows_timed () =
   Trace.close ();
   Trace.enable_jsonl path;
   ignore
-    (Ft_explore.Q_method.search_params
+    ((Ft_explore.Method.find_exn "Q-method").search
        { Ft_explore.Search_loop.default_params with seed = 5; n_trials = 5; max_evals = Some 60 }
        (gemm_space ()));
   let after_search = forward_ns () in
@@ -268,8 +268,8 @@ let result_fingerprint (r : Ft_explore.Driver.result) =
       r.history )
 
 let searches =
-  let run search n_trials ~seed space =
-    search
+  let run name policy n_trials ~seed space =
+    Ft_explore.Search_loop.run ~method_name:name policy
       {
         Ft_explore.Search_loop.default_params with
         seed;
@@ -279,10 +279,10 @@ let searches =
       space
   in
   [
-    ("q", run Ft_explore.Q_method.search_params 5);
-    ("p", run Ft_explore.P_method.search_params 3);
-    ("random", run Ft_explore.Random_method.search_params 40);
-    ("autotvm", run Ft_explore.Autotvm.search_params 3);
+    ("q", run "Q-method" Ft_explore.Q_method.policy 5);
+    ("p", run "P-method" Ft_explore.P_method.policy 3);
+    ("random", run "random" Ft_explore.Random_method.policy 40);
+    ("autotvm", run "AutoTVM" (Ft_explore.Autotvm.policy `Divisor) 3);
   ]
 
 let test_tracing_is_invisible =

@@ -434,6 +434,22 @@ let test_exact_hit_reuse () =
     (Ft_schedule.Config.equal first.config again.config);
   check_int "reuse did not append" 1 (List.length (Store.records store))
 
+(* A search whose every candidate is quarantined found no schedule: it
+   is not logged, so a later reuse run searches instead of reapplying
+   the unmeasured incumbent as an exact hit. *)
+let test_failed_search_not_logged () =
+  let store = Store.create () in
+  let faults = Result.get_ok (Flextensor.Fault.of_spec "rate=1") in
+  let failed =
+    Flextensor.optimize
+      ~options:{ Flextensor.default_options with n_trials = 2; faults }
+      ~store (gemm ~m:64 ~n:64 ~k:64) target
+  in
+  check_bool "no valid schedule" false failed.perf.valid;
+  check_int "nothing logged" 0 (List.length (Store.records store));
+  let again = search_with ~store ~reuse:true (gemm ~m:64 ~n:64 ~k:64) in
+  check_bool "the next reuse run searches" true (again.provenance = Flextensor.Searched)
+
 (* Acceptance (deterministic seeded runs on Suites gemm shapes):
    warm-starting 64^3 from a 128^3 tuning at an equal eval budget is
    at least as good as the cold search.  Warm seeds genuinely steer the
@@ -531,6 +547,7 @@ let () =
         [
           Alcotest.test_case "store invisible" `Quick test_store_invisible_to_search;
           Alcotest.test_case "exact hit" `Quick test_exact_hit_reuse;
+          Alcotest.test_case "failed search not logged" `Quick test_failed_search_not_logged;
           Alcotest.test_case "warm start" `Quick test_warm_start_not_worse;
           Alcotest.test_case "runner layers" `Quick test_runner_reuses_layers;
         ] );

@@ -868,7 +868,14 @@ let search_with ?remote ?(reuse = false) graph =
 let test_optimize_remote_reuse () =
   with_server (fun _repo addr ->
       with_client addr (fun client ->
-          let cold = search_with ~remote:client (gemm ~m:64 ~n:64 ~k:64) in
+          (* An all-quarantined search found no schedule and is not
+             appended, so the first reuse run still searches. *)
+          let faults = Result.get_ok (Flextensor.Fault.of_spec "rate=1") in
+          ignore
+            (Flextensor.optimize
+               ~options:{ Flextensor.default_options with n_trials = 2; faults }
+               ~remote:client (gemm ~m:64 ~n:64 ~k:64) target);
+          let cold = search_with ~remote:client ~reuse:true (gemm ~m:64 ~n:64 ~k:64) in
           check_bool "cold run searched" true
             (cold.provenance = Flextensor.Searched);
           let warm = search_with ~remote:client ~reuse:true (gemm ~m:64 ~n:64 ~k:64) in

@@ -134,7 +134,7 @@ let qcheck_catalog_front_door =
             (fun target ->
               let space = Ft_schedule.Space.make graph (Result.get_ok (Catalog.target_of target)) in
               ignore
-                (Ft_explore.P_method.search_params
+                ((Ft_explore.Method.find_exn "P-method").search
                    { Ft_explore.Search_loop.default_params with n_trials = 1 }
                    space))
             [ "v100"; "xeon"; "vu9p" ];
