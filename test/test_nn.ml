@@ -503,13 +503,42 @@ let test_round_with_poisoned_sample () =
       done)
     [ ("inf target", `Target infinity); ("huge target", `Target 1e200); ("nan input", `Input nan) ]
 
+(* The lockstep tests compare the kernels with a reference run by the
+   same build; this pin ties them to fixed bits, so a host or a kernel
+   body that rounds differently from the one that took it fails here.
+   The C2D network (31 -> 64^3 -> 62) trains 60 rounds of 16 samples;
+   the digest covers every round's loss and a block of 16 probes'
+   outputs after them. *)
+let test_pinned_training_digest () =
+  let net = Ft_nn.Network.mlp (Ft_util.Rng.create 2020) ~dims:c2d in
+  let rng = Ft_util.Rng.create 17 in
+  let entry () =
+    match Ft_util.Rng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> -.Ft_util.Rng.float rng 50.
+    | _ -> Ft_util.Rng.float rng 4. -. 2.
+  in
+  let row () = Array.init 31 (fun _ -> entry ()) in
+  let bits = Buffer.create 8192 in
+  let add v = Buffer.add_int64_le bits (Int64.bits_of_float v) in
+  for _ = 1 to 60 do
+    add
+      (Ft_nn.Network.train_round net
+         (Array.init 16 (fun _ ->
+              let input = row () in
+              (input, Ft_util.Rng.int rng 62, entry ()))))
+  done;
+  Array.iter (Array.iter add) (Ft_nn.Network.forward_rows net (Array.init 16 (fun _ -> row ())));
+  Alcotest.(check string) "digest" "a54f3b3f7befa496162f9456043bfb8c" (Digest.to_hex (Digest.string (Buffer.contents bits)))
+
 (* [forward_rows] runs a block of rows through each layer at once:
    every row's outputs must bit-equal the reference's forward of that
-   row alone.  Blocks of 1-20 distinct rows (the kernel's 8-, 4- and
-   2-sample tiles and the odd last sample), random depths 1-4 at widths
-   1-13 (its output remainders) and the C2D network (31 -> 64^3 ->
-   62), entries with exact +-0 and ReLU-killing ones, and in half the
-   cases rare infinities and nans. *)
+   row alone.  Blocks of 1-40 distinct rows (several of the kernel's
+   8-sample tiles before its 4- and 2-sample tiles and the odd last
+   sample), random depths 1-4 at widths 1-13 (its output remainders)
+   and the C2D network (31 -> 64^3 -> 62), entries with exact +-0 and
+   ReLU-killing ones, and in half the cases rare infinities and
+   nans. *)
 let qcheck_block_forward_matches_reference =
   let gen =
     QCheck.Gen.(
@@ -521,7 +550,7 @@ let qcheck_block_forward_matches_reference =
           list_repeat (n_layers + 1) (int_range 1 13)
       in
       let* seed = int_range 0 1_000_000 in
-      let* count = int_range 1 20 in
+      let* count = int_range 1 40 in
       let* poisoned = bool in
       return (dims, seed, count, poisoned))
   in
@@ -642,6 +671,8 @@ let () =
             test_round_idle_rows;
           Alcotest.test_case "a round with a poisoned sample bit-equals the reference" `Quick
             test_round_with_poisoned_sample;
+          Alcotest.test_case "pinned digest of 60 rounds of 16 at C2D widths" `Quick
+            test_pinned_training_digest;
           QCheck_alcotest.to_alcotest qcheck_block_forward_matches_reference;
         ] );
       ( "adadelta",
