@@ -7,9 +7,10 @@
        silent exit), each of which must come back as an invalid perf
        with a structured reason while the harness itself keeps
        running.  CI gates survival at exactly 1.0;
-   (2) overhead — cost of the spawn + pipes + watchdog per
-       measurement, as ms/measurement sandboxed vs in-process on a
-       well-behaved tiny gemm.  CI bounds the absolute sandboxed cost.
+   (2) overhead — on a well-behaved tiny gemm, ms/measurement
+       in-process vs sandboxed on the live worker (pipes + watchdog),
+       plus the first measurement on a fresh worker (spawn_ms).  CI
+       bounds the absolute sandboxed cost.
 
    The chaos kinds are real faults, not simulations: Segv dereferences
    a null pointer in the worker, Oom_hog allocates until RLIMIT_AS
@@ -26,7 +27,7 @@ let env_int name default =
   | None -> default
 
 (* FT_BENCH_SANDBOX_REPS shrinks the overhead sample for smoke jobs. *)
-let overhead_reps () = env_int "FT_BENCH_SANDBOX_REPS" 8
+let overhead_reps () = env_int "FT_BENCH_SANDBOX_REPS" 32
 
 let space () =
   Space.make
@@ -66,15 +67,18 @@ let run_chaos kind =
   in
   (Sandbox.chaos_to_string kind, Ft_hw.Perf.note perf, elapsed_s, contained)
 
-(* ms per measurement over [n] runs of [f].  Both sides time the
-   default config; the sandboxed side calls [Sandbox.run] directly, so
-   no quarantine table is consulted and every call spawns a worker. *)
-let time_per_call n f =
-  let t0 = Flextensor.Monotime.now_s () in
+(* ms per measurement over [n] runs of [f], untimed [before] each.
+   Every side times the default config; the sandboxed sides call
+   [Sandbox.run] directly, so no quarantine table is consulted. *)
+let time_per_call ?(before = ignore) n f =
+  let total = ref 0. in
   for _ = 1 to n do
-    f ()
+    before ();
+    let t0 = Flextensor.Monotime.now_s () in
+    f ();
+    total := !total +. Flextensor.Monotime.elapsed_s t0
   done;
-  Flextensor.Monotime.elapsed_s t0 /. float_of_int n *. 1e3
+  !total /. float_of_int n *. 1e3
 
 let overhead () =
   let space = space () in
@@ -84,15 +88,18 @@ let overhead () =
     time_per_call n (fun () ->
         ignore (Flextensor.Measure.run ~reps:2 space cfg))
   in
-  let sandboxed_ms =
-    time_per_call n (fun () ->
-        match Sandbox.run ~reps:2 space cfg with
-        | Ok _ -> ()
-        | Error fault -> failwith (Ft_fault.Resilience.to_string fault))
+  let sandboxed () =
+    match Sandbox.run ~reps:2 space cfg with
+    | Ok _ -> ()
+    | Error fault -> failwith (Ft_fault.Resilience.to_string fault)
   in
-  (inproc_ms, sandboxed_ms)
+  (* a silent request retires the live worker, so the next spawns *)
+  let retire () = ignore (Sandbox.run ~chaos:Sandbox.Silent space cfg) in
+  let spawn_ms = time_per_call ~before:retire n sandboxed in
+  let warm_ms = time_per_call n sandboxed in
+  (inproc_ms, spawn_ms, warm_ms)
 
-let write_json ~chaos ~survival ~inproc_ms ~sandboxed_ms path =
+let write_json ~chaos ~survival ~inproc_ms ~spawn_ms ~sandboxed_ms path =
   let num f = Json.Num f in
   let json =
     Json.Obj
@@ -117,6 +124,7 @@ let write_json ~chaos ~survival ~inproc_ms ~sandboxed_ms path =
               ("reps", num (float_of_int (overhead_reps ())));
               ("inproc_ms_per_measurement", num inproc_ms);
               ("sandboxed_ms_per_measurement", num sandboxed_ms);
+              ("spawn_ms", num spawn_ms);
               ("ratio", num (sandboxed_ms /. inproc_ms));
             ] );
       ])
@@ -129,7 +137,7 @@ let write_json ~chaos ~survival ~inproc_ms ~sandboxed_ms path =
 let run () =
   Bench_common.section
     "Measurement sandbox: chaos containment and isolation overhead";
-  Bench_common.subsection "injected faults (one sandboxed worker each)";
+  Bench_common.subsection "injected faults (one sandboxed request each; each ends its worker)";
   let chaos = List.map run_chaos chaos_kinds in
   Ft_util.Table.print
     ~header:[ "fault"; "contained"; "ms"; "reported as" ]
@@ -149,12 +157,14 @@ let run () =
   Printf.printf "\nsurvival: %d/%d (%.0f%%)\n" survived (List.length chaos)
     (survival *. 100.);
   Bench_common.subsection
-    (Printf.sprintf "spawn + pipe + watchdog overhead (%d reps, gemm 16^3)"
+    (Printf.sprintf "pipe + watchdog overhead and spawn cost (%d reps, gemm 16^3)"
        (overhead_reps ()));
-  let inproc_ms, sandboxed_ms = overhead () in
+  let inproc_ms, spawn_ms, sandboxed_ms = overhead () in
   Printf.printf
-    "in-process %.2f ms/measurement, sandboxed %.2f ms/measurement (%.1fx)\n"
+    "in-process %.2f ms/measurement, sandboxed %.2f ms/measurement (%.1fx), \
+     first on a fresh worker %.2f ms\n"
     inproc_ms sandboxed_ms
-    (sandboxed_ms /. inproc_ms);
-  write_json ~chaos ~survival ~inproc_ms ~sandboxed_ms "BENCH_sandbox.json";
+    (sandboxed_ms /. inproc_ms)
+    spawn_ms;
+  write_json ~chaos ~survival ~inproc_ms ~spawn_ms ~sandboxed_ms "BENCH_sandbox.json";
   print_endline "\n[wrote BENCH_sandbox.json]"

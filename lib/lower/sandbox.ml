@@ -1,15 +1,18 @@
 (* Process-isolated measurement (DESIGN.md §11).
 
-   Layout: [run] re-executes the running image with [Unix.create_process]
-   (posix_spawn: legal beside live domains, where fork is not) and hands
-   it one Marshal'ed request on its stdin pipe.  The worker hook at the
-   bottom of this module caps the process with setrlimit, measures
-   through the ordinary [Measure.run], and reports exactly one
-   length-prefixed JSON frame on its stdout pipe before [Unix._exit].
-   The parent [select]s on that pipe until EOF or a monotonic deadline,
-   SIGKILLs on expiry, reaps the worker once, and maps every way it can
-   die — signal, rlimit, bad frame, silence — to a structured
-   {!Ft_fault.Resilience.fault}. *)
+   Layout: each process keeps at most one worker, spawned by the first
+   [run] that finds none: [Unix.create_process] (posix_spawn: legal
+   beside live domains, where fork is not) re-executes the running
+   image, and the worker hook at the bottom of this module serves
+   Marshal'ed requests from its stdin pipe until EOF.  Per request it
+   re-arms its setrlimit caps, measures through the ordinary
+   [Measure.run], and answers with one length-prefixed JSON frame on
+   its stdout pipe.  The parent [select]s on that pipe for one frame
+   under a monotonic deadline and maps every way a request can fail —
+   watchdog, signal, rlimit, bad frame, silence — to a structured
+   {!Ft_fault.Resilience.fault}.  Any fault retires the worker
+   (SIGKILL, reap, close), so no request ever runs in a worker that
+   has already failed; the next request spawns a fresh one. *)
 
 module R = Ft_fault.Resilience
 
@@ -48,7 +51,8 @@ type request = {
   chaos : chaos option;
 }
 
-(* resource 0 = RLIMIT_AS (bytes), 1 = RLIMIT_CPU (seconds) *)
+(* resource 0 = RLIMIT_AS (bytes), 1 = RLIMIT_CPU (seconds); sets the
+   soft limit only, and a negative value lifts it to the hard limit *)
 external setrlimit : int -> int -> unit = "ft_sandbox_setrlimit"
 external raise_segv : unit -> unit = "ft_sandbox_segv"
 
@@ -134,13 +138,14 @@ module J = Ft_store.Json
 
 let obj fields = J.Obj fields
 
-(* One frame, then _exit: the worker is a copy of the host program,
-   whose at_exit handlers must not run. *)
-let child_exit oc json =
-  (try Ft_store.Protocol.write_frame oc (Ft_store.Json.to_string json)
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix._exit 0
+(* One frame per request.  A worker that cannot write has lost its
+   parent; it is a copy of the host program, whose at_exit handlers
+   must not run. *)
+let reply oc json =
+  try Ft_store.Protocol.write_frame oc (Ft_store.Json.to_string json)
+  with Sys_error _ | Unix.Unix_error _ -> Unix._exit 0
 
+(* Every injected fault ends the worker. *)
 let run_chaos oc = function
   | Hang ->
       let rec spin () =
@@ -151,12 +156,12 @@ let run_chaos oc = function
   | Segv ->
       raise_segv ();
       Unix._exit 0
-  | Oom_hog -> (
-      try
-        let rec hog acc = hog (Array.make (8 * 1024 * 1024) 0. :: acc) in
-        ignore (hog [] : float array list);
-        Unix._exit 0
-      with Out_of_memory -> child_exit oc (obj [ ("status", J.Str "oom") ]))
+  | Oom_hog ->
+      (try
+         let rec hog acc = hog (Array.make (8 * 1024 * 1024) 0. :: acc) in
+         ignore (hog [] : float array list)
+       with Out_of_memory -> reply oc (obj [ ("status", J.Str "oom") ]));
+      Unix._exit 0
   | Garbage ->
       output_string oc "these bytes are not a frame\n";
       flush oc;
@@ -168,39 +173,42 @@ let run_chaos oc = function
       Unix._exit 0
   | Silent -> Unix._exit 0
 
-let child_main ~limits ~chaos ~reps space cfg write_fd =
-  let oc = Unix.out_channel_of_descr write_fd in
-  (try
-     (match limits.mem_mb with
-      | Some mb -> setrlimit 0 (mb * 1024 * 1024)
-      | None -> ());
-     (* CPU backstop well above the wall-clock watchdog: the parent's
-        SIGKILL is the primary kill, this survives a dead parent *)
-     setrlimit 1 ((2 * int_of_float (Float.ceil limits.timeout_s)) + 1)
-   with Failure _ -> ());
-  (match chaos with Some c -> run_chaos oc c | None -> ());
-  match Measure.run ~reps space cfg with
-  | (perf : Ft_hw.Perf.t) -> (
-      match perf.Ft_hw.Perf.source with
-      | Ft_hw.Perf.Measured { reps; min_ns } when perf.Ft_hw.Perf.valid ->
-          child_exit oc
-            (obj
-               [
-                 ("status", J.Str "ok");
-                 ("time_s", J.Num perf.Ft_hw.Perf.time_s);
-                 ("min_ns", J.Num min_ns);
-                 ("reps", J.Num (float_of_int reps));
-                 ("note", J.Str (Ft_hw.Perf.note perf));
-               ])
-      | Ft_hw.Perf.Measured _ | Ft_hw.Perf.Analytical ->
-          child_exit oc
-            (obj
-               [ ("status", J.Str "invalid"); ("note", J.Str (Ft_hw.Perf.note perf)) ]))
-  | exception Out_of_memory -> child_exit oc (obj [ ("status", J.Str "oom") ])
-  | exception e ->
-      child_exit oc
-        (obj
-           [ ("status", J.Str "invalid"); ("note", J.Str (Printexc.to_string e)) ])
+(* This request's caps, as soft limits so that a later request may
+   raise them again: the address-space cap (none lifts it), and a CPU
+   backstop well above the wall-clock watchdog on top of the CPU this
+   worker has already spent.  The parent's SIGKILL is the primary
+   kill; the backstop survives a dead parent. *)
+let arm limits =
+  try
+    setrlimit 0 (match limits.mem_mb with Some mb -> mb * 1024 * 1024 | None -> -1);
+    let { Unix.tms_utime; tms_stime; _ } = Unix.times () in
+    setrlimit 1
+      (int_of_float (Float.ceil (tms_utime +. tms_stime))
+      + (2 * int_of_float (Float.ceil limits.timeout_s))
+      + 1)
+  with Failure _ -> ()
+
+let answer oc { space; cfg; reps; limits; chaos } =
+  arm limits;
+  Option.iter (run_chaos oc) chaos;
+  reply oc
+    (match Measure.run ~reps space cfg with
+    | (perf : Ft_hw.Perf.t) -> (
+        match perf.Ft_hw.Perf.source with
+        | Ft_hw.Perf.Measured { reps; min_ns } when perf.Ft_hw.Perf.valid ->
+            obj
+              [
+                ("status", J.Str "ok");
+                ("time_s", J.Num perf.Ft_hw.Perf.time_s);
+                ("min_ns", J.Num min_ns);
+                ("reps", J.Num (float_of_int reps));
+                ("note", J.Str (Ft_hw.Perf.note perf));
+              ]
+        | Ft_hw.Perf.Measured _ | Ft_hw.Perf.Analytical ->
+            obj [ ("status", J.Str "invalid"); ("note", J.Str (Ft_hw.Perf.note perf)) ])
+    | exception Out_of_memory -> obj [ ("status", J.Str "oom") ]
+    | exception e ->
+        obj [ ("status", J.Str "invalid"); ("note", J.Str (Printexc.to_string e)) ])
 
 (* ---------------------------------------------------------------- *)
 (* Parent side                                                      *)
@@ -227,6 +235,11 @@ let parse_frame ~flops payload =
       | Some other -> Error (R.Protocol_error ("unknown status " ^ other))
       | None -> Error (R.Protocol_error "frame missing status"))
 
+let decode ~flops output =
+  match Ft_store.Protocol.frame_of_string output with
+  | Error msg -> Error (R.Protocol_error msg)
+  | Ok payload -> parse_frame ~flops payload
+
 (* Protocol, not a user option: the argv that makes the running image
    a worker (see the hook at the bottom of this module). *)
 let worker_sentinel = "--flextensor-sandbox-worker"
@@ -237,12 +250,22 @@ let self_exe = "/proc/self/exe"
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Launch a worker whose request already sits in its stdin pipe:
-   written before the spawn into an empty non-blocking pipe, so it can
-   neither block the tuner nor SIGPIPE it.  Returns the pid and the
-   read end of the result pipe; a failure closes every descriptor. *)
-let spawn request =
-  let payload = Marshal.to_string (request : request) [] in
+type worker = {
+  pid : int;
+  requests : Unix.file_descr;  (* write end of the worker's stdin *)
+  idle_reader : Unix.file_descr;
+      (* our copy of its read end: a request written to a worker that
+         died while idle fills the pipe instead of raising SIGPIPE *)
+  results : Unix.file_descr;  (* read end of its result pipe *)
+}
+
+(* The process's one worker; [lock] serialises every request to it. *)
+let live : worker option ref = ref None
+let lock = Mutex.create ()
+
+(* Both pipes are close-on-exec, so no other child inherits an end; a
+   failure closes every descriptor it opened. *)
+let spawn () =
   let opened = ref [] in
   let pipe () =
     let ((r, w) as ends) = Unix.pipe ~cloexec:true () in
@@ -253,65 +276,132 @@ let spawn request =
     let req_r, req_w = pipe () in
     let res_r, res_w = pipe () in
     Unix.set_nonblock req_w;
-    let n = String.length payload in
-    if Unix.single_write_substring req_w payload 0 n < n then
-      failwith (Printf.sprintf "%d-byte request exceeds the pipe buffer" n);
     let argv = [| self_exe; worker_sentinel |] in
     let pid = Unix.create_process self_exe argv req_r res_w Unix.stderr in
-    List.iter (fun fd -> if fd <> res_r then close_noerr fd) !opened;
-    Ok (pid, res_r)
-  with (Failure _ | Unix.Unix_error _) as e ->
+    Unix.close res_w;
+    Ft_obs.Trace.incr "measure.spawn";
+    let w = { pid; requests = req_w; idle_reader = req_r; results = res_r } in
+    live := Some w;
+    Ok w
+  with Unix.Unix_error _ as e ->
     List.iter close_noerr !opened;
-    Error
-      (R.Launch_failed
-         (match e with Failure msg -> msg | e -> Printexc.to_string e))
+    Error (R.Launch_failed (Printexc.to_string e))
 
-(* Everything the worker writes up to EOF (it exited), or the fault
-   that ended the wait first. *)
-let read_to_eof fd ~deadline ~timeout_s =
+(* [None]: already reaped, here or elsewhere. *)
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _, status -> Some status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> None
+
+let close_pipes w =
+  live := None;
+  List.iter close_noerr [ w.requests; w.idle_reader; w.results ]
+
+(* Kill (harmless if it already exited: it stays a zombie until the
+   reap), close and reap. *)
+let retire w =
+  (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
+  close_pipes w;
+  ignore (reap w.pid : Unix.process_status option)
+
+(* The live worker, or a fresh one if there is none or it died while
+   idle (then already reaped by the check). *)
+let acquire () =
+  match !live with
+  | Some w -> (
+      match Unix.waitpid [ Unix.WNOHANG ] w.pid with
+      | 0, _ -> Ok w
+      | _ | (exception Unix.Unix_error _) ->
+          close_pipes w;
+          spawn ())
+  | None -> spawn ()
+
+(* The worker reads each request whole before answering, so the pipe is
+   empty: a request that fits its buffer is written at once, and the
+   write end being non-blocking means one that does not never blocks. *)
+let send w payload =
+  let n = String.length payload in
+  match Unix.single_write_substring w.requests payload 0 n with
+  | k when k = n -> Ok ()
+  | _ | (exception Unix.Unix_error _) ->
+      Error (R.Launch_failed (Printf.sprintf "%d-byte request exceeds the pipe buffer" n))
+
+(* Whether [s] holds a whole frame, or a prefix that no further bytes
+   can mend. *)
+let frame_done s =
+  match String.index_opt s '\n' with
+  | None -> false
+  | Some i -> (
+      match int_of_string_opt (String.sub s 0 i) with
+      | Some len -> String.length s - i - 1 >= len
+      | None -> true)
+
+(* One reply: the bytes of a done frame, everything written before EOF
+   (the worker exited mid-request), or the fault that ended the wait
+   first. *)
+let read_reply fd ~deadline ~timeout_s =
   let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
   let rec loop () =
     let left = deadline -. Ft_util.Monotime.now_s () in
-    if left <= 0. then Error (R.Timeout timeout_s)
+    if left <= 0. then `Fault (R.Timeout timeout_s)
     else
       match Unix.select [ fd ] [] [] left with
       | [], _, _ -> loop ()
       | _ ->
           let n = Unix.read fd chunk 0 (Bytes.length chunk) in
           Buffer.add_subbytes buf chunk 0 n;
-          if n = 0 then Ok (Buffer.contents buf) else loop ()
+          if n = 0 then `Eof (Buffer.contents buf)
+          else if frame_done (Buffer.contents buf) then `Frame (Buffer.contents buf)
+          else loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
   in
   try loop ()
   with Unix.Unix_error (e, fn, _) ->
-    Error (R.Protocol_error (fn ^ ": " ^ Unix.error_message e))
+    `Fault (R.Protocol_error (fn ^ ": " ^ Unix.error_message e))
 
-let rec reap pid =
-  try snd (Unix.waitpid [] pid)
-  with Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+let exchange w payload ~flops ~timeout_s =
+  let deadline = Ft_util.Monotime.now_s () +. timeout_s in
+  match send w payload with
+  | Error _ as launch_failed ->
+      retire w;
+      launch_failed
+  | Ok () -> (
+      match read_reply w.results ~deadline ~timeout_s with
+      | `Frame output ->
+          (* a valid answer, even an invalid perf, keeps the worker *)
+          let result = decode ~flops output in
+          if Result.is_error result then retire w;
+          result
+      | `Fault fault ->
+          retire w;
+          Error fault
+      | `Eof output -> (
+          (* it exited: reap it without a kill, for its own status *)
+          close_pipes w;
+          match reap w.pid with
+          | Some (Unix.WSIGNALED s) when s = Sys.sigxcpu ->
+              (* rlimit CPU backstop: a spin is a timeout, not a crash *)
+              Error (R.Timeout timeout_s)
+          | Some (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Error (R.Crashed s)
+          | Some (Unix.WEXITED n) when n <> 0 ->
+              Error (R.Protocol_error (Printf.sprintf "child exited %d" n))
+          | Some (Unix.WEXITED _) | None -> decode ~flops output))
 
 let run ?(limits = default_limits) ?chaos ?(reps = 5) (space : Ft_schedule.Space.t)
     cfg =
-  match spawn { space; cfg; reps; limits; chaos } with
-  | Error _ as launch_failed -> launch_failed
-  | Ok (pid, fd) -> (
-      let deadline = Ft_util.Monotime.now_s () +. limits.timeout_s in
-      let output = read_to_eof fd ~deadline ~timeout_s:limits.timeout_s in
-      Unix.close fd;
-      if Result.is_error output then (
-        try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      match (output, reap pid) with
-      | Error fault, _ -> Error fault
-      | Ok _, Unix.WSIGNALED s when s = Sys.sigxcpu ->
-          (* rlimit CPU backstop: a spin is a timeout, not a crash *)
-          Error (R.Timeout limits.timeout_s)
-      | Ok _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Error (R.Crashed s)
-      | Ok output, Unix.WEXITED 0 -> (
-          match Ft_store.Protocol.frame_of_string output with
-          | Error msg -> Error (R.Protocol_error msg)
-          | Ok payload -> parse_frame ~flops:(Ft_ir.Op.flops space.node) payload)
-      | Ok _, Unix.WEXITED n ->
-          Error (R.Protocol_error (Printf.sprintf "child exited %d" n)))
+  let payload = Marshal.to_string ({ space; cfg; reps; limits; chaos } : request) [] in
+  Mutex.protect lock (fun () ->
+      match acquire () with
+      | Error _ as launch_failed -> launch_failed
+      | Ok w ->
+          exchange w payload ~flops:(Ft_ir.Op.flops space.node)
+            ~timeout_s:limits.timeout_s)
+
+(* No worker outlives its parent. *)
+let () =
+  at_exit (fun () ->
+      Mutex.protect lock (fun () -> Option.iter retire !live))
 
 (* ---------------------------------------------------------------- *)
 (* The measurer hook: preflight, quarantine table, resilience loop  *)
@@ -396,12 +486,18 @@ let measurer ?limits ?policy ?chaos ?reps space =
 (* Worker hook                                                      *)
 
 (* Runs at module initialisation, before the host program's entry
-   point.  The frame goes to the stdout pipe; anything else the kernel
-   path prints goes to stderr instead of corrupting it. *)
+   point.  Frames go to the stdout pipe; anything else the kernel path
+   prints goes to stderr instead of corrupting them. *)
 let () =
   if Array.length Sys.argv = 2 && Sys.argv.(1) = worker_sentinel then begin
-    let result_fd = Unix.dup Unix.stdout in
+    let oc = Unix.out_channel_of_descr (Unix.dup Unix.stdout) in
     Unix.dup2 Unix.stderr Unix.stdout;
-    let { space; cfg; reps; limits; chaos } : request = Marshal.from_channel stdin in
-    child_main ~limits ~chaos ~reps space cfg result_fd
+    let rec serve () =
+      match (Marshal.from_channel stdin : request) with
+      | request ->
+          answer oc request;
+          serve ()
+      | exception _ -> Unix._exit 0  (* EOF: the parent is done or gone *)
+    in
+    serve ()
   end

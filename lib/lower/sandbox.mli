@@ -4,15 +4,18 @@
     {!Measure.run} executes the kernel in-process, so a pathological
     schedule — a miscompiled nest that spins, a padded buffer that
     exhausts memory, a genuine segfault — takes the whole tuner (or
-    daemon) down with it.  [Sandbox.run] re-executes the running
-    image per measurement ([Unix.create_process], legal beside live
-    domains); this module's initialisation turns it into a
-    worker that applies [rlimit] address-space and CPU caps, times the
-    kernel, and reports one {!Ft_store.Protocol} frame over a pipe.
-    The parent waits under a monotonic watchdog ({!Ft_util.Monotime})
-    and SIGKILLs on expiry.  Every failure mode maps to a structured
-    {!Ft_fault.Resilience.fault} instead of an exception, signal, or
-    hang in the tuner.
+    daemon) down with it.  Each process keeps one long-lived worker:
+    the first [Sandbox.run] re-executes the running image
+    ([Unix.create_process], legal beside live domains), and this
+    module's initialisation turns it into a worker that serves every
+    later request too.  Per request it re-arms [rlimit] address-space
+    and CPU caps, times the kernel, and answers with one
+    {!Ft_store.Protocol} frame over a pipe.  The parent waits under a
+    monotonic watchdog ({!Ft_util.Monotime}) and SIGKILLs on expiry.
+    Every failure mode maps to a structured {!Ft_fault.Resilience.fault}
+    instead of an exception, signal, or hang in the tuner, and retires
+    the worker, so the next request runs on a fresh one; the worker
+    is also reaped when the process exits.
 
     Isolation never touches the search: measurement runs strictly
     post-search behind the [measurer] hook, so seeded searches are
@@ -37,17 +40,21 @@ type chaos = Hang | Segv | Oom_hog | Garbage | Truncated | Silent
 
 val chaos_to_string : chaos -> string
 
-(** [run space cfg] measures [cfg] in a spawned worker (same inputs,
-    warm-up and [reps] as {!Measure.run}) and returns the worker's
-    result, or the fault that contained it: [Timeout] (watchdog
-    SIGKILL, or the RLIMIT_CPU backstop), [Crashed] (any other
-    signal), [Oom] (address-space cap), [Protocol_error] (garbage,
-    truncated or missing frame, nonzero exit) or [Launch_failed] (no
-    pipe or process could be created; every descriptor is closed
-    again).  [Ok] can itself be an invalid perf (e.g. a config outside
-    the space) — a result, not a containment event.  [limits] defaults
+(** [run space cfg] measures [cfg] in the process's worker, spawning
+    it if there is none or it died while idle (same inputs, warm-up
+    and [reps] as {!Measure.run}; calls from several threads or
+    domains take turns), and returns the worker's result, or the fault
+    that contained it: [Timeout] (watchdog SIGKILL, or the RLIMIT_CPU
+    backstop), [Crashed] (any other signal), [Oom] (address-space
+    cap), [Protocol_error] (garbage, truncated or missing frame,
+    nonzero exit) or [Launch_failed] (no pipe or process could be
+    created, or the request did not fit its pipe; every descriptor is
+    closed again).  Every fault retires the worker.  [Ok] can itself
+    be an invalid perf (e.g. a config outside the space) — a result,
+    not a containment event, and the worker stays.  [limits] defaults
     to 10 s and 4096 MiB, generous enough that well-behaved kernels
-    never trip them.  [chaos] injects a worker-side fault (tests). *)
+    never trip them; they apply to this request alone.  [chaos]
+    injects a worker-side fault (tests). *)
 val run :
   ?limits:limits ->
   ?chaos:chaos ->
@@ -61,8 +68,8 @@ val run :
     {!Ft_fault.Resilience} fault source under [limits] (default as in
     {!run}) and [policy] (default that of {!Ft_fault.Resilience.run}).
 
-    The pre-flight guard rejects obviously-doomed configs without
-    spawning.  It rejects a watchdog timeout that is not positive
+    The pre-flight guard rejects obviously-doomed configs without a
+    request to the worker.  It rejects a watchdog timeout that is not positive
     (including [nan]) and a [mem_mb] outside [1 .. max_mem_mb], then
     checks (1) estimated buffer bytes (8 bytes x the shape product of
     every graph input and program alloc) against half the
@@ -73,10 +80,11 @@ val run :
     [Timeout] and [Protocol_error] are retried with backoff (real
     sleeps); [Crashed], [Oom] and [Launch_failed] — and exhausted
     retries — quarantine the config: later measurements of it return
-    the cached invalid perf without spawning.  Faults come back as
+    the cached invalid perf without a request.  Faults come back as
     [Ft_hw.Perf.invalid] with a ["sandbox: quarantined: ..."] note
     (preflight rejections as ["preflight: ..."]).  Trace counters:
-    [measure.sandboxed], one per fault kind ([measure.timeout],
+    [measure.sandboxed] (requests), [measure.spawn] (workers spawned,
+    also by direct {!run} calls), one per fault kind ([measure.timeout],
     [measure.crashed], [measure.oom], [measure.protocol_error],
     [measure.launch_failed]), [measure.preflight], [measure.retry],
     [measure.quarantined], [measure.quarantine_hit].

@@ -1,11 +1,13 @@
 /* Resource caps for the measurement worker (Sandbox, DESIGN.md §11).
 
-   setrlimit runs in the spawned worker before the kernel run:
+   The long-lived worker re-arms these before every request:
    RLIMIT_AS turns a runaway allocation into a failed mmap — which
    OCaml surfaces as Out_of_memory, reported over the pipe — instead
    of an OOM-killed tuner, and RLIMIT_CPU is the backstop against a
    spinning kernel should the parent's SIGKILL watchdog itself die.
-   Both limits apply to the whole worker process, which is exactly the
+   Only the soft limit moves, so a later request may raise it again
+   (an unprivileged process can never raise its hard limit).  Both
+   limits apply to the whole worker process, which is exactly the
    containment unit. */
 
 #include <caml/fail.h>
@@ -20,9 +22,15 @@ CAMLprim value ft_sandbox_setrlimit(value vres, value vlimit)
 {
   CAMLparam2(vres, vlimit);
   int resource = Int_val(vres) == 0 ? RLIMIT_AS : RLIMIT_CPU;
+  long limit = Long_val(vlimit);
   struct rlimit rl;
-  rl.rlim_cur = (rlim_t) Long_val(vlimit);
-  rl.rlim_max = (rlim_t) Long_val(vlimit);
+  if (getrlimit(resource, &rl) != 0)
+    caml_failwith(strerror(errno));
+  /* negative: lift the soft limit to the hard one; never above it */
+  if (limit >= 0 && (rl.rlim_max == RLIM_INFINITY || (rlim_t) limit < rl.rlim_max))
+    rl.rlim_cur = (rlim_t) limit;
+  else
+    rl.rlim_cur = rl.rlim_max;
   if (setrlimit(resource, &rl) != 0)
     caml_failwith(strerror(errno));
   CAMLreturn(Val_unit);

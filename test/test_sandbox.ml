@@ -1,7 +1,9 @@
 (* The process-isolated measurement sandbox (DESIGN.md §11): the
    monotonic clock, every containment path (watchdog SIGKILL, real
    segfault, rlimit OOM, garbage / truncated / missing result frames,
-   a full descriptor table), measuring beside live domains,
+   a full descriptor table), the long-lived worker (one spawn for many
+   measurements, a fresh worker after every fault or an idle death,
+   per-request rlimits), measuring beside live domains,
    the pre-flight static guard, retry-then-quarantine resilience, the
    agreement of sandboxed and in-process measurement on well-behaved
    kernels, and the bit-for-bit invariance of seeded searches to the
@@ -184,6 +186,18 @@ let test_contains_bad_frames () =
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
+(* A [Silent] request ends the live worker, which the sandbox then
+   retires; afterwards no worker and none of its descriptors remain. *)
+let retire_worker () =
+  let space = space_of () in
+  match
+    Sandbox.run ~limits:tiny ~chaos:Sandbox.Silent space
+      (Ft_schedule.Space.default_config space)
+  with
+  | Error (R.Protocol_error _) -> ()
+  | Error fault -> Alcotest.fail ("silent request: " ^ R.to_string fault)
+  | Ok _ -> Alcotest.fail "a silent worker cannot produce a result"
+
 (* With the descriptor table full, or too full for both pipes, a launch
    is a structured [Launch_failed] — never an escaping [Unix_error] —
    and every descriptor it opened is closed again. *)
@@ -209,6 +223,8 @@ let with_fd_table_full ~spare f =
 let test_contains_full_fd_table () =
   let space = space_of () in
   let cfg = Ft_schedule.Space.default_config space in
+  (* a live worker needs no new descriptor, so retire it first *)
+  retire_worker ();
   let before = open_fds () in
   List.iter
     (fun spare ->
@@ -399,11 +415,14 @@ let with_live_domain f =
 
 (* OCaml 5 refuses fork once a second domain exists; a spawned worker
    does not care.  Measuring beside a live domain must yield a real
-   timing, leak no descriptor and leave no child unreaped. *)
+   timing; the live worker's descriptors must not grow from one
+   measurement to the next, and once it is retired every descriptor
+   is closed and no child is left unreaped. *)
 let test_measure_beside_live_domain () =
   with_live_domain (fun () ->
       let space = space_of () in
       let cfg = Ft_schedule.Space.default_config space in
+      retire_worker ();
       let before = open_fds () in
       (match Sandbox.run ~limits:tiny ~reps:2 space cfg with
       | Ok perf ->
@@ -419,11 +438,174 @@ let test_measure_beside_live_domain () =
       in
       check_bool "measurer perf is measured" true
         (perf.Ft_hw.Perf.valid && from_measurement perf);
-      check_int "no descriptor leaked" before (open_fds ());
+      let second = open_fds () in
+      for _ = 3 to 8 do
+        ignore (Sandbox.measurer ~limits:tiny ~reps:2 space cfg : Ft_hw.Perf.t)
+      done;
+      check_int "no descriptor leaked between measurements" second (open_fds ());
+      retire_worker ();
+      check_int "no descriptor leaked once retired" before (open_fds ());
       check_bool "no child left unreaped" true
         (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
         | _ -> false
         | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true))
+
+(* --- the long-lived worker --- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The fields of /proc/PID/stat after the command name: state first,
+   then ppid, ..., utime and stime at 11 and 12 (in 1/100 s). *)
+let proc_stat pid =
+  let stat = read_file (Printf.sprintf "/proc/%d/stat" pid) in
+  let after = String.rindex stat ')' + 2 in
+  Array.of_list (String.split_on_char ' ' (String.sub stat after (String.length stat - after)))
+
+(* The live worker: this process's one child running the sentinel. *)
+let worker_pid () =
+  let me = string_of_int (Unix.getpid ()) in
+  let workers =
+    Sys.readdir "/proc" |> Array.to_list
+    |> List.filter_map (fun entry ->
+           match int_of_string_opt entry with
+           | None -> None
+           | Some pid -> (
+               try
+                 if
+                   (proc_stat pid).(1) = me
+                   && List.mem "--flextensor-sandbox-worker"
+                        (String.split_on_char '\000'
+                           (read_file (Printf.sprintf "/proc/%d/cmdline" pid)))
+                 then Some pid
+                 else None
+               with Sys_error _ | Not_found | Invalid_argument _ -> None))
+  in
+  match workers with
+  | [ pid ] -> pid
+  | pids -> Alcotest.failf "expected one live worker, found %d" (List.length pids)
+
+let expect_ok name = function
+  | Ok (perf : Ft_hw.Perf.t) ->
+      check_bool (name ^ ": valid") true (perf.valid && from_measurement perf)
+  | Error fault -> Alcotest.fail (name ^ ": " ^ R.to_string fault)
+
+(* [measure.sandboxed] counts requests, [measure.spawn] workers. *)
+let test_one_worker_serves_many () =
+  let space = space_of () in
+  let cfg = Ft_schedule.Space.default_config space in
+  retire_worker ();
+  with_trace (fun () ->
+      let measure = Sandbox.measurer ~limits:tiny ~reps:2 space in
+      for i = 1 to 6 do
+        let perf = measure cfg in
+        check_bool (Printf.sprintf "measurement %d valid" i) true
+          (perf.Ft_hw.Perf.valid && from_measurement perf)
+      done;
+      expect_ok "direct run" (Sandbox.run ~limits:tiny ~reps:2 space cfg);
+      check_int "six requests through the measurer" 6 (counter "measure.sandboxed");
+      check_int "one worker" 1 (counter "measure.spawn"))
+
+(* A fault retires the worker that met it: the next well-behaved
+   measurement runs on a fresh one, for every injected kind. *)
+let test_fresh_worker_after_each_fault () =
+  let space = space_of () in
+  let cfg = Ft_schedule.Space.default_config space in
+  List.iter
+    (fun (chaos, limits) ->
+      let name = Sandbox.chaos_to_string chaos in
+      expect_ok (name ^ ": warm-up") (Sandbox.run ~limits:tiny ~reps:2 space cfg);
+      with_trace (fun () ->
+          (match Sandbox.run ~limits ~chaos space cfg with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail (name ^ ": an injected fault cannot succeed"));
+          check_int (name ^ ": faulted on the live worker") 0 (counter "measure.spawn");
+          expect_ok (name ^ ": next") (Sandbox.run ~limits:tiny ~reps:2 space cfg);
+          check_int (name ^ ": on a fresh worker") 1 (counter "measure.spawn")))
+    [
+      (Sandbox.Hang, { tiny with Sandbox.timeout_s = 0.3 });
+      (Sandbox.Segv, tiny);
+      (Sandbox.Oom_hog, { Sandbox.timeout_s = 30.; mem_mb = Some 512 });
+      (Sandbox.Garbage, tiny);
+      (Sandbox.Truncated, tiny);
+      (Sandbox.Silent, tiny);
+    ]
+
+(* A worker killed between requests is found dead and replaced: the
+   tuner neither takes SIGPIPE nor sees a fault. *)
+let test_worker_killed_while_idle () =
+  let space = space_of () in
+  let cfg = Ft_schedule.Space.default_config space in
+  expect_ok "warm-up" (Sandbox.run ~limits:tiny ~reps:2 space cfg);
+  let pid = worker_pid () in
+  Unix.kill pid Sys.sigkill;
+  let deadline = Monotime.now_s () +. 5. in
+  while (proc_stat pid).(0) <> "Z" && Monotime.now_s () < deadline do
+    Unix.sleepf 0.001
+  done;
+  with_trace (fun () ->
+      expect_ok "after the kill" (Sandbox.run ~limits:tiny ~reps:2 space cfg);
+      check_int "on a fresh worker" 1 (counter "measure.spawn"));
+  check_bool "the killed worker was reaped" true
+    (match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | _ -> false
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true)
+
+(* RLIMIT_CPU is a per-request backstop (2 x 1 s + 1 s here) on top of
+   what the worker has already spent: requests whose CPU sums past it,
+   and past the first request's whole limit (at most 1 s + 3 s), all
+   succeed on the one worker. *)
+let test_cpu_backstop_is_per_request () =
+  let space = space_of ~m:64 ~n:64 ~k:64 () in
+  let cfg = Ft_schedule.Space.default_config space in
+  let limits = { tiny with Sandbox.timeout_s = 1. } in
+  retire_worker ();
+  let give_up = Monotime.now_s () +. 120. in
+  with_trace (fun () ->
+      let rec go n =
+        expect_ok (Printf.sprintf "request %d" n) (Sandbox.run ~limits ~reps:50 space cfg);
+        let stat = proc_stat (worker_pid ()) in
+        let cpu_s = float_of_int (int_of_string stat.(11) + int_of_string stat.(12)) /. 100. in
+        if cpu_s <= 4.5 then
+          if Monotime.now_s () < give_up then go (n + 1)
+          else Alcotest.fail "worker CPU never passed the backstop"
+      in
+      go 1;
+      check_int "one worker" 1 (counter "measure.spawn"))
+
+(* The worker's soft and hard address-space limits, as
+   /proc/PID/limits prints them ("unlimited" or bytes). *)
+let as_limits () =
+  read_file (Printf.sprintf "/proc/%d/limits" (worker_pid ()))
+  |> String.split_on_char '\n'
+  |> List.find (String.starts_with ~prefix:"Max address space")
+  |> String.split_on_char ' '
+  |> List.filter (( <> ) "")
+  |> fun words -> (List.nth words 3, List.nth words 4)
+
+(* The address-space cap is re-armed per request, downwards and up
+   again: the live worker's soft limit follows each request's cap, a
+   512 MiB hog right after a 4096 MiB measurement is contained, and
+   the default cap holds again for the request after it. *)
+let test_tight_cap_after_default () =
+  let space = space_of () in
+  let cfg = Ft_schedule.Space.default_config space in
+  let mib n = string_of_int (n * 1024 * 1024) in
+  expect_ok "default cap" (Sandbox.run ~reps:2 space cfg);
+  Alcotest.(check string) "4096 MiB armed" (mib 4096) (fst (as_limits ()));
+  expect_ok "1024 MiB cap" (Sandbox.run ~limits:{ tiny with Sandbox.mem_mb = Some 1024 } ~reps:2 space cfg);
+  Alcotest.(check string) "1024 MiB armed" (mib 1024) (fst (as_limits ()));
+  expect_ok "no cap" (Sandbox.run ~limits:{ tiny with Sandbox.mem_mb = None } ~reps:2 space cfg);
+  (let soft, hard = as_limits () in
+   Alcotest.(check string) "lifted to the hard limit" hard soft);
+  expect_ok "default cap" (Sandbox.run ~reps:2 space cfg);
+  (match
+     Sandbox.run ~limits:{ Sandbox.timeout_s = 30.; mem_mb = Some 512 }
+       ~chaos:Sandbox.Oom_hog space cfg
+   with
+  | Error R.Oom -> ()
+  | Error fault -> Alcotest.fail ("expected Oom, got " ^ R.to_string fault)
+  | Ok _ -> Alcotest.fail "an OOM'd worker cannot produce a result");
+  expect_ok "default cap again" (Sandbox.run ~reps:2 space cfg)
 
 (* --- seeded searches are invariant to the sandbox --- *)
 
@@ -507,6 +689,19 @@ let () =
             test_preflight_rejection_quarantines;
           Alcotest.test_case "non-positive timeout never spawns" `Quick
             test_non_positive_timeout_never_spawns;
+        ] );
+      ( "worker",
+        [
+          Alcotest.test_case "one worker serves many measurements" `Quick
+            test_one_worker_serves_many;
+          Alcotest.test_case "fresh worker after each fault" `Quick
+            test_fresh_worker_after_each_fault;
+          Alcotest.test_case "worker killed while idle" `Quick
+            test_worker_killed_while_idle;
+          Alcotest.test_case "CPU backstop is per request" `Quick
+            test_cpu_backstop_is_per_request;
+          Alcotest.test_case "tight cap after the default" `Quick
+            test_tight_cap_after_default;
         ] );
       ( "domains",
         [
