@@ -42,10 +42,12 @@ module Measure = Ft_lower.Measure
 module Monotime = Ft_util.Monotime
 
 (** Process-isolated measurement ({!Ft_lower.Sandbox}, DESIGN.md §11):
-    each measurement runs in a freshly spawned, rlimit-capped worker
-    process under a SIGKILL watchdog (legal beside live domains),
-    so hangs, segfaults, and OOMs become structured
-    [Perf.invalid] results instead of killing the tuner.  The CLI's
+    one long-lived worker process per tuner (spawned at the first
+    measurement, legal beside live domains) serves every measurement
+    under per-request rlimit caps and a SIGKILL watchdog, so hangs,
+    segfaults, and OOMs become structured [Perf.invalid] results
+    instead of killing the tuner; any fault retires the worker and
+    the next measurement spawns a fresh one.  The CLI's
     [--measure] runs through {!Sandbox.measurer} by default
     ([--measure-isolate off] opts out). *)
 module Sandbox = Ft_lower.Sandbox

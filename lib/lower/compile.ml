@@ -19,19 +19,39 @@
      on exit, so a leaf reads its address with one load.  Non-affine
      indices (variable div/mod) fall back to compiled tree evaluation
      with per-dimension bounds checks over the counters.
-   - A loop whose body is one constant [Init], or one [+=] of a
-     product of two affine loads, is fused into one native [for]
-     that steps the addresses itself; the [+=] accumulates in a
-     register when its output address is loop-invariant.  Loads,
-     stores and float operations happen in the reference's order, so
-     results are bit-for-bit those of {!Exec}.
+   - A fused chain is a maximal run of loops, each with exactly one
+     loop as its body, ending in a body of fusible statements: a
+     constant [Init] or a [+=] of a product of two affine loads, one
+     statement or a flattened unrolled block.  It runs as one closure
+     of native [for] loops that steps every address itself, so no
+     counter or cell is written inside it: a lone statement passes
+     its addresses down the outer levels as arguments and runs the
+     two innermost as one native double loop; a block steps a scratch
+     address array.  Its statements run in program order each
+     iteration; a lone [+=] accumulates in a register when its output
+     address does not move in the innermost loop and its value does
+     not read the output.  No loop is interchanged and nothing is
+     jammed: loads, stores and float operations happen in the
+     reference's order, so results are bit-for-bit those of {!Exec}
+     and the measured time is the schedule's.
+   - [bind] proves each fused access in range over the whole box of
+     its enclosing loops (every counter in [0, extent - 1]): an affine
+     address is in [0, dim) everywhere in the box when
+     [base + Σ min(0, coeff·(extent - 1))] is at least 0 and
+     [base + Σ max(0, coeff·(extent - 1))] is below [dim].  Only a
+     chain whose every access is proven is staged, with unchecked
+     Bigarray accesses; any other loop runs the checked closures, so
+     an out-of-range program raises the Bigarray [Invalid_argument]
+     after the same writes as before.
 
    Buffers are the flat float64 Bigarrays of {!Ft_interp.Buffer_env};
-   affine accesses rely on the Bigarray flat bounds check (a schedule
-   that Verify accepts never goes out of bounds per dimension).
+   checked affine accesses rely on the Bigarray flat bounds check (a
+   schedule that Verify accepts never goes out of bounds per
+   dimension).
 
    The staged thunk is single-threaded (counters and cells live in
-   one shared array) and captures buffers eagerly: rebind after any
+   one shared array, each fused block steps its own scratch address
+   array) and captures buffers eagerly: rebind after any
    [Buffer_env.set] that replaces a tensor.  Re-running a thunk is
    idempotent — the lowered init nests re-zero accumulators. *)
 
@@ -124,14 +144,21 @@ let compile (program : Loopnest.program) =
 
 type buf = { data : vec; dims : int array; strides : int array }
 
-(* One [bind]'s staging state: the cells allocated so far (after the
-   [slots] counters), their bases, and each (cell, slot, coeff) term
-   that the loop at [slot] maintains, newest cell first. *)
+(* A linearized affine access: [(base, [(slot, coeff)])]. *)
+type lin = int * (int * int) list
+
+(* One [bind]'s staging state: the extent of the loop at each slot
+   enclosing the statement being staged, the cells allocated so far
+   (after the [slots] counters), their bases, each (cell, slot, coeff)
+   term that the loop at [slot] maintains, newest cell first, and the
+   number of fused chains staged. *)
 type stage = {
   resolve : string -> buf;
+  extents : int array;
   mutable next_cell : int;
   mutable bases : (int * int) list;  (* (cell, base) *)
   mutable terms : (int * int * int) list;
+  mutable chains : int;
 }
 
 type addr = Cell of int | Dynamic of (int array -> int)
@@ -181,7 +208,7 @@ let dynamic_addr cenv tensor buf indices =
 
 (* [Some (base, [(slot, coeff)])] when every dimension is affine:
    flat = Σ_d stride_d · affine_d against the row-major strides. *)
-let linearize cenv tensor buf indices =
+let linearize cenv tensor buf indices : lin option =
   if List.length indices <> Array.length buf.dims then
     invalid_arg
       (Printf.sprintf "Buffer_env.flat_index: %s rank mismatch" tensor);
@@ -197,18 +224,12 @@ let linearize cenv tensor buf indices =
       (flat.Expr.base, List.map (fun (v, k) -> (slot_of cenv v, k)) flat.Expr.terms)
   else None
 
-let new_cell st (base, terms) =
+let new_cell st ((base, terms) : lin) =
   let c = st.next_cell in
   st.next_cell <- c + 1;
   st.bases <- (c, base) :: st.bases;
   st.terms <- List.map (fun (s, k) -> (c, s, k)) terms @ st.terms;
   c
-
-(* A cell for a fused leaf loop at [slot]: that loop steps the address
-   itself, so its term is split off as the returned local stride. *)
-let leaf_cell st slot (base, terms) =
-  let k = Option.value (List.assoc_opt slot terms) ~default:0 in
-  (new_cell st (base, List.remove_assoc slot terms), k)
 
 let addr_of_access st cenv tensor buf indices =
   match linearize cenv tensor buf indices with
@@ -255,25 +276,24 @@ let rec compile_texpr st cenv : Expr.texpr -> int array -> float = function
       let fa = compile_texpr st cenv a and fb = compile_texpr st cenv b in
       fun vars -> if fc vars then fa vars else fb vars
 
-(* A fused leaf loop (see the header): one native [for] stepping its
-   addresses itself, [None] when the leaf has another shape. *)
-let fused_leaf st cenv depth extent leaf =
-  let lin tensor indices =
+(* -- Fused chains (see the header) ---------------------------------- *)
+
+(* A fusible statement as [(value, self, accesses)]: a constant store
+   ([Some value]) or a [+=] of a product of two loads ([None]; [self]
+   when a load reads the output tensor), with three linearized
+   accesses: the output, then the two loads.  A store's loads are its
+   output again and are never read, so every statement has three
+   addresses.  Resolves and linearizes in [compile_stmt]'s order, so a
+   missing tensor or a rank mismatch raises the same error either
+   way. *)
+let fusible st cenv stmt =
+  let access tensor indices =
     let buf = st.resolve tensor in
-    (buf.data, linearize cenv tensor buf indices)
+    Option.map (fun l -> (buf.data, l)) (linearize cenv tensor buf indices)
   in
-  match leaf with
-  | Loopnest.Init { tensor; indices; value } -> (
-      match lin tensor indices with
-      | data, Some l ->
-          let c, k = leaf_cell st depth l in
-          Some
-            (fun vars ->
-              let at = vars.(c) in
-              for i = 0 to extent - 1 do
-                Bigarray.Array1.set data (at + (k * i)) value
-              done)
-      | _, None -> None)
+  match stmt with
+  | Loopnest.Init { tensor; indices; value } ->
+      Option.map (fun o -> (Some value, false, [| o; o; o |])) (access tensor indices)
   | Loopnest.Accum
       {
         tensor;
@@ -281,46 +301,182 @@ let fused_leaf st cenv depth extent leaf =
         combine = Op.Acc_sum;
         value = Expr.Mul (Expr.Access (ta, ia), Expr.Access (tb, ib));
       } -> (
-      let o, lo = lin tensor indices in
-      let a, la = lin ta ia in
-      let b, lb = lin tb ib in
-      match (lo, la, lb) with
-      | Some lo, Some la, Some lb ->
-          let co, ko = leaf_cell st depth lo in
-          let ca, ka = leaf_cell st depth la in
-          let cb, kb = leaf_cell st depth lb in
-          let open Bigarray.Array1 in
-          if ko = 0 && ta <> tensor && tb <> tensor then
-            Some
-              (fun vars ->
-                let at = vars.(co) and a0 = vars.(ca) and b0 = vars.(cb) in
-                let acc = ref (get o at) in
-                for i = 0 to extent - 1 do
-                  acc := !acc +. (get a (a0 + (ka * i)) *. get b (b0 + (kb * i)))
-                done;
-                set o at !acc)
-          else
-            Some
-              (fun vars ->
-                let o0 = vars.(co) and a0 = vars.(ca) and b0 = vars.(cb) in
-                for i = 0 to extent - 1 do
-                  let at = o0 + (ko * i) in
-                  set o at
-                    (get o at +. (get a (a0 + (ka * i)) *. get b (b0 + (kb * i))))
-                done)
+      let o = access tensor indices in
+      let a = access ta ia in
+      let b = access tb ib in
+      match (o, a, b) with
+      | Some o, Some a, Some b ->
+          Some (None, ta = tensor || tb = tensor, [| o; a; b |])
       | _ -> None)
+  | _ -> None
+
+(* The bind-time range proof of one access over the box of its
+   enclosing loops. *)
+let proven st ((data : vec), ((base, terms) : lin)) =
+  let lo, hi =
+    List.fold_left
+      (fun (lo, hi) (s, k) ->
+        let r = k * (st.extents.(s) - 1) in
+        (lo + min 0 r, hi + max 0 r))
+      (base, base) terms
+  in
+  lo >= 0 && hi < Bigarray.Array1.dim data
+
+(* A lone statement: a recursion over the chain's outer levels passes
+   its three addresses down as arguments, and one native double loop
+   runs the two innermost levels ([ext] has at least two; [ks.(l)]
+   holds the three strides at level [l]). *)
+let lone ext (ks : int array array) cells (value, self, acc) =
+  let open Bigarray.Array1 in
+  let (out : vec), _ = acc.(0) and (x : vec), _ = acc.(1)
+  and (y : vec), _ = acc.(2) in
+  let last = Array.length ext - 2 in
+  let e1 = ext.(last) and e0 = ext.(last + 1) in
+  let ko1 = ks.(last).(0) and ka1 = ks.(last).(1) and kb1 = ks.(last).(2) in
+  let ko0 = ks.(last + 1).(0) and ka0 = ks.(last + 1).(1)
+  and kb0 = ks.(last + 1).(2) in
+  let leaf =
+    match value with
+    | Some value ->
+        fun o _ _ ->
+          for i = 0 to e1 - 1 do
+            let o = ref (o + (ko1 * i)) in
+            for _ = 1 to e0 do
+              unsafe_set out !o value;
+              o := !o + ko0
+            done
+          done
+    | None when ko0 = 0 && not self ->
+        fun o a b ->
+          for i = 0 to e1 - 1 do
+            let at = o + (ko1 * i) in
+            let a = ref (a + (ka1 * i)) and b = ref (b + (kb1 * i)) in
+            let sum = ref (unsafe_get out at) in
+            for _ = 1 to e0 do
+              sum := !sum +. (unsafe_get x !a *. unsafe_get y !b);
+              a := !a + ka0;
+              b := !b + kb0
+            done;
+            unsafe_set out at !sum
+          done
+    | None ->
+        fun o a b ->
+          for i = 0 to e1 - 1 do
+            let o = ref (o + (ko1 * i)) in
+            let a = ref (a + (ka1 * i)) and b = ref (b + (kb1 * i)) in
+            for _ = 1 to e0 do
+              let at = !o in
+              unsafe_set out at
+                (unsafe_get out at +. (unsafe_get x !a *. unsafe_get y !b));
+              o := at + ko0;
+              a := !a + ka0;
+              b := !b + kb0
+            done
+          done
+  in
+  let rec nest l o a b =
+    if l = last then leaf o a b
+    else
+      let k = ks.(l) in
+      for i = 0 to ext.(l) - 1 do
+        nest (l + 1) (o + (k.(0) * i)) (a + (k.(1) * i)) (b + (k.(2) * i))
+      done
+  in
+  let co = cells.(0) and ca = cells.(1) and cb = cells.(2) in
+  fun vars -> nest 0 vars.(co) vars.(ca) vars.(cb)
+
+(* A block: the outer levels step the addresses in [cur] (statement
+   [j]'s at [3j]), and the innermost level runs every statement in
+   program order each iteration. *)
+let block ext (ks : int array array) cells stmts =
+  let open Bigarray.Array1 in
+  let values = Array.of_list (List.map (fun (v, _, _) -> v) stmts) in
+  let bufs : vec array =
+    Array.concat (List.map (fun (_, _, acc) -> Array.map fst acc) stmts)
+  in
+  let n = Array.length bufs and last = Array.length ext - 1 in
+  let cur = Array.make n 0 and k = ks.(last) in
+  let leaf () =
+    for i = 0 to ext.(last) - 1 do
+      for j = 0 to Array.length values - 1 do
+        let s = 3 * j in
+        let out = bufs.(s) and at = cur.(s) + (k.(s) * i) in
+        match values.(j) with
+        | Some value -> unsafe_set out at value
+        | None ->
+            unsafe_set out at
+              (unsafe_get out at
+              +. unsafe_get bufs.(s + 1) (cur.(s + 1) + (k.(s + 1) * i))
+                 *. unsafe_get bufs.(s + 2) (cur.(s + 2) + (k.(s + 2) * i)))
+      done
+    done
+  in
+  let rec nest l =
+    if l = last then leaf ()
+    else begin
+      let e = ext.(l) and k = ks.(l) in
+      for _ = 1 to e do
+        nest (l + 1);
+        for a = 0 to n - 1 do cur.(a) <- cur.(a) + k.(a) done
+      done;
+      for a = 0 to n - 1 do cur.(a) <- cur.(a) - (e * k.(a)) done
+    end
+  in
+  fun vars ->
+    for a = 0 to n - 1 do cur.(a) <- vars.(cells.(a)) done;
+    nest 0
+
+(* The loop at [depth] as a fused chain, or [None] when it does not
+   head one or an access is not proven.  Each address owns a cell
+   holding it at chain entry (every chain counter 0), stepped by the
+   loops around the chain; the chain steps it further itself. *)
+let fused_chain st cenv depth extent body =
+  let rec descend cenv d extents = function
+    | [ Loopnest.Loop { var; extent; body; _ } ] ->
+        st.extents.(d) <- extent;
+        descend ((var, d) :: cenv) (d + 1) (extent :: extents) body
+    | body -> (cenv, Array.of_list (List.rev extents), body)
+  in
+  let cenv, ext, body = descend cenv (depth + 1) [ extent ] body in
+  let rec fuse acc = function
+    | [] -> Some (List.rev acc)
+    | s :: rest -> Option.bind (fusible st cenv s) (fun f -> fuse (f :: acc) rest)
+  in
+  match fuse [] body with
+  | Some (_ :: _ as stmts)
+    when List.for_all (fun (_, _, acc) -> Array.for_all (proven st) acc) stmts
+    ->
+      st.chains <- st.chains + 1;
+      let accesses = Array.concat (List.map (fun (_, _, acc) -> acc) stmts) in
+      let cells =
+        Array.map
+          (fun (_, (base, terms)) ->
+            new_cell st (base, List.filter (fun (s, _) -> s < depth) terms))
+          accesses
+      in
+      let ks =
+        Array.mapi
+          (fun l _ ->
+            Array.map
+              (fun (_, (_, terms)) ->
+                Option.value (List.assoc_opt (depth + l) terms) ~default:0)
+              accesses)
+          ext
+      in
+      Some
+        (match stmts with
+        | [ stmt ] when Array.length ext = 1 ->
+            lone [| 1; extent |] [| [| 0; 0; 0 |]; ks.(0) |] cells stmt
+        | [ stmt ] -> lone ext ks cells stmt
+        | stmts -> block ext ks cells stmts)
   | _ -> None
 
 let rec compile_stmt st cenv depth : Loopnest.stmt -> int array -> unit =
   function
   | Loopnest.Loop { var; extent; body; _ } -> (
+      st.extents.(depth) <- extent;
       let cenv = (var, depth) :: cenv in
-      let fused =
-        match body with
-        | [ leaf ] -> fused_leaf st cenv depth extent leaf
-        | _ -> None
-      in
-      match fused with
+      match fused_chain st cenv depth extent body with
       | Some f -> f
       | None -> compile_loop st cenv depth extent body)
   | Loopnest.Init { tensor; indices; value } ->
@@ -374,7 +530,9 @@ and compile_loop st cenv depth extent body =
     done;
     for j = 0 to n - 1 do vars.(cells.(j)) <- starts.(j) done
 
-let bind t env =
+(* Allocate outputs, resolve buffers and stage the program: the
+   staging state (for its chain count) and the thunk. *)
+let stage t env =
   List.iter
     (fun (tensor, shape) ->
       ignore (Ft_interp.Buffer_env.alloc env tensor shape))
@@ -395,12 +553,24 @@ let bind t env =
         Hashtbl.replace cache tensor buf;
         buf
   in
-  let st = { resolve; next_cell = t.slots; bases = []; terms = [] } in
+  let st =
+    {
+      resolve;
+      extents = Array.make t.slots 0;
+      next_cell = t.slots;
+      bases = [];
+      terms = [];
+      chains = 0;
+    }
+  in
   let fns = Array.of_list (List.map (compile_stmt st [] 0) t.body) in
   let init = Array.make st.next_cell 0 in
   List.iter (fun (c, base) -> init.(c) <- base) st.bases;
   let vars = Array.copy init in
-  fun () ->
-    Array.blit init 0 vars 0 (Array.length init);
-    Array.iter (fun f -> f vars) fns
+  ( st,
+    fun () ->
+      Array.blit init 0 vars 0 (Array.length init);
+      Array.iter (fun f -> f vars) fns )
 
+let bind t env = snd (stage t env)
+let fused_chains t env = (fst (stage t env)).chains

@@ -180,7 +180,7 @@ let qcheck_affine_agrees_with_eval =
         (eval_iexpr env (fold_iexpr e));
       true)
 
-(* -- Staging paths: address cells and fused leaf loops ------------ *)
+(* -- Staging paths: address cells and fused chains ----------------- *)
 
 (* Loops of extent > 1 whose body, through trip-count-1 wrappers that
    flattening removes, is one leaf: the loops the executor fuses. *)
@@ -283,7 +283,12 @@ let test_select_in_strided_loops () =
 let loop ?(binding = Ft_lower.Loopnest.Serial) var extent body =
   Ft_lower.Loopnest.Loop { var; extent; binding; body }
 
-let run_hand_built ?(inputs = [ ("X", [ 4; 6 ]); ("W", [ 3 ]) ]) allocs body =
+(* [chains]: the fused chains [bind] must stage unchecked.  [raises]:
+   both executors must raise [Invalid_argument] (the messages differ:
+   [Exec] checks each dimension, a checked flat access the Bigarray
+   bound), and the buffers must hold the same writes when they do. *)
+let run_hand_built ?(inputs = [ ("X", [ 4; 6 ]); ("W", [ 3 ]) ]) ?chains
+    ?(raises = false) allocs body =
   let program = { Ft_lower.Loopnest.source = "hand-built"; allocs; body } in
   let fresh () =
     let env = Ft_interp.Buffer_env.create () in
@@ -294,8 +299,18 @@ let run_hand_built ?(inputs = [ ("X", [ 4; 6 ]); ("W", [ 3 ]) ]) allocs body =
     env
   in
   let env_exec = fresh () and env_compiled = fresh () in
-  Ft_lower.Exec.run env_exec program;
-  Ft_lower.Compile.bind (Ft_lower.Compile.compile program) env_compiled ();
+  let compiled = Ft_lower.Compile.compile program in
+  let run name f =
+    match f () with
+    | () -> if raises then Alcotest.failf "%s raised nothing" name
+    | exception Invalid_argument _ when raises -> ()
+  in
+  run "Exec" (fun () -> Ft_lower.Exec.run env_exec program);
+  run "Compile" (fun () -> Ft_lower.Compile.bind compiled env_compiled ());
+  Option.iter
+    (fun n ->
+      check_int "fused chains" n (Ft_lower.Compile.fused_chains compiled (fresh ())))
+    chains;
   List.iter
     (fun (tensor, _) ->
       let a = Ft_interp.Buffer_env.(to_array (find env_exec tensor)) in
@@ -379,6 +394,129 @@ let test_fused_reads_output () =
                   combine = Ft_ir.Op.Acc_sum;
                   value = Mul (Access ("Y", [ v "k" ]), Access ("W", [ v "k" ]));
                 };
+            ];
+        ];
+    ]
+
+let init tensor indices = Ft_lower.Loopnest.Init { tensor; indices; value = 0.5 }
+
+let fma tensor indices a b =
+  Ft_lower.Loopnest.Accum
+    { tensor; indices; combine = Ft_ir.Op.Acc_sum; value = Ft_ir.Expr.Mul (a, b) }
+
+(* A three-level chain whose output Y[i] is fixed across j and k, with
+   a negative coefficient (X[j][5 - k]): the two inner levels run as
+   one native double loop, accumulating in a register per k loop. *)
+let test_chain_fixed_output () =
+  let open Ft_ir.Expr in
+  run_hand_built ~chains:2
+    ~inputs:[ ("X", [ 4; 6 ]); ("V", [ 3; 4; 6 ]) ]
+    [ ("Y", [ 3 ]) ]
+    [
+      loop "i" 3 [ init "Y" [ v "i" ] ];
+      loop "i" 3
+        [
+          loop "j" 4
+            [
+              loop "k" 6
+                [
+                  fma "Y" [ v "i" ]
+                    (Access ("X", [ v "j"; c 5 -: v "k" ]))
+                    (Access ("V", [ v "i"; v "j"; v "k" ]));
+                ];
+            ];
+        ];
+    ]
+
+(* An unrolled loop flattens into a six-statement block under a
+   two-level chain; each pair of statements writes the same output,
+   which must be loaded and stored per statement, in program order. *)
+let test_block_shared_output () =
+  let open Ft_ir.Expr in
+  let y = (v "i" *: c 2) +: v "j" in
+  run_hand_built ~chains:2
+    [ ("Y", [ 4 ]) ]
+    [
+      loop "i" 4 [ init "Y" [ v "i" ] ];
+      loop "i" 2
+        [
+          loop "j" 2
+            [
+              loop ~binding:Ft_lower.Loopnest.Unrolled "u" 3
+                [
+                  fma "Y" [ y ] (Access ("X", [ y; v "u" ])) (Access ("W", [ v "u" ]));
+                  fma "Y" [ y ]
+                    (Access ("X", [ y; c 5 -: v "u" ]))
+                    (Access ("W", [ c 2 -: v "u" ]));
+                ];
+            ];
+        ];
+    ]
+
+(* Padding loads whose box overruns X on both sides (X[i][j - 1] at
+   j = 0, X[i][j + 1] at the last element) behind [Select] guards: not
+   a fusible statement, so the loop stays on the checked closures. *)
+let test_select_overrun_checked () =
+  let open Ft_ir.Expr in
+  run_hand_built ~chains:0
+    [ ("Y", [ 4; 6 ]) ]
+    [
+      loop "i" 4
+        [
+          loop "j" 6
+            [
+              Ft_lower.Loopnest.Assign
+                {
+                  tensor = "Y";
+                  indices = [ v "i"; v "j" ];
+                  value =
+                    Add
+                      ( Select
+                          (Ge (v "j", c 1), Access ("X", [ v "i"; v "j" -: c 1 ]), Const 0.),
+                        Select
+                          (Lt (v "j", c 5), Access ("X", [ v "i"; v "j" +: c 1 ]), Const 0.)
+                      );
+                };
+            ];
+        ];
+    ]
+
+(* A chain whose box overruns W by one element below (W[2 - k] at
+   k = 3): not proven, so it runs checked and raises where [Exec] does,
+   after the same partial sums. *)
+let test_chain_overrun_raises () =
+  let open Ft_ir.Expr in
+  run_hand_built ~chains:1 ~raises:true
+    [ ("Y", [ 3 ]) ]
+    [
+      loop "i" 3 [ init "Y" [ v "i" ] ];
+      loop "i" 3
+        [
+          loop "k" 4
+            [
+              fma "Y" [ v "i" ]
+                (Access ("X", [ v "i"; v "k" ]))
+                (Access ("W", [ c 2 -: v "k" ]));
+            ];
+        ];
+    ]
+
+(* A block whose box overruns W by one element above (W[i + u] at
+   i = 2, u = 1): not proven, so it runs checked and raises where
+   [Exec] does. *)
+let test_block_overrun_raises () =
+  let open Ft_ir.Expr in
+  run_hand_built ~chains:1 ~raises:true
+    [ ("Y", [ 3 ]) ]
+    [
+      loop "i" 3 [ init "Y" [ v "i" ] ];
+      loop "i" 3
+        [
+          loop ~binding:Ft_lower.Loopnest.Unrolled "u" 2
+            [
+              fma "Y" [ v "i" ]
+                (Access ("X", [ v "i"; v "u" ]))
+                (Access ("W", [ v "i" +: v "u" ]));
             ];
         ];
     ]
@@ -477,5 +615,15 @@ let () =
             test_thunk_rerun_identical;
           Alcotest.test_case "out of bounds named" `Quick
             test_out_of_bounds_named;
+          Alcotest.test_case "chain with fixed output" `Quick
+            test_chain_fixed_output;
+          Alcotest.test_case "block sharing an output" `Quick
+            test_block_shared_output;
+          Alcotest.test_case "select overrun stays checked" `Quick
+            test_select_overrun_checked;
+          Alcotest.test_case "chain overrun raises" `Quick
+            test_chain_overrun_raises;
+          Alcotest.test_case "block overrun raises" `Quick
+            test_block_overrun_raises;
         ] );
     ]
