@@ -1,14 +1,11 @@
 open Ft_store
 
-(* `bench store`: the servable repository's hot paths.  Three
-   questions: (1) how much faster is the indexed [best_exact] than the
-   O(n) fold it replaced, at tuning-log scale (10k records); (2) how
-   much faster is the one-pass [nearest] than the sort-based ranking
-   it replaced, on the same log; (3) what does the daemon sustain —
-   appends/sec and lookups/sec — at 1/4/16 concurrent clients over
-   the wire.  Results go to BENCH_store.json; CI gates the speedups
-   (>= 10x and >= 5x at 10k records) and that the service rates are
-   nonzero. *)
+(* `bench store`: the tuning log's query paths.  Two questions:
+   (1) how much faster is the indexed [best_exact] than the O(n) fold
+   it replaced, at tuning-log scale (10k records); (2) how much faster
+   is the one-pass [nearest] than the sort-based ranking it replaced,
+   on the same log.  Results go to BENCH_store.json; CI gates the
+   speedups (>= 10x and >= 5x at 10k records). *)
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -16,15 +13,13 @@ let env_int name default =
       match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
-(* FT_BENCH_STORE_RECORDS / FT_BENCH_STORE_OPS shrink the run for
-   smoke jobs; the defaults are the acceptance-scale numbers. *)
+(* FT_BENCH_STORE_RECORDS shrinks the run for smoke jobs; the default
+   is the acceptance-scale number. *)
 let n_records () = env_int "FT_BENCH_STORE_RECORDS" 10_000
-let n_ops () = env_int "FT_BENCH_STORE_OPS" 2_000
 
 let n_shapes = 200
 
-(* Synthetic tuning-log records: one operator kind (one shard), many
-   shapes, realistic key/config text.  Built directly — no schedule
+(* Synthetic tuning-log records: one operator kind, many shapes, realistic key/config text.  Built directly — no schedule
    space needed to exercise the store. *)
 let key_of_shape i =
   let m = 16 * (1 + (i mod 20)) and n = 16 * (1 + (i / 20 mod 10)) in
@@ -185,85 +180,7 @@ let bench_index () =
   in
   (n, (indexed_ns, fold_ns), (near_indexed_ns, near_sort_ns))
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let temp_dir () =
-  let path = Filename.temp_file "ft_bench_store" "" in
-  Sys.remove path;
-  path
-
-(* [clients] concurrent connections issuing [total] requests between
-   them, started together behind a barrier; the clock covers the
-   request phase only (connections are pre-established). *)
-let service_rate ~clients ~total addr work =
-  let per_client = max 1 (total / clients) in
-  let go = Atomic.make false in
-  let failures = Atomic.make 0 in
-  let t0 = ref 0. in
-  let domains =
-    List.init clients (fun c ->
-        Domain.spawn (fun () ->
-            match Client.connect addr with
-            | Error _ ->
-                Atomic.incr failures;
-                0
-            | Ok client ->
-                Fun.protect
-                  ~finally:(fun () -> Client.close client)
-                  (fun () ->
-                    while not (Atomic.get go) do
-                      Domain.cpu_relax ()
-                    done;
-                    let done_ = ref 0 in
-                    for i = 1 to per_client do
-                      match work client ((c * 1_000_000) + i) with
-                      | Ok _ -> incr done_
-                      | Error _ -> Atomic.incr failures
-                    done;
-                    !done_)))
-  in
-  t0 := Ft_util.Monotime.now_s ();
-  Atomic.set go true;
-  let completed = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
-  let dt = Ft_util.Monotime.elapsed_s !t0 in
-  if Atomic.get failures > 0 then
-    Printf.printf "  (%d request(s) failed)\n" (Atomic.get failures);
-  float_of_int completed /. dt
-
-let bench_service () =
-  let total = n_ops () in
-  List.map
-    (fun clients ->
-      let dir = temp_dir () in
-      Fun.protect
-        ~finally:(fun () -> rm_rf dir)
-        (fun () ->
-          let repo = Shard.open_dir dir in
-          let server = Server.create ~repo ~listen:"127.0.0.1:0" in
-          let _thread = Server.start server in
-          Fun.protect
-            ~finally:(fun () -> Server.stop server)
-            (fun () ->
-              let addr = Server.address server in
-              let appends =
-                service_rate ~clients ~total addr (fun client i ->
-                    Client.append client (record_of i))
-              in
-              let lookups =
-                service_rate ~clients ~total addr (fun client i ->
-                    Client.best_exact ~method_name:"Q-method" client
-                      (key_of_shape (i mod n_shapes)))
-              in
-              (clients, appends, lookups))))
-    [ 1; 4; 16 ]
-
-let write_json ~records ~exact:(indexed_ns, fold_ns) ~near:(near_ns, sort_ns)
-    ~levels path =
+let write_json ~records ~exact:(indexed_ns, fold_ns) ~near:(near_ns, sort_ns) path =
   let num f = Json.Num f in
   let json =
     Json.Obj
@@ -283,22 +200,6 @@ let write_json ~records ~exact:(indexed_ns, fold_ns) ~near:(near_ns, sort_ns)
               ("sort_ns", num sort_ns);
               ("indexed_speedup", num (sort_ns /. near_ns));
             ] );
-        ( "service",
-          Json.Obj
-            [
-              ("requests_per_level", num (float_of_int (n_ops ())));
-              ( "concurrency",
-                Json.Obj
-                  (List.map
-                     (fun (clients, appends, lookups) ->
-                       ( Printf.sprintf "c%d" clients,
-                         Json.Obj
-                           [
-                             ("appends_per_sec", num appends);
-                             ("lookups_per_sec", num lookups);
-                           ] ))
-                     levels) );
-            ] );
       ]
   in
   let oc = open_out path in
@@ -307,7 +208,7 @@ let write_json ~records ~exact:(indexed_ns, fold_ns) ~near:(near_ns, sort_ns)
   close_out oc
 
 let run () =
-  Bench_common.section "Store service (index vs fold, daemon throughput)";
+  Bench_common.section "Tuning log (index vs fold)";
   Bench_common.subsection "indexed best_exact vs O(n) fold, nearest vs sort";
   let records, ((indexed_ns, fold_ns) as exact), ((near_ns, sort_ns) as near) =
     bench_index ()
@@ -322,14 +223,5 @@ let run () =
       [ "nearest: one pass"; Printf.sprintf "%.0f" near_ns;
         Printf.sprintf "%.2fx" (sort_ns /. near_ns) ];
     ];
-  Bench_common.subsection "daemon throughput (loopback TCP)";
-  let levels = bench_service () in
-  Ft_util.Table.print ~header:[ "clients"; "appends/sec"; "lookups/sec" ]
-    (List.map
-       (fun (clients, appends, lookups) ->
-         [ string_of_int clients;
-           Printf.sprintf "%.0f" appends;
-           Printf.sprintf "%.0f" lookups ])
-       levels);
-  write_json ~records ~exact ~near ~levels "BENCH_store.json";
+  write_json ~records ~exact ~near "BENCH_store.json";
   print_endline "\n[wrote BENCH_store.json]"

@@ -212,20 +212,12 @@ let log_arg =
                Logging never changes search results — the store \
                consumes no search RNG.")
 
-(* --reuse consults a repository before searching: bare `--reuse`
-   means the local --log file; `--reuse=HOST:PORT` (or unix:PATH)
-   means the shared repository served by `flextensor serve`.  The
-   optional value must be attached with `=` (cmdliner vopt rules). *)
 let reuse_arg =
-  Arg.(value & opt ~vopt:(Some "local") (some string) None & info [ "reuse" ]
-         ~docv:"ADDR"
-         ~doc:"Consult a schedule repository before searching: an exact \
-               hit reapplies the logged schedule with zero fresh \
+  Arg.(value & flag & info [ "reuse" ]
+         ~doc:"Consult the $(b,--log) tuning log before searching: an \
+               exact hit reapplies the logged schedule with zero fresh \
                measurements; a near-shape hit warm-starts the search \
-               with transferred schedules.  Bare $(b,--reuse) reads the \
-               $(b,--log) file; $(b,--reuse=HOST:PORT) (or \
-               $(b,--reuse=unix:PATH)) queries a $(b,flextensor serve) \
-               daemon and appends the finished search to it.")
+               with transferred schedules.")
 
 (* Open a tuning log, surfacing (but tolerating) malformed lines. *)
 let open_store path =
@@ -280,9 +272,8 @@ let optimize_cmd =
       checkpoint resume measure measure_isolate measure_timeout measure_mem_mb =
     with_graph op dims (fun graph ->
         set_trace trace;
-        (if reuse = Some "local" && Option.is_none log then begin
-           Printf.eprintf "error: --reuse requires --log FILE (or a daemon \
-                           address: --reuse=HOST:PORT)\n";
+        (if reuse && Option.is_none log then begin
+           Printf.eprintf "error: --reuse requires --log FILE\n";
            exit 1
          end);
         (if resume && Option.is_none checkpoint then begin
@@ -292,26 +283,6 @@ let optimize_cmd =
         Option.iter check_writable log;
         Option.iter check_writable checkpoint;
         let store = Option.map open_store log in
-        (* A daemon address the user typed must be reachable — failing
-           over to a silent cold search would hide a typo; mid-run
-           transport errors do degrade silently (lib contract). *)
-        let remote =
-          match reuse with
-          | Some addr when addr <> "local" -> (
-              match Flextensor.Store_client.connect addr with
-              | Ok client -> (
-                  match Flextensor.Store_client.ping client with
-                  | Ok () -> Some client
-                  | Error msg ->
-                      Printf.eprintf
-                        "error: tuning service %s did not answer: %s\n" addr msg;
-                      exit 1)
-              | Error msg ->
-                  Printf.eprintf "error: cannot reach tuning service: %s\n" msg;
-                  exit 1)
-          | _ -> None
-        in
-        let reuse = Option.is_some reuse in
         let options =
           { Flextensor.default_options with seed; n_trials = trials; search;
             n_parallel; faults; checkpoint; resume }
@@ -370,7 +341,7 @@ let optimize_cmd =
                   ("seed", Int seed);
                   ("trials", Int trials) ]
               (fun () ->
-                Flextensor.optimize ~options ?store ?remote ~reuse ?measurer
+                Flextensor.optimize ~options ?store ~reuse ?measurer
                   graph target)
           with Flextensor.Fault.Injected_crash trial ->
             finish_trace ();
@@ -390,17 +361,15 @@ let optimize_cmd =
              (Flextensor.Perf.note report.perf);
            exit 3
          end);
-        Option.iter Flextensor.Store_client.close remote;
-        let repo_name = if Option.is_some remote then "tuning service" else "tuning log" in
         (match report.provenance with
         | Flextensor.Searched -> ()
         | Flextensor.Transferred n ->
             Printf.printf
-              "%s: warm start with %d transferred schedule(s)\n" repo_name n
+              "tuning log: warm start with %d transferred schedule(s)\n" n
         | Flextensor.Reused ->
             Printf.printf
-              "%s: exact hit, reused logged schedule (no search, no \
-               fresh measurements)\n" repo_name);
+              "tuning log: exact hit, reused logged schedule (no search, no \
+               fresh measurements)\n");
         print_endline (Flextensor.report_summary report);
         Printf.printf "config: %s\n" (Flextensor.Config_io.to_string report.config);
         print_endline "\nschedule primitives:";
@@ -556,151 +525,6 @@ let compare_cmd =
   Cmd.v (Cmd.info "compare" ~doc:"Compare FlexTensor against the platform's library")
     Term.(const run $ op_arg $ dims_arg $ target_arg $ seed_arg $ trials_arg)
 
-let store_dir_arg =
-  Arg.(required & opt (some string) None & info [ "store" ] ~docv:"DIR"
-         ~doc:"Sharded store directory (created if missing): one JSONL \
-               shard file per operator.")
-
-(* A store directory that cannot be created or read is a one-line
-   error and exit 1, like an unwritable --log or --checkpoint. *)
-let open_repo ?compact_every ?k dir =
-  let repo =
-    try Flextensor.Store_shard.open_dir ?k ?compact_every dir with
-    | Unix.Unix_error (err, _, _) ->
-        Printf.eprintf "error: cannot open store directory %s: %s\n" dir
-          (Unix.error_message err);
-        exit 1
-    | Sys_error msg ->
-        (* [msg] is "PATH: reason" *)
-        Printf.eprintf "error: cannot open store directory %s\n" msg;
-        exit 1
-  in
-  List.iter
-    (fun { Flextensor.Store_shard.shard; line; reason } ->
-      Printf.eprintf "warning: %s/%s.jsonl:%d: skipped malformed line (%s)\n"
-        dir shard line reason)
-    (Flextensor.Store_shard.issues repo);
-  repo
-
-let serve_cmd =
-  let listen_arg =
-    Arg.(value & opt string "127.0.0.1:4820" & info [ "listen" ] ~docv:"ADDR"
-           ~doc:"Listen address: $(b,HOST:PORT), $(b,:PORT), $(b,PORT) \
-                 (TCP, port 0 picks an ephemeral port) or \
-                 $(b,unix:PATH).")
-  in
-  let compact_every_arg =
-    Arg.(value & opt (some positive_int) None & info [ "compact-every" ]
-           ~docv:"N"
-           ~doc:"Auto-compact a shard after $(docv) appends to it \
-                 (default: only on demand via $(b,flextensor store \
-                 compact)).")
-  in
-  let k_arg =
-    Arg.(value & opt positive_int 4 & info [ "k" ] ~docv:"K"
-           ~doc:"Best-$(docv) records retained per (key, method) by \
-                 compaction.")
-  in
-  let run dir listen compact_every k =
-    let repo = open_repo ?compact_every ~k dir in
-    match Flextensor.Store_server.create ~repo ~listen with
-    | exception Failure msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 1
-    | server ->
-        (* The address line is the readiness signal scripts poll for;
-           flush it before blocking in the accept loop. *)
-        Printf.printf "flextensor serve: %d record(s) in %s, listening on %s\n%!"
-          (Flextensor.Store_shard.count repo) dir
-          (Flextensor.Store_server.address server);
-        let stop _ =
-          Flextensor.Store_server.stop server;
-          exit 0
-        in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-        Flextensor.Store_server.serve server
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Serve a sharded schedule repository to $(b,optimize \
-             --reuse=HOST:PORT) clients (see DESIGN.md \u{00a7}13)")
-    Term.(const run $ store_dir_arg $ listen_arg $ compact_every_arg $ k_arg)
-
-(* `store` admin subcommands: offline maintenance of a store directory
-   plus the `ping` readiness probe scripts use to wait for a daemon. *)
-let store_cmd =
-  let addr_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ADDR"
-           ~doc:"Daemon address ($(b,HOST:PORT) or $(b,unix:PATH)).")
-  in
-  let ping_cmd =
-    let run addr =
-      match Flextensor.Store_client.connect addr with
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      | Ok client -> (
-          let result = Flextensor.Store_client.ping client in
-          Flextensor.Store_client.close client;
-          match result with
-          | Ok () -> Printf.printf "%s: ok\n" addr
-          | Error msg ->
-              Printf.eprintf "error: %s\n" msg;
-              exit 1)
-    in
-    Cmd.v
-      (Cmd.info "ping"
-         ~doc:"Check that a tuning daemon answers (exit 0 iff reachable)")
-      Term.(const run $ addr_arg)
-  in
-  let stats_cmd =
-    let run addr =
-      match Flextensor.Store_client.connect addr with
-      | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      | Ok client -> (
-          let result = Flextensor.Store_client.stats client in
-          Flextensor.Store_client.close client;
-          match result with
-          | Ok (count, shards) ->
-              Printf.printf "%s: %d record(s) in %d shard(s)\n" addr count
-                shards
-          | Error msg ->
-              Printf.eprintf "error: %s\n" msg;
-              exit 1)
-    in
-    Cmd.v
-      (Cmd.info "stats" ~doc:"Record and shard counts of a running daemon")
-      Term.(const run $ addr_arg)
-  in
-  let compact_cmd =
-    let k_arg =
-      Arg.(value & opt positive_int 4 & info [ "k" ] ~docv:"K"
-             ~doc:"Best-$(docv) records retained per (key, method).")
-    in
-    let run dir k =
-      let repo = open_repo ~k dir in
-      let kept, dropped = Flextensor.Store_shard.compact_all repo in
-      Printf.printf "%s: kept %d record(s), dropped %d across %d shard(s)\n"
-        dir kept dropped
-        (List.length (Flextensor.Store_shard.shards repo))
-    in
-    Cmd.v
-      (Cmd.info "compact"
-         ~doc:"Rewrite every shard of a store directory keeping the \
-               best-$(b,K) records per (key, method).  Do not run against \
-               a directory a daemon is serving: the daemon's index would \
-               not see the rewrite.")
-      Term.(const run $ store_dir_arg $ k_arg)
-  in
-  Cmd.group
-    (Cmd.info "store"
-       ~doc:"Administer a sharded schedule store: $(b,ping) / $(b,stats) a \
-             daemon, $(b,compact) a directory offline")
-    [ ping_cmd; stats_cmd; compact_cmd ]
-
 let () =
   (* FT_TRACE covers commands without a --trace flag; [close] is
      idempotent, so a traced optimize run closing its own sink first is
@@ -731,4 +555,4 @@ let () =
           (Cmd.info "flextensor" ~version:"1.0.0"
              ~doc:"Automatic schedule exploration for tensor computation")
           [ analyze_cmd; space_cmd; optimize_cmd; schedule_cmd; verify_cmd;
-            compare_cmd; methods_cmd; serve_cmd; store_cmd ]))
+            compare_cmd; methods_cmd ]))

@@ -31,10 +31,6 @@ module Method = Ft_explore.Method
 module Search_loop = Ft_explore.Search_loop
 module Fault = Ft_fault.Plan
 module Checkpoint = Ft_store.Checkpoint
-module Store_shard = Ft_store.Shard
-module Store_protocol = Ft_store.Protocol
-module Store_server = Ft_store.Server
-module Store_client = Ft_store.Client
 module Evaluator = Ft_explore.Evaluator
 module Fleet_task = Ft_workloads.Catalog
 
@@ -145,18 +141,15 @@ let record_of_result space method_name seed (result : Driver.result) =
     source = Ft_hw.Perf.provenance_to_string result.best_perf.Ft_hw.Perf.source;
   }
 
-(* The repository — local log and/or remote daemon — is consulted
-   before, and written after, the search: never during it, and never
-   through the evaluator or the search RNG.  An exact hit reapplies
-   the logged schedule through the cost model directly (zero fresh
-   measurements, identical value by determinism); a near hit
-   warm-starts the search by appending refitted schedules after the
-   regular seed points, leaving the RNG draw sequence — and hence a
-   cold search's trajectory — untouched.  A remote failure (dead
-   daemon, transport error) degrades into a miss: reuse may fall back
-   to a cold search, it never fails one. *)
-let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
-    ?dispatch ?measurer graph target =
+(* The tuning log is consulted before, and written after, the search:
+   never during it, and never through the evaluator or the search RNG.
+   An exact hit reapplies the logged schedule through the cost model
+   directly (zero fresh measurements, identical value by determinism);
+   a near hit warm-starts the search by appending refitted schedules
+   after the regular seed points, leaving the RNG draw sequence — and
+   hence a cold search's trajectory — untouched. *)
+let optimize ?(options = default_options) ?store ?(reuse = false) ?dispatch
+    ?measurer graph target =
   let graph = Op.validate_exn graph in
   let space = Space.make graph target in
   (* Measurement happens strictly after the winner is known — on every
@@ -169,35 +162,14 @@ let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
   in
   let m = Method.find_exn options.search in
   let method_name = m.Method.name in
-  let key = Store_record.key_of_space space in
-  (* The remote repository wins ties: it is the shared, most complete
-     view.  The local log remains the fallback when no daemon is
-     configured (and the cold path when neither is). *)
-  let remote_exact () =
-    match remote with
-    | None -> None
-    | Some client -> (
-        match Store_client.best_exact ~method_name client key with
-        | Ok hit -> hit
-        | Error _ -> None)
-  in
-  let local_exact () =
-    match store with
-    | None -> None
-    | Some s -> Store.best_exact ~method_name s key
-  in
+  let reuse_store = if reuse then store else None in
   let exact_hit =
-    if not reuse then None
-    else
-      let record =
-        match remote_exact () with Some r -> Some r | None -> local_exact ()
-      in
-      match record with
-      | None -> None
-      | Some record -> (
-          match Config_io.of_string_for space record.Store_record.config with
-          | Ok cfg -> Some cfg
-          | Error _ -> None)
+    Option.bind reuse_store (fun s ->
+        Option.bind
+          (Store.best_exact ~method_name s (Store_record.key_of_space space))
+          (fun record ->
+            Result.to_option
+              (Config_io.of_string_for space record.Store_record.config)))
   in
   match exact_hit with
   | Some cfg ->
@@ -208,22 +180,9 @@ let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
         ~history:[]
   | None ->
       let transfer =
-        if not reuse then []
-        else
-          match remote with
-          | Some client -> (
-              (* the cache-miss path: nearest-shape records refitted by
-                 Transfer, fetched from the shared repository *)
-              match Store_client.nearest ~method_name client key with
-              | Ok near -> Transfer.seeds_of_records ~exact:None ~near space
-              | Error _ -> (
-                  match store with
-                  | Some s -> Transfer.seeds ~method_name s space
-                  | None -> []))
-          | None -> (
-              match store with
-              | Some s -> Transfer.seeds ~method_name s space
-              | None -> [])
+        match reuse_store with
+        | Some s -> Transfer.seeds ~method_name s space
+        | None -> []
       in
       let result = m.search (params_of_options options ~dispatch ~transfer) space in
       let measured = measure result.best_config result.best_perf in
@@ -243,10 +202,7 @@ let optimize ?(options = default_options) ?store ?remote ?(reuse = false)
       (* A run with no valid schedule (every candidate quarantined) is
          not logged: a later --reuse would reapply its unmeasured
          incumbent as an exact hit. *)
-      if Driver.succeeded result then begin
-        Option.iter (fun s -> Store.add s record) store;
-        Option.iter (fun client -> ignore (Store_client.append client record)) remote
-      end;
+      if Driver.succeeded result then Option.iter (fun s -> Store.add s record) store;
       let provenance =
         match transfer with
         | [] -> Searched

@@ -99,24 +99,6 @@ module Fault = Ft_fault.Plan
     records behind {!options.checkpoint} / [optimize --resume]. *)
 module Checkpoint = Ft_store.Checkpoint
 
-(** The servable sharded repository ({!Ft_store.Shard}): per-operator
-    JSONL shard files under one directory, an in-memory index with
-    O(1) exact lookups, and best-k compaction — what [flextensor
-    serve] serves. *)
-module Store_shard = Ft_store.Shard
-
-(** The tuning-service wire protocol ({!Ft_store.Protocol}):
-    length-prefixed JSON text frames over Unix/TCP sockets. *)
-module Store_protocol = Ft_store.Protocol
-
-(** The tuning-service daemon ({!Ft_store.Server}) behind [flextensor
-    serve --store DIR --listen ADDR]. *)
-module Store_server = Ft_store.Server
-
-(** Client connection to a tuning daemon ({!Ft_store.Client}) — the
-    remote repository behind [optimize --reuse=HOST:PORT]. *)
-module Store_client = Ft_store.Client
-
 (** The price of a fresh point on the simulated clock
     ({!Ft_explore.Evaluator}; the search driver owns the clock and the
     commit loop) — exposed for its [dispatch] type, the hook
@@ -218,20 +200,16 @@ type report = {
     generates the schedule space, explores it, and returns the best
     schedule with its predicted performance.
 
-    With [~store], the finished search is appended to the tuning log;
-    with [~remote], it is also appended to the shared repository
-    served by a tuning daemon.  A search that found no valid schedule
-    ({!Driver.succeeded} false, e.g. every candidate quarantined) is
-    appended nowhere.  With [~reuse:true] (requires [~store]
-    or [~remote]): an exact-key hit for the same search method — the
-    remote repository is consulted first — reapplies the logged
-    schedule through the cost model: zero fresh measurements,
-    [n_evals = 0], and (the model being deterministic) a value
-    identical to the logged best.  A miss warm-starts the search with
-    refitted nearest-shape schedules appended after the regular seed
-    points, leaving the RNG draw sequence untouched.  Remote
-    transport failures degrade into misses — a dead daemon can cost a
-    warm start, never fail a search.
+    With [~store], the finished search is appended to the tuning log.
+    A search that found no valid schedule ({!Driver.succeeded} false,
+    e.g. every candidate quarantined) is not appended.  With
+    [~reuse:true] (requires [~store]): an exact-key hit for the same
+    search method reapplies the logged schedule through the cost
+    model: zero fresh measurements, [n_evals = 0], and (the model
+    being deterministic) a value identical to the logged best.  A miss
+    warm-starts the search with refitted nearest-shape schedules
+    appended after the regular seed points, leaving the RNG draw
+    sequence untouched.
 
     [dispatch] routes fresh evaluations to an external backend
     (the benchmark's traced pass times the cost model through one); by
@@ -247,7 +225,6 @@ type report = {
 val optimize :
   ?options:options ->
   ?store:Store.t ->
-  ?remote:Store_client.t ->
   ?reuse:bool ->
   ?dispatch:Evaluator.dispatch ->
   ?measurer:Evaluator.measurer ->

@@ -3,8 +3,8 @@
 
     {!Measure.run} executes the kernel in-process, so a pathological
     schedule — a miscompiled nest that spins, a padded buffer that
-    exhausts memory, a genuine segfault — takes the whole tuner (or
-    daemon) down with it.  Each process keeps one long-lived worker:
+    exhausts memory, a genuine segfault — takes the whole tuner down
+    with it.  Each process keeps one long-lived worker:
     the first [Sandbox.run] re-executes the running image
     ([Unix.create_process], legal beside live domains), and this
     module's initialisation turns it into a worker that serves every

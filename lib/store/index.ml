@@ -1,4 +1,4 @@
-(* Query index over tuning-log records: per-key best-k lists and
+(* Query index over tuning-log records: per-key best cells and
    per-operator shape tables.  Semantics mirror the flat store's
    chronological folds exactly (value ordering, earliest-wins ties) —
    [seq] stamps insertion order so cross-method ties in [nearest]
@@ -7,34 +7,22 @@
 type cell = { seq : int; record : Record.t }
 
 (* One distinct shape of an operator kind: its log2 extents, computed
-   once, and the best cell per (method, graph), earliest wins ties. *)
+   once, and the best cell per (method, graph). *)
 type shape = { sid : string; logs : float array; mutable bests : cell list }
 
 type t = {
-  k : int;
-  mutable count : int;  (* also the next cell's [seq] *)
-  (* exact key id -> cells sorted by (value desc, seq asc), truncated
-     to k per method *)
+  mutable next_seq : int;
+  (* exact key id -> the best cell per method, sorted by (value desc,
+     seq asc) *)
   by_key : (string, cell list) Hashtbl.t;
-  (* (op, target, ranks), exactly the {!Record.same_operator} class
-     (an [op_id] is not once a name holds a '|') -> shape id -> shape *)
+  (* (op, target, ranks), exactly the {!Record.same_operator} class ->
+     shape id -> shape *)
   by_op : (string * string * int * int, (string, shape) Hashtbl.t) Hashtbl.t;
 }
 
-let create ?(k = 4) () =
-  if k < 1 then invalid_arg "Index.create: k must be >= 1";
-  { k; count = 0; by_key = Hashtbl.create 64; by_op = Hashtbl.create 16 }
-
-let count t = t.count
+let create () = { next_seq = 0; by_key = Hashtbl.create 64; by_op = Hashtbl.create 16 }
 
 let ints l = String.concat "," (List.map string_of_int l)
-
-(* Shard file names come from [op_id]: its bytes are part of the
-   on-disk layout. *)
-let op_id (key : Record.key) =
-  String.concat "|"
-    [ key.op; key.target; string_of_int (List.length key.spatial);
-      string_of_int (List.length key.reduce) ]
 
 let op_kind (key : Record.key) =
   (key.op, key.target, List.length key.spatial, List.length key.reduce)
@@ -64,36 +52,31 @@ let rec insert_sorted (c : cell) = function
   | h :: rest when h.record.best_value >= c.record.best_value -> h :: insert_sorted c rest
   | rest -> c :: rest
 
-(* One insertion takes a method to at most k + 1 cells: drop its last
-   (lowest-value, newest) one. *)
-let enforce_method_cap k m cells =
-  match List.filter (fun c -> String.equal c.record.Record.method_name m) cells with
-  | ms when List.length ms <= k -> cells
-  | ms ->
-      let worst = List.nth ms k in
-      List.filter (fun c -> c != worst) cells
+(* [c] replaces the cell of its class ([same]) unless that cell's
+   value is at least as high: the earlier of equal values stays. *)
+let keep_best same (c : cell) cells =
+  match List.find_opt same cells with
+  | Some b when b.record.best_value >= c.record.best_value -> cells
+  | Some b -> insert_sorted c (List.filter (fun x -> x != b) cells)
+  | None -> insert_sorted c cells
 
 let add t (record : Record.t) =
-  let c = { seq = t.count; record } in
-  t.count <- t.count + 1;
+  let c = { seq = t.next_seq; record } in
+  t.next_seq <- t.next_seq + 1;
   let sid = shape_id record.key in
   let kid = key_id record.key sid in
+  let same_method (b : cell) = String.equal b.record.method_name record.method_name in
   let cells = Option.value ~default:[] (Hashtbl.find_opt t.by_key kid) in
-  Hashtbl.replace t.by_key kid
-    (enforce_method_cap t.k record.method_name (insert_sorted c cells));
+  Hashtbl.replace t.by_key kid (keep_best same_method c cells);
   let shapes = find_or_add t.by_op (op_kind record.key) (fun () -> Hashtbl.create 16) in
   let shape =
     find_or_add shapes sid (fun () ->
         { sid; logs = Record.log2_extents record.key; bests = [] })
   in
-  let same (b : cell) =
-    String.equal b.record.method_name record.method_name
-    && String.equal b.record.key.graph record.key.graph
+  let same_cell (b : cell) =
+    same_method b && String.equal b.record.key.graph record.key.graph
   in
-  match List.find_opt same shape.bests with
-  | Some b when b.record.best_value >= record.best_value -> ()
-  | Some _ -> shape.bests <- List.map (fun b -> if same b then c else b) shape.bests
-  | None -> shape.bests <- c :: shape.bests
+  shape.bests <- keep_best same_cell c shape.bests
 
 let best_exact ?method_name t key =
   Option.bind (Hashtbl.find_opt t.by_key (key_id key (shape_id key)))
@@ -153,8 +136,3 @@ let nearest ?method_name ?(limit = 3) t (key : Record.key) =
               if enters limit x top then insert_top limit x top else top)
         shapes []
       |> List.map (fun (_, r, _) -> r)
-
-let survivors t =
-  let cells = Hashtbl.fold (fun _ cs acc -> cs @ acc) t.by_key [] in
-  List.map (fun c -> c.record)
-    (List.sort (fun a b -> compare a.seq b.seq) cells)

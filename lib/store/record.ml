@@ -60,19 +60,6 @@ let shape_distance a b =
 
 let ints l = Json.Arr (List.map (fun i -> Json.Num (float_of_int i)) l)
 
-(* Key fields are inlined in the record object (the log line format
-   predates the wire protocol), so the key's own JSON rendering reuses
-   the same field names. *)
-let key_to_value k =
-  Json.Obj
-    [
-      ("graph", Json.Str k.graph);
-      ("op", Json.Str k.op);
-      ("target", Json.Str k.target);
-      ("spatial", ints k.spatial);
-      ("reduce", ints k.reduce);
-    ]
-
 let to_value r =
   Json.Obj
     [

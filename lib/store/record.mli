@@ -55,11 +55,3 @@ val to_json : t -> string
 
 (** Parse one log line; [Error] explains the malformation. *)
 val of_json : string -> (t, string) result
-
-(** {!Json.t}-level codecs (the wire protocol embeds records and keys
-    in larger messages).  [to_json] = [Json.to_string ∘ to_value]. *)
-
-val to_value : t -> Json.t
-val of_value : Json.t -> (t, string) result
-val key_to_value : key -> Json.t
-val key_of_value : Json.t -> (key, string) result

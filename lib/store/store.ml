@@ -11,7 +11,7 @@ type t = {
    (with its newline) reaches the kernel as one write on an O_APPEND
    descriptor, so concurrent appenders interleave only at line
    granularity — even for records longer than a stdlib channel
-   buffer.  Shared with checkpoints and shards. *)
+   buffer.  Shared with checkpoints. *)
 let append_line = Store_io.append_line
 
 let create ?path () =
@@ -36,7 +36,7 @@ let add t record =
   Option.iter (fun path -> append_line path (Record.to_json record)) t.store_path
 
 (* Both queries are served from the index (hash lookup + a walk of the
-   key's best-k cells / the operator's shape table) with the original
+   key's per-method cells / the operator's shape table) with the original
    fold semantics: highest value wins, earliest of equal values wins. *)
 let best_exact ?method_name t key = Index.best_exact ?method_name t.index key
 let nearest ?method_name ?limit t key = Index.nearest ?method_name ?limit t.index key

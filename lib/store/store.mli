@@ -1,5 +1,7 @@
 (** Persistent schedule repository: an append-only JSONL tuning log
     (one {!Record.t} per line), in the spirit of AutoTVM's tophub logs.
+    It is the only schedule repository: processes that share schedules
+    share one log file.
 
     Invariants:
     - appends are atomic at line granularity ([O_APPEND], the whole

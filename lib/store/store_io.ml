@@ -1,5 +1,5 @@
 (* Shared durability primitives for the JSONL trails (tuning log,
-   checkpoints, shards).  See the interface for the append contract:
+   checkpoints).  See the interface for the append contract:
    one complete line per [write(2)] on an [O_APPEND] descriptor. *)
 
 (* The whole line — including the newline — must reach the kernel as
@@ -55,43 +55,3 @@ let load_jsonl path decode =
               | Error reason -> go (n + 1) values ((n, reason) :: issues))
         in
         go 1 [] [])
-
-(* fcntl record locks exclude processes, not domains of one process —
-   a second domain taking the "same" lock succeeds immediately.  Pair
-   every file lock with a process-local mutex keyed by path. *)
-let local_locks : (string, Mutex.t) Hashtbl.t = Hashtbl.create 16
-let local_locks_mutex = Mutex.create ()
-
-let local_lock path =
-  Mutex.lock local_locks_mutex;
-  let m =
-    match Hashtbl.find_opt local_locks path with
-    | Some m -> m
-    | None ->
-        let m = Mutex.create () in
-        Hashtbl.add local_locks path m;
-        m
-  in
-  Mutex.unlock local_locks_mutex;
-  m
-
-let with_file_lock path f =
-  let m = local_lock path in
-  Mutex.lock m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock m)
-    (fun () ->
-      let lock_fd =
-        Unix.openfile (path ^ ".lock") [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
-      in
-      Fun.protect
-        ~finally:(fun () -> Unix.close lock_fd)
-        (fun () ->
-          Unix.lockf lock_fd Unix.F_LOCK 0;
-          Fun.protect
-            ~finally:(fun () ->
-              ignore (Unix.lseek lock_fd 0 Unix.SEEK_SET);
-              Unix.lockf lock_fd Unix.F_ULOCK 0)
-            f))
-
-let replace_file ~src ~dst = Sys.rename src dst

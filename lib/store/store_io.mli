@@ -1,5 +1,5 @@
 (** Shared durability primitives for every JSONL trail in [ft_store]
-    (tuning logs, checkpoint trails, shard files).
+    (tuning logs, checkpoint trails).
 
     The append contract: the full record line — content plus the
     trailing ['\n'] — is built as one string and handed to the kernel
@@ -25,18 +25,3 @@ val append_line : string -> string -> unit
     [([], [])]. *)
 val load_jsonl :
   string -> (string -> ('a, string) result) -> 'a list * (int * string) list
-
-(** [with_file_lock path f] runs [f] while holding both the
-    process-local mutex for [path] and an exclusive [Unix.lockf] lock
-    on [path ^ ".lock"] — excluding other domains of this process
-    *and* other processes.  fcntl locks do not exclude within one
-    process, hence the paired mutex.  Shard appenders open the shard
-    file under this lock so a compaction rename can never strand their
-    write in the replaced inode; flat single-file logs (tuning log,
-    checkpoints) are never renamed and append lock-free. *)
-val with_file_lock : string -> (unit -> 'a) -> 'a
-
-(** [replace_file ~src ~dst] atomically renames [src] over [dst]
-    (same directory).  Readers see either the old or the new complete
-    file, never a partial one. *)
-val replace_file : src:string -> dst:string -> unit

@@ -63,10 +63,8 @@ let refit space (cfg : Config.t) =
       if Space.valid space refitted then Some refitted else None
   | _ -> None
 
-(* The refit pipeline, independent of where the records came from —
-   the local log and the remote daemon (the cache-miss path of
-   [optimize --reuse=HOST:PORT]) share it. *)
-let seeds_of_records ~exact ~near space =
+let seeds ?method_name ?(limit = 3) store space =
+  let key = Record.key_of_space space in
   let of_record (r : Record.t) =
     match Config_io.of_string r.config with
     | Error _ -> None
@@ -79,11 +77,5 @@ let seeds_of_records ~exact ~near space =
       let fresh = not (Config.Tbl.mem seen cfg) in
       Config.Tbl.replace seen cfg ();
       fresh)
-    (Option.to_list (Option.bind exact of_record) @ List.filter_map of_record near)
-
-let seeds ?method_name ?(limit = 3) store space =
-  let key = Record.key_of_space space in
-  seeds_of_records
-    ~exact:(Store.best_exact ?method_name store key)
-    ~near:(Store.nearest ?method_name ~limit store key)
-    space
+    (Option.to_list (Option.bind (Store.best_exact ?method_name store key) of_record)
+    @ List.filter_map of_record (Store.nearest ?method_name ~limit store key))

@@ -22,13 +22,3 @@ val seeds :
   Store.t ->
   Ft_schedule.Space.t ->
   Ft_schedule.Config.t list
-
-(** [seeds] on records already in hand — the shared refit pipeline for
-    any repository (local log, sharded directory, or a {!Client}
-    querying the tuning daemon).  [exact]-derived configs come first,
-    then [near]'s, deduplicated; unusable records are dropped. *)
-val seeds_of_records :
-  exact:Record.t option ->
-  near:Record.t list ->
-  Ft_schedule.Space.t ->
-  Ft_schedule.Config.t list

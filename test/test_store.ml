@@ -1,7 +1,8 @@
 (* The persistent schedule repository (tuning log): JSON round-trips,
-   tolerant loading, exact/nearest queries, cross-shape transfer, and
-   the cardinal invariant that the store never perturbs search
-   results. *)
+   tolerant loading, exact/nearest queries, cross-shape transfer, the
+   cardinal invariant that the store never perturbs search results,
+   line-atomic appends from concurrent domains, index-vs-fold
+   equivalence, and the length-prefixed frames the sandbox reuses. *)
 
 open Ft_store
 
@@ -231,8 +232,8 @@ let test_nearest_same_shape_other_graph () =
       check_string "then the next shape" "gemm_128x64x64" second.Record.key.graph
   | near -> Alcotest.failf "expected 2 neighbors, got %d" (List.length near)
 
-(* Op ids render "op|target|ranks", so "a|b" on "c" and "a" on "b|c"
-   share one; transfer candidates still never cross operators. *)
+(* "a|b" on "c" and "a" on "b|c" join to the same "op|target" text;
+   transfer candidates still never cross operators. *)
 let test_nearest_colliding_op_ids () =
   let store = Store.create () in
   let space = space_of (gemm ~m:64 ~n:64 ~k:64) in
@@ -241,8 +242,6 @@ let test_nearest_colliding_op_ids () =
     { r with key = { r.key with graph = op ^ "/" ^ target; op; target; spatial } }
   in
   let here = (with_key "a" "b|c" [ 16; 16 ] 0.).key in
-  check_string "op ids collide" (Index.op_id here)
-    (Index.op_id (with_key "a|b" "c" [ 16; 16 ] 0.).key);
   Store.add store (with_key "a|b" "c" [ 16; 32 ] 9.);
   Store.add store (with_key "a" "b|c" [ 16; 64 ] 1.);
   match Store.nearest store here with
@@ -251,12 +250,14 @@ let test_nearest_colliding_op_ids () =
 
 (* --- transfer --- *)
 
-(* A logged config, refitted onto [space] as the exact hit's seed. *)
+(* A logged config, refitted onto [space] as the exact hit's seed: the
+   one-record store's exact hit is that record, and [nearest] excludes
+   the exact key. *)
 let refit space cfg =
-  let logged =
-    { (record_of space) with Record.config = Ft_schedule.Config_io.to_string cfg }
-  in
-  match Transfer.seeds_of_records ~exact:(Some logged) ~near:[] space with
+  let store = Store.create () in
+  Store.add store
+    { (record_of space) with Record.config = Ft_schedule.Config_io.to_string cfg };
+  match Transfer.seeds store space with
   | [] -> None
   | [ seed ] -> Some seed
   | _ -> Alcotest.fail "one record yields at most one seed"
@@ -499,6 +500,267 @@ let test_runner_reuses_layers () =
   check_int "warm run reuses every layer" 2 warm.reused_layers;
   Alcotest.(check (float 0.)) "same total latency" cold.total_s warm.total_s
 
+(* --- atomic append --- *)
+
+(* A record whose line is far longer than the 64 KiB stdlib channel
+   buffer, appended from concurrent domains: the old channel path
+   flushed mid-line, interleaving appenders *inside* a line; the
+   single-write path must keep every line whole. *)
+let test_concurrent_big_appends_atomic () =
+  let path = temp_log () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let n_domains = 4 and per_domain = 6 in
+      let big_config seed = String.make 100_000 (Char.chr (Char.code 'a' + seed)) in
+      let space = space_of (gemm ~m:64 ~n:64 ~k:64) in
+      let go = Atomic.make false in
+      let domains =
+        List.init n_domains (fun d ->
+            Domain.spawn (fun () ->
+                while not (Atomic.get go) do Domain.cpu_relax () done;
+                for i = 1 to per_domain do
+                  Store_io.append_line path
+                    (Record.to_json
+                       { (record_of ~seed:d ~best:(float_of_int ((d * 100) + i)) space)
+                         with Record.config = big_config d })
+                done))
+      in
+      Atomic.set go true;
+      List.iter Domain.join domains;
+      let store = Store.load path in
+      check_int "no torn lines" 0 (List.length (Store.issues store));
+      check_int "every record present" (n_domains * per_domain)
+        (List.length (Store.records store));
+      (* each line must be one writer's record, never an interleaving *)
+      List.iter
+        (fun r ->
+          check_int "config from a single writer" 100_000
+            (String.length r.Record.config);
+          check_bool "single writer's bytes" true
+            (String.for_all (fun c -> c = r.Record.config.[0]) r.Record.config))
+        (Store.records store))
+
+let test_concurrent_append_stress () =
+  let path = temp_log () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let n_domains = 8 and per_domain = 50 in
+      let space = space_of (gemm ~m:32 ~n:32 ~k:32) in
+      let domains =
+        List.init n_domains (fun d ->
+            Domain.spawn (fun () ->
+                for i = 1 to per_domain do
+                  Store_io.append_line path
+                    (Record.to_json
+                       (record_of ~seed:((d * 1000) + i)
+                          ~best:(float_of_int ((d * 1000) + i))
+                          space))
+                done))
+      in
+      List.iter Domain.join domains;
+      let store = Store.load path in
+      check_int "zero issues" 0 (List.length (Store.issues store));
+      check_int "every record survives" (n_domains * per_domain)
+        (List.length (Store.records store));
+      let seeds =
+        List.sort_uniq compare
+          (List.map (fun r -> r.Record.seed) (Store.records store))
+      in
+      check_int "all writers represented, no duplicates"
+        (n_domains * per_domain) (List.length seeds))
+
+(* --- index semantics: the hash path must reproduce the fold path --- *)
+
+(* Random streams of records into both the (index-backed) store and a
+   reference fold over the raw list: best_exact and nearest must
+   agree record-for-record, including the earliest-wins tie rule. *)
+let reference_best ?method_name recs key =
+  List.fold_left
+    (fun best r ->
+      let matches =
+        Record.key_equal r.Record.key key
+        && match method_name with
+           | None -> true
+           | Some m -> String.equal m r.Record.method_name
+      in
+      if not matches then best
+      else
+        match best with
+        | Some b when b.Record.best_value >= r.Record.best_value -> best
+        | _ -> Some r)
+    None recs
+
+let qcheck_index_matches_fold =
+  QCheck.Test.make ~name:"index best_exact == reference fold" ~count:60
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let spaces =
+        [ space_of (gemm ~m:32 ~n:32 ~k:32);
+          space_of (gemm ~m:64 ~n:64 ~k:64);
+          space_of (gemm ~m:64 ~n:32 ~k:32);
+          space_of (Ft_ir.Operators.gemv ~m:64 ~k:64) ]
+      in
+      let methods = [ "Q-method"; "AutoTVM" ] in
+      let store = Store.create () in
+      let recs = ref [] in
+      for i = 1 to 40 do
+        let space = List.nth spaces (Ft_util.Rng.int rng (List.length spaces)) in
+        let method_name =
+          List.nth methods (Ft_util.Rng.int rng (List.length methods))
+        in
+        (* few distinct values, so ties actually occur *)
+        let best = float_of_int (Ft_util.Rng.int rng 4) in
+        let r = record_of ~method_name ~seed:i ~best space in
+        Store.add store r;
+        recs := !recs @ [ r ]
+      done;
+      List.for_all
+        (fun space ->
+          let key = Record.key_of_space space in
+          List.for_all
+            (fun method_name ->
+              let indexed = Store.best_exact ?method_name store key in
+              let folded = reference_best ?method_name !recs key in
+              match (indexed, folded) with
+              | None, None -> true
+              | Some a, Some b ->
+                  (* earliest-wins: the *same* record, not just an equal value *)
+                  a.Record.seed = b.Record.seed
+              | _ -> false)
+            (None :: List.map Option.some methods))
+        spaces)
+
+(* The nearest-shape ranking, written over the raw record list: per
+   distinct shape of the key's operator kind (the exact key excluded),
+   the chronologically first record of the highest value; ranked by
+   distance, then higher value, then textual shape id; first [limit]. *)
+let reference_nearest ?method_name ~limit recs (key : Record.key) =
+  let shape_text (k : Record.key) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    ints k.spatial ^ "|" ^ ints k.reduce
+  in
+  let bests =
+    List.fold_left
+      (fun acc (r : Record.t) ->
+        let qualifies =
+          Record.same_operator r.key key
+          && (not (Record.key_equal r.key key))
+          && match method_name with
+             | None -> true
+             | Some m -> String.equal m r.method_name
+        in
+        let id = shape_text r.key in
+        if not qualifies then acc
+        else
+          match List.assoc_opt id acc with
+          | Some (b : Record.t) when b.best_value >= r.best_value -> acc
+          | _ -> (id, r) :: List.remove_assoc id acc)
+      [] recs
+  in
+  let ranked =
+    List.sort
+      (fun (ia, (a : Record.t)) (ib, (b : Record.t)) ->
+        match
+          Float.compare
+            (Record.shape_distance a.key key)
+            (Record.shape_distance b.key key)
+        with
+        | 0 -> (
+            match Float.compare b.best_value a.best_value with
+            | 0 -> String.compare ia ib
+            | c -> c)
+        | c -> c)
+      bests
+  in
+  List.filteri (fun i _ -> i < limit) (List.map snd ranked)
+
+(* Mirrored extents ([32;64] against [64;32]) tie on distance, few
+   distinct values tie on value, and a graph alias puts a second
+   (method, graph) cell on one shape — a same-shape record that the
+   exact-key exclusion keeps, at distance 0. *)
+let qcheck_nearest_matches_reference =
+  QCheck.Test.make ~name:"index nearest == reference ranking" ~count:60
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let spaces =
+        [ space_of (gemm ~m:32 ~n:32 ~k:32);
+          space_of (gemm ~m:32 ~n:64 ~k:32);
+          space_of (gemm ~m:64 ~n:32 ~k:32);
+          space_of (gemm ~m:64 ~n:64 ~k:64);
+          space_of (gemm ~m:128 ~n:32 ~k:64);
+          space_of (Ft_ir.Operators.gemv ~m:64 ~k:64) ]
+      in
+      let methods = [ "Q-method"; "AutoTVM" ] in
+      let alias (r : Record.t) =
+        { r with key = { r.key with graph = r.key.graph ^ "_alias" } }
+      in
+      let pick l = List.nth l (Ft_util.Rng.int rng (List.length l)) in
+      let recs =
+        List.init 40 (fun i ->
+            let r =
+              record_of ~method_name:(pick methods) ~seed:i
+                ~best:(float_of_int (Ft_util.Rng.int rng 3))
+                (pick spaces)
+            in
+            if Ft_util.Rng.int rng 3 = 0 then alias r else r)
+      in
+      let store = Store.create () in
+      List.iter (Store.add store) recs;
+      let keys =
+        List.concat_map
+          (fun s ->
+            let key = Record.key_of_space s in
+            [ key; { key with graph = key.graph ^ "_alias" } ])
+          (space_of (gemm ~m:256 ~n:16 ~k:32) :: spaces)
+      in
+      let seeds = List.map (fun (r : Record.t) -> r.seed) in
+      List.for_all
+        (fun key ->
+          List.for_all
+            (fun method_name ->
+              List.for_all
+                (fun limit ->
+                  seeds (Store.nearest ?method_name ~limit store key)
+                  = seeds (reference_nearest ?method_name ~limit recs key))
+                [ 0; 1; 2; 3; 4; 5 ])
+            (None :: List.map Option.some methods))
+        keys)
+
+(* --- framing (the sandbox worker's reply format) --- *)
+
+let framed payload =
+  let path = Filename.temp_file "ft_store_frame" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Protocol.write_frame oc payload);
+      In_channel.with_open_bin path In_channel.input_all)
+
+let test_frame_roundtrip_and_cap () =
+  List.iter
+    (fun payload ->
+      match Protocol.frame_of_string (framed payload) with
+      | Ok p -> check_int "payload bytes" (String.length payload) (String.length p);
+          check_bool "payload roundtrips" true (String.equal payload p)
+      | Error e -> Alcotest.fail e)
+    [ "hello"; ""; String.make 70_000 'x' ];
+  check_bool "no bytes is an error" true
+    (Result.is_error (Protocol.frame_of_string ""));
+  let big = framed (String.make 70_000 'x') in
+  (match Protocol.frame_of_string (String.sub big 0 (String.length big - 1)) with
+  | Error e -> check_string "truncated" "truncated frame" e
+  | Ok _ -> Alcotest.fail "a truncated frame cannot parse");
+  (* a length prefix over the 16 MiB cap is rejected before allocation *)
+  List.iter
+    (fun prefix ->
+      check_bool ("oversized frame rejected: " ^ prefix) true
+        (Result.is_error (Protocol.frame_of_string (prefix ^ "\npayload"))))
+    [ string_of_int ((16 * 1024 * 1024) + 1); "999999999999" ]
+
 let () =
   Alcotest.run "ft_store"
     [
@@ -551,4 +813,15 @@ let () =
           Alcotest.test_case "warm start" `Quick test_warm_start_not_worse;
           Alcotest.test_case "runner layers" `Quick test_runner_reuses_layers;
         ] );
+      ( "atomic append",
+        [
+          Alcotest.test_case "big lines, concurrent domains" `Quick
+            test_concurrent_big_appends_atomic;
+          Alcotest.test_case "append stress" `Quick test_concurrent_append_stress;
+        ] );
+      ( "index",
+        [ QCheck_alcotest.to_alcotest qcheck_index_matches_fold;
+          QCheck_alcotest.to_alcotest qcheck_nearest_matches_reference ] );
+      ( "protocol",
+        [ Alcotest.test_case "framing" `Quick test_frame_roundtrip_and_cap ] );
     ]
