@@ -62,7 +62,7 @@ let space_ratio () =
       (List.map
          (fun (l : Ft_workloads.Yolo.layer) ->
            let space = Space.make (Ft_workloads.Yolo.graph l) Target.v100 in
-           Space.size space /. Ft_explore.Autotvm.template_size ~template space)
+           Space.size space /. Space.size (Ft_explore.Autotvm.template template space))
          Ft_workloads.Yolo.layers)
   in
   let sizes =

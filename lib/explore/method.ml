@@ -1,8 +1,10 @@
 (* The search methods: one fixed table, each row a [Search_loop]
-   policy under a short CLI key and its stable name.  Consumers (the
-   [optimize] facade, the CLI, the DNN runner, the benches) dispatch
-   through [find]/[all], so adding a search method is a policy plus
-   one row here.
+   policy under a short CLI key and its stable name, over the space it
+   is given or (the AutoTVM rows) an [Autotvm.template] of it: the
+   space decides which points exist, the policy how to search them.
+   Consumers (the [optimize] facade, the CLI, the DNN runner, the
+   benches) dispatch through [find]/[all], so adding a search method
+   is a policy plus one row here.
 
    [name] is written here and nowhere else: [search] runs the policy
    under it, so it is the checkpoint trail's run id, and the tuning
@@ -18,6 +20,10 @@ type t = {
 
 let row key name description policy =
   { key; name; description; search = Search_loop.run ~method_name:name policy }
+
+(* A row whose search runs inside a template of the space it is given. *)
+let in_template kind m =
+  { m with search = (fun p space -> m.search p (Autotvm.template kind space)) }
 
 (* Table order is presentation order (CLI listing, bench columns). *)
 let all =
@@ -35,13 +41,15 @@ let all =
      { m with search = (fun p -> m.search { p with n_trials = p.n_trials * Search_loop.n_starts }) });
     row "cd" "CD-method" "coordinate descent: greedy single-knob refinement of the incumbent"
       Cd_method.policy;
-    row "autotvm" "AutoTVM"
-      "template-restricted GBT-guided tuning (mainline divisor-knob templates)"
-      (Autotvm.policy `Divisor);
-    row "autotvm-2019" "AutoTVM-2019"
-      "AutoTVM with the paper-era 2019 templates (no virtual threading, snapped \
-       knobs)"
-      (Autotvm.policy `Paper_era);
+    in_template `Divisor
+      (row "autotvm" "AutoTVM"
+         "template-restricted GBT-guided tuning (mainline divisor-knob templates)"
+         Autotvm.policy);
+    in_template `Paper_era
+      (row "autotvm-2019" "AutoTVM-2019"
+         "AutoTVM with the paper-era 2019 templates (no virtual threading, \
+          snapped knobs)"
+         Autotvm.policy);
   ]
 
 let find s =

@@ -14,7 +14,8 @@ type t = {
   name : string;  (** stable persisted name, e.g. [Q-method] *)
   description : string;  (** one line for listings and [--help] *)
   search : Search_loop.params -> Ft_schedule.Space.t -> Driver.result;
-      (** {!Search_loop.run} [~method_name:name] on the row's policy *)
+      (** {!Search_loop.run} [~method_name:name] on the row's policy, over
+          the given space or (AutoTVM rows) its {!Autotvm.template} *)
 }
 
 (** Every method, in presentation order: Q-method, P-method, random,

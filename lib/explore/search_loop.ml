@@ -1,16 +1,10 @@
-(* The scaffolding every search method shares, extracted from what used
-   to be duplicated verbatim across the Q-, P-, random and AutoTVM
-   searches: RNG and evaluator creation, H seeding (with warm-start
-   transfer points appended last), the measurement-budget gate, the
-   traced trial loop, and result assembly via [Driver.finish].
-
-   A search method is a [policy] value: its initial H and a function
-   that, given the search context, returns what one trial does
-   (propose candidates, observe the committed values through
-   [Driver.state]); the loop owns everything else.  The extraction is
-   draw-for-draw faithful: for a given policy the RNG consumption, the
-   evaluation order, the clock charges and the emitted trace records
-   are exactly those of the pre-extraction hand-written loops. *)
+(* The scaffolding every search method shares: RNG and evaluator
+   creation, H seeding (warm-start transfer points appended last), the
+   measurement-budget gate, the traced trial loop, and result assembly
+   via [Driver.finish].  A search method is a [policy] value: its
+   initial H and a function that, given the search context, returns
+   what one trial does; the loop owns everything else, draw for draw
+   as the hand-written loops it replaced. *)
 
 type params = {
   seed : int;
@@ -142,11 +136,13 @@ let run ~method_name policy params space =
       | None -> None
       | Some path -> fst (Ft_store.Checkpoint.latest ~run_id:rid path)
   in
+  (* A heuristic or refitted transfer seed can miss a template's
+     domains: seeds outside the space are dropped. *)
   let state =
     Driver.init ~n_parallel:params.n_parallel ?dispatch:params.dispatch
       ?max_evals:params.max_evals
       (Evaluator.create ~faults:params.faults space)
-      (policy.seeds params rng space)
+      (List.filter (Ft_schedule.Space.valid space) (policy.seeds params rng space))
   in
   (match resumed_from with
   | None -> ()

@@ -102,7 +102,8 @@ val run_id :
   method_name:string -> params -> Ft_schedule.Space.t -> string
 
 (** [run ~method_name policy params space] runs [policy] to
-    completion: seed H, loop trials under the budget, finish.
+    completion: seed H with the policy's seeds that are [Space.valid]
+    in [space], loop trials under the budget, finish.
     [method_name] identifies the run's checkpoint trail ({!run_id}).
     With [checkpoint_path] set, resumable state is appended every 5
     trials; with [faults.crash_at_trial] set, the loop checkpoints and

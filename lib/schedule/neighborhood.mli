@@ -16,12 +16,12 @@ type move =
   | Partition_step of int
 
 (** All directions of a space, in a stable order (the Q-network's
-    action indexing). *)
+    action indexing); a pinned knob has none. *)
 val directions : Space.t -> move list
 
-(** Apply one move; [None] when the result would leave the space.  The
-    result shares every factor array the move does not change with the
-    source config (see {!Config.t}). *)
+(** Apply one move; [None] when the result would leave the space or
+    one of its {!Space.domains}.  The result shares every factor array
+    the move does not change with the source config (see {!Config.t}). *)
 val apply : Space.t -> Config.t -> move -> Config.t option
 
 (** All valid (move, neighbour) pairs of a point. *)

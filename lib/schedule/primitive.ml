@@ -59,7 +59,7 @@ let serial_order (space : Space.t) (cfg : Config.t) ~spatial_mid_level
   @ group_names node.spatial spatial_inner_level
 
 let inline_prims (space : Space.t) (cfg : Config.t) =
-  if cfg.inline && space.has_producers then
+  if cfg.inline then
     List.map
       (fun (producer : Ft_ir.Op.t) -> Inline { node = producer.tag })
       (Ft_ir.Op.producers space.graph space.node)

@@ -3,7 +3,19 @@ let n_reduce_parts = 3
 let n_orders = 6
 let unroll_depths = [| 1; 4; 16; 64 |]
 let partitions = [| 1; 2; 4; 8 |]
-let fuse_choices = [| 1; 2 |]
+
+type split_domain = Divisible | One_of of int array list
+
+type domains = {
+  spatial_splits : split_domain array;
+  reduce_splits : split_domain array;
+  order_ids : int array;
+  unroll_ids : int array;
+  fuse_levels : int array;
+  vectorize : bool array;
+  inline : bool array;
+  partition_ids : int array;
+}
 
 type t = {
   graph : Ft_ir.Op.graph;
@@ -11,7 +23,6 @@ type t = {
   target : Target.t;
   spatial_extents : int array;
   reduce_extents : int array;
-  has_producers : bool;
   flops : int;
   body_flops : int;
   spatial_points : int;
@@ -21,6 +32,7 @@ type t = {
   producer_bytes : int;
   n_producers : int;
   reads : Footprint.reads list;
+  domains : domains;
 }
 
 let compute_node graph =
@@ -50,7 +62,6 @@ let make graph target =
     target;
     spatial_extents = Array.of_list (List.map (fun a -> a.Op.extent) node.spatial);
     reduce_extents = Array.of_list (List.map (fun a -> a.Op.extent) node.reduce);
-    has_producers = producers <> [];
     flops = Op.flops node;
     body_flops = Op.body_flops node;
     spatial_points = Op.spatial_points node;
@@ -61,37 +72,42 @@ let make graph target =
       List.fold_left (fun acc p -> acc + (Op.spatial_points p * 4 * 2)) 0 producers;
     n_producers = List.length producers;
     reads = Footprint.compile node;
+    domains =
+      {
+        spatial_splits = Array.make (List.length node.spatial) Divisible;
+        reduce_splits = Array.make (List.length node.reduce) Divisible;
+        order_ids = [| 0; 1; 2; 3; 4; 5 |];
+        unroll_ids = [| 0; 1; 2; 3 |];
+        fuse_levels = [| 1; 2 |];
+        vectorize = [| false; true |];
+        inline = (if producers <> [] then [| false; true |] else [| true |]);
+        partition_ids = [| 0; 1; 2; 3 |];
+      };
   }
 
-(* Size of the pruned space (divisible splits only) counted in closed
-   form; returned as float because real spaces exceed 10^12. *)
+(* Closed-form size, a float as real spaces exceed 10^12; a GPU point's
+   fuse, vectorize and partition knobs are drawn but not counted. *)
 let size space =
-  let split_count parts extent =
-    float_of_int (Ft_util.Mathx.count_factorizations extent parts)
+  let d = space.domains in
+  let count parts extent = function
+    | Divisible -> Ft_util.Mathx.count_factorizations extent parts
+    | One_of tuples -> List.length tuples
   in
-  let spatial =
-    Array.fold_left
-      (fun acc extent -> acc *. split_count n_spatial_parts extent)
-      1. space.spatial_extents
+  let splits parts extents doms =
+    Array.fold_left ( *. ) 1.
+      (Array.map2 (fun e dom -> float_of_int (count parts e dom)) extents doms)
   in
-  let reduce =
-    Array.fold_left
-      (fun acc extent -> acc *. split_count n_reduce_parts extent)
-      1. space.reduce_extents
-  in
+  let n = Array.length in
   let extras =
-    match space.target with
-    | Target.Gpu _ ->
-        float_of_int (n_orders * Array.length unroll_depths)
-        *. (if space.has_producers then 2. else 1.)
-    | Target.Cpu _ ->
-        float_of_int
-          (n_orders * Array.length unroll_depths * Array.length fuse_choices * 2)
-        *. (if space.has_producers then 2. else 1.)
-    | Target.Fpga _ ->
-        float_of_int (n_orders * Array.length unroll_depths * Array.length partitions)
+    n d.order_ids * n d.unroll_ids
+    * (match space.target with
+      | Target.Gpu _ -> n d.inline
+      | Target.Cpu _ -> n d.fuse_levels * n d.vectorize * n d.inline
+      | Target.Fpga _ -> n d.partition_ids)
   in
-  spatial *. reduce *. extras
+  splits n_spatial_parts space.spatial_extents d.spatial_splits
+  *. splits n_reduce_parts space.reduce_extents d.reduce_splits
+  *. float_of_int extras
 
 let default_split parts extent =
   let factors = Array.make parts 1 in
@@ -122,17 +138,40 @@ let random_split rng parts extent =
   factors.(parts - 1) <- !remaining;
   factors
 
+(* A tuple list takes one [Rng.choose] even when it holds one tuple, a
+   one-value knob no draw; [choose_array] draws as [Rng.int] would. *)
+let draw_split rng parts extent = function
+  | Divisible -> random_split rng parts extent
+  | One_of tuples -> Ft_util.Rng.choose rng tuples
+
+let draw rng vs = if Array.length vs = 1 then vs.(0) else Ft_util.Rng.choose_array rng vs
+let draw_bool rng vs = if Array.length vs = 1 then vs.(0) else Ft_util.Rng.bool rng
+
 let random_config rng space =
+  let d = space.domains in
   {
-    Config.spatial = Array.map (random_split rng n_spatial_parts) space.spatial_extents;
-    reduce = Array.map (random_split rng n_reduce_parts) space.reduce_extents;
-    order_id = Ft_util.Rng.int rng n_orders;
-    unroll_id = Ft_util.Rng.int rng (Array.length unroll_depths);
-    fuse_levels = Ft_util.Rng.choose_array rng fuse_choices;
-    vectorize = Ft_util.Rng.bool rng;
-    inline = (if space.has_producers then Ft_util.Rng.bool rng else true);
-    partition_id = Ft_util.Rng.int rng (Array.length partitions);
+    Config.spatial =
+      Array.map2 (draw_split rng n_spatial_parts) space.spatial_extents d.spatial_splits;
+    reduce = Array.map2 (draw_split rng n_reduce_parts) space.reduce_extents d.reduce_splits;
+    order_id = draw rng d.order_ids;
+    unroll_id = draw rng d.unroll_ids;
+    fuse_levels = draw rng d.fuse_levels;
+    vectorize = draw_bool rng d.vectorize;
+    inline = draw_bool rng d.inline;
+    partition_id = draw rng d.partition_ids;
   }
+
+let redraw rng space (cfg : Config.t) which =
+  let d = space.domains and n_spatial = Array.length cfg.spatial in
+  let set factors axis split = Array.mapi (fun i f -> if i = axis then split else f) factors in
+  if which < n_spatial then
+    let split = draw_split rng n_spatial_parts space.spatial_extents.(which) in
+    { cfg with spatial = set cfg.spatial which (split d.spatial_splits.(which)) }
+  else if which < n_spatial + Array.length cfg.reduce then
+    let axis = which - n_spatial in
+    let split = draw_split rng n_reduce_parts space.reduce_extents.(axis) in
+    { cfg with reduce = set cfg.reduce axis (split d.reduce_splits.(axis)) }
+  else { cfg with unroll_id = draw rng d.unroll_ids }
 
 (* Plain recursions, not [Array.for_all] closures: [Cost.evaluate]
    checks every point it prices. *)
@@ -140,26 +179,39 @@ let rec factors_ok (fs : int array) extent parts i prod =
   if i = parts then prod = extent
   else fs.(i) >= 1 && factors_ok fs extent parts (i + 1) (prod * fs.(i))
 
-let rec axes_ok (extents : int array) (factors : int array array) parts axis =
+let[@inline] split_allowed dom (factors : int array) =
+  match dom with Divisible -> true | One_of tuples -> List.mem factors tuples
+
+let rec axes_ok (extents : int array) doms (factors : int array array) parts axis =
   axis = Array.length factors
   || Array.length factors.(axis) = parts
      && factors_ok factors.(axis) extents.(axis) parts 0 1
-     && axes_ok extents factors parts (axis + 1)
+     && split_allowed doms.(axis) factors.(axis)
+     && axes_ok extents doms factors parts (axis + 1)
 
-let splits_ok extents factors parts =
-  Array.length factors = Array.length extents && axes_ok extents factors parts 0
+let splits_ok extents doms factors parts =
+  Array.length factors = Array.length extents && axes_ok extents doms factors parts 0
+
+let rec mem_from (values : int array) v i =
+  i < Array.length values && (values.(i) = v || mem_from values v (i + 1))
+
+(* A contiguous sorted domain (every full one) answers from one index. *)
+let[@inline] mem (values : int array) v =
+  let i = v - values.(0) in
+  (i >= 0 && i < Array.length values && values.(i) = v) || mem_from values v 0
+
+let[@inline] mem_bool (values : bool array) v = Array.length values > 1 || values.(0) = v
 
 let valid space (cfg : Config.t) =
-  splits_ok space.spatial_extents cfg.spatial n_spatial_parts
-  && splits_ok space.reduce_extents cfg.reduce n_reduce_parts
-  && cfg.order_id >= 0 && cfg.order_id < n_orders
-  && cfg.unroll_id >= 0
-  && cfg.unroll_id < Array.length unroll_depths
-  && cfg.fuse_levels >= 1
-  && cfg.fuse_levels <= 2
-  && cfg.partition_id >= 0
-  && cfg.partition_id < Array.length partitions
-  && (space.has_producers || cfg.inline)
+  let d = space.domains in
+  splits_ok space.spatial_extents d.spatial_splits cfg.spatial n_spatial_parts
+  && splits_ok space.reduce_extents d.reduce_splits cfg.reduce n_reduce_parts
+  && mem d.order_ids cfg.order_id
+  && mem d.unroll_ids cfg.unroll_id
+  && mem d.fuse_levels cfg.fuse_levels
+  && mem_bool d.vectorize cfg.vectorize
+  && mem_bool d.inline cfg.inline
+  && mem d.partition_ids cfg.partition_id
 
 let unroll_depth cfg = unroll_depths.(cfg.Config.unroll_id)
 let partition cfg = partitions.(cfg.Config.partition_id)

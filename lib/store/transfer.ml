@@ -56,7 +56,7 @@ let refit space (cfg : Config.t) =
           unroll_id = clamp 0 (Array.length Space.unroll_depths - 1) cfg.unroll_id;
           fuse_levels = clamp 1 2 cfg.fuse_levels;
           vectorize = cfg.vectorize;
-          inline = (if space.has_producers then cfg.inline else true);
+          inline = cfg.inline || space.n_producers = 0;
           partition_id = clamp 0 (Array.length Space.partitions - 1) cfg.partition_id;
         }
       in

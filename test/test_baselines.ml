@@ -90,14 +90,70 @@ let test_library_candidates_valid () =
     (fun cfg -> check_bool "cpu candidate valid" true (Space.valid cpu_space cfg))
     (Ft_baselines.Library.cpu_candidates cpu_space)
 
+(* The closed-form template sizes from before templates were
+   restrictions of [Space.t], kept as the reference [Space.size] of a
+   template space must equal. *)
+let reference_snap extent targets =
+  List.sort_uniq compare (List.map (Heuristics.closest_divisor extent) targets)
+
+let reference_template_size template (space : Space.t) =
+  let product count extents =
+    Array.fold_left (fun acc extent -> acc *. float_of_int (count extent)) 1. extents
+  in
+  match template with
+  | `Divisor ->
+      product
+        (fun extent -> Ft_util.Mathx.count_factorizations extent Space.n_spatial_parts)
+        space.spatial_extents
+      *. product (fun extent -> List.length (Ft_util.Mathx.divisors extent)) space.reduce_extents
+      *. float_of_int 2
+  | `Paper_era ->
+      let axis_choices extent =
+        let inner = reference_snap extent [ 1; 2; 4 ] in
+        List.concat_map
+          (fun f3 -> List.filter (fun f4 -> extent mod (f3 * f4) = 0) inner)
+          (reference_snap extent [ 1; 4; 8; 16; 32 ])
+      in
+      product (fun extent -> List.length (axis_choices extent)) space.spatial_extents
+      *. product
+           (fun extent -> List.length (reference_snap extent [ 1; 4; 8; 16 ]))
+           space.reduce_extents
+
+let template_size template space = Space.size (Ft_explore.Autotvm.template template space)
+
 let test_autotvm_template_smaller_than_space () =
   let space = Space.make conv3x3 Target.v100 in
-  let mainline = Ft_explore.Autotvm.template_size ~template:`Divisor space in
-  let paper_era = Ft_explore.Autotvm.template_size ~template:`Paper_era space in
+  let mainline = template_size `Divisor space in
+  let paper_era = template_size `Paper_era space in
   check_bool "paper-era < mainline" true (paper_era < mainline);
   check_bool "mainline < full space" true (mainline < Space.size space);
   check_bool "space at least 100x bigger than mainline" true
     (Space.size space /. mainline > 100.)
+
+(* [Space.size] of each template space is the old closed form, bit for
+   bit, over the YOLO layers and the Table-3 suites on every target:
+   what keeps [bench sec65]'s space-size ratios unchanged. *)
+let test_template_size_matches_closed_form () =
+  let graphs =
+    List.map Ft_workloads.Yolo.graph Ft_workloads.Yolo.layers
+    @ List.concat_map
+        (fun (_, cases) ->
+          List.map (fun (c : Ft_workloads.Suites.case) -> c.graph) cases)
+        Ft_workloads.Suites.all
+  in
+  List.iter
+    (fun target ->
+      List.iter
+        (fun graph ->
+          let space = Space.make graph target in
+          List.iter
+            (fun template ->
+              check_bool "Space.size = closed form" true
+                (Float.equal (template_size template space)
+                   (reference_template_size template space)))
+            [ `Divisor; `Paper_era ])
+        graphs)
+    Target.[ v100; xeon_e5_2699_v4; vu9p ]
 
 let test_autotvm_paper_era_search () =
   let space = Space.make conv3x3 Target.v100 in
@@ -162,6 +218,8 @@ let () =
         [
           Alcotest.test_case "template smaller" `Quick
             test_autotvm_template_smaller_than_space;
+          Alcotest.test_case "template size closed form" `Quick
+            test_template_size_matches_closed_form;
           Alcotest.test_case "paper-era template" `Quick test_autotvm_paper_era_search;
           Alcotest.test_case "library fallback" `Quick
             test_best_of_falls_back_when_all_invalid;

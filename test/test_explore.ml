@@ -546,6 +546,149 @@ let test_commit_loop_reference =
         QCheck.Test.fail_reportf "seed %d: commit loop differs from its reference" seed;
       true)
 
+
+(* -- templates: searches inside a restricted space ------------------- *)
+
+let all_targets = Target.[ v100; xeon_e5_2699_v4; vu9p ]
+
+(* A template's points by the definition of its decisions, written
+   without [Space.valid]'s domain checks: [full] is the unrestricted
+   space the template narrows. *)
+let in_template kind (full : Space.t) (cfg : Config.t) =
+  let snap extent targets =
+    List.sort_uniq compare (List.map (Heuristics.closest_divisor extent) targets)
+  in
+  let reduce_ok inner = Array.for_all2 (fun extent (parts : int array) ->
+      parts.(1) = 1 && List.mem parts.(2) (inner extent)) full.reduce_extents cfg.reduce
+  in
+  let pinned =
+    cfg.order_id = 0 && cfg.fuse_levels = 1 && cfg.inline && cfg.partition_id = 0
+    && cfg.vectorize = (match full.target with Target.Cpu _ -> true | _ -> false)
+  in
+  Space.valid full cfg && pinned
+  &&
+  match kind with
+  | `Divisor -> reduce_ok Ft_util.Mathx.divisors && (cfg.unroll_id = 0 || cfg.unroll_id = 2)
+  | `Paper_era ->
+      Array.for_all2
+        (fun extent (parts : int array) ->
+          parts.(1) = 1
+          && List.mem parts.(2) (snap extent [ 1; 4; 8; 16; 32 ])
+          && List.mem parts.(3) (snap extent [ 1; 2; 4 ]))
+        full.spatial_extents cfg.spatial
+      && reduce_ok (fun extent -> snap extent [ 1; 4; 8; 16 ])
+      && cfg.unroll_id = 1
+
+let gen_template_case =
+  QCheck.(
+    quad (int_bound 999_999)
+      (oneofl [ `Divisor; `Paper_era ])
+      (oneofl all_targets)
+      (oneofl Tiny.cases))
+
+let print_kind = function `Divisor -> "Divisor" | `Paper_era -> "Paper_era"
+
+(* Membership in a template space is the template's definition: over
+   the template's own random points, their full-space neighbours (one
+   decision off) and full-space random and heuristic points. *)
+let qcheck_template_valid_is_definition =
+  QCheck.Test.make ~count:60 ~name:"template valid == template definition"
+    gen_template_case (fun (seed, kind, target, (case : Ft_workloads.Suites.case)) ->
+      let rng = Ft_util.Rng.create seed in
+      let full = Space.make case.graph target in
+      let tmpl = Ft_explore.Autotvm.template kind full in
+      let inside = List.init 10 (fun _ -> Space.random_config rng tmpl) in
+      let candidates =
+        inside
+        @ List.concat_map (fun cfg -> List.map snd (Neighborhood.neighbors full cfg)) inside
+        @ List.init 10 (fun _ -> Space.random_config rng full)
+        @ Heuristics.seed_configs full
+      in
+      List.iter
+        (fun cfg ->
+          if Space.valid tmpl cfg <> in_template kind full cfg then
+            QCheck.Test.fail_reportf "%s %s: valid=%b for %s" case.case_name
+              (print_kind kind) (Space.valid tmpl cfg) (Config.compute_key cfg))
+        candidates;
+      List.for_all (in_template kind full) inside)
+
+(* Every move from a template point, along the template's directions
+   and the full space's, lands inside the template or nowhere. *)
+let qcheck_apply_stays_in_template =
+  QCheck.Test.make ~count:60 ~name:"apply stays in a template space"
+    gen_template_case (fun (seed, kind, target, (case : Ft_workloads.Suites.case)) ->
+      let rng = Ft_util.Rng.create seed in
+      let full = Space.make case.graph target in
+      let tmpl = Ft_explore.Autotvm.template kind full in
+      let moves = Neighborhood.directions tmpl @ Neighborhood.directions full in
+      List.for_all
+        (fun _ ->
+          let cfg = Space.random_config rng tmpl in
+          List.for_all
+            (fun move ->
+              match Neighborhood.apply tmpl cfg move with
+              | None -> true
+              | Some next -> Space.valid tmpl next && in_template kind full next)
+            moves)
+        (List.init 5 Fun.id))
+
+(* [search] over [space] with a dispatch that records every fresh
+   point committed to H. *)
+let recorded_search search params (space : Space.t) =
+  let committed = ref [] in
+  let dispatch pairs =
+    List.map
+      (fun (cfg, _) ->
+        committed := cfg :: !committed;
+        let perf = Ft_hw.Cost.evaluate space cfg in
+        (Ft_hw.Cost.perf_value space perf, perf))
+      pairs
+  in
+  let result = search { params with Ft_explore.Search_loop.dispatch = Some dispatch } space in
+  (result, List.rev !committed)
+
+(* The Q-, P-, CD- and random methods run inside either template: every
+   point they commit to H, the winner included, is in the template
+   (the heuristic seeds outside it are dropped). *)
+let qcheck_methods_stay_in_template =
+  QCheck.Test.make ~count:12 ~name:"methods stay inside a template space"
+    QCheck.(
+      quad (int_bound 999_999)
+        (oneofl [ `Divisor; `Paper_era ])
+        (oneofl all_targets)
+        (oneofl [ ("Q-method", 2); ("P-method", 2); ("CD-method", 3); ("random", 10) ]))
+    (fun (seed, kind, target, (name, n_trials)) ->
+      let full = Space.make (Ft_ir.Operators.gemm ~m:16 ~n:32 ~k:24) target in
+      let tmpl = Ft_explore.Autotvm.template kind full in
+      let result, committed =
+        recorded_search (search name) { params with seed; n_trials; max_evals = Some 40 } tmpl
+      in
+      committed <> []
+      && List.for_all (fun cfg -> Space.valid tmpl cfg && in_template kind full cfg) committed
+      && Space.valid tmpl result.best_config)
+
+(* AutoTVM's search is a strategy over any space: on the full space it
+   commits only valid points, some outside both templates, and returns
+   a valid winner. *)
+let qcheck_autotvm_on_full_space =
+  QCheck.Test.make ~count:3 ~name:"autotvm policy on the full space"
+    QCheck.(pair (int_bound 999_999) (oneofl all_targets))
+    (fun (seed, target) ->
+      let full = Space.make (Ft_ir.Operators.gemm ~m:16 ~n:32 ~k:24) target in
+      let result, committed =
+        recorded_search
+          (Ft_explore.Search_loop.run ~method_name:"autotvm-full" Ft_explore.Autotvm.policy)
+          { params with seed; n_trials = 2 }
+          full
+      in
+      List.for_all (Space.valid full) committed
+      && List.exists
+           (fun cfg ->
+             not (in_template `Divisor full cfg || in_template `Paper_era full cfg))
+           committed
+      && Space.valid full result.best_config
+      && result.best_value > 0.)
+
 let () =
   Alcotest.run "ft_explore"
     [
@@ -597,4 +740,12 @@ let () =
           Alcotest.test_case "state bytes per eval" `Quick test_state_bytes_per_eval;
           QCheck_alcotest.to_alcotest test_commit_loop_reference;
         ] );
+      ( "templates",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            qcheck_template_valid_is_definition;
+            qcheck_apply_stays_in_template;
+            qcheck_methods_stay_in_template;
+            qcheck_autotvm_on_full_space;
+          ] );
     ]

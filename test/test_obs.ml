@@ -282,7 +282,10 @@ let searches =
     ("q", run "Q-method" Ft_explore.Q_method.policy 5);
     ("p", run "P-method" Ft_explore.P_method.policy 3);
     ("random", run "random" Ft_explore.Random_method.policy 40);
-    ("autotvm", run "AutoTVM" (Ft_explore.Autotvm.policy `Divisor) 3);
+    ( "autotvm",
+      fun ~seed space ->
+        run "AutoTVM" Ft_explore.Autotvm.policy 3 ~seed
+          (Ft_explore.Autotvm.template `Divisor space) );
   ]
 
 let test_tracing_is_invisible =

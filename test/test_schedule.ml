@@ -388,7 +388,7 @@ let closure_valid (space : Space.t) (cfg : Config.t) =
   && cfg.fuse_levels <= 2
   && cfg.partition_id >= 0
   && cfg.partition_id < Array.length Space.partitions
-  && (space.has_producers || cfg.inline)
+  && (space.n_producers > 0 || cfg.inline)
 
 (* Broken copies of a valid config, each off in one way: an axis too
    many or too few, a part too many or too few, a factor of 0 or below,
@@ -444,7 +444,7 @@ let mutants rng (space : Space.t) (cfg : Config.t) =
       { cfg with partition_id = -1 };
       { cfg with partition_id = Array.length Space.partitions };
     ]
-  @ if space.has_producers then [] else [ { cfg with inline = false } ]
+  @ if space.n_producers > 0 then [] else [ { cfg with inline = false } ]
 
 let qcheck_valid_matches_closure_form =
   QCheck.Test.make ~name:"valid == closure valid, random configs and mutants" ~count:60
@@ -500,7 +500,7 @@ let copying_apply (space : Space.t) (cfg : Config.t) move =
       else Some { (Config.copy cfg) with fuse_levels }
   | Vectorize_toggle -> Some { (Config.copy cfg) with vectorize = not cfg.vectorize }
   | Inline_toggle ->
-      if space.has_producers then Some { (Config.copy cfg) with inline = not cfg.inline }
+      if space.n_producers > 0 then Some { (Config.copy cfg) with inline = not cfg.inline }
       else None
   | Partition_step d ->
       let partition_id = cfg.partition_id + d in
@@ -557,6 +557,107 @@ let qcheck_apply_matches_copying_oracle =
         moves;
       !ok && Config.equal cfg snapshot)
 
+
+(* The unrestricted space as it was before spaces carried domains: its
+   directions, size and sampler, the oracles a full space must match
+   bit for bit (the Q-network indexes its outputs by position in the
+   direction list; seeded searches replay the sampler's draws). *)
+let reference_directions (space : Space.t) =
+  let factor_moves kind extents parts =
+    let levels = List.init parts Fun.id in
+    List.concat
+      (List.init (Array.length extents) (fun axis ->
+           if extents.(axis) <= 1 then []
+           else
+             List.concat_map
+               (fun src ->
+                 List.filter_map
+                   (fun dst ->
+                     if src = dst then None
+                     else Some (Neighborhood.Factor_shift { kind; axis; src; dst }))
+                   levels)
+               levels))
+  in
+  factor_moves `Spatial space.spatial_extents Space.n_spatial_parts
+  @ factor_moves `Reduce space.reduce_extents Space.n_reduce_parts
+  @ Neighborhood.[ Order_step 1; Order_step (-1); Unroll_step 1; Unroll_step (-1) ]
+  @ (match space.target with
+    | Target.Gpu _ -> []
+    | Target.Cpu _ -> Neighborhood.[ Fuse_step 1; Fuse_step (-1); Vectorize_toggle ]
+    | Target.Fpga _ -> Neighborhood.[ Partition_step 1; Partition_step (-1) ])
+  @ if space.n_producers > 0 then [ Neighborhood.Inline_toggle ] else []
+
+let reference_size (space : Space.t) =
+  let split_count parts extent =
+    float_of_int (Ft_util.Mathx.count_factorizations extent parts)
+  in
+  let spatial =
+    Array.fold_left
+      (fun acc extent -> acc *. split_count Space.n_spatial_parts extent)
+      1. space.spatial_extents
+  in
+  let reduce =
+    Array.fold_left
+      (fun acc extent -> acc *. split_count Space.n_reduce_parts extent)
+      1. space.reduce_extents
+  in
+  let orders_unrolls = Space.n_orders * Array.length Space.unroll_depths in
+  let extras =
+    match space.target with
+    | Target.Gpu _ -> float_of_int orders_unrolls *. if space.n_producers > 0 then 2. else 1.
+    | Target.Cpu _ ->
+        float_of_int (orders_unrolls * 2 * 2) *. if space.n_producers > 0 then 2. else 1.
+    | Target.Fpga _ -> float_of_int (orders_unrolls * Array.length Space.partitions)
+  in
+  spatial *. reduce *. extras
+
+let reference_split rng parts extent =
+  let factors = Array.make parts 1 in
+  let remaining = ref extent in
+  for i = 0 to parts - 2 do
+    let divisor = Ft_util.Rng.choose rng (Ft_util.Mathx.divisors !remaining) in
+    factors.(i) <- divisor;
+    remaining := !remaining / divisor
+  done;
+  factors.(parts - 1) <- !remaining;
+  factors
+
+let reference_random_config rng (space : Space.t) =
+  {
+    Config.spatial =
+      Array.map (reference_split rng Space.n_spatial_parts) space.spatial_extents;
+    reduce = Array.map (reference_split rng Space.n_reduce_parts) space.reduce_extents;
+    order_id = Ft_util.Rng.int rng Space.n_orders;
+    unroll_id = Ft_util.Rng.int rng (Array.length Space.unroll_depths);
+    fuse_levels = Ft_util.Rng.choose_array rng [| 1; 2 |];
+    vectorize = Ft_util.Rng.bool rng;
+    inline = (if space.n_producers > 0 then Ft_util.Rng.bool rng else true);
+    partition_id = Ft_util.Rng.int rng (Array.length Space.partitions);
+  }
+
+let test_full_space_matches_reference () =
+  List.iter
+    (fun (case : Ft_workloads.Suites.case) ->
+      List.iter
+        (fun target ->
+          let space = Space.make case.graph target in
+          let label = case.case_name ^ " " ^ Target.name target in
+          check_bool (label ^ ": directions, in order") true
+            (Neighborhood.directions space = reference_directions space);
+          check_bool (label ^ ": size") true
+            (Float.equal (Space.size space) (reference_size space));
+          let rng = Ft_util.Rng.create (Hashtbl.hash label) in
+          let oracle = Ft_util.Rng.create (Hashtbl.hash label) in
+          for _ = 1 to 20 do
+            check_bool (label ^ ": random_config") true
+              (Config.equal (Space.random_config rng space)
+                 (reference_random_config oracle space))
+          done;
+          check_bool (label ^ ": same draws") true
+            (Ft_util.Rng.state rng = Ft_util.Rng.state oracle))
+        all_targets)
+    Tiny.cases
+
 let () =
   Alcotest.run "ft_schedule"
     [
@@ -568,6 +669,8 @@ let () =
           Alcotest.test_case "heuristic seeds" `Quick test_heuristic_seeds_valid;
           Alcotest.test_case "split near" `Quick test_split_near;
           Alcotest.test_case "feature dim" `Quick test_features_fixed_dim;
+          Alcotest.test_case "full space matches reference" `Quick
+            test_full_space_matches_reference;
           QCheck_alcotest.to_alcotest qcheck_random_config_valid;
           QCheck_alcotest.to_alcotest qcheck_valid_matches_closure_form;
         ] );
